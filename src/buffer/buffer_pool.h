@@ -146,6 +146,8 @@ class BufferPool final : public DramPullSource {
   void ResetStats() { stats_ = Stats(); }
   uint32_t capacity() const { return static_cast<uint32_t>(frames_.size()); }
   uint32_t pages_in_pool() const { return static_cast<uint32_t>(table_.size()); }
+  /// True if `page_id` occupies a frame (a fetch would hit DRAM).
+  bool IsResident(PageId page_id) const { return table_.Contains(page_id); }
   CacheExtension* cache() { return cache_; }
 
   /// Number of currently pinned frames (test hook).

@@ -18,6 +18,7 @@ std::string CrashSite::ToString() const {
      << " req_pages=" << req_pages << " persisted=" << pages_persisted
      << "p+" << sectors_persisted << "s write_no=" << write_no
      << " vtime=" << ToSeconds(vtime) << "s";
+  if (in_io_batch) os << " (in I/O lane batch)";
   return os.str();
 }
 
@@ -71,6 +72,7 @@ FaultInjector::WriteVerdict FaultInjector::Trip(const std::string& device_id,
   site_.sectors_persisted = v.keep_sectors;
   site_.write_no = writes_observed_;
   site_.vtime = sched_ != nullptr ? sched_->now() : 0;
+  site_.in_io_batch = sched_ != nullptr && sched_->in_batch();
   return v;
 }
 

@@ -74,6 +74,7 @@ struct CrashSite {
   uint32_t sectors_persisted = 0;///< sectors of the torn page (0 = dropped)
   uint64_t write_no = 0;         ///< page-write ordinal that tripped
   SimNanos vtime = 0;            ///< scheduler now() at the crash (if wired)
+  bool in_io_batch = false;      ///< cut inside an I/O lane batch (if wired)
 
   std::string ToString() const;
 };

@@ -1,11 +1,8 @@
 #include "recovery/flash_rebuild.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/page.h"
+#include "recovery/redo.h"
 
 namespace face {
 
@@ -29,42 +26,18 @@ StatusOr<FlashRebuildReport> FlashRebuild::Rebuild(
   }
   report.floor = floor;
 
-  // `lost` is sorted by page id: membership is a binary search.
-  auto is_target = [&lost](PageId pid) {
-    auto it = std::lower_bound(
-        lost.begin(), lost.end(), pid,
-        [](const FlashOnlyPage& a, PageId b) { return a.page_id < b; });
-    return it != lost.end() && it->page_id == pid;
-  };
-
-  LogReader reader(log_->device());
-  FACE_RETURN_IF_ERROR(reader.Seek(floor));
-  while (true) {
-    auto rec_or = reader.Next();
-    if (!rec_or.ok()) break;  // end of the valid log
-    const LogRecord& rec = rec_or.value();
-    if (rec.type != LogRecordType::kUpdate &&
-        rec.type != LogRecordType::kClr) {
-      continue;
-    }
-    if (!is_target(rec.page_id)) continue;
-    ++report.records_scanned;
-    storage_->ObservePage(rec.page_id);
-    FACE_ASSIGN_OR_RETURN(PageHandle page,
-                          pool_->FetchPageForRedo(rec.page_id));
-    // pageLSN test: the effect is already present iff pageLSN >= rec LSN.
-    if (page.view().lsn() >= rec.lsn) continue;
-    memcpy(page.data() + rec.offset, rec.after.data(), rec.after.size());
-    page.MarkDirtyRange(rec.lsn, rec.offset,
-                        static_cast<uint32_t>(rec.after.size()));
-    ++report.records_applied;
-  }
-
-  // The reconstructed tips become durable at their home location: after
-  // this, disk alone carries every committed version the flash held.
+  // `lost` is sorted by page id, so `ids` is too: the redo filter.
   std::vector<PageId> ids;
   ids.reserve(lost.size());
   for (const FlashOnlyPage& p : lost) ids.push_back(p.page_id);
+  RedoStats redo;
+  FACE_RETURN_IF_ERROR(RedoWithReadAhead(log_->device(), pool_, storage_,
+                                         sched_, floor, &ids, &redo));
+  report.records_scanned = redo.records;
+  report.records_applied = redo.applied;
+
+  // The reconstructed tips become durable at their home location: after
+  // this, disk alone carries every committed version the flash held.
   FACE_RETURN_IF_ERROR(pool_->FlushPagesToDisk(ids));
   report.pages_written = lost.size();
 

@@ -9,11 +9,12 @@
 // FaceCache::dirty_since_ / LcCache's per-entry rec_lsn).
 //
 // This component reruns ARIES redo on the LIVE engine, scoped to exactly
-// that lost set: one sequential WAL scan from the minimum floor, applying
-// update/CLR records for target pages under the usual pageLSN test, then
-// writing the rebuilt pages to their durable home on disk. It deliberately
-// mirrors RestartManager::Redo — same reader, same idempotence rule — so
-// the crash path and the degrade path cannot drift apart.
+// that lost set: one WAL scan from the minimum floor, applying update/CLR
+// records for target pages under the usual pageLSN test, then writing the
+// rebuilt pages to their durable home on disk. The scan is restart's own
+// redo routine (recovery/redo.h, read-ahead included) with the lost set as
+// its page filter, so the crash path and the degrade path cannot drift
+// apart.
 //
 // Caller contract (see Testbed::DegradeToDiskOnly): the cache must already
 // be degraded (page fetches go to disk, admissions are off), the WAL must
@@ -30,6 +31,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "core/cache_ext.h"
+#include "sim/scheduler.h"
 #include "storage/db_storage.h"
 #include "wal/log_manager.h"
 
@@ -47,8 +49,11 @@ struct FlashRebuildReport {
 /// One-shot rebuild runner; see file comment.
 class FlashRebuild {
  public:
-  FlashRebuild(LogManager* log, BufferPool* pool, DbStorage* storage)
-      : log_(log), pool_(pool), storage_(storage) {}
+  /// `sched` may be null (no virtual time); otherwise the caller holds an
+  /// open span on it, which the rebuild's read-ahead batches run inside.
+  FlashRebuild(LogManager* log, BufferPool* pool, DbStorage* storage,
+               IoScheduler* sched = nullptr)
+      : log_(log), pool_(pool), storage_(storage), sched_(sched) {}
 
   /// Reconstruct `lost` (sorted by page id, as CollectFlashOnlyDirty
   /// emits it) from the WAL and write the results to disk. Entries whose
@@ -62,6 +67,7 @@ class FlashRebuild {
   LogManager* log_;
   BufferPool* pool_;
   DbStorage* storage_;
+  IoScheduler* sched_;
 };
 
 }  // namespace face

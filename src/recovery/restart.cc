@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/trace.h"
+#include "recovery/redo.h"
 #include "storage/page.h"
 
 namespace face {
@@ -156,9 +157,16 @@ Status RestartManager::RunPhases(RestartReport* report) {
       ctrl.rebuild_floor < redo_lsn) {
     redo_lsn = ctrl.rebuild_floor;
   }
+  report->redo_lsn = redo_lsn;
   {
     obs::ScopedSpan span("recovery", "redo");
-    FACE_RETURN_IF_ERROR(Redo(report, redo_lsn));
+    RedoStats redo;
+    FACE_RETURN_IF_ERROR(RedoWithReadAhead(log_->device(), pool_, storage_,
+                                           sched_, redo_lsn, nullptr, &redo));
+    report->redo_records = redo.records;
+    report->redo_applied = redo.applied;
+    report->readahead_batches = redo.readahead_batches;
+    report->readahead_pages = redo.readahead_pages;
   }
   const SimNanos t_redo = SpanTime();
   report->redo_ns = t_redo - t_ana;
@@ -273,31 +281,6 @@ Status RestartManager::Analysis(RestartReport* report, Lsn ckpt_lsn,
   report->decided_gtids.erase(
       std::unique(report->decided_gtids.begin(), report->decided_gtids.end()),
       report->decided_gtids.end());
-  return Status::OK();
-}
-
-Status RestartManager::Redo(RestartReport* report, Lsn redo_lsn) {
-  LogReader reader(log_->device());
-  FACE_RETURN_IF_ERROR(reader.Seek(redo_lsn));
-  while (true) {
-    auto rec_or = reader.Next();
-    if (!rec_or.ok()) break;
-    const LogRecord& rec = rec_or.value();
-    if (rec.type != LogRecordType::kUpdate &&
-        rec.type != LogRecordType::kClr) {
-      continue;
-    }
-    ++report->redo_records;
-    storage_->ObservePage(rec.page_id);
-    FACE_ASSIGN_OR_RETURN(PageHandle page,
-                          pool_->FetchPageForRedo(rec.page_id));
-    // pageLSN test: the effect is already present iff pageLSN >= rec LSN.
-    if (page.view().lsn() >= rec.lsn) continue;
-    memcpy(page.data() + rec.offset, rec.after.data(), rec.after.size());
-    page.MarkDirtyRange(rec.lsn, rec.offset,
-                        static_cast<uint32_t>(rec.after.size()));
-    ++report->redo_applied;
-  }
   return Status::OK();
 }
 

@@ -10,7 +10,10 @@
 //   2. analysis: scan from the last complete checkpoint's BEGIN, building
 //      the loser-transaction table
 //   3. redo: replay history from the checkpoint (pageLSN test makes
-//      replaying idempotent)
+//      replaying idempotent), reading ahead: the log is decoded a window at
+//      a time and each window's non-resident pages are fetched as one
+//      scheduler lane batch, so the reads overlap across the disk array's
+//      spindles and the flash device (recovery/redo.h)
 //   4. undo: roll back losers in reverse-LSN order, logging CLRs
 //   5. final checkpoint, so a crash during recovery never lengthens the log
 // Every phase's virtual time is reported separately.
@@ -49,6 +52,8 @@ struct RestartReport {
   /// untrusted) and the system comes up serving disk-only.
   bool degraded = false;
   uint64_t analysis_records = 0;
+  Lsn redo_lsn = kInvalidLsn;  ///< where redo started (checkpoint, or a
+                               ///< lower rebuild floor after a degraded crash)
   uint64_t redo_records = 0;   ///< update/CLR records examined
   uint64_t redo_applied = 0;   ///< records whose effects were re-applied
   uint64_t losers = 0;         ///< transactions rolled back
@@ -56,6 +61,8 @@ struct RestartReport {
   uint64_t pages_fetched = 0;  ///< buffer misses during recovery
   uint64_t pages_from_flash = 0;
   uint64_t pages_from_disk = 0;
+  uint64_t readahead_batches = 0;  ///< redo windows fetched as a lane batch
+  uint64_t readahead_pages = 0;    ///< redo pages fetched by read-ahead
 
   /// 2PC: prepared transactions awaiting a cross-shard decision (withheld
   /// from undo, re-registered active, still covered by checkpoints) and
@@ -117,7 +124,6 @@ class RestartManager {
   Status RunPhases(RestartReport* report);
   Status Analysis(RestartReport* report, Lsn ckpt_lsn,
                   std::map<TxnId, Lsn>* losers);
-  Status Redo(RestartReport* report, Lsn redo_lsn);
   Status Undo(RestartReport* report, std::map<TxnId, Lsn>* losers);
 
   /// Current virtual time of the active recovery span (0 without sched).

@@ -33,6 +33,7 @@ void IoScheduler::BeginTxn() {
 
 SimNanos IoScheduler::EndTxn() {
   FACE_DCHECK(active_, "EndTxn without a matching BeginTxn");
+  FACE_DCHECK(!in_batch_, "EndTxn inside an I/O lane batch");
   token_ready_[current_token_] = current_time_;
   last_completion_ = std::max(last_completion_, current_time_);
   ++txns_completed_;
@@ -56,6 +57,7 @@ void IoScheduler::BeginBackground(uint32_t token, SimNanos not_before) {
 
 SimNanos IoScheduler::EndBackground() {
   FACE_DCHECK(active_, "EndBackground without a matching BeginBackground");
+  FACE_DCHECK(!in_batch_, "EndBackground inside an I/O lane batch");
   token_ready_[current_token_] = current_time_;
   last_completion_ = std::max(last_completion_, current_time_);
   active_ = false;
@@ -83,6 +85,28 @@ void IoScheduler::OnCpu(SimNanos think_ns) {
   if (active_) current_time_ += think_ns;
 }
 
+void IoScheduler::BeginBatch() {
+  FACE_DCHECK(active_, "BeginBatch outside an open span");
+  FACE_DCHECK(!in_batch_, "nested I/O lane batch");
+  in_batch_ = true;
+  batch_start_ = current_time_;
+  batch_end_ = current_time_;
+}
+
+void IoScheduler::NextLane() {
+  FACE_DCHECK(in_batch_, "NextLane outside an I/O lane batch");
+  // The span clock is the current lane's clock: bank its end, rewind.
+  batch_end_ = std::max(batch_end_, current_time_);
+  current_time_ = batch_start_;
+}
+
+SimNanos IoScheduler::EndBatch() {
+  FACE_DCHECK(in_batch_, "EndBatch without a matching BeginBatch");
+  current_time_ = std::max(batch_end_, current_time_);
+  in_batch_ = false;
+  return current_time_;
+}
+
 void IoScheduler::AdvanceAllTokens(SimNanos t) {
   for (SimNanos& ready : token_ready_) ready = std::max(ready, t);
 }
@@ -103,6 +127,7 @@ void IoScheduler::Reset() {
   last_completion_ = 0;
   txns_completed_ = 0;
   active_ = false;
+  in_batch_ = false;
 }
 
 }  // namespace face

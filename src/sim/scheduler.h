@@ -6,6 +6,20 @@
 // token's clock advances through queueing delay + service. The result is a
 // deterministic max-plus schedule of the closed system: makespan -> tpmC,
 // station busy time -> device utilization, completion stamps -> Figure 6.
+//
+// I/O lane batches. A span may open a batch to issue independent requests
+// concurrently (restart redo's read-ahead fetches one page per lane):
+//   - every lane starts at the batch start, the span's clock when the batch
+//     opened;
+//   - requests inside one lane chain serially, so a fetch's eviction
+//     write-back or admission write follows its own read;
+//   - lanes still queue FCFS on each station, in the order they are issued;
+//   - CPU / retry backoff (OnCpu) delays only the lane that incurs it;
+//   - the span resumes when the last lane ends (EndBatch).
+// Inside a lane span_time() is the lane's clock, so latency measured across
+// a lane's requests (e.g. buffer.miss_fetch_ns) is that lane's latency.
+// Batches do not nest and exist only inside an open span; foreground
+// transactions and the checkpointer never open one.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +58,17 @@ class IoScheduler {
   /// Charge pure CPU time to the current token (no station contention).
   void OnCpu(SimNanos think_ns);
 
+  /// Open an I/O lane batch on the active span (see file comment).
+  void BeginBatch();
+  /// End the current lane (if any) and start the next one at the batch
+  /// start. Requests issued until the next call chain on this lane.
+  void NextLane();
+  /// Close the batch: the span's clock moves to the latest lane end, which
+  /// is returned.
+  SimNanos EndBatch();
+  /// True between BeginBatch and EndBatch.
+  bool in_batch() const { return in_batch_; }
+
   /// Latest completion time observed (coarse virtual "now" used to trigger
   /// interval-based events like checkpoints).
   SimNanos now() const { return last_completion_; }
@@ -75,6 +100,31 @@ class IoScheduler {
   SimNanos last_completion_ = 0;
   uint64_t txns_completed_ = 0;
   bool active_ = false;
+  bool in_batch_ = false;
+  SimNanos batch_start_ = 0;  ///< span clock when the batch opened
+  SimNanos batch_end_ = 0;    ///< latest lane end so far
+};
+
+/// RAII lane batch: opens on construction, closes on every exit path — an
+/// error unwinding out of a lane must never leave the scheduler batched.
+/// A null scheduler makes every call a no-op.
+class ScopedIoBatch {
+ public:
+  explicit ScopedIoBatch(IoScheduler* sched) : sched_(sched) {
+    if (sched_ != nullptr) sched_->BeginBatch();
+  }
+  ~ScopedIoBatch() {
+    if (sched_ != nullptr) sched_->EndBatch();
+  }
+  ScopedIoBatch(const ScopedIoBatch&) = delete;
+  ScopedIoBatch& operator=(const ScopedIoBatch&) = delete;
+
+  void NextLane() {
+    if (sched_ != nullptr) sched_->NextLane();
+  }
+
+ private:
+  IoScheduler* sched_;
 };
 
 }  // namespace face

@@ -564,7 +564,7 @@ Status Testbed::DegradeToDiskOnly() {
     FACE_RETURN_IF_ERROR(db_->pool()->FlushUnprotectedFrames());
 
     // 5. Rebuild the lost dirty pages from the WAL onto disk.
-    FlashRebuild rebuild(log_.get(), db_->pool(), storage_.get());
+    FlashRebuild rebuild(log_.get(), db_->pool(), storage_.get(), &sched_);
     FACE_ASSIGN_OR_RETURN(last_rebuild_,
                           rebuild.Rebuild(lost, info.checkpoint_lsn));
 
@@ -655,7 +655,7 @@ StatusOr<ScrubResult> Testbed::ScrubPass(uint64_t max_frames) {
     sched_.BeginBackground(recovery_token_, sched_.now());
     auto body = [&]() -> Status {
       FACE_ASSIGN_OR_RETURN(WalControlInfo info, log_->ReadControlInfo());
-      FlashRebuild rebuild(log_.get(), db_->pool(), storage_.get());
+      FlashRebuild rebuild(log_.get(), db_->pool(), storage_.get(), &sched_);
       FACE_ASSIGN_OR_RETURN(
           last_rebuild_,
           rebuild.Rebuild(res.lost_dirty, info.checkpoint_lsn));

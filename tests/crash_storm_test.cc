@@ -97,6 +97,11 @@ TEST(CrashStormTest, CrashDuringRecovery) {
     EXPECT_TRUE(result->diff.ok()) << "seed " << seed << "\n"
                                    << result->ToString();
     if (result->double_faulted) ++double_faulted;
+    // Every restart replays through the read-ahead routine: a cold pool
+    // means any redo record opens a lane batch.
+    if (result->restart.redo_records > 0) {
+      EXPECT_GT(result->restart.readahead_batches, 0u) << result->ToString();
+    }
   }
   // Recovery always writes (CLRs, the final checkpoint), so a countdown of
   // at most 64 writes should trip for most seeds.

@@ -378,5 +378,89 @@ TEST(TransientFaultTest, AttachedButDisarmedInjectorPerturbsNothing) {
   EXPECT_EQ(hooked.stats().backoff_ns, 0u);
 }
 
+// --- faults inside redo's read-ahead lane batches ---------------------------
+
+class ReadAheadFaultTest : public TimedEngineFixture {
+ protected:
+  /// 96 pages checkpointed to disk, then one more committed write each that
+  /// lives only in the WAL: restart must fetch and re-dirty every page.
+  void PrepareCrash() {
+    Init();
+    pages_ = NewPages(96);
+    CommitToEach(pages_, "base!");
+    FACE_ASSERT_OK(db_->TakeCheckpoint().status());
+    CommitToEach(pages_, "redo!");
+    FACE_ASSERT_OK(log_->FlushAll());
+    Crash();
+  }
+
+  void ExpectEveryPageRecovered() {
+    for (PageId pid : pages_) {
+      ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 5), "redo!") << "page " << pid;
+    }
+  }
+
+  std::vector<PageId> pages_;
+};
+
+TEST_F(ReadAheadFaultTest, ExhaustedReadInsideABatchFailsCleanly) {
+  // Every read attempt on the array fails, so the restart's first data
+  // read — a read-ahead fetch in the first lane — exhausts its retry
+  // budget. Restart must report the lost device with the batch closed, and
+  // after the re-attach protocol the next restart must succeed.
+  PrepareCrash();
+  FaultInjector inj;
+  db_dev_->set_fault_injector(&inj);
+  TransientFaultProfile p;
+  p.read_fail_permille = 1000;
+  p.seed = 5;
+  inj.ArmTransient("db", p);
+
+  auto failed = Recover();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsDeviceLost()) << failed.status().ToString();
+  EXPECT_EQ(db_dev_->stats().retries, 3u);  // one read, 4 attempts
+  EXPECT_FALSE(sched_.in_batch()) << "failed read-ahead left its batch open";
+  EXPECT_FALSE(sched_.in_span());
+
+  inj.DisarmDevice("db");
+  db_dev_->ResetHealth();
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  EXPECT_EQ(report.pages_fetched, pages_.size()) << report.ToString();
+  ExpectEveryPageRecovered();
+}
+
+TEST_F(ReadAheadFaultTest, PowerCutInsideReadAheadRecoversOnRetry) {
+  // Crash-during-recovery storm aimed at the read-ahead: restart runs on a
+  // 16-frame pool, so each read-ahead fetch evicts a page redo already
+  // re-dirtied and the data writes happen inside lanes. A seeded power cut
+  // at one of them must unwind with the batch closed, and the next restart
+  // must replay from whatever reached the array.
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PrepareCrash();
+    if (HasFatalFailure()) return;
+    FaultInjector inj;
+    inj.AttachScheduler(&sched_);
+    inj.SetTearGranularity("db", TearGranularity::kPageAtomic);
+    inj.TargetDevice("db");
+    db_dev_->set_fault_injector(&inj);
+    Random rnd(seed);
+    inj.ArmAfterWrites(1 + rnd.Uniform(64), seed);
+
+    auto failed = Recover(/*buffer_frames=*/16);
+    ASSERT_FALSE(failed.ok()) << "the power cut never fired";
+    ASSERT_TRUE(inj.tripped()) << failed.status().ToString();
+    EXPECT_TRUE(inj.site().in_io_batch) << inj.site().ToString();
+    EXPECT_FALSE(sched_.in_batch()) << "the cut left its lane batch open";
+
+    inj.Disarm();
+    FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover(16));
+    EXPECT_GT(report.readahead_batches, 0u) << report.ToString();
+    ExpectEveryPageRecovered();
+    db_dev_->set_fault_injector(nullptr);
+  }
+}
+
 }  // namespace
 }  // namespace face

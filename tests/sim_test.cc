@@ -347,5 +347,98 @@ TEST(SchedulerTest, AdvanceAllTokensActsAsBarrier) {
   EXPECT_EQ(sched.EndTxn(), 5001u);
 }
 
+// --- I/O lane batches -------------------------------------------------------
+
+TEST(SchedulerLaneTest, LanesOnDistinctStationsOverlap) {
+  IoScheduler sched(1);
+  const uint32_t st = sched.RegisterStations(2);
+  const uint32_t bg = sched.AddBackgroundToken();
+  sched.BeginBackground(bg, 1000);
+  sched.BeginBatch();
+  sched.NextLane();
+  sched.OnIo(st, 100);
+  sched.NextLane();
+  sched.OnIo(st + 1, 100);
+  EXPECT_EQ(sched.EndBatch(), 1100u);  // both lanes ran in [1000, 1100)
+  EXPECT_FALSE(sched.in_batch());
+  EXPECT_EQ(sched.EndBackground(), 1100u);
+}
+
+TEST(SchedulerLaneTest, LanesOnOneStationSerializeFcfs) {
+  IoScheduler sched(1);
+  const uint32_t st = sched.RegisterStations(1);
+  const uint32_t bg = sched.AddBackgroundToken();
+  sched.BeginBackground(bg, 0);
+  sched.BeginBatch();
+  sched.NextLane();
+  sched.OnIo(st, 100);
+  EXPECT_EQ(sched.span_time(), 100u);
+  sched.NextLane();
+  sched.OnIo(st, 30);
+  EXPECT_EQ(sched.span_time(), 130u);  // queued behind the first lane
+  EXPECT_EQ(sched.EndBatch(), 130u);
+  sched.EndBackground();
+  EXPECT_EQ(sched.station_busy_ns(st), 130u);
+}
+
+TEST(SchedulerLaneTest, ChainInsideOneLaneStaysOrdered) {
+  IoScheduler sched(1);
+  const uint32_t st = sched.RegisterStations(2);
+  const uint32_t disk = st, flash = st + 1;
+  const uint32_t bg = sched.AddBackgroundToken();
+  sched.BeginBackground(bg, 0);
+  sched.BeginBatch();
+  // Lane 1: a read, then the admission write it triggers.
+  sched.NextLane();
+  sched.OnIo(disk, 100);
+  sched.OnIo(flash, 20);
+  EXPECT_EQ(sched.span_time(), 120u);  // the write follows its own read
+  // Lane 2 reaches flash at its batch-relative start but queues FCFS
+  // behind lane 1's write, which was issued first.
+  sched.NextLane();
+  sched.OnIo(flash, 10);
+  EXPECT_EQ(sched.span_time(), 130u);
+  EXPECT_EQ(sched.EndBatch(), 130u);
+  sched.EndBackground();
+}
+
+TEST(SchedulerLaneTest, BackoffDelaysOnlyItsOwnLane) {
+  IoScheduler sched(1);
+  const uint32_t st = sched.RegisterStations(2);
+  const uint32_t bg = sched.AddBackgroundToken();
+  sched.BeginBackground(bg, 0);
+  sched.BeginBatch();
+  sched.NextLane();
+  sched.OnCpu(1000);  // retry backoff before the read succeeds
+  sched.OnIo(st, 100);
+  EXPECT_EQ(sched.span_time(), 1100u);
+  sched.NextLane();
+  sched.OnIo(st + 1, 100);
+  EXPECT_EQ(sched.span_time(), 100u);  // untouched by the other lane's wait
+  EXPECT_EQ(sched.EndBatch(), 1100u);
+  sched.EndBackground();
+}
+
+TEST(SchedulerLaneTest, ResetClearsBatchState) {
+  IoScheduler sched(1);
+  const uint32_t st = sched.RegisterStations(1);
+  const uint32_t bg = sched.AddBackgroundToken();
+  sched.BeginBackground(bg, 500);
+  sched.BeginBatch();
+  sched.NextLane();
+  sched.OnIo(st, 100);
+  ASSERT_TRUE(sched.in_batch());
+  sched.Reset();
+  EXPECT_FALSE(sched.in_batch());
+  EXPECT_FALSE(sched.in_span());
+  // A fresh span and batch start from zero, not from the stale batch start.
+  sched.BeginBackground(bg, 0);
+  sched.BeginBatch();
+  sched.NextLane();
+  sched.OnIo(st, 10);
+  EXPECT_EQ(sched.EndBatch(), 10u);
+  EXPECT_EQ(sched.EndBackground(), 10u);
+}
+
 }  // namespace
 }  // namespace face

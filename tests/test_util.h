@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "sim/device_model.h"
 #include "sim/sim_device.h"
 #include "storage/db_storage.h"
+#include "storage/page.h"
 #include "wal/log_manager.h"
 
 #include "testbed/testbed.h"
@@ -85,6 +87,95 @@ class EngineFixture : public ::testing::Test {
   std::unique_ptr<LogManager> log_;
   std::unique_ptr<CacheExtension> cache_;
   std::unique_ptr<Database> db_;
+};
+
+/// EngineFixture's stack on a virtual-time scheduler, with the database on
+/// the testbed's 8-spindle RAID-0 array and the log on its own disk: for
+/// tests that time restart or need its redo lane batches to exist. Work
+/// before the crash runs outside any span (stations are charged, no token
+/// moves); recovery runs on a background token, exactly as in Testbed.
+class TimedEngineFixture : public ::testing::Test {
+ protected:
+  void Init(uint32_t buffer_frames = 256) {
+    Crash();  // re-Init: DRAM must not outlive the devices it points at
+    db_dev_ = std::make_unique<SimDevice>(
+        "db", DeviceProfile::Raid0Seagate(8), /*capacity_pages=*/16384,
+        &sched_);
+    log_dev_ = std::make_unique<SimDevice>("log", DeviceProfile::Seagate15k(),
+                                           uint64_t{1} << 20, &sched_);
+    recovery_token_ = sched_.AddBackgroundToken();
+    BuildStack(buffer_frames);
+    FACE_ASSERT_OK(db_->Format());
+  }
+
+  /// Commit one byte-range write to each of `pages`.
+  void CommitToEach(const std::vector<PageId>& pages, const std::string& data) {
+    for (PageId pid : pages) {
+      const TxnId txn = db_->Begin();
+      auto page = db_->pool()->FetchPage(pid);
+      ASSERT_TRUE(page.ok()) << page.status().ToString();
+      FACE_ASSERT_OK(db_->txns()->Update(txn, &page.value(), kPageHeaderSize,
+                                         data.data(),
+                                         static_cast<uint32_t>(data.size())));
+      FACE_ASSERT_OK(db_->Commit(txn));
+    }
+  }
+
+  /// `n` freshly allocated pages (resident, not yet on disk).
+  std::vector<PageId> NewPages(uint32_t n) {
+    std::vector<PageId> pages;
+    for (uint32_t i = 0; i < n; ++i) {
+      auto page = db_->pool()->NewPage();
+      EXPECT_TRUE(page.ok()) << page.status().ToString();
+      if (!page.ok()) break;
+      pages.push_back(page->page_id());
+    }
+    return pages;
+  }
+
+  /// Power failure: every DRAM structure is discarded.
+  void Crash() {
+    db_.reset();
+    cache_.reset();
+    log_.reset();
+    storage_.reset();
+  }
+
+  /// Rebuild DRAM over the surviving devices with a cold pool of
+  /// `buffer_frames` and run restart on the recovery token.
+  StatusOr<RestartReport> Recover(uint32_t buffer_frames = 256) {
+    Crash();  // a failed restart's DRAM dies too
+    BuildStack(buffer_frames);
+    return db_->Recover(&sched_, recovery_token_);
+  }
+
+  /// Page bytes at `offset` (fetches through the pool).
+  std::string ReadBytes(PageId page_id, uint16_t offset, uint32_t len) {
+    auto page = db_->pool()->FetchPage(page_id);
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    if (!page.ok()) return "";
+    return std::string(page->data() + offset, len);
+  }
+
+  IoScheduler sched_{1};
+  uint32_t recovery_token_ = 0;
+  std::unique_ptr<SimDevice> db_dev_;
+  std::unique_ptr<SimDevice> log_dev_;
+  std::unique_ptr<DbStorage> storage_;
+  std::unique_ptr<LogManager> log_;
+  std::unique_ptr<CacheExtension> cache_;
+  std::unique_ptr<Database> db_;
+
+  /// Fresh DRAM structures over the devices (no recovery run).
+  void BuildStack(uint32_t buffer_frames) {
+    storage_ = std::make_unique<DbStorage>(db_dev_.get());
+    log_ = std::make_unique<LogManager>(log_dev_.get());
+    cache_ = std::make_unique<NullCache>(storage_.get());
+    DatabaseOptions opts;
+    opts.buffer_frames = buffer_frames;
+    db_ = std::make_unique<Database>(opts, storage_.get(), log_.get(),
+                                     cache_.get());
+  }
 };
 
 /// One 1-warehouse golden image shared by every test in the binary —
