@@ -31,8 +31,9 @@ StatusOr<FlashRebuildReport> FlashRebuild::Rebuild(
   ids.reserve(lost.size());
   for (const FlashOnlyPage& p : lost) ids.push_back(p.page_id);
   RedoStats redo;
-  FACE_RETURN_IF_ERROR(RedoWithReadAhead(log_->device(), pool_, storage_,
-                                         sched_, floor, &ids, &redo));
+  LogReader reader(log_->device());
+  FACE_RETURN_IF_ERROR(RedoWithReadAhead(&reader, pool_, storage_, sched_,
+                                         floor, &ids, &redo));
   report.records_scanned = redo.records;
   report.records_applied = redo.applied;
 

@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/page.h"
-#include "wal/log_manager.h"
 
 namespace face {
 
@@ -43,14 +42,12 @@ Status FetchWindow(BufferPool* pool, IoScheduler* sched,
 
 }  // namespace
 
-Status RedoWithReadAhead(SimDevice* log_device, BufferPool* pool,
+Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
                          DbStorage* storage, IoScheduler* sched, Lsn from,
                          const std::vector<PageId>* targets,
                          RedoStats* stats) {
-  const size_t window_pages =
-      std::min<size_t>(kRedoReadAheadPages, pool->capacity() / 2);
-  LogReader reader(log_device);
-  FACE_RETURN_IF_ERROR(reader.Seek(from));
+  const size_t window_pages = std::max<size_t>(1, pool->capacity() / 2);
+  FACE_RETURN_IF_ERROR(reader->Seek(from));
 
   std::vector<LogRecord> window;
   std::vector<PageId> fetch;  // distinct non-resident pages, first touch
@@ -59,11 +56,12 @@ Status RedoWithReadAhead(SimDevice* log_device, BufferPool* pool,
     window.clear();
     fetch.clear();
     while (fetch.size() < window_pages) {
-      auto rec_or = reader.Next();
-      if (!rec_or.ok()) {  // end of the valid log
+      auto rec_or = reader->Next();
+      if (rec_or.status().IsNotFound()) {  // end of the valid log
         end_of_log = true;
         break;
       }
+      FACE_RETURN_IF_ERROR(rec_or.status());
       LogRecord& rec = rec_or.value();
       if (rec.type != LogRecordType::kUpdate &&
           rec.type != LogRecordType::kClr) {

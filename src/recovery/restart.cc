@@ -109,15 +109,6 @@ Status RestartManager::RunPhases(RestartReport* report) {
   const SimNanos t0 = SpanTime();
   const BufferPool::Stats before = pool_->stats();
 
-  // Phase 0: locate the valid end of the durable log.
-  {
-    obs::ScopedSpan span("recovery", "attach");
-    FACE_RETURN_IF_ERROR(log_->Attach());
-  }
-  const SimNanos t_attach = SpanTime();
-  report->attach_ns = t_attach - t0;
-  RecordPhaseNs(kAttach, report->attach_ns);
-
   // The control record decides how phases 1 and 3 run: a degraded marker
   // means the flash cache was lost before the crash, so its device contents
   // must not be trusted and redo may have to reach below the checkpoint to
@@ -126,29 +117,31 @@ Status RestartManager::RunPhases(RestartReport* report) {
   report->checkpoint_lsn = ctrl.checkpoint_lsn;
   report->degraded = ctrl.degraded;
 
-  // Phase 1: restore the cache extension's metadata before touching any
-  // data page, so analysis/redo/undo fetches can hit flash (paper §4.2).
+  // Phases 0 and 1 read different devices, so they run as two lanes of one
+  // batch. Phase 0 locates the valid end of the durable log, scanning
+  // through reader_, which keeps the range for analysis, redo and undo.
+  // Phase 1 restores the cache extension's metadata before any data page is
+  // touched, so analysis/redo/undo fetches can hit flash (paper §4.2).
+  SimNanos meta_ns = 0;
   {
-    obs::ScopedSpan span("recovery", "meta_restore");
-    if (ctrl.degraded) {
-      cache_->MarkDegradedAtRestart();
-    } else {
-      FACE_RETURN_IF_ERROR(cache_->RecoverAfterCrash());
-      // The exact per-page rebuild floors died with the process; lower the
-      // restored dirty entries to the persisted minimum. Pages admitted
-      // dirty after the last checkpoint were clean at its sync, so the
-      // checkpoint LSN bounds their exposure; min covers both.
-      Lsn floor = ctrl.rebuild_floor;
-      if (ctrl.checkpoint_lsn != kInvalidLsn &&
-          (floor == kInvalidLsn || ctrl.checkpoint_lsn < floor)) {
-        floor = ctrl.checkpoint_lsn;
-      }
-      if (floor == kInvalidLsn) floor = LogManager::kLogStartLsn;
-      cache_->SetRecoveredDirtyFloor(floor);
+    ScopedIoBatch batch(sched_);
+    batch.NextLane();
+    {
+      obs::ScopedSpan span("recovery", "attach");
+      FACE_RETURN_IF_ERROR(log_->Attach(&reader_, ctrl.checkpoint_lsn));
     }
+    batch.NextLane();
+    const SimNanos lane_start = SpanTime();
+    {
+      obs::ScopedSpan span("recovery", "meta_restore");
+      FACE_RETURN_IF_ERROR(RestoreCacheMetadata(ctrl));
+    }
+    meta_ns = SpanTime() - lane_start;
   }
   const SimNanos t_meta = SpanTime();
-  report->meta_restore_ns = t_meta - t_attach;
+  report->meta_restore_ns = meta_ns;
+  report->attach_ns = t_meta - t0 - meta_ns;
+  RecordPhaseNs(kAttach, report->attach_ns);
   RecordPhaseNs(kMetaRestore, report->meta_restore_ns);
 
   // Phase 2: analysis from the last complete checkpoint.
@@ -177,8 +170,8 @@ Status RestartManager::RunPhases(RestartReport* report) {
   {
     obs::ScopedSpan span("recovery", "redo");
     RedoStats redo;
-    FACE_RETURN_IF_ERROR(RedoWithReadAhead(log_->device(), pool_, storage_,
-                                           sched_, redo_lsn, nullptr, &redo));
+    FACE_RETURN_IF_ERROR(RedoWithReadAhead(&reader_, pool_, storage_, sched_,
+                                           redo_lsn, nullptr, &redo));
     report->redo_records = redo.records;
     report->redo_applied = redo.applied;
     report->readahead_batches = redo.readahead_batches;
@@ -232,6 +225,26 @@ Status RestartManager::RunPhases(RestartReport* report) {
   return Status::OK();
 }
 
+Status RestartManager::RestoreCacheMetadata(const WalControlInfo& ctrl) {
+  if (ctrl.degraded) {
+    cache_->MarkDegradedAtRestart();
+    return Status::OK();
+  }
+  FACE_RETURN_IF_ERROR(cache_->RecoverAfterCrash());
+  // The exact per-page rebuild floors died with the process; lower the
+  // restored dirty entries to the persisted minimum. Pages admitted dirty
+  // after the last checkpoint were clean at its sync, so the checkpoint LSN
+  // bounds their exposure; min covers both.
+  Lsn floor = ctrl.rebuild_floor;
+  if (ctrl.checkpoint_lsn != kInvalidLsn &&
+      (floor == kInvalidLsn || ctrl.checkpoint_lsn < floor)) {
+    floor = ctrl.checkpoint_lsn;
+  }
+  if (floor == kInvalidLsn) floor = LogManager::kLogStartLsn;
+  cache_->SetRecoveredDirtyFloor(floor);
+  return Status::OK();
+}
+
 Status RestartManager::Analysis(RestartReport* report, Lsn ckpt_lsn,
                                 std::map<TxnId, Lsn>* losers) {
   const Lsn from = ckpt_lsn == kInvalidLsn ? LogManager::kLogStartLsn
@@ -239,7 +252,8 @@ Status RestartManager::Analysis(RestartReport* report, Lsn ckpt_lsn,
   FACE_RETURN_IF_ERROR(reader_.Seek(from));
   while (true) {
     auto rec_or = reader_.Next();
-    if (!rec_or.ok()) break;  // end of the valid log
+    if (rec_or.status().IsNotFound()) break;  // end of the valid log
+    FACE_RETURN_IF_ERROR(rec_or.status());
     const LogRecord& rec = rec_or.value();
     ++report->analysis_records;
     switch (rec.type) {
@@ -380,7 +394,10 @@ Status RestartManager::Undo(RestartReport* report,
         return Status::Internal("loser chain reached a checkpoint record");
     }
   }
-  return log_->FlushAll();
+  // No force here: the CLRs become durable with the checkpoint that follows
+  // every Undo, or earlier under the WAL rule if a page they dirtied leaves
+  // the pool.
+  return Status::OK();
 }
 
 Status RestartManager::ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,

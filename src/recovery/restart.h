@@ -4,25 +4,36 @@
 // (Table 6) and its ">98% of recovery pages came from flash" observation.
 //
 // Restart sequence:
-//   0. attach to the durable log (locates the valid end of log)
+//      read the log's control block once: the last checkpoint's LSN and the
+//      degraded marker decide how steps 0, 1 and 3 run
+//   0. attach to the durable log: scan from the checkpoint to the valid end
+//      of log through the restart's one LogReader, which keeps every window
+//      it reads (wal/log_manager.h)
 //   1. restore the cache extension's metadata (FaCE: persisted segments +
-//      bounded raw-frame scan; TAC: slot directory sweep; LC/none: cold)
+//      bounded raw-frame scan; TAC: slot directory sweep; LC/none: cold).
+//      Steps 0 and 1 read different devices (log disk, flash), so they run
+//      as two lanes of one scheduler lane batch and overlap
 //   2. analysis: scan from the last complete checkpoint's BEGIN, building
-//      the loser-transaction table
+//      the loser-transaction table. It decodes the range step 0 read, so it
+//      costs no device I/O and no virtual time
 //   3. redo: replay history from the checkpoint (pageLSN test makes
 //      replaying idempotent), reading ahead: the log is decoded a window at
 //      a time and each window's non-resident pages are fetched as one
 //      scheduler lane batch, so the reads overlap across the disk array's
-//      spindles and the flash device (recovery/redo.h)
-//   4. undo: roll back losers in reverse-LSN order, logging CLRs; it starts
-//      in the log window analysis left cached, and the log reader refills
-//      its read-ahead window backwards, so stepping back across a block
-//      costs no fresh 256 KB read
+//      spindles and the flash device (recovery/redo.h). It decodes through
+//      the same reader, so the log range is not read again
+//   4. undo: roll back losers in reverse-LSN order, logging CLRs. Records
+//      at or above the checkpoint come from the reader's windows; a loser
+//      chain reaching below them refills backwards, one window per 256 KB.
+//      Undo does not force the log: step 5 does, and the WAL rule forces it
+//      before any page a CLR dirtied leaves the pool
 //   5. final checkpoint, so a crash during recovery never lengthens the log;
 //      its independent writes run as scheduler lane batches: the pages no
 //      cache absorbs go to disk one lane each, and FaCE destages the front
 //      frames it makes room from one lane each, then writes the absorbed
 //      frames after the batch closed (recovery/checkpointer.h)
+// So a restart reads each log block at most once, and its log reads grow
+// once with the log written since the last checkpoint.
 // Every phase's virtual time is reported separately.
 #pragma once
 
@@ -80,8 +91,12 @@ struct RestartReport {
   /// Sorted + deduplicated (analysis normalizes it; binary-search friendly).
   std::vector<uint64_t> decided_gtids;
 
-  SimNanos attach_ns = 0;        ///< locate end of log
-  SimNanos meta_restore_ns = 0;  ///< cache-extension metadata restore
+  /// Steps 0-1's span less meta_restore_ns: the control-block read, plus
+  /// the part of the end-of-log scan that outlasts the metadata restore.
+  SimNanos attach_ns = 0;
+  /// The cache-extension metadata restore's own duration (its lane starts
+  /// with the log scan's, so the two overlap).
+  SimNanos meta_restore_ns = 0;
   SimNanos analysis_ns = 0;
   SimNanos redo_ns = 0;
   SimNanos undo_ns = 0;
@@ -132,6 +147,9 @@ class RestartManager {
  private:
   /// All phases, run inside the scheduler span opened by Run().
   Status RunPhases(RestartReport* report);
+  /// Step 1: restore the cache metadata, or mark the cache degraded when
+  /// the control record says flash was lost before the crash.
+  Status RestoreCacheMetadata(const WalControlInfo& ctrl);
   Status Analysis(RestartReport* report, Lsn ckpt_lsn,
                   std::map<TxnId, Lsn>* losers);
   Status Undo(RestartReport* report, std::map<TxnId, Lsn>* losers);
@@ -148,10 +166,11 @@ class RestartManager {
   CacheExtension* cache_;
   IoScheduler* sched_;
   uint32_t bg_token_;
-  /// Analysis and undo share one log reader: analysis ends with the log's
-  /// tail window cached, where undo's walk back along the loser chains
-  /// starts. Undo reads only records that were durable before the crash,
-  /// so the CLRs it appends never make that window stale.
+  /// Attach, analysis, redo and undo share one log reader, which keeps every
+  /// window it reads: the attach scan reads the range from the checkpoint
+  /// to the end of log once, and the later phases decode it from memory.
+  /// Undo reads only records that were durable before the crash, so the
+  /// CLRs it appends never make a cached window stale.
   LogReader reader_;
   /// Prepared transactions seen by analysis (txn id -> gtid).
   std::map<TxnId, uint64_t> prepared_;

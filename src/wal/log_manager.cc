@@ -56,23 +56,30 @@ Status LogManager::Format() {
 
 Status LogManager::Attach() {
   FACE_ASSIGN_OR_RETURN(Lsn ckpt_lsn, ReadControlBlock());
-  Lsn scan_from = ckpt_lsn == kInvalidLsn ? kLogStartLsn : ckpt_lsn;
   LogReader reader(device_);
-  FACE_RETURN_IF_ERROR(reader.Seek(scan_from));
+  return Attach(&reader, ckpt_lsn);
+}
+
+Status LogManager::Attach(LogReader* reader, Lsn checkpoint_lsn) {
+  FACE_RETURN_IF_ERROR(reader->Seek(
+      checkpoint_lsn == kInvalidLsn ? kLogStartLsn : checkpoint_lsn));
   while (true) {
-    auto rec = reader.Next();
-    if (!rec.ok()) break;
+    auto rec = reader->Next();
+    if (rec.status().IsNotFound()) break;  // the valid end of log
+    FACE_RETURN_IF_ERROR(rec.status());
   }
-  next_lsn_ = reader.position();
+  next_lsn_ = reader->position();
   durable_lsn_ = next_lsn_;
   buffer_base_ = (next_lsn_ / kPageSize) * kPageSize;
   // Preserve the partial last block so future flushes rewrite it intact.
+  // The scan ended by reading the record header at next_lsn_, so the
+  // reader already holds the block.
   tail_used_ = static_cast<size_t>(next_lsn_ - buffer_base_);
   if (tail_used_ > 0) {
     EnsureTailRoom(0);
-    std::string block(kPageSize, '\0');
-    FACE_RETURN_IF_ERROR(device_->Read(buffer_base_ / kPageSize, block.data()));
-    memcpy(tail_.data(), block.data(), tail_used_);
+    FACE_RETURN_IF_ERROR(reader->Read(buffer_base_,
+                                      static_cast<uint32_t>(tail_used_),
+                                      tail_.data()));
   }
   return Status::OK();
 }
@@ -168,43 +175,45 @@ Status LogReader::Seek(Lsn lsn) {
   return Status::OK();
 }
 
-Status LogReader::ReadStream(Lsn offset, uint32_t n, char* out) {
+StatusOr<LogReader::WindowMap::iterator> LogReader::Fill(uint64_t block) {
+  // Forward scans read from `block` on. A miss below every cached window is
+  // a backward walk (undo follows loser chains in reverse-LSN order): read
+  // the window that ends one block past `block` — room for a record
+  // straddling into the next block — clamped at the log start, so the walk
+  // reads once per window, not once per block. A window never extends into
+  // the next cached one, so no block is read twice.
+  const auto next = windows_.upper_bound(block);
+  uint64_t base = block;
+  if (next == windows_.begin() && next != windows_.end()) {
+    constexpr uint64_t kStartBlock = LogManager::kLogStartLsn / kPageSize;
+    base = block + 2 > kStartBlock + kReadBatchBlocks
+               ? block + 2 - kReadBatchBlocks
+               : kStartBlock;
+  }
+  uint64_t end = std::min(base + kReadBatchBlocks, device_->capacity_pages());
+  if (next != windows_.end()) end = std::min(end, next->first);
+  if (end <= block) return Status::IOError("log read past device end");
+  std::string bytes(static_cast<size_t>(end - base) * kPageSize, '\0');
+  FACE_RETURN_IF_ERROR(device_->ReadBatch(
+      base, static_cast<uint32_t>(end - base), bytes.data()));
+  return windows_.emplace_hint(next, base, std::move(bytes));
+}
+
+Status LogReader::Read(Lsn offset, uint32_t n, char* out) {
   uint32_t copied = 0;
   while (copied < n) {
-    const uint64_t block = (offset + copied) / kPageSize;
-    if (cache_base_block_ == UINT64_MAX || block < cache_base_block_ ||
-        block >= cache_base_block_ + kReadBatchBlocks) {
-      // Forward scans refill from `block` on. A miss below the window is a
-      // backward walk (undo follows loser chains in reverse-LSN order):
-      // refill the window that ends one block past `block` — room for a
-      // record straddling into the next block — clamped at the log start,
-      // so the walk re-reads once per window, not once per block.
-      uint64_t base = block;
-      if (cache_base_block_ != UINT64_MAX && block < cache_base_block_) {
-        constexpr uint64_t kStartBlock = LogManager::kLogStartLsn / kPageSize;
-        base = block + 2 > kStartBlock + kReadBatchBlocks
-                   ? block + 2 - kReadBatchBlocks
-                   : kStartBlock;
-      }
-      cache_.resize(static_cast<size_t>(kReadBatchBlocks) * kPageSize);
-      const uint64_t want =
-          std::min<uint64_t>(kReadBatchBlocks,
-                             device_->capacity_pages() - base);
-      if (want == 0) return Status::IOError("log read past device end");
-      FACE_RETURN_IF_ERROR(device_->ReadBatch(
-          base, static_cast<uint32_t>(want), cache_.data()));
-      if (want < kReadBatchBlocks) {
-        memset(cache_.data() + want * kPageSize, 0,
-               (kReadBatchBlocks - want) * kPageSize);
-      }
-      cache_base_block_ = base;
+    const Lsn at = offset + copied;
+    const uint64_t block = at / kPageSize;
+    auto it = windows_.upper_bound(block);
+    if (it != windows_.begin()) --it;
+    if (it == windows_.end() || it->first > block ||
+        block - it->first >= it->second.size() / kPageSize) {
+      FACE_ASSIGN_OR_RETURN(it, Fill(block));
     }
-    const uint64_t in_cache =
-        (offset + copied) - cache_base_block_ * kPageSize;
+    const uint64_t in_window = at - it->first * kPageSize;
     const uint32_t chunk = static_cast<uint32_t>(
-        std::min<uint64_t>(n - copied,
-                           kReadBatchBlocks * kPageSize - in_cache));
-    memcpy(out + copied, cache_.data() + in_cache, chunk);
+        std::min<uint64_t>(n - copied, it->second.size() - in_window));
+    memcpy(out + copied, it->second.data() + in_window, chunk);
     copied += chunk;
   }
   return Status::OK();
@@ -212,13 +221,13 @@ Status LogReader::ReadStream(Lsn offset, uint32_t n, char* out) {
 
 StatusOr<LogRecord> LogReader::Next() {
   char lenbuf[4];
-  FACE_RETURN_IF_ERROR(ReadStream(pos_, 4, lenbuf));
+  FACE_RETURN_IF_ERROR(Read(pos_, 4, lenbuf));
   const uint32_t len = DecodeFixed32(lenbuf);
   if (len < kLogRecordHeaderSize || len > kMaxLogRecordSize) {
     return Status::NotFound("end of log");
   }
   std::string body(len, '\0');
-  FACE_RETURN_IF_ERROR(ReadStream(pos_, len, body.data()));
+  FACE_RETURN_IF_ERROR(Read(pos_, len, body.data()));
   auto rec = LogRecord::Decode(body.data(), len);
   if (!rec.ok()) return Status::NotFound("end of log (torn record)");
   if (rec->lsn != pos_) return Status::NotFound("end of log (stale bytes)");

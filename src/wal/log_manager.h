@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "common/status.h"
@@ -12,6 +13,8 @@
 #include "wal/log_record.h"
 
 namespace face {
+
+class LogReader;
 
 /// Everything the control block (device block 0) records. Beyond the
 /// checkpoint LSN it carries the degraded-mode marker: set (with a redo
@@ -43,9 +46,15 @@ class LogManager {
 
   /// Start a fresh log (zero control block, stream begins at block 1).
   Status Format();
-  /// Attach to an existing log after a crash: scans forward from the last
-  /// checkpoint (or the stream start) to locate the valid end of log.
+  /// Attach to an existing log after a crash: reads the control block, then
+  /// runs the Attach below through a reader of its own.
   Status Attach();
+  /// Attach through the caller's `reader`: scans forward from
+  /// `checkpoint_lsn` (the stream start if invalid) to locate the valid end
+  /// of log, and copies the partial tail block out of the reader rather
+  /// than reading it again. The reader keeps what it read, so a restart
+  /// scanning the same range through it again costs no device I/O.
+  Status Attach(LogReader* reader, Lsn checkpoint_lsn);
 
   /// Assign an LSN to `rec`, serialize it into the tail buffer.
   /// Does NOT hit the device until a flush. Returns the record's LSN.
@@ -146,7 +155,10 @@ class LogManager {
 };
 
 /// Sequential scanner over the durable log, charging device reads in batches
-/// (this is the "read the log" component of restart time).
+/// (this is the "read the log" component of restart time). Every window it
+/// reads stays cached for the reader's lifetime, so a second pass over a
+/// range it has read costs no device I/O. The memory held is the log range
+/// scanned, which checkpoint truncation bounds.
 class LogReader {
  public:
   explicit LogReader(SimDevice* device);
@@ -154,23 +166,29 @@ class LogReader {
   /// Position at `lsn` (must be a record boundary).
   Status Seek(Lsn lsn);
   /// Decode the record at the current position and advance. Returns
-  /// NotFound at the end of the valid log (zero length or bad crc).
+  /// NotFound at the end of the valid log (zero length or bad crc); any
+  /// other error is a failed device read.
   StatusOr<LogRecord> Next();
   /// LSN of the record Next() would return.
   Lsn position() const { return pos_; }
 
- private:
-  /// Copy `n` stream bytes at `offset` into `out`, faulting blocks through
-  /// the batched read cache.
-  Status ReadStream(Lsn offset, uint32_t n, char* out);
+  /// Copy `n` stream bytes at `offset` into `out`, reading the blocks no
+  /// cached window holds.
+  Status Read(Lsn offset, uint32_t n, char* out);
 
-  static constexpr uint32_t kReadBatchBlocks = 64;  // 256 KB read-ahead
+ private:
+  static constexpr uint64_t kReadBatchBlocks = 64;  // 256 KB read-ahead
+
+  /// Cached windows by base block: disjoint runs of whole blocks.
+  using WindowMap = std::map<uint64_t, std::string>;
+
+  /// Read the window that serves `block`, which no cached window holds,
+  /// and return its entry.
+  StatusOr<WindowMap::iterator> Fill(uint64_t block);
 
   SimDevice* device_;
   Lsn pos_ = LogManager::kLogStartLsn;
-  /// Read-ahead cache: blocks [cache_base_block_, +kReadBatchBlocks).
-  std::string cache_;
-  uint64_t cache_base_block_ = UINT64_MAX;
+  WindowMap windows_;
 };
 
 }  // namespace face

@@ -575,6 +575,68 @@ TEST_F(ReadAheadFaultTest, PowerCutInsideReadAheadRecoversOnRetry) {
   }
 }
 
+// --- faults inside the attach and metadata-restore lanes -------------------
+
+class RestoreLaneFaultTest : public ReadAheadFaultTest {};
+
+TEST_F(RestoreLaneFaultTest, ExhaustedLogReadInTheAttachLaneFailsCleanly) {
+  // Seed 6 lets the first log read through — the control block, read
+  // before the lanes open — and fails the next one, the attach lane's
+  // first window, for all four attempts (one failure plus three sticky
+  // ones). Restart must report the lost device with the batch closed.
+  PrepareCrash();
+  FaultInjector inj;
+  log_dev_->set_fault_injector(&inj);
+  TransientFaultProfile p;
+  p.read_fail_permille = 500;
+  p.sticky_failures = 3;
+  p.seed = 6;
+  inj.ArmTransient("log", p);
+
+  const uint64_t reads0 = log_dev_->stats().read_reqs;
+  auto failed = Recover();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsDeviceLost()) << failed.status().ToString();
+  EXPECT_EQ(log_dev_->stats().read_reqs - reads0, 1u);  // the control block
+  EXPECT_EQ(log_dev_->stats().retries, 3u);  // one read, 4 attempts
+  EXPECT_FALSE(sched_.in_batch()) << "failed attach left its batch open";
+  EXPECT_FALSE(sched_.in_span());
+
+  inj.DisarmDevice("log");
+  log_dev_->ResetHealth();
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  EXPECT_EQ(report.redo_applied, pages_.size()) << report.ToString();
+  ExpectEveryPageRecovered();
+  log_dev_->set_fault_injector(nullptr);
+}
+
+TEST_F(RestoreLaneFaultTest, ExhaustedFlashReadInTheMetadataLaneFailsCleanly) {
+  // Every flash read attempt fails, so the metadata restore's first read —
+  // FaCE's superblock, in the second lane — exhausts its retry budget.
+  face_frames_ = 64;
+  PrepareCrash();
+  FaultInjector inj;
+  flash_dev_->set_fault_injector(&inj);
+  TransientFaultProfile p;
+  p.read_fail_permille = 1000;
+  p.seed = 7;
+  inj.ArmTransient("flash", p);
+
+  auto failed = Recover();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsDeviceLost()) << failed.status().ToString();
+  EXPECT_EQ(flash_dev_->stats().retries, 3u);  // one read, 4 attempts
+  EXPECT_FALSE(sched_.in_batch()) << "failed restore left its batch open";
+  EXPECT_FALSE(sched_.in_span());
+
+  inj.DisarmDevice("flash");
+  flash_dev_->ResetHealth();
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  EXPECT_GT(report.redo_records, 0u) << report.ToString();
+  ExpectEveryPageRecovered();
+  flash_dev_->set_fault_injector(nullptr);
+}
+
 // --- faults inside the restart checkpoint's write-back lanes ----------------
 
 class WriteBackFaultTest : public ReadAheadFaultTest {

@@ -182,6 +182,105 @@ TEST_F(LogManagerTest, ReverseScanReadsTheLogOncePerWindow) {
   EXPECT_LE(dev_.stats().read_reqs - reads0, 2u);
 }
 
+TEST_F(LogManagerTest, ReaderKeepsEveryWindowItRead) {
+  // About 2.5 windows of log, ending mid-block. After one forward scan, a
+  // second scan of the same range and an Attach through the same reader
+  // are served from the reader's windows: no device read at all.
+  const std::string image(500, 'w');
+  Lsn last = kInvalidLsn;
+  while (log_.next_lsn() < LogManager::kLogStartLsn + 160 * kPageSize) {
+    LogRecord rec = MakeUpdate(1, 1, 0, image, image);
+    last = log_.Append(&rec);
+  }
+  FACE_ASSERT_OK(log_.FlushAll());
+  ASSERT_NE(log_.next_lsn() % kPageSize, 0u);  // a partial tail block
+
+  LogReader reader(&dev_);
+  FACE_ASSERT_OK(reader.Seek(LogManager::kLogStartLsn));
+  uint64_t records = 0;
+  while (reader.Next().ok()) ++records;
+  EXPECT_EQ(reader.position(), log_.next_lsn());
+
+  const uint64_t reads0 = dev_.stats().read_reqs;
+  FACE_ASSERT_OK(reader.Seek(LogManager::kLogStartLsn));
+  uint64_t again = 0;
+  while (reader.Next().ok()) ++again;
+  EXPECT_EQ(again, records);
+  LogManager fresh(&dev_);
+  FACE_ASSERT_OK(fresh.Attach(&reader, kInvalidLsn));
+  EXPECT_EQ(fresh.next_lsn(), log_.next_lsn());
+  EXPECT_EQ(dev_.stats().read_reqs, reads0);
+
+  // The tail block Attach copied from the reader is intact: a record
+  // appended after it extends the stream, and the whole log reads back.
+  LogRecord tail = MakeUpdate(2, 7, 0, "x", "tail");
+  const Lsn lt = fresh.Append(&tail);
+  FACE_ASSERT_OK(fresh.FlushAll());
+  LogReader check(&dev_);
+  FACE_ASSERT_OK(check.Seek(last));
+  FACE_ASSERT_OK_AND_ASSIGN(LogRecord rl, check.Next());
+  EXPECT_EQ(rl.lsn, last);
+  FACE_ASSERT_OK_AND_ASSIGN(LogRecord rt, check.Next());
+  EXPECT_EQ(rt.lsn, lt);
+  EXPECT_EQ(rt.after, "tail");
+}
+
+TEST_F(LogManagerTest, AttachReadsTheControlBlockAndEachWindowOnce) {
+  // Attach on a fresh reader: one control-block read, then one read per
+  // 64-block window of the scanned range. The partial tail block comes out
+  // of the last window, not from a read of its own.
+  const std::string image(500, 'a');
+  while (log_.next_lsn() < LogManager::kLogStartLsn + 150 * kPageSize) {
+    LogRecord rec = MakeUpdate(1, 1, 0, image, image);
+    log_.Append(&rec);
+  }
+  FACE_ASSERT_OK(log_.FlushAll());
+  ASSERT_NE(log_.next_lsn() % kPageSize, 0u);
+  const uint64_t scanned = log_.next_lsn() / kPageSize;  // blocks 1..end
+  const uint64_t windows = (scanned + 63) / 64;
+  ASSERT_EQ(windows, 3u);
+
+  const DeviceStats before = dev_.stats();
+  LogManager fresh(&dev_);
+  FACE_ASSERT_OK(fresh.Attach());
+  EXPECT_EQ(fresh.next_lsn(), log_.next_lsn());
+  EXPECT_EQ(dev_.stats().read_reqs - before.read_reqs, 1 + windows);
+}
+
+TEST_F(LogManagerTest, EachBlockIsReadAtMostOnce) {
+  // A scan from the middle of the log, then one from near its start (a
+  // degraded restart's redo reaching under the checkpoint). The second
+  // scan misses below the first one's windows, so it refills backwards
+  // (clamped at the log start) and then forwards, and its windows stop
+  // where the first scan's begin: it reads each block below them once.
+  std::vector<Lsn> lsns;
+  const std::string image(300, 'm');
+  while (log_.next_lsn() < LogManager::kLogStartLsn + 200 * kPageSize) {
+    LogRecord rec = MakeUpdate(1, static_cast<PageId>(lsns.size()), 0, image,
+                               image);
+    lsns.push_back(log_.Append(&rec));
+  }
+  FACE_ASSERT_OK(log_.FlushAll());
+
+  LogReader reader(&dev_);
+  const size_t mid = lsns.size() / 2;
+  FACE_ASSERT_OK(reader.Seek(lsns[mid]));
+  while (reader.Next().ok()) {
+  }
+  const uint64_t first_window = lsns[mid] / kPageSize;
+  const size_t low = mid / 4;
+  ASSERT_LT(lsns[low] / kPageSize + 2, 1 + 64u);  // backward refill from 1
+
+  const uint64_t pages0 = dev_.stats().pages_read;
+  FACE_ASSERT_OK(reader.Seek(lsns[low]));
+  for (size_t i = low; i < lsns.size(); ++i) {
+    FACE_ASSERT_OK_AND_ASSIGN(LogRecord rec, reader.Next());
+    ASSERT_EQ(rec.lsn, lsns[i]);
+  }
+  EXPECT_TRUE(reader.Next().status().IsNotFound());
+  EXPECT_EQ(dev_.stats().pages_read - pages0, first_window - 1);
+}
+
 TEST_F(LogManagerTest, AttachFindsEndOfLogAfterRestart) {
   LogRecord a = MakeUpdate(1, 1, 0, "x", "yy");
   LogRecord b = MakeUpdate(1, 2, 0, "x", "zz");

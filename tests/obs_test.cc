@@ -115,13 +115,14 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
 class ReadAheadObsTest : public TimedEngineFixture {};
 
 TEST_F(ReadAheadObsTest, BatchesAndLaneLatenciesAreRecorded) {
-  // Restart redo over 100 on-disk pages: two read-ahead windows. Each
-  // window is one recovery/readahead span and bumps the readahead_*
-  // counters; every batched miss records its own lane's latency — nonzero,
-  // even though the recovery token's clock only moves when the batch ends.
+  // Restart redo over 200 on-disk pages: two read-ahead windows of half
+  // the 256-frame pool. Each window is one recovery/readahead span and
+  // bumps the readahead_* counters; every batched miss records its own
+  // lane's latency — nonzero, even though the recovery token's clock only
+  // moves when the batch ends.
   ObsGuard guard;
   Init();
-  const std::vector<PageId> pages = NewPages(100);
+  const std::vector<PageId> pages = NewPages(200);
   CommitToEach(pages, "observe");
   FACE_ASSERT_OK(db_->pool()->FlushAllToDisk());
   Crash();
@@ -140,9 +141,9 @@ TEST_F(ReadAheadObsTest, BatchesAndLaneLatenciesAreRecorded) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->readahead_batches, 2u);
   EXPECT_EQ(reg.GetCounter("recovery.readahead_batches")->value, 2u);
-  EXPECT_EQ(reg.GetCounter("recovery.readahead_pages")->value, 100u);
+  EXPECT_EQ(reg.GetCounter("recovery.readahead_pages")->value, 200u);
   const obs::Hist* miss = reg.GetHistogram("buffer.miss_fetch_ns");
-  EXPECT_EQ(miss->count(), 100u);
+  EXPECT_EQ(miss->count(), 200u);
   EXPECT_GT(miss->min(), 0u);
   EXPECT_LE(miss->max(), static_cast<uint64_t>(report->redo_ns));
 

@@ -244,7 +244,7 @@ TEST_F(ReadAheadTest, RedoFetchesOverlapAcrossSpindles) {
 TEST_F(ReadAheadTest, EachNonResidentPageIsFetchedOnce) {
   // Two post-checkpoint passes over 150 pages: the second pass finds every
   // page resident, so redo fetches exactly the 150 distinct pages, in
-  // ceil(150 / kRedoReadAheadPages) read-ahead windows.
+  // ceil(150 / window) read-ahead windows of half the pool each.
   const std::vector<PageId> pages = NewPages(150);
   CommitToEach(pages, "base");
   FACE_ASSERT_OK(db_->TakeCheckpoint().status());
@@ -253,13 +253,154 @@ TEST_F(ReadAheadTest, EachNonResidentPageIsFetchedOnce) {
   FACE_ASSERT_OK(log_->FlushAll());
 
   FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  const size_t window = db_->pool()->capacity() / 2;
+  ASSERT_LT(window, pages.size());  // more than one window
   EXPECT_EQ(report.pages_fetched, pages.size()) << report.ToString();
   EXPECT_EQ(report.readahead_pages, pages.size());
-  EXPECT_EQ(report.readahead_batches,
-            (pages.size() + kRedoReadAheadPages - 1) / kRedoReadAheadPages);
+  EXPECT_EQ(report.readahead_batches, (pages.size() + window - 1) / window);
   EXPECT_EQ(report.redo_applied, 2 * pages.size());
   for (PageId pid : pages) {
     ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 5), "pass2") << "page " << pid;
+  }
+}
+
+// --- one log read per restart -----------------------------------------------
+
+class SingleLogReadTest : public TimedEngineFixture {};
+
+TEST_F(SingleLogReadTest, RestartReadsEachLogBlockOnce) {
+  // More than two windows of committed log after the last checkpoint and
+  // no loser older than it: one control-block read, then one read per
+  // 64-block window of the scanned range. Analysis, redo and undo decode
+  // what attach read, so analysis takes no virtual time.
+  Init();
+  const std::vector<PageId> pages = NewPages(200);
+  CommitToEach(pages, "base!");
+  FACE_ASSERT_OK_AND_ASSIGN(const Lsn ckpt, db_->TakeCheckpoint());
+  CommitToEach(pages, FullImage('n'));
+  const Lsn end = log_->durable_lsn();
+  const uint64_t scanned = end / kPageSize - ckpt / kPageSize + 1;
+  const uint64_t windows = (scanned + 63) / 64;
+  ASSERT_GT(windows, 2u);
+
+  const uint64_t reads0 = log_dev_->stats().read_reqs;
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  EXPECT_EQ(log_dev_->stats().read_reqs - reads0, 1 + windows)
+      << report.ToString();
+  EXPECT_EQ(report.checkpoint_lsn, ckpt);
+  EXPECT_EQ(report.losers, 0u);
+  EXPECT_GT(report.analysis_records, pages.size());
+  EXPECT_EQ(report.analysis_ns, 0) << report.ToString();
+  EXPECT_EQ(report.redo_applied, pages.size()) << report.ToString();
+  const std::string image = FullImage('n');
+  for (PageId pid : pages) {
+    ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 3000), image) << "page " << pid;
+  }
+}
+
+TEST_F(SingleLogReadTest, FaceMetadataRestoreOverlapsTheLogScan) {
+  // FaCE: the log scan (log disk) and the metadata restore (flash) run as
+  // two lanes. The device service of each is measured on its own first,
+  // from the very state the restart then starts from; steps 0-1 together
+  // must take less than the two summed.
+  InitFace(/*buffer_frames=*/1024, /*flash_frames=*/64);
+  std::vector<PageId> all;
+  const std::vector<PageId> queued = PrepareDirtyFlashQueue(&all);
+  BuildStack(/*buffer_frames=*/256);
+  const SimNanos log0 = log_dev_->stats().busy_ns;
+  FACE_ASSERT_OK(log_->Attach());  // the control read and the scan
+  const SimNanos log_service = log_dev_->stats().busy_ns - log0;
+  const SimNanos flash0 = flash_dev_->stats().busy_ns;
+  FACE_ASSERT_OK(cache_->RecoverAfterCrash());
+  const SimNanos restore_service = flash_dev_->stats().busy_ns - flash0;
+  ASSERT_GT(log_service, 0);
+  ASSERT_GT(restore_service, 0);
+
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  EXPECT_EQ(report.meta_restore_ns, restore_service) << report.ToString();
+  EXPECT_LT(report.attach_ns + report.meta_restore_ns,
+            log_service + restore_service)
+      << report.ToString();
+  EXPECT_EQ(report.pages_from_flash, queued.size()) << report.ToString();
+  FACE_ASSERT_OK(cache_->CheckInvariants());
+  const std::string image = FullImage('r');
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (i % 8 == 0) {
+      ASSERT_EQ(ReadBytes(all[i], kPageHeaderSize, 3000), image)
+          << "page " << all[i];
+    } else {
+      ASSERT_EQ(ReadBytes(all[i], kPageHeaderSize, 5), "base!")
+          << "page " << all[i];
+    }
+  }
+}
+
+// --- undo leaves the log force to the restart checkpoint --------------------
+
+class UndoForceTest : public TimedEngineFixture {
+ protected:
+  /// 8 pages holding "base!", each then overwritten by its own loser
+  /// transaction whose update reached the log and, stolen, the disk.
+  void PrepareLosers() {
+    Init();
+    pages_ = NewPages(8);
+    CommitToEach(pages_, "base!");
+    FACE_ASSERT_OK(db_->TakeCheckpoint().status());
+    for (PageId pid : pages_) {
+      const TxnId loser = db_->Begin();
+      FACE_ASSERT_OK_AND_ASSIGN(PageHandle page, db_->pool()->FetchPage(pid));
+      FACE_ASSERT_OK(db_->txns()->Update(loser, &page, kPageHeaderSize,
+                                         "LOSER", 5));
+    }
+    FACE_ASSERT_OK(db_->pool()->FlushAllToDisk());
+    Crash();
+  }
+
+  std::vector<PageId> pages_;
+};
+
+TEST_F(UndoForceTest, PowerCutBeforeTheClrsAreDurableRollsBackAgain) {
+  // A clean restart writes the log three times: the checkpoint's force of
+  // the CLRs, Abort records and BEGIN, END's force and the control block.
+  PrepareLosers();
+  const uint64_t writes0 = log_dev_->stats().write_reqs;
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport clean, Recover());
+  EXPECT_EQ(log_dev_->stats().write_reqs - writes0, 3u) << clean.ToString();
+  EXPECT_EQ(clean.losers, pages_.size());
+  EXPECT_EQ(clean.undo_records, pages_.size());
+
+  // Power fails at the restart's first log write, the checkpoint's force:
+  // no CLR reaches the log, so the next restart finds the same losers and
+  // rolls them back again.
+  PrepareLosers();
+  FaultInjector inj;
+  inj.AttachScheduler(&sched_);
+  inj.SetTearGranularity("log", TearGranularity::kPageAtomic);
+  inj.TargetDevice("log");
+  log_dev_->set_fault_injector(&inj);
+  inj.ArmAfterWrites(1, /*seed=*/5);
+  auto cut_short = Recover();
+  ASSERT_FALSE(cut_short.ok()) << "the power cut never fired";
+  ASSERT_TRUE(inj.tripped());
+  inj.Disarm();
+  log_dev_->set_fault_injector(nullptr);
+
+  LogReader reader(log_dev_.get());
+  FACE_ASSERT_OK_AND_ASSIGN(const Lsn ckpt, log_->ReadControlBlock());
+  FACE_ASSERT_OK(reader.Seek(ckpt));
+  uint64_t clrs = 0;
+  while (true) {
+    auto rec = reader.Next();
+    if (!rec.ok()) break;
+    if (rec->type == LogRecordType::kClr) ++clrs;
+  }
+  EXPECT_EQ(clrs, 0u);
+
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport again, Recover());
+  EXPECT_EQ(again.losers, pages_.size()) << again.ToString();
+  EXPECT_EQ(again.undo_records, pages_.size()) << again.ToString();
+  for (PageId pid : pages_) {
+    ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 5), "base!") << "page " << pid;
   }
 }
 
