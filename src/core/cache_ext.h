@@ -144,6 +144,18 @@ class CacheExtension {
   /// True if the valid copy of `page_id` is cached.
   virtual bool Contains(PageId page_id) const = 0;
 
+  /// pageLSN of the persistent cached copy of `page_id` a fetch would read
+  /// (delta chain applied), or kInvalidLsn for none — the default, right
+  /// for every cache whose contents do not survive a crash. Restart redo
+  /// skips, without a fetch, a record of a non-resident page whose copy is
+  /// at or above the record's LSN (recovery/redo.h), so a policy must
+  /// answer "none" whenever a fetch would not read exactly that copy
+  /// (e.g. while degraded).
+  virtual Lsn PersistentCopyLsn(PageId page_id) const {
+    (void)page_id;
+    return kInvalidLsn;
+  }
+
   /// Copy the valid cached copy of `page_id` into `out`. Caller must have
   /// checked Contains. Charges flash read I/O.
   virtual StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) = 0;

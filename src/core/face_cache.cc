@@ -248,6 +248,12 @@ Status FaceCache::FlushSegment(uint64_t seg_no) {
   return WriteSuperblock();
 }
 
+Lsn FaceCache::PersistentCopyLsn(PageId page_id) const {
+  if (degraded_) return kInvalidLsn;  // the flash contents are not trusted
+  const uint64_t* seq = newest_.Find(page_id);
+  return seq == nullptr ? kInvalidLsn : EntryAt(*seq).lsn;
+}
+
 StatusOr<FlashReadResult> FaceCache::ReadPage(PageId page_id, char* out) {
   const uint64_t* found = newest_.Find(page_id);
   if (found == nullptr) return Status::NotFound("page not in flash cache");

@@ -86,6 +86,9 @@ class FaceCache final : public CacheExtension {
   bool Contains(PageId page_id) const override {
     return newest_.Contains(page_id);
   }
+  /// The newest valid frame's LSN (chain tip included), from the directory
+  /// restart restored; "none" while degraded.
+  Lsn PersistentCopyLsn(PageId page_id) const override;
   StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) override;
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
                      Lsn rec_lsn, DeltaWriteHint* hint = nullptr) override;

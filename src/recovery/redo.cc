@@ -11,19 +11,35 @@ namespace face {
 
 namespace {
 
-/// recovery.readahead_* handles, resolved once per thread.
+/// recovery.readahead_* and recovery.redo_skipped handles, resolved once
+/// per thread.
 struct ReadAheadObs {
   obs::Counter* batches;
   obs::Counter* pages;
+  obs::Counter* skipped;
 };
 
 ReadAheadObs& GetReadAheadObs() {
   thread_local ReadAheadObs o = [] {
     auto& reg = obs::MetricsRegistry::Instance();
     return ReadAheadObs{reg.GetCounter("recovery.readahead_batches"),
-                        reg.GetCounter("recovery.readahead_pages")};
+                        reg.GetCounter("recovery.readahead_pages"),
+                        reg.GetCounter("recovery.redo_skipped")};
   }();
   return o;
+}
+
+/// Re-apply one record to a page whose pageLSN is below the record's: an
+/// update's image turns the before image into the after image, a CLR's
+/// compensation image is copied.
+void ApplyRecord(const LogRecord& rec, PageHandle* page) {
+  const uint32_t n = static_cast<uint32_t>(rec.image.size());
+  if (rec.type == LogRecordType::kUpdate) {
+    rec.XorImageInto(page->data());
+  } else {
+    memcpy(page->data() + rec.offset, rec.image.data(), n);
+  }
+  page->MarkDirtyRange(rec.lsn, rec.offset, n);
 }
 
 /// Fault `pages` into the pool as one lane batch, one lane per page.
@@ -47,6 +63,7 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
                          const std::vector<PageId>* targets,
                          RedoStats* stats) {
   const size_t window_pages = std::max<size_t>(1, pool->capacity() / 2);
+  const CacheExtension* cache = pool->cache();
   FACE_RETURN_IF_ERROR(reader->Seek(from));
 
   std::vector<LogRecord> window;
@@ -74,9 +91,19 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
       }
       ++stats->records;
       storage->ObservePage(rec.page_id);
-      if (!pool->IsResident(rec.page_id) &&
-          std::find(fetch.begin(), fetch.end(), rec.page_id) == fetch.end()) {
-        fetch.push_back(rec.page_id);
+      if (!pool->IsResident(rec.page_id)) {
+        // The copy a fetch would bring in already holds the effect: the
+        // pageLSN test would skip the record, so skip it without the fetch.
+        const Lsn cached = cache->PersistentCopyLsn(rec.page_id);
+        if (cached != kInvalidLsn && cached >= rec.lsn) {
+          ++stats->skipped;
+          if (obs::Enabled()) GetReadAheadObs().skipped->Increment();
+          continue;
+        }
+        if (std::find(fetch.begin(), fetch.end(), rec.page_id) ==
+            fetch.end()) {
+          fetch.push_back(rec.page_id);
+        }
       }
       window.push_back(std::move(rec));
     }
@@ -97,9 +124,7 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
                             pool->FetchPageForRedo(rec.page_id));
       // pageLSN test: the effect is already present iff pageLSN >= rec LSN.
       if (page.view().lsn() >= rec.lsn) continue;
-      memcpy(page.data() + rec.offset, rec.after.data(), rec.after.size());
-      page.MarkDirtyRange(rec.lsn, rec.offset,
-                          static_cast<uint32_t>(rec.after.size()));
+      ApplyRecord(rec, &page);
       ++stats->applied;
     }
   }

@@ -8,10 +8,21 @@
 // path as one scheduler I/O lane batch, one lane per page in first-touch
 // order — the reads overlap across the disk array's spindles and the flash
 // device instead of queueing behind a single recovery token. Finally the
-// window's records are applied in LSN order under the usual pageLSN test.
-// Fetching ahead changes only when a page is read, never which pages are
-// read or which records are applied, so the recovered state is exactly the
-// serial loop's.
+// window's records are applied in LSN order under the usual pageLSN test:
+// an update XORs its before-XOR-after image in, a CLR copies its
+// compensation image (wal/log_record.h). Fetching ahead changes only when a
+// page is read, never which pages are read or which records are applied,
+// so the recovered state is exactly the serial loop's.
+//
+// Flash-covered skip. A record whose page is not resident, and whose
+// persistent cached copy (CacheExtension::PersistentCopyLsn — FaCE's
+// directory) is already at or above the record's LSN, is skipped without a
+// fetch: the copy a fetch would bring in holds the effect, so the pageLSN
+// test would skip the record anyway. A later record of the page above the
+// copy's LSN still fetches it and applies on top. Skipped records still
+// raise the storage allocator's high-water mark (ObservePage). This keeps
+// the work a longer post-checkpoint log adds out of restart: on a FaCE
+// cache most of it is already on flash.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +41,7 @@ namespace face {
 struct RedoStats {
   uint64_t records = 0;            ///< update/CLR records examined
   uint64_t applied = 0;            ///< records whose effects were re-applied
+  uint64_t skipped = 0;            ///< records the cached copy covered
   uint64_t readahead_batches = 0;  ///< windows that fetched at least one page
   uint64_t readahead_pages = 0;    ///< pages fetched through read-ahead
 };

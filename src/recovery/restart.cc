@@ -1,7 +1,6 @@
 #include "recovery/restart.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "obs/trace.h"
@@ -83,6 +82,7 @@ std::string RestartReport::ToString() const {
      << " redo=" << ToSeconds(redo_ns) << " undo=" << ToSeconds(undo_ns)
      << " ckpt=" << ToSeconds(checkpoint_ns) << ")"
      << " redo_applied=" << redo_applied << "/" << redo_records
+     << " redo_skipped=" << redo_skipped
      << " losers=" << losers << " undone=" << undo_records
      << " fetches=" << pages_fetched << " (flash=" << pages_from_flash
      << " disk=" << pages_from_disk << ")"
@@ -174,6 +174,7 @@ Status RestartManager::RunPhases(RestartReport* report) {
                                            redo_lsn, nullptr, &redo));
     report->redo_records = redo.records;
     report->redo_applied = redo.applied;
+    report->redo_skipped = redo.skipped;
     report->readahead_batches = redo.readahead_batches;
     report->readahead_pages = redo.readahead_pages;
   }
@@ -348,23 +349,25 @@ Status RestartManager::Undo(RestartReport* report,
 
     switch (rec.type) {
       case LogRecordType::kUpdate: {
+        // The range holds the after image (redo repeated history), so
+        // XORing the record's image out of it restores the before image,
+        // which the CLR then carries in full.
+        FACE_ASSIGN_OR_RETURN(PageHandle page,
+                              pool_->FetchPageForRedo(rec.page_id));
+        rec.XorImageInto(page.data());
+        const uint32_t n = static_cast<uint32_t>(rec.image.size());
+
         LogRecord clr;
         clr.type = LogRecordType::kClr;
         clr.txn_id = txn_id;
         clr.prev_lsn = chain_head[txn_id];
         clr.page_id = rec.page_id;
         clr.offset = rec.offset;
-        clr.after = rec.before;  // compensation image
+        clr.image.assign(page.data() + rec.offset, n);  // compensation image
         clr.undo_next_lsn = rec.prev_lsn;
         const Lsn clr_lsn = log_->Append(&clr);
         chain_head[txn_id] = clr_lsn;
-
-        FACE_ASSIGN_OR_RETURN(PageHandle page,
-                              pool_->FetchPageForRedo(rec.page_id));
-        memcpy(page.data() + rec.offset, rec.before.data(),
-               rec.before.size());
-        page.MarkDirtyRange(clr_lsn, rec.offset,
-                            static_cast<uint32_t>(rec.before.size()));
+        page.MarkDirtyRange(clr_lsn, rec.offset, n);
         ++report->undo_records;
         max_it->second = rec.prev_lsn;
         break;

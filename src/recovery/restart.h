@@ -20,9 +20,15 @@
 //      replaying idempotent), reading ahead: the log is decoded a window at
 //      a time and each window's non-resident pages are fetched as one
 //      scheduler lane batch, so the reads overlap across the disk array's
-//      spindles and the flash device (recovery/redo.h). It decodes through
-//      the same reader, so the log range is not read again
-//   4. undo: roll back losers in reverse-LSN order, logging CLRs. Records
+//      spindles and the flash device (recovery/redo.h). A record whose
+//      page's persistent cached copy (the directory step 1 restored)
+//      already holds it is skipped without a fetch, so the post-checkpoint
+//      work FaCE already put on flash costs restart nothing. A degraded
+//      restart trusts no cached copy and skips nothing. Redo decodes
+//      through the same reader, so the log range is not read again
+//   4. undo: roll back losers in reverse-LSN order, logging CLRs. An
+//      update record carries before XOR after, so undo XORs it out of the
+//      page and logs the restored before image as the CLR's. Records
 //      at or above the checkpoint come from the reader's windows; a loser
 //      chain reaching below them refills backwards, one window per 256 KB.
 //      Undo does not force the log: step 5 does, and the WAL rule forces it
@@ -74,6 +80,9 @@ struct RestartReport {
                                ///< lower rebuild floor after a degraded crash)
   uint64_t redo_records = 0;   ///< update/CLR records examined
   uint64_t redo_applied = 0;   ///< records whose effects were re-applied
+  /// Records skipped without a fetch: the page was not resident and its
+  /// persistent cached copy already held the effect (recovery/redo.h).
+  uint64_t redo_skipped = 0;
   uint64_t losers = 0;         ///< transactions rolled back
   uint64_t undo_records = 0;   ///< records undone (CLRs written)
   uint64_t pages_fetched = 0;  ///< buffer misses during recovery

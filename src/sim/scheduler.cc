@@ -15,6 +15,7 @@ uint32_t IoScheduler::RegisterStations(uint32_t n) {
   const uint32_t base = static_cast<uint32_t>(station_free_.size());
   station_free_.resize(base + n, 0);
   busy_.resize(base + n, 0);
+  group_start_.resize(base + n, kNoGroup);
   return base;
 }
 
@@ -66,6 +67,7 @@ SimNanos IoScheduler::EndBackground() {
 
 void IoScheduler::OnIo(uint32_t station, SimNanos service_ns) {
   FACE_DCHECK(station < station_free_.size(), "I/O on unregistered station");
+  group_start_[station] = kNoGroup;  // any request closes the open group
   if (!active_) {
     // I/O outside any span (e.g. initial load): charge the station only so
     // utilization stays meaningful, anchored at its own timeline.
@@ -83,6 +85,23 @@ void IoScheduler::OnIo(uint32_t station, SimNanos service_ns) {
 
 void IoScheduler::OnCpu(SimNanos think_ns) {
   if (active_) current_time_ += think_ns;
+}
+
+bool IoScheduler::OnJoinableIo(uint32_t station, SimNanos service_ns,
+                               SimNanos join_ns) {
+  FACE_DCHECK(station < station_free_.size(), "I/O on unregistered station");
+  const bool groups = active_ && !in_batch_;
+  if (groups && group_start_[station] != kNoGroup &&
+      current_time_ <= group_start_[station]) {
+    // The group's request is still queued: ride along, lengthening it.
+    station_free_[station] += join_ns;
+    busy_[station] += join_ns;
+    current_time_ = station_free_[station];
+    return true;
+  }
+  OnIo(station, service_ns);
+  if (groups) group_start_[station] = current_time_ - service_ns;
+  return false;
 }
 
 void IoScheduler::BeginBatch() {
@@ -122,6 +141,7 @@ void IoScheduler::Reset() {
   std::fill(token_ready_.begin(), token_ready_.end(), 0);
   std::fill(station_free_.begin(), station_free_.end(), 0);
   std::fill(busy_.begin(), busy_.end(), 0);
+  std::fill(group_start_.begin(), group_start_.end(), kNoGroup);
   current_token_ = 0;
   current_time_ = 0;
   last_completion_ = 0;

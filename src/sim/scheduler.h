@@ -27,6 +27,22 @@
 // new frames only once its destage batch closed.
 // Batches do not nest and exist only inside an open span; foreground
 // transactions and runtime checkpoints never open one.
+//
+// Group commit (OnJoinableIo; only LogManager::FlushTo issues joinable
+// requests). The engine runs host-serially, so every commit issues its own
+// log force. A joinable request joins the station's last request instead
+// of queueing behind it when:
+//   - that request was itself joinable (a force: it opened a group);
+//   - it is still the station's last request — any other request on the
+//     station closes the group;
+//   - the joiner's clock is at or before the group's start: the force has
+//     not begun, so the writer would have taken the joiner's pages with it,
+//     as PostgreSQL's WAL writer flushes everything queued behind it.
+// The join completes at the group's end, which, like the station's, moves
+// only by the transfer time of the pages the joiner adds. Requests in a
+// lane batch or outside a span never join and open no group. The rule
+// charges no other request differently, so every other station's timeline
+// is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +81,13 @@ class IoScheduler {
   /// Charge pure CPU time to the current token (no station contention).
   void OnCpu(SimNanos think_ns);
 
+  /// Charge a joinable request on `station` (group commit; see file
+  /// comment). Joins the station's open group when the rule allows: the
+  /// group's end moves by `join_ns` and the current token waits for it.
+  /// Otherwise charges `service_ns` exactly as OnIo and, inside a span and
+  /// outside a batch, opens a new group. Returns whether it joined.
+  bool OnJoinableIo(uint32_t station, SimNanos service_ns, SimNanos join_ns);
+
   /// Open an I/O lane batch on the active span (see file comment).
   void BeginBatch();
   /// End the current lane (if any) and start the next one at the batch
@@ -94,14 +117,21 @@ class IoScheduler {
   /// True between BeginTxn/BeginBackground and the matching End call.
   bool in_span() const { return active_; }
 
-  /// Forget all timing (tokens, stations, counters); station ids survive.
+  /// Forget all timing (tokens, stations, counters, open groups); station
+  /// ids survive.
   void Reset();
 
  private:
+  /// group_start_ value of a station with no open group.
+  static constexpr SimNanos kNoGroup = ~SimNanos{0};
+
   uint32_t num_clients_;
   std::vector<SimNanos> token_ready_;   // per-token clock
   std::vector<SimNanos> station_free_;  // per-station next-free time
   std::vector<SimNanos> busy_;          // per-station busy accumulation
+  /// Per station: start of the open group (its last request, if joinable),
+  /// or kNoGroup.
+  std::vector<SimNanos> group_start_;
   uint32_t current_token_ = 0;
   SimNanos current_time_ = 0;
   SimNanos last_completion_ = 0;

@@ -184,7 +184,8 @@ Status SimDevice::ConsultWithRetries(IoOp op, uint64_t block, uint32_t n,
 }
 
 Status SimDevice::DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
-                       const char* wbuf) {
+                       const char* wbuf, bool* joined) {
+  if (joined != nullptr) *joined = false;
   if (n == 0) return Status::InvalidArgument("zero-length I/O");
   if (block + n > capacity_pages_) {
     return Status::IOError(id_ + ": I/O beyond device capacity");
@@ -193,6 +194,8 @@ Status SimDevice::DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
               "read without a destination buffer");
   FACE_DCHECK(op == IoOp::kRead || wbuf != nullptr,
               "write without a source buffer");
+  FACE_DCHECK(joined == nullptr || profile_.stations == 1,
+              "joinable request on a striped device");
 
   if (failed_) {
     return Status::DeviceLost(id_ + ": device offline");
@@ -216,12 +219,12 @@ Status SimDevice::DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
   // read-ahead) get trace spans; per-page traffic stays counter-only so
   // traces hold thousands of events, not millions.
   obs::ScopedSpan io_span("sim", obs_span_name_, /*enabled=*/n >= 8);
-  if (obs::Enabled()) obs_req_pages_->Add(n);
 
   // Price the request, splitting across RAID stripes so each spindle sees
   // its own positioning + transfer and its own sequentiality history.
   uint64_t pos = block;
   uint32_t remaining = n;
+  bool join = false;
   while (remaining > 0) {
     const uint32_t st = StationFor(pos);
     uint32_t span;
@@ -234,33 +237,56 @@ Status SimDevice::DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
           std::min<uint64_t>(remaining, stripe_end - pos));
     }
     const uint64_t local = LocalOffset(pos);
-    const bool sequential = last_end_[st][static_cast<int>(op)] == local;
-    const SimNanos service =
+    uint64_t& last_end = last_end_[st][static_cast<int>(op)];
+    const bool sequential = last_end == local;
+    SimNanos service =
         profile_.ServiceNs(op, sequential, span) * latency_factor;
+    uint32_t pages = span;
+    if (joined != nullptr && sched_ != nullptr) {
+      // A join adds the transfer of its pages past the group's end (the
+      // stream's last write end): a force rewrites the group's partial
+      // last block, and that block is already on its way.
+      const uint64_t from =
+          last_end == UINT64_MAX ? local : std::max(local, last_end);
+      const uint32_t added =
+          local + span > from ? static_cast<uint32_t>(local + span - from) : 0;
+      const SimNanos join_ns =
+          profile_.ServiceNs(op, /*sequential=*/true, added) * latency_factor;
+      join = sched_->OnJoinableIo(station_base_ + st, service, join_ns);
+      if (join) {
+        service = join_ns;
+        pages = added;
+      }
+    } else if (sched_ != nullptr) {
+      sched_->OnIo(station_base_ + st, service);
+    }
     stats_.busy_ns += service;
-    if (sched_ != nullptr) sched_->OnIo(station_base_ + st, service);
 
+    const int opi = static_cast<int>(op);
     if (op == IoOp::kRead) {
       ++stats_.read_reqs;
       if (sequential) ++stats_.seq_read_reqs;
-      stats_.pages_read += span;
+      stats_.pages_read += pages;
     } else {
-      ++stats_.write_reqs;
-      if (sequential) ++stats_.seq_write_reqs;
-      stats_.pages_written += span;
+      if (!join) ++stats_.write_reqs;
+      if (!join && sequential) ++stats_.seq_write_reqs;
+      stats_.pages_written += pages;
     }
     if (obs::Enabled()) {
-      const int opi = static_cast<int>(op);
-      obs_reqs_[opi]->Increment();
-      if (sequential) obs_seq_reqs_[opi]->Increment();
-      obs_pages_[opi]->Add(span);
+      if (!join) {
+        obs_reqs_[opi]->Increment();
+        if (sequential) obs_seq_reqs_[opi]->Increment();
+        obs_service_ns_->Add(service);
+      }
+      obs_pages_[opi]->Add(pages);
       obs_busy_ns_->Add(service);
-      obs_service_ns_->Add(service);
     }
-    last_end_[st][static_cast<int>(op)] = local + span;
+    last_end = join ? std::max(last_end, local + span) : local + span;
     pos += span;
     remaining -= span;
   }
+  if (obs::Enabled() && !join) obs_req_pages_->Add(n);
+  if (joined != nullptr) *joined = join;
   return Status::OK();
 }
 
@@ -278,6 +304,11 @@ Status SimDevice::ReadBatch(uint64_t block, uint32_t n, char* out) {
 
 Status SimDevice::WriteBatch(uint64_t block, uint32_t n, const char* in) {
   return DoIo(IoOp::kWrite, block, n, nullptr, in);
+}
+
+Status SimDevice::GroupWrite(uint64_t block, uint32_t n, const char* in,
+                             bool* joined) {
+  return DoIo(IoOp::kWrite, block, n, nullptr, in, joined);
 }
 
 double SimDevice::Utilization(SimNanos makespan) const {

@@ -58,6 +58,12 @@ class SimDevice {
   Status ReadBatch(uint64_t block, uint32_t n, char* out);
   /// Write `n` contiguous pages, same pricing as ReadBatch.
   Status WriteBatch(uint64_t block, uint32_t n, const char* in);
+  /// WriteBatch for a log force, on a single-station device: the request
+  /// may join the station's open group (IoScheduler::OnJoinableIo), adding
+  /// only the transfer time of its pages past the group's end. A join moves
+  /// the same bytes but counts as part of the group's one request: no
+  /// request of its own, and only the pages it adds. `*joined` reports it.
+  Status GroupWrite(uint64_t block, uint32_t n, const char* in, bool* joined);
 
   const std::string& id() const { return id_; }
   const DeviceProfile& profile() const { return profile_; }
@@ -123,8 +129,10 @@ class SimDevice {
   void ResetHealth() { failed_ = false; }
 
  private:
+  /// One request. `joined` non-null makes it joinable (GroupWrite) and
+  /// receives whether it joined.
   Status DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
-              const char* wbuf);
+              const char* wbuf, bool* joined = nullptr);
   /// Cold path of DoIo: consult the attached injector for one attempt. OK =
   /// proceed with the request; a retryable error may be re-attempted by
   /// DoIo's retry loop; any other error ends the request (possibly after a

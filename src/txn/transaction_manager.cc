@@ -68,7 +68,7 @@ Status TransactionManager::Update(TxnId txn_id, PageHandle* page,
   if (b.empty()) return Status::OK();  // no-op change: log nothing
   const uint32_t lo = b.lo;
   const uint32_t hi = b.hi;
-  stats_.bytes_logged_saved += 2ull * (len - (hi - lo));
+  stats_.bytes_logged_saved += len - (hi - lo);
   const uint32_t n = hi - lo;
 
   Transaction& t = it->second;
@@ -84,13 +84,13 @@ Status TransactionManager::Update(TxnId txn_id, PageHandle* page,
     t.last_lsn = begin_lsn;
   }
 
-  // Encode the update record in place: before-image straight from the page
-  // bytes (not yet modified), after-image straight from the caller's span.
+  // Encode the update record in place: its one image is the page bytes
+  // (not yet modified) XOR the caller's span.
   const uint16_t rec_offset = static_cast<uint16_t>(offset + lo);
   Lsn lsn;
-  char* rec = log_->AppendBatch(UpdateRecordSize(n, n), &lsn);
+  char* rec = log_->AppendBatch(UpdateRecordSize(n), &lsn);
   EncodeUpdateRecordTo(rec, lsn, txn_id, t.last_lsn, page->page_id(),
-                       rec_offset, dst + lo, n, after + lo, n);
+                       rec_offset, dst + lo, after + lo, n);
   t.last_lsn = lsn;
 
   // Undo arena: one append, no per-update string allocation.

@@ -1,11 +1,12 @@
 // Transaction lifecycle and physiological update logging.
 //
-// Every page modification flows through Update(), which logs a byte-range
-// before/after image (trimmed to the changed span) before applying it —
-// write-ahead logging is structural here, not a convention callers can
-// forget. Commit forces the log (durability); abort walks the transaction's
-// in-memory undo list backwards, writing a compensation record (CLR) for
-// each undone update so that a crash mid-abort never undoes twice.
+// Every page modification flows through Update(), which logs the byte
+// range's before XOR after image (trimmed to the changed span; see
+// wal/log_record.h) before applying it — write-ahead logging is structural
+// here, not a convention callers can forget. Commit forces the log
+// (durability); abort walks the transaction's in-memory undo list
+// backwards, writing a compensation record (CLR, a full image) for each
+// undone update so that a crash mid-abort never undoes twice.
 //
 // Hot-path discipline: the first logged write of a transaction reserves
 // WAL tail-buffer space once (LogManager::BeginTxnBatch); every record of
@@ -37,7 +38,7 @@ class TransactionManager {
     uint64_t committed = 0;
     uint64_t aborted = 0;
     uint64_t updates = 0;
-    uint64_t bytes_logged_saved = 0;  ///< bytes avoided by diff-trimming
+    uint64_t bytes_logged_saved = 0;  ///< image bytes avoided by diff-trimming
   };
 
   TransactionManager(LogManager* log, BufferPool* pool);
@@ -46,9 +47,10 @@ class TransactionManager {
   TxnId Begin();
 
   /// Log and apply a byte-range update at `offset` within the pinned page:
-  /// the before-image is captured from the page, the record is trimmed to
-  /// the changed span, and the page is modified and marked dirty under the
-  /// record's LSN. A no-op change (identical bytes) logs nothing.
+  /// the record is trimmed to the changed span and carries before XOR
+  /// after, the before-image is kept for in-memory abort, and the page is
+  /// modified and marked dirty under the record's LSN. A no-op change
+  /// (identical bytes) logs nothing.
   Status Update(TxnId txn_id, PageHandle* page, uint16_t offset,
                 const char* after, uint32_t len);
 

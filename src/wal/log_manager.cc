@@ -12,14 +12,16 @@ namespace face {
 namespace {
 constexpr uint64_t kControlMagic = 0xFACEC0DE2012ull;
 
-/// "wal.*" handles (appends mirror Stats; forces add the latency and batch
-/// distributions group commit is all about).
+/// "wal.*" handles (appends mirror Stats; forces add the latency, batch and
+/// group-size distributions group commit is all about).
 struct WalObs {
   obs::Counter* appends;
   obs::Counter* append_bytes;
   obs::Counter* forces;
+  obs::Counter* group_joins;
   obs::Hist* force_pages;
   obs::Hist* force_ns;
+  obs::Hist* group_size;
 };
 
 WalObs& GetWalObs() {
@@ -29,8 +31,10 @@ WalObs& GetWalObs() {
     w.appends = reg.GetCounter("wal.appends");
     w.append_bytes = reg.GetCounter("wal.append_bytes");
     w.forces = reg.GetCounter("wal.forces");
+    w.group_joins = reg.GetCounter("wal.group_joins");
     w.force_pages = reg.GetHistogram("wal.force_pages");
     w.force_ns = reg.GetHistogram("wal.force_ns");
+    w.group_size = reg.GetHistogram("wal.group_size");
     return w;
   }();
   return o;
@@ -96,7 +100,8 @@ Status LogManager::FlushTo(Lsn lsn) {
   // already-durable partial tail block. (Checking `next_lsn_ ==
   // buffer_base_` here used to miss exactly that case.)
   if (lsn < durable_lsn_ || next_lsn_ == durable_lsn_) return Status::OK();
-  (void)lsn;  // Force the whole tail: group commit absorbs co-buffered txns.
+  // Force the whole tail, as one joinable write: whether it joins the
+  // station's open group is a matter of virtual time (see file comment).
 
   obs::ScopedSpan force_span("wal", "force");
   const bool obs_on = obs::Enabled();
@@ -113,13 +118,23 @@ Status LogManager::FlushTo(Lsn lsn) {
   if (flush_buf_.size() < block_bytes) flush_buf_.resize(block_bytes);
   memcpy(flush_buf_.data(), tail_.data(), tail_used_);
   memset(flush_buf_.data() + tail_used_, 0, block_bytes - tail_used_);
-  FACE_RETURN_IF_ERROR(
-      device_->WriteBatch(first_block, n_blocks, flush_buf_.data()));
+  bool joined = false;
+  FACE_RETURN_IF_ERROR(device_->GroupWrite(first_block, n_blocks,
+                                           flush_buf_.data(), &joined));
   ++stats_.flushes;
   stats_.pages_flushed += n_blocks;
+  const uint64_t closed_group = joined ? 0 : group_size_;
+  if (joined) {
+    ++stats_.group_joins;
+    ++group_size_;
+  } else {
+    group_size_ = 1;
+  }
   if (obs_on) {
     WalObs& o = GetWalObs();
     o.forces->Increment();
+    if (joined) o.group_joins->Increment();
+    if (closed_group > 0) o.group_size->Add(closed_group);
     o.force_pages->Add(n_blocks);
     o.force_ns->Add(obs::VirtualNow() - force_start);
   }

@@ -1,6 +1,15 @@
 // Append-only WAL over a simulated device: in-memory tail buffer, explicit
 // force (FlushTo) at commit and before page steals, and a control block in
 // device block 0 recording the last completed checkpoint.
+//
+// Group commit. The engine runs host-serially, so every committing
+// transaction issues its own force. Each force is a joinable device write
+// (SimDevice::GroupWrite): a force whose clock is at or before the start of
+// the log station's last force, while that force is still the station's
+// last request, joins it and completes at the group's end; the group's
+// service grows only by the transfer of the blocks the join adds
+// (sim/scheduler.h has the rule). The bytes written and their host order
+// do not change, so every crash point and fault site stays where it was.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +47,9 @@ class LogManager {
   struct Stats {
     uint64_t records_appended = 0;
     uint64_t bytes_appended = 0;
-    uint64_t flushes = 0;
+    uint64_t flushes = 0;       ///< forces that wrote (joined ones included)
     uint64_t pages_flushed = 0;
+    uint64_t group_joins = 0;   ///< forces that joined an open group
   };
 
   explicit LogManager(SimDevice* device);
@@ -84,6 +94,7 @@ class LogManager {
   }
 
   /// Force the log through `lsn` (inclusive). No-op if already durable.
+  /// Writes the whole tail as one joinable request (see file comment).
   Status FlushTo(Lsn lsn);
   /// Force everything appended so far.
   Status FlushAll() { return FlushTo(next_lsn_ > 0 ? next_lsn_ - 1 : 0); }
@@ -151,6 +162,9 @@ class LogManager {
   /// Reusable block-image staging buffer for FlushTo (grown on demand,
   /// never shrunk): flushes allocate nothing in steady state.
   std::string flush_buf_;
+  /// Forces in the current group so far (the wal.group_size sample taken
+  /// when the next group opens).
+  uint64_t group_size_ = 0;
   Stats stats_;
 };
 

@@ -40,6 +40,18 @@ void FinishRecordCrc(char* dst, uint32_t len) {
   EncodeFixed32(dst + 4, crc32c::Mask(crc));
 }
 
+/// Framing plus the page range of an update or CLR: returns where its
+/// n-byte image goes.
+char* EncodePageRecordHeader(char* dst, uint32_t len, Lsn lsn, TxnId txn_id,
+                             Lsn prev_lsn, LogRecordType type, PageId page_id,
+                             uint16_t offset, uint32_t n) {
+  char* p = EncodeRecordHeader(dst, len, lsn, txn_id, prev_lsn, type);
+  EncodeFixed64(p, page_id);
+  EncodeFixed16(p + 8, offset);
+  EncodeFixed32(p + 10, n);
+  return p + 14;
+}
+
 }  // namespace
 
 void EncodeControlRecordTo(char* dst, LogRecordType type, Lsn lsn,
@@ -51,18 +63,13 @@ void EncodeControlRecordTo(char* dst, LogRecordType type, Lsn lsn,
 
 void EncodeUpdateRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
                           PageId page_id, uint16_t offset, const char* before,
-                          uint32_t nb, const char* after, uint32_t na) {
-  const uint32_t len = UpdateRecordSize(nb, na);
-  char* p = EncodeRecordHeader(dst, len, lsn, txn_id, prev_lsn,
-                               LogRecordType::kUpdate);
-  EncodeFixed64(p, page_id);
-  EncodeFixed16(p + 8, offset);
-  p += 10;
-  EncodeFixed32(p, nb);
-  memcpy(p + 4, before, nb);
-  p += 4 + nb;
-  EncodeFixed32(p, na);
-  memcpy(p + 4, after, na);
+                          const char* after, uint32_t n) {
+  const uint32_t len = UpdateRecordSize(n);
+  char* p = EncodePageRecordHeader(dst, len, lsn, txn_id, prev_lsn,
+                                   LogRecordType::kUpdate, page_id, offset, n);
+  for (uint32_t i = 0; i < n; ++i) {
+    p[i] = static_cast<char>(before[i] ^ after[i]);
+  }
   FinishRecordCrc(dst, len);
 }
 
@@ -70,15 +77,10 @@ void EncodeClrRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
                        PageId page_id, uint16_t offset, const char* image,
                        uint32_t n, Lsn undo_next_lsn) {
   const uint32_t len = ClrRecordSize(n);
-  char* p = EncodeRecordHeader(dst, len, lsn, txn_id, prev_lsn,
-                               LogRecordType::kClr);
-  EncodeFixed64(p, page_id);
-  EncodeFixed16(p + 8, offset);
-  p += 10;
-  EncodeFixed32(p, n);
-  memcpy(p + 4, image, n);
-  p += 4 + n;
-  EncodeFixed64(p, undo_next_lsn);
+  char* p = EncodePageRecordHeader(dst, len, lsn, txn_id, prev_lsn,
+                                   LogRecordType::kClr, page_id, offset, n);
+  memcpy(p, image, n);
+  EncodeFixed64(p + n, undo_next_lsn);
   FinishRecordCrc(dst, len);
 }
 
@@ -92,16 +94,18 @@ void EncodeGtidRecordTo(char* dst, LogRecordType type, Lsn lsn, TxnId txn_id,
 
 void LogRecord::EncodeTo(char* dst) const {
   const uint32_t len = EncodedSize();
+  const uint32_t n = static_cast<uint32_t>(image.size());
   switch (type) {
-    case LogRecordType::kUpdate:
-      EncodeUpdateRecordTo(dst, lsn, txn_id, prev_lsn, page_id, offset,
-                           before.data(), static_cast<uint32_t>(before.size()),
-                           after.data(), static_cast<uint32_t>(after.size()));
+    case LogRecordType::kUpdate: {
+      char* p = EncodePageRecordHeader(dst, len, lsn, txn_id, prev_lsn, type,
+                                       page_id, offset, n);
+      memcpy(p, image.data(), n);
+      FinishRecordCrc(dst, len);
       return;
+    }
     case LogRecordType::kClr:
       EncodeClrRecordTo(dst, lsn, txn_id, prev_lsn, page_id, offset,
-                        after.data(), static_cast<uint32_t>(after.size()),
-                        undo_next_lsn);
+                        image.data(), n, undo_next_lsn);
       return;
     case LogRecordType::kBegin:
     case LogRecordType::kCommit:
@@ -153,12 +157,9 @@ uint32_t LogRecord::EncodedSize() const {
   uint32_t n = kLogRecordHeaderSize;
   switch (type) {
     case LogRecordType::kUpdate:
-      n += 8 + 2 + 4 + static_cast<uint32_t>(before.size()) + 4 +
-           static_cast<uint32_t>(after.size());
-      break;
+      return UpdateRecordSize(static_cast<uint32_t>(image.size()));
     case LogRecordType::kClr:
-      n += 8 + 2 + 4 + static_cast<uint32_t>(after.size()) + 8;
-      break;
+      return ClrRecordSize(static_cast<uint32_t>(image.size()));
     case LogRecordType::kCheckpointBegin:
       n += 8 + 4 + 4 + 16 * static_cast<uint32_t>(dirty_pages.size()) +
            24 * static_cast<uint32_t>(active_txns.size());
@@ -198,8 +199,7 @@ StatusOr<LogRecord> LogRecord::Decode(const char* data, uint32_t len) {
       rec.page_id = DecodeFixed64(data + pos);
       rec.offset = DecodeFixed16(data + pos + 8);
       pos += 10;
-      FACE_RETURN_IF_ERROR(GetLengthPrefixed(data, len, &pos, &rec.before));
-      FACE_RETURN_IF_ERROR(GetLengthPrefixed(data, len, &pos, &rec.after));
+      FACE_RETURN_IF_ERROR(GetLengthPrefixed(data, len, &pos, &rec.image));
       break;
     }
     case LogRecordType::kClr: {
@@ -207,7 +207,7 @@ StatusOr<LogRecord> LogRecord::Decode(const char* data, uint32_t len) {
       rec.page_id = DecodeFixed64(data + pos);
       rec.offset = DecodeFixed16(data + pos + 8);
       pos += 10;
-      FACE_RETURN_IF_ERROR(GetLengthPrefixed(data, len, &pos, &rec.after));
+      FACE_RETURN_IF_ERROR(GetLengthPrefixed(data, len, &pos, &rec.image));
       if (pos + 8 > len) return Status::Corruption("truncated CLR undo_next");
       rec.undo_next_lsn = DecodeFixed64(data + pos);
       pos += 8;

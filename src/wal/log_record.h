@@ -5,6 +5,14 @@
 // where crc covers everything after the crc field. A len of 0 (or a crc
 // mismatch) marks the end of the valid log — exactly how a torn tail after a
 // crash is detected.
+//
+// Update records carry ONE image of their byte range: before XOR after
+// (Page-Differential Logging's idea, applied to the WAL). Either image is
+// the other XOR the record's, so redo XORs it into a page whose pageLSN is
+// below the record's (the range then holds the before image), and
+// log-driven undo XORs it out of a page that holds the after image. CLRs
+// stay full compensation images applied by copy: redo of a CLR never
+// depends on the bytes it overwrites.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +28,7 @@ namespace face {
 /// WAL record types (ARIES-style physiological logging).
 enum class LogRecordType : uint8_t {
   kBegin = 1,            ///< transaction start
-  kUpdate = 2,           ///< byte-range before/after images of one page
+  kUpdate = 2,           ///< byte range of one page: before XOR after
   kCommit = 3,           ///< transaction commit (forces the log)
   kAbort = 4,            ///< transaction fully rolled back
   kClr = 5,              ///< compensation record written during undo
@@ -52,9 +60,10 @@ struct LogRecord {
 
   // kUpdate / kClr:
   PageId page_id = kInvalidPageId;
-  uint16_t offset = 0;     ///< byte offset within the page
-  std::string before;      ///< kUpdate: pre-image (drives undo)
-  std::string after;       ///< kUpdate: post-image; kClr: compensation image
+  uint16_t offset = 0;  ///< byte offset within the page
+  /// kUpdate: before XOR after over the range (redo XORs it in, undo XORs
+  /// it out); kClr: the compensation image, applied by copy.
+  std::string image;
   Lsn undo_next_lsn = kInvalidLsn;  ///< kClr: next record to undo
 
   // kCheckpointBegin:
@@ -80,6 +89,13 @@ struct LogRecord {
 
   /// Bytes this record occupies in the log stream.
   uint32_t EncodedSize() const;
+
+  /// kUpdate: XOR the image into the record's range of `page` — turns the
+  /// before image into the after image (redo) and back (undo).
+  void XorImageInto(char* page) const {
+    char* range = page + offset;
+    for (size_t i = 0; i < image.size(); ++i) range[i] ^= image[i];
+  }
 };
 
 /// Fixed part of the on-media framing.
@@ -89,16 +105,15 @@ inline constexpr uint32_t kMaxLogRecordSize = 16 * 1024 * 1024;
 
 // --- In-place encoders for the transaction hot path -------------------------
 // TransactionManager encodes its records straight into the WAL tail buffer
-// handed out by LogManager::AppendBatch — no LogRecord struct, no before/
-// after std::strings. Byte-for-byte the same stream as LogRecord::EncodeTo
-// (EncodeTo is implemented on top of these).
+// handed out by LogManager::AppendBatch — no LogRecord struct, no image
+// std::strings. Byte-for-byte the same stream as LogRecord::EncodeTo
+// (EncodeTo shares their framing).
 
 /// Stream size of a header-only record (Begin/Commit/Abort/CheckpointEnd).
 inline constexpr uint32_t ControlRecordSize() { return kLogRecordHeaderSize; }
-/// Stream size of an update record with nb-byte before / na-byte after
-/// images (equal on the Update path; Decode tolerates either).
-inline constexpr uint32_t UpdateRecordSize(uint32_t nb, uint32_t na) {
-  return kLogRecordHeaderSize + 8 + 2 + 4 + nb + 4 + na;
+/// Stream size of an update record over an n-byte range.
+inline constexpr uint32_t UpdateRecordSize(uint32_t n) {
+  return kLogRecordHeaderSize + 8 + 2 + 4 + n;
 }
 /// Stream size of a CLR with an n-byte compensation image.
 inline constexpr uint32_t ClrRecordSize(uint32_t n) {
@@ -110,10 +125,11 @@ inline constexpr uint32_t GtidRecordSize() { return kLogRecordHeaderSize + 8; }
 /// Encode a header-only record into `dst` (ControlRecordSize() bytes).
 void EncodeControlRecordTo(char* dst, LogRecordType type, Lsn lsn,
                            TxnId txn_id, Lsn prev_lsn);
-/// Encode an update record into `dst` (UpdateRecordSize(nb, na) bytes).
+/// Encode an update record into `dst` (UpdateRecordSize(n) bytes), its
+/// image computed in place as `before` XOR `after` (n bytes each).
 void EncodeUpdateRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
                           PageId page_id, uint16_t offset, const char* before,
-                          uint32_t nb, const char* after, uint32_t na);
+                          const char* after, uint32_t n);
 /// Encode a CLR into `dst` (ClrRecordSize(n) bytes).
 void EncodeClrRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
                        PageId page_id, uint16_t offset, const char* image,

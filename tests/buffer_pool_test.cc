@@ -101,8 +101,7 @@ TEST_F(BufferPoolTest, WalForcedBeforeDirtyPageLeaves) {
   rec.type = LogRecordType::kUpdate;
   rec.txn_id = 1;
   rec.page_id = page.page_id();
-  rec.before = "b";
-  rec.after = "a";
+  rec.image = "d";
   const Lsn lsn = log_->Append(&rec);
   page.MarkDirty(lsn);
   EXPECT_EQ(page.view().lsn(), lsn);

@@ -464,7 +464,7 @@ TEST(FrameLeakTest, FailedWalForceKeepsTheVictimResident) {
     rec.type = LogRecordType::kUpdate;
     rec.txn_id = 1;
     rec.page_id = pid;
-    rec.after = "dirty";
+    rec.image = "dirty";
     h.MarkDirty(log.Append(&rec));
   }
 

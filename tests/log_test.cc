@@ -13,19 +13,21 @@ namespace face {
 namespace {
 
 LogRecord MakeUpdate(TxnId txn, PageId page, uint16_t offset,
-                     const std::string& before, const std::string& after) {
+                     const std::string& image) {
   LogRecord rec;
   rec.type = LogRecordType::kUpdate;
   rec.txn_id = txn;
   rec.page_id = page;
   rec.offset = offset;
-  rec.before = before;
-  rec.after = after;
+  rec.image = image;
   return rec;
 }
 
 TEST(LogRecordTest, EncodeDecodeAllTypes) {
-  LogRecord update = MakeUpdate(7, 42, 100, "old", "new!");
+  const std::string before = "old!", after = "new!";
+  std::string diff(4, '\0');
+  for (int i = 0; i < 4; ++i) diff[i] = static_cast<char>(before[i] ^ after[i]);
+  LogRecord update = MakeUpdate(7, 42, 100, diff);
   update.lsn = 4096;
   update.prev_lsn = 2048;
   const std::string bytes = update.Encode();
@@ -37,9 +39,15 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
   EXPECT_EQ(decoded.txn_id, 7u);
   EXPECT_EQ(decoded.page_id, 42u);
   EXPECT_EQ(decoded.offset, 100);
-  EXPECT_EQ(decoded.before, "old");
-  EXPECT_EQ(decoded.after, "new!");
+  EXPECT_EQ(decoded.image, diff);
   EXPECT_EQ(decoded.prev_lsn, 2048u);
+  // One image, not two: the in-place encoder XORs the two images into the
+  // same bytes.
+  EXPECT_EQ(bytes.size(), UpdateRecordSize(4));
+  std::string in_place(UpdateRecordSize(4), '\0');
+  EncodeUpdateRecordTo(in_place.data(), 4096, 7, 2048, 42, 100, before.data(),
+                       after.data(), 4);
+  EXPECT_EQ(in_place, bytes);
 
   LogRecord ckpt;
   ckpt.type = LogRecordType::kCheckpointBegin;
@@ -64,18 +72,18 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
   clr.txn_id = 3;
   clr.page_id = 8;
   clr.offset = 16;
-  clr.after = "comp";
+  clr.image = "comp";
   clr.undo_next_lsn = 77;
   const std::string lbytes = clr.Encode();
   FACE_ASSERT_OK_AND_ASSIGN(
       LogRecord ldec,
       LogRecord::Decode(lbytes.data(), static_cast<uint32_t>(lbytes.size())));
   EXPECT_EQ(ldec.undo_next_lsn, 77u);
-  EXPECT_EQ(ldec.after, "comp");
+  EXPECT_EQ(ldec.image, "comp");
 }
 
 TEST(LogRecordTest, DecodeRejectsCorruption) {
-  LogRecord rec = MakeUpdate(1, 2, 3, "b", "a");
+  LogRecord rec = MakeUpdate(1, 2, 3, "a");
   rec.lsn = 4096;
   std::string bytes = rec.Encode();
   bytes[bytes.size() - 1] ^= 1;
@@ -96,8 +104,8 @@ class LogManagerTest : public ::testing::Test {
 };
 
 TEST_F(LogManagerTest, AppendAssignsMonotonicLsns) {
-  LogRecord a = MakeUpdate(1, 1, 0, "x", "y");
-  LogRecord b = MakeUpdate(1, 2, 0, "x", "y");
+  LogRecord a = MakeUpdate(1, 1, 0, "y");
+  LogRecord b = MakeUpdate(1, 2, 0, "y");
   const Lsn la = log_.Append(&a);
   const Lsn lb = log_.Append(&b);
   EXPECT_EQ(la, LogManager::kLogStartLsn);
@@ -106,7 +114,7 @@ TEST_F(LogManagerTest, AppendAssignsMonotonicLsns) {
 }
 
 TEST_F(LogManagerTest, NothingDurableUntilFlush) {
-  LogRecord a = MakeUpdate(1, 1, 0, "x", "y");
+  LogRecord a = MakeUpdate(1, 1, 0, "y");
   const Lsn la = log_.Append(&a);
   EXPECT_EQ(log_.durable_lsn(), LogManager::kLogStartLsn);
   FACE_ASSERT_OK(log_.FlushTo(la));
@@ -117,7 +125,7 @@ TEST_F(LogManagerTest, FlushWithNoNewAppendsWritesNothing) {
   // Regression: the early-out used to test `next_lsn_ == buffer_base_`, so
   // a flush with no new appends but a retained partial tail block rewrote
   // that already-durable block on every call.
-  LogRecord a = MakeUpdate(1, 1, 0, "x", "y");  // not block-aligned
+  LogRecord a = MakeUpdate(1, 1, 0, "y");  // not block-aligned
   log_.Append(&a);
   const uint64_t writes_before = dev_.stats().write_reqs;
   FACE_ASSERT_OK(log_.FlushAll());
@@ -132,7 +140,7 @@ TEST_F(LogManagerTest, FlushWithNoNewAppendsWritesNothing) {
   EXPECT_EQ(log_.stats().flushes, 1u);
 
   // The next real append still lands in the retained partial block.
-  LogRecord b = MakeUpdate(1, 2, 0, "x", "y");
+  LogRecord b = MakeUpdate(1, 2, 0, "y");
   const Lsn lb = log_.Append(&b);
   FACE_ASSERT_OK(log_.FlushTo(lb));
   EXPECT_EQ(dev_.stats().write_reqs, writes_before + 2);
@@ -142,7 +150,7 @@ TEST_F(LogManagerTest, FlushWithNoNewAppendsWritesNothing) {
 TEST_F(LogManagerTest, ReaderScansExactlyWhatWasAppended) {
   std::vector<Lsn> lsns;
   for (int i = 0; i < 100; ++i) {
-    LogRecord rec = MakeUpdate(1, static_cast<PageId>(i), 0, "aa", "bb");
+    LogRecord rec = MakeUpdate(1, static_cast<PageId>(i), 0, "bb");
     lsns.push_back(log_.Append(&rec));
   }
   FACE_ASSERT_OK(log_.FlushAll());
@@ -164,8 +172,8 @@ TEST_F(LogManagerTest, ReverseScanReadsTheLogOncePerWindow) {
   std::vector<Lsn> lsns;
   const std::string image(200, 'i');
   while (log_.next_lsn() < LogManager::kLogStartLsn + 63 * kPageSize) {
-    LogRecord rec = MakeUpdate(1, static_cast<PageId>(lsns.size()), 0,
-                               image, image);
+    LogRecord rec =
+        MakeUpdate(1, static_cast<PageId>(lsns.size()), 0, image);
     lsns.push_back(log_.Append(&rec));
   }
   FACE_ASSERT_OK(log_.FlushAll());
@@ -189,7 +197,7 @@ TEST_F(LogManagerTest, ReaderKeepsEveryWindowItRead) {
   const std::string image(500, 'w');
   Lsn last = kInvalidLsn;
   while (log_.next_lsn() < LogManager::kLogStartLsn + 160 * kPageSize) {
-    LogRecord rec = MakeUpdate(1, 1, 0, image, image);
+    LogRecord rec = MakeUpdate(1, 1, 0, image);
     last = log_.Append(&rec);
   }
   FACE_ASSERT_OK(log_.FlushAll());
@@ -213,7 +221,7 @@ TEST_F(LogManagerTest, ReaderKeepsEveryWindowItRead) {
 
   // The tail block Attach copied from the reader is intact: a record
   // appended after it extends the stream, and the whole log reads back.
-  LogRecord tail = MakeUpdate(2, 7, 0, "x", "tail");
+  LogRecord tail = MakeUpdate(2, 7, 0, "tail");
   const Lsn lt = fresh.Append(&tail);
   FACE_ASSERT_OK(fresh.FlushAll());
   LogReader check(&dev_);
@@ -222,7 +230,7 @@ TEST_F(LogManagerTest, ReaderKeepsEveryWindowItRead) {
   EXPECT_EQ(rl.lsn, last);
   FACE_ASSERT_OK_AND_ASSIGN(LogRecord rt, check.Next());
   EXPECT_EQ(rt.lsn, lt);
-  EXPECT_EQ(rt.after, "tail");
+  EXPECT_EQ(rt.image, "tail");
 }
 
 TEST_F(LogManagerTest, AttachReadsTheControlBlockAndEachWindowOnce) {
@@ -231,7 +239,7 @@ TEST_F(LogManagerTest, AttachReadsTheControlBlockAndEachWindowOnce) {
   // of the last window, not from a read of its own.
   const std::string image(500, 'a');
   while (log_.next_lsn() < LogManager::kLogStartLsn + 150 * kPageSize) {
-    LogRecord rec = MakeUpdate(1, 1, 0, image, image);
+    LogRecord rec = MakeUpdate(1, 1, 0, image);
     log_.Append(&rec);
   }
   FACE_ASSERT_OK(log_.FlushAll());
@@ -256,8 +264,8 @@ TEST_F(LogManagerTest, EachBlockIsReadAtMostOnce) {
   std::vector<Lsn> lsns;
   const std::string image(300, 'm');
   while (log_.next_lsn() < LogManager::kLogStartLsn + 200 * kPageSize) {
-    LogRecord rec = MakeUpdate(1, static_cast<PageId>(lsns.size()), 0, image,
-                               image);
+    LogRecord rec =
+        MakeUpdate(1, static_cast<PageId>(lsns.size()), 0, image);
     lsns.push_back(log_.Append(&rec));
   }
   FACE_ASSERT_OK(log_.FlushAll());
@@ -282,8 +290,8 @@ TEST_F(LogManagerTest, EachBlockIsReadAtMostOnce) {
 }
 
 TEST_F(LogManagerTest, AttachFindsEndOfLogAfterRestart) {
-  LogRecord a = MakeUpdate(1, 1, 0, "x", "yy");
-  LogRecord b = MakeUpdate(1, 2, 0, "x", "zz");
+  LogRecord a = MakeUpdate(1, 1, 0, "yy");
+  LogRecord b = MakeUpdate(1, 2, 0, "zz");
   log_.Append(&a);
   const Lsn lb = log_.Append(&b);
   FACE_ASSERT_OK(log_.FlushAll());
@@ -295,7 +303,7 @@ TEST_F(LogManagerTest, AttachFindsEndOfLogAfterRestart) {
   EXPECT_EQ(fresh.durable_lsn(), end);
 
   // New appends continue the stream and old records stay readable.
-  LogRecord c = MakeUpdate(2, 3, 0, "x", "w");
+  LogRecord c = MakeUpdate(2, 3, 0, "w");
   const Lsn lc = fresh.Append(&c);
   EXPECT_EQ(lc, end);
   FACE_ASSERT_OK(fresh.FlushAll());
@@ -308,10 +316,10 @@ TEST_F(LogManagerTest, AttachFindsEndOfLogAfterRestart) {
 }
 
 TEST_F(LogManagerTest, UnflushedTailDiesWithACrash) {
-  LogRecord a = MakeUpdate(1, 1, 0, "x", "durable");
+  LogRecord a = MakeUpdate(1, 1, 0, "durable");
   const Lsn la = log_.Append(&a);
   FACE_ASSERT_OK(log_.FlushTo(la));
-  LogRecord b = MakeUpdate(1, 2, 0, "x", "volatile");
+  LogRecord b = MakeUpdate(1, 2, 0, "volatile");
   log_.Append(&b);
   // No flush: a crash (new manager over the same device) must not see b.
   LogManager fresh(&dev_);
@@ -319,7 +327,7 @@ TEST_F(LogManagerTest, UnflushedTailDiesWithACrash) {
   LogReader reader(&dev_);
   FACE_ASSERT_OK(reader.Seek(la));
   FACE_ASSERT_OK_AND_ASSIGN(LogRecord ra, reader.Next());
-  EXPECT_EQ(ra.after, "durable");
+  EXPECT_EQ(ra.image, "durable");
   EXPECT_TRUE(reader.Next().status().IsNotFound());
 }
 
@@ -333,8 +341,7 @@ TEST_F(LogManagerTest, ControlBlockRoundTrip) {
 
 TEST_F(LogManagerTest, TruncateKeepsControlBlockAndTail) {
   // Fill several chunks of log, then truncate before the end.
-  LogRecord rec = MakeUpdate(1, 1, 0, std::string(400, 'b'),
-                             std::string(400, 'a'));
+  LogRecord rec = MakeUpdate(1, 1, 0, std::string(800, 'd'));
   Lsn last = 0;
   while (log_.next_lsn() < 3000 * kPageSize) last = log_.Append(&rec);
   FACE_ASSERT_OK(log_.FlushAll());
@@ -348,8 +355,8 @@ TEST_F(LogManagerTest, TruncateKeepsControlBlockAndTail) {
 }
 
 TEST_F(LogManagerTest, GroupCommitFlushesCoBufferedRecords) {
-  LogRecord a = MakeUpdate(1, 1, 0, "x", "y");
-  LogRecord b = MakeUpdate(2, 2, 0, "x", "y");
+  LogRecord a = MakeUpdate(1, 1, 0, "y");
+  LogRecord b = MakeUpdate(2, 2, 0, "y");
   const Lsn la = log_.Append(&a);
   log_.Append(&b);
   const uint64_t flushes_before = log_.stats().flushes;
@@ -358,6 +365,49 @@ TEST_F(LogManagerTest, GroupCommitFlushesCoBufferedRecords) {
   EXPECT_EQ(log_.durable_lsn(), log_.next_lsn());
   FACE_ASSERT_OK(log_.FlushTo(la));  // no-op: already durable
   EXPECT_EQ(log_.stats().flushes, flushes_before + 1);
+}
+
+TEST(GroupCommitTest, CommitsQueuedBehindAForceFinishTogether) {
+  // Three commits at virtual time 0 while the log disk is still writing
+  // the control block: the first force queues, and the two behind it join
+  // it. Their records share the force's one block, so the joins add no
+  // transfer: all three finish together at one write's end, and the log
+  // station sees one write request for the three forces.
+  IoScheduler sched(3);
+  SimDevice dev("log", DeviceProfile::Seagate15k(), 1 << 16, &sched);
+  LogManager log(&dev);
+  FACE_ASSERT_OK(log.Format());  // outside any span: holds the station
+  const SimNanos control_done = sched.makespan();
+  const DeviceStats before = dev.stats();
+
+  std::vector<SimNanos> done;
+  std::vector<Lsn> lsns;
+  for (TxnId txn = 1; txn <= 3; ++txn) {
+    sched.BeginTxn();
+    LogRecord rec = MakeUpdate(txn, txn, 0, "commit");
+    lsns.push_back(log.Append(&rec));
+    FACE_ASSERT_OK(log.FlushTo(lsns.back()));
+    done.push_back(sched.EndTxn());
+  }
+  // Block 1 continues the control block's write: a sequential transfer.
+  const SimNanos one_write =
+      control_done + dev.profile().ServiceNs(IoOp::kWrite, true, 1);
+  EXPECT_EQ(done, std::vector<SimNanos>(3, one_write));
+  EXPECT_EQ(dev.stats().write_reqs - before.write_reqs, 1u);
+  EXPECT_EQ(dev.stats().pages_written - before.pages_written, 1u);
+  EXPECT_EQ(log.stats().flushes, 3u);
+  EXPECT_EQ(log.stats().group_joins, 2u);
+  EXPECT_EQ(log.durable_lsn(), log.next_lsn());
+
+  // The bytes are the same three forces' bytes: the log reads back whole.
+  LogReader reader(&dev);
+  FACE_ASSERT_OK(reader.Seek(LogManager::kLogStartLsn));
+  for (Lsn lsn : lsns) {
+    FACE_ASSERT_OK_AND_ASSIGN(LogRecord rec, reader.Next());
+    EXPECT_EQ(rec.lsn, lsn);
+    EXPECT_EQ(rec.image, "commit");
+  }
+  EXPECT_TRUE(reader.Next().status().IsNotFound());
 }
 
 }  // namespace

@@ -223,18 +223,18 @@ TEST(ObsPerturbationTest, EnabledObsReproducesGoldenFingerprint) {
   FACE_ASSERT_OK_AND_ASSIGN(RunResult r, tb.Run(run));
 
   // The committed golden row (timing_guard_test.cc kGolden, ycsb-zipfian /
-  // FaCE+GSC) — no re-capture allowed.
-  EXPECT_EQ(r.duration, 552427793u);
+  // FaCE+GSC) — it changes only together with that row.
+  EXPECT_EQ(r.duration, 152913805u);
   EXPECT_EQ(r.txns, 400u);
   EXPECT_EQ(r.primary_txns, 400u);
   EXPECT_EQ(r.cache_stats.lookups, 193u);
   EXPECT_EQ(r.cache_stats.hits, 16u);
   EXPECT_EQ(r.db_stats.busy_ns, 609296931u);
   EXPECT_EQ(r.flash_stats.busy_ns, 3820016u);
-  EXPECT_EQ(r.log_stats.busy_ns, 552163953u);
+  EXPECT_EQ(r.log_stats.busy_ns, 73524608u);
   EXPECT_EQ(r.db_stats.total_pages(), 199u);
   EXPECT_EQ(r.flash_stats.total_pages(), 201u);
-  EXPECT_EQ(r.log_stats.total_pages(), 232u);
+  EXPECT_EQ(r.log_stats.total_pages(), 49u);
 
 #if FACE_OBS_ENABLED
   // The run must also have actually observed something — a silently inert
@@ -243,6 +243,9 @@ TEST(ObsPerturbationTest, EnabledObsReproducesGoldenFingerprint) {
   EXPECT_GT(reg.GetCounter("buffer.fetches")->value, 0u);
   EXPECT_GT(reg.GetCounter("txn.committed")->value, 0u);
   EXPECT_GT(reg.GetCounter("wal.appends")->value, 0u);
+  // Forces joined groups, and closed groups were sized.
+  EXPECT_GT(reg.GetCounter("wal.group_joins")->value, 0u);
+  EXPECT_GT(reg.GetHistogram("wal.group_size")->count(), 0u);
   EXPECT_GT(reg.GetCounter("checkpoint.checkpoints")->value, 0u);
   EXPECT_GT(obs::Tracer::Instance().span_count(), 0u);
   const std::string text = tb.DumpStats();

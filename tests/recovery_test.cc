@@ -1,8 +1,9 @@
 // Unit tests: checkpointing and ARIES-style restart on the plain engine
 // (no flash cache) — atomicity, durability, idempotent redo, CLR handling,
-// checkpoint-bounded redo, allocator restoration — plus redo read-ahead and
-// the restart checkpoint's lane-batched write-back on the timed RAID-0
-// stack, and a degraded restart through the same routine.
+// checkpoint-bounded redo, allocator restoration, one-image update records
+// on pages redo materializes — plus redo read-ahead, its flash-covered
+// skip, and the restart checkpoint's lane-batched write-back on the timed
+// RAID-0 stack, and a degraded restart through the same routine.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -213,6 +214,40 @@ TEST_F(RecoveryTest, ControlBlockPointsAtLastCompleteCheckpoint) {
   EXPECT_EQ(recorded, second);
 }
 
+TEST_F(RecoveryTest, PageCreatedAfterTheCheckpointIsRebuiltRowForRow) {
+  // A table created after the last checkpoint, whose pages never reach the
+  // disk: redo materializes each page as NewPage formatted it, and XORing
+  // the update records' before-XOR-after images into those bytes must
+  // rebuild every row, including rows partly rewritten in place.
+  FACE_ASSERT_OK(db_->TakeCheckpoint().status());
+  const TxnId txn = db_->Begin();
+  PageWriter w = db_->Writer(txn);
+  FACE_ASSERT_OK_AND_ASSIGN(HeapFile heap, db_->CreateTable(&w, "late"));
+  std::vector<std::pair<Rid, std::string>> rows;
+  for (int i = 0; i < 30; ++i) {
+    std::string row(300, static_cast<char>('a' + i % 26));
+    row.replace(0, 4, std::to_string(1000 + i));
+    FACE_ASSERT_OK_AND_ASSIGN(Rid rid, heap.Insert(&w, row));
+    rows.emplace_back(rid, row);
+  }
+  for (size_t i = 0; i < rows.size(); i += 3) {
+    rows[i].second.replace(100, 8, "UPDATED!");
+    FACE_ASSERT_OK(heap.Update(&w, rows[i].first, rows[i].second));
+  }
+  FACE_ASSERT_OK(db_->Commit(txn));
+  ASSERT_GT(rows.back().first.page_id, rows.front().first.page_id);
+
+  CrashAndRecover();
+  FACE_ASSERT_OK_AND_ASSIGN(HeapFile back, db_->OpenTable("late"));
+  for (const auto& [rid, row] : rows) {
+    std::string out;
+    FACE_ASSERT_OK(back.Read(rid, &out));
+    EXPECT_EQ(out, row) << "rid " << rid.page_id << ":" << rid.slot;
+  }
+  FACE_ASSERT_OK_AND_ASSIGN(uint64_t count, back.CountRows());
+  EXPECT_EQ(count, rows.size());
+}
+
 // --- redo read-ahead ----------------------------------------------------------
 
 class ReadAheadTest : public TimedEngineFixture {
@@ -262,6 +297,66 @@ TEST_F(ReadAheadTest, EachNonResidentPageIsFetchedOnce) {
   for (PageId pid : pages) {
     ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 5), "pass2") << "page " << pid;
   }
+}
+
+// --- flash-covered redo -----------------------------------------------------
+
+class FlashCoveredRedoTest : public TimedEngineFixture {
+ protected:
+  /// FaCE stack where every post-checkpoint update already sits in flash:
+  /// 16 pages committed and absorbed into flash by a checkpoint, then each
+  /// overwritten with a full image and evicted from DRAM into a new frame.
+  std::vector<PageId> PrepareFlashCoveredLog() {
+    InitFace(/*buffer_frames=*/64, /*flash_frames=*/64);
+    const std::vector<PageId> pages = NewPages(16);
+    CommitToEach(pages, "base!");
+    EXPECT_TRUE(db_->TakeCheckpoint().ok());
+    CommitToEach(pages, FullImage('c'));
+    EXPECT_TRUE(db_->pool()->EvictAll().ok());
+    EXPECT_TRUE(log_->FlushAll().ok());
+    return pages;
+  }
+
+  void ExpectEveryPageHoldsItsLastImage(const std::vector<PageId>& pages) {
+    const std::string image = FullImage('c');
+    for (PageId pid : pages) {
+      ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 3000), image) << "page " << pid;
+    }
+  }
+};
+
+TEST_F(FlashCoveredRedoTest, RecordsFlashAlreadyHoldsFetchNothing) {
+  // Every record after the checkpoint is covered by its page's restored
+  // flash frame, so redo skips them all without a fetch: no page is read
+  // during the whole restart, and every page still reads back its newest
+  // image (from flash).
+  const std::vector<PageId> pages = PrepareFlashCoveredLog();
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  EXPECT_EQ(report.redo_records, pages.size()) << report.ToString();
+  EXPECT_EQ(report.redo_skipped, pages.size()) << report.ToString();
+  EXPECT_EQ(report.redo_applied, 0u) << report.ToString();
+  EXPECT_EQ(report.pages_fetched, 0u) << report.ToString();
+  EXPECT_EQ(report.readahead_batches, 0u) << report.ToString();
+  FACE_ASSERT_OK(cache_->CheckInvariants());
+  ExpectEveryPageHoldsItsLastImage(pages);
+}
+
+TEST_F(FlashCoveredRedoTest, DegradedRestartSkipsNothing) {
+  // The same log, but the control block says flash was lost before the
+  // crash: no flash copy is trusted, so redo replays every record from the
+  // rebuild floor onto the pages it materializes (none ever reached disk).
+  const std::vector<PageId> pages = PrepareFlashCoveredLog();
+  FACE_ASSERT_OK_AND_ASSIGN(WalControlInfo ctrl, log_->ReadControlInfo());
+  ctrl.degraded = true;
+  ctrl.rebuild_floor = cache_->FlashRedoFloor();
+  ASSERT_LT(ctrl.rebuild_floor, ctrl.checkpoint_lsn);
+  FACE_ASSERT_OK(log_->WriteControlInfo(ctrl));
+
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  EXPECT_TRUE(report.degraded) << report.ToString();
+  EXPECT_EQ(report.redo_skipped, 0u) << report.ToString();
+  EXPECT_EQ(report.redo_applied, 2 * pages.size()) << report.ToString();
+  ExpectEveryPageHoldsItsLastImage(pages);
 }
 
 // --- one log read per restart -----------------------------------------------

@@ -440,5 +440,115 @@ TEST(SchedulerLaneTest, ResetClearsBatchState) {
   EXPECT_EQ(sched.EndBackground(), 10u);
 }
 
+// --- group commit joins -----------------------------------------------------
+
+TEST(SchedulerJoinTest, JoinsWhileTheLastRequestHasNotStarted) {
+  IoScheduler sched(3);
+  const uint32_t st = sched.RegisterStations(1);
+  sched.BeginTxn();  // another request holds the station until 100
+  sched.OnIo(st, 100);
+  sched.EndTxn();
+  sched.BeginTxn();  // a force arriving at 0 queues: its group starts at 100
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));
+  EXPECT_EQ(sched.EndTxn(), 200u);
+  sched.BeginTxn();  // arrives at 0, before the group started: joins it
+  EXPECT_TRUE(sched.OnJoinableIo(st, 100, 10));
+  EXPECT_EQ(sched.EndTxn(), 210u);  // the group's end, grown by 10 alone
+  EXPECT_EQ(sched.station_busy_ns(st), 210u);
+}
+
+TEST(SchedulerJoinTest, DoesNotJoinOnceTheGroupStarted) {
+  IoScheduler sched(2);
+  const uint32_t st = sched.RegisterStations(1);
+  sched.BeginTxn();
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));  // group runs [0, 100)
+  sched.EndTxn();
+  sched.BeginTxn();
+  sched.OnCpu(1);  // arrives at 1: the group's write has begun
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));
+  EXPECT_EQ(sched.EndTxn(), 200u);  // queued behind it, full service
+}
+
+TEST(SchedulerJoinTest, DoesNotJoinAfterAnotherRequestOnTheStation) {
+  IoScheduler sched(4);
+  const uint32_t st = sched.RegisterStations(1);
+  sched.BeginTxn();  // holds the station until 100
+  sched.OnIo(st, 100);
+  sched.EndTxn();
+  sched.BeginTxn();  // a force queued at [100, 200): its group starts at 100
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));
+  sched.EndTxn();
+  sched.BeginTxn();  // a plain request queues behind it and closes the group
+  sched.OnIo(st, 50);
+  EXPECT_EQ(sched.EndTxn(), 250u);
+  sched.BeginTxn();  // at 0, before the group's start, but it is not last
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));
+  EXPECT_EQ(sched.EndTxn(), 350u);
+}
+
+TEST(SchedulerJoinTest, DoesNotJoinInsideALaneBatch) {
+  IoScheduler sched(1);
+  const uint32_t st = sched.RegisterStations(1);
+  const uint32_t bg = sched.AddBackgroundToken();
+  sched.BeginTxn();
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));  // group at [0, 100)
+  sched.EndTxn();
+  sched.BeginBackground(bg, 0);
+  sched.BeginBatch();
+  sched.NextLane();  // a lane starting at 0 does not join the group...
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));
+  EXPECT_EQ(sched.span_time(), 200u);
+  sched.NextLane();  // ...and a lane's request opens none to join
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));
+  EXPECT_EQ(sched.span_time(), 300u);
+  EXPECT_EQ(sched.EndBatch(), 300u);
+  sched.EndBackground();
+  EXPECT_EQ(sched.station_busy_ns(st), 300u);
+}
+
+TEST(SchedulerJoinTest, ResetClearsTheJoinState) {
+  IoScheduler sched(2);
+  const uint32_t st = sched.RegisterStations(1);
+  sched.BeginTxn();
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));  // group at [0, 100)
+  sched.Reset();
+  sched.BeginTxn();  // at 0, the stale group's start: must not join
+  EXPECT_FALSE(sched.OnJoinableIo(st, 100, 10));
+  EXPECT_EQ(sched.EndTxn(), 100u);
+  EXPECT_EQ(sched.station_busy_ns(st), 100u);
+}
+
+TEST(SimDeviceTest, GroupWriteJoinAddsOnlyItsNewPages) {
+  // A log force queued behind another request opens a group; a force
+  // rewriting the group's last block plus one more joins it as part of the
+  // group's one request, adding one block's transfer and one page.
+  IoScheduler sched(3);
+  SimDevice dev("log", DeviceProfile::Seagate15k(), 1024, &sched);
+  const DeviceProfile& p = dev.profile();
+  std::string blocks(3 * kPageSize, 'w');
+  bool joined = true;
+  sched.BeginTxn();
+  FACE_ASSERT_OK(dev.Write(500, blocks.data()));  // holds the station
+  const SimNanos busy = sched.EndTxn();
+  sched.BeginTxn();
+  FACE_ASSERT_OK(dev.GroupWrite(1, 2, blocks.data(), &joined));  // [1, 3)
+  EXPECT_FALSE(joined);
+  const SimNanos group_end =
+      busy + p.ServiceNs(IoOp::kWrite, /*sequential=*/false, 2);
+  EXPECT_EQ(sched.EndTxn(), group_end);
+  sched.BeginTxn();
+  FACE_ASSERT_OK(dev.GroupWrite(2, 2, blocks.data(), &joined));  // [2, 4)
+  EXPECT_TRUE(joined);
+  EXPECT_EQ(sched.EndTxn(),
+            group_end + p.ServiceNs(IoOp::kWrite, /*sequential=*/true, 1));
+  EXPECT_EQ(dev.stats().write_reqs, 2u);
+  EXPECT_EQ(dev.stats().pages_written, 1u + 2u + 1u);
+  EXPECT_EQ(dev.stats().busy_ns, sched.station_busy_ns(0));
+  // Bytes move exactly as an unjoined write would move them.
+  std::string back(kPageSize, '\0');
+  FACE_ASSERT_OK(dev.Read(3, back.data()));
+  EXPECT_EQ(back, std::string(kPageSize, 'w'));
+}
+
 }  // namespace
 }  // namespace face

@@ -1,5 +1,6 @@
 // Unit tests: transaction lifecycle, physiological logging with
-// diff-trimming, abort/undo with CLRs, read-only fast path.
+// diff-trimming and one before-XOR-after image per update, abort/undo with
+// CLRs (in memory and log-driven), read-only fast path.
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
@@ -42,8 +43,10 @@ TEST_F(TxnTest, UpdateAppliesAndLogs) {
     if (rec.type == LogRecordType::kBegin) saw_begin = true;
     if (rec.type == LogRecordType::kUpdate) {
       saw_update = true;
-      EXPECT_EQ(rec.after, std::string(data, 13));
-      EXPECT_EQ(rec.before, std::string(13, '\0'));
+      // One image, before XOR after: the fresh page's range was zeroes, so
+      // the image equals the written bytes.
+      EXPECT_EQ(rec.image, std::string(data, 13));
+      EXPECT_EQ(rec.EncodedSize(), UpdateRecordSize(13));
     }
     if (rec.type == LogRecordType::kCommit) saw_commit = true;
   }
@@ -73,8 +76,11 @@ TEST_F(TxnTest, DiffTrimmingLogsOnlyChangedSpan) {
   ASSERT_EQ(updates.size(), 2u);
   const LogRecord& trimmed = updates[1];
   EXPECT_EQ(trimmed.offset, kPageHeaderSize + 40);
-  EXPECT_EQ(trimmed.after.size(), 3u);
-  EXPECT_EQ(trimmed.before, "zzz");
+  ASSERT_EQ(trimmed.image.size(), 3u);
+  // 'z' XOR 'A', an unchanged byte (XOR 0), 'z' XOR 'B'.
+  EXPECT_EQ(trimmed.image[0], static_cast<char>('z' ^ 'A'));
+  EXPECT_EQ(trimmed.image[1], '\0');
+  EXPECT_EQ(trimmed.image[2], static_cast<char>('z' ^ 'B'));
 }
 
 TEST_F(TxnTest, NoOpUpdateLogsNothing) {
@@ -115,6 +121,37 @@ TEST_F(TxnTest, AbortRestoresAllBytesInReverse) {
     }
   }
   EXPECT_EQ(clrs, 10);
+}
+
+TEST_F(TxnTest, LogDrivenUndoRebuildsTheBeforeImage) {
+  // A committed write, then a loser overwriting part of it, durable in the
+  // log but never committed. Restart's redo repeats the loser's update and
+  // its undo must XOR the record's one image back out of the page: the
+  // committed bytes come back, and the CLR carries them as a full image.
+  FACE_ASSERT_OK_AND_ASSIGN(PageHandle page, db_->pool()->NewPage());
+  const PageId page_id = page.page_id();
+  const TxnId winner = db_->txns()->Begin();
+  FACE_ASSERT_OK(db_->txns()->Update(winner, &page, kPageHeaderSize,
+                                     "committed-bytes", 15));
+  FACE_ASSERT_OK(db_->txns()->Commit(winner));
+  const TxnId loser = db_->txns()->Begin();
+  FACE_ASSERT_OK(db_->txns()->Update(loser, &page, kPageHeaderSize + 4,
+                                     "LOSER", 5));
+  page.Release();
+  FACE_ASSERT_OK(log_->FlushAll());
+
+  CrashAndRecover();
+  FACE_ASSERT_OK_AND_ASSIGN(PageHandle p, db_->pool()->FetchPage(page_id));
+  EXPECT_EQ(std::string(p.data() + kPageHeaderSize, 15), "committed-bytes");
+  int clrs = 0;
+  for (const LogRecord& rec : DumpLog()) {
+    if (rec.type != LogRecordType::kClr) continue;
+    ++clrs;
+    EXPECT_EQ(rec.txn_id, loser);
+    EXPECT_EQ(rec.offset, kPageHeaderSize + 4);
+    EXPECT_EQ(rec.image, "itted");  // the before image of "LOSER"
+  }
+  EXPECT_EQ(clrs, 1);
 }
 
 TEST_F(TxnTest, ReadOnlyCommitLogsNothing) {

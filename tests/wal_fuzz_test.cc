@@ -41,8 +41,8 @@ TEST_P(WalTearingTest, AttachStopsAtBoundaryNoLaterThanCut) {
     rec.type = LogRecordType::kUpdate;
     rec.txn_id = 1 + rnd.Uniform(4);
     rec.page_id = rnd.Uniform(1000);
-    rec.before = rnd.AlphaString(0, 120);
-    rec.after = rnd.AlphaString(0, 120);
+    rec.image = rnd.AlphaString(0, 120);
+    rec.image += rnd.AlphaString(0, 120);
     boundaries.push_back(log.Append(&rec));
   }
   FACE_ASSERT_OK(log.FlushAll());
@@ -105,8 +105,8 @@ TEST_P(WalSectorTearTest, TailRecordTornExactlyAtSectorBoundary) {
     rec.type = LogRecordType::kUpdate;
     rec.txn_id = 1 + rnd.Uniform(4);
     rec.page_id = rnd.Uniform(1000);
-    rec.before = rnd.AlphaString(0, 120);
-    rec.after = rnd.AlphaString(0, 120);
+    rec.image = rnd.AlphaString(0, 120);
+    rec.image += rnd.AlphaString(0, 120);
     const Lsn start = log.Append(&rec);
     records.emplace_back(start, log.next_lsn());
   }
