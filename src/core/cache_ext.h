@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "common/page_delta.h"
@@ -89,6 +90,21 @@ struct CacheStats {
     return w >= d ? 0.0 : 1.0 - w / d;
   }
 };
+
+/// Every CacheStats counter, the one field list that run deltas and shard
+/// merges walk.
+inline constexpr uint64_t CacheStats::*kCacheCounters[] = {
+    &CacheStats::lookups,           &CacheStats::hits,
+    &CacheStats::dirty_evictions,   &CacheStats::disk_writes,
+    &CacheStats::disk_reads,        &CacheStats::flash_writes,
+    &CacheStats::flash_reads,       &CacheStats::enqueues,
+    &CacheStats::invalidations,     &CacheStats::second_chances,
+    &CacheStats::pulled_from_dram,  &CacheStats::meta_flash_writes,
+    &CacheStats::delta_records,     &CacheStats::delta_record_bytes,
+    &CacheStats::delta_block_writes, &CacheStats::delta_consolidations};
+static_assert(sizeof(CacheStats) ==
+                  std::size(kCacheCounters) * sizeof(uint64_t),
+              "kCacheCounters must list every CacheStats field");
 
 /// Result of a flash read on the DRAM-miss path.
 struct FlashReadResult {

@@ -35,8 +35,9 @@ bool ReadBlockHeader(const char* block, BlockHeader* out) {
 
 }  // namespace
 
-DeltaRing::DeltaRing(const DeltaRingOptions& opts, SimDevice* flash)
-    : opts_(opts), flash_(flash) {
+DeltaRing::DeltaRing(const DeltaRingOptions& opts, SimDevice* flash,
+                     CacheStats* stats)
+    : opts_(opts), flash_(flash), stats_(stats) {
   assert(opts_.n_blocks >= 2);
   block_buf_.assign(kPageSize, 0);
   used_ = kBlockHeaderSize;
@@ -163,9 +164,25 @@ StatusOr<uint64_t> DeltaRing::Append(PageId pid, uint64_t frame_version,
   used_ += size;
   unflushed_ = true;
   open_pages_.push_back(pid);
-  ++stats_.records;
-  stats_.record_bytes += size;
+  ++stats_->delta_records;
+  stats_->delta_record_bytes += size;
   return c->tip_version;
+}
+
+StatusOr<bool> DeltaRing::TryRefresh(PageId pid, const char* page, bool dirty,
+                                     DeltaWriteHint* hint) {
+  if (!Tracks(hint)) return false;
+  const PageDeltaTracker& tracker = *hint->tracker;
+  if (!CanAppend(pid, hint->flash_version,
+                 PageDeltaRecord::EncodedSizeFor(tracker))) {
+    return false;
+  }
+  FACE_ASSIGN_OR_RETURN(const uint64_t version,
+                        Append(pid, hint->flash_version, tracker,
+                               ConstPageView(page).lsn(), dirty, page));
+  if (version == kNoFlashVersion) return false;
+  hint->new_version = version;
+  return true;
 }
 
 bool DeltaRing::ApplyChain(PageId pid, char* page) const {
@@ -200,6 +217,12 @@ void DeltaRing::Drop(PageId pid) {
   if (c == nullptr) return;
   FreeChainNodes(c);
   chains_.Erase(pid);
+}
+
+void DeltaRing::DropAll() {
+  chains_.Clear();
+  nodes_.clear();
+  free_nodes_.clear();
 }
 
 Status DeltaRing::Flush() {
@@ -240,7 +263,7 @@ Status DeltaRing::WriteOpenBlock() {
         Status st = consolidate_(sweep);
         in_consolidate_ = false;
         FACE_RETURN_IF_ERROR(st);
-        stats_.consolidations += sweep.size();
+        stats_->delta_consolidations += sweep.size();
       }
     }
     slot_seq_[slot] = block_seq_;
@@ -253,7 +276,7 @@ Status DeltaRing::WriteOpenBlock() {
                 crc32c::Mask(crc32c::Value(block_buf_.data(), 28)));
   FACE_RETURN_IF_ERROR(flash_->Write(opts_.base_block + slot,
                                      block_buf_.data()));
-  ++stats_.block_writes;
+  ++stats_->delta_block_writes;
   slot_pages_[slot] = open_pages_;
   unflushed_ = false;
   return Status::OK();

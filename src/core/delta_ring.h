@@ -49,6 +49,7 @@
 #include "common/page_map.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/cache_ext.h"
 #include "sim/sim_device.h"
 
 namespace face {
@@ -67,13 +68,6 @@ struct DeltaRingOptions {
   uint32_t max_chain_bytes = kPageSize;       ///< per-chain total encoded cap
 };
 
-struct DeltaRingStats {
-  uint64_t records = 0;        ///< delta records appended
-  uint64_t record_bytes = 0;   ///< encoded bytes across appended records
-  uint64_t block_writes = 0;   ///< 4 KB ring-block writes (incl. rewrites)
-  uint64_t consolidations = 0; ///< forced full writes on slot reuse
-};
-
 class DeltaRing {
  public:
   /// Owner callback: force-consolidate these pages (full write + BeginFull /
@@ -82,7 +76,9 @@ class DeltaRing {
   /// that no longer have live chains should be skipped.
   using ConsolidateFn = std::function<Status(const std::vector<PageId>&)>;
 
-  DeltaRing(const DeltaRingOptions& opts, SimDevice* flash);
+  /// The ring counts its records, record bytes, block writes and forced
+  /// consolidations straight into the owner's `stats` (the delta_* fields).
+  DeltaRing(const DeltaRingOptions& opts, SimDevice* flash, CacheStats* stats);
 
   void SetConsolidateFn(ConsolidateFn fn) { consolidate_ = std::move(fn); }
 
@@ -114,6 +110,19 @@ class DeltaRing {
                             const PageDeltaTracker& tracker, Lsn lsn,
                             bool dirty, const char* page);
 
+  /// Delta eligibility, the step every policy's refresh path shares: when
+  /// `hint` tracks a partial rewrite of `page` (the new full image) against
+  /// the chain tip, append it as a record and report the new tip in
+  /// hint->new_version. False = not eligible, or the chain died making room;
+  /// the caller writes a full image instead.
+  StatusOr<bool> TryRefresh(PageId pid, const char* page, bool dirty,
+                            DeltaWriteHint* hint);
+  /// TryRefresh's lookup-free first test: `hint` tracks a partial rewrite.
+  static bool Tracks(const DeltaWriteHint* hint) {
+    return hint != nullptr && hint->tracker != nullptr &&
+           !hint->tracker->whole_page() && hint->tracker->region_count() != 0;
+  }
+
   /// Patches `pid`'s chain (if any) into `page`, which must hold the chain's
   /// base image, then restamps pageLSN + checksum. Returns true when a
   /// non-empty chain was applied. Costs no simulated I/O (see file comment).
@@ -133,6 +142,8 @@ class DeltaRing {
   /// The page left the owner's directory (destaged, invalidated): forget
   /// its chain. Records already on media become unmatchable garbage.
   void Drop(PageId pid);
+  /// Forget every chain without I/O (the flash device is gone).
+  void DropAll();
 
   /// Make every appended record durable (re-writes the open block in place).
   /// Called on the checkpoint path: absorbed deltas must survive a crash.
@@ -159,7 +170,6 @@ class DeltaRing {
   /// rec.chain_idx == chain length). Returns the new tip version.
   uint64_t AttachRecovered(PageId pid, const RecoveredRecord& r);
 
-  const DeltaRingStats& stats() const { return stats_; }
   const DeltaRingOptions& options() const { return opts_; }
 
   /// Consistency checks for the owner's CheckInvariants: every chain's
@@ -206,6 +216,7 @@ class DeltaRing {
 
   DeltaRingOptions opts_;
   SimDevice* flash_;
+  CacheStats* stats_;
   ConsolidateFn consolidate_;
 
   PageMap<ChainInfo> chains_;
@@ -224,8 +235,6 @@ class DeltaRing {
   std::vector<uint64_t> slot_seq_;              ///< seq stored in slot (~0 none)
   std::vector<std::vector<PageId>> slot_pages_; ///< pages with records there
   std::vector<PageId> open_pages_;              ///< pages in the open block
-
-  DeltaRingStats stats_;
 };
 
 }  // namespace face

@@ -9,22 +9,19 @@
 // invalidated, so flash never holds the only current copy of anything.
 // Metadata lives in DRAM; a crash resets the cache cold.
 //
-// The directory is a PageMap from page id to flash frame, and the LRU is
-// index-intrusive over the per-frame state (like the buffer pool's): no
+// The frames live in a FrameStore (frame_store.h), and the LRU is
+// index-intrusive over per-frame links (like the buffer pool's): no
 // per-reference list-node churn.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/intrusive_list.h"
-#include "common/page_map.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/cache_ext.h"
-#include "core/delta_ring.h"
-#include "core/flash_layout.h"
+#include "core/frame_store.h"
 #include "sim/sim_device.h"
 #include "storage/db_storage.h"
 
@@ -36,7 +33,7 @@ class ExadataCache final : public CacheExtension {
   /// Device blocks the cache needs: one frame per page plus the
   /// delta-record ring appended past the frames.
   static uint64_t DeviceBlocksFor(uint64_t n_frames) {
-    return n_frames + FlashLayout::DeltaBlocksFor(n_frames);
+    return FrameStore::BlocksFor(n_frames);
   }
 
   /// `flash` must have at least DeviceBlocksFor(n_frames) blocks.
@@ -46,17 +43,13 @@ class ExadataCache final : public CacheExtension {
   const char* name() const override { return "Exadata"; }
   bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
-    return index_.Contains(page_id);
+    return store_.Contains(page_id);
   }
   StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) override;
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
                      Lsn rec_lsn, DeltaWriteHint* hint = nullptr) override;
   Status OnFetchFromDisk(PageId page_id, const char* page,
                          uint64_t* admitted_version = nullptr) override;
-  StatusOr<bool> CheckpointPage(PageId, char*, Lsn,
-                                DeltaWriteHint* = nullptr) override {
-    return false;
-  }
   void OnPageWrittenToDisk(PageId page_id) override;
   Status RecoverAfterCrash() override;
   Status CheckInvariants() const override;
@@ -66,10 +59,12 @@ class ExadataCache final : public CacheExtension {
   // cold start, and every rotten frame is repairable from disk.
   Status EnterDegraded() override;
   Status ReattachFlash() override;
-  Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
+  Status ScrubSome(uint64_t max_frames, ScrubResult* out) override {
+    return degraded_ ? Status::OK() : store_.ScrubSome(max_frames, out);
+  }
 
-  uint64_t cached_pages() const { return index_.size(); }
-  uint64_t n_frames() const { return n_frames_; }
+  uint64_t cached_pages() const { return store_.size(); }
+  uint64_t n_frames() const { return store_.n_frames(); }
 
  private:
   /// Link accessor for the intrusive LRU over frames.
@@ -77,32 +72,13 @@ class ExadataCache final : public CacheExtension {
     return [this](uint32_t i) -> IntrusiveLinks& { return links_[i]; };
   }
 
-  /// Drop the entry cached in `frame` and free the frame.
+  /// Drop the page cached in `frame` and free the frame.
   void DropFrame(uint32_t frame);
-  /// DeltaRing slot-reuse callback: rewrite the tip image of each page
-  /// with records in the reclaimed ring slot into its frame (re-basing).
-  Status ConsolidateDeltaPages(const std::vector<PageId>& pids);
-  /// Mirror DeltaRing counters into the shared CacheStats block.
-  void SyncDeltaStats();
 
-  uint64_t n_frames_;
-  SimDevice* flash_;
   DbStorage* storage_;
-
-  PageMap<uint32_t> index_;           ///< page id -> flash frame
-  std::vector<PageId> frame_page_;    ///< frame -> cached page id
+  FrameStore store_;
   std::vector<IntrusiveLinks> links_; ///< frame LRU links (head = MRU)
   IntrusiveList lru_;
-  std::vector<uint32_t> free_frames_;
-  uint64_t scrub_frame_ = 0;  ///< ScrubSome's rotating position
-  std::string scratch_;
-
-  /// Page-differential refresh (see delta_ring.h): instead of invalidating
-  /// a cached copy on every dirty DRAM eviction, a small write-through
-  /// update becomes a delta record (dirty = false — disk stays current)
-  /// and the page stays cached. Base tag = frame index. Not durable state.
-  DeltaRing delta_;
-  std::string consolidate_buf_;  ///< tip-image rebuild arena (one page)
 };
 
 }  // namespace face

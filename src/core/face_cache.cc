@@ -107,7 +107,7 @@ FaceCache::FaceCache(const FaceOptions& options, SimDevice* flash,
       storage_(storage),
       delta_(DeltaRingOptions{layout_.delta_base,
                               static_cast<uint32_t>(layout_.delta_blocks)},
-             flash) {
+             flash, &stats_) {
   assert(options_.n_frames >= 2);
   assert(!options_.second_chance || options_.group_replace ||
          (options_.group_replace = true));  // GSC implies GR
@@ -140,7 +140,6 @@ Status FaceCache::Format() {
   seg_buf_.clear();
   sb_front_seq_ = sb_rear_seq_ = 0;
   FACE_RETURN_IF_ERROR(delta_.Reset());
-  SyncDeltaStats();
   return WriteSuperblock();
 }
 
@@ -489,28 +488,21 @@ Status FaceCache::FillBatchFromDram() {
 
 StatusOr<bool> FaceCache::TryDeltaRefresh(PageId page_id, const char* page,
                                           bool dirty, DeltaWriteHint* hint) {
-  if (hint == nullptr || hint->tracker == nullptr) return false;
-  const PageDeltaTracker& tracker = *hint->tracker;
-  if (tracker.whole_page() || tracker.region_count() == 0) return false;
-  const uint32_t size = PageDeltaRecord::EncodedSizeFor(tracker);
-  if (!delta_.CanAppend(page_id, hint->flash_version, size)) return false;
+  if (!DeltaRing::Tracks(hint)) return false;  // no lookup for untracked pages
   const uint64_t* seqp = newest_.Find(page_id);
   if (seqp == nullptr) return false;  // chain would be unmatched at restart
-  Entry& e = EntryAt(*seqp);
-  if (!e.valid) return false;
-
-  const Lsn lsn = ConstPageView(page).lsn();
-  auto version =
-      delta_.Append(page_id, hint->flash_version, tracker, lsn, dirty, page);
-  if (!version.ok()) return version.status();
-  if (*version == kNoFlashVersion) return false;  // chain died making room
+  const uint64_t seq = *seqp;
+  if (!EntryAt(seq).valid) return false;
+  FACE_ASSIGN_OR_RETURN(const bool refreshed,
+                        delta_.TryRefresh(page_id, page, dirty, hint));
+  if (!refreshed) return false;
 
   // The entry now describes base + chain: its LSN advances to the record's
   // (recovery's duplicate resolution and the destage path both rely on it),
   // and a dirty record makes the flash copy newer than disk.
-  e.lsn = lsn;
+  Entry& e = EntryAt(seq);
+  e.lsn = ConstPageView(page).lsn();
   e.dirty = e.dirty || dirty;
-  hint->new_version = *version;
   if (obs::Enabled()) GetFaceObs().delta_appends->Increment();
   return true;
 }
@@ -545,14 +537,6 @@ Status FaceCache::ConsolidateDeltaPages(const std::vector<PageId>& pids) {
   // The fresh full frames must hit the media before the ring slot is
   // reused — in group-replace mode they are sitting in the staging arena.
   return FlushStaging();
-}
-
-void FaceCache::SyncDeltaStats() {
-  const DeltaRingStats& d = delta_.stats();
-  stats_.delta_records = d.records;
-  stats_.delta_record_bytes = d.record_bytes;
-  stats_.delta_block_writes = d.block_writes;
-  stats_.delta_consolidations = d.consolidations;
 }
 
 Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
@@ -595,7 +579,6 @@ Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
   if (!refreshed.ok()) return refreshed.status();
   if (*refreshed) {
     if (enqueue_dirty) NoteDirtyAdmission(page_id, rec_lsn, page);
-    SyncDeltaStats();
     return Status::OK();
   }
 
@@ -610,7 +593,6 @@ Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
   if (options_.second_chance && was_full) {
     FACE_RETURN_IF_ERROR(FillBatchFromDram());
   }
-  SyncDeltaStats();
   return Status::OK();
 }
 
@@ -681,7 +663,6 @@ Status FaceCache::Absorb(CheckpointOffer* offers, size_t n,
                                    &o.hint.new_version));
     }
   }
-  SyncDeltaStats();
   return Status::OK();
 }
 
@@ -692,7 +673,6 @@ Status FaceCache::OnCheckpoint() {
   // records absorbed by the checkpoint get the same guarantee from Flush.
   FACE_RETURN_IF_ERROR(FlushStaging());
   FACE_RETURN_IF_ERROR(delta_.Flush());
-  SyncDeltaStats();
   return Status::OK();
 }
 
@@ -860,7 +840,6 @@ Status FaceCache::RecoverAfterCrash() {
     e.dirty = e.dirty || r.rec.dirty != 0;
     ++recovery_info_.delta_records_attached;
   }
-  SyncDeltaStats();
 
   // 6. Rebuild the durability-exposure ledger. The per-page floors died
   //    with the process; the entry LSN is the best floor derivable from
@@ -905,11 +884,7 @@ Status FaceCache::EnterDegraded() {
   dirty_since_.Clear();
   seg_buf_.clear();
   sb_front_seq_ = sb_rear_seq_ = 0;
-  // Forget all delta chains in memory (BeginFull-less: drop each chain).
-  std::vector<PageId> chained;
-  delta_.ForEachChain(
-      [&](PageId pid, const DeltaRing::ChainView&) { chained.push_back(pid); });
-  for (PageId pid : chained) delta_.Drop(pid);
+  delta_.DropAll();
   return Status::OK();
 }
 

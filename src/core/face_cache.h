@@ -161,19 +161,16 @@ class FaceCache final : public CacheExtension {
   /// receives the fresh chain-tip version for the buffer pool.
   Status Enqueue(PageId page_id, const char* page, bool dirty, Lsn lsn,
                  uint64_t* out_version = nullptr);
-  /// Page-differential fast path: when the evicted/checkpointed frame's
-  /// tracked regions are small and its version matches the chain tip,
-  /// append a delta record instead of a full frame. True = handled (entry
-  /// lsn/dirty advanced, hint->new_version filled); false = caller must
-  /// take the full-write path.
+  /// Page-differential fast path: DeltaRing::TryRefresh against the page's
+  /// newest valid frame. True = handled (entry lsn/dirty advanced,
+  /// hint->new_version filled); false = caller must take the full-write
+  /// path.
   StatusOr<bool> TryDeltaRefresh(PageId page_id, const char* page, bool dirty,
                                  DeltaWriteHint* hint);
   /// DeltaRing slot-reuse callback: re-enqueue the current tip image of
   /// every page whose chain still has records in the slot being reclaimed,
   /// then make the fresh full frames durable.
   Status ConsolidateDeltaPages(const std::vector<PageId>& pids);
-  /// Mirror DeltaRing counters into the shared CacheStats block.
-  void SyncDeltaStats();
   /// Checkpoint absorption of `n` offers (CheckpointPage: n = 1, no
   /// lanes): delta refreshes first, then one room-making sweep for the
   /// remaining full images, then their frame writes.

@@ -20,12 +20,10 @@
 #include <vector>
 
 #include "common/lazy_min_heap.h"
-#include "common/page_map.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/cache_ext.h"
-#include "core/delta_ring.h"
-#include "core/flash_layout.h"
+#include "core/frame_store.h"
 #include "sim/sim_device.h"
 #include "storage/db_storage.h"
 
@@ -49,7 +47,7 @@ class LcCache final : public CacheExtension {
   /// Device blocks LC needs: one frame per page plus the delta-record ring
   /// appended past the frames.
   static uint64_t DeviceBlocksFor(uint64_t n_frames) {
-    return n_frames + FlashLayout::DeltaBlocksFor(n_frames);
+    return FrameStore::BlocksFor(n_frames);
   }
 
   /// `flash` must have at least DeviceBlocksFor(n_frames) blocks. `storage`
@@ -60,16 +58,11 @@ class LcCache final : public CacheExtension {
   const char* name() const override { return "LC"; }
   bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
-    return index_.Contains(page_id);
+    return store_.Contains(page_id);
   }
   StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) override;
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
                      Lsn rec_lsn, DeltaWriteHint* hint = nullptr) override;
-  /// LC cannot absorb checkpointed pages persistently.
-  StatusOr<bool> CheckpointPage(PageId, char*, Lsn,
-                                DeltaWriteHint* = nullptr) override {
-    return false;
-  }
   /// Flush every flash-resident dirty page to disk: the flash cache is not
   /// persistent, so checkpoint completeness requires it (paper §2.3).
   Status PrepareCheckpoint() override;
@@ -82,84 +75,64 @@ class LcCache final : public CacheExtension {
 
   // Degraded mode / scrub (see cache_ext.h). LC's write-back window —
   // flash-dirty pages between checkpoints — is the exposure a flash loss
-  // creates; every dirty entry already tracks its recLSN.
+  // creates; the frame store tracks each dirty page's recLSN.
   Status EnterDegraded() override;
-  void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override;
-  Lsn FlashRedoFloor() const override;
+  void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override {
+    store_.CollectFlashOnlyDirty(out);
+  }
+  Lsn FlashRedoFloor() const override { return store_.FlashRedoFloor(); }
   Status ReattachFlash() override;
-  Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
+  Status ScrubSome(uint64_t max_frames, ScrubResult* out) override {
+    return degraded_ ? Status::OK() : store_.ScrubSome(max_frames, out);
+  }
 
   // Introspection --------------------------------------------------------------
-  uint64_t cached_pages() const { return index_.size(); }
-  uint64_t dirty_pages() const { return dirty_count_; }
+  uint64_t cached_pages() const { return store_.size(); }
+  uint64_t dirty_pages() const { return store_.dirty_count(); }
   double DirtyFraction() const {
     return options_.n_frames
-               ? static_cast<double>(dirty_count_) /
+               ? static_cast<double>(store_.dirty_count()) /
                      static_cast<double>(options_.n_frames)
                : 0.0;
   }
   const LcOptions& options() const { return options_; }
 
  private:
-  /// Directory entry for one cached page.
-  struct Entry {
-    uint64_t frame = 0;         ///< flash block holding the page
-    bool dirty = false;         ///< flash copy newer than the disk copy
-    Lsn rec_lsn = kInvalidLsn;  ///< conservative recLSN while dirty
-    uint64_t last_ref = 0;      ///< most recent reference tick
-    uint64_t penult_ref = 0;    ///< reference before that (0 = "-inf")
+  /// Reference history of the page in one frame.
+  struct Refs {
+    uint64_t last = 0;    ///< most recent reference tick
+    uint64_t penult = 0;  ///< reference before that (0 = "-inf")
   };
 
   /// Victim order: oldest penultimate reference first, ties by oldest last
   /// reference — the LRU-2 discipline.
   using VictimKey = std::tuple<uint64_t, uint64_t, PageId>;
 
-  VictimKey KeyOf(PageId page_id, const Entry& e) const {
-    return {e.penult_ref, e.last_ref, page_id};
+  VictimKey KeyOf(PageId page_id, uint32_t frame) const {
+    return {refs_[frame].penult, refs_[frame].last, page_id};
   }
 
   /// A heap key is current iff its page is cached and the key matches the
-  /// entry's present reference history (clock ticks are monotonic, so a
+  /// page's present reference history (clock ticks are monotonic, so a
   /// superseded key can never become current again).
   bool IsCurrentKey(const VictimKey& key) const {
-    const Entry* e = index_.Find(std::get<2>(key));
-    return e != nullptr && KeyOf(std::get<2>(key), *e) == key;
+    const uint32_t frame = store_.FrameOf(std::get<2>(key));
+    return frame != FrameStore::kNoFrame &&
+           KeyOf(std::get<2>(key), frame) == key;
   }
 
-  /// Record a reference to an existing entry (maintains the victim order).
-  void Touch(PageId page_id, Entry& e);
-  /// Stage the dirty page in `e` out to disk and mark it clean.
-  Status CleanEntry(PageId page_id, Entry& e);
+  /// Record a reference to a cached page (maintains the victim order).
+  void Touch(PageId page_id, uint32_t frame);
   /// Evict the LRU-2 victim, cleaning it first if dirty. Frees its frame.
   Status EvictVictim();
-  /// Write `page` into flash frame `frame` (an in-place random write).
-  Status WriteFrame(uint64_t frame, const char* page, PageId page_id);
-  /// DeltaRing slot-reuse callback: rewrite the tip image of each page
-  /// with records in the reclaimed ring slot into its frame (re-basing).
-  Status ConsolidateDeltaPages(const std::vector<PageId>& pids);
-  /// Mirror DeltaRing counters into the shared CacheStats block.
-  void SyncDeltaStats();
 
   LcOptions options_;
-  SimDevice* flash_;
-  DbStorage* storage_;
-
-  PageMap<Entry> index_;
+  FrameStore store_;
+  std::vector<Refs> refs_;               ///< per frame
   LazyMinHeap<VictimKey> victim_order_;  ///< lazy-deletion LRU-2 order
   std::vector<VictimKey> cleaner_keys_;  ///< reusable traversal snapshot
-  std::vector<uint64_t> free_frames_;
   uint64_t clock_ = 0;       ///< logical reference tick
-  uint64_t dirty_count_ = 0;
   bool cleaning_ = false;    ///< hysteresis state of the lazy cleaner
-  uint64_t scrub_frame_ = 0; ///< ScrubSome's rotating position (frame index)
-  std::string scratch_;      ///< one-page staging buffer
-
-  /// Page-differential refresh (see delta_ring.h): small in-place frame
-  /// overwrites become delta records in a ring past the frames. Base tag =
-  /// frame index. Not durable state — a crash resets chains with the rest
-  /// of the DRAM directory.
-  DeltaRing delta_;
-  std::string consolidate_buf_;  ///< tip-image rebuild arena (one page)
 };
 
 }  // namespace face

@@ -28,8 +28,8 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "core/cache_ext.h"
-#include "core/delta_ring.h"
 #include "core/flash_layout.h"
+#include "core/frame_store.h"
 #include "sim/sim_device.h"
 #include "storage/db_storage.h"
 
@@ -59,8 +59,7 @@ class TacCache final : public CacheExtension {
   /// Device blocks TAC needs: directory + frames + the delta-record ring
   /// appended past the frames.
   static uint64_t DeviceBlocksFor(uint64_t n_frames) {
-    return DirBlocksFor(n_frames) + n_frames +
-           FlashLayout::DeltaBlocksFor(n_frames);
+    return DirBlocksFor(n_frames) + FrameStore::BlocksFor(n_frames);
   }
 
   /// `flash` must have at least DeviceBlocksFor(n_frames) blocks.
@@ -73,7 +72,7 @@ class TacCache final : public CacheExtension {
   const char* name() const override { return "TAC"; }
   bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
-    return index_.Contains(page_id);
+    return store_.Contains(page_id);
   }
   StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) override;
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
@@ -81,16 +80,11 @@ class TacCache final : public CacheExtension {
   /// On-entry admission: the temperature-gated caching decision.
   Status OnFetchFromDisk(PageId page_id, const char* page,
                          uint64_t* admitted_version = nullptr) override;
-  /// Write-through: disk is always current, so checkpoints go to disk.
-  StatusOr<bool> CheckpointPage(PageId, char*, Lsn,
-                                DeltaWriteHint* = nullptr) override {
-    return false;
-  }
   /// Delta records absorbed by a checkpoint must be durable: recovery drops
   /// any slot whose page has media delta records, and that net depends on
   /// pre-checkpoint records actually being on the media (see
   /// RecoverAfterCrash).
-  Status OnCheckpoint() override;
+  Status OnCheckpoint() override { return store_.delta().Flush(); }
   void OnPageWrittenToDisk(PageId page_id) override;
   /// Rebuild the cache map from the persistent slot directory.
   Status RecoverAfterCrash() override;
@@ -102,10 +96,12 @@ class TacCache final : public CacheExtension {
   // repairable from disk — lost_dirty stays empty.
   Status EnterDegraded() override;
   Status ReattachFlash() override;
-  Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
+  Status ScrubSome(uint64_t max_frames, ScrubResult* out) override {
+    return degraded_ ? Status::OK() : store_.ScrubSome(max_frames, out);
+  }
 
   // Introspection --------------------------------------------------------------
-  uint64_t cached_pages() const { return index_.size(); }
+  uint64_t cached_pages() const { return store_.size(); }
   /// Current access temperature of the extent containing `page_id`.
   uint64_t ExtentTemperature(PageId page_id) const;
   /// Device blocks occupied by the slot directory.
@@ -113,24 +109,24 @@ class TacCache final : public CacheExtension {
   const TacOptions& options() const { return options_; }
 
  private:
-  /// Directory entry for one cached page (slot index == flash frame index).
-  struct Entry {
-    uint64_t slot = 0;
+  /// Replacement standing of the page in one slot (slot == frame index).
+  struct Standing {
     uint64_t temp_snapshot = 0;  ///< extent temperature at last touch
     uint64_t tick = 0;           ///< age tiebreak
   };
 
   using VictimKey = std::tuple<uint64_t, uint64_t, PageId>;
-  VictimKey KeyOf(PageId page_id, const Entry& e) const {
-    return {e.temp_snapshot, e.tick, page_id};
+  VictimKey KeyOf(PageId page_id, uint32_t slot) const {
+    return {standing_[slot].temp_snapshot, standing_[slot].tick, page_id};
   }
 
   /// A heap key is current iff its page is cached and the key matches the
-  /// entry's present (temperature, tick) standing — ticks are monotonic,
-  /// so a superseded key can never become current again.
+  /// page's present (temperature, tick) standing — ticks are monotonic, so
+  /// a superseded key can never become current again.
   bool IsCurrentKey(const VictimKey& key) const {
-    const Entry* e = index_.Find(std::get<2>(key));
-    return e != nullptr && KeyOf(std::get<2>(key), *e) == key;
+    const uint32_t slot = store_.FrameOf(std::get<2>(key));
+    return slot != FrameStore::kNoFrame &&
+           KeyOf(std::get<2>(key), slot) == key;
   }
 
   uint64_t ExtentOf(PageId page_id) const {
@@ -138,41 +134,25 @@ class TacCache final : public CacheExtension {
   }
   /// Bump the extent's temperature and return the new value.
   uint64_t Heat(PageId page_id);
-  /// Flash block holding cached slot `slot`.
-  uint64_t FrameBlock(uint64_t slot) const { return dir_blocks_ + slot; }
+  /// Give the page in `slot` a fresh standing and a current heap key.
+  void Stand(PageId page_id, uint32_t slot, uint64_t temp);
   /// Persist the directory entry for `slot` (one random flash write).
-  Status WriteDirEntry(uint64_t slot, PageId page_id, bool occupied);
-  /// Remove `page_id` (cached at `slot`) from the in-memory map and
-  /// persist the invalidation.
-  Status Invalidate(PageId page_id, uint64_t slot);
-  /// Write page bytes into `slot`'s frame.
-  Status WriteFrame(uint64_t slot, const char* page, PageId page_id);
-  /// DeltaRing slot-reuse callback: rewrite the tip image of each page
-  /// with records in the reclaimed ring slot into its frame (re-basing).
-  Status ConsolidateDeltaPages(const std::vector<PageId>& pids);
-  /// Mirror DeltaRing counters into the shared CacheStats block.
-  void SyncDeltaStats();
+  Status WriteDirEntry(uint32_t slot, PageId page_id, bool occupied);
+  /// Release `slot` and persist the invalidation.
+  Status Invalidate(uint32_t slot);
+  /// Forget the replacement state (the store is reset separately).
+  void ClearOrder();
 
   TacOptions options_;
   uint64_t dir_blocks_;
   SimDevice* flash_;
   DbStorage* storage_;
-
-  PageMap<Entry> index_;
+  FrameStore store_;
+  std::vector<Standing> standing_;       ///< per slot
   LazyMinHeap<VictimKey> victim_order_;  ///< coldest extent first (lazy)
-  std::vector<uint64_t> free_slots_;
   PageMap<uint64_t> extent_temp_;  ///< extent number -> access temperature
   uint64_t clock_ = 0;
-  uint64_t scrub_slot_ = 0;  ///< ScrubSome's rotating position (slot index)
-  std::string scratch_;  ///< one-page staging buffer
-
-  /// Page-differential refresh (see delta_ring.h): the write-through
-  /// in-place frame update becomes a delta record (dirty = false — flash
-  /// never holds data newer than disk). Base tag = slot index. Restart
-  /// conservatively drops any slot whose page has surviving media records:
-  /// its frame is a stale base, and disk holds the current copy anyway.
-  DeltaRing delta_;
-  std::string consolidate_buf_;  ///< tip-image rebuild arena (one page)
+  std::string scratch_;  ///< one-page directory staging buffer
 };
 
 }  // namespace face

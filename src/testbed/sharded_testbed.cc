@@ -22,18 +22,7 @@ void AddDeviceStats(DeviceStats* into, const DeviceStats& d) {
 }
 
 void AddCacheStats(CacheStats* into, const CacheStats& c) {
-  into->lookups += c.lookups;
-  into->hits += c.hits;
-  into->dirty_evictions += c.dirty_evictions;
-  into->disk_writes += c.disk_writes;
-  into->disk_reads += c.disk_reads;
-  into->flash_writes += c.flash_writes;
-  into->flash_reads += c.flash_reads;
-  into->enqueues += c.enqueues;
-  into->invalidations += c.invalidations;
-  into->second_chances += c.second_chances;
-  into->pulled_from_dram += c.pulled_from_dram;
-  into->meta_flash_writes += c.meta_flash_writes;
+  for (uint64_t CacheStats::*f : kCacheCounters) into->*f += c.*f;
 }
 
 void AddPoolStats(BufferPool::Stats* into, const BufferPool::Stats& p) {

@@ -201,8 +201,6 @@ StatusOr<std::unique_ptr<CacheExtension>> Testbed::MakeCache() {
     case CachePolicy::kLc: {
       LcOptions lo;
       lo.n_frames = opts_.flash_pages;
-      lo.clean_threshold = opts_.lc_clean_threshold;
-      lo.clean_target = std::max(0.0, opts_.lc_clean_threshold - 0.05);
       return std::unique_ptr<CacheExtension>(
           std::make_unique<LcCache>(lo, flash_dev_.get(), storage_.get()));
     }
@@ -397,21 +395,11 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
             : 0.0;
   }
 
-  // Cache and pool counters are cumulative; report run-relative deltas for
-  // the I/O counts and absolute values for the rate denominators.
+  // Cache and pool counters are cumulative; report run-relative deltas.
   result.cache_stats = cache_->stats();
-  result.cache_stats.lookups -= cache0.lookups;
-  result.cache_stats.hits -= cache0.hits;
-  result.cache_stats.dirty_evictions -= cache0.dirty_evictions;
-  result.cache_stats.disk_writes -= cache0.disk_writes;
-  result.cache_stats.disk_reads -= cache0.disk_reads;
-  result.cache_stats.flash_writes -= cache0.flash_writes;
-  result.cache_stats.flash_reads -= cache0.flash_reads;
-  result.cache_stats.enqueues -= cache0.enqueues;
-  result.cache_stats.invalidations -= cache0.invalidations;
-  result.cache_stats.second_chances -= cache0.second_chances;
-  result.cache_stats.pulled_from_dram -= cache0.pulled_from_dram;
-  result.cache_stats.meta_flash_writes -= cache0.meta_flash_writes;
+  for (uint64_t CacheStats::*f : kCacheCounters) {
+    result.cache_stats.*f -= cache0.*f;
+  }
 
   result.pool_stats = db_->pool()->stats();
   result.pool_stats.fetches -= pool0.fetches;

@@ -117,8 +117,6 @@ struct TestbedOptions {
   bool face_write_through = false;
   bool face_cache_clean = true;
   bool face_cache_dirty = true;
-  /// LC: lazy-cleaner start threshold (dirty fraction).
-  double lc_clean_threshold = 0.80;
 
   /// CPU time charged per transaction (no station contention).
   SimNanos cpu_per_txn_ns = 100 * kNanosPerMicro;

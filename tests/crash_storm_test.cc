@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/flash_layout.h"
+#include "core/tac_cache.h"
 #include "testbed/crash_storm.h"
 #include "testbed/sharded_testbed.h"
 #include "tests/test_util.h"
@@ -75,6 +76,8 @@ void RunStorms(CachePolicy policy) {
 TEST(CrashStormTest, Face) { RunStorms(CachePolicy::kFace); }
 TEST(CrashStormTest, Lc) { RunStorms(CachePolicy::kLc); }
 TEST(CrashStormTest, Tac) { RunStorms(CachePolicy::kTac); }
+TEST(CrashStormTest, Exadata) { RunStorms(CachePolicy::kExadata); }
+TEST(CrashStormTest, FaceGR) { RunStorms(CachePolicy::kFaceGR); }
 TEST(CrashStormTest, NoCache) { RunStorms(CachePolicy::kNone); }
 
 TEST(CrashStormTest, CrashDuringRecovery) {
@@ -411,42 +414,59 @@ TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
   // Silent bit-rot on idle flash frames; one scrub pass must find and fix
   // every rotten frame (clean frames re-read from disk, dirty frames
   // rebuilt from the WAL) before any of it is served, and a crash after
-  // the repairs must still recover the exact committed history.
-  DegradedRig rig;
-  rig.Build(CachePolicy::kFace, 55);
-  if (::testing::Test::HasFatalFailure()) return;
-  Testbed& tb = rig.tb();
-  RunOptions warm;
-  warm.txns = 500;
-  FACE_ASSERT_OK(tb.Run(warm).status());
+  // the repairs must still recover the exact committed history. Every
+  // third block of each policy's frame region rots (same geometry the
+  // testbed provisioned: FaCE's frames follow its metadata and delta
+  // rings, TAC's its slot directory, LC's and Exadata's start at block 0).
+  constexpr uint64_t kFrames = 512;
+  const struct {
+    CachePolicy policy;
+    uint64_t frame_base;
+  } cases[] = {
+      {CachePolicy::kFace, FlashLayout::Compute(kFrames, 256).frame_base},
+      {CachePolicy::kLc, 0},
+      {CachePolicy::kTac, TacCache::DirBlocksFor(kFrames)},
+      {CachePolicy::kExadata, 0},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(CachePolicyName(c.policy));
+    DegradedRig rig;
+    rig.Build(c.policy, 55);
+    if (::testing::Test::HasFatalFailure()) return;
+    Testbed& tb = rig.tb();
+    RunOptions warm;
+    warm.txns = 500;
+    FACE_ASSERT_OK(tb.Run(warm).status());
 
-  // Rot every third frame block (same geometry the testbed provisioned).
-  const FlashLayout lay = FlashLayout::Compute(512, 256);
-  for (uint64_t i = 0; i < lay.n_frames; i += 3) {
-    FACE_ASSERT_OK(FaultInjector::FlipBitsInBlock(
-        tb.flash_dev(), lay.FrameBlock(i), /*n_bits=*/3, /*seed=*/1000 + i));
+    for (uint64_t i = 0; i < kFrames; i += 3) {
+      FACE_ASSERT_OK(FaultInjector::FlipBitsInBlock(
+          tb.flash_dev(), c.frame_base + i, /*n_bits=*/3, /*seed=*/1000 + i));
+    }
+
+    ScrubResult scrub;
+    FACE_ASSERT_OK_AND_ASSIGN(scrub, tb.ScrubPass(kFrames));
+    EXPECT_GT(scrub.frames_scanned, 0u);
+    EXPECT_GT(scrub.clean_repaired + scrub.lost_dirty.size(), 0u)
+        << "no rot found: the flips missed every occupied frame";
+    EXPECT_FALSE(tb.IsDegraded());
+    std::cout << "[ " << CachePolicyName(c.policy) << " ] scrub scanned "
+              << scrub.frames_scanned << ", repaired " << scrub.clean_repaired
+              << ", lost dirty " << scrub.lost_dirty.size() << "\n";
+
+    // The repaired cache serves clean traffic...
+    RunOptions body;
+    body.txns = 200;
+    FACE_ASSERT_OK(tb.Run(body).status());
+    rig.CheckDiff("scrub repair");
+
+    // ...and a crash after the repairs recovers row-for-row.
+    FACE_ASSERT_OK(tb.InjectInflightTransactions(2));
+    FACE_ASSERT_OK(tb.Crash());
+    RestartReport report;
+    FACE_ASSERT_OK_AND_ASSIGN(report, tb.Recover());
+    EXPECT_FALSE(report.degraded);
+    rig.CheckDiff("scrub-repair-then-crash");
   }
-
-  ScrubResult scrub;
-  FACE_ASSERT_OK_AND_ASSIGN(scrub, tb.ScrubPass(lay.n_frames));
-  EXPECT_GT(scrub.frames_scanned, 0u);
-  EXPECT_GT(scrub.clean_repaired + scrub.lost_dirty.size(), 0u)
-      << "no rot found: the flips missed every occupied frame";
-  EXPECT_FALSE(tb.IsDegraded());
-
-  // The repaired cache serves clean traffic...
-  RunOptions body;
-  body.txns = 200;
-  FACE_ASSERT_OK(tb.Run(body).status());
-  rig.CheckDiff("scrub repair");
-
-  // ...and a crash after the repairs recovers row-for-row.
-  FACE_ASSERT_OK(tb.InjectInflightTransactions(2));
-  FACE_ASSERT_OK(tb.Crash());
-  RestartReport report;
-  FACE_ASSERT_OK_AND_ASSIGN(report, tb.Recover());
-  EXPECT_FALSE(report.degraded);
-  rig.CheckDiff("scrub-repair-then-crash");
 }
 
 TEST(DegradedModeTest, BackgroundScrubberWalksIdleFramesInVirtualTime) {

@@ -161,7 +161,7 @@ class DeltaRingTest : public ::testing::Test {
     DeltaRingOptions o = tweak;
     o.base_block = 0;
     o.n_blocks = n_blocks;
-    ring_ = std::make_unique<DeltaRing>(o, flash_.get());
+    ring_ = std::make_unique<DeltaRing>(o, flash_.get(), &stats_);
     ring_->SetConsolidateFn([this](const std::vector<PageId>& pids) {
       return Consolidate(pids);
     });
@@ -191,6 +191,7 @@ class DeltaRingTest : public ::testing::Test {
   }
 
   std::unique_ptr<SimDevice> flash_;
+  CacheStats stats_;  ///< the owner's counters the ring counts into
   std::unique_ptr<DeltaRing> ring_;
   std::unordered_map<PageId, std::string> base_;     ///< last full image
   std::unordered_map<PageId, uint64_t> version_;     ///< frame tip version
@@ -285,7 +286,7 @@ TEST_F(DeltaRingTest, RandomizedDifferentialAcrossAMillionEdits) {
   FACE_ASSERT_OK(ring_->CheckInvariants());
   // The tiny 8-block ring must have wrapped many times: slot-reuse
   // consolidation ran, and chains still never lost an edit (checked above).
-  EXPECT_GT(ring_->stats().consolidations, 0u);
+  EXPECT_GT(stats_.delta_consolidations, 0u);
   EXPECT_GT(consolidated_, 0u);
   EXPECT_GT(appends, full_writes)
       << "delta path should dominate with small edits";
@@ -399,7 +400,7 @@ TEST_F(DeltaRingTest, RecoverScanStopsAtGarbledRecord) {
 
   // A clean recovery scan sees every record, in append order.
   {
-    DeltaRing ring2(opts, flash_.get());
+    DeltaRing ring2(opts, flash_.get(), &stats_);
     FACE_ASSERT_OK_AND_ASSIGN(auto recs, ring2.RecoverScan());
     ASSERT_EQ(recs.size(), appended.size());
     for (size_t i = 0; i < recs.size(); ++i) {
@@ -415,7 +416,7 @@ TEST_F(DeltaRingTest, RecoverScanStopsAtGarbledRecord) {
   FACE_ASSERT_OK(FaultInjector::GarbleBlocks(
       flash_.get(), opts.base_block, 1, '\x5a'));
   {
-    DeltaRing ring2(opts, flash_.get());
+    DeltaRing ring2(opts, flash_.get(), &stats_);
     FACE_ASSERT_OK_AND_ASSIGN(auto recs, ring2.RecoverScan());
     EXPECT_TRUE(recs.empty());
   }
@@ -463,7 +464,7 @@ TEST_F(DeltaRingTest, TornFlushRecoversDurablePrefix) {
   // Recovery: the first record is durable and must survive; the second was
   // torn and may survive only if its bytes happened to land entirely before
   // the cut. Whatever comes back is a strict in-order prefix.
-  DeltaRing ring2(opts, flash_.get());
+  DeltaRing ring2(opts, flash_.get(), &stats_);
   ring2.SetConsolidateFn([](const std::vector<PageId>&) {
     return Status::OK();
   });
@@ -511,7 +512,7 @@ TEST_F(DeltaRingTest, ResetOrphansPriorEpochRecords) {
   // Format: a fresh epoch. The old record is still physically on media but
   // recovery must not return it.
   FACE_ASSERT_OK(ring_->Reset());
-  DeltaRing ring2(ring_->options(), flash_.get());
+  DeltaRing ring2(ring_->options(), flash_.get(), &stats_);
   FACE_ASSERT_OK_AND_ASSIGN(auto recs, ring2.RecoverScan());
   EXPECT_TRUE(recs.empty());
 }

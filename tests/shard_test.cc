@@ -145,6 +145,22 @@ TEST(ShardTest, OneShardMatchesPlainTestbed) {
       << plain_result.duration << " vs " << sharded_result.duration;
 }
 
+TEST(ShardTest, MergeSumsEveryCacheCounter) {
+  std::vector<RunResult> per_shard(2);
+  uint64_t value = 1;
+  for (uint64_t CacheStats::*f : kCacheCounters) {
+    per_shard[0].cache_stats.*f = value;
+    per_shard[1].cache_stats.*f = 10 * value;
+    ++value;
+  }
+  const RunResult merged = MergeRunResults(per_shard, TestbedOptions());
+  value = 1;
+  for (uint64_t CacheStats::*f : kCacheCounters) {
+    EXPECT_EQ(merged.cache_stats.*f, 11 * value) << "counter #" << value;
+    ++value;
+  }
+}
+
 TEST(ShardTest, ThroughputScalesWithShards) {
   // Fig. 5-style scale-up: the same per-shard work at 4 shards finishes in
   // roughly the single-shard makespan, so machine throughput multiplies.

@@ -60,6 +60,14 @@ TEST_P(TestbedPolicyTest, SteadyStateRunsAndHits) {
   EXPECT_GT(result.cache_stats.hits, 0u);
   EXPECT_GT(result.pool_stats.flash_fetches, 0u);
   FACE_EXPECT_OK(tb.cache()->CheckInvariants());
+
+  // Every cache counter, delta_* included, is a run delta: an empty run
+  // after the measured one reports zero for all of them.
+  run.txns = 0;
+  FACE_ASSERT_OK_AND_ASSIGN(RunResult idle, tb.Run(run));
+  for (uint64_t CacheStats::*f : kCacheCounters) {
+    EXPECT_EQ(idle.cache_stats.*f, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

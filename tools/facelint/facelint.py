@@ -12,15 +12,9 @@ behind each rule and the bug/PR that motivated it):
   mark-dirty-range   frame-payload writes must pair with MarkDirtyRange
   obs-hot-handle     no string-keyed metric lookups outside setup paths
 
-Engines:
-  tokens   (default) a self-contained C++ lexer + function segmenter.
-           Authoritative: the fixture suite under tests/facelint pins its
-           behavior, and it needs nothing beyond Python 3.
-  libclang opt-in refinement: uses clang.cindex (when importable and a
-           libclang is resolvable) for exact function extents, then runs
-           the same rule logic over the same token stream. Falls back to
-           the token segmenter per-file on parse failure.
-  auto     libclang if importable, else tokens.
+Engine: a self-contained C++ lexer + heuristic function segmenter. The
+fixture suite under tests/facelint pins its behavior, and it needs nothing
+beyond Python 3.
 
 Suppression:
   - inline: `// facelint: allow(<rule>[, <rule>...]) [reason]` on the
@@ -568,44 +562,6 @@ def allowed_rules_near(ctx, line):
 
 
 # --------------------------------------------------------------------------
-# libclang engine (opt-in): exact function extents, same rule logic
-# --------------------------------------------------------------------------
-
-def libclang_refine(ctx, compile_args):
-    """Replace ctx.funcs with cursor-accurate extents via clang.cindex.
-    Raises ImportError/Exception upward; caller falls back per-file."""
-    from clang import cindex  # noqa: deferred import, gated by --engine
-    index = cindex.Index.create()
-    tu = index.parse(ctx.path, args=compile_args or ["-std=c++17"])
-    by_line = {}
-    for i, t in enumerate(ctx.toks):
-        by_line.setdefault(t.line, []).append(i)
-
-    def tok_range(start_line, end_line):
-        idxs = [i for ln in range(start_line, end_line + 1)
-                for i in by_line.get(ln, [])]
-        return (min(idxs), max(idxs)) if idxs else None
-
-    funcs = []
-    kinds = {cindex.CursorKind.FUNCTION_DECL, cindex.CursorKind.CXX_METHOD,
-             cindex.CursorKind.CONSTRUCTOR, cindex.CursorKind.DESTRUCTOR}
-
-    def walk(cur):
-        for c in cur.get_children():
-            if (c.kind in kinds and c.is_definition()
-                    and c.location.file
-                    and os.path.samefile(c.location.file.name, ctx.path)):
-                rng = tok_range(c.extent.start.line, c.extent.end.line)
-                if rng:
-                    funcs.append(Func(c.spelling, (rng[0], rng[0]), rng))
-            walk(c)
-
-    walk(tu.cursor)
-    if funcs:
-        ctx.funcs = funcs
-
-
-# --------------------------------------------------------------------------
 # Baseline
 # --------------------------------------------------------------------------
 
@@ -633,35 +589,35 @@ def load_baseline(path):
 # --------------------------------------------------------------------------
 
 def collect_files(args):
-    files = []
     if args.files:
-        return [(f, None) for f in args.files]
+        return list(args.files)
+    files = []
     seen = set()
-    cc_args = {}
+    have_cc = False
     if args.compile_commands and os.path.exists(args.compile_commands):
         with open(args.compile_commands, encoding="utf-8") as f:
             for entry in json.load(f):
+                have_cc = True
                 p = os.path.normpath(
                     os.path.join(entry.get("directory", "."), entry["file"]))
-                cc_args[p] = entry.get("command", "")
                 rel = os.path.relpath(p, args.root)
                 if rel.replace(os.sep, "/").startswith("src/") and p not in seen:
                     seen.add(p)
-                    files.append((p, entry))
+                    files.append(p)
     for p in sorted(glob.glob(os.path.join(args.root, "src", "**", "*.h"),
                               recursive=True)):
         p = os.path.normpath(p)
         if p not in seen:
             seen.add(p)
-            files.append((p, None))
-    if not cc_args:
+            files.append(p)
+    if not have_cc:
         # no compile_commands.json: fall back to globbing the sources
         for p in sorted(glob.glob(os.path.join(args.root, "src", "**", "*.cc"),
                                   recursive=True)):
             p = os.path.normpath(p)
             if p not in seen:
                 seen.add(p)
-                files.append((p, None))
+                files.append(p)
     return files
 
 
@@ -675,8 +631,6 @@ def main(argv=None):
     ap.add_argument("--baseline",
                     default=os.path.join("tools", "facelint", "baseline.txt"))
     ap.add_argument("--no-baseline", action="store_true")
-    ap.add_argument("--engine", choices=["tokens", "libclang", "auto"],
-                    default="tokens")
     ap.add_argument("--rule", action="append", choices=sorted(RULES),
                     help="run only these rules (repeatable)")
     ap.add_argument("--stats", action="store_true",
@@ -694,21 +648,11 @@ def main(argv=None):
     baseline = [] if args.no_baseline else load_baseline(args.baseline)
     baseline_used = [False] * len(baseline)
 
-    use_clang = args.engine in ("libclang", "auto")
-    if args.engine == "libclang":
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            print("facelint: --engine libclang requested but clang.cindex is "
-                  "not importable; install python3-clang + libclang, or use "
-                  "--engine tokens", file=sys.stderr)
-            return 2
-
     results = []   # dicts: rule/path/line/message/suppressed
     stats = {r: {"found": 0, "allowed": 0, "baselined": 0, "reported": 0}
              for r in active}
 
-    for path, cc_entry in collect_files(args):
+    for path in collect_files(args):
         try:
             with open(path, encoding="utf-8", errors="replace") as f:
                 text = f.read()
@@ -720,16 +664,6 @@ def main(argv=None):
         if m:
             rel = m.group(1)
         ctx = FileCtx(path, rel, text)
-        if use_clang:
-            try:
-                cargs = None
-                if cc_entry and cc_entry.get("command"):
-                    cargs = cc_entry["command"].split()[1:]
-                libclang_refine(ctx, cargs)
-            except Exception as e:  # fall back per-file
-                if args.engine == "libclang":
-                    print("facelint: libclang parse failed for %s (%s); "
-                          "using token segmenter" % (rel, e), file=sys.stderr)
         for rule, fn in active.items():
             for fd in fn(ctx):
                 stats[rule]["found"] += 1
