@@ -21,6 +21,8 @@ struct FaceObs {
   obs::Counter* meta_seg_flushes;
   obs::Counter* delta_appends;
   obs::Counter* delta_consolidations;
+  obs::Counter* restore_frames_scanned;
+  obs::Counter* restore_dirty_entries;
   obs::Hist* group_flush_pages;
   obs::Hist* group_dequeue_pages;
 };
@@ -35,6 +37,9 @@ FaceObs& GetFaceObs() {
     f.meta_seg_flushes = reg.GetCounter("core.face.meta_seg_flushes");
     f.delta_appends = reg.GetCounter("core.face.delta_appends");
     f.delta_consolidations = reg.GetCounter("core.face.delta_consolidations");
+    f.restore_frames_scanned =
+        reg.GetCounter("core.face.restore_frames_scanned");
+    f.restore_dirty_entries = reg.GetCounter("core.face.restore_dirty_entries");
     f.group_flush_pages = reg.GetHistogram("core.face.group_flush_pages");
     f.group_dequeue_pages = reg.GetHistogram("core.face.group_dequeue_pages");
     return f;
@@ -43,6 +48,22 @@ FaceObs& GetFaceObs() {
 }
 
 constexpr uint64_t kSuperMagic = 0xFACEAC4E2012ull;
+
+// The frame stamp in the page-header flags word: bit 31 is the frame's
+// enqueue-time dirty flag, the low 31 bits its enqueue sequence.
+constexpr uint32_t kStampDirty = 1u << 31;
+constexpr uint32_t kStampSeqMask = kStampDirty - 1;
+
+/// True iff `frame` carries the stamp of enqueue sequence `seq`.
+bool StampedWith(const char* frame, uint64_t seq) {
+  return (ConstPageView(frame).flags() & kStampSeqMask) ==
+         (static_cast<uint32_t>(seq) & kStampSeqMask);
+}
+
+/// The dirty flag `frame` was enqueued with.
+bool StampedDirty(const char* frame) {
+  return (ConstPageView(frame).flags() & kStampDirty) != 0;
+}
 
 // Superblock layout within block 0:
 //   [0..8) magic  [8..16) n_frames  [16..20) seg_entries
@@ -153,30 +174,32 @@ Status FaceCache::WriteSuperblock() {
 }
 
 void FaceCache::StampInto(char* dst, const char* page, PageId page_id,
-                          Lsn lsn, uint64_t seq) {
+                          Lsn lsn, uint64_t seq, bool dirty) {
   memcpy(dst, page, kPageSize);
   PageView view(dst);
   view.set_page_id(page_id);
   if (view.lsn() == kInvalidLsn && lsn != kInvalidLsn) view.set_lsn(lsn);
-  // Stamp the enqueue sequence number into the (otherwise unused) page
-  // flags. Restart uses it to tell frames written this lap of the ring from
-  // leftovers of the previous lap — frame(seq) and frame(seq ± n_frames)
-  // share a device block but differ in the stamp (see RecoverAfterCrash).
-  view.set_flags(static_cast<uint32_t>(seq));
+  // Stamp the enqueue sequence number and the dirty flag into the page
+  // flags. Restart uses the sequence to tell frames written this lap of the
+  // ring from leftovers of the previous lap — frame(seq) and
+  // frame(seq ± n_frames) share a device block but differ in the stamp —
+  // and the flag to restore a scanned frame exactly (see RecoverAfterCrash).
+  view.set_flags((static_cast<uint32_t>(seq) & kStampSeqMask) |
+                 (dirty ? kStampDirty : 0));
   view.StampChecksum();
 }
 
 Status FaceCache::WriteFrame(uint64_t seq, const char* page, PageId page_id,
-                             Lsn lsn) {
+                             Lsn lsn, bool dirty) {
   if (options_.group_replace) {
     if (staged_count_ == 0) staged_base_ = seq;
     assert(staged_base_ + staged_count_ == seq);
-    StampInto(StagingSlot(staged_count_), page, page_id, lsn, seq);
+    StampInto(StagingSlot(staged_count_), page, page_id, lsn, seq, dirty);
     ++staged_count_;
     if (staged_count_ >= options_.group_size) return FlushStaging();
     return Status::OK();
   }
-  StampInto(scratch_.data(), page, page_id, lsn, seq);
+  StampInto(scratch_.data(), page, page_id, lsn, seq, dirty);
   ++stats_.flash_writes;
   return flash_->Write(layout_.FrameBlock(seq), scratch_.data());
 }
@@ -217,33 +240,37 @@ Status FaceCache::ReadFrames(uint64_t seq, uint32_t count, char* out) {
   return Status::OK();
 }
 
-Status FaceCache::AppendMeta(uint64_t seq, const FlashMetaEntry& entry) {
+Status FaceCache::AppendMeta(const FlashMetaEntry& entry) {
   char buf[FlashMetaEntry::kEncodedSize];
   entry.EncodeTo(buf);
   seg_buf_.append(buf, sizeof(buf));
-  if ((seq + 1) % options_.seg_entries == 0) {
-    return FlushSegment(layout_.SegmentOf(seq));
-  }
-  return Status::OK();
+  return hold_segments_ ? Status::OK() : FlushSegments();
 }
 
-Status FaceCache::FlushSegment(uint64_t seg_no) {
+Status FaceCache::FlushSegments() {
+  const size_t seg_bytes =
+      static_cast<size_t>(options_.seg_entries) * FlashMetaEntry::kEncodedSize;
+  if (seg_buf_.size() < seg_bytes) return Status::OK();
   // Frames first: a persisted metadata entry must never describe a frame
   // whose bytes are still in the staging buffer.
   FACE_RETURN_IF_ERROR(FlushStaging());
-  assert(seg_buf_.size() ==
-         static_cast<size_t>(options_.seg_entries) *
-             FlashMetaEntry::kEncodedSize);
+  // seg_buf_ starts at a segment boundary.
+  uint64_t seg_no = layout_.SegmentOf(
+      rear_seq_ - seg_buf_.size() / FlashMetaEntry::kEncodedSize);
   std::string blocks(static_cast<size_t>(layout_.seg_blocks) * kPageSize,
                      '\0');
-  memcpy(blocks.data(), seg_buf_.data(), seg_buf_.size());
-  FACE_RETURN_IF_ERROR(flash_->WriteBatch(layout_.SegmentBlock(seg_no),
-                                          layout_.seg_blocks, blocks.data()));
-  stats_.meta_flash_writes += layout_.seg_blocks;
-  if (obs::Enabled()) GetFaceObs().meta_seg_flushes->Increment();
-  seg_buf_.clear();
+  size_t done = 0;
+  for (; seg_buf_.size() - done >= seg_bytes; done += seg_bytes, ++seg_no) {
+    memcpy(blocks.data(), seg_buf_.data() + done, seg_bytes);
+    FACE_RETURN_IF_ERROR(flash_->WriteBatch(layout_.SegmentBlock(seg_no),
+                                            layout_.seg_blocks,
+                                            blocks.data()));
+    stats_.meta_flash_writes += layout_.seg_blocks;
+    if (obs::Enabled()) GetFaceObs().meta_seg_flushes->Increment();
+  }
+  seg_buf_.erase(0, done);
   sb_front_seq_ = front_seq_;
-  sb_rear_seq_ = (seg_no + 1) * static_cast<uint64_t>(options_.seg_entries);
+  sb_rear_seq_ = seg_no * static_cast<uint64_t>(options_.seg_entries);
   return WriteSuperblock();
 }
 
@@ -301,8 +328,8 @@ Status FaceCache::Enqueue(PageId page_id, const char* page, bool dirty,
   const uint64_t version = delta_.BeginFull(page_id, seq);
   if (out_version != nullptr) *out_version = version;
 
-  FACE_RETURN_IF_ERROR(WriteFrame(seq, page, page_id, lsn));
-  return AppendMeta(seq, FlashMetaEntry{page_id, lsn, dirty, true});
+  FACE_RETURN_IF_ERROR(WriteFrame(seq, page, page_id, lsn, dirty));
+  return AppendMeta(FlashMetaEntry{page_id, lsn, dirty, true});
 }
 
 Status FaceCache::DequeueFront(uint64_t n, IoScheduler* lanes,
@@ -403,8 +430,17 @@ Status FaceCache::DequeueGroup() {
     const Entry& e = EntryAt(front_seq_ + k);
     if (e.page_id == kInvalidPageId || !e.valid) continue;
     char* bytes = buf + static_cast<size_t>(k) * kPageSize;
-    const bool second_chance = options_.second_chance && e.referenced &&
-                               !(all_referenced && k == 0);
+    bool second_chance = options_.second_chance && e.referenced &&
+                         !(all_referenced && k == 0);
+    if (second_chance && e.dirty && survivors.size() == k) {
+      // A survivor's new frame lands on the block of batch position
+      // survivors.size() (the queue was full: rear = front + n_frames),
+      // here its own. It differs from the old frame beyond the header
+      // sector only if a delta chain patched it; then one torn write would
+      // destroy both copies of the page, so it is destaged instead.
+      DeltaRing::ChainView cv;
+      second_chance = !(delta_.GetChain(e.page_id, &cv) && cv.len > 0);
+    }
     if (second_chance) {
       survivors.push_back(Survivor{e.page_id, bytes, e.dirty, e.lsn});
     } else if (e.dirty) {
@@ -430,12 +466,20 @@ Status FaceCache::DequeueGroup() {
     ++front_seq_;
   }
 
-  for (const Survivor& s : survivors) {
+  // The front already passed the survivors' old frames, so a segment
+  // boundary inside this loop waits until every survivor is staged: the
+  // flush then writes them before it persists that front.
+  hold_segments_ = true;
+  Status s;
+  for (const Survivor& sv : survivors) {
     ++stats_.second_chances;
     if (obs::Enabled()) GetFaceObs().second_chances->Increment();
-    FACE_RETURN_IF_ERROR(Enqueue(s.page_id, s.bytes, s.dirty, s.lsn));
+    s = Enqueue(sv.page_id, sv.bytes, sv.dirty, sv.lsn);
+    if (!s.ok()) break;
   }
-  return Status::OK();
+  hold_segments_ = false;
+  FACE_RETURN_IF_ERROR(s);
+  return FlushSegments();
 }
 
 Status FaceCache::MakeRoom() {
@@ -694,6 +738,12 @@ Status FaceCache::RecoverAfterCrash() {
     // No usable cache state (fresh device or geometry change): cold start.
     return Format();
   }
+  if (2 * uint64_t{options_.seg_entries} > options_.n_frames) {
+    // The unpersisted tail (up to a segment past the superblock's rear)
+    // could have overwritten frames the persisted segments describe.
+    return Status::InvalidArgument(
+        "flash-cache metadata segment exceeds half the frames");
+  }
 
   front_seq_ = sb->front_seq;
   const uint64_t persisted_rear = sb->rear_seq;
@@ -732,31 +782,32 @@ Status FaceCache::RecoverAfterCrash() {
   //    ring's previous lap (stamp seq - n_frames) or a torn/unwritten frame
   //    ends the append-ordered scan. Note the true rear may exceed
   //    front_seq_ + n_frames: the superblock's front pointer is stale by up
-  //    to a segment of dequeues (step 2b reconciles).
-  const uint64_t scan_end = persisted_rear + 2 * s;
+  //    to a segment of dequeues (step 2b reconciles). Each frame comes back
+  //    with the dirty flag stamped beside its sequence, which is the flag
+  //    its lost metadata entry held. The tail spans at most two segments
+  //    (the last one's superblock write may have been lost), or one segment
+  //    plus the second-chance survivors a held boundary flush waited for.
+  const uint64_t held = options_.second_chance ? options_.group_size : 0;
+  const uint64_t scan_end = persisted_rear + s + std::max(s, held);
   std::string scan(64 * kPageSize, '\0');
-  bool lap_ended = false;
-  for (uint64_t seq = persisted_rear; seq < scan_end && !lap_ended;) {
+  const char* stop = nullptr;  // the frame that ended the scan, if any
+  for (uint64_t seq = persisted_rear; seq < scan_end && stop == nullptr;) {
     const uint32_t chunk =
         static_cast<uint32_t>(std::min<uint64_t>(64, scan_end - seq));
     FACE_RETURN_IF_ERROR(ReadFrames(seq, chunk, scan.data()));
     recovery_info_.rebuilt_frames_scanned += chunk;
     for (uint32_t k = 0; k < chunk; ++k) {
-      ConstPageView view(scan.data() + static_cast<size_t>(k) * kPageSize);
-      const bool this_lap =
-          view.VerifyChecksum() &&
-          view.page_id() < storage_->capacity_pages() &&
-          PageView(const_cast<char*>(scan.data() +
-                                     static_cast<size_t>(k) * kPageSize))
-                  .flags() == static_cast<uint32_t>(seq + k);
+      const char* frame = scan.data() + static_cast<size_t>(k) * kPageSize;
+      ConstPageView view(frame);
+      const bool this_lap = view.VerifyChecksum() &&
+                            view.page_id() < storage_->capacity_pages() &&
+                            StampedWith(frame, seq + k);
       if (!this_lap) {
-        lap_ended = true;
+        stop = frame;
         break;
       }
-      // Dirtiness is unknown without the lost metadata: conservatively
-      // dirty, so the page is staged out to disk rather than dropped.
       entries_.push_back(
-          Entry{view.page_id(), view.lsn(), true, false, false});
+          Entry{view.page_id(), view.lsn(), StampedDirty(frame), false, false});
       ++recovery_info_.entries_restored;
       ++rear_seq_;
     }
@@ -768,9 +819,18 @@ Status FaceCache::RecoverAfterCrash() {
   //     only enqueued after dequeuing the victim. Entries below the true
   //     rear minus capacity therefore describe pages that were already
   //     dequeued (their dirty copies written to disk) — advance the
-  //     restored front past them.
-  while (rear_seq_ >= options_.n_frames &&
-         front_seq_ < rear_seq_ - options_.n_frames) {
+  //     restored front past them. The frame that ended the scan counts as
+  //     written, too, unless its block still holds seq - n_frames intact:
+  //     a write of it began (a crash tore it), so its victim was dequeued
+  //     and the victim's frame is gone.
+  const uint64_t n = options_.n_frames;
+  uint64_t written_end = rear_seq_;
+  if (stop != nullptr && rear_seq_ >= n &&
+      !(ConstPageView(stop).VerifyChecksum() &&
+        StampedWith(stop, rear_seq_ - n))) {
+    ++written_end;
+  }
+  while (written_end >= n && front_seq_ < written_end - n) {
     entries_.pop_front();
     ++front_seq_;
   }
@@ -848,6 +908,13 @@ Status FaceCache::RecoverAfterCrash() {
   for (uint64_t seq = front_seq_; seq < rear_seq_; ++seq) {
     const Entry& e = EntryAt(seq);
     if (e.valid && e.dirty) dirty_since_.TryEmplace(e.page_id, e.lsn);
+  }
+  recovery_info_.dirty_entries_restored = dirty_since_.size();
+  if (obs::Enabled()) {
+    GetFaceObs().restore_frames_scanned->Add(
+        recovery_info_.rebuilt_frames_scanned);
+    GetFaceObs().restore_dirty_entries->Add(
+        recovery_info_.dirty_entries_restored);
   }
   return Status::OK();
 }
@@ -969,8 +1036,7 @@ Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
     ++out->frames_scanned;
     ConstPageView view(frame.data());
     const bool ok = view.VerifyChecksum() && view.page_id() == e.page_id &&
-                    PageView(frame.data()).flags() ==
-                        static_cast<uint32_t>(seq);
+                    StampedWith(frame.data(), seq);
     if (ok) continue;
 
     if (!e.dirty) {
@@ -979,7 +1045,8 @@ Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
       // byte-range after-images — re-patching with identical bytes).
       FACE_RETURN_IF_ERROR(storage_->ReadPage(e.page_id, frame.data()));
       ++stats_.disk_reads;
-      StampInto(scratch_.data(), frame.data(), e.page_id, e.lsn, seq);
+      StampInto(scratch_.data(), frame.data(), e.page_id, e.lsn, seq,
+                /*dirty=*/false);
       FACE_RETURN_IF_ERROR(
           flash_->Write(layout_.FrameBlock(seq), scratch_.data()));
       ++stats_.flash_writes;
@@ -1027,9 +1094,12 @@ StatusOr<uint64_t> FaceCache::AuditFrames() {
       return Status::Corruption("audit: frame page id mismatch (seq " +
                                 std::to_string(seq) + ")");
     }
-    if (PageView(const_cast<char*>(bytes)).flags() !=
-        static_cast<uint32_t>(seq)) {
+    if (!StampedWith(bytes, seq)) {
       return Status::Corruption("audit: frame sequence stamp mismatch (seq " +
+                                std::to_string(seq) + ")");
+    }
+    if (StampedDirty(bytes) && !e.dirty) {
+      return Status::Corruption("audit: dirty frame mapped clean (seq " +
                                 std::to_string(seq) + ")");
     }
     DeltaRing::ChainView cv;

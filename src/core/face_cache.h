@@ -16,7 +16,11 @@
 // The cache is persistent (paper §4): metadata entries are appended to an
 // in-memory segment mirrored to flash one segment at a time, and restart
 // restores the directory from the persisted segments plus a bounded scan of
-// the last two segments' worth of raw frames.
+// the last two segments' worth of raw frames. Each frame carries its own
+// enqueue sequence and enqueue-time dirty flag in the page-header flags
+// word, so the scan restores exactly what the lost metadata said: a clean
+// frame comes back clean. The testbed sizes a segment to one 4 KB metadata
+// block (170 entries), never more than half the frames.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +44,7 @@ struct FaceOptions {
   /// Flash cache capacity in pages.
   uint64_t n_frames = 0;
   /// Metadata entries per persistent segment (paper: 64,000 = 1.5 MB).
+  /// Restart refuses a segment larger than half of n_frames.
   uint32_t seg_entries = 64000;
   /// Batch dequeue/enqueue in group_size-page device requests (GR).
   bool group_replace = false;
@@ -69,6 +74,9 @@ class FaceCache final : public CacheExtension {
     uint64_t rebuilt_frames_scanned = 0;
     uint64_t entries_restored = 0;
     uint64_t valid_pages_restored = 0;
+    /// Valid entries restored dirty (delta records included): the pages a
+    /// dequeue will destage to disk.
+    uint64_t dirty_entries_restored = 0;
     uint64_t delta_records_attached = 0;
   };
 
@@ -101,6 +109,13 @@ class FaceCache final : public CacheExtension {
   Status CheckpointPages(std::vector<CheckpointOffer>* offers,
                          IoScheduler* lanes, WriteBackStats* stats) override;
   Status OnCheckpoint() override;
+  /// Restores the directory from the persisted metadata segments, then
+  /// scans the raw frames past the superblock's rear (at most two segments,
+  /// or with second chance one segment plus a group), restoring each frame
+  /// stamped with its sequence with the dirty flag stamped beside it. A
+  /// device formatted with a segment larger than half the frames is
+  /// refused (InvalidArgument): its unpersisted tail can overwrite frames
+  /// the persisted segments still describe.
   Status RecoverAfterCrash() override;
   void SetPullSource(DramPullSource* source) override { pull_ = source; }
   Status CheckInvariants() const override;
@@ -114,9 +129,10 @@ class FaceCache final : public CacheExtension {
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
 
   /// Deep directory audit for crash tests: CheckInvariants plus a read-back
-  /// of every valid frame, verifying checksum, stamped page id, and the
-  /// enqueue-sequence stamp ("no frame mapped twice, every mapped frame
-  /// CRC-valid"). Frames still in the staging buffer are checked in memory.
+  /// of every valid frame, verifying checksum, stamped page id, the
+  /// enqueue-sequence stamp and that a frame stamped dirty is not mapped
+  /// clean ("no frame mapped twice, every mapped frame CRC-valid"). Frames
+  /// still in the staging buffer are checked in memory.
   /// Returns the number of frames verified; Corruption on the first
   /// violation. Charges flash reads (callers audit with timing disabled).
   StatusOr<uint64_t> AuditFrames();
@@ -190,7 +206,8 @@ class FaceCache final : public CacheExtension {
   Status FillBatchFromDram();
 
   /// Write `page` into the frame for `seq` (immediate or staged).
-  Status WriteFrame(uint64_t seq, const char* page, PageId page_id, Lsn lsn);
+  Status WriteFrame(uint64_t seq, const char* page, PageId page_id, Lsn lsn,
+                    bool dirty);
   /// Flush staged frames as (wrap-split) batch writes straight out of the
   /// staging arena.
   Status FlushStaging();
@@ -206,18 +223,20 @@ class FaceCache final : public CacheExtension {
   /// holding `seq`, so a later restart cannot resurrect the dead copy.
   Status PersistEntryDrop(uint64_t seq);
 
-  /// Append the metadata entry for `seq`; flush the segment on boundary.
-  Status AppendMeta(uint64_t seq, const FlashMetaEntry& entry);
-  /// Write the (full) segment containing seqs [seg*S, (seg+1)*S) and then
-  /// the superblock — the paper's "flash cache checkpointing".
-  Status FlushSegment(uint64_t seg_no);
+  /// Append the metadata entry for the newest enqueue; flush the segment
+  /// it completes, unless segment flushes are held.
+  Status AppendMeta(const FlashMetaEntry& entry);
+  /// Write every complete segment buffered in seg_buf_ (staged frames
+  /// first), then the superblock — the paper's "flash cache
+  /// checkpointing".
+  Status FlushSegments();
   Status WriteSuperblock();
 
-  /// Copy `page` into `dst` and stamp page id, the enqueue sequence (into
-  /// the flags field, for restart-time lap detection) and a checksum —
-  /// the one and only byte copy on the enqueue path.
+  /// Copy `page` into `dst` and stamp page id, the frame stamp (enqueue
+  /// sequence and dirty flag, in the flags field, for restart) and a
+  /// checksum — the one and only byte copy on the enqueue path.
   void StampInto(char* dst, const char* page, PageId page_id, Lsn lsn,
-                 uint64_t seq);
+                 uint64_t seq, bool dirty);
 
   /// Frame image `i` of the staging arena.
   char* StagingSlot(uint64_t i) {
@@ -259,8 +278,12 @@ class FaceCache final : public CacheExtension {
   uint64_t staged_count_ = 0;
   std::string staging_buf_;
 
-  /// Current metadata segment accumulation (entries since last boundary).
+  /// Metadata entries since the last flushed segment boundary: the partial
+  /// segment, or more while flushes are held.
   std::string seg_buf_;
+  /// Set while DequeueGroup re-enqueues second-chance survivors: a flush
+  /// would persist a superblock front past survivors still only staged.
+  bool hold_segments_ = false;
 
   /// Superblock values as last persisted.
   uint64_t sb_front_seq_ = 0;

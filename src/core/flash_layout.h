@@ -9,7 +9,13 @@
 // frame_base + seq % N, so the write pointer physically ascends and wraps —
 // the append-only pattern that makes every cache write sequential.
 // Metadata entries are 24 bytes (paper §4.1: page id, pageLSN, flags) and
-// are flushed one segment at a time into the ring slot seg_no % ring.
+// are flushed one segment at a time into the ring slot seg_no % ring. The
+// testbed's segment is one block (kPageSize / 24 = 170 entries), at most
+// half the frames: restart re-reads the unpersisted tail (at most two
+// segments) from the frames themselves, whose page-header flags carry each
+// frame's enqueue sequence and dirty flag (storage/page.h), and refuses a
+// segment larger than half the frames, whose tail could overwrite frames
+// the persisted segments still describe.
 #pragma once
 
 #include <cstdint>

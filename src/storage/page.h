@@ -2,7 +2,9 @@
 //   [0..8)   page id
 //   [8..16)  pageLSN — LSN of the last WAL record applied to this page
 //   [16..20) masked CRC32-C over the page with this field zeroed
-//   [20..24) flags (reserved)
+//   [20..24) flags: the FaCE frame stamp — bit 31 the frame's enqueue-time
+//            dirty flag, bits 0..30 its enqueue sequence (mod 2^31); no
+//            other layer reads or writes it
 // The same bytes live unchanged in the DRAM buffer, the flash cache, and on
 // disk, which is what lets FaCE recovery rebuild its metadata directory by
 // scanning raw flash frames (Section 4.2 of the paper).
@@ -78,6 +80,7 @@ class ConstPageView {
   explicit ConstPageView(const char* data) : data_(data) {}
   PageId page_id() const { return DecodeFixed64(data_ + kPageIdOffset); }
   Lsn lsn() const { return DecodeFixed64(data_ + kPageLsnOffset); }
+  uint32_t flags() const { return DecodeFixed32(data_ + kPageFlagsOffset); }
   const char* payload() const { return data_ + kPageHeaderSize; }
   bool VerifyChecksum() const {
     return PageView(const_cast<char*>(data_)).VerifyChecksum();

@@ -56,8 +56,10 @@ Status CrashStormHarness::EnsureGolden() {
   return Status::OK();
 }
 
-StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
+StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed,
+                                                      uint64_t crash_write) {
   FACE_RETURN_IF_ERROR(EnsureGolden());
+  const bool explicit_crash = crash_write != 0;
   shadow_->Reset(opts_.workload.records, opts_.workload.value_bytes);
 
   Random rnd(seed * 0x9e3779b97f4a7c15ull + 0x5707 /* storm */);
@@ -69,6 +71,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
   to.buffer_frames = opts_.buffer_frames;
   to.flash_pages = opts_.flash_pages;
   to.seg_entries = opts_.seg_entries;
+  to.group_size = opts_.group_size;
   to.policy = opts_.policy;
   Testbed tb(to, &golden_);
   FACE_RETURN_IF_ERROR(tb.Start());
@@ -90,7 +93,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
     warm.txns = opts_.warmup_ops;
     FACE_RETURN_IF_ERROR(tb.Run(warm).status());
   }
-  if (rnd.PercentTrue(70)) {
+  if (explicit_crash || rnd.PercentTrue(70)) {
     FACE_RETURN_IF_ERROR(tb.db()->TakeCheckpoint().status());
   }
   if (opts_.stranded_txns > 0) {
@@ -107,7 +110,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
   // virtual-time trigger instead, cutting at a clock deadline rather than
   // a write ordinal.
   std::string target;
-  if (rnd.PercentTrue(50)) {
+  if (!explicit_crash && rnd.PercentTrue(50)) {
     const char* candidates[3] = {"flash", "db", "log"};
     // flash twice as likely as db/log: it is the subsystem under test.
     const uint32_t pick = static_cast<uint32_t>(rnd.Uniform(4));
@@ -123,7 +126,9 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
                         : inj.writes_observed_on(target));
   const uint64_t est_body_writes = std::max<uint64_t>(
       8, warm_writes * opts_.body_ops / std::max<uint64_t>(1, opts_.warmup_ops));
-  if (target.empty() && rnd.PercentTrue(25)) {
+  if (explicit_crash) {
+    inj.ArmAfterWrites(crash_write, seed);
+  } else if (target.empty() && rnd.PercentTrue(25)) {
     const SimNanos now = tb.sched()->makespan();
     const SimNanos body_ns = std::max<SimNanos>(
         1, now * opts_.body_ops / std::max<uint64_t>(1, opts_.warmup_ops));
@@ -131,14 +136,17 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
   } else {
     inj.ArmAfterWrites(1 + rnd.Uniform(est_body_writes), seed);
   }
+  const uint64_t armed_at = inj.writes_observed();
 
   // --- run until power fails ----------------------------------------------
   // Warmup write rates overestimate steady-state rates (cold misses, cache
   // fills), so an un-tripped countdown gets up to 3x the nominal body to
-  // fire before the storm settles for a quiescent-point crash.
-  const uint64_t ckpt_at =
-      rnd.PercentTrue(50) ? rnd.Uniform(opts_.body_ops) : UINT64_MAX;
-  const uint64_t op_cap = opts_.body_ops * 3;
+  // fire before the storm settles for a quiescent-point crash. An explicit
+  // crash point's interval is the body, then the checkpoint closing it.
+  const uint64_t ckpt_at = explicit_crash || !rnd.PercentTrue(50)
+                               ? UINT64_MAX
+                               : rnd.Uniform(opts_.body_ops);
+  const uint64_t op_cap = opts_.body_ops * (explicit_crash ? 1 : 3);
   Status body;
   for (uint64_t i = 0; i < op_cap && body.ok(); ++i) {
     if (i == ckpt_at) {
@@ -149,6 +157,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
     one.txns = 1;
     body = tb.Run(one).status();
   }
+  if (explicit_crash && body.ok()) body = tb.db()->TakeCheckpoint().status();
   if (!body.ok() && !inj.tripped()) {
     return Status::Internal("storm body failed without an injected crash: " +
                             body.ToString());
@@ -156,6 +165,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
 
   CrashStormResult result;
   result.crashed_mid_body = inj.tripped();
+  result.armed_writes = inj.writes_observed() - armed_at;
   result.site = inj.site();
 
   // --- crash, recover, check ----------------------------------------------
@@ -172,7 +182,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
   // flight — the next attempt must recover from the torn remains of the
   // previous one (idempotent redo, CLRs bounding re-undo). Untargeted
   // countdown: recovery's write stream is log + data, not flash-heavy.
-  bool rearm = opts_.double_fault_pct > 0 &&
+  bool rearm = !explicit_crash && opts_.double_fault_pct > 0 &&
                rnd.PercentTrue(opts_.double_fault_pct);
   if (rearm) inj.TargetDevice("");
   for (uint32_t attempt = 0;; ++attempt) {
@@ -191,16 +201,14 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed) {
       result.restart = *std::move(restart);
       break;
     }
-    if (!inj.tripped()) return restart.status();  // a rig failure, not ours
+    // Only an attempt the injector was armed for can have been cut down;
+    // any other failure is the recovery's own.
+    if (!rearm || !inj.tripped()) return restart.status();
     result.double_faulted = true;
     FACE_RETURN_IF_ERROR(tb.Crash());
     inj.Disarm();
-    // One double fault per storm: the retry must come up clean, and a
-    // bounded loop keeps a recovery that trips endlessly from hanging us.
+    // One double fault per storm: the retry must come up clean.
     rearm = false;
-    if (attempt >= 3) {
-      return Status::Internal("recovery kept crashing after double fault");
-    }
   }
   phases_.Record(result.restart);
 
@@ -289,6 +297,7 @@ StatusOr<ShardedCrashStormResult> ShardedCrashStormHarness::RunStorm(
   so.base.buffer_frames = b.buffer_frames;
   so.base.flash_pages = b.flash_pages;
   so.base.seg_entries = b.seg_entries;
+  so.base.group_size = b.group_size;
   so.base.policy = b.policy;
   so.factory = std::make_shared<fault::ShadowKvFactory>(wl, root_state);
   ShardedTestbed stb(so);

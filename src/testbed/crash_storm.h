@@ -11,6 +11,12 @@
 // seed replays exactly. The harness works against any cache policy; with
 // Sabotage the recovery path is deliberately broken to demonstrate that the
 // checker catches a recovery that silently loses data.
+//
+// A storm may instead name its crash point: the k-th page write (any
+// device) of one checkpoint interval — checkpoint, body, closing
+// checkpoint. The interval's writes happen in the same order for every k,
+// so k = 1..armed_writes of a storm that never trips sweeps every crash
+// point of that interval exhaustively.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +65,7 @@ struct CrashStormOptions {
   uint32_t buffer_frames = 64;   ///< small on purpose: evictions drive flash
   uint64_t flash_pages = 512;
   uint32_t seg_entries = 256;    ///< small FaCE segments: more boundaries
+  uint32_t group_size = 64;      ///< FaCE+GR/GSC pages per batch
   uint64_t warmup_ops = 250;
   uint64_t body_ops = 350;       ///< armed window the crash point lands in
   uint32_t stranded_txns = 2;
@@ -74,6 +81,9 @@ struct CrashStormOptions {
 struct CrashStormResult {
   bool crashed_mid_body = false;  ///< injector tripped (vs quiescent crash)
   bool double_faulted = false;    ///< a recovery attempt was itself cut down
+  /// Page writes the injector saw from arming to the crash (all devices);
+  /// for an explicit crash point that never tripped, the whole interval's.
+  uint64_t armed_writes = 0;
   CrashSite site;
   RestartReport restart;          ///< the restart that finally succeeded
   fault::DiffReport diff;
@@ -89,8 +99,11 @@ class CrashStormHarness {
 
   /// Run one full storm. Non-OK only for rig failures (a crash the
   /// injector did not cause, recovery erroring out); data divergences are
-  /// reported in the result, not as errors.
-  StatusOr<CrashStormResult> RunStorm(uint64_t seed);
+  /// reported in the result, not as errors. `crash_write` 0 picks a
+  /// seeded-random crash point; k > 0 crashes at the k-th page write of
+  /// one checkpoint interval, without a crash during recovery (see file
+  /// comment).
+  StatusOr<CrashStormResult> RunStorm(uint64_t seed, uint64_t crash_write = 0);
 
   const CrashStormOptions& options() const { return opts_; }
 

@@ -153,8 +153,11 @@ tpcc::Tables* Testbed::tables() {
 
 uint32_t Testbed::EffectiveSegEntries() const {
   if (opts_.seg_entries != 0) return opts_.seg_entries;
-  return std::max<uint32_t>(
-      1024, static_cast<uint32_t>(opts_.flash_pages / 16));
+  // One 4 KB metadata block per segment, never more than half the frames
+  // (FaceCache::RecoverAfterCrash refuses a larger one).
+  constexpr uint64_t kBlockEntries = kPageSize / FlashMetaEntry::kEncodedSize;
+  return static_cast<uint32_t>(std::max<uint64_t>(
+      1, std::min<uint64_t>(kBlockEntries, opts_.flash_pages / 2)));
 }
 
 uint64_t Testbed::FlashDeviceBlocks() const {

@@ -110,8 +110,10 @@ struct TestbedOptions {
 
   /// FaCE: pages per GR/GSC batch (paper: a flash block, 64 or 128).
   uint32_t group_size = 64;
-  /// FaCE: metadata entries per persistent segment. 0 = scale to
-  /// n_frames/16 (the paper's 4 GB cache held 16 segments), floor 1024.
+  /// FaCE: metadata entries per persistent segment. 0 = one 4 KB metadata
+  /// block (170 entries), at most half the frames. Restart scans at most
+  /// two segments of raw frames, and refuses a segment above half the
+  /// frames.
   uint32_t seg_entries = 0;
   /// FaCE §3.2 design-choice ablations (paper defaults below).
   bool face_write_through = false;

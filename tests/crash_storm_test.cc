@@ -131,6 +131,67 @@ TEST(CrashStormTest, GroupSecondChance) {
   }
 }
 
+/// Exhaustive small-scope sweep: on a tiny geometry (46 frames, 16 DRAM
+/// frames, by default 8-entry metadata segments and 8-page groups), power
+/// fails at every page write of one checkpoint interval in turn, for each
+/// of four seeds; each restart must pass the differential check and the
+/// frame audit. With 46 frames a full queue's rear sits 6 past a group
+/// boundary, so segment boundaries fall inside second-chance survivor
+/// loops.
+void SweepOneCheckpointInterval(CachePolicy policy, uint32_t seg_entries = 8,
+                                uint32_t group_size = 8) {
+  CrashStormOptions opts;
+  opts.policy = policy;
+  opts.buffer_frames = 16;
+  opts.flash_pages = 46;
+  opts.seg_entries = seg_entries;
+  opts.group_size = group_size;
+  opts.warmup_ops = 150;
+  opts.body_ops = 25;
+  opts.post_ops = 0;
+  CrashStormHarness harness(opts);
+
+  uint64_t swept = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    // A crash point past the interval never trips: the dry run counts the
+    // interval's page writes.
+    auto dry = harness.RunStorm(seed, UINT64_MAX);
+    ASSERT_TRUE(dry.ok()) << dry.status().ToString();
+    ASSERT_FALSE(dry->crashed_mid_body);
+    ASSERT_TRUE(dry->diff.ok()) << dry->ToString();
+    const uint64_t writes = dry->armed_writes;
+    ASSERT_GT(writes, 20u) << "seed " << seed << ": too quiet to sweep";
+
+    for (uint64_t k = 1; k <= writes; ++k) {
+      auto result = harness.RunStorm(seed, k);
+      ASSERT_TRUE(result.ok()) << "seed " << seed << ", crash at write " << k
+                               << ": " << result.status().ToString();
+      ASSERT_TRUE(result->crashed_mid_body) << "crash at write " << k;
+      EXPECT_TRUE(result->diff.ok())
+          << "seed " << seed << ", crash at write " << k << " of " << writes
+          << "\n" << result->ToString();
+    }
+    swept += writes;
+  }
+  std::cout << "[ " << CachePolicyName(policy) << " ] swept " << swept
+            << " crash points\n";
+}
+
+TEST(CrashSweepTest, FaceEveryWriteOfOneCheckpointInterval) {
+  SweepOneCheckpointInterval(CachePolicy::kFace);
+}
+
+TEST(CrashSweepTest, FaceGscEveryWriteOfOneCheckpointInterval) {
+  SweepOneCheckpointInterval(CachePolicy::kFaceGSC);
+}
+
+TEST(CrashSweepTest, FaceGscSegmentsSmallerThanGroups) {
+  // A held boundary flush can leave more than two segments unpersisted
+  // behind a survivor loop; restart's raw-frame scan must reach them.
+  SweepOneCheckpointInterval(CachePolicy::kFaceGSC, /*seg_entries=*/4,
+                             /*group_size=*/16);
+}
+
 TEST(CrashStormTest, DeliberatelyBrokenRecoveryIsCaught) {
   // Wipe the FaCE superblock after each crash: the cache cold-formats
   // instead of restoring its metadata, so pages whose only current copy

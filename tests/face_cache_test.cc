@@ -226,9 +226,79 @@ TEST_F(FaceCacheTest, RecoversPersistedStateAfterCrash) {
     ASSERT_TRUE(cache_->Contains(p)) << "page " << p;
     FACE_ASSERT_OK_AND_ASSIGN(FlashReadResult r, cache_->ReadPage(p, &out[0]));
     EXPECT_EQ(out[kPageHeaderSize], static_cast<char>('A' + p % 26));
-    EXPECT_TRUE(r.dirty);  // restored conservatively dirty or truly dirty
+    EXPECT_TRUE(r.dirty);  // every page was evicted dirty
   }
+  EXPECT_EQ(info.dirty_entries_restored, 40u);
   FACE_ASSERT_OK(cache_->CheckInvariants());
+}
+
+TEST_F(FaceCacheTest, ScannedTailRestoresEachFrameDirtyFlag) {
+  FaceOptions o = FaceOptions::Base(64);
+  o.seg_entries = 16;
+  Init(o);
+  // 16 entries reach a persisted segment; the next 8 live only in frames.
+  // Odd pages enter clean: each frame's stamp must bring its flag back.
+  for (PageId p = 0; p < 24; ++p) {
+    FACE_ASSERT_OK(Evict(p, /*dirty=*/p % 2 == 0, /*fdirty=*/true));
+  }
+  Reboot();
+  const auto& info = cache_->recovery_info();
+  EXPECT_EQ(info.persisted_segments_read, 1u);
+  EXPECT_EQ(info.valid_pages_restored, 24u);
+  EXPECT_EQ(info.dirty_entries_restored, 12u);
+  std::string out(kPageSize, '\0');
+  for (PageId p = 0; p < 24; ++p) {
+    FACE_ASSERT_OK_AND_ASSIGN(FlashReadResult r, cache_->ReadPage(p, &out[0]));
+    EXPECT_EQ(r.dirty, p % 2 == 0) << "page " << p;
+  }
+  // Only the dirty pages enter the WAL-rebuild ledger; a clean frame is
+  // discarded at dequeue, not destaged.
+  std::vector<FlashOnlyPage> exposed;
+  cache_->CollectFlashOnlyDirty(&exposed);
+  EXPECT_EQ(exposed.size(), 12u);
+  FACE_ASSERT_OK_AND_ASSIGN(uint64_t audited, cache_->AuditFrames());
+  EXPECT_EQ(audited, 24u);
+}
+
+TEST_F(FaceCacheTest, SegmentBoundaryInsideSurvivorLoopKeepsSurvivors) {
+  // 30 frames, 8-page groups: a full queue's rear sits 6 past a group
+  // boundary, so the re-enqueued survivors of the front group take seqs
+  // 30..33 and the 8-entry segment boundary (seq 31) falls among them.
+  FaceOptions o = FaceOptions::GroupSecondChance(30);
+  o.group_size = 8;
+  o.seg_entries = 8;
+  Init(o);
+  for (PageId p = 0; p < 30; ++p) {
+    FACE_ASSERT_OK(Evict(p, true, true, static_cast<char>('a' + p % 26)));
+  }
+  std::string out(kPageSize, '\0');
+  for (PageId p = 0; p < 4; ++p) {  // survivors of the front group
+    FACE_ASSERT_OK(cache_->ReadPage(p, out.data()).status());
+  }
+  FACE_ASSERT_OK(Evict(100, true, true));  // dequeue + survivor loop
+  ASSERT_EQ(cache_->stats().second_chances, 4u);
+  // Crash before the next staging flush: every survivor's only copy must
+  // be durable, past the superblock front the boundary persisted.
+  Reboot();
+  for (PageId p = 0; p < 4; ++p) {
+    ASSERT_TRUE(cache_->Contains(p)) << "survivor " << p << " lost";
+    FACE_ASSERT_OK_AND_ASSIGN(FlashReadResult r,
+                              cache_->ReadPage(p, out.data()));
+    EXPECT_TRUE(r.dirty);
+    EXPECT_EQ(out[kPageHeaderSize], static_cast<char>('a' + p)) << p;
+  }
+  FACE_ASSERT_OK(cache_->AuditFrames().status());
+}
+
+TEST_F(FaceCacheTest, RecoverRefusesSegmentLargerThanHalfTheFrames) {
+  // A 16-entry segment on 16 frames: the unpersisted tail can lap frames
+  // the persisted segments still describe, so restart must refuse it.
+  FaceOptions o = FaceOptions::Base(16);
+  o.seg_entries = 16;
+  Init(o);
+  for (PageId p = 0; p < 40; ++p) FACE_ASSERT_OK(Evict(p, true, true));
+  cache_ = std::make_unique<FaceCache>(options_, flash_.get(), storage_.get());
+  EXPECT_TRUE(cache_->RecoverAfterCrash().IsInvalidArgument());
 }
 
 TEST_F(FaceCacheTest, RecoversAfterRingWrap) {
