@@ -1,44 +1,26 @@
-// Shared scaffolding for the per-table/figure experiment binaries: flag
-// parsing, a process-wide cached golden image (with a host-file cache so
-// repeated bench runs skip the TPC-C load), fixed-width table printing, and
-// the standard warmup+measure protocol.
-//
-// Every binary accepts:
-//   --warehouses=N   TPC-C scale (default 1)
-//   --quick          ~1/4 of the default transaction counts
-//   --warmup=N       override warmup transactions per configuration
-//   --txns=N         override measured transactions per configuration
-//   --seed=S         override the workload request-stream seed (default 42)
-//   --no-cache       do not read/write the golden image file cache
-//   --json           also write BENCH_<bench>.json (see bench/README.md for
-//                    the schema) — the machine-readable perf trajectory CI
-//                    archives per run
-//   --stats-json     enable the metrics registry and embed its snapshot as
-//                    a top-level "obs" block in BENCH_<bench>.json
-//   --trace=<file>   enable metrics + tracing and write a Chrome
-//                    trace-event JSON (Perfetto-loadable) to <file>
-//   --fault-profile=<name>
-//                    bench_workloads only: append a fault-tolerance section
-//                    (transient | flash-loss | bit-rot) that arms the flash
-//                    device with a named transient-fault preset and reports
-//                    degraded-window throughput, retry counts, and scrub
-//                    repairs. Off by default: without the flag the output
-//                    and BENCH_*.json stay byte-identical to the baselines.
-//
-// --txns and --seed together give CI a cheap deterministic smoke run:
-//   bench_workloads --txns=200 --warmup=100 --seed=7
+// Shared scaffolding for the bench drivers (bench_paper's presets and
+// bench_workloads): flag parsing, a process-wide cached golden image (with a
+// host-file cache so repeated bench runs skip the TPC-C load), the measured
+// cell (plain and sharded), the paper's crash-at-mid-interval protocol,
+// fixed-width table printing, and the BENCH_*.json reporter. bench/README.md
+// lists the flags every driver accepts.
 #pragma once
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "testbed/sharded_testbed.h"
 #include "testbed/testbed.h"
 #include "workload/tpcc_workload.h"
 
@@ -69,7 +51,29 @@ struct BenchFlags {
   }
 };
 
-inline BenchFlags ParseFlags(int argc, char** argv) {
+/// The value of `--name=<digits>` in [lo, hi]. Anything else — a sign, a
+/// non-digit, no digits, or a value out of range — names the flag and
+/// exits 2.
+inline uint64_t ParseNumber(const std::string& arg, uint64_t lo = 0,
+                            uint64_t hi = UINT64_MAX) {
+  const char* v = arg.c_str() + arg.find('=') + 1;
+  char* end = nullptr;
+  errno = 0;
+  const uint64_t n = strtoull(v, &end, 10);
+  if (!isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+      errno == ERANGE || n < lo || n > hi) {
+    fprintf(stderr, "bad value: %s (want an integer in [%" PRIu64 ", %" PRIu64
+                    "])\n", arg.c_str(), lo, hi);
+    exit(2);
+  }
+  return n;
+}
+
+/// Parse the common flags. Arguments that are not flags go to `positional`
+/// (bench_paper's preset names); without it they are rejected like an
+/// unknown flag.
+inline BenchFlags ParseFlags(int argc, char** argv,
+                             std::vector<std::string>* positional = nullptr) {
   BenchFlags flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -80,22 +84,25 @@ inline BenchFlags ParseFlags(int argc, char** argv) {
     } else if (arg == "--json") {
       flags.json = true;
     } else if (arg.rfind("--warehouses=", 0) == 0) {
-      flags.warehouses = static_cast<uint32_t>(atoi(arg.c_str() + 13));
+      flags.warehouses =
+          static_cast<uint32_t>(ParseNumber(arg, 1, UINT32_MAX));
     } else if (arg.rfind("--warmup=", 0) == 0) {
-      flags.warmup_txns = strtoull(arg.c_str() + 9, nullptr, 10);
+      flags.warmup_txns = ParseNumber(arg);
     } else if (arg.rfind("--txns=", 0) == 0) {
-      flags.txns = strtoull(arg.c_str() + 7, nullptr, 10);
+      flags.txns = ParseNumber(arg);
     } else if (arg.rfind("--seed=", 0) == 0) {
-      flags.seed = strtoull(arg.c_str() + 7, nullptr, 10);
+      flags.seed = ParseNumber(arg);
     } else if (arg == "--stats-json") {
       flags.stats_json = true;
     } else if (arg.rfind("--trace=", 0) == 0) {
       flags.trace_path = arg.substr(8);
     } else if (arg.rfind("--shards=", 0) == 0) {
-      flags.shards = static_cast<uint32_t>(atoi(arg.c_str() + 9));
+      flags.shards = static_cast<uint32_t>(ParseNumber(arg, 0, UINT32_MAX));
       if (flags.shards == 0) flags.shards = 1;
     } else if (arg.rfind("--fault-profile=", 0) == 0) {
       flags.fault_profile = arg.substr(16);
+    } else if (positional != nullptr && arg.rfind("--", 0) != 0) {
+      positional->push_back(arg);
     } else {
       fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       exit(2);
@@ -111,6 +118,20 @@ inline BenchFlags ParseFlags(int argc, char** argv) {
     if (!flags.trace_path.empty()) obs::Tracer::Instance().SetEnabled(true);
   }
   return flags;
+}
+
+/// Exit with `what` and the error unless `s` is OK: benches have no
+/// meaningful degraded mode.
+inline void OrDie(const Status& s, const char* what) {
+  if (s.ok()) return;
+  fprintf(stderr, "%s failed: %s\n", what, s.ToString().c_str());
+  exit(1);
+}
+
+template <typename T>
+T OrDie(StatusOr<T> result, const char* what) {
+  OrDie(result.status(), what);
+  return std::move(result.value());
 }
 
 /// Try to restore a golden image's device contents + allocator mark from
@@ -160,18 +181,14 @@ inline GoldenImage LoadOrBuildGolden(
   }
 
   fprintf(stderr, "[golden] loading %s...\n", factory->name());
-  auto built = GoldenImage::BuildFor(std::move(factory));
-  if (!built.ok()) {
-    fprintf(stderr, "golden build failed: %s\n",
-            built.status().ToString().c_str());
-    exit(1);
-  }
+  GoldenImage built =
+      OrDie(GoldenImage::BuildFor(std::move(factory)), "golden build");
   fprintf(stderr, "[golden] built: %" PRIu64 " pages (%.1f MB)\n",
-          built->db_pages(), built->db_pages() * 4.0 / 1024);
+          built.db_pages(), built.db_pages() * 4.0 / 1024);
   if (flags.use_cache && !cache_tag.empty()) {
-    SaveImageFile(*built, cache_path);
+    SaveImageFile(built, cache_path);
   }
-  return std::move(built.value());
+  return built;
 }
 
 /// Build (or load from the file cache) the golden TPC-C image for
@@ -193,7 +210,8 @@ inline const GoldenImage& GetGolden(const BenchFlags& flags) {
 /// paper's PostgreSQL checkpointed continuously during its hours-long
 /// runs; checkpoint handling is a first-order cost difference between the
 /// policies (FaCE absorbs checkpoints into flash, LC must flush its
-/// flash-dirty pages to disk, §2.3). Scaled like bench_table6's intervals.
+/// flash-dirty pages to disk, §2.3). Scaled like Table 6's intervals
+/// (bench_paper.cc).
 inline constexpr SimNanos kCheckpointEvery = 3 * kNanosPerSecond;
 
 /// Flash cache capacity for "X % of the database" (the paper's x axis).
@@ -202,34 +220,11 @@ inline uint64_t CachePagesForRatio(const GoldenImage& golden, double ratio) {
                                ratio);
 }
 
-/// Run the standard protocol: Start, warmup, one measured batch.
-/// Exits on failure.
-inline RunResult MeasureSteadyState(Testbed* tb, uint64_t warmup_txns,
-                                    uint64_t txns,
-                                    SimNanos checkpoint_interval = 0) {
-  auto die = [](const Status& s, const char* what) {
-    if (!s.ok()) {
-      fprintf(stderr, "%s failed: %s\n", what, s.ToString().c_str());
-      exit(1);
-    }
-  };
-  die(tb->Start(), "testbed start");
-  die(tb->Warmup(warmup_txns), "warmup");
-  RunOptions run;
-  run.txns = txns;
-  run.checkpoint_interval = checkpoint_interval;
-  auto result = tb->Run(run);
-  die(result.status(), "measured run");
-  return std::move(result.value());
-}
-
-/// Print a row of fixed-width columns: first column left-aligned 14 wide,
-/// the rest right-aligned 10 wide.
-inline void PrintRow(const std::string& head,
-                     const std::vector<std::string>& cells) {
-  printf("%-14s", head.c_str());
-  for (const auto& c : cells) printf(" %10s", c.c_str());
-  printf("\n");
+/// `part` as a percentage of `whole` (0 for an empty whole).
+inline double Pct(uint64_t part, uint64_t whole) {
+  return whole != 0 ? 100.0 * static_cast<double>(part) /
+                          static_cast<double>(whole)
+                    : 0.0;
 }
 
 inline std::string Fmt(const char* fmt, double v) {
@@ -238,8 +233,38 @@ inline std::string Fmt(const char* fmt, double v) {
   return buf;
 }
 
-inline void PrintHeader(const char* title) {
-  printf("\n=== %s ===\n", title);
+inline void PrintHeader(const std::string& title) {
+  printf("\n=== %s ===\n", title.c_str());
+}
+
+/// One table row, and the paper's reference for it ("" = none).
+struct TableRow {
+  std::string label;
+  std::vector<std::string> cells;
+  std::string paper = {};
+};
+
+/// Print a fixed-width table: `corner` heads the label column, left-aligned
+/// 14 wide or wider to fit the longest label; the cells are right-aligned 10
+/// wide; each reference is printed under its row.
+inline void PrintTable(const std::string& corner,
+                       const std::vector<std::string>& cols,
+                       const std::vector<TableRow>& rows) {
+  int width = 14;
+  for (const TableRow& row : rows) {
+    width = std::max(width, static_cast<int>(row.label.size()) + 1);
+  }
+  auto print_row = [width](const std::string& head,
+                           const std::vector<std::string>& cells) {
+    printf("%-*s", width, head.c_str());
+    for (const std::string& c : cells) printf(" %10s", c.c_str());
+    printf("\n");
+  };
+  print_row(corner, cols);
+  for (const TableRow& row : rows) {
+    print_row(row.label, row.cells);
+    if (!row.paper.empty()) printf("  paper: %s\n", row.paper.c_str());
+  }
 }
 
 /// Accumulates one flat JSON document per bench run and writes it to
@@ -341,15 +366,9 @@ class JsonReporter {
     Field("db_utilization", r.db_utilization);
     Field("flash_utilization", r.flash_utilization);
     Field("flash_seq_write_pct",
-          r.flash_stats.write_reqs
-              ? 100.0 * static_cast<double>(r.flash_stats.seq_write_reqs) /
-                    static_cast<double>(r.flash_stats.write_reqs)
-              : 0.0);
+          Pct(r.flash_stats.seq_write_reqs, r.flash_stats.write_reqs));
     Field("db_seq_write_pct",
-          r.db_stats.write_reqs
-              ? 100.0 * static_cast<double>(r.db_stats.seq_write_reqs) /
-                    static_cast<double>(r.db_stats.write_reqs)
-              : 0.0);
+          Pct(r.db_stats.seq_write_reqs, r.db_stats.write_reqs));
     // Flash write volume and the page-differential breakdown: how many
     // refreshes traveled as packed delta records instead of full 4 KB
     // frames, and what the device actually saw.
@@ -431,6 +450,73 @@ inline void FinalizeObs(const BenchFlags& flags, JsonReporter* json) {
 using WallClock = std::chrono::steady_clock;
 inline double WallSecondsSince(WallClock::time_point since) {
   return std::chrono::duration<double>(WallClock::now() - since).count();
+}
+
+/// The measured cell: Start the testbed (a Testbed or a ShardedTestbed),
+/// warm it up, run `after_warmup` if given, then run `txns` transactions
+/// with a checkpoint every `checkpoint_interval` (0 = none). With `json`,
+/// opens the cell's run row for (workload, policy); the caller adds its own
+/// fields and closes it (EndRow). Exits on failure.
+template <typename Bed>
+RunResult MeasureCell(Bed* tb, uint64_t warmup, uint64_t txns,
+                      SimNanos checkpoint_interval, JsonReporter* json,
+                      const std::string& workload, const std::string& policy,
+                      const std::function<void()>& after_warmup = {}) {
+  const WallClock::time_point start = WallClock::now();
+  OrDie(tb->Start(), "testbed start");
+  OrDie(tb->Warmup(warmup), "warmup");
+  if (after_warmup) after_warmup();
+  RunOptions run;
+  run.txns = txns;
+  run.checkpoint_interval = checkpoint_interval;
+  RunResult r = OrDie(tb->Run(run), "measured run");
+  if (json != nullptr) {
+    json->AddRunRow(workload, policy, r, WallSecondsSince(start));
+  }
+  return r;
+}
+
+/// The measured cell on a sharded rig: the same total workload split
+/// `so.shards` ways, each shard warming up and running its share (at least
+/// one transaction), with checkpoints every kCheckpointEvery. The open row
+/// also carries "shards".
+inline RunResult MeasureShardedCell(const ShardedTestbedOptions& so,
+                                    uint64_t warmup, uint64_t txns,
+                                    JsonReporter* json,
+                                    const std::string& workload,
+                                    const std::string& policy) {
+  ShardedTestbed stb(so);
+  RunResult r = MeasureCell(&stb, std::max<uint64_t>(1, warmup / so.shards),
+                            std::max<uint64_t>(1, txns / so.shards),
+                            kCheckpointEvery, json, workload, policy);
+  if (json != nullptr) json->Field("shards", uint64_t{so.shards});
+  return r;
+}
+
+/// The paper's restart protocol (§5.5): Start, warm up, then run 200-txn
+/// batches with a checkpoint every `interval` until `checkpoints` completed
+/// and the clock sits at the middle of the current interval — the kill
+/// point. Crash there with 50 in-flight transactions (the paper's 50
+/// backends) and restart. `crash_time` (optional) receives the makespan at
+/// the kill. Exits on failure.
+inline RestartReport CrashAtMidInterval(Testbed* tb, uint64_t warmup,
+                                        SimNanos interval,
+                                        uint64_t checkpoints,
+                                        SimNanos* crash_time = nullptr) {
+  OrDie(tb->Start(), "start");
+  OrDie(tb->Warmup(warmup), "warmup");
+  RunOptions run;
+  run.txns = 200;
+  run.checkpoint_interval = interval;
+  uint64_t done = 0;
+  while (done < checkpoints ||
+         tb->sched()->now() < tb->last_checkpoint_time() + interval / 2) {
+    done += OrDie(tb->Run(run), "run").checkpoints;
+  }
+  if (crash_time != nullptr) *crash_time = tb->sched()->makespan();
+  OrDie(tb->InjectInflightTransactions(50), "inject");
+  OrDie(tb->Crash(), "crash");
+  return OrDie(tb->Recover(), "recover");
 }
 
 }  // namespace bench

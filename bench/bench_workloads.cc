@@ -46,75 +46,58 @@ constexpr CachePolicy kPolicies[] = {
     CachePolicy::kExadata,
 };
 
-struct Cell {
-  double tpm = 0;
-  double hit_pct = 0;
-  double flash_seq_write_pct = 0;
-  double db_seq_write_pct = 0;
-  double log_seq_write_pct = 0;
-};
-
-double Pct(uint64_t part, uint64_t whole) {
-  return whole != 0 ? 100.0 * static_cast<double>(part) /
-                          static_cast<double>(whole)
-                    : 0.0;
+/// A matrix cell's printed row.
+TableRow MatrixRow(CachePolicy policy, const RunResult& r) {
+  auto seq_pct = [](const DeviceStats& s) {
+    return Fmt("%.1f", Pct(s.seq_write_reqs, s.write_reqs));
+  };
+  return {CachePolicyName(policy),
+          {Fmt("%.0f", r.Tpm()),
+           Fmt("%.1f", Pct(r.cache_stats.hits, r.cache_stats.lookups)),
+           seq_pct(r.flash_stats), seq_pct(r.db_stats), seq_pct(r.log_stats)}};
 }
 
-Cell CellFrom(const RunResult& r) {
-  Cell cell;
-  cell.tpm = r.Tpm();
-  cell.hit_pct = Pct(r.cache_stats.hits, r.cache_stats.lookups);
-  cell.flash_seq_write_pct =
-      Pct(r.flash_stats.seq_write_reqs, r.flash_stats.write_reqs);
-  cell.db_seq_write_pct =
-      Pct(r.db_stats.seq_write_reqs, r.db_stats.write_reqs);
-  cell.log_seq_write_pct =
-      Pct(r.log_stats.seq_write_reqs, r.log_stats.write_reqs);
-  return cell;
+void PrintWorkloadTable(const std::string& workload_name,
+                        const std::vector<TableRow>& cells) {
+  printf("\nworkload: %s\n", workload_name.c_str());
+  PrintTable("policy", {"tpm", "hit%", "fseqW%", "dbseqW%", "logseqW%"},
+             cells);
 }
 
-Cell MeasureCell(const char* workload_name, const GoldenImage& golden,
+/// One workload of the matrix: a cell per policy (rows named `name`, flash
+/// cache = the database / `flash_divisor`), then its table under `title`.
+void RunWorkload(const std::string& name, const std::string& title,
+                 const GoldenImage& golden,
                  std::shared_ptr<const WorkloadFactory> factory,
-                 CachePolicy policy, const BenchFlags& flags,
-                 uint64_t warmup, uint64_t txns, JsonReporter* json,
-                 uint64_t flash_divisor = 10) {
-  TestbedOptions opts;
-  opts.policy = policy;
-  opts.flash_pages = golden.db_pages() / flash_divisor;
-  opts.seed = flags.seed;
-  opts.workload = std::move(factory);
-  Testbed tb(opts, &golden);
-  const WallClock::time_point start = WallClock::now();
-  const RunResult r =
-      MeasureSteadyState(&tb, warmup, txns, kCheckpointEvery);
-  if (json != nullptr) {
-    json->AddRunRow(workload_name, CachePolicyName(policy), r,
-                    WallSecondsSince(start));
-    json->EndRow();
+                 const BenchFlags& flags, uint64_t warmup, uint64_t txns,
+                 JsonReporter* json, uint64_t flash_divisor = 10) {
+  std::vector<TableRow> cells;
+  for (CachePolicy policy : kPolicies) {
+    TestbedOptions opts;
+    opts.policy = policy;
+    opts.flash_pages = golden.db_pages() / flash_divisor;
+    opts.seed = flags.seed;
+    opts.workload = factory;
+    Testbed tb(opts, &golden);
+    const RunResult r = MeasureCell(&tb, warmup, txns, kCheckpointEvery, json,
+                                    name, CachePolicyName(policy));
+    if (json != nullptr) json->EndRow();
+    cells.push_back(MatrixRow(policy, r));
   }
-  return CellFrom(r);
+  PrintWorkloadTable(title, cells);
 }
-
-void PrintWorkloadTable(const char* workload_name,
-                        const std::vector<Cell>& cells);
 
 /// --shards=N section: the Zipfian YCSB cell on the sharded rig, every
 /// policy, same total workload partitioned N ways. Rows are labelled
 /// "ycsb-zipfian-xN" so they never collide with the unsharded matrix.
 void RunShardedSection(const BenchFlags& flags, uint64_t warmup,
                        uint64_t txns, JsonReporter* json) {
-  auto die = [](const Status& s, const char* what) {
-    if (!s.ok()) {
-      fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
-      exit(1);
-    }
-  };
   YcsbOptions yo;
   yo.records = 40000;
   yo.distribution = YcsbOptions::Distribution::kZipfian;
   const std::string name = "ycsb-zipfian-x" + std::to_string(flags.shards);
 
-  std::vector<Cell> cells;
+  std::vector<TableRow> cells;
   for (CachePolicy policy : kPolicies) {
     ShardedTestbedOptions so;
     so.shards = flags.shards;
@@ -122,25 +105,12 @@ void RunShardedSection(const BenchFlags& flags, uint64_t warmup,
     so.base.seed = flags.seed;
     so.factory = std::make_shared<YcsbFactory>(yo);
     so.flash_ratio = 0.1;  // the matrix's "10% of each database", per shard
-    ShardedTestbed stb(so);
-    const WallClock::time_point start = WallClock::now();
-    die(stb.Start(), "sharded start");
-    die(stb.Warmup(std::max<uint64_t>(1, warmup / flags.shards)),
-        "sharded warmup");
-    RunOptions run;
-    run.txns = std::max<uint64_t>(1, txns / flags.shards);
-    run.checkpoint_interval = kCheckpointEvery;
-    auto r = stb.Run(run);
-    die(r.status(), "sharded run");
-    if (json != nullptr) {
-      json->AddRunRow(name, CachePolicyName(policy), *r,
-                      WallSecondsSince(start));
-      json->Field("shards", uint64_t{flags.shards});
-      json->EndRow();
-    }
-    cells.push_back(CellFrom(*r));
+    const RunResult r = MeasureShardedCell(so, warmup, txns, json, name,
+                                           CachePolicyName(policy));
+    if (json != nullptr) json->EndRow();
+    cells.push_back(MatrixRow(policy, r));
   }
-  PrintWorkloadTable(name.c_str(), cells);
+  PrintWorkloadTable(name, cells);
 }
 
 /// Resolve a --fault-profile preset name. `bit_rot` selects the planted
@@ -187,12 +157,6 @@ bool MakeFaultProfile(const std::string& name, uint64_t seed,
 void RunFaultSection(const BenchFlags& flags, const GoldenImage& golden,
                      std::shared_ptr<const WorkloadFactory> factory,
                      uint64_t warmup, uint64_t txns, JsonReporter* json) {
-  auto die = [](const Status& s, const char* what) {
-    if (!s.ok()) {
-      fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
-      exit(1);
-    }
-  };
   TransientFaultProfile profile;
   bool bit_rot = false;
   if (!MakeFaultProfile(flags.fault_profile, flags.seed, &profile,
@@ -212,8 +176,7 @@ void RunFaultSection(const BenchFlags& flags, const GoldenImage& golden,
                 CachePolicy::kExadata};
   }
 
-  printf("\nworkload: %s\n", name.c_str());
-  PrintRow("policy", {"tpm", "deg", "dtpm", "retries", "scrubRep"});
+  std::vector<TableRow> rows;
   for (const CachePolicy policy : policies) {
     TestbedOptions opts;
     opts.policy = policy;
@@ -227,83 +190,62 @@ void RunFaultSection(const BenchFlags& flags, const GoldenImage& golden,
       opts.scrub_interval = 5 * kNanosPerMilli;
     }
     FaultInjector inj;
-    Testbed tb(opts, &golden);
-    const WallClock::time_point start = WallClock::now();
-    die(tb.Start(), "fault start");
-    die(tb.Warmup(warmup), "fault warmup");
-
     ScrubResult planted;  // the repair sweep over freshly planted rot
-    if (bit_rot) {
+    Testbed tb(opts, &golden);
+    auto arm = [&] {
+      if (!bit_rot) {
+        tb.flash_dev()->set_fault_injector(&inj);
+        inj.ArmTransient("flash", profile);
+        return;
+      }
       const FlashLayout lay =
           FlashLayout::Compute(opts.flash_pages, opts.seg_entries);
       for (uint64_t i = 0; i < lay.n_frames; i += 7) {
-        die(FaultInjector::FlipBitsInBlock(
-                tb.flash_dev(), lay.FrameBlock(i), 3, 0xB17D0 + i),
-            "plant rot");
+        OrDie(FaultInjector::FlipBitsInBlock(tb.flash_dev(), lay.FrameBlock(i),
+                                             3, 0xB17D0 + i),
+              "plant rot");
       }
       // Full repair pass before traffic resumes, so a rotten frame is never
       // served; the background scrubber keeps walking during the run.
-      auto swept = tb.ScrubPass(lay.n_frames);
-      die(swept.status(), "scrub pass");
-      planted = std::move(swept.value());
-    } else {
-      tb.flash_dev()->set_fault_injector(&inj);
-      inj.ArmTransient("flash", profile);
-    }
-
-    RunOptions run;
-    run.txns = txns;
-    run.checkpoint_interval = kCheckpointEvery;
-    auto r = tb.Run(run);
-    die(r.status(), "fault run");
+      planted = OrDie(tb.ScrubPass(lay.n_frames), "scrub pass");
+    };
+    const RunResult r = MeasureCell(&tb, warmup, txns, kCheckpointEvery, json,
+                                    name, CachePolicyName(policy), arm);
 
     const uint64_t scrub_scanned =
-        r->scrub_frames_scanned + planted.frames_scanned;
+        r.scrub_frames_scanned + planted.frames_scanned;
     const uint64_t scrub_repaired =
-        r->scrub_clean_repaired + planted.clean_repaired;
+        r.scrub_clean_repaired + planted.clean_repaired;
     const uint64_t scrub_lost =
-        r->scrub_lost_dirty + planted.lost_dirty.size();
+        r.scrub_lost_dirty + planted.lost_dirty.size();
     const double degraded_tpm =
-        r->degraded_ns ? static_cast<double>(r->degraded_txns) * 60e9 /
-                             static_cast<double>(r->degraded_ns)
-                       : 0.0;
+        r.degraded_ns ? static_cast<double>(r.degraded_txns) * 60e9 /
+                            static_cast<double>(r.degraded_ns)
+                      : 0.0;
     if (json != nullptr) {
-      json->AddRunRow(name, CachePolicyName(policy), *r,
-                      WallSecondsSince(start));
       json->Field("fault_profile", flags.fault_profile);
-      json->Field("degradations", r->degradations);
-      json->Field("degraded_txns", r->degraded_txns);
-      json->Field("degraded_ns", static_cast<uint64_t>(r->degraded_ns));
+      json->Field("degradations", r.degradations);
+      json->Field("degraded_txns", r.degraded_txns);
+      json->Field("degraded_ns", static_cast<uint64_t>(r.degraded_ns));
       json->Field("degraded_tpm", degraded_tpm);
-      json->Field("flash_retries", r->flash_stats.retries);
+      json->Field("flash_retries", r.flash_stats.retries);
       json->Field("flash_backoff_ns",
-                  static_cast<uint64_t>(r->flash_stats.backoff_ns));
+                  static_cast<uint64_t>(r.flash_stats.backoff_ns));
       json->Field("scrub_frames_scanned", scrub_scanned);
       json->Field("scrub_clean_repaired", scrub_repaired);
       json->Field("scrub_lost_dirty", scrub_lost);
       json->EndRow();
     }
-    PrintRow(CachePolicyName(policy),
-             {Fmt("%.0f", r->Tpm()),
-              Fmt("%.0f", static_cast<double>(r->degradations)),
-              Fmt("%.0f", degraded_tpm),
-              Fmt("%.0f", static_cast<double>(r->flash_stats.retries)),
-              Fmt("%.0f", static_cast<double>(scrub_repaired + scrub_lost))});
+    rows.push_back(
+        {CachePolicyName(policy),
+         {Fmt("%.0f", r.Tpm()),
+          Fmt("%.0f", static_cast<double>(r.degradations)),
+          Fmt("%.0f", degraded_tpm),
+          Fmt("%.0f", static_cast<double>(r.flash_stats.retries)),
+          Fmt("%.0f", static_cast<double>(scrub_repaired + scrub_lost))}});
   }
-}
-
-void PrintWorkloadTable(const char* workload_name,
-                        const std::vector<Cell>& cells) {
-  printf("\nworkload: %s\n", workload_name);
-  PrintRow("policy", {"tpm", "hit%", "fseqW%", "dbseqW%", "logseqW%"});
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    PrintRow(CachePolicyName(kPolicies[i]),
-             {Fmt("%.0f", c.tpm), Fmt("%.1f", c.hit_pct),
-              Fmt("%.1f", c.flash_seq_write_pct),
-              Fmt("%.1f", c.db_seq_write_pct),
-              Fmt("%.1f", c.log_seq_write_pct)});
-  }
+  printf("\nworkload: %s\n", name.c_str());
+  PrintTable("policy", {"tpm", "deg", "dtpm", "retries", "scrubRep"}, rows);
 }
 
 /// KV golden-image cache tag: the load image is deterministic in
@@ -325,29 +267,21 @@ std::string KvCacheTag(uint64_t records, uint32_t value_bytes, bool bulk,
 void RunRecoveryShowcase(const BenchFlags& flags, const GoldenImage& golden,
                          std::shared_ptr<const WorkloadFactory> factory,
                          uint64_t txns) {
-  auto die = [](const Status& s, const char* what) {
-    if (!s.ok()) {
-      fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
-      exit(1);
-    }
-  };
   TestbedOptions opts;
   opts.policy = CachePolicy::kFaceGSC;
   opts.flash_pages = golden.db_pages() / 10;
   opts.seed = flags.seed;
   opts.workload = std::move(factory);
   Testbed tb(opts, &golden);
-  die(tb.Start(), "showcase start");
+  OrDie(tb.Start(), "showcase start");
   RunOptions run;
   run.txns = txns;
   run.checkpoint_interval = kCheckpointEvery;
-  die(tb.Run(run).status(), "showcase run");
-  die(tb.InjectInflightTransactions(5), "showcase inject");
-  die(tb.Crash(), "showcase crash");
-  auto report = tb.Recover();
-  die(report.status(), "showcase recover");
-  fprintf(stderr, "[obs] recovery showcase: %s\n",
-          report->ToString().c_str());
+  OrDie(tb.Run(run).status(), "showcase run");
+  OrDie(tb.InjectInflightTransactions(5), "showcase inject");
+  OrDie(tb.Crash(), "showcase crash");
+  const RestartReport report = OrDie(tb.Recover(), "showcase recover");
+  fprintf(stderr, "[obs] recovery showcase: %s\n", report.ToString().c_str());
 }
 
 void RunMatrix(const BenchFlags& flags) {
@@ -363,15 +297,8 @@ void RunMatrix(const BenchFlags& flags) {
          "virtual\n", ToSeconds(kCheckpointEvery));
 
   // TPC-C (the paper's workload, via the golden-image file cache).
-  {
-    const GoldenImage& golden = GetGolden(flags);
-    std::vector<Cell> cells;
-    for (CachePolicy policy : kPolicies) {
-      cells.push_back(MeasureCell("tpcc", golden, /*factory=*/nullptr,
-                                  policy, flags, warmup, txns, json));
-    }
-    PrintWorkloadTable("tpcc", cells);
-  }
+  RunWorkload("tpcc", "tpcc", GetGolden(flags), /*factory=*/nullptr, flags,
+              warmup, txns, json);
 
   // The KV workloads share scale; each still loads its own golden image so
   // latest-mode inserts and scan wear never leak across configurations.
@@ -392,12 +319,8 @@ void RunMatrix(const BenchFlags& flags) {
         factory, flags,
         KvCacheTag(yo.records, yo.value_bytes, yo.bulk_load,
                    factory->CapacityPages()));
-    std::vector<Cell> cells;
-    for (CachePolicy policy : kPolicies) {
-      cells.push_back(MeasureCell(factory->name(), golden, factory, policy,
-                                  flags, warmup, txns, json));
-    }
-    PrintWorkloadTable(factory->name(), cells);
+    RunWorkload(factory->name(), factory->name(), golden, factory, flags,
+                warmup, txns, json);
     if (dist == YcsbOptions::Distribution::kZipfian) {
       zipf_factory = factory;
       zipf_golden = std::move(golden);
@@ -417,13 +340,8 @@ void RunMatrix(const BenchFlags& flags) {
         factory, flags,
         KvCacheTag(yo.records, yo.value_bytes, yo.bulk_load,
                    factory->CapacityPages()));
-    std::vector<Cell> cells;
-    for (CachePolicy policy : kPolicies) {
-      cells.push_back(MeasureCell("ycsb-a-resident", golden, factory, policy,
-                                  flags, warmup, txns, json,
-                                  /*flash_divisor=*/1));
-    }
-    PrintWorkloadTable("ycsb-a-resident", cells);
+    RunWorkload("ycsb-a-resident", "ycsb-a-resident", golden, factory, flags,
+                warmup, txns, json, /*flash_divisor=*/1);
   }
 
   // Scan-heavy: long range scans, the FIFO-pollution stressor.
@@ -435,15 +353,10 @@ void RunMatrix(const BenchFlags& flags) {
         factory, flags,
         KvCacheTag(so.records, so.value_bytes, so.bulk_load,
                    factory->CapacityPages()));
-    std::vector<Cell> cells;
     // Scans touch hundreds of rows per txn: scale counts down to keep the
     // cell cost comparable.
-    for (CachePolicy policy : kPolicies) {
-      cells.push_back(MeasureCell("scan-heavy", golden, factory, policy,
-                                  flags, warmup / 10 + 1, txns / 10 + 1,
-                                  json));
-    }
-    PrintWorkloadTable("scan-heavy", cells);
+    RunWorkload("scan-heavy", "scan-heavy", golden, factory, flags,
+                warmup / 10 + 1, txns / 10 + 1, json);
   }
 
   // Trace replay: capture the Zipfian run's page-reference stream once,
@@ -456,32 +369,17 @@ void RunMatrix(const BenchFlags& flags) {
       opts.seed = flags.seed;
       opts.workload = zipf_factory;
       Testbed tb(opts, &zipf_golden);
-      auto die = [](const Status& s, const char* what) {
-        if (!s.ok()) {
-          fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
-          exit(1);
-        }
-      };
-      die(tb.Start(), "trace-record start");
-      die(tb.Warmup(warmup), "trace-record warmup");
-      tb.set_tracer(&recorder);
-      RunOptions run;
-      run.txns = txns;
-      die(tb.Run(run).status(), "trace-record run");
+      MeasureCell(&tb, warmup, txns, /*checkpoint_interval=*/0, nullptr, "",
+                  "", [&] { tb.set_tracer(&recorder); });
     }
     auto trace = std::make_shared<const Trace>(recorder.TakeTrace());
     fprintf(stderr, "[trace] %llu txns, %llu page references\n",
             static_cast<unsigned long long>(trace->txn_count()),
             static_cast<unsigned long long>(trace->event_count()));
     auto factory = std::make_shared<TraceReplayFactory>(trace);
-    std::vector<Cell> cells;
-    for (CachePolicy policy : kPolicies) {
-      // Replays wrap: warm up with one pass, measure the next.
-      cells.push_back(MeasureCell("trace-ycsb-zipfian", zipf_golden, factory,
-                                  policy, flags, trace->txn_count(),
-                                  trace->txn_count(), json));
-    }
-    PrintWorkloadTable("trace(ycsb-zipfian)", cells);
+    // Replays wrap: warm up with one pass, measure the next.
+    RunWorkload("trace-ycsb-zipfian", "trace(ycsb-zipfian)", zipf_golden,
+                factory, flags, trace->txn_count(), trace->txn_count(), json);
   }
 
   // Sharded execution: opt-in rows (the default matrix above is untouched,

@@ -28,8 +28,9 @@ RestartReport CrashOnce(const GoldenImage& golden, CachePolicy policy) {
   // The paper's kill protocol: both systems crash at the *midpoint of a
   // checkpoint interval* in virtual time — not after an equal transaction
   // count, which would hand the faster system a longer redo tail.
-  // Scaled checkpoint interval: see bench_table6_recovery.cc — the
-  // interval must sit inside one flash-cache turnover, as the paper's did.
+  // Scaled checkpoint interval: see the table6_recovery preset in
+  // bench/bench_paper.cc — the interval must sit inside one flash-cache
+  // turnover, as the paper's did.
   constexpr SimNanos kInterval = 3 * kNanosPerSecond;
   RunOptions run;
   run.txns = 200;

@@ -7,7 +7,7 @@
 //   - OnDramEvict     : a page leaves the DRAM buffer (on-exit policies)
 //   - OnFetchFromDisk : a page enters DRAM from disk (on-entry policies)
 //   - ReadPage        : DRAM miss served from flash
-//   - CheckpointPage(s) / PrepareCheckpoint / OnCheckpoint : database
+//   - PrepareCheckpoint / CheckpointPages / OnCheckpoint : database
 //     checkpoint integration (who absorbs dirty pages, who must flush)
 //   - RecoverAfterCrash : restart-time metadata restore (or cold reset)
 #pragma once
@@ -130,7 +130,11 @@ struct DeltaWriteHint {
 };
 
 /// One page of a checkpoint's dirty set, offered through
-/// CacheExtension::CheckpointPages. `hint` is CheckpointPage's.
+/// CacheExtension::CheckpointPages. `rec_lsn` is the frame's recLSN
+/// (absorbing policies track it as the page's WAL rebuild floor — the disk
+/// copy stays stale). `hint` is as in OnDramEvict: an absorbing policy fills
+/// hint.new_version so the frame (which stays in DRAM) remains
+/// delta-capable.
 struct CheckpointOffer {
   PageId page_id = kInvalidPageId;
   char* page = nullptr;
@@ -199,43 +203,24 @@ class CacheExtension {
     return Status::OK();
   }
 
-  /// Offer a dirty DRAM page to the cache during a database checkpoint.
-  /// Returns true if the cache absorbed it persistently (FaCE enqueues to
-  /// flash); false means the caller must write it to disk. `rec_lsn` is the
-  /// frame's recLSN (absorbing policies track it as the page's WAL rebuild
-  /// floor — the disk copy stays stale). `hint` as in OnDramEvict; an
-  /// absorbing policy fills hint->new_version so the frame (which stays in
-  /// DRAM) remains delta-capable.
-  virtual StatusOr<bool> CheckpointPage(PageId page_id, char* page,
-                                        Lsn rec_lsn,
-                                        DeltaWriteHint* hint = nullptr) {
-    (void)page_id;
-    (void)page;
-    (void)rec_lsn;
-    (void)hint;
-    return false;
-  }
-
   /// Called before the checkpoint record is logged. LC flushes its
   /// flash-resident dirty pages to disk here (the checkpointing cost the
   /// paper charges to LC).
   virtual Status PrepareCheckpoint() { return Status::OK(); }
 
-  /// Offer a checkpoint's whole dirty set at once. Per page the contract
-  /// is CheckpointPage's: `absorbed` and `hint` carry its results. Without
-  /// a scheduler (every runtime checkpoint) a policy must act exactly as
-  /// CheckpointPage page after page — the default, for any `lanes`. With
-  /// the recovery scheduler (restart's checkpoints, inside its open span) a
-  /// policy may issue the independent writes its admissions trigger as
-  /// lane batches (ScopedIoBatch), adding them to `stats`.
+  /// Offer a checkpoint's dirty set to the cache. A policy sets `absorbed`
+  /// on each offer it holds persistently (FaCE enqueues to flash); the
+  /// caller writes every other offer to disk. The default absorbs nothing.
+  /// Without a scheduler (every runtime checkpoint) a policy absorbs the
+  /// offers one after another, in order. With the recovery scheduler
+  /// (restart's checkpoints, inside its open span) a policy may issue the
+  /// independent writes its admissions trigger as lane batches
+  /// (ScopedIoBatch), adding them to `stats`.
   virtual Status CheckpointPages(std::vector<CheckpointOffer>* offers,
                                  IoScheduler* lanes, WriteBackStats* stats) {
+    (void)offers;
     (void)lanes;
     (void)stats;
-    for (CheckpointOffer& o : *offers) {
-      FACE_ASSIGN_OR_RETURN(o.absorbed, CheckpointPage(o.page_id, o.page,
-                                                       o.rec_lsn, &o.hint));
-    }
     return Status::OK();
   }
 

@@ -130,9 +130,7 @@ FaceCache::FaceCache(const FaceOptions& options, SimDevice* flash,
                               static_cast<uint32_t>(layout_.delta_blocks)},
              flash, &stats_) {
   assert(options_.n_frames >= 2);
-  assert(!options_.second_chance || options_.group_replace ||
-         (options_.group_replace = true));  // GSC implies GR
-  if (options_.second_chance) options_.group_replace = true;
+  if (options_.second_chance) options_.group_replace = true;  // GSC implies GR
   assert(flash_->capacity_pages() >= layout_.total_blocks);
   newest_.Reserve(options_.n_frames);  // steady state never rehashes
   scratch_.resize(kPageSize);
@@ -484,11 +482,8 @@ Status FaceCache::DequeueGroup() {
 
 Status FaceCache::MakeRoom() {
   if (live_entries() < options_.n_frames) return Status::OK();
-  in_group_replace_ = true;
-  Status s = options_.group_replace ? DequeueGroup()
-                                     : DequeueFront(1, nullptr, nullptr);
-  in_group_replace_ = false;
-  return s;
+  return options_.group_replace ? DequeueGroup()
+                                : DequeueFront(1, nullptr, nullptr);
 }
 
 Status FaceCache::FillBatchFromDram() {
@@ -640,15 +635,6 @@ Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
   return Status::OK();
 }
 
-StatusOr<bool> FaceCache::CheckpointPage(PageId page_id, char* page,
-                                         Lsn rec_lsn, DeltaWriteHint* hint) {
-  CheckpointOffer offer{page_id, page, rec_lsn,
-                        hint != nullptr ? *hint : DeltaWriteHint{}, false};
-  FACE_RETURN_IF_ERROR(Absorb(&offer, 1, nullptr, nullptr));
-  if (hint != nullptr) hint->new_version = offer.hint.new_version;
-  return true;
-}
-
 Status FaceCache::CheckpointPages(std::vector<CheckpointOffer>* offers,
                                   IoScheduler* lanes, WriteBackStats* stats) {
   if (lanes != nullptr && !options_.group_replace) {
@@ -657,7 +643,10 @@ Status FaceCache::CheckpointPages(std::vector<CheckpointOffer>* offers,
   // Runtime checkpoints, and group replacement (it frees a whole group per
   // device request, re-enqueueing second-chance survivors as it goes): one
   // page after another.
-  return CacheExtension::CheckpointPages(offers, lanes, stats);
+  for (CheckpointOffer& o : *offers) {
+    FACE_RETURN_IF_ERROR(Absorb(&o, 1, nullptr, nullptr));
+  }
+  return Status::OK();
 }
 
 Status FaceCache::Absorb(CheckpointOffer* offers, size_t n,

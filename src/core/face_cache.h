@@ -100,8 +100,6 @@ class FaceCache final : public CacheExtension {
   StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) override;
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
                      Lsn rec_lsn, DeltaWriteHint* hint = nullptr) override;
-  StatusOr<bool> CheckpointPage(PageId page_id, char* page, Lsn rec_lsn,
-                                DeltaWriteHint* hint = nullptr) override;
   /// With a scheduler, absorbs the whole set in three steps: delta
   /// refreshes, one room-making sweep whose dirty destages run one lane
   /// each, then the new full frames after the batch closed (Absorb).
@@ -187,9 +185,9 @@ class FaceCache final : public CacheExtension {
   /// every page whose chain still has records in the slot being reclaimed,
   /// then make the fresh full frames durable.
   Status ConsolidateDeltaPages(const std::vector<PageId>& pids);
-  /// Checkpoint absorption of `n` offers (CheckpointPage: n = 1, no
-  /// lanes): delta refreshes first, then one room-making sweep for the
-  /// remaining full images, then their frame writes.
+  /// Checkpoint absorption of `n` offers (one at a time without lanes):
+  /// delta refreshes first, then one room-making sweep for the remaining
+  /// full images, then their frame writes.
   Status Absorb(CheckpointOffer* offers, size_t n, IoScheduler* lanes,
                 WriteBackStats* stats);
   /// Free at least one slot per the configured replacement flavor.
@@ -291,7 +289,6 @@ class FaceCache final : public CacheExtension {
 
   std::string scratch_;      // one-page stamp/read-back staging
   std::string dequeue_buf_;  // reusable group-dequeue read buffer
-  bool in_group_replace_ = false;  // guards GSC reentrancy
   RecoveryInfo recovery_info_;
 
   /// Page-differential write-back (see delta_ring.h). Chains are keyed by

@@ -335,13 +335,15 @@ TEST_F(FaceCacheTest, RecoverOnFreshDeviceIsColdStart) {
   EXPECT_TRUE(cache_->Contains(1));
 }
 
-TEST_F(FaceCacheTest, CheckpointPageAbsorbsIntoFlash) {
+TEST_F(FaceCacheTest, CheckpointPagesAbsorbsIntoFlash) {
   Init(FaceOptions::Base(16));
   std::string page = MakePage(9, 'k', 77);
   const uint64_t disk0 = cache_->stats().disk_writes;
-  FACE_ASSERT_OK_AND_ASSIGN(bool absorbed,
-                            cache_->CheckpointPage(9, page.data(), 77));
-  EXPECT_TRUE(absorbed);
+  std::vector<CheckpointOffer> offers = {
+      CheckpointOffer{9, page.data(), 77, DeltaWriteHint{}, false}};
+  FACE_ASSERT_OK(cache_->CheckpointPages(&offers, nullptr, nullptr));
+  EXPECT_TRUE(offers[0].absorbed);
+  EXPECT_NE(offers[0].hint.new_version, kNoFlashVersion);
   EXPECT_EQ(cache_->stats().disk_writes, disk0);
   EXPECT_TRUE(cache_->Contains(9));
   FACE_ASSERT_OK(cache_->OnCheckpoint());  // staging forced to flash

@@ -132,8 +132,8 @@ TEST(TestbedTest, FaceRecoveryFetchesMostPagesFromFlash) {
   FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, tb.Recover());
   // Paper §5.5: >98 % of recovery fetches come from the flash cache. That
   // number needs production scale (50 GB database, hours of warmup); at
-  // test scale require a solid plurality and let bench_table6 report the
-  // full-scale fraction.
+  // test scale require a solid plurality and let bench_paper's
+  // table6_recovery preset report the full-scale fraction.
   if (report.pages_fetched > 20) {
     EXPECT_GT(report.FlashFetchFraction(), 0.4)
         << "flash=" << report.pages_from_flash
