@@ -2,19 +2,23 @@
 // CacheExtension interface and race it against FaCE on the same workload.
 //
 // The toy policy here ("ClockCache") keeps one copy per page in a flash
-// ring with CLOCK (second-chance) replacement — a plausible middle ground
+// frame with CLOCK (second-chance) replacement — a plausible middle ground
 // between LC's LRU-2 and FaCE's mvFIFO that a systems class might propose.
 // The interesting part is what the device model says about it: it avoids
 // duplicates like LC but still pays random in-place writes, so it lands
 // between the two published designs.
 //
+// A policy need not manage flash frames itself: it holds a FrameStore
+// (core/frame_store.h), which owns the page directory, checksummed frame
+// I/O, delta chains and the dirty/recLSN ledger, and keeps only its own
+// replacement state — here a CLOCK hand and one reference bit per frame.
+//
 //   $ ./examples/custom_policy
 #include <cstdio>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cache_ext.h"
-#include "storage/page.h"
+#include "core/frame_store.h"
 #include "testbed/testbed.h"
 
 using namespace face;
@@ -25,110 +29,79 @@ namespace {
 /// (cold restart), write-back for dirty pages.
 class ClockCache final : public CacheExtension {
  public:
+  /// `flash` must have at least FrameStore::BlocksFor(n_frames) blocks.
   ClockCache(uint64_t n_frames, SimDevice* flash, DbStorage* storage)
-      : frames_(n_frames), flash_(flash), storage_(storage),
-        scratch_(kPageSize, '\0') {}
+      : store_(n_frames, /*frame_base=*/0, flash, storage, &stats_),
+        referenced_(n_frames, false) {}
 
   const char* name() const override { return "Clock"; }
   bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
-    return index_.count(page_id) != 0;
+    return store_.Contains(page_id);
   }
 
   StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) override {
-    auto it = index_.find(page_id);
-    if (it == index_.end()) return Status::NotFound("not cached");
-    Frame& f = frames_[it->second];
-    FACE_RETURN_IF_ERROR(flash_->Read(it->second, out));
-    ++stats_.flash_reads;
-    f.referenced = true;
-    return FlashReadResult{f.dirty, f.rec_lsn};
+    FACE_ASSIGN_OR_RETURN(const FlashReadResult r, store_.Read(page_id, out));
+    referenced_[store_.FrameOf(page_id)] = true;
+    return r;
   }
 
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
                      Lsn rec_lsn, DeltaWriteHint* hint = nullptr) override {
-    (void)hint;  // this example always rewrites whole frames
     if (dirty) ++stats_.dirty_evictions;
-    auto it = index_.find(page_id);
-    if (it != index_.end()) {
-      Frame& f = frames_[it->second];
-      if (fdirty) {  // refresh the copy in place: a random flash write
-        FACE_RETURN_IF_ERROR(WriteFrame(it->second, page, page_id));
-        f.dirty = f.dirty || dirty;
-        if (dirty && f.rec_lsn == kInvalidLsn) f.rec_lsn = rec_lsn;
+    uint32_t frame = store_.FrameOf(page_id);
+    if (frame != FrameStore::kNoFrame) {
+      // Refresh the copy in place (a random flash write, or a delta record)
+      // only when DRAM holds newer bytes.
+      if (fdirty) {
+        FACE_RETURN_IF_ERROR(store_.Refresh(frame, page, dirty, hint));
       }
-      f.referenced = true;
+      if (dirty) store_.MarkDirty(frame, rec_lsn);
+      referenced_[frame] = true;
       return Status::OK();
     }
-    FACE_ASSIGN_OR_RETURN(uint64_t slot, FindVictim());
-    FACE_RETURN_IF_ERROR(WriteFrame(slot, page, page_id));
-    frames_[slot] =
-        Frame{page_id, dirty, dirty ? rec_lsn : kInvalidLsn, false, true};
-    index_[page_id] = slot;
-    ++stats_.enqueues;
+    FACE_ASSIGN_OR_RETURN(frame, FindVictim());
+    FACE_RETURN_IF_ERROR(store_.Admit(page_id, frame, page).status());
+    if (dirty) store_.MarkDirty(frame, rec_lsn);
+    referenced_[frame] = false;
     return Status::OK();
   }
 
   void OnPageWrittenToDisk(PageId page_id) override {
-    auto it = index_.find(page_id);
-    if (it == index_.end()) return;
-    frames_[it->second].dirty = false;
-    frames_[it->second].rec_lsn = kInvalidLsn;
+    // The disk copy is current; the cached one is stale now.
+    const uint32_t frame = store_.FrameOf(page_id);
+    if (frame != FrameStore::kNoFrame) store_.Release(frame);
   }
 
   Status RecoverAfterCrash() override {  // volatile directory: cold start
-    index_.clear();
-    for (auto& f : frames_) f = Frame{};
+    referenced_.assign(referenced_.size(), false);
     hand_ = 0;
-    return Status::OK();
+    return store_.Reset();
   }
 
  private:
-  struct Frame {
-    PageId page_id = kInvalidPageId;
-    bool dirty = false;
-    Lsn rec_lsn = kInvalidLsn;
-    bool referenced = false;
-    bool used = false;
-  };
-
-  StatusOr<uint64_t> FindVictim() {
+  /// A free frame, else the first unreferenced frame under the CLOCK hand
+  /// (cleared reference bits are its second chance), written back to disk
+  /// first if dirty.
+  StatusOr<uint32_t> FindVictim() {
+    const uint32_t free = store_.TakeFree();
+    if (free != FrameStore::kNoFrame) return free;
     while (true) {
-      Frame& f = frames_[hand_];
-      const uint64_t slot = hand_;
-      hand_ = (hand_ + 1) % frames_.size();
-      if (!f.used) return slot;
-      if (f.referenced) {  // second chance
-        f.referenced = false;
+      const uint32_t frame = hand_;
+      hand_ = static_cast<uint32_t>((hand_ + 1) % referenced_.size());
+      if (referenced_[frame]) {
+        referenced_[frame] = false;
         continue;
       }
-      if (f.dirty) {  // write-back before reuse
-        FACE_RETURN_IF_ERROR(flash_->Read(slot, scratch_.data()));
-        ++stats_.flash_reads;
-        FACE_RETURN_IF_ERROR(storage_->WritePage(f.page_id, scratch_.data()));
-        ++stats_.disk_writes;
-      }
-      index_.erase(f.page_id);
-      ++stats_.invalidations;
-      return slot;
+      if (store_.IsDirty(frame)) FACE_RETURN_IF_ERROR(store_.Clean(frame));
+      store_.Release(frame);
+      return store_.TakeFree();
     }
   }
 
-  Status WriteFrame(uint64_t slot, const char* page, PageId page_id) {
-    memcpy(scratch_.data(), page, kPageSize);
-    PageView v(scratch_.data());
-    v.set_page_id(page_id);
-    v.StampChecksum();
-    ++stats_.flash_writes;
-    return flash_->Write(slot, scratch_.data());
-  }
-
-  std::vector<Frame> frames_;
-  std::unordered_map<PageId, uint64_t> index_;
-  uint64_t hand_ = 0;
-  SimDevice* flash_;
-  DbStorage* storage_;
-  std::string scratch_;
+  FrameStore store_;
+  std::vector<bool> referenced_;  ///< per frame
+  uint32_t hand_ = 0;
 };
 
 }  // namespace
@@ -160,8 +133,8 @@ int main() {
     SimDevice db_dev("db", DeviceProfile::Raid0Seagate(8),
                      golden->device->capacity_pages(), &sched);
     SimDevice log_dev("log", DeviceProfile::Seagate15k(), 1 << 22, &sched);
-    SimDevice flash_dev("flash", DeviceProfile::MlcSamsung470(), cache_pages,
-                        &sched);
+    SimDevice flash_dev("flash", DeviceProfile::MlcSamsung470(),
+                        FrameStore::BlocksFor(cache_pages), &sched);
     db_dev.set_timing_enabled(false);
     if (!db_dev.CloneContentsFrom(*golden->device).ok()) return 1;
     db_dev.set_timing_enabled(true);

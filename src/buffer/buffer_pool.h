@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -217,5 +218,17 @@ class BufferPool final : public DramPullSource {
   PageTraceSink* trace_ = nullptr;
   Stats stats_;
 };
+
+/// Every BufferPool::Stats counter, the one field list that run deltas and
+/// shard merges walk.
+inline constexpr uint64_t BufferPool::Stats::*kPoolCounters[] = {
+    &BufferPool::Stats::fetches,       &BufferPool::Stats::hits,
+    &BufferPool::Stats::misses,        &BufferPool::Stats::disk_fetches,
+    &BufferPool::Stats::flash_fetches, &BufferPool::Stats::evictions,
+    &BufferPool::Stats::dirty_evictions, &BufferPool::Stats::new_pages,
+    &BufferPool::Stats::pulls};
+static_assert(sizeof(BufferPool::Stats) ==
+                  std::size(kPoolCounters) * sizeof(uint64_t),
+              "kPoolCounters must list every BufferPool::Stats field");
 
 }  // namespace face

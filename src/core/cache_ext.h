@@ -228,7 +228,8 @@ class CacheExtension {
   virtual Status OnCheckpoint() { return Status::OK(); }
 
   /// The buffer pool wrote `page_id` to disk directly (checkpoint path of
-  /// non-absorbing policies). Write-back caches invalidate a stale copy.
+  /// non-absorbing policies, clean shutdown). A cached copy is stale now:
+  /// write-back caches drop it.
   virtual void OnPageWrittenToDisk(PageId page_id) { (void)page_id; }
 
   /// Restart after a crash: restore persistent metadata (FaCE/TAC) or
@@ -267,17 +268,28 @@ class CacheExtension {
   virtual void MarkDegradedAtRestart() { degraded_ = true; }
 
   /// Append every page whose newest version lives only on flash, with its
-  /// WAL rebuild floor, sorted by page id. Empty for write-through and
-  /// non-persistent policies (their flash never outruns the disk copy for
-  /// longer than a checkpoint interval — see FlashRedoFloor).
+  /// WAL rebuild floor, sorted by page id. Empty for write-through
+  /// policies, whose flash never outruns the disk copy.
   virtual void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
     (void)out;
   }
 
   /// Lowest WAL LSN still needed to rebuild any flash-only dirty page
-  /// (kInvalidLsn = none). The checkpointer must not truncate the log above
-  /// this while the policy holds dirty pages the disk has never seen.
-  virtual Lsn FlashRedoFloor() const { return kInvalidLsn; }
+  /// (kInvalidLsn = none): the minimum over CollectFlashOnlyDirty. The
+  /// checkpointer must not truncate the log above this while the policy
+  /// holds dirty pages the disk has never seen.
+  Lsn FlashRedoFloor() const {
+    std::vector<FlashOnlyPage> pages;
+    CollectFlashOnlyDirty(&pages);
+    Lsn floor = kInvalidLsn;
+    for (const FlashOnlyPage& p : pages) {
+      if (p.redo_lsn != kInvalidLsn &&
+          (floor == kInvalidLsn || p.redo_lsn < floor)) {
+        floor = p.redo_lsn;
+      }
+    }
+    return floor;
+  }
 
   /// After RecoverAfterCrash of a persistent write-back policy: lower the
   /// restored dirty entries' WAL rebuild floors to `floor` (the flash redo

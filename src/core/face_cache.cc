@@ -65,6 +65,13 @@ bool StampedDirty(const char* frame) {
   return (ConstPageView(frame).flags() & kStampDirty) != 0;
 }
 
+/// Since when `page`, admitted dirty, has been newer than its disk copy:
+/// its recLSN, or its pageLSN for a frame never re-dirtied in DRAM (fetched
+/// dirty from flash, or absorbed by a checkpoint).
+Lsn ExposedSince(Lsn rec_lsn, const char* page) {
+  return rec_lsn != kInvalidLsn ? rec_lsn : ConstPageView(page).lsn();
+}
+
 // Superblock layout within block 0:
 //   [0..8) magic  [8..16) n_frames  [16..20) seg_entries
 //   [20..28) front_seq  [28..36) rear_seq  [36..40) masked crc
@@ -110,13 +117,13 @@ FaceOptions FaceOptions::Base(uint64_t n_frames) {
 
 FaceOptions FaceOptions::GroupReplace(uint64_t n_frames) {
   FaceOptions o = Base(n_frames);
-  o.group_replace = true;
+  o.replacement = FaceReplacement::kGroupReplace;
   return o;
 }
 
 FaceOptions FaceOptions::GroupSecondChance(uint64_t n_frames) {
-  FaceOptions o = GroupReplace(n_frames);
-  o.second_chance = true;
+  FaceOptions o = Base(n_frames);
+  o.replacement = FaceReplacement::kGroupSecondChance;
   return o;
 }
 
@@ -130,34 +137,35 @@ FaceCache::FaceCache(const FaceOptions& options, SimDevice* flash,
                               static_cast<uint32_t>(layout_.delta_blocks)},
              flash, &stats_) {
   assert(options_.n_frames >= 2);
-  if (options_.second_chance) options_.group_replace = true;  // GSC implies GR
   assert(flash_->capacity_pages() >= layout_.total_blocks);
   newest_.Reserve(options_.n_frames);  // steady state never rehashes
   scratch_.resize(kPageSize);
   consolidate_buf_.resize(kPageSize);
-  if (options_.group_replace) {
-    staging_buf_.resize(static_cast<size_t>(options_.group_size) * kPageSize);
-  }
+  staging_buf_.resize(static_cast<size_t>(StagingCapacity()) * kPageSize);
   delta_.SetConsolidateFn([this](const std::vector<PageId>& pids) {
     return ConsolidateDeltaPages(pids);
   });
 }
 
 const char* FaceCache::name() const {
-  if (options_.second_chance) return "FaCE+GSC";
-  if (options_.group_replace) return "FaCE+GR";
+  if (second_chance()) return "FaCE+GSC";
+  if (grouped()) return "FaCE+GR";
   return "FaCE";
 }
 
-Status FaceCache::Format() {
+void FaceCache::Clear() {
   front_seq_ = rear_seq_ = staged_base_ = 0;
   staged_count_ = 0;
   scrub_seq_ = 0;
   entries_.clear();
   newest_.Clear();
-  dirty_since_.Clear();
   seg_buf_.clear();
   sb_front_seq_ = sb_rear_seq_ = 0;
+  delta_.DropAll();
+}
+
+Status FaceCache::Format() {
+  Clear();
   FACE_RETURN_IF_ERROR(delta_.Reset());
   return WriteSuperblock();
 }
@@ -189,26 +197,29 @@ void FaceCache::StampInto(char* dst, const char* page, PageId page_id,
 
 Status FaceCache::WriteFrame(uint64_t seq, const char* page, PageId page_id,
                              Lsn lsn, bool dirty) {
-  if (options_.group_replace) {
-    if (staged_count_ == 0) staged_base_ = seq;
-    assert(staged_base_ + staged_count_ == seq);
-    StampInto(StagingSlot(staged_count_), page, page_id, lsn, seq, dirty);
-    ++staged_count_;
-    if (staged_count_ >= options_.group_size) return FlushStaging();
-    return Status::OK();
-  }
-  StampInto(scratch_.data(), page, page_id, lsn, seq, dirty);
-  ++stats_.flash_writes;
-  return flash_->Write(layout_.FrameBlock(seq), scratch_.data());
+  if (staged_count_ == 0) staged_base_ = seq;
+  assert(staged_base_ + staged_count_ == seq);
+  StampInto(StagingSlot(staged_count_), page, page_id, lsn, seq, dirty);
+  ++staged_count_;
+  if (staged_count_ >= StagingCapacity()) return FlushStaging();
+  return Status::OK();
 }
 
 Status FaceCache::FlushStaging() {
   if (staged_count_ == 0) return Status::OK();
-  obs::ScopedSpan span("core.face", "group_flush");
+  // Base FaCE stages one frame at a time: only group flushes are traced.
+  obs::ScopedSpan span("core.face", "group_flush", grouped());
   const uint64_t count = staged_count_;
-  if (obs::Enabled()) GetFaceObs().group_flush_pages->Add(count);
+  if (grouped() && obs::Enabled()) {
+    GetFaceObs().group_flush_pages->Add(count);
+  }
   const uint64_t frame0 = staged_base_ % layout_.n_frames;
   const uint64_t span1 = std::min<uint64_t>(count, layout_.n_frames - frame0);
+  // The frames count as written and the arena is free again even if a
+  // write fails, so the next enqueue starts a fresh batch.
+  stats_.flash_writes += count;
+  staged_count_ = 0;
+  staged_base_ = rear_seq_;
 
   FACE_RETURN_IF_ERROR(flash_->WriteBatch(layout_.frame_base + frame0,
                                           static_cast<uint32_t>(span1),
@@ -218,9 +229,17 @@ Status FaceCache::FlushStaging() {
         layout_.frame_base, static_cast<uint32_t>(count - span1),
         StagingSlot(span1)));
   }
-  stats_.flash_writes += count;
-  staged_count_ = 0;
-  staged_base_ = rear_seq_;
+  return Status::OK();
+}
+
+Status FaceCache::ReadFrame(uint64_t seq, char* out) {
+  if (staged_count_ > 0 && seq >= staged_base_) {
+    // Still in the controller write buffer: serve from memory.
+    memcpy(out, StagingSlot(seq - staged_base_), kPageSize);
+    return Status::OK();
+  }
+  FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), out));
+  ++stats_.flash_reads;
   return Status::OK();
 }
 
@@ -285,16 +304,10 @@ StatusOr<FlashReadResult> FaceCache::ReadPage(PageId page_id, char* out) {
   Entry& e = EntryAt(seq);
   e.referenced = true;
 
-  if (options_.group_replace && seq >= staged_base_ && staged_count_ > 0) {
-    // Still in the controller write buffer: serve from memory.
-    memcpy(out, StagingSlot(seq - staged_base_), kPageSize);
-  } else {
-    FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), out));
-    ++stats_.flash_reads;
-    ConstPageView view(out);
-    if (!view.VerifyChecksum() || view.page_id() != page_id) {
-      return Status::Corruption("flash cache frame failed validation");
-    }
+  FACE_RETURN_IF_ERROR(ReadFrame(seq, out));
+  ConstPageView view(out);
+  if (!view.VerifyChecksum() || view.page_id() != page_id) {
+    return Status::Corruption("flash cache frame failed validation");
   }
   // The frame is the chain *base*; patch any delta records on top and hand
   // the caller the tip version so it can delta against this copy later.
@@ -306,18 +319,22 @@ StatusOr<FlashReadResult> FaceCache::ReadPage(PageId page_id, char* out) {
 }
 
 Status FaceCache::Enqueue(PageId page_id, const char* page, bool dirty,
-                          Lsn lsn, uint64_t* out_version) {
+                          Lsn lsn, Lsn since, uint64_t* out_version) {
   assert(live_entries() < options_.n_frames);
   const uint64_t seq = rear_seq_;
 
   auto [slot, inserted] = newest_.TryEmplace(page_id, seq);
   if (!inserted) {
-    EntryAt(*slot).valid = false;
+    Entry& old = EntryAt(*slot);
+    old.valid = false;
+    // The disk copy has been stale since the older version's exposure.
+    if (old.since != kInvalidLsn) since = old.since;
     ++stats_.invalidations;
     if (obs::Enabled()) GetFaceObs().invalidations->Increment();
     *slot = seq;
   }
-  entries_.push_back(Entry{page_id, lsn, dirty, true, false});
+  entries_.push_back(
+      Entry{page_id, lsn, dirty ? since : kInvalidLsn, dirty, true, false});
   ++rear_seq_;
   ++stats_.enqueues;
   if (obs::Enabled()) GetFaceObs().enqueues->Increment();
@@ -340,38 +357,25 @@ Status FaceCache::DequeueFront(uint64_t n, IoScheduler* lanes,
   uint64_t destages = 0;
   if (lanes != nullptr) {
     for (uint64_t k = 0; k < n; ++k) {
-      const Entry& e = entries_[k];
-      if (e.page_id != kInvalidPageId && e.valid && e.dirty) ++destages;
+      if (entries_[k].valid && entries_[k].dirty) ++destages;
     }
     if (destages == 0) lanes = nullptr;
   }
   obs::ScopedSpan span("recovery", "writeback", lanes != nullptr);
   ScopedIoBatch batch(lanes);
   for (; n > 0; --n) {
-    const Entry e = entries_.front();
-    if (e.page_id != kInvalidPageId && e.valid) {
-      if (e.dirty) {
-        batch.NextLane();
-        // Read the frame back into the scratch page and stage it out to
-        // disk.
-        FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(front_seq_),
-                                          scratch_.data()));
-        ++stats_.flash_reads;
-        // The frame is a chain base: destage the *tip* image, not the
-        // stale base (the chain carries all refreshes since the full write).
-        delta_.ApplyChain(e.page_id, scratch_.data());
-        FACE_RETURN_IF_ERROR(storage_->WritePage(e.page_id, scratch_.data()));
-        ++stats_.disk_writes;
-        NoteDestagedToDisk(e.page_id);
-      }
-      const uint64_t* seq = newest_.Find(e.page_id);
-      if (seq != nullptr && *seq == front_seq_) {
-        newest_.Erase(e.page_id);
-        delta_.Drop(e.page_id);
-      }
+    const Entry& e = entries_.front();
+    if (e.valid && e.dirty) {
+      batch.NextLane();
+      // Read the frame back into the scratch page and stage it out to disk.
+      FACE_RETURN_IF_ERROR(ReadFrame(front_seq_, scratch_.data()));
+      // The frame is a chain base: destage the *tip* image, not the stale
+      // base (the chain carries all refreshes since the full write).
+      delta_.ApplyChain(e.page_id, scratch_.data());
+      FACE_RETURN_IF_ERROR(storage_->WritePage(e.page_id, scratch_.data()));
+      ++stats_.disk_writes;
     }
-    entries_.pop_front();
-    ++front_seq_;
+    PopFront();
   }
   if (lanes != nullptr) {
     ++stats->batches;
@@ -407,14 +411,12 @@ Status FaceCache::DequeueGroup() {
 
   // Decide each page's fate.
   struct Survivor {
-    PageId page_id;
+    Entry entry;
     const char* bytes;
-    bool dirty;
-    Lsn lsn;
   };  // bytes point into dequeue_buf_; disjoint from the pages written below
   std::vector<Survivor> survivors;
   uint32_t referenced_valid = 0;
-  if (options_.second_chance) {
+  if (second_chance()) {
     for (uint32_t k = 0; k < batch; ++k) {
       const Entry& e = EntryAt(front_seq_ + k);
       if (e.valid && e.referenced && e.page_id != kInvalidPageId) {
@@ -428,7 +430,7 @@ Status FaceCache::DequeueGroup() {
     const Entry& e = EntryAt(front_seq_ + k);
     if (e.page_id == kInvalidPageId || !e.valid) continue;
     char* bytes = buf + static_cast<size_t>(k) * kPageSize;
-    bool second_chance = options_.second_chance && e.referenced &&
+    bool second_chance = this->second_chance() && e.referenced &&
                          !(all_referenced && k == 0);
     if (second_chance && e.dirty && survivors.size() == k) {
       // A survivor's new frame lands on the block of batch position
@@ -440,29 +442,17 @@ Status FaceCache::DequeueGroup() {
       second_chance = !(delta_.GetChain(e.page_id, &cv) && cv.len > 0);
     }
     if (second_chance) {
-      survivors.push_back(Survivor{e.page_id, bytes, e.dirty, e.lsn});
+      survivors.push_back(Survivor{e, bytes});
     } else if (e.dirty) {
       // WritePage stamps id+checksum in place; this batch slot is dead
       // afterwards (a page is either written out or a survivor, never both).
       FACE_RETURN_IF_ERROR(storage_->WritePage(e.page_id, bytes));
       ++stats_.disk_writes;
-      NoteDestagedToDisk(e.page_id);
     }
   }
 
   // Pop the batch (erasing valid mappings; survivors re-map on re-enqueue).
-  for (uint32_t k = 0; k < batch; ++k) {
-    const Entry& e = entries_.front();
-    if (e.page_id != kInvalidPageId && e.valid) {
-      const uint64_t* seq = newest_.Find(e.page_id);
-      if (seq != nullptr && *seq == front_seq_) {
-        newest_.Erase(e.page_id);
-        delta_.Drop(e.page_id);
-      }
-    }
-    entries_.pop_front();
-    ++front_seq_;
-  }
+  for (uint32_t k = 0; k < batch; ++k) PopFront();
 
   // The front already passed the survivors' old frames, so a segment
   // boundary inside this loop waits until every survivor is staged: the
@@ -472,7 +462,8 @@ Status FaceCache::DequeueGroup() {
   for (const Survivor& sv : survivors) {
     ++stats_.second_chances;
     if (obs::Enabled()) GetFaceObs().second_chances->Increment();
-    s = Enqueue(sv.page_id, sv.bytes, sv.dirty, sv.lsn);
+    const Entry& e = sv.entry;
+    s = Enqueue(e.page_id, sv.bytes, e.dirty, e.lsn, e.since);
     if (!s.ok()) break;
   }
   hold_segments_ = false;
@@ -482,8 +473,7 @@ Status FaceCache::DequeueGroup() {
 
 Status FaceCache::MakeRoom() {
   if (live_entries() < options_.n_frames) return Status::OK();
-  return options_.group_replace ? DequeueGroup()
-                                : DequeueFront(1, nullptr, nullptr);
+  return grouped() ? DequeueGroup() : DequeueFront(1, nullptr, nullptr);
 }
 
 Status FaceCache::FillBatchFromDram() {
@@ -501,32 +491,15 @@ Status FaceCache::FillBatchFromDram() {
                                          &rec_lsn);
     if (pid == kInvalidPageId) break;
     ++stats_.pulled_from_dram;
-    if (dirty) ++stats_.dirty_evictions;
-    // Normal mvFIFO admission rule for the pulled page.
-    if (fdirty || !Contains(pid)) {
-      if ((dirty && !options_.cache_dirty)) {
-        if (const uint64_t* seq = newest_.Find(pid)) {
-          EntryAt(*seq).valid = false;
-          newest_.Erase(pid);
-          delta_.Drop(pid);
-          ++stats_.invalidations;
-        }
-        FACE_RETURN_IF_ERROR(storage_->WritePage(pid, page.data()));
-        ++stats_.disk_writes;
-        NoteDestagedToDisk(pid);
-        continue;
-      }
-      if (!dirty && !options_.cache_clean) continue;
-      if (dirty) NoteDirtyAdmission(pid, rec_lsn, page.data());
-      FACE_RETURN_IF_ERROR(
-          Enqueue(pid, page.data(), dirty, ConstPageView(page.data()).lsn()));
-    }
+    FACE_RETURN_IF_ERROR(
+        Admit(pid, page.data(), dirty, fdirty, rec_lsn, nullptr).status());
   }
   return Status::OK();
 }
 
 StatusOr<bool> FaceCache::TryDeltaRefresh(PageId page_id, const char* page,
-                                          bool dirty, DeltaWriteHint* hint) {
+                                          bool dirty, Lsn since,
+                                          DeltaWriteHint* hint) {
   if (!DeltaRing::Tracks(hint)) return false;  // no lookup for untracked pages
   const uint64_t* seqp = newest_.Find(page_id);
   if (seqp == nullptr) return false;  // chain would be unmatched at restart
@@ -541,7 +514,10 @@ StatusOr<bool> FaceCache::TryDeltaRefresh(PageId page_id, const char* page,
   // and a dirty record makes the flash copy newer than disk.
   Entry& e = EntryAt(seq);
   e.lsn = ConstPageView(page).lsn();
-  e.dirty = e.dirty || dirty;
+  if (dirty) {
+    e.dirty = true;
+    if (e.since == kInvalidLsn) e.since = since;
+  }
   if (obs::Enabled()) GetFaceObs().delta_appends->Increment();
   return true;
 }
@@ -560,17 +536,14 @@ Status FaceCache::ConsolidateDeltaPages(const std::vector<PageId>& pids) {
     // Rebuild the tip image (base + chain) and re-enqueue it as a fresh
     // full frame; Enqueue re-bases the chain, freeing the doomed records.
     char* img = consolidate_buf_.data();
-    if (options_.group_replace && staged_count_ > 0 && seq >= staged_base_) {
-      memcpy(img, StagingSlot(seq - staged_base_), kPageSize);
-    } else {
-      FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), img));
-      ++stats_.flash_reads;
-    }
+    FACE_RETURN_IF_ERROR(ReadFrame(seq, img));
     delta_.ApplyChain(pid, img);
     const bool dirty = e.dirty;
     const Lsn lsn = e.lsn;
-    if (live_entries() >= options_.n_frames) FACE_RETURN_IF_ERROR(MakeRoom());
-    FACE_RETURN_IF_ERROR(Enqueue(pid, img, dirty, lsn));
+    FACE_RETURN_IF_ERROR(MakeRoom());
+    // The new frame keeps this entry's exposure, unless making room just
+    // destaged the entry: disk is current then.
+    FACE_RETURN_IF_ERROR(Enqueue(pid, img, dirty, lsn, kInvalidLsn));
     if (obs::Enabled()) GetFaceObs().delta_consolidations->Increment();
   }
   // The fresh full frames must hit the media before the ring slot is
@@ -578,66 +551,65 @@ Status FaceCache::ConsolidateDeltaPages(const std::vector<PageId>& pids) {
   return FlushStaging();
 }
 
-Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
-                              bool fdirty, Lsn rec_lsn, DeltaWriteHint* hint) {
+StatusOr<bool> FaceCache::Admit(PageId page_id, char* page, bool dirty,
+                                bool fdirty, Lsn rec_lsn,
+                                DeltaWriteHint* hint) {
   if (dirty) ++stats_.dirty_evictions;
 
   // Design-choice ablations (§3.2 "caching clean and dirty"). When a dirty
   // page bypasses the cache to disk, any older flash copy is now stale and
   // must be invalidated or later reads would serve it.
   if (dirty && !options_.cache_dirty) {
-    if (const uint64_t* seq = newest_.Find(page_id)) {
-      EntryAt(*seq).valid = false;
-      newest_.Erase(page_id);
-      delta_.Drop(page_id);
-      ++stats_.invalidations;
-    }
+    if (const uint64_t* seq = newest_.Find(page_id)) Invalidate(*seq);
     FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, page));
     ++stats_.disk_writes;
-    NoteDestagedToDisk(page_id);
-    return Status::OK();
+    return false;
   }
-  if (!dirty && !options_.cache_clean) return Status::OK();
+  if (!dirty && !options_.cache_clean) return false;
 
   // Algorithm 1: unconditional enqueue when fdirty, conditional (absent-only)
   // otherwise.
-  if (!fdirty && Contains(page_id)) return Status::OK();
+  if (!fdirty && Contains(page_id)) return false;
 
-  bool enqueue_dirty = dirty;
   if (options_.write_through && dirty) {
     FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, page));
     ++stats_.disk_writes;
-    NoteDestagedToDisk(page_id);
-    enqueue_dirty = false;  // disk already current
+    // Disk is current: the cached copy exposes nothing any more.
+    if (const uint64_t* seq = newest_.Find(page_id)) {
+      EntryAt(*seq).since = kInvalidLsn;
+    }
+    dirty = false;
   }
+  const Lsn since = ExposedSince(rec_lsn, page);
 
   // Page-differential fast path: a small refresh of a page whose chain tip
   // matches the evicted frame's version becomes a compact delta record in
   // the shared ring — no frame write, no metadata append.
-  auto refreshed = TryDeltaRefresh(page_id, page, enqueue_dirty, hint);
-  if (!refreshed.ok()) return refreshed.status();
-  if (*refreshed) {
-    if (enqueue_dirty) NoteDirtyAdmission(page_id, rec_lsn, page);
-    return Status::OK();
-  }
+  FACE_ASSIGN_OR_RETURN(const bool refreshed,
+                        TryDeltaRefresh(page_id, page, dirty, since, hint));
+  if (refreshed) return false;
 
   const bool was_full = live_entries() >= options_.n_frames;
-  if (was_full) FACE_RETURN_IF_ERROR(MakeRoom());
-  // After MakeRoom: destaging an older frame of this page erases its entry.
-  if (enqueue_dirty) NoteDirtyAdmission(page_id, rec_lsn, page);
+  FACE_RETURN_IF_ERROR(MakeRoom());
   uint64_t version = kNoFlashVersion;
-  FACE_RETURN_IF_ERROR(Enqueue(page_id, page, enqueue_dirty,
-                               ConstPageView(page).lsn(), &version));
+  FACE_RETURN_IF_ERROR(Enqueue(page_id, page, dirty, ConstPageView(page).lsn(),
+                               since, &version));
   if (hint != nullptr) hint->new_version = version;
-  if (options_.second_chance && was_full) {
-    FACE_RETURN_IF_ERROR(FillBatchFromDram());
-  }
+  return was_full;
+}
+
+Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
+                              bool fdirty, Lsn rec_lsn, DeltaWriteHint* hint) {
+  FACE_ASSIGN_OR_RETURN(const bool made_room,
+                        Admit(page_id, page, dirty, fdirty, rec_lsn, hint));
+  // GSC: the group dequeue freed slots; fill the staged batch from DRAM.
+  if (made_room && second_chance()) return FillBatchFromDram();
   return Status::OK();
 }
 
 Status FaceCache::CheckpointPages(std::vector<CheckpointOffer>* offers,
                                   IoScheduler* lanes, WriteBackStats* stats) {
-  if (lanes != nullptr && !options_.group_replace) {
+  if (lanes != nullptr && !grouped()) {
     return Absorb(offers->data(), offers->size(), lanes, stats);
   }
   // Runtime checkpoints, and group replacement (it frees a whole group per
@@ -653,24 +625,17 @@ Status FaceCache::Absorb(CheckpointOffer* offers, size_t n,
                          IoScheduler* lanes, WriteBackStats* stats) {
   // A checkpointed dirty page enters the flash cache instead of disk; the
   // flash copy becomes the persistent version (still newer than disk).
-  // A full image enters the WAL rebuild ledger only after the sweep:
-  // destaging an older frame of the same page there erases its entry, yet
-  // the new frame is again newer than disk. (The sweep destages a
-  // refreshed page's tip, refresh included: disk is current then.)
   // 1. Small refreshes ride the delta ring (made durable by OnCheckpoint's
   //    Flush before the checkpoint completes) and need no frame.
   std::vector<CheckpointOffer*> full;
   for (size_t i = 0; i < n; ++i) {
     CheckpointOffer& o = offers[i];
-    FACE_ASSIGN_OR_RETURN(const bool refreshed,
-                          TryDeltaRefresh(o.page_id, o.page, /*dirty=*/true,
-                                          &o.hint));
+    FACE_ASSIGN_OR_RETURN(
+        const bool refreshed,
+        TryDeltaRefresh(o.page_id, o.page, /*dirty=*/true,
+                        ExposedSince(o.rec_lsn, o.page), &o.hint));
     o.absorbed = true;
-    if (refreshed) {
-      NoteDirtyAdmission(o.page_id, o.rec_lsn, o.page);
-    } else {
-      full.push_back(&o);
-    }
+    if (!refreshed) full.push_back(&o);
   }
   // At most one queue's worth of full images per round.
   for (size_t begin = 0; begin < full.size(); begin += options_.n_frames) {
@@ -679,7 +644,7 @@ Status FaceCache::Absorb(CheckpointOffer* offers, size_t n,
     // 2. One room-making sweep dequeues exactly the front frames the full
     //    images need (group replacement: a whole group, for one page).
     if (live_entries() + count > options_.n_frames) {
-      if (options_.group_replace) {
+      if (grouped()) {
         assert(count == 1);
         FACE_RETURN_IF_ERROR(MakeRoom());
       } else {
@@ -690,9 +655,9 @@ Status FaceCache::Absorb(CheckpointOffer* offers, size_t n,
     // 3. The new full frames, sequential flash writes after every destage.
     for (uint64_t i = begin; i < begin + count; ++i) {
       CheckpointOffer& o = *full[i];
-      NoteDirtyAdmission(o.page_id, o.rec_lsn, o.page);
       FACE_RETURN_IF_ERROR(Enqueue(o.page_id, o.page, /*dirty=*/true,
                                    ConstPageView(o.page).lsn(),
+                                   ExposedSince(o.rec_lsn, o.page),
                                    &o.hint.new_version));
     }
   }
@@ -710,12 +675,7 @@ Status FaceCache::OnCheckpoint() {
 }
 
 Status FaceCache::RecoverAfterCrash() {
-  entries_.clear();
-  newest_.Clear();
-  dirty_since_.Clear();
-  staged_count_ = 0;
-  scrub_seq_ = 0;
-  seg_buf_.clear();
+  Clear();
   recovery_info_ = RecoveryInfo();
 
   std::string block(kPageSize, '\0');
@@ -758,7 +718,7 @@ Status FaceCache::RecoverAfterCrash() {
       const FlashMetaEntry me = FlashMetaEntry::DecodeFrom(
           segbuf.data() + j * FlashMetaEntry::kEncodedSize);
       entries_.push_back(Entry{me.occupied ? me.page_id : kInvalidPageId,
-                               me.lsn, me.dirty, false, false});
+                               me.lsn, kInvalidLsn, me.dirty, false, false});
       ++recovery_info_.entries_restored;
     }
   }
@@ -776,7 +736,7 @@ Status FaceCache::RecoverAfterCrash() {
   //    its lost metadata entry held. The tail spans at most two segments
   //    (the last one's superblock write may have been lost), or one segment
   //    plus the second-chance survivors a held boundary flush waited for.
-  const uint64_t held = options_.second_chance ? options_.group_size : 0;
+  const uint64_t held = second_chance() ? options_.group_size : 0;
   const uint64_t scan_end = persisted_rear + s + std::max(s, held);
   std::string scan(64 * kPageSize, '\0');
   const char* stop = nullptr;  // the frame that ended the scan, if any
@@ -795,8 +755,8 @@ Status FaceCache::RecoverAfterCrash() {
         stop = frame;
         break;
       }
-      entries_.push_back(
-          Entry{view.page_id(), view.lsn(), StampedDirty(frame), false, false});
+      entries_.push_back(Entry{view.page_id(), view.lsn(), kInvalidLsn,
+                               StampedDirty(frame), false, false});
       ++recovery_info_.entries_restored;
       ++rear_seq_;
     }
@@ -819,10 +779,7 @@ Status FaceCache::RecoverAfterCrash() {
         StampedWith(stop, rear_seq_ - n))) {
     ++written_end;
   }
-  while (written_end >= n && front_seq_ < written_end - n) {
-    entries_.pop_front();
-    ++front_seq_;
-  }
+  while (written_end >= n && front_seq_ < written_end - n) PopFront();
 
   // 3. Resolve validity chronologically; on duplicate pages the higher
   //    pageLSN wins (ties -> later enqueue), which defuses frames
@@ -890,15 +847,15 @@ Status FaceCache::RecoverAfterCrash() {
     ++recovery_info_.delta_records_attached;
   }
 
-  // 6. Rebuild the durability-exposure ledger. The per-page floors died
-  //    with the process; the entry LSN is the best floor derivable from
-  //    flash alone, and the restart manager lowers it to the control
-  //    block's persisted minimum via SetRecoveredDirtyFloor.
-  for (uint64_t seq = front_seq_; seq < rear_seq_; ++seq) {
-    const Entry& e = EntryAt(seq);
-    if (e.valid && e.dirty) dirty_since_.TryEmplace(e.page_id, e.lsn);
+  // 6. Exposures. The per-page floors died with the process; the entry
+  //    LSN is the best floor derivable from flash alone, and the restart
+  //    manager lowers it to the control block's persisted minimum via
+  //    SetRecoveredDirtyFloor.
+  for (Entry& e : entries_) {
+    if (!e.valid || !e.dirty) continue;
+    e.since = e.lsn;
+    ++recovery_info_.dirty_entries_restored;
   }
-  recovery_info_.dirty_entries_restored = dirty_since_.size();
   if (obs::Enabled()) {
     GetFaceObs().restore_frames_scanned->Add(
         recovery_info_.rebuilt_frames_scanned);
@@ -910,57 +867,60 @@ Status FaceCache::RecoverAfterCrash() {
 
 void FaceCache::SetRecoveredDirtyFloor(Lsn floor) {
   if (floor == kInvalidLsn) return;
-  dirty_since_.ForEach([&](PageId, Lsn& since) {
-    if (since == kInvalidLsn || since > floor) since = floor;
-  });
-}
-
-void FaceCache::NoteDirtyAdmission(PageId page_id, Lsn rec_lsn,
-                                   const char* page) {
-  // First dirty admission wins: on a re-dirty chain the disk copy has been
-  // stale since the ORIGINAL admission, so a later (higher) recLSN must not
-  // overwrite the ledger. A missing recLSN (the frame was fetched dirty
-  // from flash and never re-dirtied in DRAM) falls back to the pageLSN —
-  // an exposure, if any, is already in the ledger from that first admission.
-  Lsn floor = rec_lsn;
-  if (floor == kInvalidLsn) floor = ConstPageView(page).lsn();
-  if (floor == kInvalidLsn) return;
-  dirty_since_.TryEmplace(page_id, floor);
+  for (Entry& e : entries_) {
+    if (e.valid && e.dirty && (e.since == kInvalidLsn || e.since > floor)) {
+      e.since = floor;
+    }
+  }
 }
 
 Status FaceCache::EnterDegraded() {
   // The flash device is gone: drop every structure without touching it.
   // Callers needing the exposure set must CollectFlashOnlyDirty first.
   degraded_ = true;
-  front_seq_ = rear_seq_ = staged_base_ = 0;
-  staged_count_ = 0;
-  scrub_seq_ = 0;
-  entries_.clear();
-  newest_.Clear();
-  dirty_since_.Clear();
-  seg_buf_.clear();
-  sb_front_seq_ = sb_rear_seq_ = 0;
-  delta_.DropAll();
+  Clear();
   return Status::OK();
 }
 
 void FaceCache::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
   const size_t base = out->size();
-  dirty_since_.ForEach([&](PageId pid, const Lsn& since) {
-    out->push_back(FlashOnlyPage{pid, since});
-  });
+  for (const Entry& e : entries_) {
+    if (e.valid && e.since != kInvalidLsn) {
+      out->push_back(FlashOnlyPage{e.page_id, e.since});
+    }
+  }
   std::sort(out->begin() + base, out->end(),
             [](const FlashOnlyPage& a, const FlashOnlyPage& b) {
               return a.page_id < b.page_id;
             });
 }
 
-Lsn FaceCache::FlashRedoFloor() const {
-  Lsn floor = kInvalidLsn;
-  dirty_since_.ForEach([&](PageId, const Lsn& since) {
-    if (floor == kInvalidLsn || since < floor) floor = since;
-  });
-  return floor;
+void FaceCache::OnPageWrittenToDisk(PageId page_id) {
+  const uint64_t* found = newest_.Find(page_id);
+  if (found == nullptr) return;
+  const uint64_t seq = *found;
+  Invalidate(seq);
+  // A failed metadata write is ignored deliberately, as TAC does: the
+  // in-memory drop already keeps the stale copy from being served.
+  (void)PersistEntryDrop(seq);
+}
+
+void FaceCache::Invalidate(uint64_t seq) {
+  Entry& e = EntryAt(seq);
+  e.valid = false;
+  newest_.Erase(e.page_id);
+  delta_.Drop(e.page_id);
+  ++stats_.invalidations;
+}
+
+void FaceCache::PopFront() {
+  const Entry& e = entries_.front();
+  if (e.valid) {
+    newest_.Erase(e.page_id);
+    delta_.Drop(e.page_id);
+  }
+  entries_.pop_front();
+  ++front_seq_;
 }
 
 Status FaceCache::ReattachFlash() {
@@ -1020,8 +980,7 @@ Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
     Entry& e = EntryAt(seq);
     if (!e.valid) continue;
     if (staged_count_ > 0 && seq >= staged_base_) continue;
-    FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), frame.data()));
-    ++stats_.flash_reads;
+    FACE_RETURN_IF_ERROR(ReadFrame(seq, frame.data()));
     ++out->frames_scanned;
     ConstPageView view(frame.data());
     const bool ok = view.VerifyChecksum() && view.page_id() == e.page_id &&
@@ -1045,15 +1004,10 @@ Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
 
     // Dirty frame: the rotten base was the only up-to-date copy. Drop the
     // entry (persisting the drop so restart cannot resurrect it) and report
-    // the page for WAL-driven rebuild with its ledger floor.
-    Lsn floor = e.lsn;
-    if (const Lsn* since = dirty_since_.Find(e.page_id)) floor = *since;
-    out->lost_dirty.push_back(FlashOnlyPage{e.page_id, floor});
-    e.valid = false;
-    newest_.Erase(e.page_id);
-    delta_.Drop(e.page_id);
-    dirty_since_.Erase(e.page_id);
-    ++stats_.invalidations;
+    // the page for WAL-driven rebuild from its exposure.
+    out->lost_dirty.push_back(FlashOnlyPage{
+        e.page_id, e.since != kInvalidLsn ? e.since : e.lsn});
+    Invalidate(seq);
     FACE_RETURN_IF_ERROR(PersistEntryDrop(seq));
   }
   return Status::OK();
@@ -1063,17 +1017,11 @@ StatusOr<uint64_t> FaceCache::AuditFrames() {
   FACE_RETURN_IF_ERROR(CheckInvariants());
   uint64_t audited = 0;
   std::string buf(kPageSize, '\0');
+  char* bytes = buf.data();
   for (uint64_t seq = front_seq_; seq < rear_seq_; ++seq) {
     const Entry& e = EntryAt(seq);
     if (!e.valid) continue;
-    const char* bytes;
-    if (staged_count_ > 0 && seq >= staged_base_) {
-      bytes = StagingSlot(seq - staged_base_);
-    } else {
-      FACE_RETURN_IF_ERROR(flash_->Read(layout_.FrameBlock(seq), buf.data()));
-      ++stats_.flash_reads;
-      bytes = buf.data();
-    }
+    FACE_RETURN_IF_ERROR(ReadFrame(seq, bytes));
     ConstPageView view(bytes);
     if (!view.VerifyChecksum()) {
       return Status::Corruption("audit: mapped frame fails checksum (seq " +
@@ -1095,9 +1043,8 @@ StatusOr<uint64_t> FaceCache::AuditFrames() {
     if (delta_.GetChain(e.page_id, &cv) && cv.len > 0) {
       // The chain's tip must reconstruct cleanly on top of this base and
       // land exactly on the entry's LSN.
-      if (bytes != buf.data()) memcpy(buf.data(), bytes, kPageSize);
-      delta_.ApplyChain(e.page_id, buf.data());
-      ConstPageView tip(buf.data());
+      delta_.ApplyChain(e.page_id, bytes);
+      ConstPageView tip(bytes);
       if (!tip.VerifyChecksum() || tip.lsn() != e.lsn) {
         return Status::Corruption("audit: delta chain tip mismatch (seq " +
                                   std::to_string(seq) + ")");
@@ -1115,8 +1062,7 @@ Status FaceCache::CheckInvariants() const {
   if (live_entries() > options_.n_frames) {
     return Status::Internal("queue over capacity");
   }
-  if (options_.group_replace && staged_count_ > 0 &&
-      staged_base_ + staged_count_ != rear_seq_) {
+  if (staged_count_ > 0 && staged_base_ + staged_count_ != rear_seq_) {
     return Status::Internal("staging range out of sync with rear");
   }
   uint64_t valid_count = 0;

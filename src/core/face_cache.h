@@ -11,7 +11,10 @@
 // Group Replacement (GR) batches dequeues/enqueues into group_size-page
 // device requests; Group Second Chance (GSC) additionally re-enqueues
 // referenced pages and pulls extra victims from the DRAM buffer's LRU tail
-// to keep write batches full.
+// to keep write batches full. Every frame write goes through one staging
+// arena (group_size pages under GR/GSC, one page under base FaCE). Each
+// queue entry carries its page's durability exposure (Entry::since), so a
+// destage needs no bookkeeping.
 //
 // The cache is persistent (paper §4): metadata entries are appended to an
 // in-memory segment mirrored to flash one segment at a time, and restart
@@ -39,6 +42,11 @@
 
 namespace face {
 
+/// FaCE's replacement flavor (paper §3.3): base mvFIFO, Group Replacement
+/// (group_size-page requests), or Group Second Chance (GR, plus second
+/// chances for referenced pages and DRAM victims pulled to fill batches).
+enum class FaceReplacement { kMvFifo, kGroupReplace, kGroupSecondChance };
+
 /// Tuning knobs for FaCE; defaults reproduce the paper's base "FaCE" line.
 struct FaceOptions {
   /// Flash cache capacity in pages.
@@ -46,11 +54,7 @@ struct FaceOptions {
   /// Metadata entries per persistent segment (paper: 64,000 = 1.5 MB).
   /// Restart refuses a segment larger than half of n_frames.
   uint32_t seg_entries = 64000;
-  /// Batch dequeue/enqueue in group_size-page device requests (GR).
-  bool group_replace = false;
-  /// Give referenced pages a second chance and pull DRAM victims to fill
-  /// batches (GSC; implies group_replace).
-  bool second_chance = false;
+  FaceReplacement replacement = FaceReplacement::kMvFifo;
   /// Pages per group (paper: pages in a flash block, typically 64 or 128).
   uint32_t group_size = 64;
 
@@ -107,6 +111,8 @@ class FaceCache final : public CacheExtension {
   Status CheckpointPages(std::vector<CheckpointOffer>* offers,
                          IoScheduler* lanes, WriteBackStats* stats) override;
   Status OnCheckpoint() override;
+  /// The disk copy is current: drop the cached copy and persist the drop.
+  void OnPageWrittenToDisk(PageId page_id) override;
   /// Restores the directory from the persisted metadata segments, then
   /// scans the raw frames past the superblock's rear (at most two segments,
   /// or with second chance one segment plus a group), restoring each frame
@@ -120,8 +126,8 @@ class FaceCache final : public CacheExtension {
 
   // Degraded mode / scrub (see cache_ext.h) ----------------------------------
   Status EnterDegraded() override;
+  /// Every valid entry with an exposure, at its `since`.
   void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override;
-  Lsn FlashRedoFloor() const override;
   void SetRecoveredDirtyFloor(Lsn floor) override;
   Status ReattachFlash() override;
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
@@ -160,6 +166,10 @@ class FaceCache final : public CacheExtension {
   struct Entry {
     PageId page_id = kInvalidPageId;
     Lsn lsn = kInvalidLsn;
+    /// Oldest recLSN since the page's disk copy was last current, while
+    /// the flash copy is newer than disk (kInvalidLsn = no exposure). Only
+    /// meaningful on the valid entry; implies `dirty`.
+    Lsn since = kInvalidLsn;
     bool dirty = false;
     bool valid = false;
     bool referenced = false;
@@ -172,15 +182,18 @@ class FaceCache final : public CacheExtension {
 
   /// Append a page at the rear (the page must fit: live < n_frames). The
   /// full image re-bases the page's delta chain; `out_version` (optional)
-  /// receives the fresh chain-tip version for the buffer pool.
+  /// receives the fresh chain-tip version for the buffer pool. A dirty
+  /// entry's exposure is the superseded valid version's, if it had one,
+  /// else `since`.
   Status Enqueue(PageId page_id, const char* page, bool dirty, Lsn lsn,
-                 uint64_t* out_version = nullptr);
+                 Lsn since, uint64_t* out_version = nullptr);
   /// Page-differential fast path: DeltaRing::TryRefresh against the page's
-  /// newest valid frame. True = handled (entry lsn/dirty advanced,
+  /// newest valid frame. True = handled (entry lsn/dirty advanced, a dirty
+  /// record starts an exposure at `since` if none is open,
   /// hint->new_version filled); false = caller must take the full-write
   /// path.
   StatusOr<bool> TryDeltaRefresh(PageId page_id, const char* page, bool dirty,
-                                 DeltaWriteHint* hint);
+                                 Lsn since, DeltaWriteHint* hint);
   /// DeltaRing slot-reuse callback: re-enqueue the current tip image of
   /// every page whose chain still has records in the slot being reclaimed,
   /// then make the fresh full frames durable.
@@ -190,7 +203,11 @@ class FaceCache final : public CacheExtension {
   /// full images, then their frame writes.
   Status Absorb(CheckpointOffer* offers, size_t n, IoScheduler* lanes,
                 WriteBackStats* stats);
-  /// Free at least one slot per the configured replacement flavor.
+  /// Algorithm 1 with the §3.2 ablations, for a page leaving DRAM (evicted
+  /// or pulled). True when it had to make room in a full queue.
+  StatusOr<bool> Admit(PageId page_id, char* page, bool dirty, bool fdirty,
+                       Lsn rec_lsn, DeltaWriteHint* hint);
+  /// When the queue is full, free at least one slot per the flavor.
   Status MakeRoom();
   /// Base mvFIFO: dequeue the `n` front frames, staging each valid dirty
   /// one out to disk with individual I/Os (MakeRoom: n = 1). With `lanes`,
@@ -203,22 +220,25 @@ class FaceCache final : public CacheExtension {
   /// full or no free slots/victims remain.
   Status FillBatchFromDram();
 
-  /// Write `page` into the frame for `seq` (immediate or staged).
+  /// Stage `page` as the frame for `seq`; a full arena is flushed.
   Status WriteFrame(uint64_t seq, const char* page, PageId page_id, Lsn lsn,
                     bool dirty);
   /// Flush staged frames as (wrap-split) batch writes straight out of the
-  /// staging arena.
+  /// staging arena. The arena is free again afterwards, even on failure.
   Status FlushStaging();
+  /// The frame image of `seq`, from the staging arena or from flash.
+  Status ReadFrame(uint64_t seq, char* out);
   /// Read `count` frames starting at `seq` into `out` (wrap-split batches).
   Status ReadFrames(uint64_t seq, uint32_t count, char* out);
 
-  /// dirty_since_ bookkeeping: the disk copy of `page_id` just became
-  /// stale (first dirty admission) / current again (dirty destage or an
-  /// ablation bypass write).
-  void NoteDirtyAdmission(PageId page_id, Lsn rec_lsn, const char* page);
-  void NoteDestagedToDisk(PageId page_id) { dirty_since_.Erase(page_id); }
-  /// Persist an entry drop (scrub found the frame rotten) into the metadata
-  /// holding `seq`, so a later restart cannot resurrect the dead copy.
+  /// Drop the valid entry `seq` (its page leaves the cache).
+  void Invalidate(uint64_t seq);
+  /// Remove the front entry, unmapping its page if it was the valid one.
+  void PopFront();
+  /// Forget every entry, chain and staged frame without I/O.
+  void Clear();
+  /// Persist an entry drop into the metadata holding `seq`, so a later
+  /// restart cannot resurrect the dead copy.
   Status PersistEntryDrop(uint64_t seq);
 
   /// Append the metadata entry for the newest enqueue; flush the segment
@@ -236,6 +256,16 @@ class FaceCache final : public CacheExtension {
   void StampInto(char* dst, const char* page, PageId page_id, Lsn lsn,
                  uint64_t seq, bool dirty);
 
+  bool grouped() const {
+    return options_.replacement != FaceReplacement::kMvFifo;
+  }
+  bool second_chance() const {
+    return options_.replacement == FaceReplacement::kGroupSecondChance;
+  }
+  /// Frames the staging arena holds.
+  uint32_t StagingCapacity() const {
+    return grouped() ? options_.group_size : 1;
+  }
   /// Frame image `i` of the staging arena.
   char* StagingSlot(uint64_t i) {
     return staging_buf_.data() + static_cast<size_t>(i) * kPageSize;
@@ -255,23 +285,14 @@ class FaceCache final : public CacheExtension {
   std::deque<Entry> entries_;          // seqs [front_, rear_)
   PageMap<uint64_t> newest_;           // page -> valid seq
 
-  /// Durability-exposure ledger: page -> recLSN at its FIRST dirty admission
-  /// since the disk copy was last current. Inserted when a dirty page enters
-  /// the cache (or a cached clean page turns dirty), erased only when a
-  /// valid dirty copy is destaged to disk (dequeue) or the page is written
-  /// to disk by an ablation bypass. Re-dirty chains keep the oldest LSN:
-  /// the disk copy has been stale since then, so WAL redo for a flash loss
-  /// must start at min over these values (FlashRedoFloor).
-  PageMap<Lsn> dirty_since_;
-
   /// ScrubSome's rotating position (an enqueue seq; clamped into
   /// [front_, rear_) at each call).
   uint64_t scrub_seq_ = 0;
 
   /// Staged (not yet written) rear frames: seqs [staged_base_, rear_seq_),
   /// stamped frame images living contiguously in the reusable staging
-  /// arena (group_size pages; no per-frame allocation, and FlushStaging
-  /// hands the arena to the device directly).
+  /// arena (StagingCapacity pages; no per-frame allocation, and
+  /// FlushStaging hands the arena to the device directly).
   uint64_t staged_base_ = 0;
   uint64_t staged_count_ = 0;
   std::string staging_buf_;
@@ -287,7 +308,7 @@ class FaceCache final : public CacheExtension {
   uint64_t sb_front_seq_ = 0;
   uint64_t sb_rear_seq_ = 0;
 
-  std::string scratch_;      // one-page stamp/read-back staging
+  std::string scratch_;      // one-page read-back / repair buffer
   std::string dequeue_buf_;  // reusable group-dequeue read buffer
   RecoveryInfo recovery_info_;
 

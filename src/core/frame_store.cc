@@ -171,18 +171,6 @@ void FrameStore::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
             });
 }
 
-Lsn FrameStore::FlashRedoFloor() const {
-  Lsn floor = kInvalidLsn;
-  for (uint32_t f = 0; f < n_frames(); ++f) {
-    const Lsn lsn = rec_lsn_[f];
-    if (dirty_[f] && lsn != kInvalidLsn &&
-        (floor == kInvalidLsn || lsn < floor)) {
-      floor = lsn;
-    }
-  }
-  return floor;
-}
-
 Status FrameStore::ScrubSome(uint64_t max_frames, ScrubResult* out) {
   if (index_.empty()) return Status::OK();
   for (uint64_t walked = 0;

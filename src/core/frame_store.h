@@ -13,7 +13,7 @@
 //     frames, base tag = frame index; slot-reuse consolidation rewrites the
 //     page's tip image into its frame in place;
 //   - the per-frame dirty flag and recLSN of write-back policies, behind
-//     CollectFlashOnlyDirty and FlashRedoFloor;
+//     CollectFlashOnlyDirty;
 //   - the scrub walk, the I/O-free clear (degrade) and the cold reset
 //     (restart, reattach).
 // A policy keeps its replacement order and admission rule, with any state
@@ -99,8 +99,6 @@ class FrameStore {
   Status Clean(uint32_t frame);
   /// Dirty pages with their recLSN, sorted by page id.
   void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const;
-  /// Oldest recLSN of any dirty page (kInvalidLsn = none).
-  Lsn FlashRedoFloor() const;
 
   /// Verify up to `max_frames` occupied frames, rotating over the frames:
   /// a rotten clean frame is re-read from disk (the chain tip, so a correct

@@ -80,7 +80,6 @@ class LcCache final : public CacheExtension {
   void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override {
     store_.CollectFlashOnlyDirty(out);
   }
-  Lsn FlashRedoFloor() const override { return store_.FlashRedoFloor(); }
   Status ReattachFlash() override;
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override {
     return degraded_ ? Status::OK() : store_.ScrubSome(max_frames, out);

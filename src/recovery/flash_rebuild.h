@@ -6,7 +6,7 @@
 // declared lost, those versions are gone, but every *committed* update to
 // them is still in the WAL at or above the page's durability-exposure floor
 // (the recLSN the page had when it was first admitted dirty to flash — see
-// FaceCache::dirty_since_ / the FrameStore per-frame recLSN under LC).
+// FaCE's queue entry `since` / the FrameStore per-frame recLSN under LC).
 //
 // This component reruns ARIES redo on the LIVE engine, scoped to exactly
 // that lost set: one WAL scan from the minimum floor, applying update/CLR

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +39,18 @@ struct DeviceStats {
   uint64_t total_reqs() const { return read_reqs + write_reqs; }
   uint64_t total_pages() const { return pages_read + pages_written; }
 };
+
+/// Every DeviceStats counter, the one field list that run deltas and shard
+/// merges walk.
+inline constexpr uint64_t DeviceStats::*kDeviceCounters[] = {
+    &DeviceStats::read_reqs,      &DeviceStats::write_reqs,
+    &DeviceStats::seq_read_reqs,  &DeviceStats::seq_write_reqs,
+    &DeviceStats::pages_read,     &DeviceStats::pages_written,
+    &DeviceStats::busy_ns,        &DeviceStats::retries,
+    &DeviceStats::backoff_ns};
+static_assert(sizeof(DeviceStats) ==
+                  std::size(kDeviceCounters) * sizeof(uint64_t),
+              "kDeviceCounters must list every DeviceStats field");
 
 /// Simulated device; see file comment. Not thread-safe (the whole simulation
 /// is single-threaded by design).

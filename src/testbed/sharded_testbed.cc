@@ -11,30 +11,11 @@ namespace {
 /// space so neighboring shards never run correlated request streams.
 constexpr uint64_t kShardSeedMix = 0x9e3779b97f4a7c15ull;
 
-void AddDeviceStats(DeviceStats* into, const DeviceStats& d) {
-  into->read_reqs += d.read_reqs;
-  into->write_reqs += d.write_reqs;
-  into->seq_read_reqs += d.seq_read_reqs;
-  into->seq_write_reqs += d.seq_write_reqs;
-  into->pages_read += d.pages_read;
-  into->pages_written += d.pages_written;
-  into->busy_ns += d.busy_ns;
-}
-
-void AddCacheStats(CacheStats* into, const CacheStats& c) {
-  for (uint64_t CacheStats::*f : kCacheCounters) into->*f += c.*f;
-}
-
-void AddPoolStats(BufferPool::Stats* into, const BufferPool::Stats& p) {
-  into->fetches += p.fetches;
-  into->hits += p.hits;
-  into->misses += p.misses;
-  into->disk_fetches += p.disk_fetches;
-  into->flash_fetches += p.flash_fetches;
-  into->evictions += p.evictions;
-  into->dirty_evictions += p.dirty_evictions;
-  into->new_pages += p.new_pages;
-  into->pulls += p.pulls;
+/// Sum `from` into `into` over the struct's field list.
+template <typename Stats, size_t N>
+void AddCounters(Stats* into, const Stats& from,
+                 uint64_t Stats::* const (&fields)[N]) {
+  for (uint64_t Stats::*f : fields) into->*f += from.*f;
 }
 
 }  // namespace
@@ -48,11 +29,11 @@ RunResult MergeRunResults(const std::vector<RunResult>& per_shard,
     merged.user_aborts += r.user_aborts;
     merged.checkpoints += r.checkpoints;
     merged.duration = std::max(merged.duration, r.duration);
-    AddDeviceStats(&merged.db_stats, r.db_stats);
-    AddDeviceStats(&merged.flash_stats, r.flash_stats);
-    AddDeviceStats(&merged.log_stats, r.log_stats);
-    AddCacheStats(&merged.cache_stats, r.cache_stats);
-    AddPoolStats(&merged.pool_stats, r.pool_stats);
+    AddCounters(&merged.db_stats, r.db_stats, kDeviceCounters);
+    AddCounters(&merged.flash_stats, r.flash_stats, kDeviceCounters);
+    AddCounters(&merged.log_stats, r.log_stats, kDeviceCounters);
+    AddCounters(&merged.cache_stats, r.cache_stats, kCacheCounters);
+    AddCounters(&merged.pool_stats, r.pool_stats, kPoolCounters);
     merged.completions.insert(merged.completions.end(), r.completions.begin(),
                               r.completions.end());
   }

@@ -363,29 +363,23 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
   result.user_aborts = workload_->stats().user_aborts - ab0;
   result.duration = sched_.makespan() - start;
 
-  auto delta = [](const DeviceStats& now, const DeviceStats& then) {
-    DeviceStats d;
-    d.read_reqs = now.read_reqs - then.read_reqs;
-    d.write_reqs = now.write_reqs - then.write_reqs;
-    d.seq_read_reqs = now.seq_read_reqs - then.seq_read_reqs;
-    d.seq_write_reqs = now.seq_write_reqs - then.seq_write_reqs;
-    d.pages_read = now.pages_read - then.pages_read;
-    d.pages_written = now.pages_written - then.pages_written;
-    d.busy_ns = now.busy_ns - then.busy_ns;
-    d.retries = now.retries - then.retries;
-    d.backoff_ns = now.backoff_ns - then.backoff_ns;
-    return d;
-  };
   result.degradations = degradations_ - deg0;
   result.degraded_txns = degraded_txns_ - degtxn0;
   result.degraded_ns = DegradedNanos() - degns0;
   result.scrub_frames_scanned = scrub_frames_scanned_ - scrub_fr0;
   result.scrub_clean_repaired = scrub_clean_repaired_ - scrub_cr0;
   result.scrub_lost_dirty = scrub_lost_dirty_ - scrub_ld0;
-  result.db_stats = delta(db_dev_->stats(), db0);
-  result.log_stats = delta(log_dev_->stats(), log0);
+
+  // Device, cache and pool counters are cumulative; report run-relative
+  // deltas, walking each struct's one field list.
+  auto delta = [](auto now, const auto& then, const auto& fields) {
+    for (auto f : fields) now.*f -= then.*f;
+    return now;
+  };
+  result.db_stats = delta(db_dev_->stats(), db0, kDeviceCounters);
+  result.log_stats = delta(log_dev_->stats(), log0, kDeviceCounters);
   if (flash_dev_ != nullptr) {
-    result.flash_stats = delta(flash_dev_->stats(), flash0);
+    result.flash_stats = delta(flash_dev_->stats(), flash0, kDeviceCounters);
   }
   if (result.duration > 0) {
     result.db_utilization =
@@ -398,22 +392,8 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
             : 0.0;
   }
 
-  // Cache and pool counters are cumulative; report run-relative deltas.
-  result.cache_stats = cache_->stats();
-  for (uint64_t CacheStats::*f : kCacheCounters) {
-    result.cache_stats.*f -= cache0.*f;
-  }
-
-  result.pool_stats = db_->pool()->stats();
-  result.pool_stats.fetches -= pool0.fetches;
-  result.pool_stats.hits -= pool0.hits;
-  result.pool_stats.misses -= pool0.misses;
-  result.pool_stats.disk_fetches -= pool0.disk_fetches;
-  result.pool_stats.flash_fetches -= pool0.flash_fetches;
-  result.pool_stats.evictions -= pool0.evictions;
-  result.pool_stats.dirty_evictions -= pool0.dirty_evictions;
-  result.pool_stats.new_pages -= pool0.new_pages;
-  result.pool_stats.pulls -= pool0.pulls;
+  result.cache_stats = delta(cache_->stats(), cache0, kCacheCounters);
+  result.pool_stats = delta(db_->pool()->stats(), pool0, kPoolCounters);
   return result;
 }
 

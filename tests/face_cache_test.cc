@@ -397,11 +397,58 @@ TEST_F(FaceCacheTest, CleanOnlyAblationInvalidatesStaleFlashCopy) {
   FACE_ASSERT_OK(cache_->CheckInvariants());
 }
 
+// --- FaCE under the engine (buffer pool, WAL, commits) ------------------------
+
+class FaceEngineTest : public TimedEngineFixture {};
+
+TEST_F(FaceEngineTest, DiskWriteDropsTheOlderFlashCopy) {
+  // FlushAllToDisk (clean shutdown's first step) writes a page's newest
+  // version to disk and marks the DRAM frame clean. The older dirty flash
+  // copy must go with it: a clean eviction never re-admits a page the
+  // cache still holds, so the next fetch would serve the old version.
+  InitFace(/*buffer_frames=*/16, /*flash_frames=*/64);
+  const std::vector<PageId> pages = NewPages(40);
+  CommitToEach(pages, "old!!");
+  FACE_ASSERT_OK(db_->pool()->EvictAll());
+  ASSERT_TRUE(cache_->Contains(pages[7]));
+  CommitToEach({pages[7]}, "new!!");
+  FACE_ASSERT_OK(db_->pool()->FlushAllToDisk());
+  EXPECT_FALSE(cache_->Contains(pages[7]));
+  FACE_ASSERT_OK(db_->pool()->EvictAll());
+  EXPECT_EQ(ReadBytes(pages[7], kPageHeaderSize, 5), "new!!");
+  FACE_ASSERT_OK(cache_->CheckInvariants());
+}
+
+TEST_F(FaceEngineTest, GscWriteThroughLeavesNothingOnlyOnFlash) {
+  // Write-through: every dirty page leaving DRAM reaches disk, the DRAM
+  // victims GSC pulls to fill a group included, so no page's newest
+  // version ever lives only on flash.
+  FaceOptions o = FaceOptions::GroupSecondChance(32);
+  o.group_size = 8;
+  o.seg_entries = 8;
+  o.write_through = true;
+  InitFace(/*buffer_frames=*/16, o);
+  std::vector<PageId> pages;  // each created right before its first commit
+  for (int round = 0; round < 4; ++round) {
+    for (size_t i = 0; i < 200; ++i) {
+      if (round == 0) pages.push_back(NewPages(1).at(0));
+      CommitToEach({pages[i]}, "round" + std::to_string(round));
+      std::vector<FlashOnlyPage> exposed;
+      cache_->CollectFlashOnlyDirty(&exposed);
+      ASSERT_TRUE(exposed.empty())
+          << exposed.size() << " pages only on flash after "
+          << cache_->stats().pulled_from_dram << " pulls";
+    }
+  }
+  EXPECT_GT(cache_->stats().pulled_from_dram, 0u);
+  EXPECT_EQ(cache_->FlashRedoFloor(), kInvalidLsn);
+}
+
 // Property sweep: random traffic against every FaCE flavor keeps internal
 // invariants and never loses the newest version of a page.
 struct FaceFlavor {
   const char* name;
-  bool gr, gsc;
+  FaceReplacement replacement;
 };
 
 class FaceCacheProperty : public FaceCacheTest,
@@ -409,8 +456,7 @@ class FaceCacheProperty : public FaceCacheTest,
 
 TEST_P(FaceCacheProperty, RandomTrafficKeepsNewestVersionReachable) {
   FaceOptions o = FaceOptions::Base(48);
-  o.group_replace = GetParam().gr;
-  o.second_chance = GetParam().gsc;
+  o.replacement = GetParam().replacement;
   o.group_size = 8;
   o.seg_entries = 16;
   Init(o);
@@ -447,9 +493,9 @@ TEST_P(FaceCacheProperty, RandomTrafficKeepsNewestVersionReachable) {
 
 INSTANTIATE_TEST_SUITE_P(
     Flavors, FaceCacheProperty,
-    ::testing::Values(FaceFlavor{"base", false, false},
-                      FaceFlavor{"GR", true, false},
-                      FaceFlavor{"GSC", true, true}),
+    ::testing::Values(FaceFlavor{"base", FaceReplacement::kMvFifo},
+                      FaceFlavor{"GR", FaceReplacement::kGroupReplace},
+                      FaceFlavor{"GSC", FaceReplacement::kGroupSecondChance}),
     [](const ::testing::TestParamInfo<FaceFlavor>& pinfo) {
       return pinfo.param.name;
     });

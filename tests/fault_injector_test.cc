@@ -383,9 +383,15 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
   // An 8-frame pool whose flash writes all fail: FaCE admits on eviction
   // (GetFreeFrame's victim), TAC on fetch (FetchPage's new frame). Each
   // failed admission used to lose its frame from the pool for good, so a
-  // handful of them left the pool Busy with nothing pinned.
-  for (const bool tac : {false, true}) {
-    SCOPED_TRACE(tac ? "TAC" : "FaCE");
+  // handful of them left the pool Busy with nothing pinned. FaCE+GR stages
+  // four admissions per group write, so only every fourth one fails; its
+  // failed flush used to leave the staging arena full, and the next
+  // admission wrote past the arena's end.
+  enum class Config { kFace, kFaceGR, kTac };
+  for (const Config config : {Config::kFace, Config::kFaceGR, Config::kTac}) {
+    SCOPED_TRACE(config == Config::kFace     ? "FaCE"
+                 : config == Config::kFaceGR ? "FaCE+GR"
+                                             : "TAC");
     SimDevice db_dev("db", DeviceProfile::Seagate15k(), 256);
     SimDevice log_dev("log", DeviceProfile::Seagate15k(), 1 << 16);
     DbStorage storage(&db_dev);
@@ -393,7 +399,7 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
     FACE_ASSERT_OK(log.Format());
     std::unique_ptr<SimDevice> flash;
     std::unique_ptr<CacheExtension> cache;
-    if (tac) {
+    if (config == Config::kTac) {
       TacOptions to;
       to.n_frames = 64;
       flash = std::make_unique<SimDevice>(
@@ -403,7 +409,9 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
       FACE_ASSERT_OK(c->Format());
       cache = std::move(c);
     } else {
-      FaceOptions fo = FaceOptions::Base(64);
+      FaceOptions fo = config == Config::kFace ? FaceOptions::Base(64)
+                                               : FaceOptions::GroupReplace(64);
+      fo.group_size = 4;
       flash = std::make_unique<SimDevice>(
           "flash", DeviceProfile::MlcSamsung470(),
           FlashLayout::Compute(fo.n_frames, fo.seg_entries).total_blocks);
@@ -411,8 +419,11 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
       FACE_ASSERT_OK(c->Format());
       cache = std::move(c);
     }
+    // Pages fetched while every flash write fails: FaCE+GR needs more of
+    // them to fail capacity() admissions.
+    const PageId failing = config == Config::kFaceGR ? 64 : 32;
     std::string page(kPageSize, '\0');
-    for (PageId pid = 0; pid < 48; ++pid) {
+    for (PageId pid = 0; pid < failing + 8; ++pid) {
       PageView(page.data()).Format(pid);
       FACE_ASSERT_OK(storage.WritePage(pid, page.data()));
     }
@@ -424,7 +435,7 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
     p.write_fail_permille = 1000;
     inj.ArmTransient("flash", p);
     uint32_t failed = 0;
-    for (PageId pid = 0; pid < 32; ++pid) {
+    for (PageId pid = 0; pid < failing; ++pid) {
       if (!pool.FetchPage(pid).ok()) ++failed;
     }
     EXPECT_GE(failed, pool.capacity());
@@ -433,7 +444,7 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
     inj.DisarmDevice("flash");
     flash->ResetHealth();
     std::vector<PageHandle> pinned;
-    for (PageId pid = 32; pid < 32 + pool.capacity(); ++pid) {
+    for (PageId pid = failing; pid < failing + pool.capacity(); ++pid) {
       FACE_ASSERT_OK_AND_ASSIGN(PageHandle h, pool.FetchPage(pid));
       pinned.push_back(std::move(h));
     }

@@ -161,6 +161,37 @@ TEST(ShardTest, MergeSumsEveryCacheCounter) {
   }
 }
 
+TEST(ShardTest, MergeSumsEveryDeviceAndPoolCounter) {
+  std::vector<RunResult> per_shard(2);
+  uint64_t value = 1;
+  for (DeviceStats RunResult::*dev :
+       {&RunResult::db_stats, &RunResult::flash_stats, &RunResult::log_stats}) {
+    for (uint64_t DeviceStats::*f : kDeviceCounters) {
+      (per_shard[0].*dev).*f = value;
+      (per_shard[1].*dev).*f = 10 * value;
+      ++value;
+    }
+  }
+  for (uint64_t BufferPool::Stats::*f : kPoolCounters) {
+    per_shard[0].pool_stats.*f = value;
+    per_shard[1].pool_stats.*f = 10 * value;
+    ++value;
+  }
+  const RunResult merged = MergeRunResults(per_shard, TestbedOptions());
+  value = 1;
+  for (DeviceStats RunResult::*dev :
+       {&RunResult::db_stats, &RunResult::flash_stats, &RunResult::log_stats}) {
+    for (uint64_t DeviceStats::*f : kDeviceCounters) {
+      EXPECT_EQ((merged.*dev).*f, 11 * value) << "device counter #" << value;
+      ++value;
+    }
+  }
+  for (uint64_t BufferPool::Stats::*f : kPoolCounters) {
+    EXPECT_EQ(merged.pool_stats.*f, 11 * value) << "pool counter #" << value;
+    ++value;
+  }
+}
+
 TEST(ShardTest, ThroughputScalesWithShards) {
   // Fig. 5-style scale-up: the same per-shard work at 4 shards finishes in
   // roughly the single-shard makespan, so machine throughput multiplies.

@@ -110,7 +110,8 @@ class TimedEngineFixture : public ::testing::Test {
     if (face_frames_ > 0) {
       flash_dev_ = std::make_unique<SimDevice>(
           "flash", DeviceProfile::MlcSamsung470(),
-          FlashLayout::Compute(face_frames_, kFaceSegEntries).total_blocks,
+          FlashLayout::Compute(face_frames_, face_options_.seg_entries)
+              .total_blocks,
           &sched_);
     }
     recovery_token_ = sched_.AddBackgroundToken();
@@ -125,6 +126,11 @@ class TimedEngineFixture : public ::testing::Test {
   void InitFace(uint32_t buffer_frames, uint64_t flash_frames) {
     face_frames_ = flash_frames;
     Init(buffer_frames);
+  }
+  /// Init with a FaCE cache configured by `options`.
+  void InitFace(uint32_t buffer_frames, const FaceOptions& options) {
+    face_options_ = options;
+    InitFace(buffer_frames, options.n_frames);
   }
 
   /// Commit one byte-range write to each of `pages`.
@@ -217,6 +223,13 @@ class TimedEngineFixture : public ::testing::Test {
   IoScheduler sched_{1};
   uint32_t recovery_token_ = 0;
   uint64_t face_frames_ = 0;  ///< 0 = no flash cache (NullCache)
+  /// The FaCE configuration (n_frames is face_frames_): base FaCE with
+  /// kFaceSegEntries-entry segments unless InitFace was given options.
+  FaceOptions face_options_ = [] {
+    FaceOptions o;
+    o.seg_entries = kFaceSegEntries;
+    return o;
+  }();
   std::unique_ptr<SimDevice> db_dev_;
   std::unique_ptr<SimDevice> log_dev_;
   std::unique_ptr<SimDevice> flash_dev_;
@@ -230,8 +243,8 @@ class TimedEngineFixture : public ::testing::Test {
     storage_ = std::make_unique<DbStorage>(db_dev_.get());
     log_ = std::make_unique<LogManager>(log_dev_.get());
     if (flash_dev_ != nullptr) {
-      FaceOptions fo = FaceOptions::Base(face_frames_);
-      fo.seg_entries = kFaceSegEntries;
+      FaceOptions fo = face_options_;
+      fo.n_frames = face_frames_;
       cache_ = std::make_unique<FaceCache>(fo, flash_dev_.get(),
                                            storage_.get());
     } else {
