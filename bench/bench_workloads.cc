@@ -212,21 +212,21 @@ void RunFaultSection(const BenchFlags& flags, const GoldenImage& golden,
     const RunResult r = MeasureCell(&tb, warmup, txns, kCheckpointEvery, json,
                                     name, CachePolicyName(policy), arm);
 
+    const FaultTelemetry& f = r.fault;
     const uint64_t scrub_scanned =
-        r.scrub_frames_scanned + planted.frames_scanned;
+        f.scrub_frames_scanned + planted.frames_scanned;
     const uint64_t scrub_repaired =
-        r.scrub_clean_repaired + planted.clean_repaired;
-    const uint64_t scrub_lost =
-        r.scrub_lost_dirty + planted.lost_dirty.size();
+        f.scrub_clean_repaired + planted.clean_repaired;
+    const uint64_t scrub_lost = f.scrub_lost_dirty + planted.lost_dirty.size();
     const double degraded_tpm =
-        r.degraded_ns ? static_cast<double>(r.degraded_txns) * 60e9 /
-                            static_cast<double>(r.degraded_ns)
+        f.degraded_ns ? static_cast<double>(f.degraded_txns) * 60e9 /
+                            static_cast<double>(f.degraded_ns)
                       : 0.0;
     if (json != nullptr) {
       json->Field("fault_profile", flags.fault_profile);
-      json->Field("degradations", r.degradations);
-      json->Field("degraded_txns", r.degraded_txns);
-      json->Field("degraded_ns", static_cast<uint64_t>(r.degraded_ns));
+      json->Field("degradations", f.degradations);
+      json->Field("degraded_txns", f.degraded_txns);
+      json->Field("degraded_ns", static_cast<uint64_t>(f.degraded_ns));
       json->Field("degraded_tpm", degraded_tpm);
       json->Field("flash_retries", r.flash_stats.retries);
       json->Field("flash_backoff_ns",
@@ -239,7 +239,7 @@ void RunFaultSection(const BenchFlags& flags, const GoldenImage& golden,
     rows.push_back(
         {CachePolicyName(policy),
          {Fmt("%.0f", r.Tpm()),
-          Fmt("%.0f", static_cast<double>(r.degradations)),
+          Fmt("%.0f", static_cast<double>(f.degradations)),
           Fmt("%.0f", degraded_tpm),
           Fmt("%.0f", static_cast<double>(r.flash_stats.retries)),
           Fmt("%.0f", static_cast<double>(scrub_repaired + scrub_lost))}});

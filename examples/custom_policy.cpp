@@ -12,6 +12,8 @@
 // (core/frame_store.h), which owns the page directory, checksummed frame
 // I/O, delta chains and the dirty/recLSN ledger, and keeps only its own
 // replacement state — here a CLOCK hand and one reference bit per frame.
+// Its lifecycle is two short bodies, Forget and Format: CacheExtension
+// derives restart, degradation and re-attach from them.
 //
 //   $ ./examples/custom_policy
 #include <cstdio>
@@ -20,13 +22,15 @@
 #include "core/cache_ext.h"
 #include "core/frame_store.h"
 #include "testbed/testbed.h"
+#include "tpcc/workload.h"
 
 using namespace face;
 
 namespace {
 
 /// One-copy-per-page flash cache with CLOCK replacement. Volatile metadata
-/// (cold restart), write-back for dirty pages.
+/// (cold restart), write-back for dirty pages: a checkpoint cleans every
+/// flash-dirty frame, and a flash loss reports them for WAL rebuild.
 class ClockCache final : public CacheExtension {
  public:
   /// `flash` must have at least FrameStore::BlocksFor(n_frames) blocks.
@@ -73,10 +77,21 @@ class ClockCache final : public CacheExtension {
     if (frame != FrameStore::kNoFrame) store_.Release(frame);
   }
 
-  Status RecoverAfterCrash() override {  // volatile directory: cold start
+  // The flash copy of a dirty frame is the page's only newest version, and
+  // the directory dies with DRAM: a checkpoint must put it on disk.
+  Status PrepareCheckpoint() override { return store_.CleanAll(); }
+  void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override {
+    store_.CollectFlashOnlyDirty(out);
+  }
+
+  void Forget() override {
     referenced_.assign(referenced_.size(), false);
     hand_ = 0;
-    return store_.Reset();
+    store_.Clear();
+  }
+  Status Format() override {  // also a restart: the directory was volatile
+    Forget();
+    return store_.delta().Reset();
   }
 
  private:
@@ -149,11 +164,11 @@ int main() {
     Database db(db_opts, &storage, &log, &cache);
     if (!db.Open().ok() || !db.TakeCheckpoint().ok()) return 1;
 
-    auto tables = tpcc::Tables::Open(&db);
-    if (!tables.ok()) return 1;
     tpcc::WorkloadConfig wl;
     wl.warehouses = 1;
-    tpcc::Workload workload(&db, &*tables, wl);
+    tpcc::Workload workload(wl);
+    if (!workload.Setup(db, /*seed=*/42).ok()) return 1;
+    Random unused(0);  // TPC-C draws from its own NURand stream
     for (int i = 0; i < 5000; ++i) {  // warm + measure
       if (i == 2000) {
         sched.Reset();
@@ -162,10 +177,10 @@ int main() {
       }
       sched.BeginTxn();
       sched.OnCpu(100 * kNanosPerMicro);
-      if (!workload.RunOne().ok()) return 1;
+      if (!workload.NextTxn(db, unused).ok()) return 1;
       sched.EndTxn();
     }
-    clock_tpmc = static_cast<double>(workload.stats().new_orders()) * 60e9 /
+    clock_tpmc = static_cast<double>(workload.stats().primary) * 60e9 /
                  static_cast<double>(sched.makespan());
     clock_hit = cache.stats().HitRate();
   }

@@ -9,7 +9,15 @@
 //   - ReadPage        : DRAM miss served from flash
 //   - PrepareCheckpoint / CheckpointPages / OnCheckpoint : database
 //     checkpoint integration (who absorbs dirty pages, who must flush)
-//   - RecoverAfterCrash : restart-time metadata restore (or cold reset)
+//   - Format / Forget / RecoverAfterCrash : the lifecycle (below)
+//
+// Lifecycle. A policy writes two bodies: Forget drops every DRAM structure
+// with no device I/O, and Format is a cold start on a blank or replaced
+// device (Forget, then whatever on-flash structure the policy persists).
+// The base class decides the rest once: a restart defaults to Format (the
+// directory died with DRAM; FaCE and TAC override it to restore theirs), a
+// flash loss sets the degraded flag and Forgets, and a re-attach clears the
+// flag and Formats.
 #pragma once
 
 #include <cstdint>
@@ -170,7 +178,7 @@ class CacheExtension {
   /// skips, without a fetch, a record of a non-resident page whose copy is
   /// at or above the record's LSN (recovery/redo.h), so a policy must
   /// answer "none" whenever a fetch would not read exactly that copy
-  /// (e.g. while degraded).
+  /// (a degraded policy has forgotten every copy).
   virtual Lsn PersistentCopyLsn(PageId page_id) const {
     (void)page_id;
     return kInvalidLsn;
@@ -232,9 +240,21 @@ class CacheExtension {
   /// write-back caches drop it.
   virtual void OnPageWrittenToDisk(PageId page_id) { (void)page_id; }
 
-  /// Restart after a crash: restore persistent metadata (FaCE/TAC) or
-  /// reset to cold (LC/Exadata). Charges recovery I/O.
-  virtual Status RecoverAfterCrash() = 0;
+  /// Cold start on a blank or replaced device: Forget, then lay down the
+  /// policy's on-flash structure (superblock, slot directory, delta-ring
+  /// header). Default: Forget alone.
+  virtual Status Format() {
+    Forget();
+    return Status::OK();
+  }
+
+  /// Drop every DRAM structure (directory, replacement order, delta chains,
+  /// staged frames) without device I/O: afterwards nothing is cached.
+  virtual void Forget() = 0;
+
+  /// Restart after a crash: restore persistent metadata (FaCE/TAC) or, by
+  /// default, Format cold. Charges recovery I/O.
+  virtual Status RecoverAfterCrash() { return Format(); }
 
   /// Deferred maintenance (LC's lazy cleaner). The driver runs this on a
   /// background token between transactions while HasBackgroundWork().
@@ -248,24 +268,21 @@ class CacheExtension {
   // When the flash device is declared lost, the supervisor collects the
   // flash-only dirty set (for WAL rebuild), then enters degraded mode. While
   // degraded the buffer pool treats the policy like NullCache: no Contains,
-  // no ReadPage, no admissions, no background work. None of these touch the
-  // flash device — it is gone.
+  // no ReadPage, no admissions. Having forgotten everything, the policy has
+  // no background work and nothing to scrub, so nothing touches the flash
+  // device — it is gone.
 
   /// True while serving disk-only after a flash loss.
   bool degraded() const { return degraded_; }
 
-  /// Drop all cache state without flash I/O and stop serving from flash.
-  /// Callers needing the flash-only dirty set must CollectFlashOnlyDirty
-  /// BEFORE this. Base implementation just sets the flag.
-  virtual Status EnterDegraded() {
+  /// Stop serving from flash: set the flag and Forget. Also a restart's
+  /// answer to a control block that says the crash happened while degraded
+  /// (the possibly replaced flash must not be trusted). Callers needing the
+  /// flash-only dirty set must CollectFlashOnlyDirty BEFORE this.
+  void EnterDegraded() {
     degraded_ = true;
-    return Status::OK();
+    Forget();
   }
-
-  /// Restart-time variant: the control block says the crash happened while
-  /// degraded, so the (possibly replaced) flash contents must not be
-  /// trusted. No flash I/O.
-  virtual void MarkDegradedAtRestart() { degraded_ = true; }
 
   /// Append every page whose newest version lives only on flash, with its
   /// WAL rebuild floor, sorted by page id. Empty for write-through
@@ -298,13 +315,13 @@ class CacheExtension {
   /// lower bound for every page that was dirty before the crash.
   virtual void SetRecoveredDirtyFloor(Lsn floor) { (void)floor; }
 
-  /// Re-attach a healthy (erased) flash device after degradation: reformat
-  /// policy state cold and resume normal admission. The caller owns device
+  /// Re-attach a healthy (erased) flash device after degradation: clear
+  /// the flag and Format, so admission resumes cold. The caller owns device
   /// health (injector disarm + SimDevice::ResetHealth) and the control
   /// block marker.
-  virtual Status ReattachFlash() {
+  Status ReattachFlash() {
     degraded_ = false;
-    return Status::OK();
+    return Format();
   }
 
   /// Background scrub: verify up to `max_frames` occupied flash frames
@@ -350,7 +367,7 @@ class NullCache final : public CacheExtension {
   }
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
                      Lsn rec_lsn, DeltaWriteHint* hint = nullptr) override;
-  Status RecoverAfterCrash() override { return Status::OK(); }
+  void Forget() override {}
 
  private:
   class DbStorage* storage_;

@@ -90,26 +90,10 @@ void ExadataCache::DropFrame(uint32_t frame) {
   if (obs::Enabled()) GetExaObs().invalidations->Increment();
 }
 
-Status ExadataCache::RecoverAfterCrash() {
-  // The DRAM directory is gone, and delta chains are part of it.
-  lru_.Clear();
-  links_.assign(links_.size(), IntrusiveLinks());
-  return store_.Reset();
-}
-
-Status ExadataCache::EnterDegraded() {
-  // The device is dead: drop the DRAM directory without touching it.
-  degraded_ = true;
+void ExadataCache::Forget() {
   lru_.Clear();
   links_.assign(links_.size(), IntrusiveLinks());
   store_.Clear();
-  return Status::OK();
-}
-
-Status ExadataCache::ReattachFlash() {
-  // A healthy erased device: cold start (re-formats the delta ring).
-  degraded_ = false;
-  return RecoverAfterCrash();
 }
 
 Status ExadataCache::CheckInvariants() const {

@@ -51,16 +51,18 @@ class ExadataCache final : public CacheExtension {
   Status OnFetchFromDisk(PageId page_id, const char* page,
                          uint64_t* admitted_version = nullptr) override;
   void OnPageWrittenToDisk(PageId page_id) override;
-  Status RecoverAfterCrash() override;
+  /// A fresh delta ring. The DRAM directory (delta chains included) dies
+  /// with the process, so a restart is a Format too.
+  Status Format() override {
+    Forget();
+    return store_.delta().Reset();
+  }
+  void Forget() override;
   Status CheckInvariants() const override;
 
-  // Degraded mode / scrub (see cache_ext.h). Clean-only write-through:
-  // degradation drops the DRAM directory (no device I/O), re-attach is a
-  // cold start, and every rotten frame is repairable from disk.
-  Status EnterDegraded() override;
-  Status ReattachFlash() override;
+  /// Clean-only write-through: every rotten frame is repairable from disk.
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override {
-    return degraded_ ? Status::OK() : store_.ScrubSome(max_frames, out);
+    return store_.ScrubSome(max_frames, out);
   }
 
   uint64_t cached_pages() const { return store_.size(); }

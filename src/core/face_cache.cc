@@ -153,7 +153,7 @@ const char* FaceCache::name() const {
   return "FaCE";
 }
 
-void FaceCache::Clear() {
+void FaceCache::Forget() {
   front_seq_ = rear_seq_ = staged_base_ = 0;
   staged_count_ = 0;
   scrub_seq_ = 0;
@@ -165,7 +165,7 @@ void FaceCache::Clear() {
 }
 
 Status FaceCache::Format() {
-  Clear();
+  Forget();
   FACE_RETURN_IF_ERROR(delta_.Reset());
   return WriteSuperblock();
 }
@@ -292,7 +292,6 @@ Status FaceCache::FlushSegments() {
 }
 
 Lsn FaceCache::PersistentCopyLsn(PageId page_id) const {
-  if (degraded_) return kInvalidLsn;  // the flash contents are not trusted
   const uint64_t* seq = newest_.Find(page_id);
   return seq == nullptr ? kInvalidLsn : EntryAt(*seq).lsn;
 }
@@ -675,7 +674,7 @@ Status FaceCache::OnCheckpoint() {
 }
 
 Status FaceCache::RecoverAfterCrash() {
-  Clear();
+  Forget();
   recovery_info_ = RecoveryInfo();
 
   std::string block(kPageSize, '\0');
@@ -874,14 +873,6 @@ void FaceCache::SetRecoveredDirtyFloor(Lsn floor) {
   }
 }
 
-Status FaceCache::EnterDegraded() {
-  // The flash device is gone: drop every structure without touching it.
-  // Callers needing the exposure set must CollectFlashOnlyDirty first.
-  degraded_ = true;
-  Clear();
-  return Status::OK();
-}
-
 void FaceCache::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
   const size_t base = out->size();
   for (const Entry& e : entries_) {
@@ -923,13 +914,6 @@ void FaceCache::PopFront() {
   ++front_seq_;
 }
 
-Status FaceCache::ReattachFlash() {
-  // The caller hands us a healthy erased device (injector disarmed,
-  // SimDevice::ResetHealth done): reformat cold and resume admissions.
-  degraded_ = false;
-  return Format();
-}
-
 Status FaceCache::PersistEntryDrop(uint64_t seq) {
   const uint64_t s = options_.seg_entries;
   char buf[FlashMetaEntry::kEncodedSize];
@@ -962,7 +946,7 @@ Status FaceCache::PersistEntryDrop(uint64_t seq) {
 }
 
 Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
-  if (degraded_ || max_frames == 0 || live_entries() == 0) return Status::OK();
+  if (max_frames == 0 || live_entries() == 0) return Status::OK();
   if (scrub_seq_ < front_seq_ || scrub_seq_ >= rear_seq_) {
     scrub_seq_ = front_seq_;
   }

@@ -88,18 +88,18 @@ class FaceCache final : public CacheExtension {
   /// `storage` receives dirty pages staged out of the cache.
   FaceCache(const FaceOptions& options, SimDevice* flash, DbStorage* storage);
 
-  /// Initialize an empty cache (fresh superblock). Call once on a new
-  /// device; RecoverAfterCrash handles restarts.
-  Status Format();
-
   // CacheExtension interface ------------------------------------------------
+  /// An empty queue, a fresh delta ring and a fresh superblock.
+  Status Format() override;
+  /// Forget every entry, chain, staged frame and metadata buffer.
+  void Forget() override;
   const char* name() const override;
   bool IsPersistent() const override { return true; }
   bool Contains(PageId page_id) const override {
     return newest_.Contains(page_id);
   }
   /// The newest valid frame's LSN (chain tip included), from the directory
-  /// restart restored; "none" while degraded.
+  /// restart restored.
   Lsn PersistentCopyLsn(PageId page_id) const override;
   StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) override;
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
@@ -124,12 +124,10 @@ class FaceCache final : public CacheExtension {
   void SetPullSource(DramPullSource* source) override { pull_ = source; }
   Status CheckInvariants() const override;
 
-  // Degraded mode / scrub (see cache_ext.h) ----------------------------------
-  Status EnterDegraded() override;
+  // Flash-loss exposure / scrub (see cache_ext.h) ----------------------------
   /// Every valid entry with an exposure, at its `since`.
   void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override;
   void SetRecoveredDirtyFloor(Lsn floor) override;
-  Status ReattachFlash() override;
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
 
   /// Deep directory audit for crash tests: CheckInvariants plus a read-back
@@ -235,8 +233,6 @@ class FaceCache final : public CacheExtension {
   void Invalidate(uint64_t seq);
   /// Remove the front entry, unmapping its page if it was the valid one.
   void PopFront();
-  /// Forget every entry, chain and staged frame without I/O.
-  void Clear();
   /// Persist an entry drop into the metadata holding `seq`, so a later
   /// restart cannot resurrect the dead copy.
   Status PersistEntryDrop(uint64_t seq);

@@ -41,7 +41,11 @@ uint32_t FrameStore::TakeFree() {
 StatusOr<uint64_t> FrameStore::Admit(PageId pid, uint32_t frame,
                                      const char* page) {
   assert(page_at_[frame] == kInvalidPageId);
-  FACE_RETURN_IF_ERROR(WriteFrame(frame, page, pid));
+  const Status written = WriteFrame(frame, page, pid);
+  if (!written.ok()) {
+    free_.push_back(frame);  // TakeFree popped it; it holds nothing
+    return written;
+  }
   page_at_[frame] = pid;
   index_.TryEmplace(pid, frame);
   ++stats_->enqueues;
@@ -160,6 +164,15 @@ Status FrameStore::Clean(uint32_t frame) {
   return Status::OK();
 }
 
+Status FrameStore::CleanAll() {
+  std::vector<FlashOnlyPage> dirty;
+  CollectFlashOnlyDirty(&dirty);
+  for (const FlashOnlyPage& p : dirty) {
+    FACE_RETURN_IF_ERROR(Clean(FrameOf(p.page_id)));
+  }
+  return Status::OK();
+}
+
 void FrameStore::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
   const size_t base = out->size();
   for (uint32_t f = 0; f < n_frames(); ++f) {
@@ -212,12 +225,6 @@ void FrameStore::Clear() {
   dirty_count_ = 0;
   scrub_cursor_ = 0;
   delta_.DropAll();
-}
-
-Status FrameStore::Reset() {
-  Clear();
-  // Stale media records must never be confused with the new life's.
-  return delta_.Reset();
 }
 
 Status FrameStore::CheckInvariants() const {

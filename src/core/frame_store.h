@@ -13,11 +13,11 @@
 //     frames, base tag = frame index; slot-reuse consolidation rewrites the
 //     page's tip image into its frame in place;
 //   - the per-frame dirty flag and recLSN of write-back policies, behind
-//     CollectFlashOnlyDirty;
-//   - the scrub walk, the I/O-free clear (degrade) and the cold reset
-//     (restart, reattach).
+//     CollectFlashOnlyDirty and CleanAll;
+//   - the scrub walk and the I/O-free Clear behind every policy's Forget.
 // A policy keeps its replacement order and admission rule, with any state
-// of its own in vectors indexed by frame.
+// of its own in vectors indexed by frame; its Format is Forget plus a fresh
+// delta ring (delta().Reset()).
 #pragma once
 
 #include <cstdint>
@@ -69,7 +69,8 @@ class FrameStore {
   /// Pop a free frame, or kNoFrame when every frame holds a page.
   uint32_t TakeFree();
   /// Write `page` as `pid`'s full image into `frame` (from TakeFree), bind
-  /// it clean and start its chain. Returns the chain-tip version.
+  /// it clean and start its chain. Returns the chain-tip version. A failed
+  /// write hands the frame back to the free stack.
   StatusOr<uint64_t> Admit(PageId pid, uint32_t frame, const char* page);
   /// Unbind `frame`'s page, forget its chain and dirty state, and push the
   /// frame free. No I/O; counts an invalidation.
@@ -97,6 +98,10 @@ class FrameStore {
   void MarkDirty(uint32_t frame, Lsn rec_lsn);
   /// Stage dirty `frame`'s tip image out to disk and mark it clean.
   Status Clean(uint32_t frame);
+  /// Clean every dirty frame, in ascending page order: a volatile
+  /// write-back cache's checkpoint, so adjacent pages coalesce into
+  /// sequential disk writes and the order depends on the cached set alone.
+  Status CleanAll();
   /// Dirty pages with their recLSN, sorted by page id.
   void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const;
 
@@ -107,10 +112,8 @@ class FrameStore {
   /// dirty frames must tolerate a vanished page (a lazy victim order).
   Status ScrubSome(uint64_t max_frames, ScrubResult* out);
 
-  /// Forget every page and chain, every frame free; no I/O (degrade).
+  /// Forget every page and chain, every frame free; no I/O.
   void Clear();
-  /// Clear, then re-format the delta ring: a cold restart or reattach.
-  Status Reset();
 
   DeltaRing& delta() { return delta_; }
   /// Directory, reverse map, free stack, dirty count and chain bases agree.

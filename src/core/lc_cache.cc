@@ -79,18 +79,6 @@ Status LcCache::OnDramEvict(PageId page_id, char* page, bool dirty,
   return Status::OK();
 }
 
-Status LcCache::PrepareCheckpoint() {
-  // Ascending-page order: the checkpoint flush is deterministic in the
-  // cached set alone (not the directory's hash layout), and adjacent dirty
-  // pages coalesce into sequential disk writes.
-  std::vector<FlashOnlyPage> dirty;
-  store_.CollectFlashOnlyDirty(&dirty);
-  for (const FlashOnlyPage& p : dirty) {
-    FACE_RETURN_IF_ERROR(store_.Clean(store_.FrameOf(p.page_id)));
-  }
-  return Status::OK();
-}
-
 void LcCache::OnPageWrittenToDisk(PageId page_id) {
   // The disk copy just became current; a cached copy is stale now. Drop it
   // (an in-memory invalidation — no flash I/O); its heap key goes stale.
@@ -98,35 +86,16 @@ void LcCache::OnPageWrittenToDisk(PageId page_id) {
   if (frame != FrameStore::kNoFrame) store_.Release(frame);
 }
 
-Status LcCache::RecoverAfterCrash() {
-  // Directory was DRAM-only: all cached state is unreachable after a crash.
-  victim_order_.Clear();
-  cleaning_ = false;
-  return store_.Reset();
-}
-
-bool LcCache::HasBackgroundWork() const {
-  if (degraded_) return false;
-  const double dirty = DirtyFraction();
-  if (cleaning_) return dirty > options_.clean_target;
-  return dirty > options_.clean_threshold;
-}
-
-Status LcCache::EnterDegraded() {
-  // The flash device is gone: drop the DRAM directory without touching it.
-  // Callers needing the exposure set must CollectFlashOnlyDirty first.
-  degraded_ = true;
+void LcCache::Forget() {
   victim_order_.Clear();
   cleaning_ = false;
   store_.Clear();
-  return Status::OK();
 }
 
-Status LcCache::ReattachFlash() {
-  // A healthy erased device: cold start (which also re-formats the delta
-  // ring on the new media) and resume admissions.
-  degraded_ = false;
-  return RecoverAfterCrash();
+bool LcCache::HasBackgroundWork() const {
+  const double dirty = DirtyFraction();
+  if (cleaning_) return dirty > options_.clean_target;
+  return dirty > options_.clean_threshold;
 }
 
 Status LcCache::RunBackgroundWork() {

@@ -65,24 +65,27 @@ class LcCache final : public CacheExtension {
                      Lsn rec_lsn, DeltaWriteHint* hint = nullptr) override;
   /// Flush every flash-resident dirty page to disk: the flash cache is not
   /// persistent, so checkpoint completeness requires it (paper §2.3).
-  Status PrepareCheckpoint() override;
+  Status PrepareCheckpoint() override { return store_.CleanAll(); }
   void OnPageWrittenToDisk(PageId page_id) override;
-  /// The DRAM directory dies with the process: restart cold.
-  Status RecoverAfterCrash() override;
+  /// A fresh delta ring. The DRAM directory dies with the process, so a
+  /// restart is a Format too (the default RecoverAfterCrash).
+  Status Format() override {
+    Forget();
+    return store_.delta().Reset();
+  }
+  void Forget() override;
   Status RunBackgroundWork() override;
   bool HasBackgroundWork() const override;
   Status CheckInvariants() const override;
 
-  // Degraded mode / scrub (see cache_ext.h). LC's write-back window —
+  // Flash-loss exposure / scrub (see cache_ext.h). LC's write-back window —
   // flash-dirty pages between checkpoints — is the exposure a flash loss
   // creates; the frame store tracks each dirty page's recLSN.
-  Status EnterDegraded() override;
   void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override {
     store_.CollectFlashOnlyDirty(out);
   }
-  Status ReattachFlash() override;
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override {
-    return degraded_ ? Status::OK() : store_.ScrubSome(max_frames, out);
+    return store_.ScrubSome(max_frames, out);
   }
 
   // Introspection --------------------------------------------------------------

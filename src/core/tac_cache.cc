@@ -43,20 +43,21 @@ TacCache::TacCache(const TacOptions& options, SimDevice* flash,
   scratch_.resize(kPageSize);
 }
 
-void TacCache::ClearOrder() {
+void TacCache::Forget() {
   victim_order_.Clear();
   extent_temp_.Clear();
   clock_ = 0;
+  store_.Clear();
 }
 
 Status TacCache::Format() {
-  ClearOrder();
+  Forget();
   // Zero the whole directory region in one sequential write.
   std::string zeros(static_cast<size_t>(dir_blocks_) * kPageSize, '\0');
   FACE_RETURN_IF_ERROR(flash_->WriteBatch(
       0, static_cast<uint32_t>(dir_blocks_), zeros.data()));
   stats_.meta_flash_writes += dir_blocks_;
-  return store_.Reset();
+  return store_.delta().Reset();
 }
 
 uint64_t TacCache::Heat(PageId page_id) {
@@ -169,7 +170,7 @@ void TacCache::OnPageWrittenToDisk(PageId page_id) {
 }
 
 Status TacCache::RecoverAfterCrash() {
-  ClearOrder();
+  Forget();
 
   // One sequential sweep over the slot directory rebuilds the map.
   std::string dir(static_cast<size_t>(dir_blocks_) * kPageSize, '\0');
@@ -228,20 +229,6 @@ Status TacCache::RecoverAfterCrash() {
   }
   // Chains never outlive a restart; reclaim the ring wholesale.
   return store_.delta().Reset();
-}
-
-Status TacCache::EnterDegraded() {
-  // The device is dead: no invalidation writes, just forget everything.
-  degraded_ = true;
-  ClearOrder();
-  store_.Clear();
-  return Status::OK();
-}
-
-Status TacCache::ReattachFlash() {
-  // A healthy erased device: rewrite the persistent directory from scratch.
-  degraded_ = false;
-  return Format();
 }
 
 Status TacCache::CheckInvariants() const {

@@ -65,10 +65,12 @@ class TacCache final : public CacheExtension {
   /// `flash` must have at least DeviceBlocksFor(n_frames) blocks.
   TacCache(const TacOptions& options, SimDevice* flash, DbStorage* storage);
 
-  /// Initialize an empty persistent directory on a fresh device.
-  Status Format();
-
   // CacheExtension interface --------------------------------------------------
+  /// An empty persistent slot directory and a fresh delta ring.
+  Status Format() override;
+  /// Forget the map, temperatures and victim order (no invalidation
+  /// writes: a dead device gets none).
+  void Forget() override;
   const char* name() const override { return "TAC"; }
   bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
@@ -90,14 +92,10 @@ class TacCache final : public CacheExtension {
   Status RecoverAfterCrash() override;
   Status CheckInvariants() const override;
 
-  // Degraded mode / scrub (see cache_ext.h). Write-through means flash
-  // never outruns disk: degradation drops only the in-memory map (the dead
-  // device gets no invalidation writes), and every rotten frame is
-  // repairable from disk — lost_dirty stays empty.
-  Status EnterDegraded() override;
-  Status ReattachFlash() override;
+  /// Write-through means flash never outruns disk: every rotten frame is
+  /// repairable from disk, and lost_dirty stays empty.
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override {
-    return degraded_ ? Status::OK() : store_.ScrubSome(max_frames, out);
+    return store_.ScrubSome(max_frames, out);
   }
 
   // Introspection --------------------------------------------------------------
@@ -140,8 +138,6 @@ class TacCache final : public CacheExtension {
   Status WriteDirEntry(uint32_t slot, PageId page_id, bool occupied);
   /// Release `slot` and persist the invalidation.
   Status Invalidate(uint32_t slot);
-  /// Forget the replacement state (the store is reset separately).
-  void ClearOrder();
 
   TacOptions options_;
   uint64_t dir_blocks_;

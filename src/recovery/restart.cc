@@ -228,7 +228,7 @@ Status RestartManager::RunPhases(RestartReport* report) {
 
 Status RestartManager::RestoreCacheMetadata(const WalControlInfo& ctrl) {
   if (ctrl.degraded) {
-    cache_->MarkDegradedAtRestart();
+    cache_->EnterDegraded();  // the (possibly replaced) flash is untrusted
     return Status::OK();
   }
   FACE_RETURN_IF_ERROR(cache_->RecoverAfterCrash());

@@ -34,6 +34,7 @@ RunResult MergeRunResults(const std::vector<RunResult>& per_shard,
     AddCounters(&merged.log_stats, r.log_stats, kDeviceCounters);
     AddCounters(&merged.cache_stats, r.cache_stats, kCacheCounters);
     AddCounters(&merged.pool_stats, r.pool_stats, kPoolCounters);
+    AddCounters(&merged.fault, r.fault, kFaultCounters);
     merged.completions.insert(merged.completions.end(), r.completions.begin(),
                               r.completions.end());
   }

@@ -137,20 +137,6 @@ Testbed::~Testbed() {
   if (obs::virtual_clock() == &sched_) obs::SetVirtualClock(nullptr);
 }
 
-workload::TpccDriver* Testbed::tpcc_driver() {
-  return dynamic_cast<workload::TpccDriver*>(workload_.get());
-}
-
-tpcc::Workload* Testbed::tpcc_workload() {
-  workload::TpccDriver* driver = tpcc_driver();
-  return driver != nullptr ? driver->inner() : nullptr;
-}
-
-tpcc::Tables* Testbed::tables() {
-  workload::TpccDriver* driver = tpcc_driver();
-  return driver != nullptr ? driver->tables() : nullptr;
-}
-
 uint32_t Testbed::EffectiveSegEntries() const {
   if (opts_.seg_entries != 0) return opts_.seg_entries;
   // One 4 KB metadata block per segment, never more than half the frames
@@ -224,13 +210,7 @@ Status Testbed::BuildDramStack(bool after_crash) {
   storage_ = std::make_unique<DbStorage>(db_dev_.get());
   log_ = std::make_unique<LogManager>(log_dev_.get());
   FACE_ASSIGN_OR_RETURN(cache_, MakeCache());
-  if (!after_crash) {
-    if (auto* fc = dynamic_cast<FaceCache*>(cache_.get())) {
-      FACE_RETURN_IF_ERROR(fc->Format());
-    } else if (auto* tc = dynamic_cast<TacCache*>(cache_.get())) {
-      FACE_RETURN_IF_ERROR(tc->Format());
-    }
-  }
+  if (!after_crash) FACE_RETURN_IF_ERROR(cache_->Format());
   DatabaseOptions db_opts;
   db_opts.buffer_frames = buffer_frames_;
   db_ = std::make_unique<Database>(db_opts, storage_.get(), log_.get(),
@@ -307,12 +287,7 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
     ~SinkGuard() { pool->set_trace_sink(nullptr); }
   } sink_guard{db_->pool()};
 
-  const uint64_t deg0 = degradations_;
-  const uint64_t degtxn0 = degraded_txns_;
-  const SimNanos degns0 = DegradedNanos();
-  const uint64_t scrub_fr0 = scrub_frames_scanned_;
-  const uint64_t scrub_cr0 = scrub_clean_repaired_;
-  const uint64_t scrub_ld0 = scrub_lost_dirty_;
+  const FaultTelemetry fault0 = Telemetry();
 
   const bool obs_on = obs::Enabled();
   for (uint64_t i = 0; i < run.txns; ++i) {
@@ -331,7 +306,7 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
       continue;
     }
     const SimNanos done = sched_.EndTxn();
-    if (cache_->degraded()) ++degraded_txns_;
+    if (cache_->degraded()) ++fault_.degraded_txns;
     if (run.collect_completions) result.completions.emplace_back(done, *type);
     if (obs_on && *type < txn_lat_.size()) {
       txn_lat_[*type]->Add(done - t_begin);
@@ -363,19 +338,13 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
   result.user_aborts = workload_->stats().user_aborts - ab0;
   result.duration = sched_.makespan() - start;
 
-  result.degradations = degradations_ - deg0;
-  result.degraded_txns = degraded_txns_ - degtxn0;
-  result.degraded_ns = DegradedNanos() - degns0;
-  result.scrub_frames_scanned = scrub_frames_scanned_ - scrub_fr0;
-  result.scrub_clean_repaired = scrub_clean_repaired_ - scrub_cr0;
-  result.scrub_lost_dirty = scrub_lost_dirty_ - scrub_ld0;
-
-  // Device, cache and pool counters are cumulative; report run-relative
-  // deltas, walking each struct's one field list.
+  // Device, cache, pool and fault counters are cumulative; report
+  // run-relative deltas, walking each struct's one field list.
   auto delta = [](auto now, const auto& then, const auto& fields) {
     for (auto f : fields) now.*f -= then.*f;
     return now;
   };
+  result.fault = delta(Telemetry(), fault0, kFaultCounters);
   result.db_stats = delta(db_dev_->stats(), db0, kDeviceCounters);
   result.log_stats = delta(log_dev_->stats(), log0, kDeviceCounters);
   if (flash_dev_ != nullptr) {
@@ -408,14 +377,9 @@ void Testbed::ResetAllStats() {
   workload_->ResetStats();
   last_ckpt_time_ = 0;
   last_scrub_time_ = 0;
-  degradations_ = 0;
-  degraded_txns_ = 0;
-  degraded_accum_ = 0;
+  fault_ = FaultTelemetry();
   // The clock was just zeroed; an open degraded window restarts at 0.
   degraded_since_ = 0;
-  scrub_frames_scanned_ = 0;
-  scrub_clean_repaired_ = 0;
-  scrub_lost_dirty_ = 0;
 }
 
 Status Testbed::Warmup(uint64_t txns) {
@@ -484,12 +448,12 @@ Status Testbed::ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
   return Status::OK();
 }
 
-SimNanos Testbed::DegradedNanos() const {
-  SimNanos total = degraded_accum_;
+FaultTelemetry Testbed::Telemetry() const {
+  FaultTelemetry t = fault_;
   if (cache_ != nullptr && cache_->degraded()) {
-    total += sched_.makespan() - degraded_since_;
+    t.degraded_ns += sched_.makespan() - degraded_since_;
   }
-  return total;
+  return t;
 }
 
 StatusOr<bool> Testbed::InterceptFlashLoss(const Status& s) {
@@ -516,7 +480,7 @@ Status Testbed::DegradeToDiskOnly() {
 
     // 2. Stop using flash: drop all cache state without touching the dead
     //    device. From here the buffer pool treats the policy as NullCache.
-    FACE_RETURN_IF_ERROR(cache_->EnterDegraded());
+    cache_->EnterDegraded();
 
     // 3. Durable degraded marker + rebuild floor BEFORE reconstructing
     //    anything: a crash from here on restarts disk-only and redoes from
@@ -559,7 +523,7 @@ Status Testbed::DegradeToDiskOnly() {
   }();
   sched_.EndBackground();
   FACE_RETURN_IF_ERROR(body);
-  ++degradations_;
+  ++fault_.degradations;
   degraded_since_ = sched_.makespan();
   last_ckpt_time_ = sched_.now();
   if (obs::Enabled()) {
@@ -592,7 +556,7 @@ Status Testbed::ReattachFlash() {
   }();
   sched_.EndBackground();
   FACE_RETURN_IF_ERROR(body);
-  degraded_accum_ += sched_.makespan() - degraded_since_;
+  fault_.degraded_ns += sched_.makespan() - degraded_since_;
   degraded_since_ = 0;
   if (obs::Enabled()) GetFaultObs().degraded->Set(0);
   return Status::OK();
@@ -606,10 +570,10 @@ StatusOr<ScrubResult> Testbed::ScrubPass(uint64_t max_frames) {
   const Status s = cache_->ScrubSome(max_frames, &res);
   sched_.EndBackground();
   // The scrub itself may be what exhausts a dying device's retry budget.
-  FACE_ASSIGN_OR_RETURN(const bool degraded_now, InterceptFlashLoss(s));
-  scrub_frames_scanned_ += res.frames_scanned;
-  scrub_clean_repaired_ += res.clean_repaired;
-  scrub_lost_dirty_ += res.lost_dirty.size();
+  FACE_RETURN_IF_ERROR(InterceptFlashLoss(s).status());
+  fault_.scrub_frames_scanned += res.frames_scanned;
+  fault_.scrub_clean_repaired += res.clean_repaired;
+  fault_.scrub_lost_dirty += res.lost_dirty.size();
   if (obs::Enabled()) {
     FaultObs& fo = GetFaultObs();
     fo.scrub_frames_scanned->Add(res.frames_scanned);
@@ -618,10 +582,9 @@ StatusOr<ScrubResult> Testbed::ScrubPass(uint64_t max_frames) {
   }
   // A rotten dirty frame lost the page's newest version: rebuild it from
   // the WAL right away, before anything reads the stale disk copy. This
-  // runs even if the pass itself exhausted the device (degraded_now) —
-  // the scrub already erased these pages from the policy's ledger, so the
+  // runs even if the pass itself exhausted the device and degraded — the
+  // scrub already erased these pages from the policy's ledger, so the
   // degrade-path rebuild cannot have covered them.
-  (void)degraded_now;
   if (!res.lost_dirty.empty()) {
     sched_.BeginBackground(recovery_token_, sched_.now());
     auto body = [&]() -> Status {

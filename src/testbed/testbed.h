@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,15 +36,12 @@
 #include "sim/scheduler.h"
 #include "sim/sim_device.h"
 #include "storage/db_storage.h"
-#include "tpcc/tables.h"
-#include "tpcc/workload.h"
 #include "wal/log_manager.h"
 #include "workload/workload.h"
 
 namespace face {
 
 namespace workload {
-class TpccDriver;
 class TraceRecorder;
 }  // namespace workload
 
@@ -141,6 +139,30 @@ struct RunOptions {
   bool collect_completions = false;
 };
 
+/// The flash-loss supervisor's and the scrubber's counters (all zero on a
+/// healthy run).
+struct FaultTelemetry {
+  uint64_t degradations = 0;    ///< flash-loss events the supervisor handled
+  uint64_t degraded_txns = 0;   ///< transactions served while disk-only
+  SimNanos degraded_ns = 0;     ///< virtual time spent in degraded mode
+  uint64_t scrub_frames_scanned = 0;
+  uint64_t scrub_clean_repaired = 0;
+  uint64_t scrub_lost_dirty = 0;  ///< rotten dirty frames rebuilt from WAL
+};
+
+/// Every FaultTelemetry counter, the one field list that run deltas and
+/// shard merges walk.
+inline constexpr uint64_t FaultTelemetry::*kFaultCounters[] = {
+    &FaultTelemetry::degradations,
+    &FaultTelemetry::degraded_txns,
+    &FaultTelemetry::degraded_ns,
+    &FaultTelemetry::scrub_frames_scanned,
+    &FaultTelemetry::scrub_clean_repaired,
+    &FaultTelemetry::scrub_lost_dirty};
+static_assert(sizeof(FaultTelemetry) ==
+                  std::size(kFaultCounters) * sizeof(uint64_t),
+              "kFaultCounters must list every FaultTelemetry field");
+
 /// Everything one run measured. Counter fields are deltas over the run.
 struct RunResult {
   uint64_t txns = 0;
@@ -160,13 +182,8 @@ struct RunResult {
   /// collected).
   std::vector<std::pair<SimNanos, uint8_t>> completions;
 
-  // Fault-tolerance telemetry of this run (zero on a healthy run).
-  uint64_t degradations = 0;    ///< flash-loss events the supervisor handled
-  uint64_t degraded_txns = 0;   ///< transactions served while disk-only
-  SimNanos degraded_ns = 0;     ///< virtual time spent in degraded mode
-  uint64_t scrub_frames_scanned = 0;
-  uint64_t scrub_clean_repaired = 0;
-  uint64_t scrub_lost_dirty = 0;  ///< rotten dirty frames rebuilt from WAL
+  /// Fault-tolerance telemetry of this run.
+  FaultTelemetry fault;
 
   /// All transactions per virtual minute.
   double Tpm() const {
@@ -258,8 +275,6 @@ class Testbed {
 
   /// True while serving disk-only after a flash loss.
   bool IsDegraded() const { return cache_ != nullptr && cache_->degraded(); }
-  /// Flash-loss events handled since the last stats reset.
-  uint64_t degradations() const { return degradations_; }
   /// Report of the most recent WAL-driven flash rebuild.
   const FlashRebuildReport& last_rebuild() const { return last_rebuild_; }
 
@@ -272,12 +287,9 @@ class Testbed {
 
   // --- accessors ---------------------------------------------------------------
   Database* db() { return db_.get(); }
-  /// The bound workload driver (valid after Start).
+  /// The bound workload driver (valid after Start). Tests that need a
+  /// driver's internals (TPC-C's tables, YCSB's key space) cast it.
   workload::Workload* workload() { return workload_.get(); }
-  /// TPC-C internals, when the bound workload is the TPC-C driver (null
-  /// otherwise) — legacy surface for TPC-C-specific tests and tools.
-  tpcc::Workload* tpcc_workload();
-  tpcc::Tables* tables();
   IoScheduler* sched() { return &sched_; }
   SimDevice* db_dev() { return db_dev_.get(); }
   SimDevice* flash_dev() { return flash_dev_.get(); }
@@ -308,8 +320,6 @@ class Testbed {
   /// Flash device blocks the policy needs for `flash_pages` cache pages.
   uint64_t FlashDeviceBlocks() const;
   uint32_t EffectiveSegEntries() const;
-  /// The TPC-C adapter behind workload_, or null.
-  workload::TpccDriver* tpcc_driver();
   /// Run the checkpointer / lazy cleaner on their background tokens.
   Status RunBackgroundWork();
   void ResetAllStats();
@@ -317,8 +327,8 @@ class Testbed {
   /// loss and the system degraded to disk-only (caller continues); false =
   /// `s` was OK; any other error propagates unchanged.
   StatusOr<bool> InterceptFlashLoss(const Status& s);
-  /// Virtual time spent degraded so far (closed windows + the open one).
-  SimNanos DegradedNanos() const;
+  /// Fault telemetry so far, the open degraded window included.
+  FaultTelemetry Telemetry() const;
 
   TestbedOptions opts_;
   const GoldenImage* golden_;
@@ -348,13 +358,9 @@ class Testbed {
   std::function<Status()> mid_degrade_hook_;
   FlashRebuildReport last_rebuild_;
   SimNanos last_scrub_time_ = 0;
-  uint64_t degradations_ = 0;
-  uint64_t degraded_txns_ = 0;
+  /// Since the last stats reset; degraded_ns sums the closed windows.
+  FaultTelemetry fault_;
   SimNanos degraded_since_ = 0;  ///< start of the open degraded window
-  SimNanos degraded_accum_ = 0;  ///< closed degraded windows, summed
-  uint64_t scrub_frames_scanned_ = 0;
-  uint64_t scrub_clean_repaired_ = 0;
-  uint64_t scrub_lost_dirty_ = 0;
 };
 
 }  // namespace face

@@ -1,6 +1,7 @@
 #include "tpcc/workload.h"
 
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "tpcc/schema.h"
@@ -26,7 +27,18 @@ StatusOr<Rid> Workload::LookupRid(const BPlusTree& index,
   return DecodeRid(rid_buf_);
 }
 
-StatusOr<TxnType> Workload::RunOne() {
+Status Workload::Setup(Database& db, uint64_t seed) {
+  FACE_ASSIGN_OR_RETURN(Tables t, Tables::Open(&db));
+  db_ = &db;
+  t_ = std::make_unique<Tables>(std::move(t));
+  rnd_ = TpccRandom(seed);
+  date_counter_ = 1000;
+  return Status::OK();
+}
+
+StatusOr<uint8_t> Workload::NextTxn(Database& db, Random& rnd) {
+  (void)db;
+  (void)rnd;
   Random& r = rnd_.rng();
   const uint32_t w_id =
       static_cast<uint32_t>(r.UniformRange(1, config_.warehouses));
@@ -55,8 +67,30 @@ StatusOr<TxnType> Workload::RunOne() {
     s = StockLevel(w_id, d_id);
   }
   if (!s.ok()) return s;
-  ++stats_.completed[static_cast<int>(type)];
-  return type;
+  const uint8_t idx = static_cast<uint8_t>(type);
+  RecordCompleted(idx, /*primary=*/type == TxnType::kNewOrder);
+  return idx;
+}
+
+Status Workload::InjectStranded(Database& db, Random& rnd) {
+  const TxnId txn = db.Begin();
+  PageWriter w = db.Writer(txn);
+  // A Payment-shaped update set, left uncommitted.
+  const uint32_t w_id =
+      static_cast<uint32_t>(rnd.UniformRange(1, config_.warehouses));
+  const uint32_t d_id =
+      static_cast<uint32_t>(rnd.UniformRange(1, kDistrictsPerWarehouse));
+  const uint32_t c_id =
+      static_cast<uint32_t>(rnd.UniformRange(1, kCustomersPerDistrict));
+  std::string value, row;
+  FACE_RETURN_IF_ERROR(
+      t_->pk_customer.Get(CustomerKey(w_id, d_id, c_id), &value));
+  const Rid rid = DecodeRid(value);
+  FACE_RETURN_IF_ERROR(t_->customer.Read(rid, &row));
+  CustomerRowView customer = CustomerRowView::Decode(row);
+  customer.c_balance -= 12345;
+  customer.c_payment_cnt += 1;
+  return t_->customer.Update(&w, rid, customer.Encode());
 }
 
 // --- New-Order (§2.4) ---------------------------------------------------------

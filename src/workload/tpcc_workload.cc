@@ -1,58 +1,9 @@
 #include "workload/tpcc_workload.h"
 
-#include "tpcc/schema.h"
+#include "tpcc/loader.h"
 
 namespace face {
 namespace workload {
-
-Status TpccDriver::Setup(Database& db, uint64_t seed) {
-  FACE_ASSIGN_OR_RETURN(tpcc::Tables t, tpcc::Tables::Open(&db));
-  tables_ = std::make_unique<tpcc::Tables>(std::move(t));
-  tpcc::WorkloadConfig config = config_;
-  config.seed = seed;
-  inner_ = std::make_unique<tpcc::Workload>(&db, tables_.get(), config);
-  inner_aborts_seen_ = 0;
-  return Status::OK();
-}
-
-StatusOr<uint8_t> TpccDriver::NextTxn(Database& db, Random& rnd) {
-  (void)db;
-  (void)rnd;  // TPC-C keeps its own NURand generator state, seeded at Setup
-  FACE_ASSIGN_OR_RETURN(const tpcc::TxnType type, inner_->RunOne());
-  const uint8_t idx = static_cast<uint8_t>(type);
-  RecordCompleted(idx, /*primary=*/type == tpcc::TxnType::kNewOrder);
-  stats_.user_aborts +=
-      inner_->stats().user_aborts - inner_aborts_seen_;
-  inner_aborts_seen_ = inner_->stats().user_aborts;
-  return idx;
-}
-
-Status TpccDriver::InjectStranded(Database& db, Random& rnd) {
-  const TxnId txn = db.Begin();
-  PageWriter w = db.Writer(txn);
-  // A Payment-shaped update set, left uncommitted.
-  const uint32_t w_id =
-      static_cast<uint32_t>(rnd.UniformRange(1, config_.warehouses));
-  const uint32_t d_id = static_cast<uint32_t>(
-      rnd.UniformRange(1, tpcc::kDistrictsPerWarehouse));
-  const uint32_t c_id = static_cast<uint32_t>(
-      rnd.UniformRange(1, tpcc::kCustomersPerDistrict));
-  std::string value, row;
-  FACE_RETURN_IF_ERROR(
-      tables_->pk_customer.Get(tpcc::CustomerKey(w_id, d_id, c_id), &value));
-  const Rid rid = tpcc::DecodeRid(value);
-  FACE_RETURN_IF_ERROR(tables_->customer.Read(rid, &row));
-  tpcc::CustomerRowView customer = tpcc::CustomerRowView::Decode(row);
-  customer.c_balance -= 12345;
-  customer.c_payment_cnt += 1;
-  return tables_->customer.Update(&w, rid, customer.Encode());
-}
-
-void TpccDriver::ResetStats() {
-  Workload::ResetStats();
-  if (inner_ != nullptr) inner_->ResetStats();
-  inner_aborts_seen_ = 0;
-}
 
 Status TpccFactory::Load(Database& db, uint64_t seed) const {
   tpcc::LoadConfig load;

@@ -9,8 +9,8 @@
 //   workload->Setup(db, seed)   per clone / after each recovery
 //   workload->NextTxn(db, rnd)  per transaction, begin..commit inclusive
 //
-// Concrete drivers: TpccDriver (the paper's workload, now just the default
-// implementation), YcsbWorkload (uniform/Zipfian/latest mixes over one KV
+// Concrete drivers: tpcc::Workload (the paper's workload, and the default;
+// tpcc/workload.h), YcsbWorkload (uniform/Zipfian/latest mixes over one KV
 // table), ScanHeavyWorkload (cache-polluting range scans), and
 // TraceWorkload (deterministic replay of a recorded page-access stream).
 #pragma once

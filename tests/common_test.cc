@@ -1,4 +1,4 @@
-// Unit tests: Status/StatusOr, coding, CRC32-C, Slice, randoms, histogram.
+// Unit tests: Status/StatusOr, coding, CRC32-C, randoms, histogram.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,7 +9,6 @@
 #include "common/crc32c.h"
 #include "common/histogram.h"
 #include "common/random.h"
-#include "common/slice.h"
 #include "common/status.h"
 #include "tests/test_util.h"
 
@@ -215,19 +214,6 @@ TEST(TpccRandomTest, LastNameSyllables) {
   EXPECT_EQ(TpccRandom::LastName(0), "BARBARBAR");
   EXPECT_EQ(TpccRandom::LastName(371), "PRICALLYOUGHT");
   EXPECT_EQ(TpccRandom::LastName(999), "EINGEINGEING");
-}
-
-TEST(SliceTest, BasicViews) {
-  const std::string s = "abcdef";
-  Slice sl(s);
-  EXPECT_EQ(sl.size(), 6u);
-  EXPECT_EQ(sl.ToString(), "abcdef");
-  sl.RemovePrefix(2);
-  EXPECT_EQ(sl.ToString(), "cdef");
-  EXPECT_EQ(sl[0], 'c');
-  EXPECT_TRUE(Slice("abcdef").StartsWith(Slice("abc")));
-  EXPECT_LT(Slice("abc").Compare(Slice("abd")), 0);
-  EXPECT_TRUE(Slice("x") == Slice("x"));
 }
 
 TEST(HistogramTest, PercentilesAndMean) {

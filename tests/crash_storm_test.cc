@@ -314,9 +314,9 @@ using DegradedFingerprint = std::vector<uint64_t>;
 
 DegradedFingerprint FingerprintOf(const RunResult& r, const Testbed& tb) {
   return DegradedFingerprint{r.txns,
-                             r.degradations,
-                             r.degraded_txns,
-                             static_cast<uint64_t>(r.degraded_ns),
+                             r.fault.degradations,
+                             r.fault.degraded_txns,
+                             static_cast<uint64_t>(r.fault.degraded_ns),
                              static_cast<uint64_t>(r.duration),
                              r.db_stats.total_pages(),
                              r.log_stats.total_pages(),
@@ -355,9 +355,9 @@ void RunFlashLossScenario(CachePolicy policy, uint64_t seed,
   FACE_ASSERT_OK_AND_ASSIGN(RunResult res, tb.Run(body));
   ASSERT_TRUE(tb.IsDegraded())
       << CachePolicyName(policy) << ": no flash fault fired in 500 txns";
-  EXPECT_EQ(res.degradations, 1u);
-  EXPECT_GT(res.degraded_txns, 0u);
-  EXPECT_GT(res.degraded_ns, 0);
+  EXPECT_EQ(res.fault.degradations, 1u);
+  EXPECT_GT(res.fault.degraded_txns, 0u);
+  EXPECT_GT(res.fault.degraded_ns, 0);
   EXPECT_GT(res.flash_stats.retries, 0u);  // the budget was actually spent
   EXPECT_EQ(res.txns, body.txns);          // traffic kept flowing throughout
 
@@ -368,7 +368,7 @@ void RunFlashLossScenario(CachePolicy policy, uint64_t seed,
   RunOptions after;
   after.txns = 100;
   FACE_ASSERT_OK_AND_ASSIGN(RunResult res2, tb.Run(after));
-  EXPECT_EQ(res2.degraded_txns, res2.txns);
+  EXPECT_EQ(res2.fault.degraded_txns, res2.txns);
   EXPECT_EQ(res2.flash_stats.total_pages(), 0u);
   rig.CheckDiff("post-degradation service");
 }
@@ -427,7 +427,7 @@ TEST(DegradedModeTest, CrashWhileDegradedRecoversDiskOnly) {
     RunOptions after;
     after.txns = 100;
     FACE_ASSERT_OK_AND_ASSIGN(RunResult res, tb.Run(after));
-    EXPECT_EQ(res.degraded_txns, res.txns);
+    EXPECT_EQ(res.fault.degraded_txns, res.txns);
     rig.CheckDiff("post-restart degraded service");
   }
 }
@@ -467,7 +467,7 @@ TEST(DegradedModeTest, CrashDuringFlashRebuildRecoversFromTheFloor) {
   RunOptions after;
   after.txns = 100;
   FACE_ASSERT_OK_AND_ASSIGN(RunResult after_res, tb.Run(after));
-  EXPECT_EQ(after_res.degraded_txns, after_res.txns);
+  EXPECT_EQ(after_res.fault.degraded_txns, after_res.txns);
   rig.CheckDiff("post-rebuild-crash service");
 }
 
@@ -545,9 +545,9 @@ TEST(DegradedModeTest, BackgroundScrubberWalksIdleFramesInVirtualTime) {
   RunOptions body;
   body.txns = 500;
   FACE_ASSERT_OK_AND_ASSIGN(RunResult res, tb.Run(body));
-  EXPECT_GT(res.scrub_frames_scanned, 0u) << "the scrubber never ran";
-  EXPECT_EQ(res.scrub_clean_repaired, 0u);
-  EXPECT_EQ(res.scrub_lost_dirty, 0u);
+  EXPECT_GT(res.fault.scrub_frames_scanned, 0u) << "the scrubber never ran";
+  EXPECT_EQ(res.fault.scrub_clean_repaired, 0u);
+  EXPECT_EQ(res.fault.scrub_lost_dirty, 0u);
   rig.CheckDiff("background scrub");
 }
 
@@ -576,7 +576,7 @@ TEST(DegradedModeTest, ReattachedFlashRewarmsThroughNormalAdmission) {
   RunOptions rewarm;
   rewarm.txns = 300;
   FACE_ASSERT_OK_AND_ASSIGN(RunResult res, tb.Run(rewarm));
-  EXPECT_EQ(res.degraded_txns, 0u);
+  EXPECT_EQ(res.fault.degraded_txns, 0u);
   EXPECT_GT(res.flash_stats.pages_written, 0u)
       << "nothing was admitted — the cache never re-warmed";
   rig.CheckDiff("re-attached flash");
@@ -624,19 +624,25 @@ TEST(DegradedModeTest, ShardedStormFaultsOneShardOnly) {
   RunOptions run;
   run.txns = 300;
   std::vector<RunResult> per_shard;
-  FACE_ASSERT_OK(st.Run(run, &per_shard).status());
+  FACE_ASSERT_OK_AND_ASSIGN(const RunResult merged, st.Run(run, &per_shard));
 
   ASSERT_EQ(per_shard.size(), 2u);
-  EXPECT_EQ(per_shard[0].degradations, 1u);
+  EXPECT_EQ(per_shard[0].fault.degradations, 1u);
   EXPECT_TRUE(st.testbed(0)->IsDegraded());
   EXPECT_GT(per_shard[0].flash_stats.retries, 0u);
 
-  EXPECT_EQ(per_shard[1].degradations, 0u);
+  EXPECT_EQ(per_shard[1].fault.degradations, 0u);
   EXPECT_FALSE(st.testbed(1)->IsDegraded());
   EXPECT_EQ(per_shard[1].flash_stats.retries, 0u);
   EXPECT_EQ(inj.transient_failures_on("db"), 0u);
   EXPECT_GT(per_shard[1].cache_stats.hits, 0u)
       << "the healthy shard's cache stopped serving";
+
+  // The merged result reports the faulted shard's degradation.
+  EXPECT_EQ(merged.fault.degradations, 1u);
+  EXPECT_EQ(merged.fault.degraded_txns, per_shard[0].fault.degraded_txns);
+  EXPECT_GT(merged.fault.degraded_txns, 0u);
+  EXPECT_EQ(merged.fault.degraded_ns, per_shard[0].fault.degraded_ns);
 }
 
 }  // namespace

@@ -386,7 +386,9 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
   // handful of them left the pool Busy with nothing pinned. FaCE+GR stages
   // four admissions per group write, so only every fourth one fails; its
   // failed flush used to leave the staging arena full, and the next
-  // admission wrote past the arena's end.
+  // admission wrote past the arena's end. TAC's failed admission write used
+  // to keep the flash frame it popped off the free stack, so one failure per
+  // flash frame left no frame to admit into.
   enum class Config { kFace, kFaceGR, kTac };
   for (const Config config : {Config::kFace, Config::kFaceGR, Config::kTac}) {
     SCOPED_TRACE(config == Config::kFace     ? "FaCE"
@@ -420,8 +422,8 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
       cache = std::move(c);
     }
     // Pages fetched while every flash write fails: FaCE+GR needs more of
-    // them to fail capacity() admissions.
-    const PageId failing = config == Config::kFaceGR ? 64 : 32;
+    // them to fail capacity() admissions, TAC one per flash frame.
+    const PageId failing = config == Config::kFace ? 32 : 64;
     std::string page(kPageSize, '\0');
     for (PageId pid = 0; pid < failing + 8; ++pid) {
       PageView(page.data()).Format(pid);

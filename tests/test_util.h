@@ -117,9 +117,7 @@ class TimedEngineFixture : public ::testing::Test {
     recovery_token_ = sched_.AddBackgroundToken();
     BuildStack(buffer_frames);
     FACE_ASSERT_OK(db_->Format());
-    if (face_frames_ > 0) {
-      FACE_ASSERT_OK(static_cast<FaceCache*>(cache_.get())->Format());
-    }
+    FACE_ASSERT_OK(cache_->Format());
   }
 
   /// Init with a FaCE cache of `flash_frames` frames.

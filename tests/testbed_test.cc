@@ -8,9 +8,15 @@
 #include "core/face_cache.h"
 #include "tests/test_util.h"
 #include "tpcc/schema.h"
+#include "tpcc/workload.h"
 
 namespace face {
 namespace {
+
+/// The tables of `tb`'s TPC-C driver (the shared golden image's workload).
+tpcc::Tables& TablesOf(Testbed& tb) {
+  return *static_cast<tpcc::Workload*>(tb.workload())->tables();
+}
 
 TestbedOptions BaseOptions(CachePolicy policy) {
   const GoldenImage& golden = SharedGolden();
@@ -156,20 +162,20 @@ TEST(TestbedTest, CrashLosesNothingCommitted) {
   PageWriter w = db->Writer(txn);
   std::string value, row;
   FACE_ASSERT_OK(
-      tb.tables()->pk_customer.Get(tpcc::CustomerKey(1, 1, 1), &value));
+      TablesOf(tb).pk_customer.Get(tpcc::CustomerKey(1, 1, 1), &value));
   const Rid rid = tpcc::DecodeRid(value);
-  FACE_ASSERT_OK(tb.tables()->customer.Read(rid, &row));
+  FACE_ASSERT_OK(TablesOf(tb).customer.Read(rid, &row));
   tpcc::CustomerRow customer = tpcc::CustomerRow::Decode(row);
   customer.c_balance = 987654321;
-  FACE_ASSERT_OK(tb.tables()->customer.Update(&w, rid, customer.Encode()));
+  FACE_ASSERT_OK(TablesOf(tb).customer.Update(&w, rid, customer.Encode()));
   FACE_ASSERT_OK(db->Commit(txn));
 
   FACE_ASSERT_OK(tb.Crash());
   FACE_ASSERT_OK(tb.Recover().status());
 
   FACE_ASSERT_OK(
-      tb.tables()->pk_customer.Get(tpcc::CustomerKey(1, 1, 1), &value));
-  FACE_ASSERT_OK(tb.tables()->customer.Read(tpcc::DecodeRid(value), &row));
+      TablesOf(tb).pk_customer.Get(tpcc::CustomerKey(1, 1, 1), &value));
+  FACE_ASSERT_OK(TablesOf(tb).customer.Read(tpcc::DecodeRid(value), &row));
   EXPECT_EQ(tpcc::CustomerRow::Decode(row).c_balance, 987654321);
 }
 
@@ -179,9 +185,9 @@ TEST(TestbedTest, UncommittedWorkIsRolledBack) {
 
   std::string value, row;
   FACE_ASSERT_OK(
-      tb.tables()->pk_customer.Get(tpcc::CustomerKey(1, 2, 7), &value));
+      TablesOf(tb).pk_customer.Get(tpcc::CustomerKey(1, 2, 7), &value));
   const Rid rid = tpcc::DecodeRid(value);
-  FACE_ASSERT_OK(tb.tables()->customer.Read(rid, &row));
+  FACE_ASSERT_OK(TablesOf(tb).customer.Read(rid, &row));
   const int64_t balance_before = tpcc::CustomerRow::Decode(row).c_balance;
 
   // Uncommitted update, then force it through to persistent storage via a
@@ -191,14 +197,14 @@ TEST(TestbedTest, UncommittedWorkIsRolledBack) {
   PageWriter w = db->Writer(txn);
   tpcc::CustomerRow customer = tpcc::CustomerRow::Decode(row);
   customer.c_balance = -42424242;
-  FACE_ASSERT_OK(tb.tables()->customer.Update(&w, rid, customer.Encode()));
+  FACE_ASSERT_OK(TablesOf(tb).customer.Update(&w, rid, customer.Encode()));
   FACE_ASSERT_OK(db->TakeCheckpoint().status());
 
   FACE_ASSERT_OK(tb.Crash());
   FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, tb.Recover());
   EXPECT_EQ(report.losers, 1u);
 
-  FACE_ASSERT_OK(tb.tables()->customer.Read(rid, &row));
+  FACE_ASSERT_OK(TablesOf(tb).customer.Read(rid, &row));
   EXPECT_EQ(tpcc::CustomerRow::Decode(row).c_balance, balance_before);
 }
 

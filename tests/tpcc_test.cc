@@ -93,6 +93,8 @@ class TpccSystemTest : public ::testing::Test {
     opts.clients = 4;
     tb_ = std::make_unique<Testbed>(opts, &SharedGolden());
     FACE_ASSERT_OK(tb_->Start());
+    wl_ = dynamic_cast<Workload*>(tb_->workload());
+    ASSERT_NE(wl_, nullptr) << "the shared golden image drives TPC-C";
   }
 
   /// Sum a per-row value over a full table scan.
@@ -105,10 +107,11 @@ class TpccSystemTest : public ::testing::Test {
   }
 
   std::unique_ptr<Testbed> tb_;
+  Workload* wl_ = nullptr;  ///< the testbed's TPC-C driver
 };
 
 TEST_F(TpccSystemTest, LoaderCardinalitiesMatchSpec) {
-  Tables* t = tb_->tables();
+  Tables* t = wl_->tables();
   FACE_ASSERT_OK_AND_ASSIGN(uint64_t warehouses, t->warehouse.CountRows());
   EXPECT_EQ(warehouses, 1u);
   FACE_ASSERT_OK_AND_ASSIGN(uint64_t districts, t->district.CountRows());
@@ -142,8 +145,7 @@ TEST_F(TpccSystemTest, LoaderCardinalitiesMatchSpec) {
 }
 
 TEST_F(TpccSystemTest, NewOrderAdvancesDistrictAndInsertsRows) {
-  Workload* wl = tb_->tpcc_workload();
-  Tables* t = tb_->tables();
+  Tables* t = wl_->tables();
   std::string row;
   FACE_ASSERT_OK(t->pk_district.Get(DistrictKey(1, 1), &row));
   const Rid d_rid = DecodeRid(row);
@@ -152,7 +154,7 @@ TEST_F(TpccSystemTest, NewOrderAdvancesDistrictAndInsertsRows) {
 
   // Run NewOrders until district 1 takes one (driver picks d randomly).
   FACE_ASSERT_OK_AND_ASSIGN(uint64_t orders_before, t->orders.CountRows());
-  for (int i = 0; i < 30; ++i) FACE_ASSERT_OK(wl->NewOrder(1));
+  for (int i = 0; i < 30; ++i) FACE_ASSERT_OK(wl_->NewOrder(1));
 
   FACE_ASSERT_OK(t->district.Read(d_rid, &row));
   EXPECT_GE(DistrictRow::Decode(row).d_next_o_id, next_before);
@@ -164,9 +166,8 @@ TEST_F(TpccSystemTest, NewOrderAdvancesDistrictAndInsertsRows) {
 }
 
 TEST_F(TpccSystemTest, PaymentMovesMoneyConsistently) {
-  Workload* wl = tb_->tpcc_workload();
-  Tables* t = tb_->tables();
-  for (int i = 0; i < 40; ++i) FACE_ASSERT_OK(wl->Payment(1));
+  Tables* t = wl_->tables();
+  for (int i = 0; i < 40; ++i) FACE_ASSERT_OK(wl_->Payment(1));
 
   // §3.3.2.1: W_YTD = sum(D_YTD) of its districts.
   std::string row;
@@ -187,10 +188,9 @@ TEST_F(TpccSystemTest, PaymentMovesMoneyConsistently) {
 }
 
 TEST_F(TpccSystemTest, DeliveryClearsOldestNewOrders) {
-  Workload* wl = tb_->tpcc_workload();
-  Tables* t = tb_->tables();
+  Tables* t = wl_->tables();
   FACE_ASSERT_OK_AND_ASSIGN(uint64_t no_before, t->new_order.CountRows());
-  FACE_ASSERT_OK(wl->Delivery(1));
+  FACE_ASSERT_OK(wl_->Delivery(1));
   FACE_ASSERT_OK_AND_ASSIGN(uint64_t no_after, t->new_order.CountRows());
   EXPECT_EQ(no_after, no_before - kDistrictsPerWarehouse);
 
@@ -209,19 +209,20 @@ TEST_F(TpccSystemTest, DeliveryClearsOldestNewOrders) {
 }
 
 TEST_F(TpccSystemTest, ReadOnlyTransactionsComplete) {
-  Workload* wl = tb_->tpcc_workload();
   for (int i = 0; i < 10; ++i) {
-    FACE_ASSERT_OK(wl->OrderStatus(1));
-    FACE_ASSERT_OK(wl->StockLevel(1, 1 + i % 10));
+    FACE_ASSERT_OK(wl_->OrderStatus(1));
+    FACE_ASSERT_OK(wl_->StockLevel(1, 1 + i % 10));
   }
 }
 
 TEST_F(TpccSystemTest, MixedRunKeepsConsistencyConditions) {
-  Workload* wl = tb_->tpcc_workload();
-  Tables* t = tb_->tables();
-  for (int i = 0; i < 400; ++i) FACE_ASSERT_OK(wl->RunOne().status());
-  EXPECT_EQ(wl->stats().total(), 400u);
-  EXPECT_GT(wl->stats().new_orders(), 120u);  // ~45 % of the mix
+  Tables* t = wl_->tables();
+  Random unused(1);  // TPC-C draws from its own NURand stream
+  for (int i = 0; i < 400; ++i) {
+    FACE_ASSERT_OK(wl_->NextTxn(*tb_->db(), unused).status());
+  }
+  EXPECT_EQ(wl_->stats().total(), 400u);
+  EXPECT_GT(wl_->stats().primary, 120u);  // NewOrder, ~45 % of the mix
 
   // §3.3.2.1: d_next_o_id - 1 == max(o_id) per district.
   std::map<uint32_t, uint32_t> next_o;
@@ -263,8 +264,7 @@ TEST_F(TpccSystemTest, MixedRunKeepsConsistencyConditions) {
 
 TEST_F(TpccSystemTest, CustomerSelectionByNameFindsMidpoint) {
   // Payment by last name must work for every generated name.
-  Workload* wl = tb_->tpcc_workload();
-  for (int i = 0; i < 60; ++i) FACE_ASSERT_OK(wl->Payment(1));
+  for (int i = 0; i < 60; ++i) FACE_ASSERT_OK(wl_->Payment(1));
   // At least some of those went through the by-name path (60 %); the
   // absence of failures is the assertion.
 }

@@ -283,17 +283,18 @@ TEST(TraceTest, RecordThenReplayIsDeterministic) {
 
 // --- TPC-C through the generic interface -------------------------------------
 
-TEST(TpccDriverTest, DefaultFactoryIsTpcc) {
+TEST(TpccWorkloadTest, DefaultFactoryIsTpcc) {
   Testbed tb(SmallOptions(SharedGolden(), CachePolicy::kNone),
              &SharedGolden());
   FACE_ASSERT_OK(tb.Start());
   ASSERT_NE(tb.workload(), nullptr);
   EXPECT_STREQ(tb.workload()->name(), "tpcc");
-  EXPECT_NE(tb.tpcc_workload(), nullptr);
-  EXPECT_NE(tb.tables(), nullptr);
+  auto* driver = dynamic_cast<tpcc::Workload*>(tb.workload());
+  ASSERT_NE(driver, nullptr);
+  EXPECT_NE(driver->tables(), nullptr);
 }
 
-TEST(TpccDriverTest, ExplicitFactoryMatchesDefaultPathExactly) {
+TEST(TpccWorkloadTest, ExplicitFactoryMatchesDefaultPathExactly) {
   // The old hard-wired TPC-C path is now factory(default); an explicit
   // TpccFactory must reproduce it bit-for-bit: same seed, same request
   // stream, same device traffic.
@@ -319,7 +320,7 @@ TEST(TpccDriverTest, ExplicitFactoryMatchesDefaultPathExactly) {
   EXPECT_EQ(a.log_stats.total_reqs(), b.log_stats.total_reqs());
 }
 
-TEST(TpccDriverTest, MixSharesMatchSpec) {
+TEST(TpccWorkloadTest, MixSharesMatchSpec) {
   Testbed tb(SmallOptions(SharedGolden(), CachePolicy::kNone),
              &SharedGolden());
   FACE_ASSERT_OK(tb.Start());
