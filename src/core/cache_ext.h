@@ -155,6 +155,11 @@ struct CheckpointOffer {
 struct WriteBackStats {
   uint64_t batches = 0;  ///< lane batches opened
   uint64_t pages = 0;    ///< page writes in them, one lane each
+  /// Of `pages`, the cache's destages of its own frames to disk.
+  uint64_t destages = 0;
+  /// Delta chains the cache rewrote as full frames before its appends
+  /// reused their ring slots.
+  uint64_t reclaimed_chains = 0;
 };
 
 /// A flash caching policy. Single-threaded, like the rest of the engine.

@@ -169,16 +169,18 @@ StatusOr<uint64_t> DeltaRing::Append(PageId pid, uint64_t frame_version,
   return c->tip_version;
 }
 
+uint32_t DeltaRing::RefreshSize(PageId pid,
+                                const DeltaWriteHint* hint) const {
+  if (!Tracks(hint)) return 0;
+  const uint32_t size = PageDeltaRecord::EncodedSizeFor(*hint->tracker);
+  return CanAppend(pid, hint->flash_version, size) ? size : 0;
+}
+
 StatusOr<bool> DeltaRing::TryRefresh(PageId pid, const char* page, bool dirty,
                                      DeltaWriteHint* hint) {
-  if (!Tracks(hint)) return false;
-  const PageDeltaTracker& tracker = *hint->tracker;
-  if (!CanAppend(pid, hint->flash_version,
-                 PageDeltaRecord::EncodedSizeFor(tracker))) {
-    return false;
-  }
+  if (RefreshSize(pid, hint) == 0) return false;
   FACE_ASSIGN_OR_RETURN(const uint64_t version,
-                        Append(pid, hint->flash_version, tracker,
+                        Append(pid, hint->flash_version, *hint->tracker,
                                ConstPageView(page).lsn(), dirty, page));
   if (version == kNoFlashVersion) return false;
   hint->new_version = version;
@@ -230,6 +232,44 @@ Status DeltaRing::Flush() {
   return WriteOpenBlock();
 }
 
+void DeltaRing::LiveChainsIn(uint32_t slot, std::vector<PageId>* out) const {
+  for (PageId pid : slot_pages_[slot]) {
+    const ChainInfo* c = chains_.Find(pid);
+    if (c == nullptr || c->len == 0) continue;
+    for (int32_t idx = c->head; idx >= 0; idx = nodes_[idx].next) {
+      if (nodes_[idx].block_seq == slot_seq_[slot]) {
+        out->push_back(pid);
+        break;
+      }
+    }
+  }
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
+size_t DeltaRing::PlanAppends(const std::vector<uint32_t>& sizes,
+                              std::vector<PageId>* displaced) const {
+  // Pack the records the way Append would, stopping before a block that
+  // would take a slot this batch already writes.
+  uint64_t seq = block_seq_;
+  uint32_t used = used_;
+  size_t fit = 0;
+  for (; fit < sizes.size(); ++fit) {
+    if (used + sizes[fit] > kPageSize) {
+      if (seq + 1 - block_seq_ >= opts_.n_blocks) break;
+      ++seq;
+      used = kBlockHeaderSize;
+    }
+    used += sizes[fit];
+  }
+  if (fit == 0 && !unflushed_) return 0;  // no block gets written
+  for (uint64_t s = block_seq_; s <= seq; ++s) {
+    const uint32_t slot = static_cast<uint32_t>(s % opts_.n_blocks);
+    if (slot_seq_[slot] != s) LiveChainsIn(slot, displaced);
+  }
+  return fit;
+}
+
 Status DeltaRing::WriteOpenBlock() {
   const uint32_t slot = static_cast<uint32_t>(block_seq_ % opts_.n_blocks);
   if (slot_seq_[slot] != block_seq_) {
@@ -237,34 +277,19 @@ Status DeltaRing::WriteOpenBlock() {
     // records are about to disappear from the media. Force-consolidate
     // every page whose live chain still has a record in that occupant, so
     // no chain loses its early links.
-    if (!slot_pages_[slot].empty()) {
-      std::vector<PageId> sweep;
-      for (PageId pid : slot_pages_[slot]) {
-        const ChainInfo* c = chains_.Find(pid);
-        if (c == nullptr || c->len == 0) continue;
-        bool here = false;
-        for (int32_t idx = c->head; idx >= 0; idx = nodes_[idx].next) {
-          if (nodes_[idx].block_seq == slot_seq_[slot]) {
-            here = true;
-            break;
-          }
-        }
-        if (here) sweep.push_back(pid);
+    std::vector<PageId> sweep;
+    LiveChainsIn(slot, &sweep);
+    slot_pages_[slot].clear();
+    if (!sweep.empty()) {
+      if (!consolidate_) {
+        return Status::Internal(
+            "delta ring slot reuse with live chains and no consolidator");
       }
-      std::sort(sweep.begin(), sweep.end());
-      sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
-      slot_pages_[slot].clear();
-      if (!sweep.empty()) {
-        if (!consolidate_) {
-          return Status::Internal(
-              "delta ring slot reuse with live chains and no consolidator");
-        }
-        in_consolidate_ = true;
-        Status st = consolidate_(sweep);
-        in_consolidate_ = false;
-        FACE_RETURN_IF_ERROR(st);
-        stats_->delta_consolidations += sweep.size();
-      }
+      in_consolidate_ = true;
+      Status st = consolidate_(sweep);
+      in_consolidate_ = false;
+      FACE_RETURN_IF_ERROR(st);
+      stats_->delta_consolidations += sweep.size();
     }
     slot_seq_[slot] = block_seq_;
   }

@@ -23,8 +23,16 @@
 // Consolidation. A chain is capped in length and bytes; beyond the cap the
 // owner falls back to a full write (which re-bases the page). Additionally,
 // before a ring slot is overwritten, every page with live records in that
-// slot is force-consolidated through an owner callback — a full write of
-// the current image — so no live chain ever loses its early records.
+// slot must be consolidated — a full write of its current image — so no
+// live chain ever loses its early records. Two paths do it:
+//   - the reclamation query (PlanAppends): an owner about to append a batch
+//     of records asks, without I/O, which live chains those appends would
+//     displace, and rewrites them as full frames first (FaCE's restart
+//     checkpoint, where the rewrites join one lane batch);
+//   - the slot-reuse callback (SetConsolidateFn): WriteOpenBlock calls it
+//     on the first write of a block's sequence number into a slot that
+//     still holds live chains. That is the runtime path, one append at a
+//     time, and a batch's safety net.
 //
 // On-media block layout (4 KB):
 //   [0..8)   magic
@@ -109,6 +117,22 @@ class DeltaRing {
   StatusOr<uint64_t> Append(PageId pid, uint64_t frame_version,
                             const PageDeltaTracker& tracker, Lsn lsn,
                             bool dirty, const char* page);
+
+  /// The encoded size of the record TryRefresh would append for `hint`'s
+  /// tracked regions, or 0 when it would not append (untracked, or
+  /// CanAppend refuses).
+  uint32_t RefreshSize(PageId pid, const DeltaWriteHint* hint) const;
+
+  /// Reclamation query, read-only: plan appending records of `sizes`
+  /// encoded bytes, in order. Returns how many leading records fit without
+  /// writing any slot twice (the rest would overwrite this batch's own
+  /// records). Appends to `displaced`, sorted and unique, every page whose
+  /// live chain has records in a slot those appends overwrite — the open
+  /// block's first write at its sequence number included: the test
+  /// WriteOpenBlock's callback applies. Rewriting those pages as full
+  /// frames before appending leaves the callback nothing to do.
+  size_t PlanAppends(const std::vector<uint32_t>& sizes,
+                     std::vector<PageId>* displaced) const;
 
   /// Delta eligibility, the step every policy's refresh path shares: when
   /// `hint` tracks a partial rewrite of `page` (the new full image) against
@@ -206,6 +230,9 @@ class DeltaRing {
   uint64_t NewVersion() { return next_version_++; }
   int32_t AllocNode();
   void FreeChainNodes(ChainInfo* c);
+  /// Append to `out`, sorted and unique, the pages whose live chains have a
+  /// record in the block `slot` holds now.
+  void LiveChainsIn(uint32_t slot, std::vector<PageId>* out) const;
   /// Stamp the open block's header and write it to its slot, consolidating
   /// the slot's previous occupants before the first write of this seq.
   Status WriteOpenBlock();

@@ -346,41 +346,77 @@ Status FaceCache::Enqueue(PageId page_id, const char* page, bool dirty,
   return AppendMeta(FlashMetaEntry{page_id, lsn, dirty, true});
 }
 
-Status FaceCache::DequeueFront(uint64_t n, IoScheduler* lanes,
-                               WriteBackStats* stats) {
+StatusOr<uint64_t> FaceCache::DequeueFront(uint64_t n,
+                                           const std::vector<uint64_t>& keep,
+                                           ScopedIoBatch* batch,
+                                           std::vector<Survivor>* survivors) {
   assert(n <= live_entries());
-  // Each valid dirty frame's read-and-destage is independent of the others:
-  // with a scheduler, each runs in its own lane. The caller rewrites the
-  // freed slots only after the batch closed, so no frame is overwritten
-  // before its destage ends.
-  uint64_t destages = 0;
-  if (lanes != nullptr) {
-    for (uint64_t k = 0; k < n; ++k) {
-      if (entries_[k].valid && entries_[k].dirty) ++destages;
-    }
-    if (destages == 0) lanes = nullptr;
+  if (dequeue_buf_.size() < keep.size() * kPageSize) {
+    dequeue_buf_.resize(keep.size() * kPageSize);
   }
-  obs::ScopedSpan span("recovery", "writeback", lanes != nullptr);
-  ScopedIoBatch batch(lanes);
+  uint64_t destages = 0;
+  size_t kept = 0;
   for (; n > 0; --n) {
     const Entry& e = entries_.front();
-    if (e.valid && e.dirty) {
-      batch.NextLane();
-      // Read the frame back into the scratch page and stage it out to disk.
-      FACE_RETURN_IF_ERROR(ReadFrame(front_seq_, scratch_.data()));
-      // The frame is a chain base: destage the *tip* image, not the stale
-      // base (the chain carries all refreshes since the full write).
-      delta_.ApplyChain(e.page_id, scratch_.data());
-      FACE_RETURN_IF_ERROR(storage_->WritePage(e.page_id, scratch_.data()));
-      ++stats_.disk_writes;
+    const bool survives = kept < keep.size() && keep[kept] == front_seq_;
+    if (survives || (e.valid && e.dirty)) {
+      batch->NextLane();
+      char* img = survives ? dequeue_buf_.data() + kept * kPageSize
+                           : scratch_.data();
+      FACE_RETURN_IF_ERROR(ReadFrame(front_seq_, img));
+      // The frame is a chain base: the tip image carries every refresh
+      // since the full write.
+      delta_.ApplyChain(e.page_id, img);
+      if (survives) {
+        survivors->push_back(Survivor{e, img});
+        ++kept;
+      } else {
+        FACE_RETURN_IF_ERROR(storage_->WritePage(e.page_id, img));
+        ++stats_.disk_writes;
+        ++destages;
+      }
     }
     PopFront();
   }
-  if (lanes != nullptr) {
-    ++stats->batches;
-    stats->pages += destages;
+  return destages;
+}
+
+bool FaceCache::AllReferenced(uint64_t seq, uint64_t count) const {
+  for (uint64_t k = 0; k < count; ++k) {
+    const Entry& e = EntryAt(seq + k);
+    if (!e.valid || !e.referenced || e.page_id == kInvalidPageId) return false;
   }
-  return Status::OK();
+  return true;
+}
+
+bool FaceCache::SecondChance(uint64_t seq, uint64_t k, bool all_referenced,
+                             uint64_t j) const {
+  const Entry& e = EntryAt(seq);
+  if (!e.referenced || (all_referenced && k == 0)) return false;
+  if (!e.dirty || layout_.FrameBlock(rear_seq_ + j) != layout_.FrameBlock(seq)) {
+    return true;
+  }
+  // The new frame differs from the old one beyond the header sector only if
+  // a delta chain patched it.
+  DeltaRing::ChainView cv;
+  return !(delta_.GetChain(e.page_id, &cv) && cv.len > 0);
+}
+
+Status FaceCache::ReenqueueSurvivors(const std::vector<Survivor>& survivors) {
+  // A segment boundary inside this loop waits until every survivor is
+  // staged: the flush then writes them before it persists the front.
+  hold_segments_ = true;
+  Status s;
+  for (const Survivor& sv : survivors) {
+    ++stats_.second_chances;
+    if (obs::Enabled()) GetFaceObs().second_chances->Increment();
+    const Entry& e = sv.entry;
+    s = Enqueue(e.page_id, sv.bytes, e.dirty, e.lsn, e.since);
+    if (!s.ok()) break;
+  }
+  hold_segments_ = false;
+  FACE_RETURN_IF_ERROR(s);
+  return FlushSegments();
 }
 
 Status FaceCache::DequeueGroup() {
@@ -408,39 +444,18 @@ Status FaceCache::DequeueGroup() {
     delta_.ApplyChain(e.page_id, buf + static_cast<size_t>(k) * kPageSize);
   }
 
-  // Decide each page's fate.
-  struct Survivor {
-    Entry entry;
-    const char* bytes;
-  };  // bytes point into dequeue_buf_; disjoint from the pages written below
+  // Decide each page's fate. Survivor bytes point into dequeue_buf_,
+  // disjoint from the pages written below.
   std::vector<Survivor> survivors;
-  uint32_t referenced_valid = 0;
-  if (second_chance()) {
-    for (uint32_t k = 0; k < batch; ++k) {
-      const Entry& e = EntryAt(front_seq_ + k);
-      if (e.valid && e.referenced && e.page_id != kInvalidPageId) {
-        ++referenced_valid;
-      }
-    }
-  }
-  const bool all_referenced = referenced_valid == batch;
-
+  const bool all_referenced =
+      second_chance() && AllReferenced(front_seq_, batch);
   for (uint32_t k = 0; k < batch; ++k) {
-    const Entry& e = EntryAt(front_seq_ + k);
+    const uint64_t seq = front_seq_ + k;
+    const Entry& e = EntryAt(seq);
     if (e.page_id == kInvalidPageId || !e.valid) continue;
     char* bytes = buf + static_cast<size_t>(k) * kPageSize;
-    bool second_chance = this->second_chance() && e.referenced &&
-                         !(all_referenced && k == 0);
-    if (second_chance && e.dirty && survivors.size() == k) {
-      // A survivor's new frame lands on the block of batch position
-      // survivors.size() (the queue was full: rear = front + n_frames),
-      // here its own. It differs from the old frame beyond the header
-      // sector only if a delta chain patched it; then one torn write would
-      // destroy both copies of the page, so it is destaged instead.
-      DeltaRing::ChainView cv;
-      second_chance = !(delta_.GetChain(e.page_id, &cv) && cv.len > 0);
-    }
-    if (second_chance) {
+    if (second_chance() &&
+        SecondChance(seq, k, all_referenced, survivors.size())) {
       survivors.push_back(Survivor{e, bytes});
     } else if (e.dirty) {
       // WritePage stamps id+checksum in place; this batch slot is dead
@@ -452,27 +467,14 @@ Status FaceCache::DequeueGroup() {
 
   // Pop the batch (erasing valid mappings; survivors re-map on re-enqueue).
   for (uint32_t k = 0; k < batch; ++k) PopFront();
-
-  // The front already passed the survivors' old frames, so a segment
-  // boundary inside this loop waits until every survivor is staged: the
-  // flush then writes them before it persists that front.
-  hold_segments_ = true;
-  Status s;
-  for (const Survivor& sv : survivors) {
-    ++stats_.second_chances;
-    if (obs::Enabled()) GetFaceObs().second_chances->Increment();
-    const Entry& e = sv.entry;
-    s = Enqueue(e.page_id, sv.bytes, e.dirty, e.lsn, e.since);
-    if (!s.ok()) break;
-  }
-  hold_segments_ = false;
-  FACE_RETURN_IF_ERROR(s);
-  return FlushSegments();
+  return ReenqueueSurvivors(survivors);
 }
 
 Status FaceCache::MakeRoom() {
   if (live_entries() < options_.n_frames) return Status::OK();
-  return grouped() ? DequeueGroup() : DequeueFront(1, nullptr, nullptr);
+  if (grouped()) return DequeueGroup();
+  ScopedIoBatch serial(nullptr);
+  return DequeueFront(1, {}, &serial, nullptr).status();
 }
 
 Status FaceCache::FillBatchFromDram() {
@@ -608,57 +610,195 @@ Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
 
 Status FaceCache::CheckpointPages(std::vector<CheckpointOffer>* offers,
                                   IoScheduler* lanes, WriteBackStats* stats) {
-  if (lanes != nullptr && !grouped()) {
-    return Absorb(offers->data(), offers->size(), lanes, stats);
-  }
-  // Runtime checkpoints, and group replacement (it frees a whole group per
-  // device request, re-enqueueing second-chance survivors as it goes): one
-  // page after another.
-  for (CheckpointOffer& o : *offers) {
-    FACE_RETURN_IF_ERROR(Absorb(&o, 1, nullptr, nullptr));
-  }
+  if (lanes != nullptr) return AbsorbBatch(offers, lanes, stats);
+  for (CheckpointOffer& o : *offers) FACE_RETURN_IF_ERROR(AbsorbOne(&o));
   return Status::OK();
 }
 
-Status FaceCache::Absorb(CheckpointOffer* offers, size_t n,
-                         IoScheduler* lanes, WriteBackStats* stats) {
+Status FaceCache::AbsorbOne(CheckpointOffer* o) {
   // A checkpointed dirty page enters the flash cache instead of disk; the
-  // flash copy becomes the persistent version (still newer than disk).
-  // 1. Small refreshes ride the delta ring (made durable by OnCheckpoint's
-  //    Flush before the checkpoint completes) and need no frame.
-  std::vector<CheckpointOffer*> full;
-  for (size_t i = 0; i < n; ++i) {
-    CheckpointOffer& o = offers[i];
-    FACE_ASSIGN_OR_RETURN(
-        const bool refreshed,
-        TryDeltaRefresh(o.page_id, o.page, /*dirty=*/true,
-                        ExposedSince(o.rec_lsn, o.page), &o.hint));
+  // flash copy becomes the persistent version (still newer than disk). A
+  // small refresh rides the delta ring (made durable by OnCheckpoint's
+  // Flush before the checkpoint completes) and needs no frame.
+  o->absorbed = true;
+  FACE_ASSIGN_OR_RETURN(
+      const bool refreshed,
+      TryDeltaRefresh(o->page_id, o->page, /*dirty=*/true,
+                      ExposedSince(o->rec_lsn, o->page), &o->hint));
+  if (refreshed) return Status::OK();
+  FACE_RETURN_IF_ERROR(MakeRoom());
+  return EnqueueOffer(o);
+}
+
+Status FaceCache::EnqueueOffer(CheckpointOffer* o) {
+  return Enqueue(o->page_id, o->page, /*dirty=*/true,
+                 ConstPageView(o->page).lsn(), ExposedSince(o->rec_lsn, o->page),
+                 &o->hint.new_version);
+}
+
+Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
+                              IoScheduler* lanes, WriteBackStats* stats) {
+  // 1. Plan. An offer whose chain takes its refresh gets a delta record,
+  //    every other one a full frame. The ring names the live chains the
+  //    planned appends would displace: an offered page among them takes a
+  //    full frame instead, any other is rewritten as its tip image.
+  enum Role : uint8_t {
+    kDelta,  ///< a delta record, appended last
+    kFull,   ///< a new full frame
+    kTip,    ///< not offered: its tip image as a full frame
+  };
+  struct Plan {
+    uint32_t offer;
+    Role role;
+  };
+  PageMap<Plan> plan(offers->size());
+  std::vector<CheckpointOffer*> delta, full;
+  std::vector<uint32_t> sizes;
+  for (uint32_t i = 0; i < offers->size(); ++i) {
+    CheckpointOffer& o = (*offers)[i];
     o.absorbed = true;
-    if (!refreshed) full.push_back(&o);
+    const uint32_t size = delta_.RefreshSize(o.page_id, &o.hint);
+    plan.TryEmplace(o.page_id, Plan{i, size > 0 ? kDelta : kFull});
+    if (size > 0) {
+      delta.push_back(&o);
+      sizes.push_back(size);
+    } else {
+      full.push_back(&o);
+    }
   }
-  // At most one queue's worth of full images per round.
-  for (size_t begin = 0; begin < full.size(); begin += options_.n_frames) {
-    const uint64_t count =
-        std::min<uint64_t>(options_.n_frames, full.size() - begin);
-    // 2. One room-making sweep dequeues exactly the front frames the full
-    //    images need (group replacement: a whole group, for one page).
-    if (live_entries() + count > options_.n_frames) {
-      if (grouped()) {
-        assert(count == 1);
-        FACE_RETURN_IF_ERROR(MakeRoom());
-      } else {
-        FACE_RETURN_IF_ERROR(DequeueFront(
-            live_entries() + count - options_.n_frames, lanes, stats));
+  std::vector<PageId> displaced;
+  const size_t fit = delta_.PlanAppends(sizes, &displaced);
+  auto to_full = [&](Plan* p) {
+    p->role = kFull;
+    full.push_back(&(*offers)[p->offer]);
+  };
+  for (size_t i = fit; i < delta.size(); ++i) {
+    to_full(plan.Find(delta[i]->page_id));  // would overwrite its own batch
+  }
+  delta.resize(fit);
+  std::vector<PageId> tips;
+  for (PageId pid : displaced) {
+    Plan* p = plan.Find(pid);
+    if (p == nullptr) {
+      plan.TryEmplace(pid, Plan{0, kTip});
+      tips.push_back(pid);
+    } else if (p->role == kDelta) {
+      to_full(p);
+    }
+  }
+  delta.erase(std::remove_if(delta.begin(), delta.end(),
+                             [&](CheckpointOffer* o) {
+                               return plan.Find(o->page_id)->role != kDelta;
+                             }),
+              delta.end());
+  stats->reclaimed_chains += displaced.size();
+
+  // 2-3. Make the room in one lane batch, then write after it closed. A set
+  //      larger than the queue takes more rounds, each sweeping frames the
+  //      round before wrote.
+  uint64_t need = full.size() + tips.size();  // frames still to write
+  uint64_t deltas_left = delta.size();         // planned deltas still planned
+  size_t written = 0;                          // full frames written
+  std::string tip_images;
+  do {
+    // The sweep: front frames, whole groups under GR/GSC, until the
+    // survivors and every frame still to write fit.
+    const uint64_t live = live_entries();
+    uint64_t n = 0;
+    std::vector<uint64_t> keep;  // second-chance survivors' seqs
+    while (n < live && live - n + keep.size() + need > options_.n_frames) {
+      const uint64_t end =
+          grouped() ? std::min<uint64_t>(live, n + options_.group_size) : n + 1;
+      for (uint64_t seq = front_seq_ + n; seq < front_seq_ + end; ++seq) {
+        const Entry& e = EntryAt(seq);
+        Plan* p = e.valid ? plan.Find(e.page_id) : nullptr;
+        if (p != nullptr && p->role == kDelta) {  // the sweep drops its chain
+          to_full(p);
+          ++need;
+          --deltas_left;
+        }
+      }
+      // A page this checkpoint rewrites gets no second chance. Survivors
+      // stay within one group, the restart scan's bound, and leave room
+      // for every frame still to write, planned deltas included.
+      if (second_chance()) {
+        const bool all_referenced = AllReferenced(front_seq_ + n, end - n);
+        for (uint64_t k = n; k < end; ++k) {
+          const uint64_t seq = front_seq_ + k;
+          const Entry& e = EntryAt(seq);
+          const Plan* p = e.valid ? plan.Find(e.page_id) : nullptr;
+          if (e.valid && p == nullptr &&
+              keep.size() < options_.group_size &&
+              keep.size() + 1 + need + deltas_left <= options_.n_frames &&
+              SecondChance(seq, k - n, all_referenced, keep.size())) {
+            keep.push_back(seq);
+          }
+        }
+      }
+      n = end;
+    }
+
+    // The batch: each tip-image read, survivor read and destage is a lane.
+    // A tip image gets its new frame even when the sweep also destages its
+    // old one: the frame must be on flash before the appends reuse its
+    // chain's slot. Never read frames whose bytes are still staged.
+    if (staged_count_ > 0 && front_seq_ + n > staged_base_) {
+      FACE_RETURN_IF_ERROR(FlushStaging());
+    }
+    std::vector<Entry> tip_entries;
+    for (PageId pid : tips) tip_entries.push_back(EntryAt(*newest_.Find(pid)));
+    tips.clear();
+    uint64_t lanes_used = keep.size() + tip_entries.size();
+    for (uint64_t k = 0; k < n; ++k) {
+      lanes_used += entries_[k].valid && entries_[k].dirty ? 1 : 0;
+    }
+    tip_images.resize(tip_entries.size() * kPageSize);
+    std::vector<Survivor> survivors;
+    {
+      IoScheduler* sched = lanes_used > 0 ? lanes : nullptr;
+      obs::ScopedSpan span("recovery", "writeback", sched != nullptr);
+      ScopedIoBatch batch(sched);
+      for (size_t i = 0; i < tip_entries.size(); ++i) {
+        batch.NextLane();
+        const PageId pid = tip_entries[i].page_id;
+        char* img = tip_images.data() + i * kPageSize;
+        FACE_RETURN_IF_ERROR(ReadFrame(*newest_.Find(pid), img));
+        delta_.ApplyChain(pid, img);
+      }
+      FACE_ASSIGN_OR_RETURN(const uint64_t destages,
+                            DequeueFront(n, keep, &batch, &survivors));
+      if (sched != nullptr) {
+        ++stats->batches;
+        stats->pages += destages;
+        stats->destages += destages;
       }
     }
-    // 3. The new full frames, sequential flash writes after every destage.
-    for (uint64_t i = begin; i < begin + count; ++i) {
-      CheckpointOffer& o = *full[i];
-      FACE_RETURN_IF_ERROR(Enqueue(o.page_id, o.page, /*dirty=*/true,
-                                   ConstPageView(o.page).lsn(),
-                                   ExposedSince(o.rec_lsn, o.page),
-                                   &o.hint.new_version));
+
+    // After the batch closed, sequential flash writes: the survivors, the
+    // tip images, then the full frames that fit.
+    FACE_RETURN_IF_ERROR(ReenqueueSurvivors(survivors));
+    for (size_t i = 0; i < tip_entries.size(); ++i, --need) {
+      const Entry& e = tip_entries[i];
+      // The new frame keeps the entry's exposure, unless the sweep just
+      // destaged the entry: disk is current then.
+      FACE_RETURN_IF_ERROR(Enqueue(e.page_id, tip_images.data() + i * kPageSize,
+                                   e.dirty, e.lsn, kInvalidLsn));
+      ++stats_.delta_consolidations;
+      if (obs::Enabled()) GetFaceObs().delta_consolidations->Increment();
     }
+    for (; written < full.size() && live_entries() < options_.n_frames;
+         ++written, --need) {
+      FACE_RETURN_IF_ERROR(EnqueueOffer(full[written]));
+    }
+  } while (written < full.size());
+
+  // 4. The appends reuse the ring slots the tip images reclaimed: those
+  //    frames reach flash first. Then the delta records, which find their
+  //    slots free of live chains; the one-page path stays the safety net.
+  FACE_RETURN_IF_ERROR(FlushStaging());
+  for (CheckpointOffer* o : delta) {
+    if (plan.Find(o->page_id)->role != kDelta) continue;
+    FACE_RETURN_IF_ERROR(AbsorbOne(o));
   }
   return Status::OK();
 }

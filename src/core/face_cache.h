@@ -104,10 +104,14 @@ class FaceCache final : public CacheExtension {
   StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) override;
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
                      Lsn rec_lsn, DeltaWriteHint* hint = nullptr) override;
-  /// With a scheduler, absorbs the whole set in three steps: delta
-  /// refreshes, one room-making sweep whose dirty destages run one lane
-  /// each, then the new full frames after the batch closed (Absorb).
-  /// Without one, and under group replacement: one page after another.
+  /// Without a scheduler (runtime checkpoints): one page after another, a
+  /// delta record or room and a full frame each, as an eviction would.
+  /// With one (restart's checkpoints), for every flavor, in three steps
+  /// (AbsorbBatch): plan which offers take a delta record, and add the
+  /// live chains those appends would displace to the full-frame set;
+  /// make all the room that set needs in one lane batch, each destage its
+  /// own lane; after the batch closed, write the survivors, the reclaimed
+  /// tip images and the new full frames, then append the delta records.
   Status CheckpointPages(std::vector<CheckpointOffer>* offers,
                          IoScheduler* lanes, WriteBackStats* stats) override;
   Status OnCheckpoint() override;
@@ -192,28 +196,55 @@ class FaceCache final : public CacheExtension {
   /// path.
   StatusOr<bool> TryDeltaRefresh(PageId page_id, const char* page, bool dirty,
                                  Lsn since, DeltaWriteHint* hint);
+  /// A second-chance survivor of a dequeue: its entry and its tip image.
+  struct Survivor {
+    Entry entry;
+    const char* bytes;  ///< in dequeue_buf_
+  };
+
   /// DeltaRing slot-reuse callback: re-enqueue the current tip image of
   /// every page whose chain still has records in the slot being reclaimed,
   /// then make the fresh full frames durable.
   Status ConsolidateDeltaPages(const std::vector<PageId>& pids);
-  /// Checkpoint absorption of `n` offers (one at a time without lanes):
-  /// delta refreshes first, then one room-making sweep for the remaining
-  /// full images, then their frame writes.
-  Status Absorb(CheckpointOffer* offers, size_t n, IoScheduler* lanes,
-                WriteBackStats* stats);
+  /// One checkpoint offer, as an eviction would take it: a delta record,
+  /// or room and a full frame.
+  Status AbsorbOne(CheckpointOffer* o);
+  /// `o`'s image as a new dirty full frame (the queue must have room).
+  Status EnqueueOffer(CheckpointOffer* o);
+  /// The restart checkpoint's absorption; see CheckpointPages.
+  Status AbsorbBatch(std::vector<CheckpointOffer>* offers, IoScheduler* lanes,
+                     WriteBackStats* stats);
   /// Algorithm 1 with the §3.2 ablations, for a page leaving DRAM (evicted
   /// or pulled). True when it had to make room in a full queue.
   StatusOr<bool> Admit(PageId page_id, char* page, bool dirty, bool fdirty,
                        Lsn rec_lsn, DeltaWriteHint* hint);
   /// When the queue is full, free at least one slot per the flavor.
   Status MakeRoom();
-  /// Base mvFIFO: dequeue the `n` front frames, staging each valid dirty
-  /// one out to disk with individual I/Os (MakeRoom: n = 1). With `lanes`,
-  /// the destages run as one lane batch, counted in `stats`.
-  Status DequeueFront(uint64_t n, IoScheduler* lanes, WriteBackStats* stats);
+  /// Dequeue the `n` front frames, one frame at a time. Each valid dirty
+  /// frame is read back, patched to its tip image and destaged to disk,
+  /// each in its own lane of `batch`; the entries of `keep` (ascending
+  /// seqs) are read the same way into dequeue_buf_ and returned in
+  /// `survivors` instead. Returns the number of destages.
+  StatusOr<uint64_t> DequeueFront(uint64_t n, const std::vector<uint64_t>& keep,
+                                  ScopedIoBatch* batch,
+                                  std::vector<Survivor>* survivors);
   /// GR/GSC: stage out up to group_size pages in batched I/Os; with
   /// second chance, referenced valid pages are re-enqueued.
   Status DequeueGroup();
+  /// GSC: true iff every one of the `count` entries from `seq` on is a
+  /// referenced valid page (the group's first one then gets no second
+  /// chance, so the dequeue frees a slot).
+  bool AllReferenced(uint64_t seq, uint64_t count) const;
+  /// GSC: whether the referenced valid entry `seq`, position `k` of its
+  /// group, survives as the `j`-th survivor, re-enqueued at rear_seq_ + j.
+  /// Rule (b): a dirty survivor whose new frame lands on its own block is
+  /// destaged instead when a delta chain patched it, since one torn write
+  /// would then destroy both copies of the page.
+  bool SecondChance(uint64_t seq, uint64_t k, bool all_referenced,
+                    uint64_t j) const;
+  /// Re-enqueue `survivors` with segment flushes held until every one is
+  /// staged, then flush: the front already passed their old frames.
+  Status ReenqueueSurvivors(const std::vector<Survivor>& survivors);
   /// GSC: pull victims from the DRAM LRU tail until the staging batch is
   /// full or no free slots/victims remain.
   Status FillBatchFromDram();
@@ -305,7 +336,7 @@ class FaceCache final : public CacheExtension {
   uint64_t sb_rear_seq_ = 0;
 
   std::string scratch_;      // one-page read-back / repair buffer
-  std::string dequeue_buf_;  // reusable group-dequeue read buffer
+  std::string dequeue_buf_;  // group-dequeue read / survivor buffer
   RecoveryInfo recovery_info_;
 
   /// Page-differential write-back (see delta_ring.h). Chains are keyed by

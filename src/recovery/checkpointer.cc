@@ -28,11 +28,15 @@ StatusOr<Lsn> Checkpointer::TakeCheckpoint(IoScheduler* lanes) {
 
   // 3. Make every dirty DRAM page persistent — into the flash cache when
   //    the policy absorbs it (FaCE), else to disk.
+  const uint64_t cache_writes = cache_->stats().disk_writes;
   FACE_ASSIGN_OR_RETURN(const WriteBackStats written,
                         pool_->SyncDirtyPagesForCheckpoint(lanes));
   stats_.writeback_batches += written.batches;
   stats_.writeback_pages += written.pages;
+  stats_.reclaimed_chains += written.reclaimed_chains;
   if (!degraded) FACE_RETURN_IF_ERROR(cache_->OnCheckpoint());
+  stats_.serial_destages +=
+      cache_->stats().disk_writes - cache_writes - written.destages;
 
   // 4. Log END, force, and only then advertise the checkpoint: a crash
   //    before the control-block write falls back to the previous one. The

@@ -18,14 +18,20 @@
 //
 // Restart's checkpoints (the final one and ResolveInDoubt's) pass the
 // recovery scheduler, and their independent writes run as I/O lane batches
-// (BufferPool::SyncDirtyPagesForCheckpoint): FaCE absorbs the dirty set at
-// once, destaging the front frames it needs room from one lane each, and
-// the pages no cache absorbs go to disk one lane each. Closing a batch is
-// the barrier: FaCE's new frame writes, CHECKPOINT_END's force and the
-// control-block write all start after the last lane ended. Nobody else runs
-// during restart. Runtime checkpoints (Database::TakeCheckpoint) pass no
-// scheduler and sync one page after another: they share the devices with
-// the clients, and their timing is part of every measured run.
+// (BufferPool::SyncDirtyPagesForCheckpoint):
+//   - FaCE, every flavor, absorbs the dirty set at once. It first plans all
+//     the room it needs: the full frames, and the tip images of the delta
+//     chains its delta appends would displace from the ring. Then one
+//     batch makes that room, each destage of a front frame (and each read
+//     of a survivor or tip image) its own lane. So no restart checkpoint
+//     destages a frame outside a lane (Stats::serial_destages stays 0);
+//   - the pages no cache absorbs go to disk one lane each.
+// Closing a batch is the barrier: FaCE's frame writes and delta appends,
+// CHECKPOINT_END's force and the control-block write all start after the
+// last lane ended. Nobody else runs during restart. Runtime checkpoints
+// (Database::TakeCheckpoint) pass no scheduler and sync one page after
+// another: they share the devices with the clients, and their timing is
+// part of every measured run.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +53,10 @@ class Checkpointer {
     uint64_t dpt_pages = 0;  ///< dirty pages captured across all checkpoints
     uint64_t writeback_batches = 0;  ///< lane batches (restart only)
     uint64_t writeback_pages = 0;    ///< page writes in them
+    /// The cache's destages outside every lane batch (all of a runtime
+    /// checkpoint's; none of a restart checkpoint's, by design).
+    uint64_t serial_destages = 0;
+    uint64_t reclaimed_chains = 0;  ///< WriteBackStats::reclaimed_chains
   };
 
   Checkpointer(LogManager* log, BufferPool* pool, TransactionManager* txns,

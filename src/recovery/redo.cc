@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/page_map.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/page.h"
@@ -68,6 +69,7 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
 
   std::vector<LogRecord> window;
   std::vector<PageId> fetch;  // distinct non-resident pages, first touch
+  PageMap<bool> covered;      // page -> only ever skipped, never fetched
   bool end_of_log = false;
   while (!end_of_log) {
     window.clear();
@@ -97,12 +99,14 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
         const Lsn cached = cache->PersistentCopyLsn(rec.page_id);
         if (cached != kInvalidLsn && cached >= rec.lsn) {
           ++stats->skipped;
+          covered.TryEmplace(rec.page_id, true);
           if (obs::Enabled()) GetReadAheadObs().skipped->Increment();
           continue;
         }
         if (std::find(fetch.begin(), fetch.end(), rec.page_id) ==
             fetch.end()) {
           fetch.push_back(rec.page_id);
+          covered.InsertOrAssign(rec.page_id, false);
         }
       }
       window.push_back(std::move(rec));
@@ -128,6 +132,9 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
       ++stats->applied;
     }
   }
+  covered.ForEach([stats](PageId, bool only_skipped) {
+    stats->skipped_pages += only_skipped ? 1 : 0;
+  });
   return Status::OK();
 }
 

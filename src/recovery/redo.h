@@ -42,6 +42,9 @@ struct RedoStats {
   uint64_t records = 0;            ///< update/CLR records examined
   uint64_t applied = 0;            ///< records whose effects were re-applied
   uint64_t skipped = 0;            ///< records the cached copy covered
+  /// Distinct pages with a skipped record that this pass never fetched:
+  /// the cached copy served them whole.
+  uint64_t skipped_pages = 0;
   uint64_t readahead_batches = 0;  ///< windows that fetched at least one page
   uint64_t readahead_pages = 0;    ///< pages fetched through read-ahead
 };

@@ -65,6 +65,8 @@ void RecordPhaseNs(RecoveryPhase phase, SimNanos ns) {
 void RecordWriteBack(const Checkpointer::Stats& ckpt, RestartReport* report) {
   report->writeback_batches += ckpt.writeback_batches;
   report->writeback_pages += ckpt.writeback_pages;
+  report->serial_destages += ckpt.serial_destages;
+  report->reclaimed_chains += ckpt.reclaimed_chains;
   if (!obs::Enabled()) return;
   RecoveryObs& o = GetRecoveryObs();
   o.writeback_batches->Add(ckpt.writeback_batches);
@@ -87,7 +89,9 @@ std::string RestartReport::ToString() const {
      << " fetches=" << pages_fetched << " (flash=" << pages_from_flash
      << " disk=" << pages_from_disk << ")"
      << " readahead=" << readahead_pages << "/" << readahead_batches
-     << " writeback=" << writeback_pages << "/" << writeback_batches;
+     << " writeback=" << writeback_pages << "/" << writeback_batches
+     << " serial_destages=" << serial_destages
+     << " reclaimed_chains=" << reclaimed_chains;
   if (degraded) os << " [degraded: flash untrusted, disk-only]";
   return os.str();
 }
@@ -175,6 +179,7 @@ Status RestartManager::RunPhases(RestartReport* report) {
     report->redo_records = redo.records;
     report->redo_applied = redo.applied;
     report->redo_skipped = redo.skipped;
+    report->redo_skipped_pages = redo.skipped_pages;
     report->readahead_batches = redo.readahead_batches;
     report->readahead_pages = redo.readahead_pages;
   }

@@ -37,7 +37,8 @@
 //      its independent writes run as scheduler lane batches: the pages no
 //      cache absorbs go to disk one lane each, and FaCE destages the front
 //      frames it makes room from one lane each, then writes the absorbed
-//      frames after the batch closed (recovery/checkpointer.h)
+//      frames and its delta records after the batch closed
+//      (recovery/checkpointer.h)
 // So a restart reads each log block at most once, and its log reads grow
 // once with the log written since the last checkpoint.
 // Every phase's virtual time is reported separately.
@@ -92,6 +93,14 @@ struct RestartReport {
   uint64_t readahead_pages = 0;    ///< redo pages fetched by read-ahead
   uint64_t writeback_batches = 0;  ///< restart-checkpoint lane batches
   uint64_t writeback_pages = 0;    ///< page writes in them, one lane each
+  /// Restart-checkpoint destages of cache frames outside a lane batch.
+  uint64_t serial_destages = 0;
+  /// Delta chains the restart checkpoint rewrote as full frames before its
+  /// delta appends reused their ring slots.
+  uint64_t reclaimed_chains = 0;
+  /// Distinct pages redo skipped because the flash copy covered them, and
+  /// never fetched.
+  uint64_t redo_skipped_pages = 0;
 
   /// 2PC: prepared transactions awaiting a cross-shard decision (withheld
   /// from undo, re-registered active, still covered by checkpoints) and
@@ -118,6 +127,15 @@ struct RestartReport {
                ? static_cast<double>(pages_from_flash) /
                      static_cast<double>(pages_fetched)
                : 0.0;
+  }
+  /// Fraction of the pages recovery needed that the flash cache served:
+  /// fetched from flash, or skipped by redo because the flash copy already
+  /// held every record (paper Table 6: ">98% of recovery pages").
+  double FlashPageFraction() const {
+    const uint64_t pages = pages_fetched + redo_skipped_pages;
+    return pages ? static_cast<double>(pages_from_flash + redo_skipped_pages) /
+                       static_cast<double>(pages)
+                 : 0.0;
   }
 
   std::string ToString() const;

@@ -23,8 +23,10 @@
 // it on its station, even one that starts later in virtual time. A lane
 // that returns to a station after a long wait elsewhere (flash read → disk
 // write → flash write) would hold back every later lane's request there, so
-// such writes belong after the batch: FaCE's restart checkpoint writes its
-// new frames only once its destage batch closed.
+// such writes belong after the batch. FaCE's restart checkpoint therefore
+// plans all its room first, and its one batch holds only the frame reads
+// and destages that make it; the survivors, tip images, new frames and
+// delta-ring appends are written once the batch closed.
 // Batches do not nest and exist only inside an open span; foreground
 // transactions and runtime checkpoints never open one.
 //

@@ -56,8 +56,8 @@ Status CrashStormHarness::EnsureGolden() {
   return Status::OK();
 }
 
-StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed,
-                                                      uint64_t crash_write) {
+StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
+    uint64_t seed, uint64_t crash_write, uint64_t restart_write) {
   FACE_RETURN_IF_ERROR(EnsureGolden());
   const bool explicit_crash = crash_write != 0;
   shadow_->Reset(opts_.workload.records, opts_.workload.value_bytes);
@@ -182,8 +182,9 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed,
   // flight — the next attempt must recover from the torn remains of the
   // previous one (idempotent redo, CLRs bounding re-undo). Untargeted
   // countdown: recovery's write stream is log + data, not flash-heavy.
-  bool rearm = !explicit_crash && opts_.double_fault_pct > 0 &&
-               rnd.PercentTrue(opts_.double_fault_pct);
+  bool rearm = explicit_crash ? restart_write != 0
+                              : opts_.double_fault_pct > 0 &&
+                                    rnd.PercentTrue(opts_.double_fault_pct);
   if (rearm) inj.TargetDevice("");
   for (uint32_t attempt = 0;; ++attempt) {
     if (rearm) {
@@ -191,9 +192,14 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(uint64_t seed,
       // absorbing pages as packed delta records instead of full flash
       // frames; a 24-write window still lands inside redo/undo/checkpoint
       // I/O for most seeds.
-      inj.ArmAfterWrites(1 + rnd.Uniform(24), seed ^ (0xD0B1EFA0u + attempt));
+      inj.ArmAfterWrites(explicit_crash ? restart_write : 1 + rnd.Uniform(24),
+                         seed ^ (0xD0B1EFA0u + attempt));
     }
+    const uint64_t writes_before = inj.writes_observed();
     StatusOr<RestartReport> restart = tb.Recover();
+    if (attempt == 0) {
+      result.restart_writes = inj.writes_observed() - writes_before;
+    }
     if (restart.ok()) {
       // The countdown may outlive a short recovery; never let it leak
       // into the differential check or the post-run.

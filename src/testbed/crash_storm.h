@@ -16,7 +16,10 @@
 // device) of one checkpoint interval — checkpoint, body, closing
 // checkpoint. The interval's writes happen in the same order for every k,
 // so k = 1..armed_writes of a storm that never trips sweeps every crash
-// point of that interval exhaustively.
+// point of that interval exhaustively. It may also name a second one, the
+// r-th page write of the restart that follows: r = 1..restart_writes of a
+// storm whose restart never trips sweeps every crash point of that
+// restart, its checkpoint included.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +87,9 @@ struct CrashStormResult {
   /// Page writes the injector saw from arming to the crash (all devices);
   /// for an explicit crash point that never tripped, the whole interval's.
   uint64_t armed_writes = 0;
+  /// Page writes of the first restart attempt, up to its crash if one cut
+  /// it short (all devices).
+  uint64_t restart_writes = 0;
   CrashSite site;
   RestartReport restart;          ///< the restart that finally succeeded
   fault::DiffReport diff;
@@ -101,9 +107,11 @@ class CrashStormHarness {
   /// injector did not cause, recovery erroring out); data divergences are
   /// reported in the result, not as errors. `crash_write` 0 picks a
   /// seeded-random crash point; k > 0 crashes at the k-th page write of
-  /// one checkpoint interval, without a crash during recovery (see file
-  /// comment).
-  StatusOr<CrashStormResult> RunStorm(uint64_t seed, uint64_t crash_write = 0);
+  /// one checkpoint interval (see file comment), and then `restart_write`
+  /// r > 0 crashes the restart at its r-th page write (0: no crash during
+  /// recovery).
+  StatusOr<CrashStormResult> RunStorm(uint64_t seed, uint64_t crash_write = 0,
+                                      uint64_t restart_write = 0);
 
   const CrashStormOptions& options() const { return opts_; }
 

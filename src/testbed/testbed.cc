@@ -95,7 +95,9 @@ StatusOr<GoldenImage> GoldenImage::BuildFor(
   LogManager log(&log_dev);
   NullCache cache(&storage);
   DatabaseOptions db_opts;
-  db_opts.buffer_frames = 32768;  // 128 MB: plenty for a load working set
+  // The load writes the same image, byte for byte, at any pool size from
+  // 256 frames up; 1024 frames (4 MB) keep the build's memory peak small.
+  db_opts.buffer_frames = 1024;
   Database db(db_opts, &storage, &log, &cache);
   FACE_RETURN_IF_ERROR(db.Format());
 

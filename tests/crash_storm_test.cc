@@ -131,15 +131,12 @@ TEST(CrashStormTest, GroupSecondChance) {
   }
 }
 
-/// Exhaustive small-scope sweep: on a tiny geometry (46 frames, 16 DRAM
-/// frames, by default 8-entry metadata segments and 8-page groups), power
-/// fails at every page write of one checkpoint interval in turn, for each
-/// of four seeds; each restart must pass the differential check and the
-/// frame audit. With 46 frames a full queue's rear sits 6 past a group
-/// boundary, so segment boundaries fall inside second-chance survivor
-/// loops.
-void SweepOneCheckpointInterval(CachePolicy policy, uint32_t seg_entries = 8,
-                                uint32_t group_size = 8) {
+/// The sweeps' tiny geometry: 46 frames, 16 DRAM frames, `seg_entries`
+/// metadata segments and `group_size`-page groups. With 46 frames a full
+/// queue's rear sits 6 past a group boundary, so segment boundaries fall
+/// inside second-chance survivor loops.
+CrashStormOptions SweepOptions(CachePolicy policy, uint32_t seg_entries,
+                               uint32_t group_size) {
   CrashStormOptions opts;
   opts.policy = policy;
   opts.buffer_frames = 16;
@@ -149,7 +146,16 @@ void SweepOneCheckpointInterval(CachePolicy policy, uint32_t seg_entries = 8,
   opts.warmup_ops = 150;
   opts.body_ops = 25;
   opts.post_ops = 0;
-  CrashStormHarness harness(opts);
+  return opts;
+}
+
+/// Exhaustive small-scope sweep on that geometry (by default 8-entry
+/// segments and 8-page groups): power fails at every page write of one
+/// checkpoint interval in turn, for each of four seeds; each restart must
+/// pass the differential check and the frame audit.
+void SweepOneCheckpointInterval(CachePolicy policy, uint32_t seg_entries = 8,
+                                uint32_t group_size = 8) {
+  CrashStormHarness harness(SweepOptions(policy, seg_entries, group_size));
 
   uint64_t swept = 0;
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -190,6 +196,84 @@ TEST(CrashSweepTest, FaceGscSegmentsSmallerThanGroups) {
   // behind a survivor loop; restart's raw-frame scan must reach them.
   SweepOneCheckpointInterval(CachePolicy::kFaceGSC, /*seg_entries=*/4,
                              /*group_size=*/16);
+}
+
+/// Exhaustive sweep of one restart: power fails at the middle page write
+/// of one checkpoint interval, then again at every page write of the
+/// restart that follows, for each of eight seeds; each second restart must
+/// pass the differential check and the frame audit, and an uncut restart
+/// checkpoint destages nothing outside its lane batch. The sweep cuts the
+/// restart checkpoint before, inside and after its destage batch, and
+/// between the frames it writes after the batch and the delta appends that
+/// follow them. `reclaiming` counts the seeds whose restart checkpoint
+/// reclaimed delta chains.
+void SweepOneRestart(const CrashStormOptions& opts, uint64_t* reclaiming) {
+  CrashStormHarness harness(opts);
+  uint64_t swept = 0;
+  *reclaiming = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    auto dry = harness.RunStorm(seed, UINT64_MAX);
+    ASSERT_TRUE(dry.ok()) << dry.status().ToString();
+    const uint64_t crash = dry->armed_writes / 2;
+    // A restart crash point past the restart never trips: this run counts
+    // the restart's page writes.
+    auto once = harness.RunStorm(seed, crash, UINT64_MAX);
+    ASSERT_TRUE(once.ok()) << once.status().ToString();
+    ASSERT_TRUE(once->crashed_mid_body);
+    ASSERT_FALSE(once->double_faulted);
+    ASSERT_TRUE(once->diff.ok()) << once->ToString();
+    EXPECT_EQ(once->restart.serial_destages, 0u) << once->ToString();
+    const uint64_t writes = once->restart_writes;
+    ASSERT_GT(writes, 0u);
+    *reclaiming += once->restart.reclaimed_chains > 0 ? 1 : 0;
+
+    for (uint64_t r = 1; r <= writes; ++r) {
+      auto result = harness.RunStorm(seed, crash, r);
+      ASSERT_TRUE(result.ok()) << "seed " << seed << ", restart crash at write "
+                               << r << ": " << result.status().ToString();
+      ASSERT_TRUE(result->double_faulted) << "restart crash at write " << r;
+      EXPECT_TRUE(result->diff.ok())
+          << "seed " << seed << ", restart crash at write " << r << " of "
+          << writes << "\n" << result->ToString();
+    }
+    swept += writes;
+  }
+  std::cout << "[ " << CachePolicyName(opts.policy) << " ] swept " << swept
+            << " restart crash points; " << *reclaiming
+            << " of 8 restart checkpoints reclaimed delta chains\n";
+}
+
+/// The flash cache holds the whole 1200-row database (64 frames) behind a
+/// 4-block delta ring: plain FaCE's restart checkpoint appends delta
+/// records into ring slots that still hold live chains on most seeds (7 of
+/// 8), so the sweep also cuts it between the tip images and the appends.
+CrashStormOptions ResidentSweepOptions(CachePolicy policy) {
+  CrashStormOptions opts = SweepOptions(policy, /*seg_entries=*/16,
+                                        /*group_size=*/8);
+  opts.workload.records = 1200;
+  opts.flash_pages = 64;
+  opts.warmup_ops = 300;
+  opts.body_ops = 30;
+  return opts;
+}
+
+TEST(CrashSweepTest, FaceEveryWriteOfOneRestart) {
+  uint64_t reclaiming = 0;
+  SweepOneRestart(ResidentSweepOptions(CachePolicy::kFace), &reclaiming);
+  EXPECT_GT(reclaiming, 0u) << "no swept restart reached the tip images";
+}
+
+TEST(CrashSweepTest, FaceGrEveryWriteOfOneRestart) {
+  // The interval sweep's geometry: on the resident one, FaCE+GR loses rows
+  // to an open defect (a destaged frame restored without its delta chain),
+  // with or without a crash during the restart.
+  uint64_t reclaiming = 0;
+  SweepOneRestart(SweepOptions(CachePolicy::kFaceGR, 8, 8), &reclaiming);
+}
+
+TEST(CrashSweepTest, FaceGscEveryWriteOfOneRestart) {
+  uint64_t reclaiming = 0;
+  SweepOneRestart(ResidentSweepOptions(CachePolicy::kFaceGSC), &reclaiming);
 }
 
 TEST(CrashStormTest, DeliberatelyBrokenRecoveryIsCaught) {

@@ -725,5 +725,64 @@ TEST(DegradedRestartTest, RedoFromTheRebuildFloorRecoversEveryRow) {
   EXPECT_TRUE(diff.ok()) << diff.ToString();
 }
 
+// --- the restart checkpoint's one destage batch -----------------------------
+
+/// A resident, delta-heavy restart: the flash cache holds the whole KV
+/// database behind the smallest delta ring (4 blocks), and the crash comes
+/// an interval of small updates after a checkpoint. Redo refetches the
+/// updated pages from flash, so the restart checkpoint offers most of them
+/// as delta records, and their appends reach ring slots that still hold
+/// live chains.
+void ResidentDeltaRestart(CachePolicy policy, RestartReport* report) {
+  fault::ShadowKvOptions wo;
+  wo.records = 1200;
+  wo.value_bytes = 160;
+  auto shadow = std::make_shared<fault::ShadowState>();
+  auto factory = std::make_shared<fault::ShadowKvFactory>(wo, shadow);
+  shadow->Reset(wo.records, wo.value_bytes);
+  FACE_ASSERT_OK_AND_ASSIGN(GoldenImage golden, GoldenImage::BuildFor(factory));
+
+  TestbedOptions to;
+  to.clients = 8;
+  to.seed = 5;
+  to.workload = factory;
+  to.buffer_frames = 16;
+  to.flash_pages = golden.db_pages();
+  ASSERT_LT(to.flash_pages, 64u) << "the delta ring would outgrow 4 blocks";
+  to.seg_entries = 16;
+  to.group_size = 8;
+  to.policy = policy;
+  Testbed tb(to, &golden);
+  FACE_ASSERT_OK(tb.Start());
+  RunOptions warm;
+  warm.txns = 400;
+  FACE_ASSERT_OK(tb.Run(warm).status());
+  FACE_ASSERT_OK(tb.db()->TakeCheckpoint().status());
+  RunOptions body;
+  body.txns = 40;
+  FACE_ASSERT_OK(tb.Run(body).status());
+  FACE_ASSERT_OK(tb.Crash());
+  FACE_ASSERT_OK_AND_ASSIGN(*report, tb.Recover());
+  FACE_ASSERT_OK_AND_ASSIGN(
+      fault::DiffReport diff,
+      fault::RunDifferentialCheck(*tb.db(), shadow.get(), tb.cache()));
+  EXPECT_TRUE(diff.ok()) << diff.ToString();
+}
+
+TEST(RestartCheckpointTest, EveryFlavorDestagesOnlyInsideTheLaneBatch) {
+  // The checkpoint's delta appends reuse ring slots: the chains there come
+  // back as full frames, and the room for them is made in the one lane
+  // batch — no destage runs outside it, for any FaCE flavor.
+  for (const CachePolicy policy : {CachePolicy::kFace, CachePolicy::kFaceGR,
+                                   CachePolicy::kFaceGSC}) {
+    SCOPED_TRACE(CachePolicyName(policy));
+    RestartReport report;
+    ResidentDeltaRestart(policy, &report);
+    EXPECT_GT(report.reclaimed_chains, 0u) << report.ToString();
+    EXPECT_EQ(report.serial_destages, 0u) << report.ToString();
+    EXPECT_GT(report.writeback_pages, 0u) << report.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace face
