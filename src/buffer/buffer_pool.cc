@@ -341,39 +341,18 @@ PageId BufferPool::PullVictim(char* page, bool* dirty, bool* fdirty,
 }
 
 Status BufferPool::FlushAllToDisk() {
-  FACE_RETURN_IF_ERROR(log_->FlushAll());
   // Ascending-page order (see SnapshotResidentPages): shutdown writes are
   // deterministic and adjacent dirty pages coalesce into sequential I/O.
-  for (PageId page_id : SnapshotResidentPages()) {
-    const uint32_t* slot = table_.Find(page_id);
-    if (slot == nullptr) continue;  // a cache callback may mutate the table
-    Frame& f = frames_[*slot];
-    if (!f.dirty) continue;
-    FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, f.data.get()));
-    cache_->OnPageWrittenToDisk(page_id);
-    f.dirty = false;
-    f.fdirty = false;
-    f.rec_lsn = kInvalidLsn;
-    f.flash_version = kNoFlashVersion;  // the cache may have dropped its copy
-    f.tracker.Reset();
-  }
-  return Status::OK();
+  return FlushPagesToDisk(SnapshotResidentPages());
 }
 
 Status BufferPool::FlushPagesToDisk(const std::vector<PageId>& pages) {
   FACE_RETURN_IF_ERROR(log_->FlushAll());
   for (PageId page_id : pages) {
     const uint32_t* slot = table_.Find(page_id);
-    if (slot == nullptr) continue;
+    if (slot == nullptr) continue;  // a cache callback may mutate the table
     Frame& f = frames_[*slot];
-    if (!f.dirty) continue;
-    FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, f.data.get()));
-    cache_->OnPageWrittenToDisk(page_id);
-    f.dirty = false;
-    f.fdirty = false;
-    f.rec_lsn = kInvalidLsn;
-    f.flash_version = kNoFlashVersion;
-    f.tracker.Reset();
+    if (f.dirty) FACE_RETURN_IF_ERROR(SyncToDisk(page_id, &f));
   }
   return Status::OK();
 }

@@ -199,8 +199,10 @@ class BufferPool final : public DramPullSource {
   /// Evict `frame` through the cache pipeline (caller removed it from LRU).
   Status EvictFrame(uint32_t frame);
   /// Checkpoint sync of one frame: the cache absorbed it at
-  /// `flash_version` / write it to disk.
+  /// `flash_version`.
   void MarkAbsorbed(Frame* f, uint64_t flash_version);
+  /// The pool's one frame-to-disk routine (checkpoint sync, shutdown, flash
+  /// rebuild): write the frame, tell the cache, mark the frame clean.
   Status SyncToDisk(PageId page_id, Frame* f);
   /// True if the frame's persistent copy is stale (belongs in the DPT).
   bool PersistentlyDirty(const Frame& f) const {

@@ -341,6 +341,12 @@ class CacheExtension {
 
   /// Expensive internal-consistency audit for tests.
   virtual Status CheckInvariants() const { return Status::OK(); }
+  /// The cache audit after a restart: CheckInvariants, plus whatever
+  /// read-back of the frames a policy offers. Returns the frames read back.
+  virtual StatusOr<uint64_t> AuditFrames() {
+    FACE_RETURN_IF_ERROR(CheckInvariants());
+    return uint64_t{0};
+  }
 
   /// Account one DRAM-miss probe (called by the buffer pool so every policy
   /// shares the same hit-rate denominator, Table 3a's "all DRAM misses").

@@ -141,7 +141,7 @@ class FaceCache final : public CacheExtension {
   /// still in the staging buffer are checked in memory.
   /// Returns the number of frames verified; Corruption on the first
   /// violation. Charges flash reads (callers audit with timing disabled).
-  StatusOr<uint64_t> AuditFrames();
+  StatusOr<uint64_t> AuditFrames() override;
 
   // Introspection ------------------------------------------------------------
   /// Live entries (valid + invalid versions + holes) in the queue.

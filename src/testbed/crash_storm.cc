@@ -35,24 +35,33 @@ std::string RecoveryPhaseAggregate::ToString() const {
   return os.str();
 }
 
+workload::YcsbOptions StormKv(uint64_t records) {
+  workload::YcsbOptions o;
+  o.records = records;
+  o.value_bytes = 160;
+  o.distribution = workload::YcsbOptions::Distribution::kUniform;
+  o.pct_read = 30, o.pct_update = 55, o.pct_insert = 10, o.pct_scan = 5;
+  o.max_scan_rows = 16;
+  o.bulk_load = false;
+  return o;
+}
+
 std::string CrashStormResult::ToString() const {
   std::ostringstream os;
   os << (crashed_mid_body ? site.ToString() : "crash: quiescent point")
      << (double_faulted ? " (+ crash during recovery)" : "")
-     << "\n" << restart.ToString() << "\n" << diff.ToString();
+     << "\n" << restart.ToString() << "\n" << audit.ToString();
   return os.str();
 }
 
-CrashStormHarness::CrashStormHarness(const CrashStormOptions& options)
-    : opts_(options),
-      shadow_(std::make_shared<fault::ShadowState>()),
-      factory_(std::make_shared<fault::ShadowKvFactory>(options.workload,
-                                                        shadow_)) {}
+CrashStormHarness::CrashStormHarness(const CrashStormOptions& options,
+                                     const GoldenImage* golden)
+    : opts_(options), golden_(golden) {}
 
 Status CrashStormHarness::EnsureGolden() {
-  if (golden_ready_) return Status::OK();
-  FACE_ASSIGN_OR_RETURN(golden_, GoldenImage::BuildFor(factory_));
-  golden_ready_ = true;
+  if (golden_ != nullptr) return Status::OK();
+  FACE_ASSIGN_OR_RETURN(own_golden_, GoldenImage::BuildFor(opts_.workload));
+  golden_ = &own_golden_;
   return Status::OK();
 }
 
@@ -60,20 +69,19 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
     uint64_t seed, uint64_t crash_write, uint64_t restart_write) {
   FACE_RETURN_IF_ERROR(EnsureGolden());
   const bool explicit_crash = crash_write != 0;
-  shadow_->Reset(opts_.workload.records, opts_.workload.value_bytes);
 
   Random rnd(seed * 0x9e3779b97f4a7c15ull + 0x5707 /* storm */);
 
   TestbedOptions to;
   to.clients = opts_.clients;
   to.seed = seed;
-  to.workload = factory_;
+  to.workload = opts_.workload;
   to.buffer_frames = opts_.buffer_frames;
   to.flash_pages = opts_.flash_pages;
   to.seg_entries = opts_.seg_entries;
   to.group_size = opts_.group_size;
   to.policy = opts_.policy;
-  Testbed tb(to, &golden_);
+  Testbed tb(to, golden_);
   FACE_RETURN_IF_ERROR(tb.Start());
 
   FaultInjector inj;
@@ -202,7 +210,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
     }
     if (restart.ok()) {
       // The countdown may outlive a short recovery; never let it leak
-      // into the differential check or the post-run.
+      // into the audit or the post-run.
       inj.Disarm();
       result.restart = *std::move(restart);
       break;
@@ -218,47 +226,20 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
   }
   phases_.Record(result.restart);
 
-  auto checked = [&]() -> StatusOr<fault::DiffReport> {
-    // The sweep's I/O is diagnostic, not part of the experiment: free.
-    tb.db_dev()->set_timing_enabled(false);
-    tb.log_dev()->set_timing_enabled(false);
-    if (tb.flash_dev() != nullptr) tb.flash_dev()->set_timing_enabled(false);
-    auto r = fault::RunDifferentialCheck(*tb.db(), shadow_.get(), tb.cache());
-    tb.db_dev()->set_timing_enabled(true);
-    tb.log_dev()->set_timing_enabled(true);
-    if (tb.flash_dev() != nullptr) tb.flash_dev()->set_timing_enabled(true);
-    return r;
-  };
-  FACE_ASSIGN_OR_RETURN(result.diff, checked());
+  FACE_ASSIGN_OR_RETURN(result.audit, tb.Audit());
 
   // --- resume: the recovered system must keep working ----------------------
-  if (result.diff.ok() && opts_.post_ops > 0) {
+  if (result.audit.ok() && opts_.post_ops > 0) {
     RunOptions post;
     post.txns = opts_.post_ops;
     FACE_RETURN_IF_ERROR(tb.Run(post).status());
-    FACE_ASSIGN_OR_RETURN(fault::DiffReport again, checked());
-    result.diff.Merge(again);
+    FACE_ASSIGN_OR_RETURN(const workload::AuditReport again, tb.Audit());
+    result.audit.Merge(again);
   }
   return result;
 }
 
 // --- sharded storms ----------------------------------------------------------
-
-namespace {
-
-/// An eligible (non-stranded) key on one shard's shadow — mirrors
-/// ShadowKvWorkload::PickKey so cross-shard legs never touch a key whose
-/// before-image belongs to an injected stranded transaction.
-uint64_t PickEligibleKey(const fault::ShadowState& st, Random& rnd) {
-  const uint64_t pop = st.population();
-  uint64_t key = rnd.Uniform(pop);
-  for (uint64_t i = 0; i < pop && st.stranded.count(key) != 0; ++i) {
-    key = (key + 1) % pop;
-  }
-  return key;
-}
-
-}  // namespace
 
 std::string ShardedCrashStormResult::ToString() const {
   std::ostringstream os;
@@ -269,12 +250,12 @@ std::string ShardedCrashStormResult::ToString() const {
   if (cross_cut_midway) {
     os << ", one cut mid-2PC (decision "
        << (decision_recovered ? "recovered" : "lost") << "; legs:";
-    for (const fault::PendingOutcome o : cut_outcomes) {
-      os << " " << fault::PendingOutcomeName(o);
+    for (const workload::PendingOutcome o : cut_outcomes) {
+      os << " " << workload::PendingOutcomeName(o);
     }
     os << "; atomicity " << (atomicity_ok ? "ok" : "VIOLATED") << ")";
   }
-  os << "\n" << diff.ToString();
+  os << "\n" << audit.ToString();
   return os.str();
 }
 
@@ -289,13 +270,6 @@ StatusOr<ShardedCrashStormResult> ShardedCrashStormHarness::RunStorm(
   if (n == 0) return Status::InvalidArgument("sharded storm needs shards");
   Random rnd(seed * 0x9e3779b97f4a7c15ull + 0x54A2D /* sharded storm */);
 
-  // The whole workload is shards * per-shard records; Partition hands each
-  // shard its slice with a fresh, ready shadow.
-  fault::ShadowKvOptions wl = b.workload;
-  wl.records = wl.records * n;
-  auto root_state = std::make_shared<fault::ShadowState>();
-  root_state->Reset(wl.records, wl.value_bytes);
-
   ShardedTestbedOptions so;
   so.shards = n;
   so.base.clients = b.clients;
@@ -305,32 +279,22 @@ StatusOr<ShardedCrashStormResult> ShardedCrashStormHarness::RunStorm(
   so.base.seg_entries = b.seg_entries;
   so.base.group_size = b.group_size;
   so.base.policy = b.policy;
-  so.factory = std::make_shared<fault::ShadowKvFactory>(wl, root_state);
+  so.factory = b.workload;
   ShardedTestbed stb(so);
   FACE_RETURN_IF_ERROR(stb.Start());
 
-  // Per-shard shadows, and the injector wired to the victim's devices.
+  // The injector, wired to the victim's devices.
   ShardedCrashStormResult result;
   result.victim_shard = static_cast<uint32_t>(rnd.Uniform(n));
-  std::vector<fault::ShadowState*> states(n, nullptr);
   FaultInjector inj;
-  for (uint32_t i = 0; i < n; ++i) {
-    FACE_RETURN_IF_ERROR(stb.OnShard(i, [&, i](Testbed& t) -> Status {
-      auto* w = dynamic_cast<fault::ShadowKvWorkload*>(t.workload());
-      if (w == nullptr) {
-        return Status::Internal("sharded storm needs the shadow-kv workload");
-      }
-      states[i] = w->state();
-      if (i == result.victim_shard) {
-        inj.AttachScheduler(t.sched());
-        inj.SetTearGranularity(t.db_dev()->id(), TearGranularity::kPageAtomic);
-        t.db_dev()->set_fault_injector(&inj);
-        t.log_dev()->set_fault_injector(&inj);
-        if (t.flash_dev() != nullptr) t.flash_dev()->set_fault_injector(&inj);
-      }
-      return Status::OK();
-    }));
-  }
+  FACE_RETURN_IF_ERROR(stb.OnShard(result.victim_shard, [&](Testbed& t) {
+    inj.AttachScheduler(t.sched());
+    inj.SetTearGranularity(t.db_dev()->id(), TearGranularity::kPageAtomic);
+    t.db_dev()->set_fault_injector(&inj);
+    t.log_dev()->set_fault_injector(&inj);
+    if (t.flash_dev() != nullptr) t.flash_dev()->set_fault_injector(&inj);
+    return Status::OK();
+  }));
 
   // --- warm up, checkpoint some shards, strand work on the victim ----------
   {
@@ -371,28 +335,15 @@ StatusOr<ShardedCrashStormResult> ShardedCrashStormHarness::RunStorm(
       uint32_t c = static_cast<uint32_t>(rnd.Uniform(n - 1));
       if (c >= a) ++c;
       const uint64_t gtid = (seed << 20) + ++gtid_counter;
-      const uint64_t key_a = PickEligibleKey(*states[a], rnd);
-      const uint64_t key_c = PickEligibleKey(*states[c], rnd);
-      auto leg = [](uint64_t key) {
-        return [key](Testbed& t) -> StatusOr<TxnId> {
-          auto* w = dynamic_cast<fault::ShadowKvWorkload*>(t.workload());
-          return w->BeginCrossShardUpdate(*t.db(), key);
-        };
+      auto leg = [&rnd](Testbed& t) {
+        return t.workload()->BeginCrossShardLeg(*t.db(), rnd);
       };
       ++cross_started;
-      body = stb.RunCrossShardTxn(
-          gtid, {{a, leg(key_a)}, {c, leg(key_c)}},
-          /*before_decision=*/[&] {
-            states[a]->pending.commit_attempted = true;
-            states[c]->pending.commit_attempted = true;
-          },
-          /*on_committed=*/[&] {
-            for (const uint32_t s : {a, c}) {
-              fault::PendingOp& p = states[s]->pending;
-              states[s]->versions[p.key] = p.new_version;
-              p = fault::PendingOp();
-            }
-          });
+      body = stb.RunCrossShardTxn(gtid, {{a, leg}, {c, leg}}, [&] {
+        for (const uint32_t s : {a, c}) {
+          stb.testbed(s)->workload()->OnCrossShardCommitted();
+        }
+      });
       if (body.ok()) {
         ++result.cross_committed;
       } else {
@@ -413,17 +364,6 @@ StatusOr<ShardedCrashStormResult> ShardedCrashStormHarness::RunStorm(
   result.crashed_mid_body = inj.tripped();
   result.cross_cut_midway = !body.ok() && cut_gtid != 0;
 
-  // Which legs of the cut transaction actually started (left a pending);
-  // snapshot before the checks resolve them.
-  std::vector<uint32_t> started_legs;
-  if (result.cross_cut_midway) {
-    for (const uint32_t p : cut_parts) {
-      if (states[p]->pending.kind != fault::PendingOp::Kind::kNone) {
-        started_legs.push_back(p);
-      }
-    }
-  }
-
   // --- machine-wide crash, parallel recovery, in-doubt resolution ----------
   FACE_RETURN_IF_ERROR(stb.Crash());
   inj.Disarm();
@@ -440,49 +380,40 @@ StatusOr<ShardedCrashStormResult> ShardedCrashStormHarness::RunStorm(
       cut_gtid != 0 &&
       std::binary_search(decided.begin(), decided.end(), cut_gtid);
 
-  // --- per-shard differential checks ---------------------------------------
-  std::vector<fault::DiffReport> reports(n);
-  auto check_all = [&]() -> Status {
+  // --- per-shard audits ----------------------------------------------------
+  std::vector<workload::AuditReport> reports(n);
+  auto audit_all = [&]() -> Status {
     for (uint32_t i = 0; i < n; ++i) {
       FACE_RETURN_IF_ERROR(stb.OnShard(i, [&, i](Testbed& t) -> Status {
-        t.db_dev()->set_timing_enabled(false);
-        t.log_dev()->set_timing_enabled(false);
-        if (t.flash_dev() != nullptr) t.flash_dev()->set_timing_enabled(false);
-        auto r = fault::RunDifferentialCheck(*t.db(), states[i], t.cache());
-        t.db_dev()->set_timing_enabled(true);
-        t.log_dev()->set_timing_enabled(true);
-        if (t.flash_dev() != nullptr) t.flash_dev()->set_timing_enabled(true);
-        FACE_RETURN_IF_ERROR(r.status());
-        reports[i].Merge(*r);
+        FACE_ASSIGN_OR_RETURN(reports[i], t.Audit());
         return Status::OK();
       }));
     }
+    for (const workload::AuditReport& r : reports) result.audit.Merge(r);
     return Status::OK();
   };
-  FACE_RETURN_IF_ERROR(check_all());
+  FACE_RETURN_IF_ERROR(audit_all());
 
   // Atomicity of the cut transaction: every started leg must have resolved
   // the same way, and that way must match whether the decision survived.
   if (result.cross_cut_midway) {
-    const fault::PendingOutcome expected = result.decision_recovered
-                                               ? fault::PendingOutcome::kCommitted
-                                               : fault::PendingOutcome::kRolledBack;
-    for (const uint32_t p : started_legs) {
-      const fault::PendingOutcome o = reports[p].pending_outcome;
+    const workload::PendingOutcome expected =
+        result.decision_recovered ? workload::PendingOutcome::kCommitted
+                                  : workload::PendingOutcome::kRolledBack;
+    for (const uint32_t p : cut_parts) {
+      const workload::PendingOutcome o = reports[p].pending_outcome;
+      if (o == workload::PendingOutcome::kNone) continue;
       result.cut_outcomes.push_back(o);
       if (o != expected) result.atomicity_ok = false;
     }
   }
-  for (const fault::DiffReport& r : reports) result.diff.Merge(r);
 
   // --- resume: every shard must keep serving after resolution --------------
-  if (result.diff.ok() && result.atomicity_ok && b.post_ops > 0) {
+  if (result.audit.ok() && result.atomicity_ok && b.post_ops > 0) {
     RunOptions post;
     post.txns = b.post_ops;
     FACE_RETURN_IF_ERROR(stb.Run(post).status());
-    for (auto& r : reports) r = fault::DiffReport();
-    FACE_RETURN_IF_ERROR(check_all());
-    for (const fault::DiffReport& r : reports) result.diff.Merge(r);
+    FACE_RETURN_IF_ERROR(audit_all());
   }
   return result;
 }

@@ -1,16 +1,19 @@
-// Crash-storm harness: turns the testbed + fault injector + shadow workload
-// + differential checker into one repeatable experiment. One storm =
+// Crash-storm harness: turns the testbed + fault injector + any workload
+// into one repeatable experiment. One storm =
 //
 //   clone the golden image -> warm up (maybe checkpoint) -> strand a few
 //   in-flight transactions -> arm the injector at a seeded-random crash
 //   point -> run until power fails (checkpoints interleaved, so crashes
-//   land inside them too) -> Crash() -> Recover() -> differential check +
-//   flash-directory audit -> resume and re-check.
+//   land inside them too) -> Crash() -> Recover() -> audit -> resume and
+//   audit again.
 //
-// Everything is derived deterministically from the storm seed, so a failing
-// seed replays exactly. The harness works against any cache policy; with
-// Sabotage the recovery path is deliberately broken to demonstrate that the
-// checker catches a recovery that silently loses data.
+// The oracle is Testbed::Audit: the workload's logical audit (YCSB's
+// committed-version ledger, TPC-C's consistency conditions) plus the cache
+// audit. Everything is derived deterministically from the storm seed, so a
+// failing seed replays exactly. The harness works against any cache policy
+// and any workload that can strand transactions; with Sabotage the
+// recovery path is deliberately broken to demonstrate that the audit
+// catches a recovery that silently loses data.
 //
 // A storm may instead name its crash point: the k-th page write (any
 // device) of one checkpoint interval — checkpoint, body, closing
@@ -29,10 +32,9 @@
 
 #include "common/histogram.h"
 #include "common/status.h"
-#include "fault/diff_checker.h"
 #include "fault/fault_injector.h"
-#include "fault/shadow_kv.h"
 #include "testbed/testbed.h"
+#include "workload/ycsb_workload.h"
 
 namespace face {
 
@@ -50,19 +52,27 @@ struct RecoveryPhaseAggregate {
   std::string ToString() const;
 };
 
-/// Deliberate recovery breakage, to prove the checker has teeth.
+/// Deliberate recovery breakage, to prove the audit has teeth.
 enum class Sabotage : uint8_t {
   kNone = 0,
   /// Wipe the flash-cache superblock after the crash: FaCE cold-formats
   /// instead of restoring its metadata, losing every page whose only
-  /// current copy lived in flash — the checker must report divergences.
+  /// current copy lived in flash — the audit must report divergences.
   kWipeFlashSuperblock,
 };
+
+/// The storms' KV workload: YCSB with uniform keys over `records` rows of
+/// 160 bytes, a write-heavy 30/55/10/5 read/update/insert/scan mix (restart
+/// work scales with writes), scans of up to 16 rows, loaded row by row.
+workload::YcsbOptions StormKv(uint64_t records = 1200);
 
 /// Shape of one storm campaign (shared by all seeds run through a harness).
 struct CrashStormOptions {
   CachePolicy policy = CachePolicy::kFace;
-  fault::ShadowKvOptions workload;
+  /// What the storm runs and audits. Its workload must strand transactions
+  /// (Workload::InjectStranded) unless `stranded_txns` is 0.
+  std::shared_ptr<const workload::WorkloadFactory> workload =
+      std::make_shared<workload::YcsbFactory>(StormKv());
 
   uint32_t clients = 8;
   uint32_t buffer_frames = 64;   ///< small on purpose: evictions drive flash
@@ -92,7 +102,7 @@ struct CrashStormResult {
   uint64_t restart_writes = 0;
   CrashSite site;
   RestartReport restart;          ///< the restart that finally succeeded
-  fault::DiffReport diff;
+  workload::AuditReport audit;    ///< after the restart and after resuming
 
   std::string ToString() const;
 };
@@ -101,7 +111,10 @@ struct CrashStormResult {
 /// first storm and reuses it for every seed.
 class CrashStormHarness {
  public:
-  explicit CrashStormHarness(const CrashStormOptions& options);
+  /// `golden`, if given, is a load of `options.workload` to clone instead
+  /// (harnesses of one workload may share it); it must outlive the harness.
+  explicit CrashStormHarness(const CrashStormOptions& options,
+                             const GoldenImage* golden = nullptr);
 
   /// Run one full storm. Non-OK only for rig failures (a crash the
   /// injector did not cause, recovery erroring out); data divergences are
@@ -123,10 +136,8 @@ class CrashStormHarness {
 
   CrashStormOptions opts_;
   RecoveryPhaseAggregate phases_;
-  std::shared_ptr<fault::ShadowState> shadow_;
-  std::shared_ptr<fault::ShadowKvFactory> factory_;
-  GoldenImage golden_;
-  bool golden_ready_ = false;
+  const GoldenImage* golden_;
+  GoldenImage own_golden_;
 };
 
 /// Shape of a sharded storm: N single-shard storms running concurrently,
@@ -134,8 +145,9 @@ class CrashStormHarness {
 /// failure. The injector arms on a seed-picked victim shard; every shard
 /// crashes, recovers, and resolves in-doubt transactions together.
 struct ShardedCrashStormOptions {
-  /// Per-shard sizing; `base.workload.records` is the per-shard slice
-  /// handed to ShadowKvFactory::Partition. Sabotage is not supported.
+  /// Per-shard sizing; `base.workload` is the whole workload, partitioned
+  /// across the shards, and its workload must begin cross-shard legs
+  /// (Workload::BeginCrossShardLeg). Sabotage is not supported.
   CrashStormOptions base;
   uint32_t shards = 2;
   /// Cross-shard transactions interleaved into the armed body; each picks
@@ -149,14 +161,15 @@ struct ShardedCrashStormResult {
   uint32_t victim_shard = 0;        ///< shard the injector was armed on
   uint64_t cross_committed = 0;     ///< 2PC txns fully committed pre-crash
   /// The 2PC transaction cut mid-protocol, if any: its participants'
-  /// post-recovery outcomes (from each shard's differential check) and the
-  /// atomicity verdict — every participant that started a leg resolved the
-  /// same way, matching whether the decision record survived.
+  /// post-recovery outcomes (from each shard's audit) and the atomicity
+  /// verdict — every participant that started a leg resolved the same way,
+  /// matching whether the decision record survived.
   bool cross_cut_midway = false;
   bool atomicity_ok = true;
-  std::vector<fault::PendingOutcome> cut_outcomes;  ///< one per started leg
+  /// One per started leg (a leg that never started has no in-doubt write).
+  std::vector<workload::PendingOutcome> cut_outcomes;
   bool decision_recovered = false;  ///< cut txn's gtid in the decided union
-  fault::DiffReport diff;           ///< merged across shards
+  workload::AuditReport audit;      ///< merged across shards
   std::vector<RestartReport> restarts;
 
   std::string ToString() const;

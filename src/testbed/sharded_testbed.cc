@@ -187,7 +187,6 @@ Status ShardedTestbed::OnShard(uint32_t shard,
 
 Status ShardedTestbed::RunCrossShardTxn(
     uint64_t gtid, const std::vector<CrossShardLeg>& legs,
-    const std::function<void()>& before_decision,
     const std::function<void()>& on_committed) {
   if (legs.empty()) {
     return Status::InvalidArgument("cross-shard transaction with no legs");
@@ -214,8 +213,6 @@ Status ShardedTestbed::RunCrossShardTxn(
       return s;
     }));
   }
-
-  if (before_decision) before_decision();
 
   // Phase 2 — the decision: the first leg's shard is the coordinator; its
   // forced GlobalCommit record is the commit point of the whole txn.

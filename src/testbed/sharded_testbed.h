@@ -90,14 +90,11 @@ class ShardedTestbed {
   /// Execute one cross-shard transaction `gtid` under two-phase commit:
   /// each leg begins + prepares on its shard (one foreground client span
   /// per leg), the first leg's shard logs the GlobalCommit decision, then
-  /// every leg commits locally. `before_decision` runs on the harness
-  /// thread after all votes and immediately before the decision force —
-  /// the moment the outcome flips from "must roll back" to "may commit" —
-  /// and `on_committed` after every local commit landed; both are for
-  /// shadow-state bookkeeping and may be null. Any error leaves the
-  /// protocol where it stopped (exactly what a crash storm wants).
+  /// every leg commits locally. `on_committed` runs on the harness thread
+  /// after every local commit landed, for the workloads' commit bookkeeping,
+  /// and may be null. Any error leaves the protocol where it stopped
+  /// (exactly what a crash storm wants).
   Status RunCrossShardTxn(uint64_t gtid, const std::vector<CrossShardLeg>& legs,
-                          const std::function<void()>& before_decision = {},
                           const std::function<void()>& on_committed = {});
 
   /// Run `fn(testbed)` on shard `i`'s worker thread and wait for it —

@@ -234,9 +234,7 @@ Status Testbed::Start() {
 
   // Clone the golden image and wire the stack with timing disabled: setup
   // I/O (superblock formats, the anchoring checkpoint) is not measured.
-  db_dev_->set_timing_enabled(false);
-  log_dev_->set_timing_enabled(false);
-  if (flash_dev_ != nullptr) flash_dev_->set_timing_enabled(false);
+  SetTiming(false);
 
   FACE_RETURN_IF_ERROR(db_dev_->CloneContentsFrom(*golden_->device));
   FACE_RETURN_IF_ERROR(BuildDramStack(/*after_crash=*/false));
@@ -250,10 +248,31 @@ Status Testbed::Start() {
   client_rnd_ = Random(txn_seed_ ^ 0x5eed5eed);
   BindTxnLatencyHists(*workload_, &txn_lat_);
 
-  db_dev_->set_timing_enabled(true);
-  log_dev_->set_timing_enabled(true);
-  if (flash_dev_ != nullptr) flash_dev_->set_timing_enabled(true);
+  SetTiming(true);
   return Status::OK();
+}
+
+void Testbed::SetTiming(bool on) {
+  db_dev_->set_timing_enabled(on);
+  log_dev_->set_timing_enabled(on);
+  if (flash_dev_ != nullptr) flash_dev_->set_timing_enabled(on);
+}
+
+StatusOr<workload::AuditReport> Testbed::Audit() {
+  SetTiming(false);
+  workload::AuditReport report;
+  Status s = workload_->Audit(*db_, &report);
+  if (s.ok()) {
+    const StatusOr<uint64_t> frames = cache_->AuditFrames();
+    if (frames.ok()) {
+      report.frames_audited += *frames;
+    } else {
+      report.AddViolation("cache audit: " + frames.status().ToString());
+    }
+  }
+  SetTiming(true);
+  FACE_RETURN_IF_ERROR(s);
+  return report;
 }
 
 Status Testbed::RunBackgroundWork() {
@@ -407,7 +426,7 @@ Status Testbed::InjectInflightTransactions(uint32_t n) {
 Status Testbed::Crash() {
   sched_.AdvanceAllTokens(sched_.makespan());
   // DRAM dies: every in-memory structure is discarded, in dependency order.
-  workload_.reset();
+  // The workload is the clients, on the host: it outlives the crash.
   db_.reset();
   cache_.reset();
   log_.reset();
@@ -423,7 +442,6 @@ StatusOr<RestartReport> Testbed::Recover() {
                         db_->Recover(&sched_, recovery_token_));
 
   // Fresh request stream after the crash, like reconnecting clients.
-  workload_ = factory_->Create();
   FACE_RETURN_IF_ERROR(workload_->Setup(*db_, ++txn_seed_));
   client_rnd_ = Random(txn_seed_ ^ 0x5eed5eed);
   BindTxnLatencyHists(*workload_, &txn_lat_);
@@ -513,8 +531,8 @@ Status Testbed::DegradeToDiskOnly() {
       FACE_RETURN_IF_ERROR(db_->Abort(att.txn_id));
     }
     // Tell the driver its in-flight work was rolled back on the live
-    // engine, so shadow-tracking workloads resolve their in-doubt state
-    // before the run loop resumes issuing transactions.
+    // engine: a ledger-keeping workload records that its commit never
+    // completed, for the next audit to check.
     if (workload_ != nullptr) {
       FACE_RETURN_IF_ERROR(workload_->OnInflightRolledBack(*db_));
     }

@@ -233,14 +233,22 @@ class Testbed {
   Status InjectInflightTransactions(uint32_t n);
 
   /// Power loss: DRAM state (buffer pool, directories, active
-  /// transactions) is gone; device contents survive.
+  /// transactions) is gone; device contents survive, and so does the
+  /// workload (the clients, which run on the host).
   Status Crash();
 
   /// Restart after Crash(): rebuilds the DRAM stack and runs full recovery
-  /// on a background token. Clients resume only after recovery finishes.
+  /// on a background token, then binds the workload to the recovered
+  /// database. Clients resume only after recovery finishes.
   /// Prepared (2PC) transactions come back in-doubt in the report; sharded
   /// harnesses resolve them with ResolveInDoubt once every shard is up.
   StatusOr<RestartReport> Recover();
+
+  /// The crash oracle: the bound workload's logical audit
+  /// (Workload::Audit), then the cache audit (CacheExtension::AuditFrames).
+  /// Device timing is off meanwhile; the audit's I/O is not part of the
+  /// experiment.
+  StatusOr<workload::AuditReport> Audit();
 
   /// Resolve this shard's recovered in-doubt transactions against the
   /// union of GlobalCommit decisions across all shards, on the recovery
@@ -287,8 +295,8 @@ class Testbed {
 
   // --- accessors ---------------------------------------------------------------
   Database* db() { return db_.get(); }
-  /// The bound workload driver (valid after Start). Tests that need a
-  /// driver's internals (TPC-C's tables, YCSB's key space) cast it.
+  /// The bound workload (valid after Start, across crashes). Tests that
+  /// need its internals (TPC-C's tables, YCSB's key space) cast it.
   workload::Workload* workload() { return workload_.get(); }
   IoScheduler* sched() { return &sched_; }
   SimDevice* db_dev() { return db_dev_.get(); }
@@ -322,6 +330,8 @@ class Testbed {
   uint32_t EffectiveSegEntries() const;
   /// Run the checkpointer / lazy cleaner on their background tokens.
   Status RunBackgroundWork();
+  /// Charge (or stop charging) every device's I/O to virtual time.
+  void SetTiming(bool on);
   void ResetAllStats();
   /// Supervisor filter for engine errors: true = the error was a flash
   /// loss and the system degraded to disk-only (caller continues); false =

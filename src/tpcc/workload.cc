@@ -1,5 +1,7 @@
 #include "tpcc/workload.h"
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -91,6 +93,101 @@ Status Workload::InjectStranded(Database& db, Random& rnd) {
   customer.c_balance -= 12345;
   customer.c_payment_cnt += 1;
   return t_->customer.Update(&w, rid, customer.Encode());
+}
+
+Status Workload::Audit(Database& db, workload::AuditReport* report) {
+  (void)db;  // Setup bound t_ to it
+  struct District {
+    uint32_t next_o_id = 0, max_o_id = 0;
+    uint32_t no_min = UINT32_MAX, no_max = 0;
+    uint64_t no_rows = 0, ol_cnt_sum = 0, order_lines = 0;
+  };
+  std::map<uint32_t, int64_t> ytd_gap;  ///< W_YTD − Σ D_YTD per warehouse
+  std::map<std::pair<uint32_t, uint32_t>, District> districts;
+  // Every row is reached through its table's primary-key index, the path
+  // every transaction takes; an entry whose row is gone is a divergence.
+  std::string row;
+  auto scan = [&](const BPlusTree& pk, const HeapFile& table,
+                  auto&& fn) -> Status {
+    FACE_ASSIGN_OR_RETURN(BPlusTree::Iterator it, pk.SeekFirst());
+    while (it.Valid()) {
+      ++report->rows_checked;
+      const Status s = table.Read(DecodeRid(it.value()), &row);
+      if (s.IsIOError()) return s;
+      if (s.ok()) {
+        fn(row);
+      } else {
+        report->AddDivergence(table.name() + " row unreadable: " +
+                              s.ToString());
+      }
+      FACE_RETURN_IF_ERROR(it.Next());
+    }
+    return Status::OK();
+  };
+  FACE_RETURN_IF_ERROR(scan(t_->pk_warehouse, t_->warehouse,
+                            [&](std::string_view r) {
+    const WarehouseRowView w = WarehouseRowView::Decode(r);
+    ytd_gap[w.w_id] += w.w_ytd;
+  }));
+  FACE_RETURN_IF_ERROR(scan(t_->pk_district, t_->district,
+                            [&](std::string_view r) {
+    const DistrictRowView d = DistrictRowView::Decode(r);
+    ytd_gap[d.d_w_id] -= d.d_ytd;
+    districts[{d.d_w_id, d.d_id}].next_o_id = d.d_next_o_id;
+  }));
+  FACE_RETURN_IF_ERROR(scan(t_->pk_orders, t_->orders, [&](std::string_view r) {
+    const OrderRow o = OrderRow::Decode(r);
+    District& d = districts[{o.o_w_id, o.o_d_id}];
+    d.max_o_id = std::max(d.max_o_id, o.o_id);
+    d.ol_cnt_sum += o.o_ol_cnt;
+  }));
+  FACE_RETURN_IF_ERROR(scan(t_->pk_new_order, t_->new_order,
+                            [&](std::string_view r) {
+    const NewOrderRow no = NewOrderRow::Decode(r);
+    District& d = districts[{no.no_w_id, no.no_d_id}];
+    d.no_min = std::min(d.no_min, no.no_o_id);
+    d.no_max = std::max(d.no_max, no.no_o_id);
+    ++d.no_rows;
+  }));
+  FACE_RETURN_IF_ERROR(scan(t_->pk_order_line, t_->order_line,
+                            [&](std::string_view r) {
+    const OrderLineRowView ol = OrderLineRowView::Decode(r);
+    ++districts[{ol.ol_w_id, ol.ol_d_id}].order_lines;
+  }));
+
+  for (const auto& [w_id, gap] : ytd_gap) {
+    if (gap != 0) {
+      report->AddDivergence("§3.3.2.1: warehouse " + std::to_string(w_id) +
+                            " has W_YTD − Σ D_YTD = " + std::to_string(gap));
+    }
+  }
+  for (const auto& [id, d] : districts) {
+    const std::string where = "district " + std::to_string(id.first) + "/" +
+                              std::to_string(id.second) + ": ";
+    // A district with every order delivered has no NEW-ORDER rows to check.
+    if (d.next_o_id - 1 != d.max_o_id ||
+        (d.no_rows > 0 && d.no_max != d.max_o_id)) {
+      report->AddDivergence(
+          "§3.3.2.2: " + where + "D_NEXT_O_ID − 1 = " +
+          std::to_string(d.next_o_id - 1) + ", max(O_ID) = " +
+          std::to_string(d.max_o_id) + ", max(NO_O_ID) = " +
+          std::to_string(d.no_max));
+    }
+    if (d.no_rows > 0 && d.no_rows != d.no_max - d.no_min + 1ull) {
+      report->AddDivergence("§3.3.2.3: " + where +
+                            std::to_string(d.no_rows) +
+                            " NEW-ORDER rows for NO_O_ID " +
+                            std::to_string(d.no_min) + ".." +
+                            std::to_string(d.no_max));
+    }
+    if (d.ol_cnt_sum != d.order_lines) {
+      report->AddDivergence("§3.3.2.4: " + where + "Σ O_OL_CNT = " +
+                            std::to_string(d.ol_cnt_sum) + ", " +
+                            std::to_string(d.order_lines) +
+                            " ORDER-LINE rows");
+    }
+  }
+  return Status::OK();
 }
 
 // --- New-Order (§2.4) ---------------------------------------------------------

@@ -68,6 +68,10 @@ class Workload : public workload::Workload {
   /// The Payment-shaped uncommitted update the paper's kill -9 protocol
   /// strands (~50 backends mid-flight).
   Status InjectStranded(Database& db, Random& rnd) override;
+  /// The consistency conditions of spec §3.3.2.1–4, per warehouse and
+  /// district. They hold after any prefix of committed transactions, so the
+  /// one a crash cut needs no in-doubt rule.
+  Status Audit(Database& db, workload::AuditReport* report) override;
 
   // Individual transactions, each a complete begin..commit unit.
   // `w_id` is the home warehouse (the paper's clients are not partitioned,

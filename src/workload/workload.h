@@ -5,9 +5,16 @@
 // policy, recovery) and drives any Workload through the same loop:
 //
 //   factory->Load(db, seed)     once, into the golden image
-//   workload = factory->Create()
+//   workload = factory->Create()  once per clone
 //   workload->Setup(db, seed)   per clone / after each recovery
 //   workload->NextTxn(db, rnd)  per transaction, begin..commit inclusive
+//   workload->Audit(db, report) after a restart: is the recovered database
+//                               one the committed history allows?
+//
+// A Workload plays the clients, which live on the host: a crash of the
+// simulated machine discards the database's DRAM but not the Workload, so
+// what it remembers of its acknowledged commits survives to audit the
+// restart.
 //
 // Concrete drivers: tpcc::Workload (the paper's workload, and the default;
 // tpcc/workload.h), YcsbWorkload (uniform/Zipfian/latest mixes over one KV
@@ -18,6 +25,8 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -46,6 +55,34 @@ struct WorkloadStats {
   }
 };
 
+/// How an audit resolved the write a crash cut in flight. Cross-shard
+/// storms compare the participants' outcomes: atomicity means every shard
+/// of one global transaction resolved the same way.
+enum class PendingOutcome : uint8_t { kNone = 0, kCommitted, kRolledBack };
+
+const char* PendingOutcomeName(PendingOutcome o);
+
+/// Outcome of one audit of a recovered database: the workload's logical
+/// check (Workload::Audit) and the cache audit beside it. Divergences are
+/// reported, not returned as errors, so one audit accounts for everything
+/// it finds; only rig failures (a dead device) surface as non-OK status.
+struct AuditReport {
+  uint64_t rows_checked = 0;
+  uint64_t divergences = 0;           ///< states no committed history allows
+  uint64_t invariant_violations = 0;  ///< cache-directory audit failures
+  uint64_t frames_audited = 0;        ///< flash frames read back and verified
+  PendingOutcome pending_outcome = PendingOutcome::kNone;
+  /// First few findings, human-readable (capped).
+  std::vector<std::string> details;
+
+  bool ok() const { return divergences == 0 && invariant_violations == 0; }
+  void AddDivergence(const std::string& what);
+  void AddViolation(const std::string& what);
+  /// Fold another audit's counts into this one.
+  void Merge(const AuditReport& other);
+  std::string ToString() const;
+};
+
 /// One workload driver bound to one database; see file comment.
 /// Single-threaded, like the engine underneath.
 class Workload {
@@ -63,7 +100,7 @@ class Workload {
   /// Bind to `db`: open tables, rebuild in-memory working state, seed the
   /// driver's generators. Called once after the database opens and again
   /// after every crash recovery (with a fresh seed, so the post-crash
-  /// request stream diverges like real clients would).
+  /// request stream diverges like real clients would), on the same object.
   virtual Status Setup(Database& db, uint64_t seed) = 0;
 
   /// Run one complete transaction (begin..commit or intentional rollback)
@@ -80,12 +117,31 @@ class Workload {
   /// The testbed rolled back every non-prepared in-flight transaction on
   /// the live engine (a flash loss interrupted one mid-run and the
   /// supervisor aborted it before resuming traffic). Drivers tracking
-  /// in-doubt state resolve it here against the engine's actual rows;
-  /// default is a no-op.
+  /// in-doubt state record that its commit never completed; the next
+  /// Audit checks the outcome. Default is a no-op.
   virtual Status OnInflightRolledBack(Database& db) {
     (void)db;
     return Status::OK();
   }
+
+  /// Check the bound (recovered) database logically and record every
+  /// divergence in `report`: a committed write lost or resurrected, a
+  /// broken consistency condition. Called after every restart, before the
+  /// workload resumes. Default: checks nothing.
+  virtual Status Audit(Database& db, AuditReport* report) {
+    (void)db;
+    (void)report;
+    return Status::OK();
+  }
+
+  /// Begin this shard's leg of a cross-shard (2PC) transaction: one local
+  /// transaction with its writes applied, returned uncommitted.
+  /// ShardedTestbed::RunCrossShardTxn drives the commit protocol, and
+  /// OnCrossShardCommitted reports its success. Optional: default is
+  /// Unimplemented.
+  virtual StatusOr<TxnId> BeginCrossShardLeg(Database& db, Random& rnd);
+  /// The leg begun last committed.
+  virtual void OnCrossShardCommitted() {}
 
   const WorkloadStats& stats() const { return stats_; }
   virtual void ResetStats() { stats_ = WorkloadStats(); }

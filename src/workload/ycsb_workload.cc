@@ -61,21 +61,34 @@ Status YcsbWorkload::Setup(Database& db, uint64_t seed) {
   // tail at ids >= records, so a post-crash Setup resumes without clashing.
   FACE_ASSIGN_OR_RETURN(inserted_, table_.CountFrom(opts_.records));
   version_ = seed << 20;  // fresh payload versions per incarnation
+  // The first Setup binds a fresh clone of the load (every key at version
+  // 0); a later one follows a restart, which rolled the stranded
+  // transactions back, so their keys are eligible again.
+  if (ledger_.versions.empty()) ledger_.versions.assign(opts_.records, 0);
+  ledger_.withheld.clear();
   return Status::OK();
 }
 
 uint64_t YcsbWorkload::ChooseKey(Random& rnd) {
   const uint64_t population = opts_.records + inserted_;
+  uint64_t key = 0;
   switch (opts_.distribution) {
     case YcsbOptions::Distribution::kUniform:
-      return rnd.Uniform(population);
+      key = rnd.Uniform(population);
+      break;
     case YcsbOptions::Distribution::kZipfian:
-      return Scramble(zipf_->Next()) % opts_.records;
+      key = Scramble(zipf_->Next()) % opts_.records;
+      break;
     case YcsbOptions::Distribution::kLatest:
       // Hottest key = most recently inserted, decaying Zipf-fast backwards.
-      return population - 1 - zipf_->Next();
+      key = population - 1 - zipf_->Next();
+      break;
   }
-  return 0;
+  for (uint64_t i = 0; i < population && ledger_.withheld.count(key) != 0;
+       ++i) {
+    key = (key + 1) % population;
+  }
+  return key;
 }
 
 StatusOr<uint8_t> YcsbWorkload::NextTxn(Database& db, Random& rnd) {
@@ -114,29 +127,38 @@ Status YcsbWorkload::DoRead(Database& db, uint64_t key) {
 }
 
 Status YcsbWorkload::DoUpdate(Database& db, uint64_t key) {
+  ledger_.Begin(key, ++version_);
   const TxnId txn = db.Begin();
   PageWriter w = db.Writer(txn);
-  const Status s = table_.Update(&w, key, opts_.value_bytes, ++version_);
+  const Status s = table_.Update(&w, key, opts_.value_bytes, version_);
   if (!s.ok()) {
     FACE_RETURN_IF_ERROR(db.Abort(txn));
     return s;
   }
   ++stats_.rows_written;
-  return db.Commit(txn);
+  return CommitPending(db, txn);
 }
 
 Status YcsbWorkload::DoInsert(Database& db) {
+  const uint64_t key = opts_.records + inserted_;
+  ledger_.Begin(key, ++version_);
   const TxnId txn = db.Begin();
   PageWriter w = db.Writer(txn);
-  const uint64_t key = opts_.records + inserted_;
-  const Status s = table_.Insert(&w, key, opts_.value_bytes, ++version_);
+  const Status s = table_.Insert(&w, key, opts_.value_bytes, version_);
   if (!s.ok()) {
     FACE_RETURN_IF_ERROR(db.Abort(txn));
     return s;
   }
   ++inserted_;
   ++stats_.rows_written;
-  return db.Commit(txn);
+  return CommitPending(db, txn);
+}
+
+Status YcsbWorkload::CommitPending(Database& db, TxnId txn) {
+  ledger_.pending->commit_attempted = true;
+  FACE_RETURN_IF_ERROR(db.Commit(txn));  // in flight at a crash: in doubt
+  ledger_.Commit();
+  return Status::OK();
 }
 
 Status YcsbWorkload::DoScan(Database& db, uint64_t key, uint64_t rows) {
@@ -152,11 +174,88 @@ Status YcsbWorkload::DoScan(Database& db, uint64_t key, uint64_t rows) {
 
 Status YcsbWorkload::InjectStranded(Database& db, Random& rnd) {
   // An update applied but never committed — the in-flight work a crash
-  // strands (recovery must undo it).
+  // strands (recovery must undo it). The ledger keeps the old version.
+  const uint64_t key = rnd.Uniform(opts_.records);
+  ledger_.withheld.insert(key);
   const TxnId txn = db.Begin();
   PageWriter w = db.Writer(txn);
-  return table_.Update(&w, rnd.Uniform(opts_.records), opts_.value_bytes,
-                       ++version_);
+  return table_.Update(&w, key, opts_.value_bytes, ++version_);
+}
+
+Status YcsbWorkload::OnInflightRolledBack(Database& db) {
+  (void)db;
+  if (ledger_.pending) ledger_.pending->commit_attempted = false;
+  return Status::OK();
+}
+
+StatusOr<TxnId> YcsbWorkload::BeginCrossShardLeg(Database& db, Random& rnd) {
+  const uint64_t key = ChooseKey(rnd);
+  ledger_.Begin(key, ++version_);
+  // A prepared leg commits or rolls back with the coordinator's decision,
+  // so both versions are legal from the vote on; the sharded storm checks
+  // that every leg resolved alike.
+  ledger_.pending->commit_attempted = true;
+  const TxnId txn = db.Begin();
+  PageWriter w = db.Writer(txn);
+  FACE_RETURN_IF_ERROR(table_.Update(&w, key, opts_.value_bytes, version_));
+  return txn;
+}
+
+Status YcsbWorkload::Audit(Database& db, AuditReport* report) {
+  (void)db;  // Setup bound table_ to it
+  const uint32_t vb = opts_.value_bytes;
+  std::string row;
+  // Does `key` read back at `version` (kAbsent: not at all)? A NotFound or
+  // Corruption is a divergence to record; an IOError means the rig broke.
+  auto reads_as = [&](uint64_t key, uint64_t version) -> StatusOr<bool> {
+    const Status s = table_.Read(key, &row);
+    if (s.IsIOError()) return s;
+    if (version == KvLedger::kAbsent) return s.IsNotFound();
+    return s.ok() && row == KvTable::Row(key, vb, version);
+  };
+
+  // The in-doubt rule: the write the crash cut may show its new version
+  // only if its commit was attempted; otherwise it must be rolled back.
+  if (ledger_.pending) {
+    const KvLedger::Write p = *ledger_.pending;
+    FACE_ASSIGN_OR_RETURN(const bool is_new, reads_as(p.key, p.new_version));
+    FACE_ASSIGN_OR_RETURN(const bool is_old, reads_as(p.key, p.old_version));
+    if (is_new && p.commit_attempted) {
+      ledger_.Commit();
+      report->pending_outcome = PendingOutcome::kCommitted;
+    } else if (is_old) {
+      ledger_.pending.reset();
+      report->pending_outcome = PendingOutcome::kRolledBack;
+    } else {
+      ledger_.pending.reset();
+      report->AddDivergence(
+          "in-doubt write of key " + std::to_string(p.key) + " (commit " +
+          (p.commit_attempted ? "attempted" : "never attempted") +
+          ") reads as neither a legal new nor its committed version");
+    }
+  }
+
+  // Row for row: every committed key reads back at its ledger version.
+  for (uint64_t key = 0; key < ledger_.versions.size(); ++key) {
+    ++report->rows_checked;
+    FACE_ASSIGN_OR_RETURN(const bool ok, reads_as(key, ledger_.versions[key]));
+    if (!ok) {
+      report->AddDivergence("key " + std::to_string(key) +
+                            " diverges from committed version " +
+                            std::to_string(ledger_.versions[key]));
+    }
+  }
+  // With every ledger key present, an index count equal to the ledger's
+  // population rules out phantom keys too.
+  const StatusOr<uint64_t> count = table_.CountFrom(0);
+  if (!count.ok()) {
+    report->AddDivergence("index sweep failed: " + count.status().ToString());
+  } else if (*count != ledger_.versions.size()) {
+    report->AddDivergence("index holds " + std::to_string(*count) +
+                          " keys, the ledger " +
+                          std::to_string(ledger_.versions.size()));
+  }
+  return Status::OK();
 }
 
 // --- factory -----------------------------------------------------------------

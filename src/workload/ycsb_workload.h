@@ -4,10 +4,24 @@
 // WLFC) varies and TPC-C alone cannot. Each operation is one complete
 // engine transaction, so the cache hierarchy below sees the same WAL /
 // buffer-pool / eviction traffic pattern a real OLTP client would produce.
+//
+// YCSB is also the crash storms' KV workload. Its clients remember every
+// acknowledged commit in a ledger (KvLedger) kept in host memory, which a
+// crash of the simulated machine does not touch, and Audit compares the
+// recovered table with it row for row. The one write in flight at the
+// crash is in doubt: its commit record may or may not have reached the
+// durable log, so either version is legal once its commit was attempted,
+// and only the old one before. Keys of injected stranded transactions are
+// withheld from later operations until the restart rolls them back, so
+// undo's before-images cannot clobber later committed work.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "workload/kv_table.h"
@@ -79,6 +93,45 @@ struct YcsbOptions {
   }
 };
 
+/// What YCSB's clients know was committed; see file comment.
+struct KvLedger {
+  /// The version of a key that does not exist (an insert's old state).
+  static constexpr uint64_t kAbsent = UINT64_MAX;
+
+  /// The write in flight: at most one, the engine being single-threaded.
+  struct Write {
+    uint64_t key = 0;
+    uint64_t old_version = kAbsent;
+    uint64_t new_version = 0;
+    /// Set once db.Commit (or a 2PC prepare) was invoked. Until then the
+    /// write cannot be durable, so only its old version is legal.
+    bool commit_attempted = false;
+  };
+
+  /// versions[id] = committed payload version of key id (0 = as loaded);
+  /// keys are dense, inserts append.
+  std::vector<uint64_t> versions;
+  /// Keys held by injected stranded (never-committed) transactions.
+  std::set<uint64_t> withheld;
+  std::optional<Write> pending;
+
+  uint64_t VersionOf(uint64_t key) const {
+    return key < versions.size() ? versions[key] : kAbsent;
+  }
+  /// Record a write of `version` to `key` as in flight. It replaces a
+  /// pending write whose commit was never attempted: that one has one
+  /// legal outcome, the ledger's, which the audit checks like any key.
+  void Begin(uint64_t key, uint64_t version) {
+    pending = Write{key, VersionOf(key), version, false};
+  }
+  /// The pending write committed.
+  void Commit() {
+    if (pending->key >= versions.size()) versions.resize(pending->key + 1);
+    versions[pending->key] = pending->new_version;
+    pending.reset();
+  }
+};
+
 /// YCSB driver; see file comment.
 class YcsbWorkload : public Workload {
  public:
@@ -93,9 +146,17 @@ class YcsbWorkload : public Workload {
   Status Setup(Database& db, uint64_t seed) override;
   StatusOr<uint8_t> NextTxn(Database& db, Random& rnd) override;
   Status InjectStranded(Database& db, Random& rnd) override;
+  Status OnInflightRolledBack(Database& db) override;
+  /// Resolve the write in flight at the crash, then compare every key
+  /// with the ledger and count the index for phantoms.
+  Status Audit(Database& db, AuditReport* report) override;
+  /// Update one eligible key; the write stays in doubt until
+  /// OnCrossShardCommitted (its prepare vote is its commit attempt).
+  StatusOr<TxnId> BeginCrossShardLeg(Database& db, Random& rnd) override;
+  void OnCrossShardCommitted() override { ledger_.Commit(); }
 
   /// Key chosen for the next point operation (exposed for distribution
-  /// shape tests).
+  /// shape tests). Withheld keys pass the operation to the next key up.
   uint64_t ChooseKey(Random& rnd);
 
   const YcsbOptions& options() const { return opts_; }
@@ -107,12 +168,15 @@ class YcsbWorkload : public Workload {
   Status DoUpdate(Database& db, uint64_t key);
   Status DoInsert(Database& db);
   Status DoScan(Database& db, uint64_t key, uint64_t rows);
+  /// Commit the pending write's transaction and record it in the ledger.
+  Status CommitPending(Database& db, TxnId txn);
 
   YcsbOptions opts_;
   KvTable table_;
   std::unique_ptr<ZipfGenerator> zipf_;
   uint64_t inserted_ = 0;
   uint64_t version_ = 0;  ///< monotonically fresh payload versions
+  KvLedger ledger_;
 };
 
 /// Builds YCSB golden images and drivers from one shared YcsbOptions.

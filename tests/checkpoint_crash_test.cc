@@ -9,31 +9,24 @@
 #include <string>
 
 #include "core/lc_cache.h"
-#include "fault/diff_checker.h"
 #include "fault/fault_injector.h"
-#include "fault/shadow_kv.h"
 #include "recovery/restart.h"
+#include "testbed/crash_storm.h"
 #include "testbed/testbed.h"
 #include "tests/test_util.h"
 
 namespace face {
 namespace {
 
-/// A small shadow-tracked testbed over one policy, shared by the tests
-/// below: update-heavy so flash-resident dirty state builds up fast.
-struct ShadowRig {
-  std::shared_ptr<fault::ShadowState> shadow;
-  std::shared_ptr<fault::ShadowKvFactory> factory;
+/// A small audited testbed over one policy, shared by the tests below:
+/// the storms' update-heavy KV mix, so flash-resident dirty state builds up
+/// fast.
+struct AuditedRig {
   GoldenImage golden;
   std::unique_ptr<Testbed> tb;
 
   Status Build(CachePolicy policy, uint64_t seed) {
-    fault::ShadowKvOptions wo;
-    wo.records = 600;
-    wo.value_bytes = 160;
-    shadow = std::make_shared<fault::ShadowState>();
-    factory = std::make_shared<fault::ShadowKvFactory>(wo, shadow);
-    shadow->Reset(wo.records, wo.value_bytes);
+    auto factory = std::make_shared<workload::YcsbFactory>(StormKv(600));
     FACE_ASSIGN_OR_RETURN(golden, GoldenImage::BuildFor(factory));
 
     TestbedOptions to;
@@ -56,13 +49,11 @@ struct ShadowRig {
     return tb->Run(run).status();
   }
 
-  StatusOr<fault::DiffReport> Check() {
-    return fault::RunDifferentialCheck(*tb->db(), shadow.get(), tb->cache());
-  }
+  StatusOr<workload::AuditReport> Check() { return tb->Audit(); }
 };
 
 TEST(LcCheckpointTest, PrepareCheckpointStagesDirtyFlashPagesToDisk) {
-  ShadowRig rig;
+  AuditedRig rig;
   FACE_ASSERT_OK(rig.Build(CachePolicy::kLc, /*seed=*/11));
   FACE_ASSERT_OK(rig.RunOps(300));
 
@@ -84,12 +75,12 @@ TEST(LcCheckpointTest, PrepareCheckpointStagesDirtyFlashPagesToDisk) {
   auto* lc2 = dynamic_cast<LcCache*>(rig.tb->cache());
   ASSERT_NE(lc2, nullptr);
   EXPECT_EQ(lc2->cached_pages(), 0u) << "LC must restart cold";
-  FACE_ASSERT_OK_AND_ASSIGN(fault::DiffReport diff, rig.Check());
-  EXPECT_TRUE(diff.ok()) << diff.ToString();
+  FACE_ASSERT_OK_AND_ASSIGN(workload::AuditReport audit, rig.Check());
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 TEST(CheckpointCrashTest, CrashMidCheckpointFallsBackToPreviousOne) {
-  ShadowRig rig;
+  AuditedRig rig;
   FACE_ASSERT_OK(rig.Build(CachePolicy::kFace, /*seed=*/23));
   FACE_ASSERT_OK(rig.RunOps(150));
 
@@ -120,8 +111,8 @@ TEST(CheckpointCrashTest, CrashMidCheckpointFallsBackToPreviousOne) {
   EXPECT_EQ(report.checkpoint_lsn, complete_ckpt)
       << "restart must use the previous complete checkpoint";
 
-  FACE_ASSERT_OK_AND_ASSIGN(fault::DiffReport diff, rig.Check());
-  EXPECT_TRUE(diff.ok()) << diff.ToString();
+  FACE_ASSERT_OK_AND_ASSIGN(workload::AuditReport audit, rig.Check());
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
   // And the recovered system keeps working.
   FACE_ASSERT_OK(rig.RunOps(40));
 }

@@ -1,9 +1,10 @@
-// The crash storm: seeded-random crash points against every cache policy,
-// each recovery validated by the differential checker (shadow logical table
-// + flash-directory audit). Deterministic per seed:
+// The crash storm: seeded-random crash points against every cache policy
+// and both workloads, each recovery validated by Testbed::Audit (YCSB's
+// committed-version ledger or TPC-C's consistency conditions, plus the
+// flash-directory audit). Deterministic per seed:
 //
-//   CRASH_STORM_SEEDS       storms per policy (default 20; CI's slow job
-//                           runs 200)
+//   CRASH_STORM_SEEDS       YCSB storms per policy (default 20; CI's slow
+//                           job runs 200); TPC-C runs a tenth, at least 2
 //   CRASH_STORM_BASE_SEED   first seed (default 1) — to replay a failure,
 //                           run with CRASH_STORM_SEEDS=1 and the base seed
 //                           set to the failing seed
@@ -11,7 +12,7 @@
 // Also here: the paper's recovery observation (Table 6) as a regression
 // guard — a FaCE restart after a warmed-up crash serves >90 % of its
 // recovery page fetches from flash — and the sabotage run proving the
-// checker catches a deliberately-broken recovery path.
+// audit catches a deliberately-broken recovery path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,15 +41,15 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
 uint64_t StormSeeds() { return EnvOr("CRASH_STORM_SEEDS", 20); }
 uint64_t BaseSeed() { return EnvOr("CRASH_STORM_BASE_SEED", 1); }
 
-/// Run `seeds` storms for one policy; every recovery must pass the
-/// differential checker, and a healthy majority of storms must actually
-/// trip the injector mid-run (otherwise the test is not testing crashes).
-void RunStorms(CachePolicy policy) {
-  CrashStormOptions opts;
-  opts.policy = policy;
-  CrashStormHarness harness(opts);
+/// Run `seeds` storms of one policy and workload; every recovery must
+/// pass the audit, and a healthy majority of storms must actually trip the
+/// injector mid-run (otherwise the test is not testing crashes). `golden`,
+/// if given, is a shared load of `opts.workload`.
+void RunStorms(const CrashStormOptions& opts, uint64_t seeds,
+               const GoldenImage* golden = nullptr) {
+  const CachePolicy policy = opts.policy;
+  CrashStormHarness harness(opts, golden);
 
-  const uint64_t seeds = StormSeeds();
   const uint64_t base = BaseSeed();
   uint64_t tripped = 0;
   for (uint64_t seed = base; seed < base + seeds; ++seed) {
@@ -56,7 +57,7 @@ void RunStorms(CachePolicy policy) {
     ASSERT_TRUE(result.ok()) << "policy " << CachePolicyName(policy)
                              << " seed " << seed << ": "
                              << result.status().ToString();
-    EXPECT_TRUE(result->diff.ok())
+    EXPECT_TRUE(result->audit.ok())
         << "policy " << CachePolicyName(policy) << " seed " << seed << "\n"
         << result->ToString();
     if (result->crashed_mid_body) ++tripped;
@@ -69,16 +70,42 @@ void RunStorms(CachePolicy policy) {
   // Every storm's restart contributes its per-phase durations; the campaign
   // summary shows where recovery time goes for this policy.
   EXPECT_EQ(harness.phase_aggregate().restarts(), seeds);
-  std::cout << "[ " << CachePolicyName(policy) << " ] "
+  std::cout << "[ " << opts.workload->name() << ", "
+            << CachePolicyName(policy) << " ] "
             << harness.phase_aggregate().ToString() << "\n";
 }
 
-TEST(CrashStormTest, Face) { RunStorms(CachePolicy::kFace); }
-TEST(CrashStormTest, Lc) { RunStorms(CachePolicy::kLc); }
-TEST(CrashStormTest, Tac) { RunStorms(CachePolicy::kTac); }
-TEST(CrashStormTest, Exadata) { RunStorms(CachePolicy::kExadata); }
-TEST(CrashStormTest, FaceGR) { RunStorms(CachePolicy::kFaceGR); }
-TEST(CrashStormTest, NoCache) { RunStorms(CachePolicy::kNone); }
+/// YCSB storms: the storms' KV shape (StormKv) at CRASH_STORM_SEEDS.
+void RunKvStorms(CachePolicy policy) {
+  CrashStormOptions opts;
+  opts.policy = policy;
+  RunStorms(opts, StormSeeds());
+}
+
+TEST(CrashStormTest, Face) { RunKvStorms(CachePolicy::kFace); }
+TEST(CrashStormTest, Lc) { RunKvStorms(CachePolicy::kLc); }
+TEST(CrashStormTest, Tac) { RunKvStorms(CachePolicy::kTac); }
+TEST(CrashStormTest, Exadata) { RunKvStorms(CachePolicy::kExadata); }
+TEST(CrashStormTest, FaceGR) { RunKvStorms(CachePolicy::kFaceGR); }
+TEST(CrashStormTest, NoCache) { RunKvStorms(CachePolicy::kNone); }
+
+/// TPC-C storms on the shared 1-warehouse image, audited by the §3.3.2
+/// consistency conditions: a tenth of CRASH_STORM_SEEDS (at least 2), as a
+/// TPC-C storm costs about thirty KV storms.
+void RunTpccStorms(CachePolicy policy) {
+  CrashStormOptions opts;
+  opts.policy = policy;
+  opts.workload = SharedGolden().factory;
+  RunStorms(opts, std::max<uint64_t>(2, StormSeeds() / 10), &SharedGolden());
+}
+
+TEST(CrashStormTest, TpccNoCache) { RunTpccStorms(CachePolicy::kNone); }
+TEST(CrashStormTest, TpccFace) { RunTpccStorms(CachePolicy::kFace); }
+TEST(CrashStormTest, TpccFaceGR) { RunTpccStorms(CachePolicy::kFaceGR); }
+TEST(CrashStormTest, TpccFaceGSC) { RunTpccStorms(CachePolicy::kFaceGSC); }
+TEST(CrashStormTest, TpccLc) { RunTpccStorms(CachePolicy::kLc); }
+TEST(CrashStormTest, TpccTac) { RunTpccStorms(CachePolicy::kTac); }
+TEST(CrashStormTest, TpccExadata) { RunTpccStorms(CachePolicy::kExadata); }
 
 TEST(CrashStormTest, CrashDuringRecovery) {
   // Every seed keeps the injector armed through restart: power fails again
@@ -97,8 +124,8 @@ TEST(CrashStormTest, CrashDuringRecovery) {
     auto result = harness.RunStorm(seed);
     ASSERT_TRUE(result.ok()) << "seed " << seed << ": "
                              << result.status().ToString();
-    EXPECT_TRUE(result->diff.ok()) << "seed " << seed << "\n"
-                                   << result->ToString();
+    EXPECT_TRUE(result->audit.ok()) << "seed " << seed << "\n"
+                                    << result->ToString();
     if (result->double_faulted) ++double_faulted;
     // Every restart replays through the read-ahead routine: a cold pool
     // means any record redo applies had its page fetched by a lane batch.
@@ -126,8 +153,8 @@ TEST(CrashStormTest, GroupSecondChance) {
     auto result = harness.RunStorm(seed);
     ASSERT_TRUE(result.ok()) << "seed " << seed << ": "
                              << result.status().ToString();
-    EXPECT_TRUE(result->diff.ok()) << "seed " << seed << "\n"
-                                   << result->ToString();
+    EXPECT_TRUE(result->audit.ok()) << "seed " << seed << "\n"
+                                    << result->ToString();
   }
 }
 
@@ -152,7 +179,7 @@ CrashStormOptions SweepOptions(CachePolicy policy, uint32_t seg_entries,
 /// Exhaustive small-scope sweep on that geometry (by default 8-entry
 /// segments and 8-page groups): power fails at every page write of one
 /// checkpoint interval in turn, for each of four seeds; each restart must
-/// pass the differential check and the frame audit.
+/// pass the audit.
 void SweepOneCheckpointInterval(CachePolicy policy, uint32_t seg_entries = 8,
                                 uint32_t group_size = 8) {
   CrashStormHarness harness(SweepOptions(policy, seg_entries, group_size));
@@ -164,7 +191,7 @@ void SweepOneCheckpointInterval(CachePolicy policy, uint32_t seg_entries = 8,
     auto dry = harness.RunStorm(seed, UINT64_MAX);
     ASSERT_TRUE(dry.ok()) << dry.status().ToString();
     ASSERT_FALSE(dry->crashed_mid_body);
-    ASSERT_TRUE(dry->diff.ok()) << dry->ToString();
+    ASSERT_TRUE(dry->audit.ok()) << dry->ToString();
     const uint64_t writes = dry->armed_writes;
     ASSERT_GT(writes, 20u) << "seed " << seed << ": too quiet to sweep";
 
@@ -173,7 +200,7 @@ void SweepOneCheckpointInterval(CachePolicy policy, uint32_t seg_entries = 8,
       ASSERT_TRUE(result.ok()) << "seed " << seed << ", crash at write " << k
                                << ": " << result.status().ToString();
       ASSERT_TRUE(result->crashed_mid_body) << "crash at write " << k;
-      EXPECT_TRUE(result->diff.ok())
+      EXPECT_TRUE(result->audit.ok())
           << "seed " << seed << ", crash at write " << k << " of " << writes
           << "\n" << result->ToString();
     }
@@ -201,7 +228,7 @@ TEST(CrashSweepTest, FaceGscSegmentsSmallerThanGroups) {
 /// Exhaustive sweep of one restart: power fails at the middle page write
 /// of one checkpoint interval, then again at every page write of the
 /// restart that follows, for each of eight seeds; each second restart must
-/// pass the differential check and the frame audit, and an uncut restart
+/// pass the audit, and an uncut restart
 /// checkpoint destages nothing outside its lane batch. The sweep cuts the
 /// restart checkpoint before, inside and after its destage batch, and
 /// between the frames it writes after the batch and the delta appends that
@@ -221,7 +248,7 @@ void SweepOneRestart(const CrashStormOptions& opts, uint64_t* reclaiming) {
     ASSERT_TRUE(once.ok()) << once.status().ToString();
     ASSERT_TRUE(once->crashed_mid_body);
     ASSERT_FALSE(once->double_faulted);
-    ASSERT_TRUE(once->diff.ok()) << once->ToString();
+    ASSERT_TRUE(once->audit.ok()) << once->ToString();
     EXPECT_EQ(once->restart.serial_destages, 0u) << once->ToString();
     const uint64_t writes = once->restart_writes;
     ASSERT_GT(writes, 0u);
@@ -232,7 +259,7 @@ void SweepOneRestart(const CrashStormOptions& opts, uint64_t* reclaiming) {
       ASSERT_TRUE(result.ok()) << "seed " << seed << ", restart crash at write "
                                << r << ": " << result.status().ToString();
       ASSERT_TRUE(result->double_faulted) << "restart crash at write " << r;
-      EXPECT_TRUE(result->diff.ok())
+      EXPECT_TRUE(result->audit.ok())
           << "seed " << seed << ", restart crash at write " << r << " of "
           << writes << "\n" << result->ToString();
     }
@@ -250,7 +277,7 @@ void SweepOneRestart(const CrashStormOptions& opts, uint64_t* reclaiming) {
 CrashStormOptions ResidentSweepOptions(CachePolicy policy) {
   CrashStormOptions opts = SweepOptions(policy, /*seg_entries=*/16,
                                         /*group_size=*/8);
-  opts.workload.records = 1200;
+  opts.workload = std::make_shared<workload::YcsbFactory>(StormKv(1200));
   opts.flash_pages = 64;
   opts.warmup_ops = 300;
   opts.body_ops = 30;
@@ -279,7 +306,7 @@ TEST(CrashSweepTest, FaceGscEveryWriteOfOneRestart) {
 TEST(CrashStormTest, DeliberatelyBrokenRecoveryIsCaught) {
   // Wipe the FaCE superblock after each crash: the cache cold-formats
   // instead of restoring its metadata, so pages whose only current copy
-  // lived in flash come back stale. The differential checker must see it.
+  // lived in flash come back stale. The audit must see it.
   CrashStormOptions opts;
   opts.policy = CachePolicy::kFace;
   opts.sabotage = Sabotage::kWipeFlashSuperblock;
@@ -290,10 +317,10 @@ TEST(CrashStormTest, DeliberatelyBrokenRecoveryIsCaught) {
     auto result = harness.RunStorm(seed);
     ASSERT_TRUE(result.ok()) << "seed " << seed << ": "
                              << result.status().ToString();
-    if (result->diff.divergences > 0) ++storms_with_divergence;
+    if (result->audit.divergences > 0) ++storms_with_divergence;
   }
   EXPECT_GT(storms_with_divergence, 0u)
-      << "the checker failed to notice a recovery that discards the flash "
+      << "the audit failed to notice a recovery that discards the flash "
          "cache's persistent metadata";
 }
 
@@ -301,12 +328,7 @@ TEST(RecoveryFromFlashTest, FaceServesRecoveryPagesFromFlash) {
   // Table 6's companion observation: with the cache warm, restart reads
   // its pages from flash, not the disk array (paper: >98 %; we guard 0.9
   // to leave slack for small-scale noise).
-  fault::ShadowKvOptions wo;
-  wo.records = 1000;
-  wo.value_bytes = 160;
-  auto shadow = std::make_shared<fault::ShadowState>();
-  auto factory = std::make_shared<fault::ShadowKvFactory>(wo, shadow);
-  shadow->Reset(wo.records, wo.value_bytes);
+  auto factory = std::make_shared<workload::YcsbFactory>(StormKv(1000));
   FACE_ASSERT_OK_AND_ASSIGN(GoldenImage golden, GoldenImage::BuildFor(factory));
 
   TestbedOptions to;
@@ -335,30 +357,24 @@ TEST(RecoveryFromFlashTest, FaceServesRecoveryPagesFromFlash) {
   EXPECT_GT(report.FlashFetchFraction(), 0.9) << report.ToString();
 
   // The recovered state must still be exactly the committed history.
-  FACE_ASSERT_OK_AND_ASSIGN(
-      fault::DiffReport diff,
-      fault::RunDifferentialCheck(*tb.db(), shadow.get(), tb.cache()));
-  EXPECT_TRUE(diff.ok()) << diff.ToString();
+  FACE_ASSERT_OK_AND_ASSIGN(workload::AuditReport audit, tb.Audit());
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 // --- degraded-mode storms ---------------------------------------------------
 // Flash loss mid-run, crash while degraded, crash during the WAL-driven
 // flash rebuild, scrub repair, and online re-attach — every scenario ends
-// with the row-for-row differential check proving zero lost committed rows.
+// with the row-for-row audit proving zero lost committed rows.
 
-/// A shadow-KV testbed rig for degraded-mode scenarios: one golden image,
-/// one Testbed, and the shadow table the differential checker audits
-/// against. Same shape as RecoveryFromFlashTest's setup, reusable per
-/// policy.
+/// A storm-KV testbed rig for degraded-mode scenarios: one golden image and
+/// one Testbed, whose YCSB workload's ledger the audit checks against. Same
+/// shape as RecoveryFromFlashTest's setup, reusable per policy.
 class DegradedRig {
  public:
   void Build(CachePolicy policy, uint64_t seed, SimNanos scrub_interval = 0) {
-    fault::ShadowKvOptions wo;
-    wo.records = 1200;   // working set must overflow the 64 DRAM frames,
-    wo.value_bytes = 160;  // or no flash traffic ever happens
-    shadow_ = std::make_shared<fault::ShadowState>();
-    factory_ = std::make_shared<fault::ShadowKvFactory>(wo, shadow_);
-    shadow_->Reset(wo.records, wo.value_bytes);
+    // 1,200 rows: the working set must overflow the 64 DRAM frames, or no
+    // flash traffic ever happens.
+    factory_ = std::make_shared<workload::YcsbFactory>(StormKv(1200));
     FACE_ASSERT_OK_AND_ASSIGN(golden_, GoldenImage::BuildFor(factory_));
 
     TestbedOptions to;
@@ -376,18 +392,15 @@ class DegradedRig {
 
   Testbed& tb() { return *tb_; }
 
-  /// Row-for-row differential check: the engine's logical table must be
-  /// exactly the shadow's committed history.
-  void CheckDiff(const char* what) {
-    FACE_ASSERT_OK_AND_ASSIGN(
-        fault::DiffReport diff,
-        fault::RunDifferentialCheck(*tb_->db(), shadow_.get(), tb_->cache()));
-    EXPECT_TRUE(diff.ok()) << what << "\n" << diff.ToString();
+  /// Row-for-row audit: the engine's logical table must be exactly the
+  /// ledger's committed history.
+  void CheckAudit(const char* what) {
+    FACE_ASSERT_OK_AND_ASSIGN(workload::AuditReport audit, tb_->Audit());
+    EXPECT_TRUE(audit.ok()) << what << "\n" << audit.ToString();
   }
 
  private:
-  std::shared_ptr<fault::ShadowState> shadow_;
-  std::shared_ptr<fault::ShadowKvFactory> factory_;
+  std::shared_ptr<workload::YcsbFactory> factory_;
   GoldenImage golden_;
   std::unique_ptr<Testbed> tb_;
 };
@@ -445,7 +458,7 @@ void RunFlashLossScenario(CachePolicy policy, uint64_t seed,
   EXPECT_GT(res.flash_stats.retries, 0u);  // the budget was actually spent
   EXPECT_EQ(res.txns, body.txns);          // traffic kept flowing throughout
 
-  rig.CheckDiff(CachePolicyName(policy));
+  rig.CheckAudit(CachePolicyName(policy));
   *fp = FingerprintOf(res, tb);
 
   // Disk-only service keeps working after the transition.
@@ -454,7 +467,7 @@ void RunFlashLossScenario(CachePolicy policy, uint64_t seed,
   FACE_ASSERT_OK_AND_ASSIGN(RunResult res2, tb.Run(after));
   EXPECT_EQ(res2.fault.degraded_txns, res2.txns);
   EXPECT_EQ(res2.flash_stats.total_pages(), 0u);
-  rig.CheckDiff("post-degradation service");
+  rig.CheckAudit("post-degradation service");
 }
 
 TEST(DegradedModeTest, FlashLossMidRunKeepsEveryCommittedRow) {
@@ -505,14 +518,14 @@ TEST(DegradedModeTest, CrashWhileDegradedRecoversDiskOnly) {
     EXPECT_TRUE(report.degraded)
         << "control block lost the degraded marker\n" << report.ToString();
     EXPECT_TRUE(tb.IsDegraded());
-    rig.CheckDiff("crash while degraded");
+    rig.CheckAudit("crash while degraded");
 
     // Survivability: the restarted disk-only engine still serves traffic.
     RunOptions after;
     after.txns = 100;
     FACE_ASSERT_OK_AND_ASSIGN(RunResult res, tb.Run(after));
     EXPECT_EQ(res.fault.degraded_txns, res.txns);
-    rig.CheckDiff("post-restart degraded service");
+    rig.CheckAudit("post-restart degraded service");
   }
 }
 
@@ -546,13 +559,13 @@ TEST(DegradedModeTest, CrashDuringFlashRebuildRecoversFromTheFloor) {
   EXPECT_TRUE(report.degraded) << report.ToString();
   EXPECT_GT(report.redo_applied, 0u)
       << "nothing was replayed — the rebuild floor did not widen redo";
-  rig.CheckDiff("crash during flash rebuild");
+  rig.CheckAudit("crash during flash rebuild");
 
   RunOptions after;
   after.txns = 100;
   FACE_ASSERT_OK_AND_ASSIGN(RunResult after_res, tb.Run(after));
   EXPECT_EQ(after_res.fault.degraded_txns, after_res.txns);
-  rig.CheckDiff("post-rebuild-crash service");
+  rig.CheckAudit("post-rebuild-crash service");
 }
 
 TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
@@ -602,7 +615,7 @@ TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
     RunOptions body;
     body.txns = 200;
     FACE_ASSERT_OK(tb.Run(body).status());
-    rig.CheckDiff("scrub repair");
+    rig.CheckAudit("scrub repair");
 
     // ...and a crash after the repairs recovers row-for-row.
     FACE_ASSERT_OK(tb.InjectInflightTransactions(2));
@@ -610,7 +623,7 @@ TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
     RestartReport report;
     FACE_ASSERT_OK_AND_ASSIGN(report, tb.Recover());
     EXPECT_FALSE(report.degraded);
-    rig.CheckDiff("scrub-repair-then-crash");
+    rig.CheckAudit("scrub-repair-then-crash");
   }
 }
 
@@ -632,7 +645,7 @@ TEST(DegradedModeTest, BackgroundScrubberWalksIdleFramesInVirtualTime) {
   EXPECT_GT(res.fault.scrub_frames_scanned, 0u) << "the scrubber never ran";
   EXPECT_EQ(res.fault.scrub_clean_repaired, 0u);
   EXPECT_EQ(res.fault.scrub_lost_dirty, 0u);
-  rig.CheckDiff("background scrub");
+  rig.CheckAudit("background scrub");
 }
 
 TEST(DegradedModeTest, ReattachedFlashRewarmsThroughNormalAdmission) {
@@ -663,7 +676,7 @@ TEST(DegradedModeTest, ReattachedFlashRewarmsThroughNormalAdmission) {
   EXPECT_EQ(res.fault.degraded_txns, 0u);
   EXPECT_GT(res.flash_stats.pages_written, 0u)
       << "nothing was admitted — the cache never re-warmed";
-  rig.CheckDiff("re-attached flash");
+  rig.CheckAudit("re-attached flash");
 
   // The cleared degraded marker is durable: a crash after re-attach must
   // restart with the cache trusted again.
@@ -671,7 +684,7 @@ TEST(DegradedModeTest, ReattachedFlashRewarmsThroughNormalAdmission) {
   RestartReport report;
   FACE_ASSERT_OK_AND_ASSIGN(report, tb.Recover());
   EXPECT_FALSE(report.degraded) << report.ToString();
-  rig.CheckDiff("crash after re-attach");
+  rig.CheckAudit("crash after re-attach");
 }
 
 TEST(DegradedModeTest, ShardedStormFaultsOneShardOnly) {

@@ -9,11 +9,10 @@
 #include <memory>
 #include <string>
 
-#include "fault/diff_checker.h"
 #include "fault/fault_injector.h"
-#include "fault/shadow_kv.h"
 #include "recovery/redo.h"
 #include "recovery/restart.h"
+#include "testbed/crash_storm.h"
 #include "tests/test_util.h"
 
 namespace face {
@@ -676,12 +675,7 @@ TEST(DegradedRestartTest, RedoFromTheRebuildFloorRecoversEveryRow) {
   // fails right after the durable degraded marker: restart must redo from
   // the persisted rebuild floor — below the checkpoint — through the same
   // read-ahead routine, and the table must match the committed history.
-  fault::ShadowKvOptions wo;
-  wo.records = 1200;
-  wo.value_bytes = 160;
-  auto shadow = std::make_shared<fault::ShadowState>();
-  auto factory = std::make_shared<fault::ShadowKvFactory>(wo, shadow);
-  shadow->Reset(wo.records, wo.value_bytes);
+  auto factory = std::make_shared<workload::YcsbFactory>(StormKv(1200));
   FACE_ASSERT_OK_AND_ASSIGN(GoldenImage golden, GoldenImage::BuildFor(factory));
 
   TestbedOptions to;
@@ -719,10 +713,8 @@ TEST(DegradedRestartTest, RedoFromTheRebuildFloorRecoversEveryRow) {
       << "redo did not reach below the checkpoint\n" << report.ToString();
   EXPECT_GT(report.redo_applied, 0u) << report.ToString();
   EXPECT_GT(report.readahead_batches, 0u) << report.ToString();
-  FACE_ASSERT_OK_AND_ASSIGN(
-      fault::DiffReport diff,
-      fault::RunDifferentialCheck(*tb.db(), shadow.get(), tb.cache()));
-  EXPECT_TRUE(diff.ok()) << diff.ToString();
+  FACE_ASSERT_OK_AND_ASSIGN(workload::AuditReport audit, tb.Audit());
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 // --- the restart checkpoint's one destage batch -----------------------------
@@ -734,12 +726,7 @@ TEST(DegradedRestartTest, RedoFromTheRebuildFloorRecoversEveryRow) {
 /// as delta records, and their appends reach ring slots that still hold
 /// live chains.
 void ResidentDeltaRestart(CachePolicy policy, RestartReport* report) {
-  fault::ShadowKvOptions wo;
-  wo.records = 1200;
-  wo.value_bytes = 160;
-  auto shadow = std::make_shared<fault::ShadowState>();
-  auto factory = std::make_shared<fault::ShadowKvFactory>(wo, shadow);
-  shadow->Reset(wo.records, wo.value_bytes);
+  auto factory = std::make_shared<workload::YcsbFactory>(StormKv(1200));
   FACE_ASSERT_OK_AND_ASSIGN(GoldenImage golden, GoldenImage::BuildFor(factory));
 
   TestbedOptions to;
@@ -759,14 +746,12 @@ void ResidentDeltaRestart(CachePolicy policy, RestartReport* report) {
   FACE_ASSERT_OK(tb.Run(warm).status());
   FACE_ASSERT_OK(tb.db()->TakeCheckpoint().status());
   RunOptions body;
-  body.txns = 40;
+  body.txns = 60;
   FACE_ASSERT_OK(tb.Run(body).status());
   FACE_ASSERT_OK(tb.Crash());
   FACE_ASSERT_OK_AND_ASSIGN(*report, tb.Recover());
-  FACE_ASSERT_OK_AND_ASSIGN(
-      fault::DiffReport diff,
-      fault::RunDifferentialCheck(*tb.db(), shadow.get(), tb.cache()));
-  EXPECT_TRUE(diff.ok()) << diff.ToString();
+  FACE_ASSERT_OK_AND_ASSIGN(workload::AuditReport audit, tb.Audit());
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 TEST(RestartCheckpointTest, EveryFlavorDestagesOnlyInsideTheLaneBatch) {

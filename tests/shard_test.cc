@@ -2,8 +2,8 @@
 // per-shard simulated fingerprints, at any shard count, on any thread
 // interleaving), exact equivalence of a one-shard ShardedTestbed with a
 // plain Testbed, throughput scale-up, workload partitioning, and the
-// cross-shard (2PC) crash storm proving atomicity through the
-// differential checker.
+// cross-shard (2PC) crash storm proving atomicity through every
+// shard's audit.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -231,7 +231,7 @@ TEST(ShardTest, PartitionSlicesCoverTheWholeWorkload) {
 TEST(ShardTest, CrossShardAtomicityStorm) {
   // Sharded crash storms: concurrent per-shard crash workloads laced with
   // cross-shard 2PC transactions, one machine-wide power failure, parallel
-  // recovery + in-doubt resolution — every differential check must pass,
+  // recovery + in-doubt resolution — every audit must pass,
   // and every transaction cut mid-protocol must resolve atomically (all
   // started legs committed iff the decision record survived). Runs at
   // least SHARD_STORM_SEEDS storms and keeps going (bounded) until the
@@ -240,7 +240,8 @@ TEST(ShardTest, CrossShardAtomicityStorm) {
   ShardedCrashStormOptions opts;
   opts.shards = 2;
   opts.cross_shard_txns = 24;
-  opts.base.workload.records = 600;
+  // The whole workload: 600 rows per shard.
+  opts.base.workload = std::make_shared<workload::YcsbFactory>(StormKv(1200));
   ShardedCrashStormHarness harness(opts);
 
   const uint64_t seeds = EnvOr("SHARD_STORM_SEEDS", 10);
@@ -251,8 +252,8 @@ TEST(ShardTest, CrossShardAtomicityStorm) {
     auto result = harness.RunStorm(seed);
     ASSERT_TRUE(result.ok()) << "seed " << seed << ": "
                              << result.status().ToString();
-    EXPECT_TRUE(result->diff.ok()) << "seed " << seed << "\n"
-                                   << result->ToString();
+    EXPECT_TRUE(result->audit.ok()) << "seed " << seed << "\n"
+                                    << result->ToString();
     EXPECT_TRUE(result->atomicity_ok) << "seed " << seed << "\n"
                                       << result->ToString();
     if (result->crashed_mid_body) ++tripped;
