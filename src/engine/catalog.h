@@ -2,7 +2,8 @@
 // and index, stored in fixed-width slots on a dedicated catalog page (always
 // page 0 of the database). Mutations go through a PageWriter like any other
 // page change, so catalog updates made by a transaction (a heap growing a
-// page, a B+tree root split) are WAL-logged with it and recovered with it.
+// page, a B+tree root split) are WAL-logged with it and recovered with it;
+// a rollback that undid them reloads the entries (Database::Abort).
 #pragma once
 
 #include <cstdint>

@@ -44,7 +44,16 @@ Status Database::ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
                                 uint32_t bg_token) {
   RestartManager restart(log_, &pool_, &txns_, storage_, cache_, sched,
                          bg_token);
-  return restart.ResolveInDoubt(in_doubt, decided, report);
+  FACE_RETURN_IF_ERROR(restart.ResolveInDoubt(in_doubt, decided, report));
+  // A rolled-back transaction may have written the catalog page, as in
+  // Abort.
+  return in_doubt.empty() ? Status::OK() : catalog_.Load();
+}
+
+Status Database::Abort(TxnId txn) {
+  const bool wrote_catalog = txns_.Wrote(txn, Catalog::kCatalogPageId);
+  FACE_RETURN_IF_ERROR(txns_.Abort(txn));
+  return wrote_catalog ? catalog_.Load() : Status::OK();
 }
 
 Status Database::CleanShutdown() {

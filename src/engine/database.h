@@ -60,7 +60,8 @@ class Database {
 
   /// Resolve this shard's in-doubt transactions (from the Recover report)
   /// against the union of GlobalCommit decisions across every shard's
-  /// report. Call after all shards have recovered, before serving work.
+  /// report, then reload the catalog if there were any. Call after all
+  /// shards have recovered, before serving work.
   Status ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
                         const std::vector<uint64_t>& decided,
                         RestartReport* report, IoScheduler* sched = nullptr,
@@ -69,7 +70,11 @@ class Database {
   // --- transactions ----------------------------------------------------------
   TxnId Begin() { return txns_.Begin(); }
   Status Commit(TxnId txn) { return txns_.Commit(txn); }
-  Status Abort(TxnId txn) { return txns_.Abort(txn); }
+  /// Roll `txn` back. If it wrote the catalog page (a heap it grew, a root
+  /// it split), undo restored that page's bytes and the in-memory catalog
+  /// is reloaded to match; otherwise later inserts would chain on from a
+  /// page the undo unlinked.
+  Status Abort(TxnId txn);
   /// 2PC: durable participant vote for cross-shard transaction `gtid`.
   Status Prepare(TxnId txn, uint64_t gtid) { return txns_.Prepare(txn, gtid); }
   /// 2PC: the coordinator's durable commit decision for `gtid`.

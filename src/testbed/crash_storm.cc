@@ -335,15 +335,8 @@ StatusOr<ShardedCrashStormResult> ShardedCrashStormHarness::RunStorm(
       uint32_t c = static_cast<uint32_t>(rnd.Uniform(n - 1));
       if (c >= a) ++c;
       const uint64_t gtid = (seed << 20) + ++gtid_counter;
-      auto leg = [&rnd](Testbed& t) {
-        return t.workload()->BeginCrossShardLeg(*t.db(), rnd);
-      };
       ++cross_started;
-      body = stb.RunCrossShardTxn(gtid, {{a, leg}, {c, leg}}, [&] {
-        for (const uint32_t s : {a, c}) {
-          stb.testbed(s)->workload()->OnCrossShardCommitted();
-        }
-      });
+      body = stb.RunCrossShardTxn(gtid, {a, c}, rnd);
       if (body.ok()) {
         ++result.cross_committed;
       } else {

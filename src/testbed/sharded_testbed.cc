@@ -185,28 +185,28 @@ Status ShardedTestbed::OnShard(uint32_t shard,
       [this, shard, &fn] { return fn(*testbeds_[shard]); });
 }
 
-Status ShardedTestbed::RunCrossShardTxn(
-    uint64_t gtid, const std::vector<CrossShardLeg>& legs,
-    const std::function<void()>& on_committed) {
-  if (legs.empty()) {
+Status ShardedTestbed::RunCrossShardTxn(uint64_t gtid,
+                                        const std::vector<uint32_t>& shards,
+                                        Random& rnd) {
+  if (shards.empty()) {
     return Status::InvalidArgument("cross-shard transaction with no legs");
   }
-  for (const CrossShardLeg& leg : legs) {
-    if (leg.shard >= opts_.shards) {
+  for (const uint32_t shard : shards) {
+    if (shard >= opts_.shards) {
       return Status::InvalidArgument("cross-shard leg on unknown shard");
     }
   }
 
   // Phase 1 — votes: each leg applies its updates and forces a Prepare
   // record, as one foreground client span on its own shard clock.
-  std::vector<TxnId> txns(legs.size(), kInvalidTxnId);
-  for (size_t i = 0; i < legs.size(); ++i) {
-    const CrossShardLeg& leg = legs[i];
-    FACE_RETURN_IF_ERROR(OnShard(leg.shard, [&, i](Testbed& tb) {
+  std::vector<TxnId> txns(shards.size(), kInvalidTxnId);
+  for (size_t i = 0; i < shards.size(); ++i) {
+    FACE_RETURN_IF_ERROR(OnShard(shards[i], [&, i](Testbed& tb) {
       IoScheduler* sched = tb.sched();
       sched->BeginTxn();
       sched->OnCpu(tb.options().cpu_per_txn_ns);
-      const StatusOr<TxnId> txn = leg.begin(tb);
+      const StatusOr<TxnId> txn =
+          tb.workload()->BeginCrossShardLeg(*tb.db(), rnd);
       Status s = txn.ok() ? tb.db()->Prepare(*txn, gtid) : txn.status();
       sched->EndTxn();
       if (txn.ok()) txns[i] = *txn;
@@ -216,7 +216,7 @@ Status ShardedTestbed::RunCrossShardTxn(
 
   // Phase 2 — the decision: the first leg's shard is the coordinator; its
   // forced GlobalCommit record is the commit point of the whole txn.
-  FACE_RETURN_IF_ERROR(OnShard(legs[0].shard, [&](Testbed& tb) {
+  FACE_RETURN_IF_ERROR(OnShard(shards[0], [&](Testbed& tb) {
     tb.sched()->BeginTxn();
     const Status s = tb.db()->LogGlobalCommit(txns[0], gtid);
     tb.sched()->EndTxn();
@@ -226,16 +226,15 @@ Status ShardedTestbed::RunCrossShardTxn(
   // Phase 3 — local commits release the prepared transactions. Effects
   // are durable-or-redoable either way: a crash from here on recovers
   // every leg as committed via the decided gtid.
-  for (size_t i = 0; i < legs.size(); ++i) {
-    FACE_RETURN_IF_ERROR(OnShard(legs[i].shard, [&, i](Testbed& tb) {
+  for (size_t i = 0; i < shards.size(); ++i) {
+    FACE_RETURN_IF_ERROR(OnShard(shards[i], [&, i](Testbed& tb) {
       tb.sched()->BeginTxn();
       const Status s = tb.db()->Commit(txns[i]);
       tb.sched()->EndTxn();
+      if (s.ok()) tb.workload()->OnCrossShardCommitted();
       return s;
     }));
   }
-
-  if (on_committed) on_committed();
   return Status::OK();
 }
 

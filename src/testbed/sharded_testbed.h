@@ -47,14 +47,6 @@ struct ShardedTestbedOptions {
   uint64_t golden_seed = 20120827;
 };
 
-/// One leg of a cross-shard transaction: `begin` runs on the shard's
-/// worker, starts a local transaction with its updates applied, and
-/// returns it *uncommitted*; ShardedTestbed drives the commit protocol.
-struct CrossShardLeg {
-  uint32_t shard = 0;
-  std::function<StatusOr<TxnId>(Testbed&)> begin;
-};
-
 /// The sharded rig; see file comment. All public methods are called from
 /// the harness thread and act as barriers: they return only after every
 /// worker involved has gone idle, so inspecting testbed(i) between calls
@@ -87,15 +79,16 @@ class ShardedTestbed {
   /// Returns the per-shard reports (post-resolution).
   StatusOr<std::vector<RestartReport>> Recover();
 
-  /// Execute one cross-shard transaction `gtid` under two-phase commit:
-  /// each leg begins + prepares on its shard (one foreground client span
-  /// per leg), the first leg's shard logs the GlobalCommit decision, then
-  /// every leg commits locally. `on_committed` runs on the harness thread
-  /// after every local commit landed, for the workloads' commit bookkeeping,
-  /// and may be null. Any error leaves the protocol where it stopped
-  /// (exactly what a crash storm wants).
-  Status RunCrossShardTxn(uint64_t gtid, const std::vector<CrossShardLeg>& legs,
-                          const std::function<void()>& on_committed = {});
+  /// Execute one cross-shard transaction `gtid` under two-phase commit,
+  /// with one leg on each of `shards` (the first is the coordinator). Each
+  /// leg's workload begins it (Workload::BeginCrossShardLeg, drawing from
+  /// `rnd`) and the shard prepares it, as one foreground client span; the
+  /// coordinator logs the GlobalCommit decision; then every leg commits
+  /// locally and its workload hears so (Workload::OnCrossShardCommitted).
+  /// Each step runs on its own shard's worker. Any error leaves the
+  /// protocol where it stopped (exactly what a crash storm wants).
+  Status RunCrossShardTxn(uint64_t gtid, const std::vector<uint32_t>& shards,
+                          Random& rnd);
 
   /// Run `fn(testbed)` on shard `i`'s worker thread and wait for it —
   /// for per-shard setup (InjectInflightTransactions, fault arming).

@@ -69,8 +69,9 @@ class Workload : public workload::Workload {
   /// strands (~50 backends mid-flight).
   Status InjectStranded(Database& db, Random& rnd) override;
   /// The consistency conditions of spec §3.3.2.1–4, per warehouse and
-  /// district. They hold after any prefix of committed transactions, so the
-  /// one a crash cut needs no in-doubt rule.
+  /// district, over heap scans; each scanned table's primary-key index
+  /// must count as many rows. They hold after any prefix of committed
+  /// transactions, so the one a crash cut needs no in-doubt rule.
   Status Audit(Database& db, workload::AuditReport* report) override;
 
   // Individual transactions, each a complete begin..commit unit.

@@ -222,6 +222,15 @@ Status TransactionManager::Abort(TxnId txn_id) {
   return Status::OK();
 }
 
+bool TransactionManager::Wrote(TxnId txn_id, PageId page_id) const {
+  auto it = active_.find(txn_id);
+  if (it == active_.end()) return false;
+  for (const UndoEntry& u : it->second.undo) {
+    if (u.page_id == page_id) return true;
+  }
+  return false;
+}
+
 std::vector<AttEntry> TransactionManager::ActiveTxns() const {
   std::vector<AttEntry> att;
   att.reserve(active_.size());

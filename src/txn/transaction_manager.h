@@ -98,6 +98,10 @@ class TransactionManager {
   /// Active-transaction table snapshot for a checkpoint (ascending txn id).
   std::vector<AttEntry> ActiveTxns() const;
 
+  /// Whether active transaction `txn_id` has an update of `page_id` that
+  /// an Abort would undo.
+  bool Wrote(TxnId txn_id, PageId page_id) const;
+
   /// Whether `txn_id` is currently active.
   bool IsActive(TxnId txn_id) const {
     return active_.find(txn_id) != active_.end();

@@ -1,5 +1,7 @@
 #include "workload/kv_table.h"
 
+#include <array>
+
 #include "common/coding.h"
 #include "engine/key_codec.h"
 
@@ -36,20 +38,22 @@ void KvTable::RowTo(std::string* out, uint64_t id, uint32_t value_bytes,
   EncodeFixed64(out->data(), id);
   // Deterministic payload bytes from (id, version) — replays reproduce the
   // exact on-media image without storing it anywhere. Eight letters per
-  // generator draw: this runs once per row of every KV population, and one
-  // xorshift step per byte used to dominate 1M-row load wall-clock.
+  // generator draw, each looked up in a table: this runs once per row of
+  // every KV population and once per YCSB read (its live check), where a
+  // draw or a modulo per byte would dominate host time.
+  static constexpr std::array<char, 256> kLetter = [] {
+    std::array<char, 256> t{};
+    for (int b = 0; b < 256; ++b) t[b] = static_cast<char>('a' + b % 26);
+    return t;
+  }();
   Random payload(id * 0x9e3779b97f4a7c15ull ^ version);
   char* p = out->data() + 8;
   uint32_t i = 0;
   for (; i + 8 <= value_bytes; i += 8) {
     const uint64_t draw = payload.Next();
-    for (int k = 0; k < 8; ++k) {
-      p[i + k] = static_cast<char>('a' + ((draw >> (8 * k)) & 0xff) % 26);
-    }
+    for (int k = 0; k < 8; ++k) p[i + k] = kLetter[(draw >> (8 * k)) & 0xff];
   }
-  for (; i < value_bytes; ++i) {
-    p[i] = static_cast<char>('a' + (payload.Next() & 0xff) % 26);
-  }
+  for (; i < value_bytes; ++i) p[i] = kLetter[payload.Next() & 0xff];
 }
 
 Status KvTable::Insert(PageWriter* writer, uint64_t id, uint32_t value_bytes,

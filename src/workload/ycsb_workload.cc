@@ -91,7 +91,17 @@ uint64_t YcsbWorkload::ChooseKey(Random& rnd) {
   return key;
 }
 
+Status KvLedger::CheckResolved() const {
+  if (pending && pending->commit_attempted) {
+    return Status::Internal("ycsb: the in-doubt write of key " +
+                            std::to_string(pending->key) +
+                            " was not resolved by an audit before resuming");
+  }
+  return Status::OK();
+}
+
 StatusOr<uint8_t> YcsbWorkload::NextTxn(Database& db, Random& rnd) {
+  FACE_RETURN_IF_ERROR(ledger_.CheckResolved());
   const int roll = static_cast<int>(rnd.Uniform(100));
   uint8_t type;
   Status s;
@@ -116,8 +126,17 @@ StatusOr<uint8_t> YcsbWorkload::NextTxn(Database& db, Random& rnd) {
 
 Status YcsbWorkload::DoRead(Database& db, uint64_t key) {
   const TxnId txn = db.Begin();
-  std::string row;
-  const Status s = table_.Read(key, &row);
+  Status s = table_.Read(key, &row_);
+  if (s.ok()) {
+    // The live check: a read must return the key's committed version.
+    KvTable::RowTo(&expected_row_, key, opts_.value_bytes,
+                   ledger_.VersionOf(key));
+    if (row_ != expected_row_) {
+      s = Status::Corruption("ycsb: live read of key " + std::to_string(key) +
+                             " diverges from committed version " +
+                             std::to_string(ledger_.VersionOf(key)));
+    }
+  }
   if (!s.ok()) {
     FACE_RETURN_IF_ERROR(db.Abort(txn));
     return s;
@@ -189,6 +208,7 @@ Status YcsbWorkload::OnInflightRolledBack(Database& db) {
 }
 
 StatusOr<TxnId> YcsbWorkload::BeginCrossShardLeg(Database& db, Random& rnd) {
+  FACE_RETURN_IF_ERROR(ledger_.CheckResolved());
   const uint64_t key = ChooseKey(rnd);
   ledger_.Begin(key, ++version_);
   // A prepared leg commits or rolls back with the coordinator's decision,

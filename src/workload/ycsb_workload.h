@@ -11,7 +11,10 @@
 // recovered table with it row for row. The one write in flight at the
 // crash is in doubt: its commit record may or may not have reached the
 // durable log, so either version is legal once its commit was attempted,
-// and only the old one before. Keys of injected stranded transactions are
+// and only the old one before; no client runs until an audit resolved it.
+// Every read is checked live against the ledger too, so a stale row is
+// caught when a client sees it, even if a later update overwrites it
+// before the next audit. Keys of injected stranded transactions are
 // withheld from later operations until the restart rolls them back, so
 // undo's before-images cannot clobber later committed work.
 #pragma once
@@ -118,6 +121,10 @@ struct KvLedger {
   uint64_t VersionOf(uint64_t key) const {
     return key < versions.size() ? versions[key] : kAbsent;
   }
+  /// Internal while a write whose commit was attempted is unresolved: only
+  /// an audit can tell whether it committed, so no client may run before
+  /// one (its reads and writes would trust a ledger one commit behind).
+  Status CheckResolved() const;
   /// Record a write of `version` to `key` as in flight. It replaces a
   /// pending write whose commit was never attempted: that one has one
   /// legal outcome, the ledger's, which the audit checks like any key.
@@ -177,6 +184,7 @@ class YcsbWorkload : public Workload {
   uint64_t inserted_ = 0;
   uint64_t version_ = 0;  ///< monotonically fresh payload versions
   KvLedger ledger_;
+  std::string row_, expected_row_;  ///< DoRead's buffers, reused
 };
 
 /// Builds YCSB golden images and drivers from one shared YcsbOptions.

@@ -142,6 +142,37 @@ TEST_F(HeapTest, LoggedInsertIsUndoneByAbort) {
   EXPECT_EQ(rows, 0u);
 }
 
+TEST_F(HeapTest, AbortThatGrewTheChainLeavesLaterRowsReachable) {
+  const TxnId setup = db_->Begin();
+  PageWriter setup_writer = db_->Writer(setup);
+  FACE_ASSERT_OK_AND_ASSIGN(
+      HeapFile heap,
+      HeapFile::Create(db_->pool(), db_->catalog(), &setup_writer, "t"));
+  FACE_ASSERT_OK(db_->Commit(setup));
+  const std::string record(600, 'r');
+
+  // A rolled-back transaction grows the chain by a page: undo unlinks it
+  // from the tail and restores the catalog's tail entry.
+  const TxnId txn = db_->Begin();
+  PageWriter w = db_->Writer(txn);
+  for (int i = 0; i < 20; ++i) FACE_ASSERT_OK(heap.Insert(&w, record).status());
+  FACE_ASSERT_OK_AND_ASSIGN(uint64_t grown, heap.CountPages());
+  ASSERT_GT(grown, 1u);
+  FACE_ASSERT_OK(db_->Abort(txn));
+  EXPECT_EQ(heap.last_page(), heap.first_page());
+
+  // Committed inserts after it must chain on from the real tail, where a
+  // scan finds every one of them.
+  const TxnId later = db_->Begin();
+  PageWriter lw = db_->Writer(later);
+  for (int i = 0; i < 20; ++i) {
+    FACE_ASSERT_OK(heap.Insert(&lw, record).status());
+  }
+  FACE_ASSERT_OK(db_->Commit(later));
+  FACE_ASSERT_OK_AND_ASSIGN(uint64_t rows, heap.CountRows());
+  EXPECT_EQ(rows, 20u);
+}
+
 // Property sweep: the page never corrupts across mixed workloads of varying
 // record sizes.
 class HeapPageProperty : public EngineFixture,

@@ -8,6 +8,7 @@
 
 #include <map>
 
+#include "fault/fault_injector.h"
 #include "tests/test_util.h"
 #include "workload/kv_table.h"
 #include "workload/scan_workload.h"
@@ -173,6 +174,74 @@ TEST(YcsbWorkloadTest, CrashRecoverResume) {
   FACE_ASSERT_OK_AND_ASSIGN(RunResult result, tb.Run(after));
   EXPECT_EQ(result.txns, 200u);
   FACE_EXPECT_OK(tb.cache()->CheckInvariants());
+}
+
+// A 16-row YCSB table whose clients run only `pct_read` reads and
+// otherwise updates, and one golden image per such shape.
+const GoldenImage& TinyYcsbGolden(int pct_read) {
+  static std::map<int, GoldenImage>* images = new std::map<int, GoldenImage>();
+  auto it = images->find(pct_read);
+  if (it == images->end()) {
+    YcsbOptions o = TestYcsb(YcsbOptions::Distribution::kUniform);
+    o.records = 16;
+    o.pct_read = pct_read, o.pct_update = 100 - pct_read;
+    o.pct_insert = 0, o.pct_scan = 0;
+    auto g = GoldenImage::BuildFor(std::make_shared<YcsbFactory>(o));
+    EXPECT_TRUE(g.ok()) << g.status().ToString();
+    it = images->emplace(pct_read, std::move(g.value())).first;
+  }
+  return it->second;
+}
+
+TEST(YcsbWorkloadTest, LiveReadCatchesARowNoClientCommitted) {
+  const GoldenImage& golden = TinyYcsbGolden(/*pct_read=*/100);
+  Testbed tb(SmallOptions(golden, CachePolicy::kNone), &golden);
+  FACE_ASSERT_OK(tb.Start());
+  RunOptions one;
+  one.txns = 1;
+  FACE_ASSERT_OK(tb.Run(one).status());
+
+  // Commit a new version of every row behind the clients' back: the next
+  // read sees a row the ledger never recorded.
+  FACE_ASSERT_OK_AND_ASSIGN(workload::KvTable table,
+                            workload::KvTable::Open(*tb.db()));
+  const TxnId txn = tb.db()->Begin();
+  PageWriter w = tb.db()->Writer(txn);
+  for (uint64_t key = 0; key < 16; ++key) {
+    FACE_ASSERT_OK(table.Update(&w, key, 200, /*version=*/77));
+  }
+  FACE_ASSERT_OK(tb.db()->Commit(txn));
+
+  const Status s = tb.Run(one).status();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST(YcsbWorkloadTest, NoClientRunsBeforeTheInDoubtWriteIsAudited) {
+  const GoldenImage& golden = TinyYcsbGolden(/*pct_read=*/0);
+  Testbed tb(SmallOptions(golden, CachePolicy::kNone), &golden);
+  FACE_ASSERT_OK(tb.Start());
+
+  // Power fails at the first log write: the update's commit force.
+  FaultInjector inj;
+  inj.AttachScheduler(tb.sched());
+  tb.log_dev()->set_fault_injector(&inj);
+  inj.TargetDevice("log");
+  inj.ArmAfterWrites(1, /*seed=*/5);
+  RunOptions one;
+  one.txns = 1;
+  ASSERT_FALSE(tb.Run(one).status().ok());
+  ASSERT_TRUE(inj.tripped());
+  FACE_ASSERT_OK(tb.Crash());
+  inj.Disarm();
+  FACE_ASSERT_OK(tb.Recover().status());
+
+  // Whether that update committed is known only after an audit.
+  const Status early = tb.Run(one).status();
+  EXPECT_TRUE(early.IsInternal()) << early.ToString();
+  FACE_ASSERT_OK_AND_ASSIGN(workload::AuditReport audit, tb.Audit());
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  EXPECT_NE(audit.pending_outcome, workload::PendingOutcome::kNone);
+  FACE_EXPECT_OK(tb.Run(one).status());
 }
 
 // --- trace record / replay ---------------------------------------------------
