@@ -39,7 +39,6 @@ class ClockCache final : public CacheExtension {
         referenced_(n_frames, false) {}
 
   const char* name() const override { return "Clock"; }
-  bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
     return store_.Contains(page_id);
   }
@@ -164,9 +163,7 @@ int main() {
     Database db(db_opts, &storage, &log, &cache);
     if (!db.Open().ok() || !db.TakeCheckpoint().ok()) return 1;
 
-    tpcc::WorkloadConfig wl;
-    wl.warehouses = 1;
-    tpcc::Workload workload(wl);
+    tpcc::Workload workload(/*warehouses=*/1);
     if (!workload.Setup(db, /*seed=*/42).ok()) return 1;
     Random unused(0);  // TPC-C draws from its own NURand stream
     for (int i = 0; i < 5000; ++i) {  // warm + measure

@@ -147,11 +147,7 @@ StatusOr<PageHandle> BufferPool::FetchPage(PageId page_id) {
     if (obs_on) GetPoolObs().flash_fetches->Increment();
     f.dirty = read->dirty;
     f.fdirty = false;  // synced with the flash copy we just read
-    // Persistent caches are part of the durable database: a dirty flash
-    // page needs no redo protection. Non-persistent write-back caches
-    // (LC) hand back the conservative recLSN they remembered.
-    f.rec_lsn = (read->dirty && !cache_->IsPersistent()) ? read->rec_lsn
-                                                         : kInvalidLsn;
+    f.rec_lsn = read->rec_lsn;
     // The frame now equals this exact flash state: deltas may build on it.
     f.flash_version = read->flash_version;
     f.tracker.Reset();

@@ -117,7 +117,12 @@ static_assert(sizeof(CacheStats) ==
 /// Result of a flash read on the DRAM-miss path.
 struct FlashReadResult {
   bool dirty = false;   ///< flash copy is newer than the disk copy
-  Lsn rec_lsn = kInvalidLsn;  ///< conservative recLSN if dirty (ARIES DPT)
+  /// The recLSN the DRAM frame takes (ARIES DPT). A volatile write-back
+  /// cache (LC) returns the conservative recLSN it remembered for a dirty
+  /// copy. kInvalidLsn for a clean copy, and always from a persistent cache
+  /// (FaCE): its flash copy is part of the durable database and needs no
+  /// redo protection.
+  Lsn rec_lsn = kInvalidLsn;
   /// Version tag of the flash state the page was served from (chain tip for
   /// delta-capable policies). The buffer pool remembers it per frame; a
   /// later write-back may emit a delta record only against this exact
@@ -169,10 +174,6 @@ class CacheExtension {
 
   /// Short policy name for reports ("FaCE+GSC", "LC", ...).
   virtual const char* name() const = 0;
-
-  /// True if flash contents are part of the persistent database (survive a
-  /// crash and absolve pages from disk checkpointing) — the FaCE §4 notion.
-  virtual bool IsPersistent() const = 0;
 
   /// True if the valid copy of `page_id` is cached.
   virtual bool Contains(PageId page_id) const = 0;
@@ -371,7 +372,6 @@ class NullCache final : public CacheExtension {
   explicit NullCache(class DbStorage* storage) : storage_(storage) {}
 
   const char* name() const override { return "none"; }
-  bool IsPersistent() const override { return false; }
   bool Contains(PageId) const override { return false; }
   StatusOr<FlashReadResult> ReadPage(PageId, char*) override {
     return Status::NotFound("null cache holds nothing");

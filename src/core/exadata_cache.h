@@ -41,7 +41,6 @@ class ExadataCache final : public CacheExtension {
 
   // CacheExtension interface --------------------------------------------------
   const char* name() const override { return "Exadata"; }
-  bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
     return store_.Contains(page_id);
   }

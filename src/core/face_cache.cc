@@ -348,22 +348,25 @@ Status FaceCache::Enqueue(PageId page_id, const char* page, bool dirty,
 
 StatusOr<uint64_t> FaceCache::DequeueFront(uint64_t n,
                                            const std::vector<uint64_t>& keep,
-                                           ScopedIoBatch* batch,
+                                           char* group, ScopedIoBatch* batch,
                                            std::vector<Survivor>* survivors) {
   assert(n <= live_entries());
-  if (dequeue_buf_.size() < keep.size() * kPageSize) {
+  if (group == nullptr && dequeue_buf_.size() < keep.size() * kPageSize) {
     dequeue_buf_.resize(keep.size() * kPageSize);
   }
   uint64_t destages = 0;
   size_t kept = 0;
-  for (; n > 0; --n) {
+  for (uint64_t k = 0; k < n; ++k) {
     const Entry& e = entries_.front();
     const bool survives = kept < keep.size() && keep[kept] == front_seq_;
     if (survives || (e.valid && e.dirty)) {
       batch->NextLane();
-      char* img = survives ? dequeue_buf_.data() + kept * kPageSize
-                           : scratch_.data();
-      FACE_RETURN_IF_ERROR(ReadFrame(front_seq_, img));
+      // A page either survives or is destaged, never both, so a destage
+      // may stamp its group slot in place.
+      char* img = group != nullptr ? group + k * kPageSize
+                  : survives       ? dequeue_buf_.data() + kept * kPageSize
+                                   : scratch_.data();
+      if (group == nullptr) FACE_RETURN_IF_ERROR(ReadFrame(front_seq_, img));
       // The frame is a chain base: the tip image carries every refresh
       // since the full write.
       delta_.ApplyChain(e.page_id, img);
@@ -381,25 +384,30 @@ StatusOr<uint64_t> FaceCache::DequeueFront(uint64_t n,
   return destages;
 }
 
-bool FaceCache::AllReferenced(uint64_t seq, uint64_t count) const {
-  for (uint64_t k = 0; k < count; ++k) {
+template <typename Eligible>
+void FaceCache::KeepSecondChances(uint64_t seq, uint64_t count,
+                                  const Eligible& eligible,
+                                  std::vector<uint64_t>* keep) const {
+  uint64_t referenced = 0;  // leading referenced valid entries
+  while (referenced < count && EntryAt(seq + referenced).valid &&
+         EntryAt(seq + referenced).referenced) {
+    ++referenced;
+  }
+  // Rule (a): the first entry of an all-referenced group gets no chance.
+  for (uint64_t k = referenced == count ? 1 : 0; k < count; ++k) {
     const Entry& e = EntryAt(seq + k);
-    if (!e.valid || !e.referenced || e.page_id == kInvalidPageId) return false;
+    if (!e.valid || !e.referenced || !eligible(e)) continue;
+    // Rule (b). The new frame differs from the old one beyond the header
+    // sector only if a delta chain patched it.
+    DeltaRing::ChainView cv;
+    if (e.dirty &&
+        layout_.FrameBlock(rear_seq_ + keep->size()) ==
+            layout_.FrameBlock(seq + k) &&
+        delta_.GetChain(e.page_id, &cv) && cv.len > 0) {
+      continue;
+    }
+    keep->push_back(seq + k);
   }
-  return true;
-}
-
-bool FaceCache::SecondChance(uint64_t seq, uint64_t k, bool all_referenced,
-                             uint64_t j) const {
-  const Entry& e = EntryAt(seq);
-  if (!e.referenced || (all_referenced && k == 0)) return false;
-  if (!e.dirty || layout_.FrameBlock(rear_seq_ + j) != layout_.FrameBlock(seq)) {
-    return true;
-  }
-  // The new frame differs from the old one beyond the header sector only if
-  // a delta chain patched it.
-  DeltaRing::ChainView cv;
-  return !(delta_.GetChain(e.page_id, &cv) && cv.len > 0);
 }
 
 Status FaceCache::ReenqueueSurvivors(const std::vector<Survivor>& survivors) {
@@ -419,62 +427,34 @@ Status FaceCache::ReenqueueSurvivors(const std::vector<Survivor>& survivors) {
   return FlushSegments();
 }
 
-Status FaceCache::DequeueGroup() {
-  const uint32_t batch = static_cast<uint32_t>(
-      std::min<uint64_t>(options_.group_size, live_entries()));
-  if (batch == 0) return Status::OK();
-  obs::ScopedSpan span("core.face", "group_dequeue");
-  if (obs::Enabled()) GetFaceObs().group_dequeue_pages->Add(batch);
-  // Never read frames whose bytes are still staged in memory.
-  if (staged_count_ > 0 && front_seq_ + batch > staged_base_) {
-    FACE_RETURN_IF_ERROR(FlushStaging());
-  }
-  if (dequeue_buf_.size() < static_cast<size_t>(batch) * kPageSize) {
-    dequeue_buf_.resize(static_cast<size_t>(batch) * kPageSize);
-  }
-  char* buf = dequeue_buf_.data();
-  FACE_RETURN_IF_ERROR(ReadFrames(front_seq_, batch, buf));
-
-  // Valid frames are chain bases: patch each up to its tip image before
-  // deciding fates, so disk writes and second-chance re-enqueues carry
-  // every delta refresh since the full write.
-  for (uint32_t k = 0; k < batch; ++k) {
-    const Entry& e = EntryAt(front_seq_ + k);
-    if (e.page_id == kInvalidPageId || !e.valid) continue;
-    delta_.ApplyChain(e.page_id, buf + static_cast<size_t>(k) * kPageSize);
-  }
-
-  // Decide each page's fate. Survivor bytes point into dequeue_buf_,
-  // disjoint from the pages written below.
-  std::vector<Survivor> survivors;
-  const bool all_referenced =
-      second_chance() && AllReferenced(front_seq_, batch);
-  for (uint32_t k = 0; k < batch; ++k) {
-    const uint64_t seq = front_seq_ + k;
-    const Entry& e = EntryAt(seq);
-    if (e.page_id == kInvalidPageId || !e.valid) continue;
-    char* bytes = buf + static_cast<size_t>(k) * kPageSize;
-    if (second_chance() &&
-        SecondChance(seq, k, all_referenced, survivors.size())) {
-      survivors.push_back(Survivor{e, bytes});
-    } else if (e.dirty) {
-      // WritePage stamps id+checksum in place; this batch slot is dead
-      // afterwards (a page is either written out or a survivor, never both).
-      FACE_RETURN_IF_ERROR(storage_->WritePage(e.page_id, bytes));
-      ++stats_.disk_writes;
-    }
-  }
-
-  // Pop the batch (erasing valid mappings; survivors re-map on re-enqueue).
-  for (uint32_t k = 0; k < batch; ++k) PopFront();
-  return ReenqueueSurvivors(survivors);
-}
-
 Status FaceCache::MakeRoom() {
   if (live_entries() < options_.n_frames) return Status::OK();
-  if (grouped()) return DequeueGroup();
   ScopedIoBatch serial(nullptr);
-  return DequeueFront(1, {}, &serial, nullptr).status();
+  if (!grouped()) {
+    return DequeueFront(1, {}, nullptr, &serial, nullptr).status();
+  }
+  // GR/GSC: the front group leaves through one flash read request.
+  const uint32_t n = static_cast<uint32_t>(
+      std::min<uint64_t>(options_.group_size, live_entries()));
+  obs::ScopedSpan span("core.face", "group_dequeue");
+  if (obs::Enabled()) GetFaceObs().group_dequeue_pages->Add(n);
+  // Never read frames whose bytes are still staged in memory.
+  if (staged_count_ > 0 && front_seq_ + n > staged_base_) {
+    FACE_RETURN_IF_ERROR(FlushStaging());
+  }
+  if (dequeue_buf_.size() < static_cast<size_t>(n) * kPageSize) {
+    dequeue_buf_.resize(static_cast<size_t>(n) * kPageSize);
+  }
+  FACE_RETURN_IF_ERROR(ReadFrames(front_seq_, n, dequeue_buf_.data()));
+  std::vector<uint64_t> keep;
+  if (second_chance()) {
+    KeepSecondChances(front_seq_, n, [](const Entry&) { return true; }, &keep);
+  }
+  std::vector<Survivor> survivors;
+  FACE_RETURN_IF_ERROR(
+      DequeueFront(n, keep, dequeue_buf_.data(), &serial, &survivors)
+          .status());
+  return ReenqueueSurvivors(survivors);
 }
 
 Status FaceCache::FillBatchFromDram() {
@@ -559,11 +539,13 @@ StatusOr<bool> FaceCache::Admit(PageId page_id, char* page, bool dirty,
 
   // Design-choice ablations (§3.2 "caching clean and dirty"). When a dirty
   // page bypasses the cache to disk, any older flash copy is now stale and
-  // must be invalidated or later reads would serve it.
+  // must be dropped, or later reads and restarts would serve it.
   if (dirty && !options_.cache_dirty) {
-    if (const uint64_t* seq = newest_.Find(page_id)) Invalidate(*seq);
     FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, page));
     ++stats_.disk_writes;
+    if (const uint64_t* seq = newest_.Find(page_id)) {
+      FACE_RETURN_IF_ERROR(Invalidate(*seq));
+    }
     return false;
   }
   if (!dirty && !options_.cache_clean) return false;
@@ -722,18 +704,14 @@ Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
       // stay within one group, the restart scan's bound, and leave room
       // for every frame still to write, planned deltas included.
       if (second_chance()) {
-        const bool all_referenced = AllReferenced(front_seq_ + n, end - n);
-        for (uint64_t k = n; k < end; ++k) {
-          const uint64_t seq = front_seq_ + k;
-          const Entry& e = EntryAt(seq);
-          const Plan* p = e.valid ? plan.Find(e.page_id) : nullptr;
-          if (e.valid && p == nullptr &&
-              keep.size() < options_.group_size &&
-              keep.size() + 1 + need + deltas_left <= options_.n_frames &&
-              SecondChance(seq, k - n, all_referenced, keep.size())) {
-            keep.push_back(seq);
-          }
-        }
+        KeepSecondChances(
+            front_seq_ + n, end - n,
+            [&](const Entry& e) {
+              return plan.Find(e.page_id) == nullptr &&
+                     keep.size() < options_.group_size &&
+                     keep.size() + 1 + need + deltas_left <= options_.n_frames;
+            },
+            &keep);
       }
       n = end;
     }
@@ -766,7 +744,7 @@ Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
         delta_.ApplyChain(pid, img);
       }
       FACE_ASSIGN_OR_RETURN(const uint64_t destages,
-                            DequeueFront(n, keep, &batch, &survivors));
+                            DequeueFront(n, keep, nullptr, &batch, &survivors));
       if (sched != nullptr) {
         ++stats->batches;
         stats->pages += destages;
@@ -1029,32 +1007,18 @@ void FaceCache::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
 void FaceCache::OnPageWrittenToDisk(PageId page_id) {
   const uint64_t* found = newest_.Find(page_id);
   if (found == nullptr) return;
-  const uint64_t seq = *found;
-  Invalidate(seq);
   // A failed metadata write is ignored deliberately, as TAC does: the
   // in-memory drop already keeps the stale copy from being served.
-  (void)PersistEntryDrop(seq);
+  (void)Invalidate(*found);
 }
 
-void FaceCache::Invalidate(uint64_t seq) {
+Status FaceCache::Invalidate(uint64_t seq) {
   Entry& e = EntryAt(seq);
   e.valid = false;
   newest_.Erase(e.page_id);
   delta_.Drop(e.page_id);
   ++stats_.invalidations;
-}
 
-void FaceCache::PopFront() {
-  const Entry& e = entries_.front();
-  if (e.valid) {
-    newest_.Erase(e.page_id);
-    delta_.Drop(e.page_id);
-  }
-  entries_.pop_front();
-  ++front_seq_;
-}
-
-Status FaceCache::PersistEntryDrop(uint64_t seq) {
   const uint64_t s = options_.seg_entries;
   char buf[FlashMetaEntry::kEncodedSize];
   FlashMetaEntry{kInvalidPageId, kInvalidLsn, false, false}.EncodeTo(buf);
@@ -1069,8 +1033,9 @@ Status FaceCache::PersistEntryDrop(uint64_t seq) {
     return Status::OK();
   }
   if (seq >= sb_rear_seq_) {
-    // Covered only by the restart-time raw-frame scan; the rotten frame
-    // fails its checksum there and is never restored — nothing to persist.
+    // No persisted segment describes the entry, only the restart-time
+    // raw-frame scan: a rotten frame fails its checksum there, but an
+    // intact one comes back.
     return Status::OK();
   }
   // Read-modify-write the one segment block holding this entry.
@@ -1083,6 +1048,16 @@ Status FaceCache::PersistEntryDrop(uint64_t seq) {
   memcpy(scratch_.data() + byte % kPageSize, buf, sizeof(buf));
   ++stats_.meta_flash_writes;
   return flash_->Write(block, scratch_.data());
+}
+
+void FaceCache::PopFront() {
+  const Entry& e = entries_.front();
+  if (e.valid) {
+    newest_.Erase(e.page_id);
+    delta_.Drop(e.page_id);
+  }
+  entries_.pop_front();
+  ++front_seq_;
 }
 
 Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
@@ -1127,12 +1102,10 @@ Status FaceCache::ScrubSome(uint64_t max_frames, ScrubResult* out) {
     }
 
     // Dirty frame: the rotten base was the only up-to-date copy. Drop the
-    // entry (persisting the drop so restart cannot resurrect it) and report
-    // the page for WAL-driven rebuild from its exposure.
+    // entry and report the page for WAL-driven rebuild from its exposure.
     out->lost_dirty.push_back(FlashOnlyPage{
         e.page_id, e.since != kInvalidLsn ? e.since : e.lsn});
-    Invalidate(seq);
-    FACE_RETURN_IF_ERROR(PersistEntryDrop(seq));
+    FACE_RETURN_IF_ERROR(Invalidate(seq));
   }
   return Status::OK();
 }

@@ -14,7 +14,8 @@
 // to keep write batches full. Every frame write goes through one staging
 // arena (group_size pages under GR/GSC, one page under base FaCE). Each
 // queue entry carries its page's durability exposure (Entry::since), so a
-// destage needs no bookkeeping.
+// destage needs no bookkeeping. A frame dies in one of two places: the
+// dequeue loop (DequeueFront) or a persisted drop (Invalidate).
 //
 // The cache is persistent (paper §4): metadata entries are appended to an
 // in-memory segment mirrored to flash one segment at a time, and restart
@@ -94,7 +95,6 @@ class FaceCache final : public CacheExtension {
   /// Forget every entry, chain, staged frame and metadata buffer.
   void Forget() override;
   const char* name() const override;
-  bool IsPersistent() const override { return true; }
   bool Contains(PageId page_id) const override {
     return newest_.Contains(page_id);
   }
@@ -218,30 +218,32 @@ class FaceCache final : public CacheExtension {
   /// or pulled). True when it had to make room in a full queue.
   StatusOr<bool> Admit(PageId page_id, char* page, bool dirty, bool fdirty,
                        Lsn rec_lsn, DeltaWriteHint* hint);
-  /// When the queue is full, free at least one slot per the flavor.
+  /// When the queue is full, free at least one slot per the flavor: base
+  /// FaCE dequeues its front frame; GR/GSC read the front group as one
+  /// request and dequeue all of it, GSC re-enqueueing its survivors.
   Status MakeRoom();
-  /// Dequeue the `n` front frames, one frame at a time. Each valid dirty
-  /// frame is read back, patched to its tip image and destaged to disk,
-  /// each in its own lane of `batch`; the entries of `keep` (ascending
-  /// seqs) are read the same way into dequeue_buf_ and returned in
-  /// `survivors` instead. Returns the number of destages.
+  /// Dequeue the `n` front frames: the one loop that decides each frame's
+  /// fate. The entries of `keep` (ascending seqs) are patched to their tip
+  /// images and returned in `survivors`; every other valid dirty frame is
+  /// patched the same way and destaged to disk; the rest are discarded.
+  /// Each survivor and destage takes its own lane of `batch`. `group` holds
+  /// the `n` frames when the caller read them as one request; otherwise
+  /// each frame is read on its own, a survivor into dequeue_buf_. Returns
+  /// the number of destages.
   StatusOr<uint64_t> DequeueFront(uint64_t n, const std::vector<uint64_t>& keep,
-                                  ScopedIoBatch* batch,
+                                  char* group, ScopedIoBatch* batch,
                                   std::vector<Survivor>* survivors);
-  /// GR/GSC: stage out up to group_size pages in batched I/Os; with
-  /// second chance, referenced valid pages are re-enqueued.
-  Status DequeueGroup();
-  /// GSC: true iff every one of the `count` entries from `seq` on is a
-  /// referenced valid page (the group's first one then gets no second
-  /// chance, so the dequeue frees a slot).
-  bool AllReferenced(uint64_t seq, uint64_t count) const;
-  /// GSC: whether the referenced valid entry `seq`, position `k` of its
-  /// group, survives as the `j`-th survivor, re-enqueued at rear_seq_ + j.
-  /// Rule (b): a dirty survivor whose new frame lands on its own block is
-  /// destaged instead when a delta chain patched it, since one torn write
-  /// would then destroy both copies of the page.
-  bool SecondChance(uint64_t seq, uint64_t k, bool all_referenced,
-                    uint64_t j) const;
+  /// GSC's second chances over the group of `count` entries from `seq`:
+  /// append to `keep` the seq of each referenced valid entry that
+  /// `eligible` admits, except where a rule denies it. (a) When every entry
+  /// of the group is a referenced valid page, the first one gets none, so
+  /// the dequeue frees a slot. (b) A dirty page whose new frame, re-enqueued
+  /// at rear_seq_ + keep->size(), lands on its own block is destaged
+  /// instead when a delta chain patched it: one torn write would then
+  /// destroy both copies of the page.
+  template <typename Eligible>
+  void KeepSecondChances(uint64_t seq, uint64_t count, const Eligible& eligible,
+                         std::vector<uint64_t>* keep) const;
   /// Re-enqueue `survivors` with segment flushes held until every one is
   /// staged, then flush: the front already passed their old frames.
   Status ReenqueueSurvivors(const std::vector<Survivor>& survivors);
@@ -260,13 +262,13 @@ class FaceCache final : public CacheExtension {
   /// Read `count` frames starting at `seq` into `out` (wrap-split batches).
   Status ReadFrames(uint64_t seq, uint32_t count, char* out);
 
-  /// Drop the valid entry `seq` (its page leaves the cache).
-  void Invalidate(uint64_t seq);
+  /// Drop the valid entry `seq` (its page leaves the cache), then persist
+  /// the drop into the metadata holding `seq`, so a later restart cannot
+  /// resurrect the dead copy. A failed metadata write leaves the in-memory
+  /// drop in place.
+  Status Invalidate(uint64_t seq);
   /// Remove the front entry, unmapping its page if it was the valid one.
   void PopFront();
-  /// Persist an entry drop into the metadata holding `seq`, so a later
-  /// restart cannot resurrect the dead copy.
-  Status PersistEntryDrop(uint64_t seq);
 
   /// Append the metadata entry for the newest enqueue; flush the segment
   /// it completes, unless segment flushes are held.
@@ -327,8 +329,9 @@ class FaceCache final : public CacheExtension {
   /// Metadata entries since the last flushed segment boundary: the partial
   /// segment, or more while flushes are held.
   std::string seg_buf_;
-  /// Set while DequeueGroup re-enqueues second-chance survivors: a flush
-  /// would persist a superblock front past survivors still only staged.
+  /// Set while ReenqueueSurvivors re-enqueues second-chance survivors: a
+  /// flush would persist a superblock front past survivors still only
+  /// staged.
   bool hold_segments_ = false;
 
   /// Superblock values as last persisted.

@@ -56,7 +56,6 @@ class LcCache final : public CacheExtension {
 
   // CacheExtension interface --------------------------------------------------
   const char* name() const override { return "LC"; }
-  bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
     return store_.Contains(page_id);
   }

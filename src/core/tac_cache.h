@@ -72,7 +72,6 @@ class TacCache final : public CacheExtension {
   /// writes: a dead device gets none).
   void Forget() override;
   const char* name() const override { return "TAC"; }
-  bool IsPersistent() const override { return false; }
   bool Contains(PageId page_id) const override {
     return store_.Contains(page_id);
   }

@@ -7,6 +7,14 @@
 
 namespace face {
 
+namespace {
+
+/// Uncommitted transactions each storm strands before its crash, like the
+/// backends the paper's kill -9 leaves mid-flight.
+constexpr uint32_t kStrandedTxns = 2;
+
+}  // namespace
+
 void RecoveryPhaseAggregate::Record(const RestartReport& r) {
   attach_us.Add(r.attach_ns / 1000);
   meta_restore_us.Add(r.meta_restore_ns / 1000);
@@ -104,9 +112,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
   if (explicit_crash || rnd.PercentTrue(70)) {
     FACE_RETURN_IF_ERROR(tb.db()->TakeCheckpoint().status());
   }
-  if (opts_.stranded_txns > 0) {
-    FACE_RETURN_IF_ERROR(tb.InjectInflightTransactions(opts_.stranded_txns));
-  }
+  FACE_RETURN_IF_ERROR(tb.InjectInflightTransactions(kStrandedTxns));
 
   // --- arm the crash point -------------------------------------------------
   // WAL flushes dominate the raw write stream, so half the seeds target a
@@ -308,11 +314,9 @@ StatusOr<ShardedCrashStormResult> ShardedCrashStormHarness::RunStorm(
           i, [](Testbed& t) { return t.db()->TakeCheckpoint().status(); }));
     }
   }
-  if (b.stranded_txns > 0) {
-    FACE_RETURN_IF_ERROR(stb.OnShard(result.victim_shard, [&](Testbed& t) {
-      return t.InjectInflightTransactions(b.stranded_txns);
-    }));
-  }
+  FACE_RETURN_IF_ERROR(stb.OnShard(result.victim_shard, [](Testbed& t) {
+    return t.InjectInflightTransactions(kStrandedTxns);
+  }));
 
   // --- arm the victim's countdown ------------------------------------------
   const uint64_t warm_writes = std::max<uint64_t>(1, inj.writes_observed());

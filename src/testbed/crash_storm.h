@@ -70,7 +70,7 @@ workload::YcsbOptions StormKv(uint64_t records = 1200);
 struct CrashStormOptions {
   CachePolicy policy = CachePolicy::kFace;
   /// What the storm runs and audits. Its workload must strand transactions
-  /// (Workload::InjectStranded) unless `stranded_txns` is 0.
+  /// (Workload::InjectStranded): each storm strands two before its crash.
   std::shared_ptr<const workload::WorkloadFactory> workload =
       std::make_shared<workload::YcsbFactory>(StormKv());
 
@@ -81,7 +81,6 @@ struct CrashStormOptions {
   uint32_t group_size = 64;      ///< FaCE+GR/GSC pages per batch
   uint64_t warmup_ops = 250;
   uint64_t body_ops = 350;       ///< armed window the crash point lands in
-  uint32_t stranded_txns = 2;
   uint64_t post_ops = 60;        ///< post-recovery survivability run
   Sabotage sabotage = Sabotage::kNone;
   /// Percent of storms that keep the injector armed *through* recovery, so

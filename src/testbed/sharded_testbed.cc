@@ -120,8 +120,7 @@ Status ShardedTestbed::Start() {
   // binds the worker's thread-local virtual clock to the shard scheduler.
   return ParallelOnAll([this](uint32_t i) -> Status {
     FACE_ASSIGN_OR_RETURN(GoldenImage golden,
-                          GoldenImage::BuildFor(factories_[i],
-                                                opts_.golden_seed));
+                          GoldenImage::BuildFor(factories_[i]));
     goldens_[i] = std::make_unique<GoldenImage>(std::move(golden));
     TestbedOptions o = opts_.base;
     o.workload = nullptr;  // the golden carries the shard's slice

@@ -43,8 +43,6 @@ struct ShardedTestbedOptions {
   /// db_pages (so the cache scales with the slice). 0 = base.flash_pages
   /// verbatim per shard.
   double flash_ratio = 0.0;
-  /// Seed for the per-shard golden-image loads.
-  uint64_t golden_seed = 20120827;
 };
 
 /// The sharded rig; see file comment. All public methods are called from

@@ -51,6 +51,9 @@ FaultObs& GetFaultObs() {
   return o;
 }
 
+/// Occupied frames a background scrub pass verifies.
+constexpr uint64_t kScrubFramesPerPass = 64;
+
 }  // namespace
 
 const char* CachePolicyName(CachePolicy policy) {
@@ -122,7 +125,8 @@ Testbed::Testbed(const TestbedOptions& options, const GoldenImage* golden)
   db_dev_ = std::make_unique<SimDevice>("db", opts_.db_profile,
                                         golden_->device->capacity_pages(),
                                         &sched_);
-  log_dev_ = std::make_unique<SimDevice>("log", opts_.log_profile,
+  // The WAL has its own spindle, as commodity deployments do.
+  log_dev_ = std::make_unique<SimDevice>("log", DeviceProfile::Seagate15k(),
                                          uint64_t{1} << 24, &sched_);
   if (opts_.policy != CachePolicy::kNone) {
     flash_dev_ = std::make_unique<SimDevice>("flash", opts_.flash_profile,
@@ -349,7 +353,7 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
     if (opts_.scrub_interval != 0 && flash_dev_ != nullptr &&
         !cache_->degraded() &&
         sched_.now() - last_scrub_time_ >= opts_.scrub_interval) {
-      FACE_RETURN_IF_ERROR(ScrubPass(opts_.scrub_frames_per_pass).status());
+      FACE_RETURN_IF_ERROR(ScrubPass(kScrubFramesPerPass).status());
       last_scrub_time_ = sched_.now();
     }
   }

@@ -96,8 +96,6 @@ struct TestbedOptions {
 
   DeviceProfile db_profile = DeviceProfile::Raid0Seagate(8);
   DeviceProfile flash_profile = DeviceProfile::MlcSamsung470();
-  /// WAL device: its own spindle, as commodity deployments do.
-  DeviceProfile log_profile = DeviceProfile::Seagate15k();
 
   /// DRAM buffer in frames. 0 = the paper's ratio (200 MB : 50 GB = 0.4 %
   /// of the database, floor 256 frames).
@@ -122,12 +120,10 @@ struct TestbedOptions {
   SimNanos cpu_per_txn_ns = 100 * kNanosPerMicro;
 
   /// Virtual-time interval between background scrub passes over idle flash
-  /// frames (0 = scrubber off). Each pass verifies checksums, repairs
-  /// rotten clean frames from disk, and rebuilds rotten dirty frames from
-  /// the WAL — see CacheExtension::ScrubSome.
+  /// frames (0 = scrubber off). Each pass verifies up to 64 occupied
+  /// frames' checksums, repairs rotten clean frames from disk, and rebuilds
+  /// rotten dirty frames from the WAL — see CacheExtension::ScrubSome.
   SimNanos scrub_interval = 0;
-  /// Occupied frames verified per scrub pass.
-  uint64_t scrub_frames_per_pass = 64;
 };
 
 /// Knobs of one measured run.

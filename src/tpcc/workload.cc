@@ -42,24 +42,21 @@ StatusOr<uint8_t> Workload::NextTxn(Database& db, Random& rnd) {
   (void)db;
   (void)rnd;
   Random& r = rnd_.rng();
-  const uint32_t w_id =
-      static_cast<uint32_t>(r.UniformRange(1, config_.warehouses));
+  const uint32_t w_id = static_cast<uint32_t>(r.UniformRange(1, warehouses_));
   const int roll = static_cast<int>(r.Uniform(100));
 
   TxnType type;
   Status s;
-  if (roll < config_.pct_new_order) {
+  if (roll < 45) {
     type = TxnType::kNewOrder;
     s = NewOrder(w_id);
-  } else if (roll < config_.pct_new_order + config_.pct_payment) {
+  } else if (roll < 45 + 43) {
     type = TxnType::kPayment;
     s = Payment(w_id);
-  } else if (roll < config_.pct_new_order + config_.pct_payment +
-                        config_.pct_order_status) {
+  } else if (roll < 45 + 43 + 4) {
     type = TxnType::kOrderStatus;
     s = OrderStatus(w_id);
-  } else if (roll < config_.pct_new_order + config_.pct_payment +
-                        config_.pct_order_status + config_.pct_delivery) {
+  } else if (roll < 45 + 43 + 4 + 4) {
     type = TxnType::kDelivery;
     s = Delivery(w_id);
   } else {
@@ -79,7 +76,7 @@ Status Workload::InjectStranded(Database& db, Random& rnd) {
   PageWriter w = db.Writer(txn);
   // A Payment-shaped update set, left uncommitted.
   const uint32_t w_id =
-      static_cast<uint32_t>(rnd.UniformRange(1, config_.warehouses));
+      static_cast<uint32_t>(rnd.UniformRange(1, warehouses_));
   const uint32_t d_id =
       static_cast<uint32_t>(rnd.UniformRange(1, kDistrictsPerWarehouse));
   const uint32_t c_id =
@@ -212,10 +209,10 @@ Status Workload::NewOrder(uint32_t w_id) {
   for (uint32_t i = 0; i < ol_cnt; ++i) {
     lines[i].i_id = static_cast<uint32_t>(rnd_.NURandItemId());
     lines[i].supply_w = w_id;
-    if (config_.warehouses > 1 && r.PercentTrue(1)) {  // §2.4.1.5.2
+    if (warehouses_ > 1 && r.PercentTrue(1)) {  // §2.4.1.5.2
       while (lines[i].supply_w == w_id) {
         lines[i].supply_w =
-            static_cast<uint32_t>(r.UniformRange(1, config_.warehouses));
+            static_cast<uint32_t>(r.UniformRange(1, warehouses_));
       }
       all_local = false;
     }
@@ -367,9 +364,9 @@ Status Workload::Payment(uint32_t w_id) {
   // §2.5.1.2: 85 % home, 15 % remote customer.
   uint32_t c_w_id = w_id;
   uint32_t c_d_id = d_id;
-  if (config_.warehouses > 1 && r.PercentTrue(15)) {
+  if (warehouses_ > 1 && r.PercentTrue(15)) {
     while (c_w_id == w_id) {
-      c_w_id = static_cast<uint32_t>(r.UniformRange(1, config_.warehouses));
+      c_w_id = static_cast<uint32_t>(r.UniformRange(1, warehouses_));
     }
     c_d_id = static_cast<uint32_t>(r.UniformRange(1, kDistrictsPerWarehouse));
   }

@@ -34,24 +34,15 @@ enum class TxnType : uint8_t {
 /// Printable transaction-type name.
 const char* TxnTypeName(TxnType type);
 
-/// Mix weights and workload shape.
-struct WorkloadConfig {
-  uint32_t warehouses = 1;
-  /// §5.2.3 standard mix (percent). Must sum to 100.
-  int pct_new_order = 45;
-  int pct_payment = 43;
-  int pct_order_status = 4;
-  int pct_delivery = 4;
-  int pct_stock_level = 4;
-};
-
-/// TPC-C transaction mix over one database; see file comment. NewOrder is
-/// the primary (tpmC) transaction; the §2.4.1.4 rollbacks count as
+/// TPC-C transaction mix over one database of `warehouses` warehouses;
+/// see file comment. The mix is §5.2.3's standard one: 45% NewOrder, 43%
+/// Payment, 4% each OrderStatus, Delivery and StockLevel. NewOrder is the
+/// primary (tpmC) transaction; the §2.4.1.4 rollbacks count as
 /// user_aborts.
 class Workload : public workload::Workload {
  public:
-  explicit Workload(const WorkloadConfig& config)
-      : config_(config), rnd_(/*seed=*/0) {}  // Setup reseeds rnd_
+  explicit Workload(uint32_t warehouses)
+      : warehouses_(warehouses), rnd_(/*seed=*/0) {}  // Setup reseeds rnd_
 
   const char* name() const override { return "tpcc"; }
   uint32_t num_txn_types() const override { return 5; }
@@ -94,7 +85,7 @@ class Workload : public workload::Workload {
   /// Read a heap row through a PK index.
   StatusOr<Rid> LookupRid(const BPlusTree& index, const std::string& key);
 
-  WorkloadConfig config_;
+  uint32_t warehouses_;
   Database* db_ = nullptr;
   std::unique_ptr<Tables> t_;
   TpccRandom rnd_;

@@ -7,7 +7,7 @@ namespace workload {
 
 Status TpccFactory::Load(Database& db, uint64_t seed) const {
   tpcc::LoadConfig load;
-  load.warehouses = config_.warehouses;
+  load.warehouses = warehouses_;
   load.seed = seed;
   tpcc::Loader loader(&db, load);
   return loader.Load().status();

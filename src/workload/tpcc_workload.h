@@ -14,19 +14,15 @@ namespace workload {
 /// Builds TPC-C golden images (tpcc::Loader) and tpcc::Workload drivers.
 class TpccFactory : public WorkloadFactory {
  public:
-  explicit TpccFactory(uint32_t warehouses) {
-    config_.warehouses = warehouses;
-  }
-  explicit TpccFactory(const tpcc::WorkloadConfig& config)
-      : config_(config) {}
+  explicit TpccFactory(uint32_t warehouses) : warehouses_(warehouses) {}
 
   const char* name() const override { return "tpcc"; }
   uint64_t CapacityPages() const override {
-    return CapacityPagesFor(config_.warehouses);
+    return CapacityPagesFor(warehouses_);
   }
   Status Load(Database& db, uint64_t seed) const override;
   std::unique_ptr<Workload> Create() const override {
-    return std::make_unique<tpcc::Workload>(config_);
+    return std::make_unique<tpcc::Workload>(warehouses_);
   }
 
   /// Partition by warehouse: shard `shard` owns its slice of the warehouse
@@ -34,11 +30,9 @@ class TpccFactory : public WorkloadFactory {
   /// warehouses.
   std::shared_ptr<const WorkloadFactory> Partition(
       uint32_t shard, uint32_t num_shards) const override {
-    const uint64_t w = ShardSlice(config_.warehouses, shard, num_shards);
+    const uint64_t w = ShardSlice(warehouses_, shard, num_shards);
     if (w == 0) return nullptr;
-    tpcc::WorkloadConfig c = config_;
-    c.warehouses = static_cast<uint32_t>(w);
-    return std::make_shared<TpccFactory>(c);
+    return std::make_shared<TpccFactory>(static_cast<uint32_t>(w));
   }
 
   /// Device pages a `warehouses`-scale image provisions (the historical
@@ -47,10 +41,10 @@ class TpccFactory : public WorkloadFactory {
     return 40000ull * warehouses + 20000ull;
   }
 
-  uint32_t warehouses() const { return config_.warehouses; }
+  uint32_t warehouses() const { return warehouses_; }
 
  private:
-  tpcc::WorkloadConfig config_;
+  uint32_t warehouses_;
 };
 
 }  // namespace workload

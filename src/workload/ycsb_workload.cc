@@ -55,7 +55,7 @@ Status YcsbWorkload::Setup(Database& db, uint64_t seed) {
   FACE_ASSIGN_OR_RETURN(table_, KvTable::Open(db));
   // The Zipfian rank table is over the initially loaded population; inserts
   // extend the key space but not the hot set (standard YCSB behavior).
-  zipf_ = std::make_unique<ZipfGenerator>(opts_.records, opts_.zipf_theta,
+  zipf_ = std::make_unique<ZipfGenerator>(opts_.records, /*theta=*/0.99,
                                           seed ^ 0x5ca1ab1e);
   // Recover the insert high-water mark: inserted keys are exactly the index
   // tail at ids >= records, so a post-crash Setup resumes without clashing.

@@ -43,9 +43,8 @@ struct YcsbOptions {
   /// Payload bytes per row (fixed width: updates overwrite in place).
   uint32_t value_bytes = 400;
 
+  /// Zipfian skew is YCSB's standard 0.99.
   Distribution distribution = Distribution::kZipfian;
-  /// Zipfian skew (~0.99 = standard YCSB hot set).
-  double zipf_theta = 0.99;
 
   /// Operation mix (percent; must sum to 100).
   int pct_read = 50;

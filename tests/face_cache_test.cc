@@ -383,11 +383,14 @@ TEST_F(FaceCacheTest, CleanOnlyAblationWritesDirtyToDisk) {
 
 TEST_F(FaceCacheTest, CleanOnlyAblationInvalidatesStaleFlashCopy) {
   FaceOptions o = FaceOptions::Base(16);
+  o.seg_entries = 4;
   o.cache_dirty = false;
   Init(o);
-  // A clean copy enters the cache; the page is then re-dirtied and evicted
-  // to disk. The flash copy is stale and must never be served again.
-  FACE_ASSERT_OK(Evict(7, false, true, 'o'));
+  // Clean copies of pages 4-7 enter the cache and fill a metadata segment,
+  // which is persisted; page 7 is then re-dirtied and evicted to disk. Its
+  // flash copy is stale and must never be served again, not even after a
+  // restart.
+  for (PageId p = 4; p < 8; ++p) FACE_ASSERT_OK(Evict(p, false, true, 'o'));
   ASSERT_TRUE(cache_->Contains(7));
   FACE_ASSERT_OK(Evict(7, true, true, 'n'));
   EXPECT_FALSE(cache_->Contains(7));
@@ -395,6 +398,9 @@ TEST_F(FaceCacheTest, CleanOnlyAblationInvalidatesStaleFlashCopy) {
   FACE_ASSERT_OK(storage_->ReadPage(7, out.data()));
   EXPECT_EQ(out[kPageHeaderSize], 'n');
   FACE_ASSERT_OK(cache_->CheckInvariants());
+  Reboot();
+  EXPECT_TRUE(cache_->Contains(6));
+  EXPECT_FALSE(cache_->Contains(7));
 }
 
 // --- FaCE under the engine (buffer pool, WAL, commits) ------------------------

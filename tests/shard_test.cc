@@ -123,7 +123,7 @@ TEST(ShardTest, OneShardMatchesPlainTestbed) {
   const ShardedTestbedOptions so = SmallConfig(1);
 
   FACE_ASSERT_OK_AND_ASSIGN(GoldenImage golden,
-                            GoldenImage::BuildFor(so.factory, so.golden_seed));
+                            GoldenImage::BuildFor(so.factory));
   TestbedOptions to = so.base;
   to.flash_pages = static_cast<uint64_t>(
       so.flash_ratio * static_cast<double>(golden.db_pages()));
