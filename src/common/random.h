@@ -55,6 +55,10 @@ class ZipfGenerator {
   /// Next Zipf-distributed value in [0, n).
   uint64_t Next();
 
+  /// Draw from here on exactly as a generator built with `seed` would,
+  /// keeping the zeta sums (construction's cost: n `pow` terms).
+  void Reseed(uint64_t seed) { rng_ = Random(seed); }
+
   uint64_t n() const { return n_; }
 
  private:

@@ -9,7 +9,8 @@
 //   - ReadPage        : DRAM miss served from flash
 //   - PrepareCheckpoint / CheckpointPages / OnCheckpoint : database
 //     checkpoint integration (who absorbs dirty pages, who must flush)
-//   - Format / Forget / RecoverAfterCrash : the lifecycle (below)
+//   - Format / Forget / RecoverAfterCrash / FinishRecovery : the lifecycle
+//     (below)
 //
 // Lifecycle. A policy writes two bodies: Forget drops every DRAM structure
 // with no device I/O, and Format is a cold start on a blank or replaced
@@ -17,7 +18,11 @@
 // The base class decides the rest once: a restart defaults to Format (the
 // directory died with DRAM; FaCE and TAC override it to restore theirs), a
 // flash loss sets the degraded flag and Forgets, and a re-attach clears the
-// flag and Formats.
+// flag and Formats. A restart runs in two steps: RecoverAfterCrash before
+// analysis restores the directory, and FinishRecovery, the first lane of
+// redo's first read-ahead batch, restores what a policy deferred to overlap
+// redo's disk fetches (FaCE's delta chains; recovery/redo.h). Nothing reads
+// a cached copy between the two.
 #pragma once
 
 #include <cstdint>
@@ -262,6 +267,18 @@ class CacheExtension {
   /// default, Format cold. Charges recovery I/O.
   virtual Status RecoverAfterCrash() { return Format(); }
 
+  /// Restart's second step (see the file comment): finish what
+  /// RecoverAfterCrash left for redo's first read-ahead batch, and lower
+  /// every restored dirty entry's WAL rebuild floor to `dirty_floor` (the
+  /// flash redo floor the control block persisted; kInvalidLsn = none).
+  /// The exact per-page floors died with the process; the persisted minimum
+  /// is a safe lower bound for every page that was dirty before the crash.
+  /// Never called while degraded. Default: nothing to do.
+  virtual Status FinishRecovery(Lsn dirty_floor) {
+    (void)dirty_floor;
+    return Status::OK();
+  }
+
   /// Deferred maintenance (LC's lazy cleaner). The driver runs this on a
   /// background token between transactions while HasBackgroundWork().
   virtual Status RunBackgroundWork() { return Status::OK(); }
@@ -313,13 +330,6 @@ class CacheExtension {
     }
     return floor;
   }
-
-  /// After RecoverAfterCrash of a persistent write-back policy: lower the
-  /// restored dirty entries' WAL rebuild floors to `floor` (the flash redo
-  /// floor the checkpointer persisted in the WAL control block). The exact
-  /// per-page floors died with the process; the persisted minimum is a safe
-  /// lower bound for every page that was dirty before the crash.
-  virtual void SetRecoveredDirtyFloor(Lsn floor) { (void)floor; }
 
   /// Re-attach a healthy (erased) flash device after degradation: clear
   /// the flag and Format, so admission resumes cold. The caller owns device

@@ -162,6 +162,7 @@ void FaceCache::Forget() {
   seg_buf_.clear();
   sb_front_seq_ = sb_rear_seq_ = 0;
   delta_.DropAll();
+  finish_pending_ = false;
 }
 
 Status FaceCache::Format() {
@@ -297,6 +298,7 @@ Lsn FaceCache::PersistentCopyLsn(PageId page_id) const {
 }
 
 StatusOr<FlashReadResult> FaceCache::ReadPage(PageId page_id, char* out) {
+  assert(!finish_pending_ && "a frame read before its chain re-attached");
   const uint64_t* found = newest_.Find(page_id);
   if (found == nullptr) return Status::NotFound("page not in flash cache");
   const uint64_t seq = *found;
@@ -936,6 +938,17 @@ Status FaceCache::RecoverAfterCrash() {
   staged_base_ = rear_seq_;
   sb_front_seq_ = front_seq_;
   sb_rear_seq_ = persisted_rear;
+  finish_pending_ = true;
+  if (obs::Enabled()) {
+    GetFaceObs().restore_frames_scanned->Add(
+        recovery_info_.rebuilt_frames_scanned);
+  }
+  return Status::OK();
+}
+
+Status FaceCache::FinishRecovery(Lsn dirty_floor) {
+  if (!finish_pending_) return Status::OK();
+  finish_pending_ = false;
 
   // 5. Delta chains. Every valid entry is a potential chain base; scan the
   //    delta ring and re-attach surviving records to the entry that owns
@@ -965,30 +978,22 @@ Status FaceCache::RecoverAfterCrash() {
   }
 
   // 6. Exposures. The per-page floors died with the process; the entry
-  //    LSN is the best floor derivable from flash alone, and the restart
-  //    manager lowers it to the control block's persisted minimum via
-  //    SetRecoveredDirtyFloor.
+  //    LSN is the best floor derivable from flash alone, and the control
+  //    block's persisted minimum lowers it.
   for (Entry& e : entries_) {
     if (!e.valid || !e.dirty) continue;
     e.since = e.lsn;
+    if (dirty_floor != kInvalidLsn &&
+        (e.since == kInvalidLsn || e.since > dirty_floor)) {
+      e.since = dirty_floor;
+    }
     ++recovery_info_.dirty_entries_restored;
   }
   if (obs::Enabled()) {
-    GetFaceObs().restore_frames_scanned->Add(
-        recovery_info_.rebuilt_frames_scanned);
     GetFaceObs().restore_dirty_entries->Add(
         recovery_info_.dirty_entries_restored);
   }
   return Status::OK();
-}
-
-void FaceCache::SetRecoveredDirtyFloor(Lsn floor) {
-  if (floor == kInvalidLsn) return;
-  for (Entry& e : entries_) {
-    if (e.valid && e.dirty && (e.since == kInvalidLsn || e.since > floor)) {
-      e.since = floor;
-    }
-  }
 }
 
 void FaceCache::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {

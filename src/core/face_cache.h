@@ -20,7 +20,8 @@
 // The cache is persistent (paper §4): metadata entries are appended to an
 // in-memory segment mirrored to flash one segment at a time, and restart
 // restores the directory from the persisted segments plus a bounded scan of
-// the last two segments' worth of raw frames. Each frame carries its own
+// the last two segments' worth of raw frames, then, in redo's first batch,
+// the delta chains from the delta ring. Each frame carries its own
 // enqueue sequence and enqueue-time dirty flag in the page-header flags
 // word, so the scan restores exactly what the lost metadata said: a clean
 // frame comes back clean. The testbed sizes a segment to one 4 KB metadata
@@ -73,7 +74,8 @@ struct FaceOptions {
 /// The FaCE cache extension; see file comment.
 class FaceCache final : public CacheExtension {
  public:
-  /// Restart-time cost breakdown of the last RecoverAfterCrash call.
+  /// Restart-time cost breakdown of the last restart (RecoverAfterCrash,
+  /// then FinishRecovery).
   struct RecoveryInfo {
     uint64_t persisted_segments_read = 0;
     uint64_t rebuilt_frames_scanned = 0;
@@ -123,15 +125,20 @@ class FaceCache final : public CacheExtension {
   /// stamped with its sequence with the dirty flag stamped beside it. A
   /// device formatted with a segment larger than half the frames is
   /// refused (InvalidArgument): its unpersisted tail can overwrite frames
-  /// the persisted segments still describe.
+  /// the persisted segments still describe. The delta ring stays unread
+  /// until FinishRecovery.
   Status RecoverAfterCrash() override;
+  /// Reads the delta ring and re-attaches each surviving record to the
+  /// valid entry it extends, then sets every restored dirty entry's
+  /// exposure: its LSN, or `dirty_floor` when lower. Nothing to do unless
+  /// RecoverAfterCrash restored a directory.
+  Status FinishRecovery(Lsn dirty_floor) override;
   void SetPullSource(DramPullSource* source) override { pull_ = source; }
   Status CheckInvariants() const override;
 
   // Flash-loss exposure / scrub (see cache_ext.h) ----------------------------
   /// Every valid entry with an exposure, at its `since`.
   void CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const override;
-  void SetRecoveredDirtyFloor(Lsn floor) override;
   Status ScrubSome(uint64_t max_frames, ScrubResult* out) override;
 
   /// Deep directory audit for crash tests: CheckInvariants plus a read-back
@@ -341,6 +348,9 @@ class FaceCache final : public CacheExtension {
   std::string scratch_;      // one-page read-back / repair buffer
   std::string dequeue_buf_;  // group-dequeue read / survivor buffer
   RecoveryInfo recovery_info_;
+  /// RecoverAfterCrash restored a directory whose delta chains and
+  /// exposures FinishRecovery has yet to restore.
+  bool finish_pending_ = false;
 
   /// Page-differential write-back (see delta_ring.h). Chains are keyed by
   /// page id and based on the page's newest full frame (base tag = enqueue

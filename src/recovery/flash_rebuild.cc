@@ -33,7 +33,8 @@ StatusOr<FlashRebuildReport> FlashRebuild::Rebuild(
   RedoStats redo;
   LogReader reader(log_->device());
   FACE_RETURN_IF_ERROR(RedoWithReadAhead(&reader, pool_, storage_, sched_,
-                                         floor, &ids, &redo));
+                                         floor, &ids, /*lead=*/nullptr,
+                                         &redo));
   report.records_scanned = redo.records;
   report.records_applied = redo.applied;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "common/page_map.h"
 #include "obs/metrics.h"
@@ -43,26 +44,48 @@ void ApplyRecord(const LogRecord& rec, PageHandle* page) {
   page->MarkDirtyRange(rec.lsn, rec.offset, n);
 }
 
-/// Fault `pages` into the pool as one lane batch, one lane per page.
-Status FetchWindow(BufferPool* pool, IoScheduler* sched,
-                   const std::vector<PageId>& pages) {
-  obs::ScopedSpan span("recovery", "readahead");
-  ScopedIoBatch batch(sched);
-  for (PageId pid : pages) {
-    batch.NextLane();
-    // The handle unpins at once: the page stays resident because a window
-    // is at most half the pool and its pages are the most recently used.
-    FACE_RETURN_IF_ERROR(pool->FetchPageForRedo(pid).status());
+/// One window's lane batch, traced as one recovery/readahead span. Both
+/// open with the first lane and close at Close or destruction, the batch
+/// first.
+class ReadAheadBatch {
+ public:
+  explicit ReadAheadBatch(IoScheduler* sched) : sched_(sched) {}
+
+  /// Start the next lane at the batch start, or at `start`
+  /// (IoScheduler::NextLaneAt), opening the batch and its span at the
+  /// first.
+  void NextLane() {
+    Open();
+    batch_->NextLane();
   }
-  return Status::OK();
-}
+  void NextLaneAt(SimNanos start) {
+    Open();
+    batch_->NextLaneAt(start);
+  }
+
+  void Close() {
+    batch_.reset();
+    span_.reset();
+  }
+
+ private:
+  void Open() {
+    if (batch_ != nullptr) return;
+    span_ = std::make_unique<obs::ScopedSpan>("recovery", "readahead");
+    batch_ = std::make_unique<ScopedIoBatch>(sched_);
+  }
+
+  IoScheduler* sched_;
+  std::unique_ptr<obs::ScopedSpan> span_;
+  std::unique_ptr<ScopedIoBatch> batch_;
+};
 
 }  // namespace
 
 Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
                          DbStorage* storage, IoScheduler* sched, Lsn from,
                          const std::vector<PageId>* targets,
-                         RedoStats* stats) {
+                         const RedoLead* lead, RedoStats* stats) {
   const size_t window_pages = std::max<size_t>(1, pool->capacity() / 2);
   const CacheExtension* cache = pool->cache();
   FACE_RETURN_IF_ERROR(reader->Seek(from));
@@ -74,6 +97,14 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
   while (!end_of_log) {
     window.clear();
     fetch.clear();
+    ReadAheadBatch batch(sched);
+    if (lead != nullptr) {
+      // The lead takes the first lane; the window below is decoded after it
+      // (see file comment).
+      batch.NextLaneAt(lead->start);
+      FACE_RETURN_IF_ERROR(lead->run());
+      lead = nullptr;
+    }
     while (fetch.size() < window_pages) {
       auto rec_or = reader->Next();
       if (rec_or.status().IsNotFound()) {  // end of the valid log
@@ -112,8 +143,14 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
       window.push_back(std::move(rec));
     }
 
+    for (PageId pid : fetch) {
+      batch.NextLane();
+      // The handle unpins at once: the page stays resident because a window
+      // is at most half the pool and its pages are the most recently used.
+      FACE_RETURN_IF_ERROR(pool->FetchPageForRedo(pid).status());
+    }
+    batch.Close();
     if (!fetch.empty()) {
-      FACE_RETURN_IF_ERROR(FetchWindow(pool, sched, fetch));
       ++stats->readahead_batches;
       stats->readahead_pages += fetch.size();
       if (obs::Enabled()) {

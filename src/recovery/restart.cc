@@ -125,8 +125,10 @@ Status RestartManager::RunPhases(RestartReport* report) {
   // batch. Phase 0 locates the valid end of the durable log, scanning
   // through reader_, which keeps the range for analysis, redo and undo.
   // Phase 1 restores the cache extension's metadata before any data page is
-  // touched, so analysis/redo/undo fetches can hit flash (paper §4.2).
+  // touched, so analysis/redo/undo fetches can hit flash (paper §4.2); the
+  // rest of the restore continues this lane in redo's first batch.
   SimNanos meta_ns = 0;
+  SimNanos meta_end = 0;  // where the metadata lane ended
   {
     ScopedIoBatch batch(sched_);
     batch.NextLane();
@@ -140,7 +142,8 @@ Status RestartManager::RunPhases(RestartReport* report) {
       obs::ScopedSpan span("recovery", "meta_restore");
       FACE_RETURN_IF_ERROR(RestoreCacheMetadata(ctrl));
     }
-    meta_ns = SpanTime() - lane_start;
+    meta_end = SpanTime();
+    meta_ns = meta_end - lane_start;
   }
   const SimNanos t_meta = SpanTime();
   report->meta_restore_ns = meta_ns;
@@ -173,9 +176,17 @@ Status RestartManager::RunPhases(RestartReport* report) {
   report->redo_lsn = redo_lsn;
   {
     obs::ScopedSpan span("recovery", "redo");
+    // The cache finishes its restore as the first lane of redo's first
+    // read-ahead batch, continuing the metadata lane: FaCE's delta-ring read
+    // overlaps the attach scan and the batch's disk fetches
+    // (recovery/redo.h). A degraded cache has nothing to finish, and its
+    // redo may read log the attach scan did not.
+    const RedoLead lead{[&] { return FinishCacheRecovery(ctrl); }, meta_end};
     RedoStats redo;
     FACE_RETURN_IF_ERROR(RedoWithReadAhead(&reader_, pool_, storage_, sched_,
-                                           redo_lsn, nullptr, &redo));
+                                           redo_lsn, nullptr,
+                                           ctrl.degraded ? nullptr : &lead,
+                                           &redo));
     report->redo_records = redo.records;
     report->redo_applied = redo.applied;
     report->redo_skipped = redo.skipped;
@@ -236,7 +247,10 @@ Status RestartManager::RestoreCacheMetadata(const WalControlInfo& ctrl) {
     cache_->EnterDegraded();  // the (possibly replaced) flash is untrusted
     return Status::OK();
   }
-  FACE_RETURN_IF_ERROR(cache_->RecoverAfterCrash());
+  return cache_->RecoverAfterCrash();
+}
+
+Status RestartManager::FinishCacheRecovery(const WalControlInfo& ctrl) {
   // The exact per-page rebuild floors died with the process; lower the
   // restored dirty entries to the persisted minimum. Pages admitted dirty
   // after the last checkpoint were clean at its sync, so the checkpoint LSN
@@ -247,8 +261,7 @@ Status RestartManager::RestoreCacheMetadata(const WalControlInfo& ctrl) {
     floor = ctrl.checkpoint_lsn;
   }
   if (floor == kInvalidLsn) floor = LogManager::kLogStartLsn;
-  cache_->SetRecoveredDirtyFloor(floor);
-  return Status::OK();
+  return cache_->FinishRecovery(floor);
 }
 
 Status RestartManager::Analysis(RestartReport* report, Lsn ckpt_lsn,

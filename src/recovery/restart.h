@@ -12,7 +12,8 @@
 //   1. restore the cache extension's metadata (FaCE: persisted segments +
 //      bounded raw-frame scan; TAC: slot directory sweep; LC/none: cold).
 //      Steps 0 and 1 read different devices (log disk, flash), so they run
-//      as two lanes of one scheduler lane batch and overlap
+//      as two lanes of one scheduler lane batch and overlap. FaCE's delta
+//      chains wait for step 3
 //   2. analysis: scan from the last complete checkpoint's BEGIN, building
 //      the loser-transaction table. It decodes the range step 0 read, so it
 //      costs no device I/O and no virtual time
@@ -20,7 +21,12 @@
 //      replaying idempotent), reading ahead: the log is decoded a window at
 //      a time and each window's non-resident pages are fetched as one
 //      scheduler lane batch, so the reads overlap across the disk array's
-//      spindles and the flash device (recovery/redo.h). A record whose
+//      spindles and the flash device (recovery/redo.h). The first batch's
+//      first lane finishes the cache's restore (CacheExtension::
+//      FinishRecovery: FaCE reads its delta ring and re-attaches the
+//      chains), continuing step 1's lane, so the ring read overlaps the log
+//      scan and redo's disk fetches, and every flash fetch queues behind
+//      it. A record whose
 //      page's persistent cached copy (the directory step 1 restored)
 //      already holds it is skipped without a fetch, so the post-checkpoint
 //      work FaCE already put on flash costs restart nothing. A degraded
@@ -113,7 +119,8 @@ struct RestartReport {
   /// the part of the end-of-log scan that outlasts the metadata restore.
   SimNanos attach_ns = 0;
   /// The cache-extension metadata restore's own duration (its lane starts
-  /// with the log scan's, so the two overlap).
+  /// with the log scan's, so the two overlap). FaCE's delta-ring read is
+  /// not in it: redo's first batch waits for that read (redo_ns).
   SimNanos meta_restore_ns = 0;
   SimNanos analysis_ns = 0;
   SimNanos redo_ns = 0;
@@ -177,6 +184,9 @@ class RestartManager {
   /// Step 1: restore the cache metadata, or mark the cache degraded when
   /// the control record says flash was lost before the crash.
   Status RestoreCacheMetadata(const WalControlInfo& ctrl);
+  /// Step 3's first lane: CacheExtension::FinishRecovery with the dirty
+  /// floor the control record implies.
+  Status FinishCacheRecovery(const WalControlInfo& ctrl);
   Status Analysis(RestartReport* report, Lsn ckpt_lsn,
                   std::map<TxnId, Lsn>* losers);
   Status Undo(RestartReport* report, std::map<TxnId, Lsn>* losers);

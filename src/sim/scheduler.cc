@@ -112,11 +112,14 @@ void IoScheduler::BeginBatch() {
   batch_end_ = current_time_;
 }
 
-void IoScheduler::NextLane() {
+void IoScheduler::NextLane() { NextLaneAt(batch_start_); }
+
+void IoScheduler::NextLaneAt(SimNanos start) {
   FACE_DCHECK(in_batch_, "NextLane outside an I/O lane batch");
+  FACE_DCHECK(start <= batch_start_, "a lane cannot start after its batch");
   // The span clock is the current lane's clock: bank its end, rewind.
   batch_end_ = std::max(batch_end_, current_time_);
-  current_time_ = batch_start_;
+  current_time_ = start;
 }
 
 SimNanos IoScheduler::EndBatch() {

@@ -16,7 +16,14 @@
 //     write-back or admission write follows its own read;
 //   - lanes still queue FCFS on each station, in the order they are issued;
 //   - CPU / retry backoff (OnCpu) delays only the lane that incurs it;
-//   - the span resumes when the last lane ends (EndBatch).
+//   - the span resumes when the last lane ends (EndBatch);
+//   - a lane may start before the batch (NextLaneAt): requests the span
+//     issued at an earlier clock that the host runs only now, such as
+//     FaCE's delta-ring read, issued once the metadata restore's lane ended
+//     and run in redo's first batch (recovery/redo.h). Each station still
+//     queues them behind every request issued before them, so they overlap
+//     nothing, and the batch waits for them. The caller vouches that they
+//     depend on nothing the span did after their start.
 // Inside a lane span_time() is the lane's clock, so latency measured across
 // a lane's requests (e.g. buffer.miss_fetch_ns) is that lane's latency.
 // There is no backfill: a request queues behind every request issued before
@@ -95,6 +102,9 @@ class IoScheduler {
   /// End the current lane (if any) and start the next one at the batch
   /// start. Requests issued until the next call chain on this lane.
   void NextLane();
+  /// NextLane, but the lane's clock starts at `start`, at or before the
+  /// batch start (see file comment).
+  void NextLaneAt(SimNanos start);
   /// Close the batch: the span's clock moves to the latest lane end, which
   /// is returned.
   SimNanos EndBatch();
@@ -160,6 +170,9 @@ class ScopedIoBatch {
 
   void NextLane() {
     if (sched_ != nullptr) sched_->NextLane();
+  }
+  void NextLaneAt(SimNanos start) {
+    if (sched_ != nullptr) sched_->NextLaneAt(start);
   }
 
  private:

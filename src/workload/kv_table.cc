@@ -1,7 +1,5 @@
 #include "workload/kv_table.h"
 
-#include <array>
-
 #include "common/coding.h"
 #include "engine/key_codec.h"
 
@@ -32,28 +30,36 @@ std::string KvTable::Row(uint64_t id, uint32_t value_bytes, uint64_t version) {
   return row;
 }
 
+uint64_t KvTable::Letters(uint64_t draw) {
+  // Four bytes at a time, one per 16-bit lane: for every byte value b,
+  // (b * 79) >> 11 is b / 26, and no lane's product or difference reaches
+  // into its neighbour.
+  constexpr uint64_t kLanes = 0x00ff00ff00ff00ffull;
+  auto letters = [](uint64_t b) {
+    const uint64_t q = ((b * 79) >> 11) & 0x001f001f001f001full;
+    return b - 26 * q + 0x0061006100610061ull;  // + 'a' per lane
+  };
+  return letters(draw & kLanes) | letters((draw >> 8) & kLanes) << 8;
+}
+
 void KvTable::RowTo(std::string* out, uint64_t id, uint32_t value_bytes,
                     uint64_t version) {
   out->resize(8 + value_bytes);
   EncodeFixed64(out->data(), id);
   // Deterministic payload bytes from (id, version) — replays reproduce the
   // exact on-media image without storing it anywhere. Eight letters per
-  // generator draw, each looked up in a table: this runs once per row of
-  // every KV population and once per YCSB read (its live check), where a
-  // draw or a modulo per byte would dominate host time.
-  static constexpr std::array<char, 256> kLetter = [] {
-    std::array<char, 256> t{};
-    for (int b = 0; b < 256; ++b) t[b] = static_cast<char>('a' + b % 26);
-    return t;
-  }();
+  // generator draw: this runs once per row of every KV population and once
+  // per YCSB read (its live check), where a draw or a modulo per byte would
+  // dominate host time.
   Random payload(id * 0x9e3779b97f4a7c15ull ^ version);
   char* p = out->data() + 8;
   uint32_t i = 0;
   for (; i + 8 <= value_bytes; i += 8) {
-    const uint64_t draw = payload.Next();
-    for (int k = 0; k < 8; ++k) p[i + k] = kLetter[(draw >> (8 * k)) & 0xff];
+    EncodeFixed64(p + i, Letters(payload.Next()));
   }
-  for (; i < value_bytes; ++i) p[i] = kLetter[payload.Next() & 0xff];
+  for (; i < value_bytes; ++i) {
+    p[i] = static_cast<char>('a' + (payload.Next() & 0xff) % 26);
+  }
 }
 
 Status KvTable::Insert(PageWriter* writer, uint64_t id, uint32_t value_bytes,

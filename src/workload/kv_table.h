@@ -39,6 +39,9 @@ struct KvTable {
   /// Insert/Update reuse `row_scratch` so steady state never allocates.
   static void RowTo(std::string* out, uint64_t id, uint32_t value_bytes,
                     uint64_t version);
+  /// Eight payload letters from one generator draw: byte k of the result
+  /// (little-endian) is 'a' + (byte k of `draw`) % 26.
+  static uint64_t Letters(uint64_t draw);
 
   /// Insert `id`'s row and index entry.
   Status Insert(PageWriter* writer, uint64_t id, uint32_t value_bytes,

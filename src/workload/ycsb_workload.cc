@@ -54,9 +54,15 @@ const char* YcsbWorkload::txn_type_name(uint8_t type) const {
 Status YcsbWorkload::Setup(Database& db, uint64_t seed) {
   FACE_ASSIGN_OR_RETURN(table_, KvTable::Open(db));
   // The Zipfian rank table is over the initially loaded population; inserts
-  // extend the key space but not the hot set (standard YCSB behavior).
-  zipf_ = std::make_unique<ZipfGenerator>(opts_.records, /*theta=*/0.99,
-                                          seed ^ 0x5ca1ab1e);
+  // extend the key space but not the hot set (standard YCSB behavior). Its
+  // zeta sums are computed once per workload; a later Setup only reseeds.
+  const uint64_t zipf_seed = seed ^ 0x5ca1ab1e;
+  if (zipf_ == nullptr) {
+    zipf_ = std::make_unique<ZipfGenerator>(opts_.records, /*theta=*/0.99,
+                                            zipf_seed);
+  } else {
+    zipf_->Reseed(zipf_seed);
+  }
   // Recover the insert high-water mark: inserted keys are exactly the index
   // tail at ids >= records, so a post-crash Setup resumes without clashing.
   FACE_ASSIGN_OR_RETURN(inserted_, table_.CountFrom(opts_.records));

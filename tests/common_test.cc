@@ -174,6 +174,17 @@ TEST(ZipfTest, SkewsTowardLowValues) {
   EXPECT_GT(low, total / 2);
 }
 
+TEST(ZipfTest, ReseededGeneratorDrawsAsAFreshOne) {
+  // YCSB builds its table once and reseeds it at every Setup.
+  ZipfGenerator reseeded(200000, 0.99, 3);
+  for (int i = 0; i < 100; ++i) reseeded.Next();
+  reseeded.Reseed(42);
+  ZipfGenerator fresh(200000, 0.99, 42);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(reseeded.Next(), fresh.Next()) << "draw " << i;
+  }
+}
+
 TEST(ZipfTest, ZeroThetaIsRoughlyUniform) {
   ZipfGenerator zipf(10, 0.0, 3);
   std::map<uint64_t, uint64_t> counts;

@@ -218,6 +218,22 @@ TEST(CrashSweepTest, FaceGscEveryWriteOfOneCheckpointInterval) {
   SweepOneCheckpointInterval(CachePolicy::kFaceGSC);
 }
 
+TEST(CrashSweepTest, FaceGrEveryWriteOfOneCheckpointInterval) {
+  SweepOneCheckpointInterval(CachePolicy::kFaceGR);
+}
+
+TEST(CrashSweepTest, LcEveryWriteOfOneCheckpointInterval) {
+  SweepOneCheckpointInterval(CachePolicy::kLc);
+}
+
+TEST(CrashSweepTest, TacEveryWriteOfOneCheckpointInterval) {
+  SweepOneCheckpointInterval(CachePolicy::kTac);
+}
+
+TEST(CrashSweepTest, ExadataEveryWriteOfOneCheckpointInterval) {
+  SweepOneCheckpointInterval(CachePolicy::kExadata);
+}
+
 TEST(CrashSweepTest, FaceGscSegmentsSmallerThanGroups) {
   // A held boundary flush can leave more than two segments unpersisted
   // behind a survivor loop; restart's raw-frame scan must reach them.

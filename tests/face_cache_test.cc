@@ -28,11 +28,13 @@ class FaceCacheTest : public ::testing::Test {
     FACE_ASSERT_OK(cache_->Format());
   }
 
-  /// Rebuild the cache object over the surviving flash device (crash).
+  /// Rebuild the cache object over the surviving flash device (crash):
+  /// both restart steps, with no persisted dirty floor.
   void Reboot() {
     cache_ = std::make_unique<FaceCache>(options_, flash_.get(),
                                          storage_.get());
     FACE_ASSERT_OK(cache_->RecoverAfterCrash());
+    FACE_ASSERT_OK(cache_->FinishRecovery(kInvalidLsn));
   }
 
   /// A page image with `page_id` and a recognizable payload.

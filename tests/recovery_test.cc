@@ -6,6 +6,7 @@
 // RAID-0 stack, and a degraded restart through the same routine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -427,6 +428,105 @@ TEST_F(SingleLogReadTest, FaceMetadataRestoreOverlapsTheLogScan) {
           << "page " << all[i];
     }
   }
+}
+
+TEST_F(SingleLogReadTest, FaceDeltaRingReadOverlapsTheRedoDiskFetches) {
+  // FaCE with live delta chains. Redo re-attaches them in its first
+  // read-ahead batch, where the ring read (flash) overlaps the fetches of
+  // pages outside the directory (disk). Three sets of pages carry one
+  // write each after the last checkpoint:
+  //   covered: the write reached a durable chain record, so redo skips it
+  //     without a fetch, but only once the chains are attached;
+  //   chained: a chain record from the checkpoint, then a write only the
+  //     WAL holds: fetched from flash, chain applied, the write redone;
+  //   on disk: never in flash (clean pages are not admitted), a write only
+  //     the WAL holds. The four lie two apart on one spindle, so their
+  //     fetches queue there as random reads.
+  // The flash service of one read of the ring region and the disk service
+  // of reading the four pages are measured on their own first; the
+  // metadata restore and redo together must take less than the two summed.
+  FaceOptions options;
+  options.n_frames = 4096;  // a 256-block ring outlasts the directory restore
+  options.seg_entries = kFaceSegEntries;
+  options.cache_clean = false;
+  InitFace(/*buffer_frames=*/256, options);
+  const std::vector<PageId> pages = NewPages(48);
+  CommitToEach(pages, "base!");
+  FACE_ASSERT_OK(db_->pool()->FlushAllToDisk());
+  std::vector<PageId> disk, covered, chained;
+  for (PageId pid : pages) {
+    if (disk.empty() && pid % 16 == 0 && pid + 6 <= pages.back()) {
+      disk = {pid, pid + 2, pid + 4, pid + 6};
+    }
+  }
+  ASSERT_EQ(disk.size(), 4u);
+  for (PageId pid : pages) {
+    if (std::find(disk.begin(), disk.end(), pid) != disk.end()) continue;
+    (covered.size() < 8 ? covered : chained).push_back(pid);
+    if (chained.size() == 8) break;
+  }
+  std::vector<PageId> flashed = covered;
+  flashed.insert(flashed.end(), chained.begin(), chained.end());
+  const uint16_t chain_at = kPageHeaderSize + 3000;
+  const uint16_t last_at = chain_at + 8;
+  auto commit_at = [&](const std::vector<PageId>& set, uint16_t offset,
+                       const char* data) {
+    for (PageId pid : set) {
+      const TxnId txn = db_->Begin();
+      FACE_ASSERT_OK_AND_ASSIGN(PageHandle page, db_->pool()->FetchPage(pid));
+      FACE_ASSERT_OK(db_->txns()->Update(txn, &page, offset, data, 5));
+      FACE_ASSERT_OK(db_->Commit(txn));
+    }
+  };
+  CommitToEach(flashed, FullImage('f'));
+  FACE_ASSERT_OK(db_->TakeCheckpoint().status());  // full frames
+  commit_at(flashed, chain_at, "chain");
+  FACE_ASSERT_OK(db_->TakeCheckpoint().status());  // chain records
+  commit_at(covered, last_at, "cover");
+  FACE_ASSERT_OK(db_->pool()->EvictAll());  // covered: one more record each
+  // Make those records durable, as a filled ring block's write would,
+  // without a checkpoint record: redo still starts below them.
+  FACE_ASSERT_OK(cache_->OnCheckpoint());
+  commit_at(chained, last_at, "redo!");
+  commit_at(disk, last_at, "disk!");
+  FACE_ASSERT_OK(log_->FlushAll());
+  Crash();
+
+  const FlashLayout layout =
+      FlashLayout::Compute(options.n_frames, options.seg_entries);
+  std::string ring(static_cast<size_t>(layout.delta_blocks) * kPageSize, '\0');
+  const SimNanos flash0 = flash_dev_->stats().busy_ns;
+  FACE_ASSERT_OK(flash_dev_->ReadBatch(
+      layout.delta_base, static_cast<uint32_t>(layout.delta_blocks),
+      ring.data()));
+  const SimNanos ring_service = flash_dev_->stats().busy_ns - flash0;
+  std::string page(kPageSize, '\0');
+  const SimNanos disk0 = db_dev_->stats().busy_ns;
+  for (PageId pid : disk) FACE_ASSERT_OK(db_dev_->Read(pid, page.data()));
+  const SimNanos disk_service = db_dev_->stats().busy_ns - disk0;
+  ASSERT_GT(ring_service, 0);
+  ASSERT_GT(disk_service, 0);
+
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  EXPECT_LT(report.meta_restore_ns + report.redo_ns,
+            ring_service + disk_service)
+      << report.ToString();
+  EXPECT_EQ(report.redo_skipped, covered.size()) << report.ToString();
+  EXPECT_EQ(report.pages_from_flash, chained.size()) << report.ToString();
+  EXPECT_EQ(report.pages_from_disk, disk.size()) << report.ToString();
+  FACE_ASSERT_OK(cache_->CheckInvariants());
+  for (PageId pid : pages) {
+    const bool in_flash =
+        std::find(flashed.begin(), flashed.end(), pid) != flashed.end();
+    ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 5), in_flash ? "fffff" : "base!")
+        << "page " << pid;
+    if (in_flash) {
+      ASSERT_EQ(ReadBytes(pid, chain_at, 5), "chain") << "page " << pid;
+    }
+  }
+  for (PageId pid : covered) ASSERT_EQ(ReadBytes(pid, last_at, 5), "cover");
+  for (PageId pid : chained) ASSERT_EQ(ReadBytes(pid, last_at, 5), "redo!");
+  for (PageId pid : disk) ASSERT_EQ(ReadBytes(pid, last_at, 5), "disk!");
 }
 
 // --- undo leaves the log force to the restart checkpoint --------------------

@@ -419,6 +419,28 @@ TEST(SchedulerLaneTest, BackoffDelaysOnlyItsOwnLane) {
   sched.EndBackground();
 }
 
+TEST(SchedulerLaneTest, ALaneMayStartBeforeItsBatch) {
+  IoScheduler sched(1);
+  const uint32_t st = sched.RegisterStations(2);
+  const uint32_t flash = st, disk = st + 1;
+  const uint32_t bg = sched.AddBackgroundToken();
+  sched.BeginBackground(bg, 0);
+  sched.OnIo(flash, 40);
+  sched.OnIo(disk, 100);  // the span's clock: 140
+  sched.BeginBatch();
+  sched.NextLaneAt(40);  // issued when flash freed, run by the host now
+  sched.OnIo(flash, 200);
+  EXPECT_EQ(sched.span_time(), 240u);  // [40, 240): flash idled from 40
+  sched.NextLane();
+  sched.OnIo(disk, 50);
+  EXPECT_EQ(sched.span_time(), 190u);  // from the batch start
+  sched.NextLane();
+  sched.OnIo(flash, 10);
+  EXPECT_EQ(sched.span_time(), 250u);  // queued behind the early lane
+  EXPECT_EQ(sched.EndBatch(), 250u);
+  EXPECT_EQ(sched.EndBackground(), 250u);
+}
+
 TEST(SchedulerLaneTest, ResetClearsBatchState) {
   IoScheduler sched(1);
   const uint32_t st = sched.RegisterStations(1);

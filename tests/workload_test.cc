@@ -8,6 +8,7 @@
 
 #include <map>
 
+#include "common/coding.h"
 #include "fault/fault_injector.h"
 #include "tests/test_util.h"
 #include "workload/kv_table.h"
@@ -85,6 +86,51 @@ TEST(ZipfShapeTest, ThetaZeroIsUniform) {
   const double share = static_cast<double>(top10) / kDraws;
   EXPECT_GT(share, 0.005);
   EXPECT_LT(share, 0.02);
+}
+
+TEST(KvRowTest, LettersMatchTheTableFormula) {
+  // Every byte value, in every byte position of a draw, beside random
+  // neighbours.
+  Random filler(1);
+  for (uint64_t b = 0; b < 256; ++b) {
+    for (int k = 0; k < 8; ++k) {
+      const uint64_t at = uint64_t{0xff} << (8 * k);
+      const uint64_t draw = (filler.Next() & ~at) | b << (8 * k);
+      const uint64_t letters = workload::KvTable::Letters(draw);
+      for (int j = 0; j < 8; ++j) {
+        const uint8_t byte = static_cast<uint8_t>(draw >> (8 * j));
+        ASSERT_EQ(static_cast<char>(letters >> (8 * j)),
+                  static_cast<char>('a' + byte % 26))
+            << "byte " << b << " at " << k << ", position " << j;
+      }
+    }
+  }
+  // Whole rows, the tail past the last full draw included: each payload
+  // byte is the table formula over the payload generator's draws.
+  for (uint64_t id = 0; id < 2000; ++id) {
+    for (uint64_t version : {uint64_t{0}, id << 20 | 7}) {
+      const uint32_t value_bytes = 100 + static_cast<uint32_t>(id % 301);
+      std::string row;
+      workload::KvTable::RowTo(&row, id, value_bytes, version);
+      ASSERT_EQ(row.size(), 8u + value_bytes);
+      ASSERT_EQ(DecodeFixed64(row.data()), id);
+      Random payload(id * 0x9e3779b97f4a7c15ull ^ version);
+      uint32_t i = 0;
+      for (; i + 8 <= value_bytes; i += 8) {
+        const uint64_t draw = payload.Next();
+        for (int k = 0; k < 8; ++k) {
+          ASSERT_EQ(row[8 + i + k], static_cast<char>(
+                                         'a' + ((draw >> (8 * k)) & 0xff) % 26))
+              << "id " << id << " byte " << i + k;
+        }
+      }
+      for (; i < value_bytes; ++i) {
+        ASSERT_EQ(row[8 + i],
+                  static_cast<char>('a' + (payload.Next() & 0xff) % 26))
+            << "id " << id << " byte " << i;
+      }
+    }
+  }
 }
 
 TEST(YcsbKeyTest, LatestDistributionPrefersNewestKeys) {
