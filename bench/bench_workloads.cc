@@ -1,9 +1,10 @@
 // Policy x workload matrix: every cache policy against TPC-C, the YCSB
-// mixes (uniform / Zipfian / latest), the scan-heavy pollutor, and a
-// deterministic trace replay of the Zipfian run. Reports throughput, flash
-// hit rate, and the sequential-request shares that carry the paper's core
-// claim (mvFIFO turns random cache-replacement writes into sequential
-// ones) — per workload, where an LRU-style policy cannot.
+// mixes (uniform / Zipfian / latest, the resident YCSB-A, and the
+// scan-heavy pollutor), and a deterministic trace replay of the Zipfian
+// run. Reports throughput, flash hit rate, and the sequential-request
+// shares that carry the paper's core claim (mvFIFO turns random
+// cache-replacement writes into sequential ones) — per workload, where an
+// LRU-style policy cannot.
 //
 //   bench_workloads [--warehouses=N] [--quick] [--txns=N] [--warmup=N]
 //                   [--seed=S] [--no-cache] [--json] [--shards=N]
@@ -22,7 +23,6 @@
 #include "core/flash_layout.h"
 #include "fault/fault_injector.h"
 #include "testbed/sharded_testbed.h"
-#include "workload/scan_workload.h"
 #include "workload/trace.h"
 #include "workload/trace_workload.h"
 #include "workload/ycsb_workload.h"
@@ -31,8 +31,6 @@ namespace face {
 namespace bench {
 namespace {
 
-using workload::ScanHeavyFactory;
-using workload::ScanHeavyOptions;
 using workload::Trace;
 using workload::TraceRecorder;
 using workload::TraceReplayFactory;
@@ -66,11 +64,12 @@ void PrintWorkloadTable(const std::string& workload_name,
 
 /// One workload of the matrix: a cell per policy (rows named `name`, flash
 /// cache = the database / `flash_divisor`), then its table under `title`.
-void RunWorkload(const std::string& name, const std::string& title,
-                 const GoldenImage& golden,
-                 std::shared_ptr<const WorkloadFactory> factory,
-                 const BenchFlags& flags, uint64_t warmup, uint64_t txns,
-                 JsonReporter* json, uint64_t flash_divisor = 10) {
+/// Returns the table's rows.
+std::vector<TableRow> RunWorkload(
+    const std::string& name, const std::string& title,
+    const GoldenImage& golden, std::shared_ptr<const WorkloadFactory> factory,
+    const BenchFlags& flags, uint64_t warmup, uint64_t txns,
+    JsonReporter* json, uint64_t flash_divisor = 10) {
   std::vector<TableRow> cells;
   for (CachePolicy policy : kPolicies) {
     TestbedOptions opts;
@@ -85,6 +84,7 @@ void RunWorkload(const std::string& name, const std::string& title,
     cells.push_back(MatrixRow(policy, r));
   }
   PrintWorkloadTable(title, cells);
+  return cells;
 }
 
 /// --shards=N section: the Zipfian YCSB cell on the sharded rig, every
@@ -250,13 +250,12 @@ void RunFaultSection(const BenchFlags& flags, const GoldenImage& golden,
 
 /// KV golden-image cache tag: the load image is deterministic in
 /// (records, value_bytes, load path), and the file additionally embeds the
-/// device capacity, so factories agreeing on all four share one cache
-/// file (the three YCSB distributions do — their loads are byte-identical).
-std::string KvCacheTag(uint64_t records, uint32_t value_bytes, bool bulk,
-                       uint64_t capacity_pages) {
-  return "kv_r" + std::to_string(records) + "_v" +
-         std::to_string(value_bytes) + (bulk ? "_bulk" : "_incr") + "_c" +
-         std::to_string(capacity_pages);
+/// device capacity.
+std::string KvCacheTag(const YcsbFactory& factory) {
+  const YcsbOptions& o = factory.options();
+  return "kv_r" + std::to_string(o.records) + "_v" +
+         std::to_string(o.value_bytes) + (o.bulk_load ? "_bulk" : "_incr") +
+         "_c" + std::to_string(factory.CapacityPages());
 }
 
 /// Trace-mode showcase: a crash + ARIES restart on the Zipfian/FaCE+GSC
@@ -300,31 +299,25 @@ void RunMatrix(const BenchFlags& flags) {
   RunWorkload("tpcc", "tpcc", GetGolden(flags), /*factory=*/nullptr, flags,
               warmup, txns, json);
 
-  // The KV workloads share scale; each still loads its own golden image so
-  // latest-mode inserts and scan wear never leak across configurations.
-  // (The image file cache is shared where the loads are byte-identical.)
-  YcsbOptions base;
-  base.records = 40000;
+  // The KV rows are YCSB mixes over one 40,000-row table, so they share one
+  // golden image (every cell runs on its own clone).
+  auto mix = [](YcsbOptions yo) {
+    yo.records = 40000;
+    return std::make_shared<YcsbFactory>(yo);
+  };
+  const auto load = mix(YcsbOptions());
+  const GoldenImage kv_golden =
+      LoadOrBuildGolden(load, flags, KvCacheTag(*load));
 
   std::shared_ptr<const WorkloadFactory> zipf_factory;
-  GoldenImage zipf_golden;
   for (const YcsbOptions::Distribution dist :
        {YcsbOptions::Distribution::kUniform,
         YcsbOptions::Distribution::kZipfian,
         YcsbOptions::Distribution::kLatest}) {
-    YcsbOptions yo = base;
-    yo.distribution = dist;
-    auto factory = std::make_shared<YcsbFactory>(yo);
-    GoldenImage golden = LoadOrBuildGolden(
-        factory, flags,
-        KvCacheTag(yo.records, yo.value_bytes, yo.bulk_load,
-                   factory->CapacityPages()));
-    RunWorkload(factory->name(), factory->name(), golden, factory, flags,
+    auto factory = mix(YcsbOptions::WithDistribution(dist));
+    RunWorkload(factory->name(), factory->name(), kv_golden, factory, flags,
                 warmup, txns, json);
-    if (dist == YcsbOptions::Distribution::kZipfian) {
-      zipf_factory = factory;
-      zipf_golden = std::move(golden);
-    }
+    if (dist == YcsbOptions::Distribution::kZipfian) zipf_factory = factory;
   }
 
   // YCSB-A with a flash cache sized to the whole database ("resident"):
@@ -332,32 +325,17 @@ void RunMatrix(const BenchFlags& flags) {
   // refreshes of already-cached pages. The 10%-flash cells above are
   // admission-dominated (the Zipfian tail churns through a small cache),
   // which masks the refresh path this cell isolates.
-  {
-    YcsbOptions yo = YcsbOptions::A();
-    yo.records = base.records;
-    auto factory = std::make_shared<YcsbFactory>(yo);
-    GoldenImage golden = LoadOrBuildGolden(
-        factory, flags,
-        KvCacheTag(yo.records, yo.value_bytes, yo.bulk_load,
-                   factory->CapacityPages()));
-    RunWorkload("ycsb-a-resident", "ycsb-a-resident", golden, factory, flags,
-                warmup, txns, json, /*flash_divisor=*/1);
-  }
+  RunWorkload("ycsb-a-resident", "ycsb-a-resident", kv_golden,
+              mix(YcsbOptions::A()), flags, warmup, txns, json,
+              /*flash_divisor=*/1);
 
-  // Scan-heavy: long range scans, the FIFO-pollution stressor.
-  {
-    ScanHeavyOptions so;
-    so.records = base.records;
-    auto factory = std::make_shared<ScanHeavyFactory>(so);
-    GoldenImage golden = LoadOrBuildGolden(
-        factory, flags,
-        KvCacheTag(so.records, so.value_bytes, so.bulk_load,
-                   factory->CapacityPages()));
-    // Scans touch hundreds of rows per txn: scale counts down to keep the
-    // cell cost comparable.
-    RunWorkload("scan-heavy", "scan-heavy", golden, factory, flags,
-                warmup / 10 + 1, txns / 10 + 1, json);
-  }
+  // Scan-heavy: long range scans, the FIFO-pollution stressor. Scans touch
+  // hundreds of rows per txn: scale counts down to keep the cell cost
+  // comparable.
+  const std::vector<TableRow> scan_cells =
+      RunWorkload("scan-heavy", "scan-heavy", kv_golden,
+                  mix(YcsbOptions::LongScans()), flags, warmup / 10 + 1,
+                  txns / 10 + 1, json);
 
   // Trace replay: capture the Zipfian run's page-reference stream once,
   // then drive the identical stream through every policy.
@@ -368,7 +346,7 @@ void RunMatrix(const BenchFlags& flags) {
       opts.policy = CachePolicy::kNone;
       opts.seed = flags.seed;
       opts.workload = zipf_factory;
-      Testbed tb(opts, &zipf_golden);
+      Testbed tb(opts, &kv_golden);
       MeasureCell(&tb, warmup, txns, /*checkpoint_interval=*/0, nullptr, "",
                   "", [&] { tb.set_tracer(&recorder); });
     }
@@ -378,7 +356,7 @@ void RunMatrix(const BenchFlags& flags) {
             static_cast<unsigned long long>(trace->event_count()));
     auto factory = std::make_shared<TraceReplayFactory>(trace);
     // Replays wrap: warm up with one pass, measure the next.
-    RunWorkload("trace-ycsb-zipfian", "trace(ycsb-zipfian)", zipf_golden,
+    RunWorkload("trace-ycsb-zipfian", "trace(ycsb-zipfian)", kv_golden,
                 factory, flags, trace->txn_count(), trace->txn_count(), json);
   }
 
@@ -391,11 +369,11 @@ void RunMatrix(const BenchFlags& flags) {
   // Fault-tolerance rows: opt-in like the sharded section, so the default
   // matrix and its JSON baselines stay byte-identical without the flag.
   if (!flags.fault_profile.empty()) {
-    RunFaultSection(flags, zipf_golden, zipf_factory, warmup, txns, json);
+    RunFaultSection(flags, kv_golden, zipf_factory, warmup, txns, json);
   }
 
   if (!flags.trace_path.empty()) {
-    RunRecoveryShowcase(flags, zipf_golden, zipf_factory,
+    RunRecoveryShowcase(flags, kv_golden, zipf_factory,
                         std::min<uint64_t>(txns, 500));
   }
   FinalizeObs(flags, json);
@@ -406,8 +384,14 @@ void RunMatrix(const BenchFlags& flags) {
 
   printf("\npaper shape: FaCE variants keep fseqW%% near 100 (mvFIFO "
          "enqueues are appends);\nLRU-style policies (LC/TAC/Exadata) "
-         "overwrite in place and stay random. Scan-heavy\ndepresses hit "
-         "rates for recency-blind policies; TAC resists pollution.\n");
+         "overwrite in place and stay random.\nScan-heavy flash hit "
+         "rates:");
+  const char* sep = " ";
+  for (const TableRow& row : scan_cells) {
+    printf("%s%s %s%%", sep, row.label.c_str(), row.cells[1].c_str());
+    sep = ", ";
+  }
+  printf("\n");
 }
 
 }  // namespace

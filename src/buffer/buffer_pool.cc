@@ -365,9 +365,7 @@ Status BufferPool::FlushUnprotectedFrames() {
     // dirty + invalid recLSN = the flash copy (persistent cache) was the
     // page's redo protection. With flash lost, disk must catch up now.
     if (!f.dirty || f.rec_lsn != kInvalidLsn) continue;
-    FACE_RETURN_IF_ERROR(storage_->WritePage(page_id, f.data.get()));
-    f.dirty = false;
-    f.fdirty = false;
+    FACE_RETURN_IF_ERROR(SyncToDisk(page_id, &f));
   }
   return Status::OK();
 }

@@ -202,7 +202,8 @@ class BufferPool final : public DramPullSource {
   /// `flash_version`.
   void MarkAbsorbed(Frame* f, uint64_t flash_version);
   /// The pool's one frame-to-disk routine (checkpoint sync, shutdown, flash
-  /// rebuild): write the frame, tell the cache, mark the frame clean.
+  /// rebuild, the flash-loss flush): write the frame, tell the cache, mark
+  /// the frame clean.
   Status SyncToDisk(PageId page_id, Frame* f);
   /// True if the frame's persistent copy is stale (belongs in the DPT).
   bool PersistentlyDirty(const Frame& f) const {

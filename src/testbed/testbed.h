@@ -13,7 +13,7 @@
 //
 // The golden image is built once and cloned per configuration, because the
 // bulk load dominates wall time otherwise. The workload is pluggable: any
-// workload::WorkloadFactory (TPC-C, YCSB, scan-heavy, trace replay) both
+// workload::WorkloadFactory (TPC-C, a YCSB mix, trace replay) both
 // populates the golden image and drives the clones — TPC-C is just the
 // default. GoldenImage::BuildFor(factory) loads any of them.
 #pragma once

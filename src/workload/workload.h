@@ -17,9 +17,10 @@
 // restart.
 //
 // Concrete drivers: tpcc::Workload (the paper's workload, and the default;
-// tpcc/workload.h), YcsbWorkload (uniform/Zipfian/latest mixes over one KV
-// table), ScanHeavyWorkload (cache-polluting range scans), and
-// TraceWorkload (deterministic replay of a recorded page-access stream).
+// tpcc/workload.h), YcsbWorkload (every key-value mix over one KV table:
+// uniform/Zipfian/latest keys, read/update/insert/scan, the cache-polluting
+// long scans included), and TraceWorkload (deterministic replay of a
+// recorded page-access stream).
 #pragma once
 
 #include <cassert>

@@ -3,13 +3,13 @@
 namespace face {
 namespace workload {
 
-const char* DistributionName(YcsbOptions::Distribution d) {
+const char* YcsbName(YcsbOptions::Distribution d) {
   switch (d) {
-    case YcsbOptions::Distribution::kUniform: return "uniform";
-    case YcsbOptions::Distribution::kZipfian: return "zipfian";
-    case YcsbOptions::Distribution::kLatest: return "latest";
+    case YcsbOptions::Distribution::kUniform: return "ycsb-uniform";
+    case YcsbOptions::Distribution::kZipfian: return "ycsb-zipfian";
+    case YcsbOptions::Distribution::kLatest: return "ycsb-latest";
   }
-  return "?";
+  return "ycsb";
 }
 
 namespace {
@@ -31,15 +31,6 @@ uint64_t Scramble(uint64_t v) {
 }  // namespace
 
 YcsbWorkload::YcsbWorkload(const YcsbOptions& options) : opts_(options) {}
-
-const char* YcsbWorkload::name() const {
-  switch (opts_.distribution) {
-    case YcsbOptions::Distribution::kUniform: return "ycsb-uniform";
-    case YcsbOptions::Distribution::kZipfian: return "ycsb-zipfian";
-    case YcsbOptions::Distribution::kLatest: return "ycsb-latest";
-  }
-  return "ycsb";
-}
 
 const char* YcsbWorkload::txn_type_name(uint8_t type) const {
   switch (type) {
@@ -285,15 +276,6 @@ Status YcsbWorkload::Audit(Database& db, AuditReport* report) {
 }
 
 // --- factory -----------------------------------------------------------------
-
-const char* YcsbFactory::name() const {
-  switch (opts_.distribution) {
-    case YcsbOptions::Distribution::kUniform: return "ycsb-uniform";
-    case YcsbOptions::Distribution::kZipfian: return "ycsb-zipfian";
-    case YcsbOptions::Distribution::kLatest: return "ycsb-latest";
-  }
-  return "ycsb";
-}
 
 uint64_t YcsbFactory::CapacityPages() const {
   // Heap rows pack ~kPageSize/2 usable bytes per page at worst; the index

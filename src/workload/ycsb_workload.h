@@ -60,7 +60,7 @@ struct YcsbOptions {
   /// layout of an incrementally grown tree (the timing guard pins it).
   bool bulk_load = true;
 
-  // --- standard mixes -------------------------------------------------------
+  // --- standard mixes (bench/e2e runs A and B) ------------------------------
   static YcsbOptions A() {  // update heavy: 50/50 read/update, Zipfian
     YcsbOptions o;
     o.pct_read = 50, o.pct_update = 50, o.pct_insert = 0, o.pct_scan = 0;
@@ -71,20 +71,16 @@ struct YcsbOptions {
     o.pct_read = 95, o.pct_update = 5, o.pct_insert = 0, o.pct_scan = 0;
     return o;
   }
-  static YcsbOptions C() {  // read only
+  /// The FIFO-pollution stressor (bench_workloads' "scan-heavy" row): 70 %
+  /// range scans of 1..900 rows (~450 on average) over uniform keys, and a
+  /// thin stream of point reads and updates. Each scan touches hundreds of
+  /// pages once, which a recency-blind flash tier (mvFIFO) admits and
+  /// churns through; TPC-C has nothing like it.
+  static YcsbOptions LongScans() {
     YcsbOptions o;
-    o.pct_read = 100, o.pct_update = 0, o.pct_insert = 0, o.pct_scan = 0;
-    return o;
-  }
-  static YcsbOptions D() {  // read latest: 95 % reads skewed to fresh inserts
-    YcsbOptions o;
-    o.distribution = Distribution::kLatest;
-    o.pct_read = 95, o.pct_update = 0, o.pct_insert = 5, o.pct_scan = 0;
-    return o;
-  }
-  static YcsbOptions E() {  // short ranges: 95 % scans, 5 % inserts
-    YcsbOptions o;
-    o.pct_read = 0, o.pct_update = 0, o.pct_insert = 5, o.pct_scan = 95;
+    o.distribution = Distribution::kUniform;
+    o.pct_read = 15, o.pct_update = 15, o.pct_insert = 0, o.pct_scan = 70;
+    o.max_scan_rows = 900;
     return o;
   }
   /// `distribution` applied to the default mix ("ycsb-uniform" etc.).
@@ -138,6 +134,10 @@ struct KvLedger {
   }
 };
 
+/// Workload name of a YCSB key distribution: "ycsb-uniform",
+/// "ycsb-zipfian" or "ycsb-latest". The driver and its factory share it.
+const char* YcsbName(YcsbOptions::Distribution d);
+
 /// YCSB driver; see file comment.
 class YcsbWorkload : public Workload {
  public:
@@ -145,7 +145,7 @@ class YcsbWorkload : public Workload {
 
   explicit YcsbWorkload(const YcsbOptions& options);
 
-  const char* name() const override;
+  const char* name() const override { return YcsbName(opts_.distribution); }
   uint32_t num_txn_types() const override { return 4; }
   const char* txn_type_name(uint8_t type) const override;
 
@@ -191,7 +191,7 @@ class YcsbFactory : public WorkloadFactory {
  public:
   explicit YcsbFactory(const YcsbOptions& options) : opts_(options) {}
 
-  const char* name() const override;
+  const char* name() const override { return YcsbName(opts_.distribution); }
   uint64_t CapacityPages() const override;
   Status Load(Database& db, uint64_t seed) const override;
   std::unique_ptr<Workload> Create() const override;
@@ -205,9 +205,6 @@ class YcsbFactory : public WorkloadFactory {
  private:
   YcsbOptions opts_;
 };
-
-/// Printable distribution name ("uniform", "zipfian", "latest").
-const char* DistributionName(YcsbOptions::Distribution d);
 
 }  // namespace workload
 }  // namespace face

@@ -89,6 +89,28 @@ TEST(CrashStormTest, Exadata) { RunKvStorms(CachePolicy::kExadata); }
 TEST(CrashStormTest, FaceGR) { RunKvStorms(CachePolicy::kFaceGR); }
 TEST(CrashStormTest, NoCache) { RunKvStorms(CachePolicy::kNone); }
 
+/// Storms of bench_workloads' scan-heavy mix (YcsbOptions::LongScans:
+/// 70 % scans of up to 900 rows) over the storms' KV rows.
+void RunScanStorms(CachePolicy policy) {
+  const workload::YcsbOptions rows = StormKv();
+  workload::YcsbOptions scans = workload::YcsbOptions::LongScans();
+  scans.records = rows.records;
+  scans.value_bytes = rows.value_bytes;
+  scans.bulk_load = rows.bulk_load;
+  CrashStormOptions opts;
+  opts.policy = policy;
+  opts.workload = std::make_shared<workload::YcsbFactory>(scans);
+  RunStorms(opts, StormSeeds());
+}
+
+TEST(CrashStormTest, ScansNoCache) { RunScanStorms(CachePolicy::kNone); }
+TEST(CrashStormTest, ScansFace) { RunScanStorms(CachePolicy::kFace); }
+TEST(CrashStormTest, ScansFaceGR) { RunScanStorms(CachePolicy::kFaceGR); }
+TEST(CrashStormTest, ScansFaceGSC) { RunScanStorms(CachePolicy::kFaceGSC); }
+TEST(CrashStormTest, ScansLc) { RunScanStorms(CachePolicy::kLc); }
+TEST(CrashStormTest, ScansTac) { RunScanStorms(CachePolicy::kTac); }
+TEST(CrashStormTest, ScansExadata) { RunScanStorms(CachePolicy::kExadata); }
+
 /// TPC-C storms on the shared 1-warehouse image, audited by the §3.3.2
 /// consistency conditions: a tenth of CRASH_STORM_SEEDS (at least 2), as a
 /// TPC-C storm costs about thirty KV storms.

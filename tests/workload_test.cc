@@ -12,7 +12,6 @@
 #include "fault/fault_injector.h"
 #include "tests/test_util.h"
 #include "workload/kv_table.h"
-#include "workload/scan_workload.h"
 #include "workload/tpcc_workload.h"
 #include "workload/trace.h"
 #include "workload/trace_workload.h"
@@ -21,8 +20,6 @@
 namespace face {
 namespace {
 
-using workload::ScanHeavyFactory;
-using workload::ScanHeavyOptions;
 using workload::TpccFactory;
 using workload::Trace;
 using workload::TraceRecorder;
@@ -178,23 +175,27 @@ TEST(YcsbWorkloadTest, MixRatiosMatchConfiguration) {
   EXPECT_GT(stats.rows_written, 0u);
 }
 
-TEST(ScanHeavyWorkloadTest, ScansDominateRowsTouched) {
-  static GoldenImage* golden = [] {
-    ScanHeavyOptions opts;
-    opts.records = 8000;
-    opts.value_bytes = 200;
-    auto g = GoldenImage::BuildFor(std::make_shared<ScanHeavyFactory>(opts));
-    EXPECT_TRUE(g.ok()) << g.status().ToString();
-    return new GoldenImage(std::move(g.value()));
-  }();
-  Testbed tb(SmallOptions(*golden, CachePolicy::kFaceGSC), golden);
+TEST(YcsbWorkloadTest, LongScansDominateRowsTouched) {
+  // The scan-heavy mix on the uniform image (same rows, same load).
+  const GoldenImage& golden =
+      YcsbGolden(YcsbOptions::Distribution::kUniform);
+  const YcsbOptions rows = TestYcsb(YcsbOptions::Distribution::kUniform);
+  YcsbOptions scans = YcsbOptions::LongScans();
+  scans.records = rows.records;
+  scans.value_bytes = rows.value_bytes;
+  TestbedOptions opts = SmallOptions(golden, CachePolicy::kFaceGSC);
+  opts.workload = std::make_shared<YcsbFactory>(scans);
+  Testbed tb(opts, &golden);
   FACE_ASSERT_OK(tb.Start());
   RunOptions run;
   run.txns = 150;
   FACE_ASSERT_OK_AND_ASSIGN(RunResult result, tb.Run(run));
   EXPECT_EQ(result.txns, 150u);
-  // ~70 % scans of 100..800 rows: far more rows touched than transactions.
-  EXPECT_GT(tb.workload()->stats().rows_read, 150u * 20);
+  // ~70 % scans of 1..900 rows: far more rows touched than transactions.
+  const workload::WorkloadStats& stats = tb.workload()->stats();
+  EXPECT_GT(stats.completed[YcsbWorkload::kScan], 150u / 2);
+  EXPECT_EQ(stats.completed[YcsbWorkload::kInsert], 0u);
+  EXPECT_GT(stats.rows_read, 150u * 20);
   FACE_EXPECT_OK(tb.cache()->CheckInvariants());
 }
 
