@@ -224,10 +224,12 @@ Status RebuildOrSplit(PageWriter* writer, BufferPool* pool, PageHandle* page,
   }
 
   // Split: fill the left node up to ~half the payload bytes, or keep it
-  // full when the insert is an ascending append.
+  // full when the insert is an ascending append. An internal split pushes
+  // the cell at `mid` up, so its right node keeps the last cell as its
+  // one separator.
   size_t mid;
   if (rightmost_append) {
-    mid = cells.size() - 1;
+    mid = cells.size() - (leaf ? 1 : 2);
   } else {
     uint32_t acc = 0;
     mid = 0;

@@ -153,6 +153,17 @@ Status Workload::Audit(Database& db, workload::AuditReport* report) {
     ++districts[{ol.ol_w_id, ol.ol_d_id}].order_lines;
   }));
 
+  // Every index passes the B+tree's structural audit.
+  for (const BPlusTree* index :
+       {&t_->pk_warehouse, &t_->pk_district, &t_->pk_customer,
+        &t_->idx_customer_name, &t_->pk_new_order, &t_->pk_orders,
+        &t_->idx_orders_customer, &t_->pk_order_line, &t_->pk_item,
+        &t_->pk_stock}) {
+    const Status s = index->CheckInvariants();
+    if (s.IsIOError()) return s;
+    if (!s.ok()) report->AddDivergence(index->name() + ": " + s.ToString());
+  }
+
   for (const auto& [w_id, gap] : ytd_gap) {
     if (gap != 0) {
       report->AddDivergence("§3.3.2.1: warehouse " + std::to_string(w_id) +

@@ -61,7 +61,8 @@ class Workload : public workload::Workload {
   Status InjectStranded(Database& db, Random& rnd) override;
   /// The consistency conditions of spec §3.3.2.1–4, per warehouse and
   /// district, over heap scans; each scanned table's primary-key index
-  /// must count as many rows. They hold after any prefix of committed
+  /// must count as many rows, and every index must pass
+  /// BPlusTree::CheckInvariants. They hold after any prefix of committed
   /// transactions, so the one a crash cut needs no in-doubt rule.
   Status Audit(Database& db, workload::AuditReport* report) override;
 

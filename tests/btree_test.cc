@@ -100,6 +100,22 @@ TEST_F(BtreeTest, SequentialInsertSplitsAndStaysSorted) {
   }
 }
 
+TEST_F(BtreeTest, AscendingAppendSplitsInternalNodesCleanly) {
+  // An ascending append keeps the left node full. When the full node is
+  // internal, the right node must still hold a separator: check the tree
+  // the moment the first internal split makes it three levels tall.
+  PageWriter bulk;
+  uint64_t k = 0;
+  for (uint32_t height = 1; height < 3; ++k) {
+    FACE_ASSERT_OK(tree_.Insert(&bulk, Key(k), "x"));
+    FACE_ASSERT_OK_AND_ASSIGN(height, tree_.Height());
+  }
+  SCOPED_TRACE("after key " + std::to_string(k - 1));
+  FACE_ASSERT_OK(tree_.CheckInvariants());
+  FACE_ASSERT_OK_AND_ASSIGN(uint64_t n, tree_.CountEntries());
+  EXPECT_EQ(n, k);
+}
+
 TEST_F(BtreeTest, ReverseInsertAlsoWorks) {
   PageWriter bulk;
   for (uint64_t k = 3000; k-- > 0;) {
