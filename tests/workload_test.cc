@@ -451,5 +451,78 @@ TEST(TpccWorkloadTest, MixSharesMatchSpec) {
   EXPECT_EQ(result.primary_txns, stats.primary);
 }
 
+// --- one page-reference stream under every policy ----------------------------
+
+/// Folds every logical page reference, in order, into one hash.
+class ReferenceFingerprint : public PageTraceSink {
+ public:
+  void OnPageAccess(PageId page_id, bool write) override {
+    hash_ = (hash_ ^ (page_id << 1 | (write ? 1 : 0))) * 0x100000001b3ull;
+    ++refs_;
+  }
+  uint64_t hash() const { return hash_; }
+  uint64_t refs() const { return refs_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+  uint64_t refs_ = 0;
+};
+
+// Workloads never read virtual time, so one seed gives every policy the
+// same page references, whatever each reference costs: a live run is
+// already the controlled experiment (same accesses, different policy).
+// The DRAM pool is small, so the flash tier admits and hits, and the
+// checkpoint interval fires during every run.
+void ExpectOneReferenceStream(
+    const GoldenImage& golden,
+    std::shared_ptr<const workload::WorkloadFactory> factory, uint64_t txns) {
+  uint64_t refs = 0, hash = 0;
+  for (const CachePolicy policy :
+       {CachePolicy::kNone, CachePolicy::kFace, CachePolicy::kFaceGR,
+        CachePolicy::kFaceGSC, CachePolicy::kLc, CachePolicy::kTac,
+        CachePolicy::kExadata}) {
+    SCOPED_TRACE(CachePolicyName(policy));
+    TestbedOptions opts = SmallOptions(golden, policy);
+    opts.buffer_frames = 64;
+    opts.seed = 7;
+    opts.workload = factory;
+    Testbed tb(opts, &golden);
+    FACE_ASSERT_OK(tb.Start());
+    ReferenceFingerprint fingerprint;
+    tb.db()->pool()->set_trace_sink(&fingerprint);
+    RunOptions run;
+    run.txns = txns;
+    run.checkpoint_interval = kNanosPerSecond / 2;
+    FACE_ASSERT_OK_AND_ASSIGN(RunResult r, tb.Run(run));
+    tb.db()->pool()->set_trace_sink(nullptr);
+    EXPECT_GT(r.checkpoints, 0u);
+    if (policy == CachePolicy::kNone) {
+      refs = fingerprint.refs();
+      hash = fingerprint.hash();
+      EXPECT_GT(refs, txns);
+    } else {
+      EXPECT_GT(r.cache_stats.hits, 0u);
+    }
+    EXPECT_EQ(fingerprint.refs(), refs);
+    EXPECT_EQ(fingerprint.hash(), hash);
+  }
+}
+
+TEST(ReferenceStreamTest, EveryPolicySeesTheSameYcsbReferences) {
+  const GoldenImage& golden =
+      YcsbGolden(YcsbOptions::Distribution::kZipfian);
+  ExpectOneReferenceStream(
+      golden,
+      std::make_shared<YcsbFactory>(
+          TestYcsb(YcsbOptions::Distribution::kZipfian)),
+      2000);
+}
+
+TEST(ReferenceStreamTest, EveryPolicySeesTheSameTpccReferences) {
+  ExpectOneReferenceStream(
+      SharedGolden(),
+      std::make_shared<TpccFactory>(SharedGolden().warehouses), 300);
+}
+
 }  // namespace
 }  // namespace face
