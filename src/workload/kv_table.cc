@@ -116,16 +116,17 @@ Status KvTable::Update(PageWriter* writer, uint64_t id, uint32_t value_bytes,
   return rows.Update(writer, DecodeRid(rid_value), row_scratch);
 }
 
-StatusOr<uint64_t> KvTable::Scan(uint64_t id, uint64_t max_rows) const {
+Status KvTable::Scan(
+    uint64_t id, uint64_t max_rows,
+    const std::function<Status(const std::string& row)>& fn) const {
   FACE_ASSIGN_OR_RETURN(BPlusTree::Iterator it, pk.Seek(Key(id)));
-  uint64_t read = 0;
   std::string row;
-  while (it.Valid() && read < max_rows) {
+  for (uint64_t read = 0; it.Valid() && read < max_rows; ++read) {
     FACE_RETURN_IF_ERROR(rows.Read(DecodeRid(it.value()), &row));
-    ++read;
+    FACE_RETURN_IF_ERROR(fn(row));
     FACE_RETURN_IF_ERROR(it.Next());
   }
-  return read;
+  return Status::OK();
 }
 
 StatusOr<uint64_t> KvTable::CountFrom(uint64_t from_id) const {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/random.h"
@@ -62,8 +63,10 @@ struct KvTable {
   Status Update(PageWriter* writer, uint64_t id, uint32_t value_bytes,
                 uint64_t version);
   /// Range-scan up to `max_rows` rows starting at the first key >= `id`,
-  /// reading each row through the heap. Returns rows actually read.
-  StatusOr<uint64_t> Scan(uint64_t id, uint64_t max_rows) const;
+  /// reading each row through the heap and handing it to `fn` in key
+  /// order. A non-OK status from `fn` ends the scan and is returned.
+  Status Scan(uint64_t id, uint64_t max_rows,
+              const std::function<Status(const std::string& row)>& fn) const;
 
   /// Count entries with key id >= `from_id` (cheap tail count used to
   /// recover the insert high-water mark after a crash).

@@ -1,5 +1,7 @@
 #include "workload/ycsb_workload.h"
 
+#include <algorithm>
+
 namespace face {
 namespace workload {
 
@@ -179,12 +181,39 @@ Status YcsbWorkload::CommitPending(Database& db, TxnId txn) {
 
 Status YcsbWorkload::DoScan(Database& db, uint64_t key, uint64_t rows) {
   const TxnId txn = db.Begin();
-  const StatusOr<uint64_t> read = table_.Scan(key, rows);
-  if (!read.ok()) {
-    FACE_RETURN_IF_ERROR(db.Abort(txn));
-    return read.status();
+  // The live check: keys are dense, so a scan reads the ledger's keys from
+  // `key` on, each at its committed version, until it has `rows` of them
+  // or the ledger ends. A withheld key reads as its stranded transaction's
+  // uncommitted version, so only its place in the order is checked.
+  uint64_t next = key;
+  Status s = table_.Scan(key, rows, [&](const std::string& row) {
+    const uint64_t version = ledger_.VersionOf(next);
+    if (ledger_.withheld.count(next) == 0) {
+      KvTable::RowTo(&expected_row_, next, opts_.value_bytes, version);
+      if (row != expected_row_) {
+        return Status::Corruption("ycsb: scanned row of key " +
+                                  std::to_string(next) +
+                                  " diverges from committed version " +
+                                  std::to_string(version));
+      }
+    }
+    ++next;
+    return Status::OK();
+  });
+  const uint64_t committed = ledger_.versions.size();
+  const uint64_t expected = key < committed ? std::min(rows, committed - key)
+                                            : 0;
+  if (s.ok() && next - key != expected) {
+    s = Status::Corruption("ycsb: scan from key " + std::to_string(key) +
+                           " read " + std::to_string(next - key) +
+                           " rows, the ledger holds " +
+                           std::to_string(expected));
   }
-  stats_.rows_read += *read;
+  if (!s.ok()) {
+    FACE_RETURN_IF_ERROR(db.Abort(txn));
+    return s;
+  }
+  stats_.rows_read += next - key;
   return db.Commit(txn);
 }
 

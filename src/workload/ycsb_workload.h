@@ -12,11 +12,12 @@
 // crash is in doubt: its commit record may or may not have reached the
 // durable log, so either version is legal once its commit was attempted,
 // and only the old one before; no client runs until an audit resolved it.
-// Every read is checked live against the ledger too, so a stale row is
-// caught when a client sees it, even if a later update overwrites it
-// before the next audit. Keys of injected stranded transactions are
-// withheld from later operations until the restart rolls them back, so
-// undo's before-images cannot clobber later committed work.
+// Every point read and every scanned row is checked live against the
+// ledger too, so a stale row is caught when a client sees it, even if a
+// later update overwrites it before the next audit. Keys of injected
+// stranded transactions are withheld from later operations until the
+// restart rolls them back, so undo's before-images cannot clobber later
+// committed work; a scan that crosses one checks only its place.
 #pragma once
 
 #include <cstdint>
@@ -183,7 +184,7 @@ class YcsbWorkload : public Workload {
   uint64_t inserted_ = 0;
   uint64_t version_ = 0;  ///< monotonically fresh payload versions
   KvLedger ledger_;
-  std::string row_, expected_row_;  ///< DoRead's buffers, reused
+  std::string row_, expected_row_;  ///< the live checks' buffers, reused
 };
 
 /// Builds YCSB golden images and drivers from one shared YcsbOptions.

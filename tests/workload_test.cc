@@ -263,6 +263,63 @@ TEST(YcsbWorkloadTest, LiveReadCatchesARowNoClientCommitted) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
+// The 16-row table's options with only scans, each of up to `max_rows`.
+TestbedOptions TinyScanOptions(const GoldenImage& golden,
+                               uint64_t max_rows) {
+  YcsbOptions o = TestYcsb(YcsbOptions::Distribution::kUniform);
+  o.records = 16;
+  o.pct_read = 0, o.pct_update = 0, o.pct_insert = 0, o.pct_scan = 100;
+  o.max_scan_rows = max_rows;
+  TestbedOptions opts = SmallOptions(golden, CachePolicy::kNone);
+  opts.workload = std::make_shared<YcsbFactory>(o);
+  return opts;
+}
+
+TEST(YcsbWorkloadTest, LiveScanCatchesARowNoClientCommitted) {
+  const GoldenImage& golden = TinyYcsbGolden(/*pct_read=*/100);
+  Testbed tb(TinyScanOptions(golden, /*max_rows=*/4), &golden);
+  FACE_ASSERT_OK(tb.Start());
+  RunOptions one;
+  one.txns = 1;
+  FACE_ASSERT_OK(tb.Run(one).status());
+
+  // Commit a new version of every row behind the clients' back: the next
+  // scan sees rows the ledger never recorded.
+  FACE_ASSERT_OK_AND_ASSIGN(workload::KvTable table,
+                            workload::KvTable::Open(*tb.db()));
+  const TxnId txn = tb.db()->Begin();
+  PageWriter w = tb.db()->Writer(txn);
+  for (uint64_t key = 0; key < 16; ++key) {
+    FACE_ASSERT_OK(table.Update(&w, key, 200, /*version=*/77));
+  }
+  FACE_ASSERT_OK(tb.db()->Commit(txn));
+
+  const Status s = tb.Run(one).status();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST(YcsbWorkloadTest, LiveScanCatchesAKeyMissingFromTheIndex) {
+  const GoldenImage& golden = TinyYcsbGolden(/*pct_read=*/100);
+  Testbed tb(TinyScanOptions(golden, /*max_rows=*/16), &golden);
+  FACE_ASSERT_OK(tb.Start());
+
+  // Drop the last key's index entry behind the clients' back: a scan that
+  // should reach it ends one row short of the ledger.
+  FACE_ASSERT_OK_AND_ASSIGN(workload::KvTable table,
+                            workload::KvTable::Open(*tb.db()));
+  const TxnId txn = tb.db()->Begin();
+  PageWriter w = tb.db()->Writer(txn);
+  FACE_ASSERT_OK(table.pk.Delete(&w, workload::KvTable::Key(15)));
+  FACE_ASSERT_OK(tb.db()->Commit(txn));
+
+  RunOptions run;
+  run.txns = 200;
+  const Status s = tb.Run(run).status();
+  ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("the ledger holds"), std::string::npos)
+      << s.ToString();
+}
+
 TEST(YcsbWorkloadTest, NoClientRunsBeforeTheInDoubtWriteIsAudited) {
   const GoldenImage& golden = TinyYcsbGolden(/*pct_read=*/0);
   Testbed tb(SmallOptions(golden, CachePolicy::kNone), &golden);
