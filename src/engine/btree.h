@@ -112,8 +112,9 @@ class BPlusTree {
   /// Total live entries (walks every leaf).
   StatusOr<uint64_t> CountEntries() const;
 
-  /// Full-tree structural audit: sortedness within nodes, separator
-  /// bracketing, leaf-chain order, free-space accounting. For tests.
+  /// Full-tree structural audit in one walk: sortedness within nodes,
+  /// separator bracketing, a leaf chain that links the leaves in key
+  /// order, free-space accounting. For tests and workload audits.
   Status CheckInvariants() const;
 
  private:
@@ -129,8 +130,10 @@ class BPlusTree {
   /// Descend to the leaf that would hold `key`.
   StatusOr<PageId> FindLeaf(std::string_view key) const;
 
+  /// What CheckInvariants' walk carries from node to node.
+  struct CheckWalk;
   Status CheckNode(PageId page_id, std::string_view lo, std::string_view hi,
-                   int expect_level, uint64_t* entries) const;
+                   int expect_level, CheckWalk* walk) const;
 
   BufferPool* pool_ = nullptr;
   Catalog* catalog_ = nullptr;

@@ -7,8 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "engine/btree.h"
 #include "engine/key_codec.h"
+#include "storage/page.h"
 #include "tests/test_util.h"
 
 namespace face {
@@ -274,6 +276,45 @@ TEST_F(BtreeTest, DeletedKeysVanishFromScans) {
     EXPECT_NE(KeyCodec::DecodeU64(it.key(), 0) % 3, 0u);
     FACE_ASSERT_OK(it.Next());
   }
+}
+
+TEST_F(BtreeTest, CheckInvariantsRejectsABrokenLeafChain) {
+  PageWriter bulk;
+  for (uint64_t k = 0; k < 600; ++k) {
+    FACE_ASSERT_OK(tree_.Insert(&bulk, Key(k), std::string(100, 'v')));
+  }
+  FACE_ASSERT_OK_AND_ASSIGN(uint32_t height, tree_.Height());
+  ASSERT_EQ(height, 2u);
+  FACE_ASSERT_OK(tree_.CheckInvariants());
+
+  // A node's next_or_leftmost field (btree.h's node layout), edited in
+  // place in the buffer pool: the root's links to its leftmost leaf, a
+  // leaf's to the next leaf (0 after the last).
+  auto link = [&](PageId page) {
+    auto h = db_->pool()->FetchPage(page);
+    EXPECT_TRUE(h.ok());
+    return DecodeFixed64(h->data() + kPageHeaderSize + 8);
+  };
+  auto set_link = [&](PageId page, PageId to) {
+    auto h = db_->pool()->FetchPage(page);
+    ASSERT_TRUE(h.ok());
+    EncodeFixed64(h->data() + kPageHeaderSize + 8, to);
+  };
+  std::vector<PageId> leaves = {link(tree_.root_page())};
+  while (link(leaves.back()) != 0) leaves.push_back(link(leaves.back()));
+  ASSERT_GE(leaves.size(), 3u);
+
+  // The first leaf skips its neighbour.
+  set_link(leaves[0], leaves[2]);
+  EXPECT_TRUE(tree_.CheckInvariants().IsCorruption());
+  set_link(leaves[0], leaves[1]);
+  FACE_ASSERT_OK(tree_.CheckInvariants());
+
+  // The last leaf links back to the first.
+  set_link(leaves.back(), leaves[0]);
+  EXPECT_TRUE(tree_.CheckInvariants().IsCorruption());
+  set_link(leaves.back(), 0);
+  FACE_EXPECT_OK(tree_.CheckInvariants());
 }
 
 TEST_F(BtreeTest, VariableLengthKeysAndValues) {
