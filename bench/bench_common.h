@@ -1,9 +1,9 @@
 // Shared scaffolding for the bench drivers (bench_paper's presets and
-// bench_workloads): flag parsing, a process-wide cached golden image (with a
-// host-file cache so repeated bench runs skip the TPC-C load), the measured
-// cell (plain and sharded), the paper's crash-at-mid-interval protocol,
-// fixed-width table printing, and the BENCH_*.json reporter. bench/README.md
-// lists the flags every driver accepts.
+// bench_workloads): flag parsing, golden-image builds (one TPC-C image
+// shared process-wide), the measured cell (plain and sharded), the paper's
+// crash-at-mid-interval protocol, fixed-width table printing, and the
+// BENCH_*.json reporter. bench/README.md lists the flags every driver
+// accepts.
 #pragma once
 
 #include <algorithm>
@@ -31,7 +31,6 @@ namespace bench {
 struct BenchFlags {
   uint32_t warehouses = 1;
   bool quick = false;
-  bool use_cache = true;
   bool json = false;         ///< write BENCH_<bench>.json
   uint64_t warmup_txns = 0;  ///< 0 = per-bench default
   uint64_t txns = 0;         ///< 0 = per-bench default
@@ -79,8 +78,6 @@ inline BenchFlags ParseFlags(int argc, char** argv,
     const std::string arg = argv[i];
     if (arg == "--quick") {
       flags.quick = true;
-    } else if (arg == "--no-cache") {
-      flags.use_cache = false;
     } else if (arg == "--json") {
       flags.json = true;
     } else if (arg.rfind("--warehouses=", 0) == 0) {
@@ -134,73 +131,27 @@ T OrDie(StatusOr<T> result, const char* what) {
   return std::move(result.value());
 }
 
-/// Try to restore a golden image's device contents + allocator mark from
-/// the host-file cache at `cache_path` (+ ".meta"). The caller provides the
-/// GoldenImage with device and factory already wired.
-inline bool TryLoadImageFile(GoldenImage* golden,
-                             const std::string& cache_path) {
-  FILE* meta = fopen((cache_path + ".meta").c_str(), "rb");
-  if (meta == nullptr) return false;
-  uint64_t next_page_id = 0;
-  const bool meta_ok = fread(&next_page_id, 8, 1, meta) == 1;
-  fclose(meta);
-  if (!meta_ok || !golden->device->LoadContents(cache_path).ok()) return false;
-  golden->next_page_id = next_page_id;
-  fprintf(stderr, "[golden] loaded %s (%" PRIu64 " pages)\n",
-          cache_path.c_str(), golden->db_pages());
-  return true;
-}
-
-/// Save a golden image to the host-file cache (best effort).
-inline void SaveImageFile(const GoldenImage& golden,
-                          const std::string& cache_path) {
-  if (!golden.device->SaveContents(cache_path).ok()) return;
-  FILE* meta = fopen((cache_path + ".meta").c_str(), "wb");
-  if (meta == nullptr) return;
-  fwrite(&golden.next_page_id, 8, 1, meta);
-  fclose(meta);
-}
-
-/// Build (or load from the file cache) the golden image for any workload
-/// factory. `cache_tag` keys the cache file ("face_golden_<tag>.img");
-/// factories whose loads are byte-identical (same records/value_bytes KV
-/// populations) may share a tag, and a tag must change whenever the load
-/// format does. Empty tag or --no-cache disables the file cache. Exits on
-/// failure — benches have no meaningful degraded mode.
-inline GoldenImage LoadOrBuildGolden(
-    std::shared_ptr<const workload::WorkloadFactory> factory,
-    const BenchFlags& flags, const std::string& cache_tag) {
-  const std::string cache_path = "face_golden_" + cache_tag + ".img";
-  if (flags.use_cache && !cache_tag.empty()) {
-    GoldenImage from_file;
-    from_file.factory = factory;
-    from_file.device = std::make_unique<SimDevice>(
-        "golden", DeviceProfile::Seagate15k(), factory->CapacityPages());
-    from_file.device->set_timing_enabled(false);
-    if (TryLoadImageFile(&from_file, cache_path)) return from_file;
-  }
-
+/// Build the golden image of any workload factory. Exits on failure —
+/// benches have no meaningful degraded mode.
+inline GoldenImage BuildGolden(
+    std::shared_ptr<const workload::WorkloadFactory> factory) {
   fprintf(stderr, "[golden] loading %s...\n", factory->name());
   GoldenImage built =
       OrDie(GoldenImage::BuildFor(std::move(factory)), "golden build");
   fprintf(stderr, "[golden] built: %" PRIu64 " pages (%.1f MB)\n",
           built.db_pages(), built.db_pages() * 4.0 / 1024);
-  if (flags.use_cache && !cache_tag.empty()) {
-    SaveImageFile(built, cache_path);
-  }
   return built;
 }
 
-/// Build (or load from the file cache) the golden TPC-C image for
-/// `warehouses`, shared process-wide. Exits on failure.
+/// The golden TPC-C image for `warehouses`, built once and shared
+/// process-wide. Exits on failure.
 inline const GoldenImage& GetGolden(const BenchFlags& flags) {
   static GoldenImage golden;
   static bool built = false;
   if (built) return golden;
 
-  golden = LoadOrBuildGolden(
-      std::make_shared<workload::TpccFactory>(flags.warehouses), flags,
-      "w" + std::to_string(flags.warehouses));
+  golden = BuildGolden(
+      std::make_shared<workload::TpccFactory>(flags.warehouses));
   golden.warehouses = flags.warehouses;
   built = true;
   return golden;

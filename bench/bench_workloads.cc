@@ -1,13 +1,13 @@
-// Policy x workload matrix: every cache policy against TPC-C, the YCSB
+// Policy x workload matrix: every cache policy against TPC-C and the YCSB
 // mixes (uniform / Zipfian / latest, the resident YCSB-A, and the
-// scan-heavy pollutor), and a deterministic trace replay of the Zipfian
-// run. Reports throughput, flash hit rate, and the sequential-request
-// shares that carry the paper's core claim (mvFIFO turns random
-// cache-replacement writes into sequential ones) — per workload, where an
-// LRU-style policy cannot.
+// scan-heavy pollutor). Workloads never read virtual time, so each row
+// gives every policy the same page references. Reports throughput, flash
+// hit rate, and the sequential-request shares that carry the paper's core
+// claim (mvFIFO turns random cache-replacement writes into sequential
+// ones) — per workload, where an LRU-style policy cannot.
 //
 //   bench_workloads [--warehouses=N] [--quick] [--txns=N] [--warmup=N]
-//                   [--seed=S] [--no-cache] [--json] [--shards=N]
+//                   [--seed=S] [--json] [--shards=N]
 //                   [--fault-profile=transient|flash-loss|bit-rot]
 //
 // --json additionally writes BENCH_workloads.json (schema in
@@ -23,17 +23,12 @@
 #include "core/flash_layout.h"
 #include "fault/fault_injector.h"
 #include "testbed/sharded_testbed.h"
-#include "workload/trace.h"
-#include "workload/trace_workload.h"
 #include "workload/ycsb_workload.h"
 
 namespace face {
 namespace bench {
 namespace {
 
-using workload::Trace;
-using workload::TraceRecorder;
-using workload::TraceReplayFactory;
 using workload::WorkloadFactory;
 using workload::YcsbFactory;
 using workload::YcsbOptions;
@@ -248,16 +243,6 @@ void RunFaultSection(const BenchFlags& flags, const GoldenImage& golden,
   PrintTable("policy", {"tpm", "deg", "dtpm", "retries", "scrubRep"}, rows);
 }
 
-/// KV golden-image cache tag: the load image is deterministic in
-/// (records, value_bytes, load path), and the file additionally embeds the
-/// device capacity.
-std::string KvCacheTag(const YcsbFactory& factory) {
-  const YcsbOptions& o = factory.options();
-  return "kv_r" + std::to_string(o.records) + "_v" +
-         std::to_string(o.value_bytes) + (o.bulk_load ? "_bulk" : "_incr") +
-         "_c" + std::to_string(factory.CapacityPages());
-}
-
 /// Trace-mode showcase: a crash + ARIES restart on the Zipfian/FaCE+GSC
 /// cell, so the emitted Chrome trace carries every recovery phase span
 /// (attach / meta_restore / analysis / redo / undo / checkpoint) alongside
@@ -295,7 +280,7 @@ void RunMatrix(const BenchFlags& flags) {
   printf("flash cache = 10%% of each database; checkpoints every %.0fs "
          "virtual\n", ToSeconds(kCheckpointEvery));
 
-  // TPC-C (the paper's workload, via the golden-image file cache).
+  // TPC-C (the paper's workload).
   RunWorkload("tpcc", "tpcc", GetGolden(flags), /*factory=*/nullptr, flags,
               warmup, txns, json);
 
@@ -305,9 +290,7 @@ void RunMatrix(const BenchFlags& flags) {
     yo.records = 40000;
     return std::make_shared<YcsbFactory>(yo);
   };
-  const auto load = mix(YcsbOptions());
-  const GoldenImage kv_golden =
-      LoadOrBuildGolden(load, flags, KvCacheTag(*load));
+  const GoldenImage kv_golden = BuildGolden(mix(YcsbOptions()));
 
   std::shared_ptr<const WorkloadFactory> zipf_factory;
   for (const YcsbOptions::Distribution dist :
@@ -336,29 +319,6 @@ void RunMatrix(const BenchFlags& flags) {
       RunWorkload("scan-heavy", "scan-heavy", kv_golden,
                   mix(YcsbOptions::LongScans()), flags, warmup / 10 + 1,
                   txns / 10 + 1, json);
-
-  // Trace replay: capture the Zipfian run's page-reference stream once,
-  // then drive the identical stream through every policy.
-  {
-    TraceRecorder recorder;
-    {
-      TestbedOptions opts;
-      opts.policy = CachePolicy::kNone;
-      opts.seed = flags.seed;
-      opts.workload = zipf_factory;
-      Testbed tb(opts, &kv_golden);
-      MeasureCell(&tb, warmup, txns, /*checkpoint_interval=*/0, nullptr, "",
-                  "", [&] { tb.set_tracer(&recorder); });
-    }
-    auto trace = std::make_shared<const Trace>(recorder.TakeTrace());
-    fprintf(stderr, "[trace] %llu txns, %llu page references\n",
-            static_cast<unsigned long long>(trace->txn_count()),
-            static_cast<unsigned long long>(trace->event_count()));
-    auto factory = std::make_shared<TraceReplayFactory>(trace);
-    // Replays wrap: warm up with one pass, measure the next.
-    RunWorkload("trace-ycsb-zipfian", "trace(ycsb-zipfian)", kv_golden,
-                factory, flags, trace->txn_count(), trace->txn_count(), json);
-  }
 
   // Sharded execution: opt-in rows (the default matrix above is untouched,
   // so existing baselines stay byte-identical without the flag).

@@ -1,7 +1,9 @@
 // Tour of the pluggable workload subsystem: drive the same testbed with
-// YCSB-Zipfian, record its page-access trace, and replay the identical
-// stream against two different cache policies — the controlled experiment
-// a live workload cannot give.
+// YCSB-Zipfian under two cache policies, fingerprinting each run's page
+// references through the buffer pool's PageTraceSink. Workloads never read
+// virtual time, so both runs make the same logical accesses and differ only
+// in what each policy does with them: a live run is already the controlled
+// experiment. Exits non-zero if the two fingerprints differ.
 //
 //   $ ./examples/workload_plugins
 #include <cstdio>
@@ -9,8 +11,6 @@
 #include <memory>
 
 #include "testbed/testbed.h"
-#include "workload/trace.h"
-#include "workload/trace_workload.h"
 #include "workload/ycsb_workload.h"
 
 using namespace face;
@@ -24,10 +24,22 @@ void Die(const Status& s, const char* what) {
   }
 }
 
+/// Folds every logical page reference, in order, into one hash.
+struct Fingerprint : PageTraceSink {
+  void OnPageAccess(PageId page_id, bool write) override {
+    hash = (hash ^ (page_id << 1 | (write ? 1 : 0))) * 0x100000001b3ull;
+    ++refs;
+  }
+
+  uint64_t hash = 0xcbf29ce484222325ull;
+  uint64_t refs = 0;
+};
+
+/// Warm up, then run `txns` transactions with `fingerprint` attached.
 RunResult Measure(const GoldenImage& golden,
                   std::shared_ptr<const workload::WorkloadFactory> factory,
                   CachePolicy policy, uint64_t txns,
-                  workload::TraceRecorder* tracer = nullptr) {
+                  Fingerprint* fingerprint) {
   TestbedOptions opts;
   opts.policy = policy;
   opts.flash_pages = golden.db_pages() / 10;
@@ -35,10 +47,11 @@ RunResult Measure(const GoldenImage& golden,
   Testbed tb(opts, &golden);
   Die(tb.Start(), "start");
   Die(tb.Warmup(txns / 2), "warmup");
-  if (tracer != nullptr) tb.set_tracer(tracer);
+  tb.db()->pool()->set_trace_sink(fingerprint);
   RunOptions run;
   run.txns = txns;
   auto result = tb.Run(run);
+  tb.db()->pool()->set_trace_sink(nullptr);
   Die(result.status(), "run");
   return std::move(result.value());
 }
@@ -62,32 +75,26 @@ int main() {
   printf("database: %llu pages\n\n",
          static_cast<unsigned long long>(golden->db_pages()));
 
-  // 1. Live YCSB under FaCE+GSC, recording the page-reference stream.
-  workload::TraceRecorder recorder;
-  const RunResult live =
-      Measure(*golden, ycsb, CachePolicy::kFaceGSC, 3000, &recorder);
-  auto trace =
-      std::make_shared<const workload::Trace>(recorder.TakeTrace());
-  printf("live ycsb-zipfian under FaCE+GSC: %7.0f tpm, hit rate %.1f%%\n",
-         live.Tpm(), live.cache_stats.HitRate() * 100);
-  printf("recorded trace: %llu txns, %llu page references (%.1f KB "
-         "encoded)\n\n",
-         static_cast<unsigned long long>(trace->txn_count()),
-         static_cast<unsigned long long>(trace->event_count()),
-         trace->Encode().size() / 1024.0);
-
-  // 2. Replay the identical stream under two policies.
-  auto replay = std::make_shared<workload::TraceReplayFactory>(trace);
-  for (const CachePolicy policy :
-       {CachePolicy::kFaceGSC, CachePolicy::kLc}) {
+  // The same live YCSB run under two policies.
+  const CachePolicy policies[] = {CachePolicy::kFaceGSC, CachePolicy::kLc};
+  Fingerprint fingerprints[2];
+  for (int i = 0; i < 2; ++i) {
     const RunResult r =
-        Measure(*golden, replay, policy, trace->txn_count());
-    printf("replay under %-8s: %7.0f tpm, hit rate %5.1f%%, flash seq-write "
-           "share %.1f%%\n",
-           CachePolicyName(policy), r.Tpm(), r.cache_stats.HitRate() * 100,
+        Measure(*golden, ycsb, policies[i], 3000, &fingerprints[i]);
+    printf("%-8s: %7.0f tpm, hit rate %5.1f%%, flash seq-write share "
+           "%5.1f%%; %llu page references, fingerprint %016llx\n",
+           CachePolicyName(policies[i]), r.Tpm(),
+           r.cache_stats.HitRate() * 100,
            r.flash_stats.write_reqs
                ? 100.0 * r.flash_stats.seq_write_reqs / r.flash_stats.write_reqs
-               : 0.0);
+               : 0.0,
+           static_cast<unsigned long long>(fingerprints[i].refs),
+           static_cast<unsigned long long>(fingerprints[i].hash));
+  }
+  if (fingerprints[0].refs != fingerprints[1].refs ||
+      fingerprints[0].hash != fingerprints[1].hash) {
+    fprintf(stderr, "the two policies saw different page references\n");
+    return 1;
   }
   printf("\nsame logical accesses, different physical behavior: that "
          "difference is\nexactly the policy's contribution.\n");

@@ -28,8 +28,9 @@ namespace face {
 class BufferPool;
 
 /// Observer of the logical page-reference stream above the buffer pool:
-/// every FetchPage (hit or miss) and every MarkDirty is reported. Used by
-/// the workload subsystem's trace recorder; null by default.
+/// every FetchPage (hit or miss) and every MarkDirty is reported. A test and
+/// examples/workload_plugins.cpp fingerprint the stream with it to show
+/// that every cache policy sees the same references; null by default.
 class PageTraceSink {
  public:
   virtual ~PageTraceSink() = default;
@@ -145,10 +146,9 @@ class BufferPool final : public DramPullSource {
   /// forced first. Frames stay resident.
   Status FlushUnprotectedFrames();
 
-  /// Attach/detach the page-reference tracer (null = off). The sink sees
+  /// Attach/detach the page-reference observer (null = off). The sink sees
   /// logical references (DRAM hits included), not device I/O.
   void set_trace_sink(PageTraceSink* sink) { trace_ = sink; }
-  PageTraceSink* trace_sink() const { return trace_; }
 
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats(); }

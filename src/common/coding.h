@@ -30,45 +30,6 @@ inline uint64_t DecodeFixed64(const char* src) {
   return v;
 }
 
-// --- varints (LEB128) for compact on-media streams (trace files) -------------
-
-/// Append `v` as a base-128 varint (1..10 bytes).
-inline void PutVarint64(std::string* dst, uint64_t v) {
-  char buf[10];
-  int n = 0;
-  while (v >= 0x80) {
-    buf[n++] = static_cast<char>(v | 0x80);
-    v >>= 7;
-  }
-  buf[n++] = static_cast<char>(v);
-  dst->append(buf, n);
-}
-
-/// Decode a varint at *p (bounded by limit). Returns the byte past the
-/// varint, or nullptr on truncation/overflow.
-inline const char* GetVarint64(const char* p, const char* limit, uint64_t* v) {
-  uint64_t result = 0;
-  for (uint32_t shift = 0; shift <= 63 && p < limit; shift += 7) {
-    const uint8_t byte = static_cast<uint8_t>(*p++);
-    // The 10th byte holds only bit 63: anything beyond overflows u64.
-    if (shift == 63 && (byte & 0x7e) != 0) return nullptr;
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return p;
-    }
-  }
-  return nullptr;
-}
-
-/// Map a signed delta onto an unsigned varint-friendly value (zigzag).
-inline uint64_t ZigzagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-inline int64_t ZigzagDecode(uint64_t v) {
-  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
 // --- Rid <-> index value codec (10 bytes on media) ---------------------------
 // The one encoding every secondary index uses to store heap Rids as values.
 

@@ -9,7 +9,7 @@
 namespace face {
 
 /// Fast deterministic PRNG (xorshift64*). Not cryptographic; reproducible
-/// across platforms, which matters for trace-replay determinism.
+/// across platforms, so a seed names one request stream everywhere.
 class Random {
  public:
   explicit Random(uint64_t seed) : state_(seed ? seed : 0x9e3779b97f4a7c15ull) {}

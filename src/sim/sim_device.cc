@@ -1,7 +1,6 @@
 #include "sim/sim_device.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "common/check.h"
@@ -9,10 +8,6 @@
 #include "obs/trace.h"
 
 namespace face {
-
-namespace {
-constexpr uint64_t kImageMagic = 0xFACED151C0DEull;
-}  // namespace
 
 SimDevice::SimDevice(std::string id, DeviceProfile profile,
                      uint64_t capacity_pages, IoScheduler* sched)
@@ -330,51 +325,6 @@ void SimDevice::Erase() {
   // header comment for why).
   for (auto& chunk : chunks_) chunk.reset();
   for (auto& ends : last_end_) ends = {UINT64_MAX, UINT64_MAX};
-}
-
-Status SimDevice::SaveContents(const std::string& path) const {
-  FILE* f = fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot create " + path);
-  const uint64_t n_chunks = chunks_.size();
-  bool ok = fwrite(&kImageMagic, 8, 1, f) == 1 &&
-            fwrite(&capacity_pages_, 8, 1, f) == 1 &&
-            fwrite(&n_chunks, 8, 1, f) == 1;
-  for (uint64_t i = 0; ok && i < n_chunks; ++i) {
-    const uint8_t present = chunks_[i] != nullptr ? 1 : 0;
-    ok = fwrite(&present, 1, 1, f) == 1;
-    if (ok && present) {
-      ok = fwrite(chunks_[i].get(), kChunkPages * kPageSize, 1, f) == 1;
-    }
-  }
-  ok = fclose(f) == 0 && ok;
-  return ok ? Status::OK() : Status::IOError("short write to " + path);
-}
-
-Status SimDevice::LoadContents(const std::string& path) {
-  FILE* f = fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  uint64_t magic = 0, capacity = 0, n_chunks = 0;
-  bool ok = fread(&magic, 8, 1, f) == 1 && fread(&capacity, 8, 1, f) == 1 &&
-            fread(&n_chunks, 8, 1, f) == 1 && magic == kImageMagic &&
-            capacity == capacity_pages_ && n_chunks == chunks_.size();
-  // Stage into a scratch chunk vector and swap only once the whole image
-  // has been read: a short or corrupt file must not leave the device
-  // half-loaded.
-  std::vector<std::unique_ptr<char[]>> loaded(chunks_.size());
-  for (uint64_t i = 0; ok && i < n_chunks; ++i) {
-    uint8_t present = 0;
-    ok = fread(&present, 1, 1, f) == 1;
-    if (ok && present != 0) {
-      loaded[i].reset(new char[kChunkPages * kPageSize]);
-      ok = fread(loaded[i].get(), kChunkPages * kPageSize, 1, f) == 1;
-    }
-  }
-  fclose(f);
-  if (!ok) return Status::Corruption("bad device image: " + path);
-  chunks_ = std::move(loaded);
-  // Fresh media contents restart the sequentiality history, as Erase does.
-  for (auto& ends : last_end_) ends = {UINT64_MAX, UINT64_MAX};
-  return Status::OK();
 }
 
 Status SimDevice::CloneContentsFrom(const SimDevice& src) {

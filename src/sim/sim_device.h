@@ -109,14 +109,6 @@ class SimDevice {
   /// the source's allocated extent.
   Status CloneContentsFrom(const SimDevice& src);
 
-  /// Serialize the device contents to a host file (sparse: only allocated
-  /// chunks are written). Benches cache the loaded TPC-C image this way.
-  Status SaveContents(const std::string& path) const;
-  /// Restore contents saved by SaveContents. Capacity must match. All or
-  /// nothing: a short or corrupt image leaves the device contents exactly
-  /// as they were.
-  Status LoadContents(const std::string& path);
-
   /// When false, requests move bytes but charge no time and no stats — used
   /// for initial bulk load, which the paper excludes from measurements.
   void set_timing_enabled(bool enabled) { timing_enabled_ = enabled; }

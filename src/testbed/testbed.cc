@@ -8,7 +8,6 @@
 #include "core/tac_cache.h"
 #include "obs/trace.h"
 #include "workload/tpcc_workload.h"
-#include "workload/trace.h"
 
 namespace face {
 
@@ -304,19 +303,10 @@ StatusOr<RunResult> Testbed::Run(const RunOptions& run) {
   RunResult result;
   if (run.collect_completions) result.completions.reserve(run.txns);
 
-  // Report page references to the attached tracer for the whole batch; the
-  // sink is detached again on every exit path.
-  if (tracer_ != nullptr) db_->pool()->set_trace_sink(tracer_);
-  struct SinkGuard {
-    BufferPool* pool;
-    ~SinkGuard() { pool->set_trace_sink(nullptr); }
-  } sink_guard{db_->pool()};
-
   const FaultTelemetry fault0 = Telemetry();
 
   const bool obs_on = obs::Enabled();
   for (uint64_t i = 0; i < run.txns; ++i) {
-    if (tracer_ != nullptr) tracer_->OnTxnStart();
     sched_.BeginTxn();
     const SimNanos t_begin = sched_.span_time();
     sched_.OnCpu(opts_.cpu_per_txn_ns);

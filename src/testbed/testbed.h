@@ -13,7 +13,7 @@
 //
 // The golden image is built once and cloned per configuration, because the
 // bulk load dominates wall time otherwise. The workload is pluggable: any
-// workload::WorkloadFactory (TPC-C, a YCSB mix, trace replay) both
+// workload::WorkloadFactory (TPC-C, a YCSB mix, your own driver) both
 // populates the golden image and drives the clones — TPC-C is just the
 // default. GoldenImage::BuildFor(factory) loads any of them.
 #pragma once
@@ -40,10 +40,6 @@
 #include "workload/workload.h"
 
 namespace face {
-
-namespace workload {
-class TraceRecorder;
-}  // namespace workload
 
 /// Which flash caching policy the testbed runs (Table 2 of the paper).
 enum class CachePolicy : uint8_t {
@@ -310,11 +306,6 @@ class Testbed {
   /// ("{}" / "") when obs is disabled or compiled out.
   std::string DumpStats(bool as_json = false) const;
 
-  /// Attach a trace recorder: Run() batches report every buffer-pool page
-  /// reference and transaction boundary to it (warmup batches included —
-  /// attach after Warmup for steady-state traces). Null detaches.
-  void set_tracer(workload::TraceRecorder* tracer) { tracer_ = tracer; }
-
  private:
   /// Create storage/log/cache/database. `after_crash` skips cache Format
   /// (RecoverAfterCrash will restore or reset it).
@@ -350,7 +341,6 @@ class Testbed {
   std::unique_ptr<Database> db_;
   std::unique_ptr<workload::Workload> workload_;
   Random client_rnd_;  ///< per-client request stream handed to NextTxn
-  workload::TraceRecorder* tracer_ = nullptr;
 
   /// Per-transaction-type latency histograms, indexed by the workload's
   /// type index ("testbed.txn_latency_ns.<type>"). Rebuilt on every

@@ -49,8 +49,8 @@ void KvTable::RowTo(std::string* out, uint64_t id, uint32_t value_bytes,
   // Deterministic payload bytes from (id, version) — replays reproduce the
   // exact on-media image without storing it anywhere. Eight letters per
   // generator draw: this runs once per row of every KV population and once
-  // per YCSB read (its live check), where a draw or a modulo per byte would
-  // dominate host time.
+  // per row a YCSB read or scan returns (its live check), where a draw or a
+  // modulo per byte would dominate host time.
   Random payload(id * 0x9e3779b97f4a7c15ull ^ version);
   char* p = out->data() + 8;
   uint32_t i = 0;

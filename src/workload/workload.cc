@@ -71,7 +71,7 @@ std::shared_ptr<const WorkloadFactory> WorkloadFactory::Partition(
     uint32_t shard, uint32_t num_shards) const {
   (void)shard;
   (void)num_shards;
-  return nullptr;  // not partitionable (trace replay and custom factories)
+  return nullptr;  // not partitionable (custom factories)
 }
 
 }  // namespace workload

@@ -17,10 +17,11 @@
 // restart.
 //
 // Concrete drivers: tpcc::Workload (the paper's workload, and the default;
-// tpcc/workload.h), YcsbWorkload (every key-value mix over one KV table:
+// tpcc/workload.h) and YcsbWorkload (every key-value mix over one KV table:
 // uniform/Zipfian/latest keys, read/update/insert/scan, the cache-polluting
-// long scans included), and TraceWorkload (deterministic replay of a
-// recorded page-access stream).
+// long scans included). A workload never reads virtual time, so one seed
+// gives every cache policy the same page references: comparing policies on
+// live runs compares them on the same accesses.
 #pragma once
 
 #include <cassert>
@@ -186,8 +187,9 @@ class WorkloadFactory {
   /// a key range for the KV workloads. Each shard is an independent engine
   /// instance with its own devices and log, so the slice is re-based at
   /// zero (shard-local keys [0, slice)). Returns null when the workload
-  /// cannot be partitioned (trace replay, or more shards than partitionable
-  /// units); one-shard callers should use the factory itself, unpartitioned.
+  /// cannot be partitioned (a custom factory, or more shards than
+  /// partitionable units); one-shard callers should use the factory itself,
+  /// unpartitioned.
   virtual std::shared_ptr<const WorkloadFactory> Partition(
       uint32_t shard, uint32_t num_shards) const;
 };

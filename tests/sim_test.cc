@@ -1,10 +1,7 @@
 // Unit tests: device cost model, simulated devices (sequentiality
-// detection, RAID striping, trim, clone, save/load), closed-loop scheduler.
+// detection, RAID striping, trim, clone), closed-loop scheduler.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <string>
 
 #include "sim/device_model.h"
@@ -165,27 +162,6 @@ TEST(SimDeviceTest, TrimReleasesOnlyWholeChunksOutsideKeep) {
   EXPECT_EQ(out, page) << "chunk 2 beyond trim point";
 }
 
-TEST(SimDeviceTest, SaveLoadRoundTrip) {
-  SimDevice a("a", DeviceProfile::Seagate15k(), 4096);
-  std::string page(kPageSize, 's');
-  FACE_ASSERT_OK(a.Write(7, page.data()));
-  FACE_ASSERT_OK(a.Write(3000, page.data()));
-  const std::string path = ::testing::TempDir() + "/face_dev_image.bin";
-  FACE_ASSERT_OK(a.SaveContents(path));
-
-  SimDevice b("b", DeviceProfile::Seagate15k(), 4096);
-  FACE_ASSERT_OK(b.LoadContents(path));
-  std::string out(kPageSize, '\0');
-  FACE_ASSERT_OK(b.Read(7, out.data()));
-  EXPECT_EQ(out, page);
-  FACE_ASSERT_OK(b.Read(3000, out.data()));
-  EXPECT_EQ(out, page);
-  // Capacity mismatch is rejected.
-  SimDevice c("c", DeviceProfile::Seagate15k(), 1024);
-  EXPECT_FALSE(c.LoadContents(path).ok());
-  remove(path.c_str());
-}
-
 TEST(SimDeviceTest, BatchIoCrossesChunkBoundaries) {
   // Lazy chunks are 1024 pages; batch requests must span them seamlessly
   // (the span-copy fast path works chunk by chunk).
@@ -258,37 +234,6 @@ TEST(SimDeviceTest, TrimRoundsInwardAtChunkBoundaries) {
   mid.TrimBefore(/*block=*/1400, /*keep_below=*/1);
   FACE_ASSERT_OK(mid.Read(1024, out.data()));
   EXPECT_EQ(out, page) << "chunk straddling the trim point survives whole";
-}
-
-TEST(SimDeviceTest, TruncatedImageLeavesDeviceUntouched) {
-  // Regression: LoadContents used to Erase() before reading, so a short
-  // image left the device half-loaded with no rollback.
-  SimDevice a("a", DeviceProfile::Seagate15k(), 4096);
-  std::string page(kPageSize, 'i');
-  FACE_ASSERT_OK(a.Write(5, page.data()));
-  FACE_ASSERT_OK(a.Write(2050, page.data()));
-  const std::string path = ::testing::TempDir() + "/face_trunc_image.bin";
-  FACE_ASSERT_OK(a.SaveContents(path));
-
-  // Truncate the file in the middle of the second chunk's payload.
-  FILE* f = fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  fseek(f, 0, SEEK_END);
-  const long full_size = ftell(f);
-  fclose(f);
-  ASSERT_EQ(truncate(path.c_str(), full_size - 1000), 0);
-
-  SimDevice b("b", DeviceProfile::Seagate15k(), 4096);
-  std::string prior(kPageSize, 'p');
-  FACE_ASSERT_OK(b.Write(7, prior.data()));
-  EXPECT_TRUE(b.LoadContents(path).IsCorruption());
-  std::string out(kPageSize, '\0');
-  FACE_ASSERT_OK(b.Read(7, out.data()));
-  EXPECT_EQ(out, prior) << "failed load must not disturb existing contents";
-  FACE_ASSERT_OK(b.Read(5, out.data()));
-  EXPECT_EQ(out, std::string(kPageSize, '\0'))
-      << "no partial image may leak in";
-  remove(path.c_str());
 }
 
 TEST(SchedulerTest, ClosedLoopAssignsEarliestFreeToken) {

@@ -1,7 +1,7 @@
 // Workload subsystem tests: distribution shapes, operation-mix ratios,
-// trace record -> replay round trips (format and determinism), crash
-// recovery under the KV workloads, and TPC-C driven through the generic
-// interface with behavior matching the historical hard-wired path.
+// YCSB's live checks, crash recovery under the KV workloads, TPC-C driven
+// through the generic interface with behavior matching the historical
+// hard-wired path, and one page-reference stream under every policy.
 #include "workload/workload.h"
 
 #include <gtest/gtest.h>
@@ -13,17 +13,12 @@
 #include "tests/test_util.h"
 #include "workload/kv_table.h"
 #include "workload/tpcc_workload.h"
-#include "workload/trace.h"
-#include "workload/trace_workload.h"
 #include "workload/ycsb_workload.h"
 
 namespace face {
 namespace {
 
 using workload::TpccFactory;
-using workload::Trace;
-using workload::TraceRecorder;
-using workload::TraceReplayFactory;
 using workload::YcsbFactory;
 using workload::YcsbOptions;
 using workload::YcsbWorkload;
@@ -346,112 +341,6 @@ TEST(YcsbWorkloadTest, NoClientRunsBeforeTheInDoubtWriteIsAudited) {
   EXPECT_TRUE(audit.ok()) << audit.ToString();
   EXPECT_NE(audit.pending_outcome, workload::PendingOutcome::kNone);
   FACE_EXPECT_OK(tb.Run(one).status());
-}
-
-// --- trace record / replay ---------------------------------------------------
-
-TEST(TraceTest, EncodeDecodeRoundTrip) {
-  Trace trace;
-  trace.BeginTxn();
-  trace.Append(10, false);
-  trace.Append(10, true);
-  trace.Append(99999, false);
-  trace.BeginTxn();  // empty transaction
-  trace.BeginTxn();
-  trace.Append(3, true);
-
-  const std::string data = trace.Encode();
-  FACE_ASSERT_OK_AND_ASSIGN(Trace back, Trace::Decode(data));
-  EXPECT_TRUE(back == trace);
-  EXPECT_EQ(back.txn_count(), 3u);
-  EXPECT_EQ(back.event_count(), 4u);
-  const auto [b0, e0] = back.TxnSpan(0);
-  EXPECT_EQ(e0 - b0, 3u);
-  const auto [b1, e1] = back.TxnSpan(1);
-  EXPECT_EQ(e1 - b1, 0u);
-}
-
-TEST(TraceTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(Trace::Decode("short").ok());
-  std::string bad(32, '\xAB');
-  EXPECT_FALSE(Trace::Decode(bad).ok());
-
-  // Valid magic/version but absurd counts: must reject, not allocate.
-  Trace small;
-  small.BeginTxn();
-  small.Append(1, false);
-  std::string forged = small.Encode();
-  EncodeFixed64(forged.data() + 16, ~uint64_t{0});
-  const auto huge = Trace::Decode(forged);
-  EXPECT_FALSE(huge.ok());
-  EXPECT_TRUE(huge.status().IsCorruption()) << huge.status().ToString();
-}
-
-TEST(TraceTest, FileRoundTrip) {
-  Trace trace;
-  Random rnd(5);
-  PageId page = 500;
-  for (int t = 0; t < 50; ++t) {
-    trace.BeginTxn();
-    for (int e = 0; e < 8; ++e) {
-      page = (page + rnd.Uniform(64)) % 4096;
-      trace.Append(page, rnd.PercentTrue(30));
-    }
-  }
-  const std::string path = ::testing::TempDir() + "/face_trace_test.bin";
-  FACE_ASSERT_OK(trace.SaveTo(path));
-  FACE_ASSERT_OK_AND_ASSIGN(Trace back, Trace::LoadFrom(path));
-  EXPECT_TRUE(back == trace);
-}
-
-TEST(TraceTest, RecordThenReplayIsDeterministic) {
-  const GoldenImage& golden =
-      YcsbGolden(YcsbOptions::Distribution::kZipfian);
-
-  // Record the page-reference stream of a live YCSB run. The tiny DRAM
-  // pool forces evictions, so the flash tier sees admissions at replay.
-  TraceRecorder recorder;
-  {
-    TestbedOptions record_opts = SmallOptions(golden, CachePolicy::kNone);
-    record_opts.buffer_frames = 64;
-    Testbed tb(record_opts, &golden);
-    FACE_ASSERT_OK(tb.Start());
-    tb.set_tracer(&recorder);
-    RunOptions run;
-    run.txns = 250;
-    FACE_ASSERT_OK(tb.Run(run).status());
-  }
-  auto trace = std::make_shared<const Trace>(recorder.TakeTrace());
-  ASSERT_EQ(trace->txn_count(), 250u);
-  ASSERT_GT(trace->event_count(), 250u);
-
-  // Replay it twice on fresh clones: device request counts must be
-  // identical run to run (the acceptance bar for deterministic replay).
-  auto replay_once = [&](CachePolicy policy) {
-    TestbedOptions opts = SmallOptions(golden, policy);
-    opts.buffer_frames = 64;
-    opts.workload = std::make_shared<TraceReplayFactory>(trace);
-    Testbed tb(opts, &golden);
-    EXPECT_TRUE(tb.Start().ok());
-    RunOptions run;
-    run.txns = trace->txn_count();
-    auto result = tb.Run(run);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return std::make_pair(result->db_stats.total_reqs(),
-                          result->flash_stats.total_reqs());
-  };
-
-  const auto first = replay_once(CachePolicy::kNone);
-  const auto second = replay_once(CachePolicy::kNone);
-  EXPECT_GT(first.first, 0u);
-  EXPECT_EQ(first, second);
-
-  // And the same trace drives a flash-cache policy (different physical
-  // behavior, same logical stream) — again deterministically.
-  const auto face1 = replay_once(CachePolicy::kFaceGSC);
-  const auto face2 = replay_once(CachePolicy::kFaceGSC);
-  EXPECT_EQ(face1, face2);
-  EXPECT_GT(face1.second, 0u);  // the flash tier actually saw traffic
 }
 
 // --- TPC-C through the generic interface -------------------------------------
