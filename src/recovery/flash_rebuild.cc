@@ -1,5 +1,7 @@
 #include "recovery/flash_rebuild.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recovery/redo.h"
@@ -26,10 +28,12 @@ StatusOr<FlashRebuildReport> FlashRebuild::Rebuild(
   }
   report.floor = floor;
 
-  // `lost` is sorted by page id, so `ids` is too: the redo filter.
+  // The redo filter is binary-searched, so sort it: a scrub reports its
+  // lost pages in queue order, not page order.
   std::vector<PageId> ids;
   ids.reserve(lost.size());
   for (const FlashOnlyPage& p : lost) ids.push_back(p.page_id);
+  std::sort(ids.begin(), ids.end());
   RedoStats redo;
   LogReader reader(log_->device());
   FACE_RETURN_IF_ERROR(RedoWithReadAhead(&reader, pool_, storage_, sched_,

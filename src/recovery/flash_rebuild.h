@@ -55,11 +55,11 @@ class FlashRebuild {
                IoScheduler* sched = nullptr)
       : log_(log), pool_(pool), storage_(storage), sched_(sched) {}
 
-  /// Reconstruct `lost` (sorted by page id, as CollectFlashOnlyDirty
-  /// emits it) from the WAL and write the results to disk. Entries whose
-  /// redo_lsn is kInvalidLsn scan from `fallback_floor` (the restored
-  /// control block's rebuild_floor, or the last checkpoint); if that is
-  /// also invalid, from the start of the log.
+  /// Reconstruct `lost` (in any order: a degrade collects it in page
+  /// order, a scrub in queue order) from the WAL and write the results to
+  /// disk. Entries whose redo_lsn is kInvalidLsn scan from
+  /// `fallback_floor` (the restored control block's rebuild_floor, or the
+  /// last checkpoint); if that is also invalid, from the start of the log.
   StatusOr<FlashRebuildReport> Rebuild(const std::vector<FlashOnlyPage>& lost,
                                        Lsn fallback_floor);
 
