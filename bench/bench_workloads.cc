@@ -243,7 +243,7 @@ void RunFaultSection(const BenchFlags& flags, const GoldenImage& golden,
   PrintTable("policy", {"tpm", "deg", "dtpm", "retries", "scrubRep"}, rows);
 }
 
-/// Trace-mode showcase: a crash + ARIES restart on the Zipfian/FaCE+GSC
+/// Chrome-trace showcase: a crash + ARIES restart on the Zipfian/FaCE+GSC
 /// cell, so the emitted Chrome trace carries every recovery phase span
 /// (attach / meta_restore / analysis / redo / undo / checkpoint) alongside
 /// the steady-state matrix. Only runs when --trace is set — the matrix

@@ -740,7 +740,7 @@ Status BPlusTree::CheckNode(PageId page_id, std::string_view lo,
 
   if (v.leaf()) {
     if (walk->past_first_leaf && walk->next_leaf != page_id) {
-      return Status::Corruption("btree leaf chain skips a leaf");
+      return Status::Corruption("btree leaf chain out of order");
     }
     walk->past_first_leaf = true;
     walk->next_leaf = v.next_or_leftmost();

@@ -16,8 +16,9 @@
 // its page filter, so the crash path and the degrade path cannot drift
 // apart.
 //
-// Caller contract (see Testbed::DegradeToDiskOnly): the cache must already
-// be degraded (page fetches go to disk, admissions are off), the WAL must
+// Caller contract (see Testbed::DegradeToDiskOnly and Testbed::ScrubPass):
+// the cache must no longer serve a lost page (it is degraded, so page
+// fetches go to disk, or the scrub dropped the pages' frames), the WAL must
 // not have been truncated above the floor (the checkpointer holds it down
 // via CacheExtension::FlashRedoFloor), and stranded-transaction rollback
 // must run AFTER the rebuild — rollback applies before-images to the page
