@@ -191,22 +191,24 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
         FaultInjector::GarbleBlocks(tb.flash_dev(), 0, 1, '\0'));
   }
 
-  // Crash during recovery: a fraction of seeds re-arm the injector before
-  // restart, so power fails again while redo/undo/checkpoint I/O is in
-  // flight — the next attempt must recover from the torn remains of the
-  // previous one (idempotent redo, CLRs bounding re-undo). Untargeted
-  // countdown: recovery's write stream is log + data, not flash-heavy.
-  bool rearm = explicit_crash ? restart_write != 0
-                              : opts_.double_fault_pct > 0 &&
-                                    rnd.PercentTrue(opts_.double_fault_pct);
+  // Crash during recovery: a named restart crash point, or a fraction of
+  // the random storms, re-arm the injector before restart, so power fails
+  // again while redo/undo/checkpoint I/O is in flight — the next attempt
+  // must recover from the torn remains of the previous one (idempotent
+  // redo, CLRs bounding re-undo). Untargeted countdown: recovery's write
+  // stream is log + data, not flash-heavy.
+  bool rearm = restart_write != 0 ||
+               (!explicit_crash && opts_.double_fault_pct > 0 &&
+                rnd.PercentTrue(opts_.double_fault_pct));
   if (rearm) inj.TargetDevice("");
   for (uint32_t attempt = 0;; ++attempt) {
     if (rearm) {
-      // Recovery's write stream shrank when the restart checkpoint started
-      // absorbing pages as packed delta records instead of full flash
-      // frames; a 24-write window still lands inside redo/undo/checkpoint
-      // I/O for most seeds.
-      inj.ArmAfterWrites(explicit_crash ? restart_write : 1 + rnd.Uniform(24),
+      // A random storm's window of 24 writes trips only the restarts that
+      // write at least as many pages as it draws; a caller that needs
+      // every restart cut names the point (CrashStormTest.
+      // CrashDuringRecovery draws it from the uncut restart's count).
+      inj.ArmAfterWrites(restart_write != 0 ? restart_write
+                                            : 1 + rnd.Uniform(24),
                          seed ^ (0xD0B1EFA0u + attempt));
     }
     const uint64_t writes_before = inj.writes_observed();

@@ -83,9 +83,10 @@ struct CrashStormOptions {
   uint64_t body_ops = 350;       ///< armed window the crash point lands in
   uint64_t post_ops = 60;        ///< post-recovery survivability run
   Sabotage sabotage = Sabotage::kNone;
-  /// Percent of storms that keep the injector armed *through* recovery, so
-  /// power fails again while redo/undo is writing — the restart after that
-  /// starts from the torn remains of the first restart. 0 disables.
+  /// Percent of random storms that keep the injector armed *through*
+  /// recovery, so power fails again while redo/undo is writing — the
+  /// restart after that starts from the torn remains of the first restart.
+  /// 0 disables. A named restart crash point (RunStorm) overrides it.
   uint32_t double_fault_pct = 30;
 };
 
@@ -119,9 +120,11 @@ class CrashStormHarness {
   /// injector did not cause, recovery erroring out); data divergences are
   /// reported in the result, not as errors. `crash_write` 0 picks a
   /// seeded-random crash point; k > 0 crashes at the k-th page write of
-  /// one checkpoint interval (see file comment), and then `restart_write`
-  /// r > 0 crashes the restart at its r-th page write (0: no crash during
-  /// recovery).
+  /// one checkpoint interval (see file comment). After either kind of
+  /// crash, `restart_write` r > 0 crashes the restart at its r-th page
+  /// write. 0 leaves that to the seed: no crash during recovery after a
+  /// named crash point, `double_fault_pct` of the storms after a random
+  /// one.
   StatusOr<CrashStormResult> RunStorm(uint64_t seed, uint64_t crash_write = 0,
                                       uint64_t restart_write = 0);
 

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/flash_layout.h"
 #include "core/tac_cache.h"
 #include "testbed/crash_storm.h"
@@ -130,23 +131,36 @@ TEST(CrashStormTest, TpccTac) { RunTpccStorms(CachePolicy::kTac); }
 TEST(CrashStormTest, TpccExadata) { RunTpccStorms(CachePolicy::kExadata); }
 
 TEST(CrashStormTest, CrashDuringRecovery) {
-  // Every seed keeps the injector armed through restart: power fails again
-  // while redo/undo is writing, and the next recovery starts from the torn
-  // remains of the first. Deterministic per seed; the campaign must
-  // actually double-fault, and every final recovery must check clean.
+  // Every seed cuts its restart: power fails again while redo, undo or the
+  // restart checkpoint is writing, and the next recovery starts from the
+  // torn remains of the first. The cut is drawn from the uncut restart's
+  // own page writes, as the sweeps draw theirs, so every seed double-faults
+  // and the last write (the control block) stays reachable. Deterministic
+  // per seed; every final recovery must check clean.
   CrashStormOptions opts;
   opts.policy = CachePolicy::kFace;
-  opts.double_fault_pct = 100;
   CrashStormHarness harness(opts);
 
   const uint64_t seeds = std::max<uint64_t>(8, StormSeeds() / 2);
   const uint64_t base = BaseSeed();
   uint64_t double_faulted = 0;
   for (uint64_t seed = base; seed < base + seeds; ++seed) {
-    auto result = harness.RunStorm(seed);
-    ASSERT_TRUE(result.ok()) << "seed " << seed << ": "
-                             << result.status().ToString();
-    EXPECT_TRUE(result->audit.ok()) << "seed " << seed << "\n"
+    // A restart crash point past the restart never trips: this run counts
+    // the restart's page writes.
+    auto uncut = harness.RunStorm(seed, 0, UINT64_MAX);
+    ASSERT_TRUE(uncut.ok()) << "seed " << seed << ": "
+                            << uncut.status().ToString();
+    ASSERT_FALSE(uncut->double_faulted) << "seed " << seed;
+    EXPECT_TRUE(uncut->audit.ok()) << "seed " << seed << "\n"
+                                   << uncut->ToString();
+    ASSERT_GT(uncut->restart_writes, 0u) << "seed " << seed;
+    const uint64_t cut = 1 + Random(seed).Uniform(uncut->restart_writes);
+
+    auto result = harness.RunStorm(seed, 0, cut);
+    ASSERT_TRUE(result.ok()) << "seed " << seed << ", restart crash at write "
+                             << cut << ": " << result.status().ToString();
+    EXPECT_TRUE(result->audit.ok()) << "seed " << seed << ", restart crash at "
+                                    << "write " << cut << "\n"
                                     << result->ToString();
     if (result->double_faulted) ++double_faulted;
     // Every restart replays through the read-ahead routine: a cold pool
@@ -156,10 +170,8 @@ TEST(CrashStormTest, CrashDuringRecovery) {
       EXPECT_GT(result->restart.readahead_batches, 0u) << result->ToString();
     }
   }
-  // Recovery always writes (CLRs, the final checkpoint), so a countdown of
-  // at most 64 writes should trip for most seeds.
-  EXPECT_GE(double_faulted, seeds / 2)
-      << "too few recoveries were themselves cut down";
+  EXPECT_EQ(double_faulted, seeds)
+      << "a restart crash point inside the restart never tripped";
   std::cout << "[ double fault ] " << double_faulted << "/" << seeds
             << " storms crashed during recovery\n";
 }
