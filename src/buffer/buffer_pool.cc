@@ -415,7 +415,10 @@ std::vector<DptEntry> BufferPool::CollectDirtyPages() const {
 
 StatusOr<WriteBackStats> BufferPool::SyncDirtyPagesForCheckpoint(
     IoScheduler* lanes) {
-  FACE_RETURN_IF_ERROR(log_->FlushAll());
+  // WAL before data: the cache runs the force before it writes any offer,
+  // and the disk pass below follows it.
+  const IoLead force{[this] { return log_->FlushAll(); },
+                     lanes != nullptr ? lanes->span_time() : 0};
   std::vector<CheckpointOffer> offers;
   for (PageId page_id : SnapshotResidentPages()) {
     Frame& f = frames_[*table_.Find(page_id)];
@@ -427,8 +430,10 @@ StatusOr<WriteBackStats> BufferPool::SyncDirtyPagesForCheckpoint(
   // Absorb pass. Nothing in it pulls frames from the pool, so the offers'
   // page pointers stay valid until the frames are updated below.
   WriteBackStats out;
-  if (!cache_->degraded()) {
-    FACE_RETURN_IF_ERROR(cache_->CheckpointPages(&offers, lanes, &out));
+  if (cache_->degraded()) {
+    FACE_RETURN_IF_ERROR(force.run());
+  } else {
+    FACE_RETURN_IF_ERROR(cache_->CheckpointPages(&offers, force, lanes, &out));
   }
   // Disk pass: what the cache did not absorb, one lane per page.
   const uint64_t to_disk = static_cast<uint64_t>(

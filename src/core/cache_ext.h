@@ -229,18 +229,23 @@ class CacheExtension {
 
   /// Offer a checkpoint's dirty set to the cache. A policy sets `absorbed`
   /// on each offer it holds persistently (FaCE enqueues to flash); the
-  /// caller writes every other offer to disk. The default absorbs nothing.
-  /// Without a scheduler (every runtime checkpoint) a policy absorbs the
-  /// offers one after another, in order. With the recovery scheduler
-  /// (restart's checkpoints, inside its open span) a policy may issue the
-  /// independent writes its admissions trigger as lane batches
-  /// (ScopedIoBatch), adding them to `stats`.
+  /// caller writes every other offer to disk once this returns. `force`
+  /// forces the log: a policy runs it once, before it writes any offered
+  /// page (WAL before data). The default runs the force and absorbs
+  /// nothing. Without a scheduler (every runtime checkpoint) a policy runs
+  /// the force, then absorbs the offers one after another, in order. With
+  /// the recovery scheduler (restart's checkpoints, inside its open span) a
+  /// policy may issue the independent writes its admissions trigger as lane
+  /// batches (ScopedIoBatch), adding them to `stats`, and may run the force
+  /// as the first lane of one, beside writes that need no force
+  /// (sim/scheduler.h).
   virtual Status CheckpointPages(std::vector<CheckpointOffer>* offers,
-                                 IoScheduler* lanes, WriteBackStats* stats) {
+                                 const IoLead& force, IoScheduler* lanes,
+                                 WriteBackStats* stats) {
     (void)offers;
     (void)lanes;
     (void)stats;
-    return Status::OK();
+    return force.run();
   }
 
   /// Called after all dirty pages are synced, before CHECKPOINT_END.

@@ -593,8 +593,10 @@ Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
 }
 
 Status FaceCache::CheckpointPages(std::vector<CheckpointOffer>* offers,
-                                  IoScheduler* lanes, WriteBackStats* stats) {
-  if (lanes != nullptr) return AbsorbBatch(offers, lanes, stats);
+                                  const IoLead& force, IoScheduler* lanes,
+                                  WriteBackStats* stats) {
+  if (lanes != nullptr) return AbsorbBatch(offers, force, lanes, stats);
+  FACE_RETURN_IF_ERROR(force.run());
   for (CheckpointOffer& o : *offers) FACE_RETURN_IF_ERROR(AbsorbOne(&o));
   return Status::OK();
 }
@@ -621,7 +623,8 @@ Status FaceCache::EnqueueOffer(CheckpointOffer* o) {
 }
 
 Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
-                              IoScheduler* lanes, WriteBackStats* stats) {
+                              const IoLead& force, IoScheduler* lanes,
+                              WriteBackStats* stats) {
   // 1. Plan. An offer whose chain takes its refresh gets a delta record,
   //    every other one a full frame. The ring names the live chains the
   //    planned appends would displace: an offered page among them takes a
@@ -679,7 +682,10 @@ Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
 
   // 2-3. Make the room in one lane batch, then write after it closed. A set
   //      larger than the queue takes more rounds, each sweeping frames the
-  //      round before wrote.
+  //      round before wrote. The log force leads the first round's batch:
+  //      the destages need no force, the frames written after it do
+  //      (sim/scheduler.h).
+  const IoLead* lead = &force;
   uint64_t need = full.size() + tips.size();  // frames still to write
   uint64_t deltas_left = delta.size();         // planned deltas still planned
   size_t written = 0;                          // full frames written
@@ -718,7 +724,9 @@ Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
       n = end;
     }
 
-    // The batch: each tip-image read, survivor read and destage is a lane.
+    // The batch: the force (first round only), then each tip-image read,
+    // survivor read and destage is a lane. A round without a batch runs
+    // the force on the span's clock.
     // A tip image gets its new frame even when the sweep also destages its
     // old one: the frame must be on flash before the appends reuse its
     // chain's slot. Never read frames whose bytes are still staged.
@@ -738,6 +746,10 @@ Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
       IoScheduler* sched = lanes_used > 0 ? lanes : nullptr;
       obs::ScopedSpan span("recovery", "writeback", sched != nullptr);
       ScopedIoBatch batch(sched);
+      if (lead != nullptr) {
+        FACE_RETURN_IF_ERROR(batch.RunLead(*lead));
+        lead = nullptr;
+      }
       for (size_t i = 0; i < tip_entries.size(); ++i) {
         batch.NextLane();
         const PageId pid = tip_entries[i].page_id;

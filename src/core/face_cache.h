@@ -106,16 +106,18 @@ class FaceCache final : public CacheExtension {
   StatusOr<FlashReadResult> ReadPage(PageId page_id, char* out) override;
   Status OnDramEvict(PageId page_id, char* page, bool dirty, bool fdirty,
                      Lsn rec_lsn, DeltaWriteHint* hint = nullptr) override;
-  /// Without a scheduler (runtime checkpoints): one page after another, a
-  /// delta record or room and a full frame each, as an eviction would.
-  /// With one (restart's checkpoints), for every flavor, in three steps
-  /// (AbsorbBatch): plan which offers take a delta record, and add the
-  /// live chains those appends would displace to the full-frame set;
-  /// make all the room that set needs in one lane batch, each destage its
-  /// own lane; after the batch closed, write the survivors, the reclaimed
-  /// tip images and the new full frames, then append the delta records.
+  /// Without a scheduler (runtime checkpoints): the log force, then one
+  /// page after another, a delta record or room and a full frame each, as
+  /// an eviction would. With one (restart's checkpoints), for every flavor,
+  /// in three steps (AbsorbBatch): plan which offers take a delta record,
+  /// and add the live chains those appends would displace to the
+  /// full-frame set; make all the room that set needs in one lane batch,
+  /// the log force its first lane and each destage its own; after the
+  /// batch closed, write the survivors, the reclaimed tip images and the
+  /// new full frames, then append the delta records.
   Status CheckpointPages(std::vector<CheckpointOffer>* offers,
-                         IoScheduler* lanes, WriteBackStats* stats) override;
+                         const IoLead& force, IoScheduler* lanes,
+                         WriteBackStats* stats) override;
   Status OnCheckpoint() override;
   /// The disk copy is current: drop the cached copy and persist the drop.
   void OnPageWrittenToDisk(PageId page_id) override;
@@ -219,8 +221,8 @@ class FaceCache final : public CacheExtension {
   /// `o`'s image as a new dirty full frame (the queue must have room).
   Status EnqueueOffer(CheckpointOffer* o);
   /// The restart checkpoint's absorption; see CheckpointPages.
-  Status AbsorbBatch(std::vector<CheckpointOffer>* offers, IoScheduler* lanes,
-                     WriteBackStats* stats);
+  Status AbsorbBatch(std::vector<CheckpointOffer>* offers, const IoLead& force,
+                     IoScheduler* lanes, WriteBackStats* stats);
   /// Algorithm 1 with the §3.2 ablations, for a page leaving DRAM (evicted
   /// or pulled). True when it had to make room in a full queue.
   StatusOr<bool> Admit(PageId page_id, char* page, bool dirty, bool fdirty,

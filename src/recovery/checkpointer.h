@@ -22,10 +22,12 @@
 //   - FaCE, every flavor, absorbs the dirty set at once. It first plans all
 //     the room it needs: the full frames, and the tip images of the delta
 //     chains its delta appends would displace from the ring. Then one
-//     batch makes that room, each destage of a front frame (and each read
-//     of a survivor or tip image) its own lane. So no restart checkpoint
-//     destages a frame outside a lane (Stats::serial_destages stays 0);
-//   - the pages no cache absorbs go to disk one lane each.
+//     batch makes that room. The sync's log force is its first lane (a
+//     destage needs no force; sim/scheduler.h), and each destage of a
+//     front frame (and each read of a survivor or tip image) its own. So
+//     no restart checkpoint destages a frame outside a lane
+//     (Stats::serial_destages stays 0);
+//   - the pages no cache absorbs go to disk one lane each, after the force.
 // Closing a batch is the barrier: FaCE's frame writes and delta appends,
 // CHECKPOINT_END's force and the control-block write all start after the
 // last lane ended. Nobody else runs during restart. Runtime checkpoints

@@ -51,16 +51,16 @@ class ReadAheadBatch {
  public:
   explicit ReadAheadBatch(IoScheduler* sched) : sched_(sched) {}
 
-  /// Start the next lane at the batch start, or at `start`
-  /// (IoScheduler::NextLaneAt), opening the batch and its span at the
+  /// Start the next lane at the batch start, or run `lead` as the next
+  /// lane (ScopedIoBatch::RunLead), opening the batch and its span at the
   /// first.
   void NextLane() {
     Open();
     batch_->NextLane();
   }
-  void NextLaneAt(SimNanos start) {
+  Status RunLead(const IoLead& lead) {
     Open();
-    batch_->NextLaneAt(start);
+    return batch_->RunLead(lead);
   }
 
   void Close() {
@@ -85,7 +85,7 @@ class ReadAheadBatch {
 Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
                          DbStorage* storage, IoScheduler* sched, Lsn from,
                          const std::vector<PageId>* targets,
-                         const RedoLead* lead, RedoStats* stats) {
+                         const IoLead* lead, RedoStats* stats) {
   const size_t window_pages = std::max<size_t>(1, pool->capacity() / 2);
   const CacheExtension* cache = pool->cache();
   FACE_RETURN_IF_ERROR(reader->Seek(from));
@@ -101,8 +101,7 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
     if (lead != nullptr) {
       // The lead takes the first lane; the window below is decoded after it
       // (see file comment).
-      batch.NextLaneAt(lead->start);
-      FACE_RETURN_IF_ERROR(lead->run());
+      FACE_RETURN_IF_ERROR(batch.RunLead(*lead));
       lead = nullptr;
     }
     while (fetch.size() < window_pages) {

@@ -26,24 +26,16 @@
 //
 // The lead lane. Restart hands redo the rest of the cache's restore
 // (CacheExtension::FinishRecovery; FaCE reads its delta ring and
-// re-attaches the chains). It runs as the first lane of the first window's
-// batch, and that window is decoded after it in host order, so every skip
-// and fetch decision is the one a restore before redo would give: only the
-// virtual timeline moves. The lane starts where the metadata restore's lane
-// ended (IoScheduler::NextLaneAt), so the ring read follows the directory
-// restore onto the flash station, beside the attach scan, and every flash
-// fetch queues behind it, while the disk fetches start on the spindles at
-// the batch start. The batch keeps one rule: only requests that queue
-// behind the lead's reads on the flash station may depend on what those
-// reads restore. Which disk pages a window reads never depends on a chain
-// (a page with a chain is in the cache's directory, and redo fetches it
-// from flash). Only the window's length, a pool-memory bound, counts the
-// flash fetches the chains leave, so when a restart needs more than one
-// window the chains can decide which window a disk fetch joins.
+// re-attaches the chains) as an IoLead, the first lane of the first
+// window's batch (sim/scheduler.h states the rule for leads). The window is
+// decoded after it in host order, so every skip and fetch decision is the
+// one a restore before redo would give: only the virtual timeline moves.
+// Flash fetches queue behind the ring read, and which disk pages a window
+// reads never depends on a chain (a page with a chain is in the cache's
+// directory, and redo fetches it from flash).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -67,14 +59,6 @@ struct RedoStats {
   uint64_t readahead_pages = 0;    ///< pages fetched through read-ahead
 };
 
-/// Work redo runs as the first lane of its first read-ahead batch (see
-/// file comment).
-struct RedoLead {
-  std::function<Status()> run;
-  /// The lane's clock, at or before redo's start: when the span issued it.
-  SimNanos start = 0;
-};
-
 /// Replay every update/CLR record from `from` to the end of the durable log,
 /// decoded through `reader` (restart passes the reader its attach scan
 /// filled, so the range is not read again). `targets`, if non-null, is a
@@ -87,6 +71,6 @@ struct RedoLead {
 Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
                          DbStorage* storage, IoScheduler* sched, Lsn from,
                          const std::vector<PageId>* targets,
-                         const RedoLead* lead, RedoStats* stats);
+                         const IoLead* lead, RedoStats* stats);
 
 }  // namespace face

@@ -181,7 +181,7 @@ Status RestartManager::RunPhases(RestartReport* report) {
     // overlaps the attach scan and the batch's disk fetches
     // (recovery/redo.h). A degraded cache has nothing to finish, and its
     // redo may read log the attach scan did not.
-    const RedoLead lead{[&] { return FinishCacheRecovery(ctrl); }, meta_end};
+    const IoLead lead{[&] { return FinishCacheRecovery(ctrl); }, meta_end};
     RedoStats redo;
     FACE_RETURN_IF_ERROR(RedoWithReadAhead(&reader_, pool_, storage_, sched_,
                                            redo_lsn, nullptr,

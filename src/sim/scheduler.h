@@ -17,13 +17,22 @@
 //   - lanes still queue FCFS on each station, in the order they are issued;
 //   - CPU / retry backoff (OnCpu) delays only the lane that incurs it;
 //   - the span resumes when the last lane ends (EndBatch);
-//   - a lane may start before the batch (NextLaneAt): requests the span
-//     issued at an earlier clock that the host runs only now, such as
-//     FaCE's delta-ring read, issued once the metadata restore's lane ended
-//     and run in redo's first batch (recovery/redo.h). Each station still
-//     queues them behind every request issued before them, so they overlap
-//     nothing, and the batch waits for them. The caller vouches that they
-//     depend on nothing the span did after their start.
+//   - a lead (IoLead) may start before the batch (NextLaneAt): work the
+//     span issued at an earlier clock that the host runs only now, as the
+//     batch's first lane. Each station still queues it behind every request
+//     issued before it, and the batch waits for it. The caller vouches that
+//     it depends on nothing the span did after its start.
+// There are two leads, both at restart:
+//   - FaCE's delta-ring read, issued once the metadata restore's lane ended
+//     and run in redo's first read-ahead batch (recovery/redo.h);
+//   - the restart checkpoint's log force, issued when its sync began and
+//     run in FaCE's first room-making batch (FaceCache::AbsorbBatch), so it
+//     overlaps the destages. The causality rule that allows it: every frame
+//     already on flash had its records forced when it reached flash — on
+//     leaving DRAM (BufferPool::EvictFrame, PullVictim) or by the force of
+//     the checkpoint that absorbed it — so a destage needs no force. Only
+//     the offered pages' frames and delta appends wait for the force, and
+//     they are written after the batch closed.
 // Inside a lane span_time() is the lane's clock, so latency measured across
 // a lane's requests (e.g. buffer.miss_fetch_ns) is that lane's latency.
 // There is no backfill: a request queues behind every request issued before
@@ -31,9 +40,10 @@
 // that returns to a station after a long wait elsewhere (flash read → disk
 // write → flash write) would hold back every later lane's request there, so
 // such writes belong after the batch. FaCE's restart checkpoint therefore
-// plans all its room first, and its one batch holds only the frame reads
-// and destages that make it; the survivors, tip images, new frames and
-// delta-ring appends are written once the batch closed.
+// plans all its room first, and its one batch holds only the log force and
+// the frame reads and destages that make the room; the survivors, tip
+// images, new frames and delta-ring appends are written once the batch
+// closed.
 // Batches do not nest and exist only inside an open span; foreground
 // transactions and runtime checkpoints never open one.
 //
@@ -55,8 +65,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 
 namespace face {
@@ -154,6 +166,14 @@ class IoScheduler {
   SimNanos batch_end_ = 0;    ///< latest lane end so far
 };
 
+/// Work a lane batch runs as its first lane, from the clock it was issued
+/// at (see file comment). Without a batch it runs on the span's clock.
+struct IoLead {
+  std::function<Status()> run;
+  /// The lane's clock, at or before the batch start.
+  SimNanos start = 0;
+};
+
 /// RAII lane batch: opens on construction, closes on every exit path — an
 /// error unwinding out of a lane must never leave the scheduler batched.
 /// A null scheduler makes every call a no-op.
@@ -171,8 +191,10 @@ class ScopedIoBatch {
   void NextLane() {
     if (sched_ != nullptr) sched_->NextLane();
   }
-  void NextLaneAt(SimNanos start) {
-    if (sched_ != nullptr) sched_->NextLaneAt(start);
+  /// Run `lead` as the next lane, from its own clock.
+  Status RunLead(const IoLead& lead) {
+    if (sched_ != nullptr) sched_->NextLaneAt(lead.start);
+    return lead.run();
   }
 
  private:

@@ -343,7 +343,13 @@ TEST_F(FaceCacheTest, CheckpointPagesAbsorbsIntoFlash) {
   const uint64_t disk0 = cache_->stats().disk_writes;
   std::vector<CheckpointOffer> offers = {
       CheckpointOffer{9, page.data(), 77, DeltaWriteHint{}, false}};
-  FACE_ASSERT_OK(cache_->CheckpointPages(&offers, nullptr, nullptr));
+  bool forced = false;
+  const IoLead force{[&forced] {
+    forced = true;
+    return Status::OK();
+  }};
+  FACE_ASSERT_OK(cache_->CheckpointPages(&offers, force, nullptr, nullptr));
+  EXPECT_TRUE(forced);
   EXPECT_TRUE(offers[0].absorbed);
   EXPECT_NE(offers[0].hint.new_version, kNoFlashVersion);
   EXPECT_EQ(cache_->stats().disk_writes, disk0);

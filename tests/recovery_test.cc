@@ -11,6 +11,7 @@
 #include <string>
 
 #include "fault/fault_injector.h"
+#include "obs/trace.h"
 #include "recovery/redo.h"
 #include "recovery/restart.h"
 #include "testbed/crash_storm.h"
@@ -684,11 +685,13 @@ TEST_F(WriteBackTest, FaceDestagesOfTheRestartCheckpointOverlap) {
 }
 
 TEST_F(WriteBackTest, FaceFrameAndLogWritesWaitForEveryDestage) {
-  // Ordering, checked with power cuts. The restart's first flash write is
-  // a new frame: by then all 64 destages must have reached the disk and
-  // their batch must be closed, so the frame write starts after the last
-  // destage lane ended. The same holds for the last two log writes,
-  // CHECKPOINT_END's force and the control block.
+  // Ordering, checked with power cuts. The restart checkpoint's log force
+  // is the first lane of FaCE's destage batch, ahead of every destage in
+  // host order: a cut there leaves no destage and no flash frame written.
+  // The restart's first flash write is a new frame: by then all 64
+  // destages must have reached the disk and their batch must be closed, so
+  // the frame write starts after the last destage lane ended. The same
+  // holds for every later log write, the control block's among them.
   InitFace(/*buffer_frames=*/1024, /*flash_frames=*/64);
   PrepareDirtyFlashQueue();
   FaultInjector counter;
@@ -702,11 +705,13 @@ TEST_F(WriteBackTest, FaceFrameAndLogWritesWaitForEveryDestage) {
     const char* device;
     uint64_t nth;
   };
-  const Cut cuts[] = {{"flash", 1}, {"log", log_writes - 1}, {"log", log_writes}};
+  std::vector<Cut> cuts = {{"flash", 1}};
+  for (uint64_t n = 1; n <= log_writes; ++n) cuts.push_back({"log", n});
   for (const Cut& cut : cuts) {
     SCOPED_TRACE(std::string(cut.device) + " write " + std::to_string(cut.nth));
     InitFace(1024, 64);
     const std::vector<PageId> queued = PrepareDirtyFlashQueue();
+    const bool force = std::string(cut.device) == "log" && cut.nth == 1;
     SimDevice* dev = std::string(cut.device) == "flash" ? flash_dev_.get()
                                                          : log_dev_.get();
     FaultInjector inj;
@@ -716,12 +721,15 @@ TEST_F(WriteBackTest, FaceFrameAndLogWritesWaitForEveryDestage) {
     dev->set_fault_injector(&inj);
     inj.ArmAfterWrites(cut.nth, /*seed=*/3);
     const uint64_t disk_writes0 = db_dev_->stats().write_reqs;
+    const uint64_t flash_writes0 = flash_dev_->stats().write_reqs;
 
     auto cut_short = Recover();
     ASSERT_FALSE(cut_short.ok()) << "the power cut never fired";
     ASSERT_TRUE(inj.tripped());
-    EXPECT_FALSE(inj.site().in_io_batch) << inj.site().ToString();
-    EXPECT_EQ(db_dev_->stats().write_reqs - disk_writes0, queued.size());
+    EXPECT_EQ(inj.site().in_io_batch, force) << inj.site().ToString();
+    EXPECT_EQ(db_dev_->stats().write_reqs - disk_writes0,
+              force ? 0u : queued.size());
+    if (force) EXPECT_EQ(flash_dev_->stats().write_reqs, flash_writes0);
 
     inj.Disarm();
     dev->set_fault_injector(nullptr);
@@ -730,6 +738,59 @@ TEST_F(WriteBackTest, FaceFrameAndLogWritesWaitForEveryDestage) {
       ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 3), "rrr") << "page " << pid;
     }
   }
+}
+
+TEST_F(WriteBackTest, FaceForceRunsBesideTheDestages) {
+  // FaCE with a full queue of dirty frames. Run one after another, the
+  // restart checkpoint's force, its destage batch and what follows the
+  // batch (the new frames, the control block) would take their sum. The
+  // force runs as the batch's first lane instead, so the checkpoint's span
+  // is shorter. The virtual-time spans come from the tracer.
+#if !FACE_OBS_ENABLED
+  GTEST_SKIP() << "needs the tracer's virtual-time spans (FACE_OBS=ON)";
+#else
+  InitFace(/*buffer_frames=*/1024, /*flash_frames=*/64);
+  const std::vector<PageId> queued = PrepareDirtyFlashQueue();
+  obs::Tracer& tracer = obs::Tracer::Instance();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  obs::SetVirtualClock(&sched_);
+  auto report = Recover();
+  obs::SetVirtualClock(nullptr);
+  tracer.SetEnabled(false);
+  FACE_ASSERT_OK(report.status());
+  EXPECT_EQ(report->writeback_pages, queued.size()) << report->ToString();
+
+  auto is = [](const obs::Tracer::Span& s, const char* component,
+               const char* name) {
+    return std::string(s.component) == component &&
+           std::string(s.name) == name;
+  };
+  const obs::Tracer::Span* ckpt = nullptr;
+  for (const obs::Tracer::Span& s : tracer.spans()) {
+    if (is(s, "recovery", "checkpoint")) ckpt = &s;
+  }
+  ASSERT_NE(ckpt, nullptr);
+  const obs::Tracer::Span* force = nullptr;
+  const obs::Tracer::Span* batch = nullptr;
+  for (const obs::Tracer::Span& s : tracer.spans()) {
+    if (s.v_start_ns < ckpt->v_start_ns || s.v_end_ns > ckpt->v_end_ns) {
+      continue;
+    }
+    if (force == nullptr && is(s, "wal", "force")) force = &s;
+    if (is(s, "recovery", "writeback")) batch = &s;
+  }
+  ASSERT_NE(force, nullptr);
+  ASSERT_NE(batch, nullptr);
+  const SimNanos force_ns = force->v_end_ns - force->v_start_ns;
+  const SimNanos batch_ns = batch->v_end_ns - batch->v_start_ns;
+  const SimNanos tail_ns = ckpt->v_end_ns - batch->v_end_ns;
+  ASSERT_GT(force_ns, 0u);
+  EXPECT_EQ(static_cast<uint64_t>(report->checkpoint_ns),
+            ckpt->v_end_ns - ckpt->v_start_ns);
+  EXPECT_LT(report->checkpoint_ns, force_ns + batch_ns + tail_ns)
+      << report->ToString();
+#endif
 }
 
 TEST_F(WriteBackTest, FaceAbsorptionsStayInTheRebuildLedger) {
