@@ -248,7 +248,8 @@ class CacheExtension {
     return force.run();
   }
 
-  /// Called after all dirty pages are synced, before CHECKPOINT_END.
+  /// Called after all dirty pages are synced, before the control block
+  /// names the checkpoint.
   virtual Status OnCheckpoint() { return Status::OK(); }
 
   /// The buffer pool wrote `page_id` to disk directly (checkpoint path of

@@ -38,16 +38,15 @@ StatusOr<Lsn> Checkpointer::TakeCheckpoint(IoScheduler* lanes) {
   stats_.serial_destages +=
       cache_->stats().disk_writes - cache_writes - written.destages;
 
-  // 4. Log END, force, and only then advertise the checkpoint: a crash
-  //    before the control-block write falls back to the previous one. The
-  //    control record also carries the cache's durability exposure: the
-  //    degraded marker and the flash redo floor — the lowest WAL LSN still
-  //    needed to rebuild a page whose newest version lives only on flash.
-  LogRecord end;
-  end.type = LogRecordType::kCheckpointEnd;
-  end.prev_lsn = begin_lsn;
-  const Lsn end_lsn = log_->Append(&end);
-  FACE_RETURN_IF_ERROR(log_->FlushTo(end_lsn));
+  // 4. Advertise the checkpoint: the control-block write is its commit
+  //    point, and a crash before it falls back to the previous one. The
+  //    block may name BEGIN only once BEGIN is durable; the sync's force
+  //    made it so, and FlushTo, which states the condition, writes nothing.
+  //    The control record also carries the cache's durability exposure:
+  //    the degraded marker and the flash redo floor — the lowest WAL LSN
+  //    still needed to rebuild a page whose newest version lives only on
+  //    flash.
+  FACE_RETURN_IF_ERROR(log_->FlushTo(begin_lsn));
   const Lsn flash_floor = degraded ? kInvalidLsn : cache_->FlashRedoFloor();
   WalControlInfo info;
   info.checkpoint_lsn = begin_lsn;

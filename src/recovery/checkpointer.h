@@ -11,10 +11,13 @@
 //     paper charges to LC.
 //   - TAC / Exadata / none: write-through or no cache; DRAM dirty pages go
 //     to disk.
-// The sequence is PostgreSQL-flavored: log CHECKPOINT_BEGIN carrying the
-// DPT/ATT/allocator, sync every dirty page, log CHECKPOINT_END, then point
-// the control block at BEGIN. Redo after a crash starts at the BEGIN of the
-// last *complete* checkpoint.
+// The sequence is PostgreSQL-flavored, one log force and one control-block
+// write per checkpoint: log CHECKPOINT_BEGIN carrying the DPT/ATT/allocator,
+// force the log, sync every dirty page, then point the control block at
+// BEGIN. The control-block write is the commit point: redo after a crash
+// starts at the BEGIN it names, and a crash before it falls back to the
+// previous checkpoint. The checkpoint is sharp, not fuzzy: every page dirty
+// at BEGIN is synced before the control block advances.
 //
 // Restart's checkpoints (the final one and ResolveInDoubt's) pass the
 // recovery scheduler, and their independent writes run as I/O lane batches
@@ -28,9 +31,8 @@
 //     no restart checkpoint destages a frame outside a lane
 //     (Stats::serial_destages stays 0);
 //   - the pages no cache absorbs go to disk one lane each, after the force.
-// Closing a batch is the barrier: FaCE's frame writes and delta appends,
-// CHECKPOINT_END's force and the control-block write all start after the
-// last lane ended. Nobody else runs during restart. Runtime checkpoints
+// Closing a batch is the barrier: FaCE's frame writes and delta appends and
+// the control-block write all start after the last lane ended. Nobody else runs during restart. Runtime checkpoints
 // (Database::TakeCheckpoint) pass no scheduler and sync one page after
 // another: they share the devices with the clients, and their timing is
 // part of every measured run.

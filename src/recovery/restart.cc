@@ -162,7 +162,8 @@ Status RestartManager::RunPhases(RestartReport* report) {
   RecordPhaseNs(kAnalysis, report->analysis_ns);
 
   // Phase 3: redo history from the checkpoint's BEGIN (every page dirty at
-  // BEGIN was synced before END, so no older update can be missing) — or,
+  // BEGIN was synced before the control block named it, so no older update
+  // can be missing) — or,
   // after a degraded crash, from the persisted rebuild floor if lower: the
   // flash versions the checkpoint relied on are gone, and only the WAL can
   // reconstruct them onto disk.
@@ -315,8 +316,6 @@ Status RestartManager::Analysis(RestartReport* report, Lsn ckpt_lsn,
         storage_->RestoreAllocator(
             std::max(storage_->next_page_id(), rec.next_page_id));
         break;
-      case LogRecordType::kCheckpointEnd:
-        break;
     }
   }
   // New transaction ids must never collide with pre-crash ones.
@@ -411,7 +410,6 @@ Status RestartManager::Undo(RestartReport* report,
         // Votes and decisions are logged outside every undo chain.
         return Status::Internal("loser chain reached a 2PC record");
       case LogRecordType::kCheckpointBegin:
-      case LogRecordType::kCheckpointEnd:
         return Status::Internal("loser chain reached a checkpoint record");
     }
   }

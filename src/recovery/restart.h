@@ -39,12 +39,13 @@
 //      chain reaching below them refills backwards, one window per 256 KB.
 //      Undo does not force the log: step 5 does, and the WAL rule forces it
 //      before any page a CLR dirtied leaves the pool
-//   5. final checkpoint, so a crash during recovery never lengthens the log;
-//      its independent writes run as scheduler lane batches: the pages no
-//      cache absorbs go to disk one lane each, after the log force; FaCE's
-//      batch runs the force as its first lane, beside the destages of the
-//      front frames it makes room from, one lane each, then writes the
-//      absorbed frames and its delta records after the batch closed
+//   5. final checkpoint, so a crash during recovery never lengthens the log:
+//      one log force and the control-block write. Its independent writes
+//      run as scheduler lane batches: the pages no cache absorbs go to disk
+//      one lane each, after the force; FaCE's batch runs the force as its
+//      first lane, beside the destages of the front frames it makes room
+//      from, one lane each, then writes the absorbed frames and its delta
+//      records after the batch closed. The control block is written last
 //      (recovery/checkpointer.h)
 // So a restart reads each log block at most once, and its log reads grow
 // once with the log written since the last checkpoint.

@@ -110,7 +110,6 @@ void LogRecord::EncodeTo(char* dst) const {
     case LogRecordType::kBegin:
     case LogRecordType::kCommit:
     case LogRecordType::kAbort:
-    case LogRecordType::kCheckpointEnd:
       EncodeControlRecordTo(dst, type, lsn, txn_id, prev_lsn);
       return;
     case LogRecordType::kPrepare:
@@ -247,7 +246,6 @@ StatusOr<LogRecord> LogRecord::Decode(const char* data, uint32_t len) {
     case LogRecordType::kBegin:
     case LogRecordType::kCommit:
     case LogRecordType::kAbort:
-    case LogRecordType::kCheckpointEnd:
       break;
     default:
       return Status::Corruption("unknown log record type");

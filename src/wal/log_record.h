@@ -32,8 +32,12 @@ enum class LogRecordType : uint8_t {
   kCommit = 3,           ///< transaction commit (forces the log)
   kAbort = 4,            ///< transaction fully rolled back
   kClr = 5,              ///< compensation record written during undo
-  kCheckpointBegin = 6,  ///< fuzzy checkpoint: DPT + ATT + allocator hwm
-  kCheckpointEnd = 7,    ///< checkpoint completed
+  /// Checkpoint: DPT + ATT + allocator hwm. The checkpoint is sharp: every
+  /// dirty page is synced before the control block names this record,
+  /// which is why redo starts here.
+  kCheckpointBegin = 6,
+  // 7 is unassigned (it was CHECKPOINT_END): such a record decodes as an
+  // unknown type.
   kPrepare = 8,          ///< 2PC: participant vote, forced; carries gtid
   kGlobalCommit = 9,     ///< 2PC: coordinator decision, forced; carries gtid
 };
@@ -109,7 +113,7 @@ inline constexpr uint32_t kMaxLogRecordSize = 16 * 1024 * 1024;
 // std::strings. Byte-for-byte the same stream as LogRecord::EncodeTo
 // (EncodeTo shares their framing).
 
-/// Stream size of a header-only record (Begin/Commit/Abort/CheckpointEnd).
+/// Stream size of a header-only record (Begin/Commit/Abort).
 inline constexpr uint32_t ControlRecordSize() { return kLogRecordHeaderSize; }
 /// Stream size of an update record over an n-byte range.
 inline constexpr uint32_t UpdateRecordSize(uint32_t n) {

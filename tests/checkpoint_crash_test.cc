@@ -1,7 +1,7 @@
 // Checkpointing under crashes: the LC staging path (PrepareCheckpoint must
 // push flash-resident dirty pages to disk before the checkpoint is
-// advertised), and crashes landing between CHECKPOINT_BEGIN and
-// CHECKPOINT_END — restart must fall back to the previous complete
+// advertised), and crashes landing between CHECKPOINT_BEGIN and the
+// control-block write — restart must fall back to the previous complete
 // checkpoint and still restore every committed transaction.
 #include <gtest/gtest.h>
 
@@ -90,7 +90,7 @@ TEST(CheckpointCrashTest, CrashMidCheckpointFallsBackToPreviousOne) {
   FACE_ASSERT_OK(rig.RunOps(120));
 
   // Crash a few writes into the next checkpoint: after its BEGIN exists
-  // but before its END could be logged and advertised.
+  // but before the control block could advertise it.
   FaultInjector inj;
   inj.AttachScheduler(rig.tb->sched());
   inj.SetTearGranularity(rig.tb->db_dev()->id(), TearGranularity::kPageAtomic);
@@ -98,7 +98,7 @@ TEST(CheckpointCrashTest, CrashMidCheckpointFallsBackToPreviousOne) {
   rig.tb->log_dev()->set_fault_injector(&inj);
   rig.tb->flash_dev()->set_fault_injector(&inj);
   // The first write a checkpoint issues necessarily happens after BEGIN was
-  // appended and before END could become durable.
+  // appended and before the control block could name it.
   inj.ArmAfterWrites(1, /*seed=*/99);
 
   const Status mid = rig.tb->db()->TakeCheckpoint().status();
@@ -132,7 +132,7 @@ class EngineCheckpointCrashTest : public EngineFixture {
   }
 };
 
-TEST_F(EngineCheckpointCrashTest, ControlBlockAdvancesOnlyAfterEnd) {
+TEST_F(EngineCheckpointCrashTest, ControlBlockAdvancesOnlyAfterTheSync) {
   std::vector<PageId> pages;
   for (int i = 0; i < 5; ++i) {
     FACE_ASSERT_OK_AND_ASSIGN(PageHandle p, db_->pool()->NewPage());

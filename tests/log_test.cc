@@ -82,6 +82,23 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
   EXPECT_EQ(ldec.image, "comp");
 }
 
+TEST(LogRecordTest, StaleCheckpointEndDecodesAsUnknownType) {
+  // Type 7 was CHECKPOINT_END, which checkpoints no longer log: a stale one
+  // with a valid crc is an unknown type.
+  LogRecord rec;
+  rec.type = LogRecordType::kCommit;
+  rec.lsn = 4096;
+  std::string bytes = rec.Encode();
+  EncodeControlRecordTo(bytes.data(), static_cast<LogRecordType>(7), 4096, 0,
+                        0);
+  const auto decoded =
+      LogRecord::Decode(bytes.data(), static_cast<uint32_t>(bytes.size()));
+  ASSERT_TRUE(decoded.status().IsCorruption());
+  EXPECT_NE(decoded.status().ToString().find("unknown log record type"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
 TEST(LogRecordTest, DecodeRejectsCorruption) {
   LogRecord rec = MakeUpdate(1, 2, 3, "a");
   rec.lsn = 4096;

@@ -555,12 +555,12 @@ class UndoForceTest : public TimedEngineFixture {
 };
 
 TEST_F(UndoForceTest, PowerCutBeforeTheClrsAreDurableRollsBackAgain) {
-  // A clean restart writes the log three times: the checkpoint's force of
-  // the CLRs, Abort records and BEGIN, END's force and the control block.
+  // A clean restart writes the log two times: the checkpoint's force of
+  // the CLRs, Abort records and BEGIN, and the control block.
   PrepareLosers();
   const uint64_t writes0 = log_dev_->stats().write_reqs;
   FACE_ASSERT_OK_AND_ASSIGN(RestartReport clean, Recover());
-  EXPECT_EQ(log_dev_->stats().write_reqs - writes0, 3u) << clean.ToString();
+  EXPECT_EQ(log_dev_->stats().write_reqs - writes0, 2u) << clean.ToString();
   EXPECT_EQ(clean.losers, pages_.size());
   EXPECT_EQ(clean.undo_records, pages_.size());
 
