@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -435,6 +436,8 @@ StatusOr<WriteBackStats> BufferPool::SyncDirtyPagesForCheckpoint(
   } else {
     FACE_RETURN_IF_ERROR(cache_->CheckpointPages(&offers, force, lanes, &out));
   }
+  FACE_DCHECK(log_->durable_lsn() == log_->next_lsn(),
+              "the checkpoint's log force must run before its disk pass");
   // Disk pass: what the cache did not absorb, one lane per page.
   const uint64_t to_disk = static_cast<uint64_t>(
       std::count_if(offers.begin(), offers.end(),

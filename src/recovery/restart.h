@@ -119,6 +119,10 @@ struct RestartReport {
 
   /// Steps 0-1's span less meta_restore_ns: the control-block read, plus
   /// the part of the end-of-log scan that outlasts the metadata restore.
+  /// FaCE's delta-ring read, redo's lead lane, starts where the metadata
+  /// restore ended and runs beside that part of the scan, and redo's flash
+  /// fetches queue behind it. So this share is not time a shorter scan
+  /// would save the restart.
   SimNanos attach_ns = 0;
   /// The cache-extension metadata restore's own duration (its lane starts
   /// with the log scan's, so the two overlap). FaCE's delta-ring read is
