@@ -729,7 +729,9 @@ TEST_F(WriteBackTest, FaceFrameAndLogWritesWaitForEveryDestage) {
     EXPECT_EQ(inj.site().in_io_batch, force) << inj.site().ToString();
     EXPECT_EQ(db_dev_->stats().write_reqs - disk_writes0,
               force ? 0u : queued.size());
-    if (force) EXPECT_EQ(flash_dev_->stats().write_reqs, flash_writes0);
+    if (force) {
+      EXPECT_EQ(flash_dev_->stats().write_reqs, flash_writes0);
+    }
 
     inj.Disarm();
     dev->set_fault_injector(nullptr);
