@@ -1,6 +1,9 @@
 #include "sim/sim_device.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <bitset>
 #include <cstring>
 
 #include "common/check.h"
@@ -8,6 +11,52 @@
 #include "obs/trace.h"
 
 namespace face {
+
+/// 4 MiB of a device's pages: one anonymous mapping, so a page commits
+/// memory only once it is written, and a bitmap of the pages written into
+/// it. A page not written here reads from `base_`, the shared chunk this
+/// one was layered over (SimDevice::CopyIn), and as zeros where no layer
+/// holds it. A chunk is written only while one device holds it; once
+/// shared it is read-only to every holder.
+class SimDevice::Chunk {
+ public:
+  explicit Chunk(std::shared_ptr<const Chunk> base)
+      : bytes_(static_cast<char*>(mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0))),
+        base_(std::move(base)) {
+    FACE_CHECK(bytes_ != MAP_FAILED, "cannot map a device chunk");
+#ifdef MADV_NOHUGEPAGE
+    // Huge pages would commit 2 MiB at a time, not the page written.
+    madvise(bytes_, kBytes, MADV_NOHUGEPAGE);
+#endif
+  }
+  ~Chunk() { munmap(bytes_, kBytes); }
+  Chunk(const Chunk&) = delete;
+  Chunk& operator=(const Chunk&) = delete;
+
+  /// Page `i`'s bytes, or null if no layer holds it (it reads as zeros).
+  const char* Page(uint64_t i) const {
+    for (const Chunk* c = this; c != nullptr; c = c->base_.get()) {
+      if (c->written_[i]) return c->At(i);
+    }
+    return nullptr;
+  }
+
+  /// Pages [i, i + n) of this layer, for the caller to overwrite in full.
+  char* Overwrite(uint64_t i, uint64_t n) {
+    for (uint64_t k = i; k < i + n; ++k) written_[k] = true;
+    return At(i);
+  }
+
+ private:
+  static constexpr size_t kBytes = kChunkPages * kPageSize;
+
+  char* At(uint64_t i) const { return bytes_ + i * kPageSize; }
+
+  char* bytes_;
+  std::shared_ptr<const Chunk> base_;
+  std::bitset<kChunkPages> written_;
+};
 
 SimDevice::SimDevice(std::string id, DeviceProfile profile,
                      uint64_t capacity_pages, IoScheduler* sched)
@@ -58,49 +107,32 @@ uint64_t SimDevice::LocalOffset(uint64_t block) const {
   return (block / (stripe * profile_.stations)) * stripe + block % stripe;
 }
 
-char* SimDevice::PagePtr(uint64_t block) {
-  auto& chunk = chunks_[block / kChunkPages];
-  if (chunk == nullptr) {
-    chunk = std::make_unique<char[]>(kChunkPages * kPageSize);
-    memset(chunk.get(), 0, kChunkPages * kPageSize);
-  }
-  return chunk.get() + (block % kChunkPages) * kPageSize;
-}
-
 void SimDevice::CopyOut(uint64_t block, uint32_t n, char* out) const {
-  while (n > 0) {
-    const auto& chunk = chunks_[block / kChunkPages];
-    const uint64_t in_chunk = block % kChunkPages;
-    const uint32_t span =
-        static_cast<uint32_t>(std::min<uint64_t>(n, kChunkPages - in_chunk));
-    const size_t bytes = static_cast<size_t>(span) * kPageSize;
-    if (chunk == nullptr) {
-      memset(out, 0, bytes);
+  for (; n > 0; --n, ++block, out += kPageSize) {
+    const Chunk* chunk = chunks_[block / kChunkPages].get();
+    const char* page =
+        chunk != nullptr ? chunk->Page(block % kChunkPages) : nullptr;
+    if (page != nullptr) {
+      memcpy(out, page, kPageSize);
     } else {
-      memcpy(out, chunk.get() + in_chunk * kPageSize, bytes);
+      memset(out, 0, kPageSize);
     }
-    out += bytes;
-    block += span;
-    n -= span;
   }
 }
 
 void SimDevice::CopyIn(uint64_t block, uint32_t n, const char* in) {
   while (n > 0) {
-    auto& chunk = chunks_[block / kChunkPages];
+    std::shared_ptr<Chunk>& chunk = chunks_[block / kChunkPages];
+    // A chunk another device can also read (a clone's source, or a clone of
+    // this device) is never written: a private layer goes over it first.
+    if (chunk == nullptr || chunk.use_count() > 1) {
+      chunk = std::make_shared<Chunk>(std::move(chunk));
+    }
     const uint64_t in_chunk = block % kChunkPages;
     const uint32_t span =
         static_cast<uint32_t>(std::min<uint64_t>(n, kChunkPages - in_chunk));
     const size_t bytes = static_cast<size_t>(span) * kPageSize;
-    if (chunk == nullptr) {
-      if (span == kChunkPages) {
-        // The write covers the whole chunk: no need to zero it first.
-        chunk.reset(new char[kChunkPages * kPageSize]);
-      } else {
-        chunk = std::make_unique<char[]>(kChunkPages * kPageSize);
-      }
-    }
-    memcpy(chunk.get() + in_chunk * kPageSize, in, bytes);
+    memcpy(chunk->Overwrite(in_chunk, span), in, bytes);
     in += bytes;
     block += span;
     n -= span;
@@ -140,9 +172,12 @@ Status SimDevice::ConsultFaultInjector(IoOp op, uint64_t block, uint32_t n,
     // all later pages retain their pre-crash media contents).
     if (v.keep_pages > 0) CopyIn(block, v.keep_pages, wbuf);
     if (v.keep_sectors > 0) {
-      memcpy(PagePtr(block + v.keep_pages),
-             wbuf + static_cast<size_t>(v.keep_pages) * kPageSize,
+      const uint64_t torn = block + v.keep_pages;
+      char page[kPageSize];
+      CopyOut(torn, 1, page);
+      memcpy(page, wbuf + static_cast<size_t>(v.keep_pages) * kPageSize,
              static_cast<size_t>(v.keep_sectors) * kSectorSize);
+      CopyIn(torn, 1, page);
     }
     return Status::IOError(id_ + ": simulated power loss mid-write");
   }
@@ -332,12 +367,8 @@ Status SimDevice::CloneContentsFrom(const SimDevice& src) {
     return Status::InvalidArgument("clone source larger than destination");
   }
   Erase();
-  for (size_t i = 0; i < src.chunks_.size(); ++i) {
-    if (src.chunks_[i] == nullptr) continue;
-    auto& dst = chunks_[i];
-    dst = std::make_unique<char[]>(kChunkPages * kPageSize);
-    memcpy(dst.get(), src.chunks_[i].get(), kChunkPages * kPageSize);
-  }
+  // Share every chunk; CopyIn layers over one before either side writes.
+  std::copy(src.chunks_.begin(), src.chunks_.end(), chunks_.begin());
   return Status::OK();
 }
 

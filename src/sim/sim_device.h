@@ -4,6 +4,12 @@
 // detected by the device itself from request offsets — callers cannot lie
 // about their access pattern, which is what makes the mvFIFO-vs-LRU pricing
 // comparison honest.
+//
+// Memory is committed per written page: contents live in 4 MiB chunks of
+// lazily mapped memory, so a page costs memory only once it is written, and
+// a clone (CloneContentsFrom) shares its source's pages until it writes
+// them. A benchmark that clones one loaded golden image per configuration
+// thus holds the image once, plus the pages each clone has written.
 #pragma once
 
 #include <array>
@@ -99,14 +105,19 @@ class SimDevice {
   /// INWARD to whole allocation chunks: only chunks lying entirely inside
   /// the range are freed, so a partially covered chunk at either end is
   /// kept in full (trimming can never discard a byte outside the range).
-  /// The freed blocks read back as zero afterwards. No virtual time is
+  /// The freed blocks read back as zero afterwards, on a clone too (it
+  /// drops its share of the source's pages there). No virtual time is
   /// charged — this models reclaiming recycled WAL extents, not an I/O.
   /// `keep_below` protects a leading superblock region from reclamation.
   void TrimBefore(uint64_t block, uint64_t keep_below = 0);
 
-  /// Copy another device's full contents (bulk load once, clone per bench
-  /// configuration). No virtual time is charged. Capacities must match up to
-  /// the source's allocated extent.
+  /// Take on another device's full contents (bulk load once, clone per
+  /// bench configuration), as Erase() followed by a copy would, but without
+  /// copying: the clone shares `src`'s pages until it writes them, and its
+  /// first write to a page gives it a private copy. Neither device ever sees
+  /// the other's later writes, and the clone keeps the shared pages alive
+  /// after `src` is destroyed. No virtual time is charged. The source's
+  /// capacity must not exceed this device's.
   Status CloneContentsFrom(const SimDevice& src);
 
   /// When false, requests move bytes but charge no time and no stats — used
@@ -134,6 +145,9 @@ class SimDevice {
   void ResetHealth() { failed_ = false; }
 
  private:
+  /// 4 MiB of a device's pages; see sim_device.cc.
+  class Chunk;
+
   /// One request. `joined` non-null makes it joinable (GroupWrite) and
   /// receives whether it joined.
   Status DoIo(IoOp op, uint64_t block, uint32_t n, char* rbuf,
@@ -149,10 +163,11 @@ class SimDevice {
   /// clock between attempts, declare the device lost on budget exhaustion.
   Status ConsultWithRetries(IoOp op, uint64_t block, uint32_t n,
                             const char* wbuf, uint32_t* latency_factor);
-  /// Copy `n` pages at `block` into `out`, one memcpy per chunk span.
-  /// Absent chunks read back as zeroes without being materialized.
+  /// Copy `n` pages at `block` into `out`. Pages no chunk holds read back
+  /// as zeroes without being materialized.
   void CopyOut(uint64_t block, uint32_t n, char* out) const;
-  /// Copy `n` pages from `in` to `block`, one memcpy per chunk span.
+  /// Copy `n` pages from `in` to `block`, one memcpy per chunk span, into
+  /// chunks only this device holds.
   void CopyIn(uint64_t block, uint32_t n, const char* in);
   /// Register this device's "sim.<id>.*" metric handles (ctor-time; the
   /// registry hands out process-lifetime pointers, so the handles are valid
@@ -162,7 +177,6 @@ class SimDevice {
   uint32_t StationFor(uint64_t block) const;
   /// Spindle-local LBA of `block` (sequentiality is judged per spindle).
   uint64_t LocalOffset(uint64_t block) const;
-  char* PagePtr(uint64_t block);
 
   static constexpr uint64_t kChunkPages = 1024;  // 4 MiB lazy chunks
 
@@ -182,7 +196,9 @@ class SimDevice {
   /// (mvFIFO enqueue + dequeue) keeps both sequential, as NCQ/elevator
   /// scheduling does on real hardware.
   std::vector<std::array<uint64_t, 2>> last_end_;
-  std::vector<std::unique_ptr<char[]>> chunks_;
+  /// Contents by chunk; null = never written (reads zero). A clone's
+  /// entries start as its source's chunks.
+  std::vector<std::shared_ptr<Chunk>> chunks_;
 
   /// "sim.<id>.*" handles, indexed by IoOp where it is a pair. Metrics
   /// mirror DeviceStats (so snapshots cover devices uniformly) and add the

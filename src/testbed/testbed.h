@@ -12,10 +12,13 @@
 //   auto result = tb.Run({.txns = 50000});         // measure steady state
 //
 // The golden image is built once and cloned per configuration, because the
-// bulk load dominates wall time otherwise. The workload is pluggable: any
-// workload::WorkloadFactory (TPC-C, a YCSB mix, your own driver) both
-// populates the golden image and drives the clones — TPC-C is just the
-// default. GoldenImage::BuildFor(factory) loads any of them.
+// bulk load dominates wall time otherwise. A clone copies nothing: the
+// testbed's database device shares the golden's pages until it writes them
+// (SimDevice::CloneContentsFrom), so Start is cheap, and a process holds the
+// image once plus the pages each testbed has written. The workload is
+// pluggable: any workload::WorkloadFactory (TPC-C, a YCSB mix, your own
+// driver) both populates the golden image and drives the clones — TPC-C is
+// just the default. GoldenImage::BuildFor(factory) loads any of them.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +59,8 @@ enum class CachePolicy : uint8_t {
 const char* CachePolicyName(CachePolicy policy);
 
 /// A fully loaded database image, built once by a workload factory and
-/// cloned per configuration.
+/// cloned per configuration. It is never written after the build; clones
+/// share its pages until they write them.
 struct GoldenImage {
   std::unique_ptr<SimDevice> device;  ///< unscheduled, holds the page image
   PageId next_page_id = 0;            ///< allocator high-water mark

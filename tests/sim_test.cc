@@ -1,9 +1,11 @@
 // Unit tests: device cost model, simulated devices (sequentiality
-// detection, RAID striping, trim, clone), closed-loop scheduler.
+// detection, RAID striping, trim, shared clones), closed-loop scheduler.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
+#include "fault/fault_injector.h"
 #include "sim/device_model.h"
 #include "sim/scheduler.h"
 #include "sim/sim_device.h"
@@ -11,6 +13,15 @@
 
 namespace face {
 namespace {
+
+/// Page `block` of `dev`.
+std::string PageAt(SimDevice& dev, uint64_t block) {
+  std::string out(kPageSize, 'x');
+  EXPECT_TRUE(dev.Read(block, out.data()).ok());
+  return out;
+}
+
+std::string Fill(char c) { return std::string(kPageSize, c); }
 
 TEST(DeviceProfileTest, Table1Calibration) {
   // Random service times must invert to the paper's IOPS figures.
@@ -135,7 +146,7 @@ TEST(SimDeviceTest, TimingDisabledMovesBytesOnly) {
   EXPECT_EQ(out, page);
 }
 
-TEST(SimDeviceTest, CloneCopiesContents) {
+TEST(SimDeviceTest, CloneReadsSourceContents) {
   SimDevice a("a", DeviceProfile::Seagate15k(), 2048);
   std::string page(kPageSize, 'c');
   FACE_ASSERT_OK(a.Write(1500, page.data()));
@@ -144,6 +155,110 @@ TEST(SimDeviceTest, CloneCopiesContents) {
   std::string out(kPageSize, '\0');
   FACE_ASSERT_OK(b.Read(1500, out.data()));
   EXPECT_EQ(out, page);
+}
+
+TEST(SimDeviceTest, CloneWritesReachNeitherSourceNorSibling) {
+  // A clone shares its source's pages until it writes them; its first
+  // write to a page gives it a private copy.
+  SimDevice src("src", DeviceProfile::Seagate15k(), 2048);
+  FACE_ASSERT_OK(src.Write(5, Fill('o').data()));
+  FACE_ASSERT_OK(src.Write(6, Fill('o').data()));
+  SimDevice a("a", DeviceProfile::Seagate15k(), 2048);
+  SimDevice b("b", DeviceProfile::Seagate15k(), 2048);
+  FACE_ASSERT_OK(a.CloneContentsFrom(src));
+  FACE_ASSERT_OK(b.CloneContentsFrom(src));
+
+  FACE_ASSERT_OK(a.Write(5, Fill('a').data()));
+  FACE_ASSERT_OK(a.Write(1500, Fill('a').data()));  // a chunk src never wrote
+  EXPECT_EQ(PageAt(a, 5), Fill('a'));
+  EXPECT_EQ(PageAt(a, 6), Fill('o')) << "an unwritten page reads the source";
+  EXPECT_EQ(PageAt(a, 1500), Fill('a'));
+  EXPECT_EQ(PageAt(src, 5), Fill('o'));
+  EXPECT_EQ(PageAt(b, 5), Fill('o'));
+  EXPECT_EQ(PageAt(src, 1500), Fill('\0'));
+  EXPECT_EQ(PageAt(b, 1500), Fill('\0'));
+}
+
+TEST(SimDeviceTest, SourceWritesAfterCloningNeverReachTheClone) {
+  SimDevice src("src", DeviceProfile::Seagate15k(), 2048);
+  FACE_ASSERT_OK(src.Write(5, Fill('o').data()));
+  SimDevice clone("c", DeviceProfile::Seagate15k(), 2048);
+  FACE_ASSERT_OK(clone.CloneContentsFrom(src));
+
+  FACE_ASSERT_OK(src.Write(5, Fill('n').data()));
+  const std::string batch(8 * kPageSize, 'n');
+  FACE_ASSERT_OK(src.WriteBatch(1020, 8, batch.data()));  // spans chunk 1
+  EXPECT_EQ(PageAt(src, 5), Fill('n'));
+  EXPECT_EQ(PageAt(clone, 5), Fill('o'));
+  EXPECT_EQ(PageAt(clone, 1020), Fill('\0'));
+  EXPECT_EQ(PageAt(clone, 1027), Fill('\0'));
+}
+
+TEST(SimDeviceTest, CloneOutlivesItsSource) {
+  auto src = std::make_unique<SimDevice>("src", DeviceProfile::Seagate15k(),
+                                         2048);
+  FACE_ASSERT_OK(src->Write(5, Fill('o').data()));
+  FACE_ASSERT_OK(src->Write(6, Fill('o').data()));
+  SimDevice a("a", DeviceProfile::Seagate15k(), 2048);
+  SimDevice b("b", DeviceProfile::Seagate15k(), 2048);
+  FACE_ASSERT_OK(a.CloneContentsFrom(*src));
+  FACE_ASSERT_OK(b.CloneContentsFrom(*src));
+  FACE_ASSERT_OK(a.Write(5, Fill('a').data()));
+  src.reset();
+
+  EXPECT_EQ(PageAt(a, 5), Fill('a'));
+  EXPECT_EQ(PageAt(a, 6), Fill('o'));
+  EXPECT_EQ(PageAt(b, 5), Fill('o'));
+  FACE_ASSERT_OK(b.Write(6, Fill('b').data()));
+  EXPECT_EQ(PageAt(b, 6), Fill('b'));
+  EXPECT_EQ(PageAt(a, 6), Fill('o'));
+}
+
+TEST(SimDeviceTest, TornWriteOnACloneKeepsSourceBytesPastTheCut) {
+  SimDevice src("src", DeviceProfile::Seagate15k(), 128);
+  FACE_ASSERT_OK(src.Write(7, Fill('o').data()));
+  SimDevice clone("c", DeviceProfile::Seagate15k(), 128);
+  FACE_ASSERT_OK(clone.CloneContentsFrom(src));
+
+  FaultInjector inj;
+  clone.set_fault_injector(&inj);
+  inj.ArmAfterWrites(1, /*seed=*/9);
+  EXPECT_TRUE(clone.Write(7, Fill('n').data()).IsIOError());
+  ASSERT_TRUE(inj.tripped());
+  inj.Disarm();
+
+  const uint32_t cut = inj.site().sectors_persisted * kSectorSize;
+  ASSERT_GT(cut, 0u) << "the seed must tear the page, not drop it";
+  EXPECT_EQ(PageAt(clone, 7),
+            std::string(cut, 'n') + std::string(kPageSize - cut, 'o'));
+  EXPECT_EQ(PageAt(src, 7), Fill('o'));
+}
+
+TEST(SimDeviceTest, EraseAndTrimOnACloneReadZeros) {
+  SimDevice src("src", DeviceProfile::Seagate15k(), 4096);
+  for (uint64_t b : {0, 1030, 2050}) {
+    FACE_ASSERT_OK(src.Write(b, Fill('o').data()));
+  }
+  SimDevice clone("c", DeviceProfile::Seagate15k(), 4096);
+  FACE_ASSERT_OK(clone.CloneContentsFrom(src));
+
+  // Chunk 1 holds a source page and a page the clone wrote; the trim drops
+  // both from the clone alone.
+  FACE_ASSERT_OK(clone.Write(1031, Fill('c').data()));
+  clone.TrimBefore(/*block=*/2048, /*keep_below=*/1);
+  EXPECT_EQ(PageAt(clone, 1030), Fill('\0'));
+  EXPECT_EQ(PageAt(clone, 1031), Fill('\0'));
+  EXPECT_EQ(PageAt(clone, 0), Fill('o'));
+  EXPECT_EQ(PageAt(clone, 2050), Fill('o'));
+  EXPECT_EQ(PageAt(src, 1030), Fill('o'));
+  EXPECT_EQ(PageAt(src, 1031), Fill('\0'));
+
+  FACE_ASSERT_OK(clone.Write(2051, Fill('c').data()));
+  clone.Erase();
+  for (uint64_t b : {0, 2050, 2051}) EXPECT_EQ(PageAt(clone, b), Fill('\0'));
+  EXPECT_EQ(PageAt(src, 0), Fill('o'));
+  EXPECT_EQ(PageAt(src, 2050), Fill('o'));
+  EXPECT_EQ(PageAt(src, 2051), Fill('\0'));
 }
 
 TEST(SimDeviceTest, TrimReleasesOnlyWholeChunksOutsideKeep) {

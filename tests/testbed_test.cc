@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "core/face_cache.h"
+#include "testbed/crash_storm.h"
 #include "tests/test_util.h"
 #include "tpcc/schema.h"
 #include "tpcc/workload.h"
+#include "workload/ycsb_workload.h"
 
 namespace face {
 namespace {
@@ -25,6 +28,20 @@ TestbedOptions BaseOptions(CachePolicy policy) {
   opts.flash_pages = golden.db_pages() / 10;  // 10 % of the database
   opts.clients = 8;
   return opts;
+}
+
+/// crc32c over every page of `dev`, read without charging time.
+uint32_t ContentsCrc(SimDevice* dev) {
+  const bool timed = dev->timing_enabled();
+  dev->set_timing_enabled(false);
+  std::string page(kPageSize, '\0');
+  uint32_t crc = 0;
+  for (uint64_t b = 0; b < dev->capacity_pages(); ++b) {
+    EXPECT_TRUE(dev->Read(b, page.data()).ok());
+    crc = crc32c::Extend(crc, page.data(), kPageSize);
+  }
+  dev->set_timing_enabled(timed);
+  return crc;
 }
 
 TEST(GoldenImageTest, BuildsPlausibleDatabase) {
@@ -234,6 +251,69 @@ TEST(TestbedTest, SmallFaceCacheLapsItsRingAndRestartsClean) {
     auto* face = static_cast<FaceCache*>(tb.cache());  // rebuilt by Recover
     FACE_ASSERT_OK(face->AuditFrames().status());
   }
+}
+
+TEST(TestbedTest, TestbedsSharingAGoldenMatchPrivateGoldens) {
+  // A testbed's database device shares the golden image's pages until it
+  // writes them. Two testbeds run alternately on one golden must simulate
+  // exactly what each does on a golden of its own, and leave the golden's
+  // bytes as the load wrote them.
+  auto factory = std::make_shared<workload::YcsbFactory>(StormKv(1200));
+  FACE_ASSERT_OK_AND_ASSIGN(GoldenImage golden,
+                            GoldenImage::BuildFor(factory));
+  const uint32_t built = ContentsCrc(golden.device.get());
+  TestbedOptions opts[2];
+  for (TestbedOptions& o : opts) {
+    o.clients = 8;
+    o.buffer_frames = 64;  // small, so evictions write the database
+  }
+  opts[0].policy = CachePolicy::kFaceGSC;
+  opts[0].flash_pages = 512;
+  opts[1].seed = 7;
+  RunOptions run;
+  run.txns = 150;
+  run.checkpoint_interval = kNanosPerSecond / 10;
+
+  // Each testbed runs, crashes and recovers, then runs again; each step
+  // reports its virtual duration.
+  auto step = [&run](Testbed* tb, int k) -> StatusOr<SimNanos> {
+    if (k == 1) {
+      FACE_RETURN_IF_ERROR(tb->InjectInflightTransactions(2));
+      FACE_RETURN_IF_ERROR(tb->Crash());
+      FACE_ASSIGN_OR_RETURN(RestartReport report, tb->Recover());
+      return report.total_ns;
+    }
+    FACE_ASSIGN_OR_RETURN(RunResult result, tb->Run(run));
+    return result.duration;
+  };
+  constexpr int kSteps = 3;
+
+  std::unique_ptr<Testbed> shared[2];
+  SimNanos took[2][kSteps] = {};
+  for (int i = 0; i < 2; ++i) {
+    shared[i] = std::make_unique<Testbed>(opts[i], &golden);
+    FACE_ASSERT_OK(shared[i]->Start());
+  }
+  for (int k = 0; k < kSteps; ++k) {
+    for (int i = 0; i < 2; ++i) {
+      FACE_ASSERT_OK_AND_ASSIGN(took[i][k], step(shared[i].get(), k));
+    }
+  }
+
+  for (int i = 0; i < 2; ++i) {
+    FACE_ASSERT_OK_AND_ASSIGN(GoldenImage own, GoldenImage::BuildFor(factory));
+    Testbed alone(opts[i], &own);
+    FACE_ASSERT_OK(alone.Start());
+    for (int k = 0; k < kSteps; ++k) {
+      FACE_ASSERT_OK_AND_ASSIGN(const SimNanos ns, step(&alone, k));
+      EXPECT_EQ(ns, took[i][k]) << "testbed " << i << ", step " << k;
+    }
+    EXPECT_EQ(ContentsCrc(alone.db_dev()), ContentsCrc(shared[i]->db_dev()))
+        << "testbed " << i;
+    EXPECT_EQ(alone.db_dev()->stats().pages_written,
+              shared[i]->db_dev()->stats().pages_written);
+  }
+  EXPECT_EQ(ContentsCrc(golden.device.get()), built);
 }
 
 TEST(TestbedTest, RepeatedCrashesConverge) {
