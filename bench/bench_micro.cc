@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "buffer/buffer_pool.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "core/face_cache.h"
 #include "engine/btree.h"
@@ -43,6 +44,21 @@ void BM_DeviceBatchWrite64(benchmark::State& state) {
                           kPageSize);
 }
 BENCHMARK(BM_DeviceBatchWrite64);
+
+// One 4 KB page checksum: every page the stack writes to a device is
+// stamped with one (Page::StampChecksum) and every page it reads back is
+// verified, so this is the crc32c cost per page moved.
+void BM_Crc32c4K(benchmark::State& state) {
+  std::string page(kPageSize, '\0');
+  Random rnd(3);
+  for (char& c : page) c = static_cast<char>(rnd.Uniform(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c::Value(page.data(), page.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          kPageSize);
+}
+BENCHMARK(BM_Crc32c4K);
 
 void BM_LogAppend(benchmark::State& state) {
   SimDevice dev("log", DeviceProfile::Seagate15k(), 1 << 20);
