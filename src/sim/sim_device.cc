@@ -12,12 +12,12 @@
 
 namespace face {
 
-/// 4 MiB of a device's pages: one anonymous mapping, so a page commits
-/// memory only once it is written, and a bitmap of the pages written into
-/// it. A page not written here reads from `base_`, the shared chunk this
-/// one was layered over (SimDevice::CopyIn), and as zeros where no layer
-/// holds it. A chunk is written only while one device holds it; once
-/// shared it is read-only to every holder.
+/// 4 MiB of a device's pages: one anonymous mapping, which commits memory
+/// only where it is written, and a bitmap of the pages written into it. A
+/// page not written here reads from `base_`, the shared chunk this one was
+/// layered over (SimDevice::CopyIn), and as zeros where no layer holds it.
+/// A chunk is written only while one device holds it; once shared it is
+/// read-only to every holder.
 class SimDevice::Chunk {
  public:
   explicit Chunk(std::shared_ptr<const Chunk> base)
@@ -25,9 +25,13 @@ class SimDevice::Chunk {
                                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0))),
         base_(std::move(base)) {
     FACE_CHECK(bytes_ != MAP_FAILED, "cannot map a device chunk");
-#ifdef MADV_NOHUGEPAGE
-    // Huge pages would commit 2 MiB at a time, not the page written.
-    madvise(bytes_, kBytes, MADV_NOHUGEPAGE);
+#ifdef MADV_HUGEPAGE
+    // A chunk over nothing (a loaded image, a log, a flash ring) gets
+    // written in full, so 2 MiB huge pages cost it little memory and save
+    // it 511 of every 512 page faults. A layer holds only the pages its
+    // device writes, so it keeps 4 KB pages and commits just those.
+    madvise(bytes_, kBytes,
+            base_ == nullptr ? MADV_HUGEPAGE : MADV_NOHUGEPAGE);
 #endif
   }
   ~Chunk() { munmap(bytes_, kBytes); }

@@ -5,11 +5,12 @@
 // about their access pattern, which is what makes the mvFIFO-vs-LRU pricing
 // comparison honest.
 //
-// Memory is committed per written page: contents live in 4 MiB chunks of
-// lazily mapped memory, so a page costs memory only once it is written, and
-// a clone (CloneContentsFrom) shares its source's pages until it writes
-// them. A benchmark that clones one loaded golden image per configuration
-// thus holds the image once, plus the pages each clone has written.
+// Memory is committed as pages are written: contents live in 4 MiB chunks
+// of lazily mapped memory, and a clone (CloneContentsFrom) shares its
+// source's pages until it writes them, committing memory only for the 4 KB
+// pages it writes. A benchmark that clones one loaded golden image per
+// configuration thus holds the image once, plus the pages each clone has
+// written.
 #pragma once
 
 #include <array>
