@@ -34,9 +34,8 @@ using workload::YcsbFactory;
 using workload::YcsbOptions;
 
 constexpr CachePolicy kPolicies[] = {
-    CachePolicy::kNone,   CachePolicy::kFace, CachePolicy::kFaceGR,
-    CachePolicy::kFaceGSC, CachePolicy::kLc,   CachePolicy::kTac,
-    CachePolicy::kExadata,
+    CachePolicy::kNone,    CachePolicy::kFace, CachePolicy::kFaceGR,
+    CachePolicy::kFaceGSC, CachePolicy::kLc,
 };
 
 /// A matrix cell's printed row.
@@ -167,8 +166,7 @@ void RunFaultSection(const BenchFlags& flags, const GoldenImage& golden,
   if (bit_rot) {
     policies = {CachePolicy::kFace};
   } else {
-    policies = {CachePolicy::kFace, CachePolicy::kLc, CachePolicy::kTac,
-                CachePolicy::kExadata};
+    policies = {CachePolicy::kFace, CachePolicy::kLc};
   }
 
   std::vector<TableRow> rows;
@@ -343,9 +341,8 @@ void RunMatrix(const BenchFlags& flags) {
   }
 
   printf("\npaper shape: FaCE variants keep fseqW%% near 100 (mvFIFO "
-         "enqueues are appends);\nLRU-style policies (LC/TAC/Exadata) "
-         "overwrite in place and stay random.\nScan-heavy flash hit "
-         "rates:");
+         "enqueues are appends);\nLC's LRU-2 overwrites in place and "
+         "stays random.\nScan-heavy flash hit rates:");
   const char* sep = " ";
   for (const TableRow& row : scan_cells) {
     printf("%s%s %s%%", sep, row.label.c_str(), row.cells[1].c_str());

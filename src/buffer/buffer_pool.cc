@@ -153,7 +153,7 @@ StatusOr<PageHandle> BufferPool::FetchPage(PageId page_id) {
     f.flash_version = read->flash_version;
     f.tracker.Reset();
   } else {
-    Status s = storage_->ReadPage(page_id, f.data.get());
+    const Status s = storage_->ReadPage(page_id, f.data.get());
     if (!s.ok()) {
       free_list_.push_back(frame);
       return s;
@@ -163,15 +163,7 @@ StatusOr<PageHandle> BufferPool::FetchPage(PageId page_id) {
     f.dirty = false;
     f.fdirty = false;
     f.rec_lsn = kInvalidLsn;
-    uint64_t admitted = kNoFlashVersion;
-    if (!degraded) {
-      s = cache_->OnFetchFromDisk(page_id, f.data.get(), &admitted);
-      if (!s.ok()) {
-        free_list_.push_back(frame);
-        return s;
-      }
-    }
-    f.flash_version = admitted;  // on-entry policies admit a delta base here
+    f.flash_version = kNoFlashVersion;
     f.tracker.Reset();
   }
 

@@ -1,8 +1,8 @@
-// Lazy-deletion binary min-heap for victim ordering (LC's LRU-2, TAC's
-// temperature order). A victim order needs three fast operations on the
-// page-reference hot path — "reprioritize this entry", "what is the
-// current minimum", "drop this entry" — and std::set pays a node
-// allocation plus rebalancing pointer chases for each. The heap instead:
+// Lazy-deletion binary min-heap for victim ordering (LC's LRU-2). A victim
+// order needs three fast operations on the page-reference hot path —
+// "reprioritize this entry", "what is the current minimum", "drop this
+// entry" — and std::set pays a node allocation plus rebalancing pointer
+// chases for each. The heap instead:
 //
 //   - Push on every (re)prioritization; the entry's previous key simply
 //     becomes stale in place (no erase);

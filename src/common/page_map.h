@@ -1,6 +1,6 @@
 // Flat open-addressing hash map for the page directories on every hot path
-// of the system (buffer-pool frame table, FaCE newest-version map, LC/TAC/
-// Exadata cache indexes).
+// of the system (buffer-pool frame table, FaCE newest-version map, the
+// frame store's index under LC).
 //
 // Design:
 //   - power-of-two capacity, linear probing, splitmix64 key mixing;

@@ -1,11 +1,10 @@
 // The cache-extension contract between the DRAM buffer pool and a flash
 // caching policy. Section 3.2 of the FaCE paper frames every design as a
 // point in (when: entry/exit) x (what: clean/dirty/both) x (sync:
-// write-through/write-back) x (replacement) space; this interface carries
-// exactly the events needed to express all of them:
+// write-through/write-back) x (replacement) space. Every policy here admits
+// on exit, and this interface carries the events those designs need:
 //
-//   - OnDramEvict     : a page leaves the DRAM buffer (on-exit policies)
-//   - OnFetchFromDisk : a page enters DRAM from disk (on-entry policies)
+//   - OnDramEvict     : a page leaves the DRAM buffer (the admission point)
 //   - ReadPage        : DRAM miss served from flash
 //   - PrepareCheckpoint / CheckpointPages / OnCheckpoint : database
 //     checkpoint integration (who absorbs dirty pages, who must flush)
@@ -16,7 +15,7 @@
 // with no device I/O, and Format is a cold start on a blank or replaced
 // device (Forget, then whatever on-flash structure the policy persists).
 // The base class decides the rest once: a restart defaults to Format (the
-// directory died with DRAM; FaCE and TAC override it to restore theirs), a
+// directory died with DRAM; FaCE overrides it to restore its own), a
 // flash loss sets the degraded flag and Forgets, and a re-attach clears the
 // flag and Formats. A restart runs in two steps: RecoverAfterCrash before
 // analysis restores the directory, and FinishRecovery, the first lane of
@@ -210,18 +209,6 @@ class CacheExtension {
                              bool fdirty, Lsn rec_lsn,
                              DeltaWriteHint* hint = nullptr) = 0;
 
-  /// A page was just fetched from disk on a DRAM miss (on-entry policies
-  /// admit here; on-exit policies ignore it). A policy that admitted the
-  /// page reports the flash version it can later delta against through
-  /// `admitted_version` (left untouched otherwise).
-  virtual Status OnFetchFromDisk(PageId page_id, const char* page,
-                                 uint64_t* admitted_version = nullptr) {
-    (void)page_id;
-    (void)page;
-    (void)admitted_version;
-    return Status::OK();
-  }
-
   /// Called before the checkpoint record is logged. LC flushes its
   /// flash-resident dirty pages to disk here (the checkpointing cost the
   /// paper charges to LC).
@@ -258,8 +245,8 @@ class CacheExtension {
   virtual void OnPageWrittenToDisk(PageId page_id) { (void)page_id; }
 
   /// Cold start on a blank or replaced device: Forget, then lay down the
-  /// policy's on-flash structure (superblock, slot directory, delta-ring
-  /// header). Default: Forget alone.
+  /// policy's on-flash structure (superblock, delta-ring header). Default:
+  /// Forget alone.
   virtual Status Format() {
     Forget();
     return Status::OK();
@@ -269,7 +256,7 @@ class CacheExtension {
   /// staged frames) without device I/O: afterwards nothing is cached.
   virtual void Forget() = 0;
 
-  /// Restart after a crash: restore persistent metadata (FaCE/TAC) or, by
+  /// Restart after a crash: restore persistent metadata (FaCE) or, by
   /// default, Format cold. Charges recovery I/O.
   virtual Status RecoverAfterCrash() { return Format(); }
 

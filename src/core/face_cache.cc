@@ -1024,8 +1024,8 @@ void FaceCache::CollectFlashOnlyDirty(std::vector<FlashOnlyPage>* out) const {
 void FaceCache::OnPageWrittenToDisk(PageId page_id) {
   const uint64_t* found = newest_.Find(page_id);
   if (found == nullptr) return;
-  // A failed metadata write is ignored deliberately, as TAC does: the
-  // in-memory drop already keeps the stale copy from being served.
+  // A failed metadata write is ignored deliberately: the in-memory drop
+  // already keeps the stale copy from being served.
   (void)Invalidate(*found);
 }
 

@@ -64,19 +64,6 @@ void FrameStore::Release(uint32_t frame) {
   ++stats_->invalidations;
 }
 
-void FrameStore::Restore(const std::vector<PageId>& page_at) {
-  Clear();
-  free_.clear();
-  for (uint32_t f = 0; f < n_frames(); ++f) {
-    if (page_at[f] == kInvalidPageId) {
-      free_.push_back(f);
-    } else {
-      page_at_[f] = page_at[f];
-      index_.TryEmplace(page_at[f], f);
-    }
-  }
-}
-
 bool FrameStore::Verify(const char* image, PageId pid) {
   ConstPageView view(image);
   return view.VerifyChecksum() && view.page_id() == pid;

@@ -1,4 +1,5 @@
-// The in-place frame store under the LC, TAC and Exadata policies.
+// The in-place frame store under LC and the plugin example's policy
+// (examples/custom_policy.cpp).
 //
 // Paper §3.2 places every flash-cache design in a when x what x sync x
 // replacement space: the in-place designs differ in those choices, not in
@@ -75,10 +76,6 @@ class FrameStore {
   /// Unbind `frame`'s page, forget its chain and dirty state, and push the
   /// frame free. No I/O; counts an invalidation.
   void Release(uint32_t frame);
-  /// Restart restore: bind page_at[f] (kInvalidPageId = free) clean and
-  /// chainless to each frame f, stacking the free frames in ascending
-  /// order. No I/O.
-  void Restore(const std::vector<PageId>& page_at);
 
   // --- frame I/O ------------------------------------------------------
   /// True when `image` is a checksum-valid frame of `pid`.

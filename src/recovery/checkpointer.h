@@ -9,8 +9,7 @@
 //     must first be staged to disk (PrepareCheckpoint), then DRAM dirty
 //     pages are written to disk too. This is the checkpointing cost the
 //     paper charges to LC.
-//   - TAC / Exadata / none: write-through or no cache; DRAM dirty pages go
-//     to disk.
+//   - none: no cache; DRAM dirty pages go to disk.
 // The sequence is PostgreSQL-flavored, one log force and one control-block
 // write per checkpoint: log CHECKPOINT_BEGIN carrying the DPT/ATT/allocator,
 // force the log, sync every dirty page, then point the control block at

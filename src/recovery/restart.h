@@ -10,7 +10,7 @@
 //      of log through the restart's one LogReader, which keeps every window
 //      it reads (wal/log_manager.h)
 //   1. restore the cache extension's metadata (FaCE: persisted segments +
-//      bounded raw-frame scan; TAC: slot directory sweep; LC/none: cold).
+//      bounded raw-frame scan; LC/none: cold).
 //      Steps 0 and 1 read different devices (log disk, flash), so they run
 //      as two lanes of one scheduler lane batch and overlap. FaCE's delta
 //      chains wait for step 3

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "core/exadata_cache.h"
 #include "core/face_cache.h"
 #include "core/lc_cache.h"
-#include "core/tac_cache.h"
 #include "obs/trace.h"
 #include "workload/tpcc_workload.h"
 
@@ -62,8 +60,6 @@ const char* CachePolicyName(CachePolicy policy) {
     case CachePolicy::kFaceGR: return "FaCE+GR";
     case CachePolicy::kFaceGSC: return "FaCE+GSC";
     case CachePolicy::kLc: return "LC";
-    case CachePolicy::kTac: return "TAC";
-    case CachePolicy::kExadata: return "Exadata";
   }
   return "?";
 }
@@ -160,12 +156,8 @@ uint64_t Testbed::FlashDeviceBlocks() const {
     case CachePolicy::kFaceGSC:
       return FlashLayout::Compute(opts_.flash_pages, EffectiveSegEntries())
           .total_blocks;
-    case CachePolicy::kTac:
-      return TacCache::DeviceBlocksFor(opts_.flash_pages);
     case CachePolicy::kLc:
       return LcCache::DeviceBlocksFor(opts_.flash_pages);
-    case CachePolicy::kExadata:
-      return ExadataCache::DeviceBlocksFor(opts_.flash_pages);
   }
   return 0;
 }
@@ -198,15 +190,6 @@ StatusOr<std::unique_ptr<CacheExtension>> Testbed::MakeCache() {
       return std::unique_ptr<CacheExtension>(
           std::make_unique<LcCache>(lo, flash_dev_.get(), storage_.get()));
     }
-    case CachePolicy::kTac: {
-      TacOptions to;
-      to.n_frames = opts_.flash_pages;
-      return std::unique_ptr<CacheExtension>(
-          std::make_unique<TacCache>(to, flash_dev_.get(), storage_.get()));
-    }
-    case CachePolicy::kExadata:
-      return std::unique_ptr<CacheExtension>(std::make_unique<ExadataCache>(
-          opts_.flash_pages, flash_dev_.get(), storage_.get()));
   }
   return Status::InvalidArgument("unknown cache policy");
 }

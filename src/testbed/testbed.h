@@ -44,15 +44,14 @@
 
 namespace face {
 
-/// Which flash caching policy the testbed runs (Table 2 of the paper).
+/// Which flash caching policy the testbed runs: FaCE's variants and the
+/// designs the paper's evaluation compares them with.
 enum class CachePolicy : uint8_t {
   kNone = 0,  ///< no flash cache (HDD-only / SSD-only)
   kFace,      ///< mvFIFO, individual I/Os
   kFaceGR,    ///< mvFIFO + Group Replacement
   kFaceGSC,   ///< mvFIFO + Group Second Chance
   kLc,        ///< Lazy Cleaning (Do et al., SIGMOD'11)
-  kTac,       ///< Temperature-aware caching (IBM DB2 BPX)
-  kExadata,   ///< on-entry, clean-only, write-through LRU
 };
 
 /// Printable policy name matching the paper's figure legends.

@@ -24,7 +24,6 @@
 
 #include "common/random.h"
 #include "core/flash_layout.h"
-#include "core/tac_cache.h"
 #include "testbed/crash_storm.h"
 #include "testbed/sharded_testbed.h"
 #include "tests/test_util.h"
@@ -85,8 +84,6 @@ void RunKvStorms(CachePolicy policy) {
 
 TEST(CrashStormTest, Face) { RunKvStorms(CachePolicy::kFace); }
 TEST(CrashStormTest, Lc) { RunKvStorms(CachePolicy::kLc); }
-TEST(CrashStormTest, Tac) { RunKvStorms(CachePolicy::kTac); }
-TEST(CrashStormTest, Exadata) { RunKvStorms(CachePolicy::kExadata); }
 TEST(CrashStormTest, FaceGR) { RunKvStorms(CachePolicy::kFaceGR); }
 TEST(CrashStormTest, NoCache) { RunKvStorms(CachePolicy::kNone); }
 
@@ -109,8 +106,6 @@ TEST(CrashStormTest, ScansFace) { RunScanStorms(CachePolicy::kFace); }
 TEST(CrashStormTest, ScansFaceGR) { RunScanStorms(CachePolicy::kFaceGR); }
 TEST(CrashStormTest, ScansFaceGSC) { RunScanStorms(CachePolicy::kFaceGSC); }
 TEST(CrashStormTest, ScansLc) { RunScanStorms(CachePolicy::kLc); }
-TEST(CrashStormTest, ScansTac) { RunScanStorms(CachePolicy::kTac); }
-TEST(CrashStormTest, ScansExadata) { RunScanStorms(CachePolicy::kExadata); }
 
 /// TPC-C storms on the shared 1-warehouse image, audited by the §3.3.2
 /// consistency conditions: a tenth of CRASH_STORM_SEEDS (at least 2), as a
@@ -127,8 +122,6 @@ TEST(CrashStormTest, TpccFace) { RunTpccStorms(CachePolicy::kFace); }
 TEST(CrashStormTest, TpccFaceGR) { RunTpccStorms(CachePolicy::kFaceGR); }
 TEST(CrashStormTest, TpccFaceGSC) { RunTpccStorms(CachePolicy::kFaceGSC); }
 TEST(CrashStormTest, TpccLc) { RunTpccStorms(CachePolicy::kLc); }
-TEST(CrashStormTest, TpccTac) { RunTpccStorms(CachePolicy::kTac); }
-TEST(CrashStormTest, TpccExadata) { RunTpccStorms(CachePolicy::kExadata); }
 
 TEST(CrashStormTest, CrashDuringRecovery) {
   // Every seed cuts its restart: power fails again while redo, undo or the
@@ -258,14 +251,6 @@ TEST(CrashSweepTest, FaceGrEveryWriteOfOneCheckpointInterval) {
 
 TEST(CrashSweepTest, LcEveryWriteOfOneCheckpointInterval) {
   SweepOneCheckpointInterval(CachePolicy::kLc);
-}
-
-TEST(CrashSweepTest, TacEveryWriteOfOneCheckpointInterval) {
-  SweepOneCheckpointInterval(CachePolicy::kTac);
-}
-
-TEST(CrashSweepTest, ExadataEveryWriteOfOneCheckpointInterval) {
-  SweepOneCheckpointInterval(CachePolicy::kExadata);
 }
 
 TEST(CrashSweepTest, FaceGscSegmentsSmallerThanGroups) {
@@ -521,8 +506,7 @@ void RunFlashLossScenario(CachePolicy policy, uint64_t seed,
 }
 
 TEST(DegradedModeTest, FlashLossMidRunKeepsEveryCommittedRow) {
-  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc,
-                                  CachePolicy::kTac, CachePolicy::kExadata};
+  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc};
   for (CachePolicy policy : policies) {
     SCOPED_TRACE(CachePolicyName(policy));
     // Same seed twice: the post-degradation fingerprint must reproduce
@@ -537,8 +521,7 @@ TEST(DegradedModeTest, FlashLossMidRunKeepsEveryCommittedRow) {
 }
 
 TEST(DegradedModeTest, CrashWhileDegradedRecoversDiskOnly) {
-  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc,
-                                  CachePolicy::kTac, CachePolicy::kExadata};
+  const CachePolicy policies[] = {CachePolicy::kFace, CachePolicy::kLc};
   for (CachePolicy policy : policies) {
     SCOPED_TRACE(CachePolicyName(policy));
     DegradedRig rig;
@@ -625,24 +608,27 @@ TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
   // the repairs must still recover the exact committed history. Every
   // third block of each policy's frame region rots (same geometry the
   // testbed provisioned: FaCE's frames follow its metadata and delta
-  // rings, TAC's its slot directory, LC's and Exadata's start at block 0).
-  // The warmup fills FaCE's queue past its staged segment, so the rot
-  // costs the write-back policies many dirty frames, which a scrub reports
-  // in queue order rather than page order.
+  // rings, LC's start at block 0). The warmup fills FaCE's queue past its
+  // staged segment, so the rot costs both write-back policies many dirty
+  // frames, which a scrub reports in queue order rather than page order.
+  // LC's checkpoint cleans every frame, so the case that takes one before
+  // the rot must repair clean frames and lose no dirty one.
   constexpr uint64_t kFrames = 512;
   const struct {
     CachePolicy policy;
     uint64_t frame_base;
-    bool write_back;
+    bool checkpoint_first;
   } cases[] = {
       {CachePolicy::kFace, FlashLayout::Compute(kFrames, 256).frame_base,
-       true},
+       false},
+      {CachePolicy::kLc, 0, false},
       {CachePolicy::kLc, 0, true},
-      {CachePolicy::kTac, TacCache::DirBlocksFor(kFrames), false},
-      {CachePolicy::kExadata, 0, false},
   };
   for (const auto& c : cases) {
-    SCOPED_TRACE(CachePolicyName(c.policy));
+    const std::string label =
+        std::string(CachePolicyName(c.policy)) +
+        (c.checkpoint_first ? " after a checkpoint" : "");
+    SCOPED_TRACE(label);
     DegradedRig rig;
     rig.Build(c.policy, 55);
     if (::testing::Test::HasFatalFailure()) return;
@@ -650,6 +636,9 @@ TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
     RunOptions warm;
     warm.txns = 3000;
     FACE_ASSERT_OK(tb.Run(warm).status());
+    if (c.checkpoint_first) {
+      FACE_ASSERT_OK(tb.db()->TakeCheckpoint().status());
+    }
 
     for (uint64_t i = 0; i < kFrames; i += 3) {
       FACE_ASSERT_OK(FaultInjector::FlipBitsInBlock(
@@ -661,11 +650,14 @@ TEST(DegradedModeTest, ScrubRepairsBitRotThenSurvivesACrash) {
     EXPECT_GT(scrub.frames_scanned, 0u);
     EXPECT_GT(scrub.clean_repaired + scrub.lost_dirty.size(), 0u)
         << "no rot found: the flips missed every occupied frame";
-    if (c.write_back) {
+    if (c.checkpoint_first) {
+      EXPECT_GT(scrub.clean_repaired, 0u);
+      EXPECT_TRUE(scrub.lost_dirty.empty());
+    } else {
       EXPECT_GT(scrub.lost_dirty.size(), 1u);
     }
     EXPECT_FALSE(tb.IsDegraded());
-    std::cout << "[ " << CachePolicyName(c.policy) << " ] scrub scanned "
+    std::cout << "[ " << label << " ] scrub scanned "
               << scrub.frames_scanned << ", repaired " << scrub.clean_repaired
               << ", lost dirty " << scrub.lost_dirty.size() << "\n";
 

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "buffer/buffer_pool.h"
-#include "core/tac_cache.h"
+#include "core/lc_cache.h"
 #include "fault/fault_injector.h"
 #include "sim/sim_device.h"
 #include "storage/page.h"
@@ -149,65 +149,6 @@ TEST(FaultInjectorTest, DeadlineModeTripsAtVirtualTime) {
   // The completed transaction advanced now() past the deadline.
   EXPECT_TRUE(dev.Write(2, PageOf('c').data()).IsIOError());
   EXPECT_TRUE(inj.tripped());
-}
-
-TEST(TacTornRefreshTest, RecoverySweepDropsTornInPlaceRefresh) {
-  // TAC's write-through eviction refreshes a cached frame in place without
-  // touching its (already validated) directory entry. A crash tearing that
-  // refresh leaves the directory advertising a frame that fails its
-  // checksum; the recovery sweep must drop the slot instead of serving
-  // Corruption on the first read. Deterministic regression for the rare
-  // storm path (flash crashes are a small minority of crash points).
-  SimDevice db_dev("db", DeviceProfile::Seagate15k(), 256);
-  DbStorage storage(&db_dev);
-  TacOptions to;
-  to.n_frames = 8;
-  SimDevice flash("flash", DeviceProfile::MlcSamsung470(),
-                  TacCache::DeviceBlocksFor(to.n_frames));
-  TacCache tac(to, &flash, &storage);
-  FACE_ASSERT_OK(tac.Format());
-
-  // Admit a page on entry (frame write + directory validation persist).
-  const PageId pid = 5;
-  std::string page(kPageSize, '\0');
-  PageView view(page.data());
-  view.Format(pid);
-  memset(page.data() + kPageHeaderSize, 'v', 64);
-  FACE_ASSERT_OK(tac.OnFetchFromDisk(pid, page.data()));
-  ASSERT_TRUE(tac.Contains(pid));
-
-  // Dirty eviction: disk write succeeds, the in-place flash refresh is
-  // torn mid-page (1..7 sectors). Arm the injector on the flash device
-  // only, so the countdown cannot land on the disk write.
-  memset(page.data() + kPageHeaderSize, 'w', kPageSize - kPageHeaderSize);
-  view.set_lsn(12345);
-  FaultInjector inj;
-  flash.set_fault_injector(&inj);
-  uint64_t seed = 1;
-  while (true) {  // find a seed whose tear keeps 1..7 sectors
-    inj.ArmAfterWrites(1, seed);
-    std::string evicted = page;
-    const Status s = tac.OnDramEvict(pid, evicted.data(), /*dirty=*/true,
-                                     /*fdirty=*/true, /*rec_lsn=*/12345);
-    ASSERT_FALSE(s.ok());
-    ASSERT_TRUE(inj.tripped());
-    if (inj.site().sectors_persisted > 0) break;
-    // K=0 dropped the refresh whole, leaving the old (valid) frame: retry
-    // the eviction under the next seed until the tear is mid-page.
-    inj.Disarm();
-    ++seed;
-  }
-  inj.Disarm();
-
-  // Restart: the sweep must notice the torn frame and free the slot.
-  FACE_ASSERT_OK(tac.RecoverAfterCrash());
-  EXPECT_FALSE(tac.Contains(pid))
-      << "recovery kept a directory entry for a checksum-invalid frame";
-  FACE_ASSERT_OK(tac.CheckInvariants());
-
-  // And the invalidation is durable: a second restart agrees.
-  FACE_ASSERT_OK(tac.RecoverAfterCrash());
-  EXPECT_FALSE(tac.Contains(pid));
 }
 
 TEST(FaultInjectorTest, AftermathPrimitives) {
@@ -380,20 +321,21 @@ TEST(TransientFaultTest, AttachedButDisarmedInjectorPerturbsNothing) {
 }
 
 TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
-  // An 8-frame pool whose flash writes all fail: FaCE admits on eviction
-  // (GetFreeFrame's victim), TAC on fetch (FetchPage's new frame). Each
-  // failed admission used to lose its frame from the pool for good, so a
-  // handful of them left the pool Busy with nothing pinned. FaCE+GR stages
-  // four admissions per group write, so only every fourth one fails; its
-  // failed flush used to leave the staging arena full, and the next
-  // admission wrote past the arena's end. TAC's failed admission write used
-  // to keep the flash frame it popped off the free stack, so one failure per
-  // flash frame left no frame to admit into.
-  enum class Config { kFace, kFaceGR, kTac };
-  for (const Config config : {Config::kFace, Config::kFaceGR, Config::kTac}) {
+  // An 8-frame pool whose flash writes all fail: every policy admits the
+  // pool's eviction victim (GetFreeFrame's). Each failed admission used to
+  // lose its frame from the pool for good, so a handful of them left the
+  // pool Busy with nothing pinned. FaCE+GR stages four admissions per group
+  // write, so only every fourth one fails; its failed flush used to leave
+  // the staging arena full, and the next admission wrote past the arena's
+  // end. LC admits through the frame store, whose failed write must hand
+  // the flash frame it popped back to the free stack: one lost frame per
+  // failure would leave 16 flash frames nothing to admit into, and LC an
+  // empty victim order to evict from.
+  enum class Config { kFace, kFaceGR, kLc };
+  for (const Config config : {Config::kFace, Config::kFaceGR, Config::kLc}) {
     SCOPED_TRACE(config == Config::kFace     ? "FaCE"
                  : config == Config::kFaceGR ? "FaCE+GR"
-                                             : "TAC");
+                                             : "LC");
     SimDevice db_dev("db", DeviceProfile::Seagate15k(), 256);
     SimDevice log_dev("log", DeviceProfile::Seagate15k(), 1 << 16);
     DbStorage storage(&db_dev);
@@ -401,13 +343,13 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
     FACE_ASSERT_OK(log.Format());
     std::unique_ptr<SimDevice> flash;
     std::unique_ptr<CacheExtension> cache;
-    if (config == Config::kTac) {
-      TacOptions to;
-      to.n_frames = 64;
+    if (config == Config::kLc) {
+      LcOptions lo;
+      lo.n_frames = 16;
       flash = std::make_unique<SimDevice>(
           "flash", DeviceProfile::MlcSamsung470(),
-          TacCache::DeviceBlocksFor(to.n_frames));
-      auto c = std::make_unique<TacCache>(to, flash.get(), &storage);
+          LcCache::DeviceBlocksFor(lo.n_frames));
+      auto c = std::make_unique<LcCache>(lo, flash.get(), &storage);
       FACE_ASSERT_OK(c->Format());
       cache = std::move(c);
     } else {
@@ -422,7 +364,7 @@ TEST(FrameLeakTest, FailedAdmissionsAndEvictionsLeaveEveryFrameUsable) {
       cache = std::move(c);
     }
     // Pages fetched while every flash write fails: FaCE+GR needs more of
-    // them to fail capacity() admissions, TAC one per flash frame.
+    // them to fail capacity() admissions, LC more than it has flash frames.
     const PageId failing = config == Config::kFace ? 32 : 64;
     std::string page(kPageSize, '\0');
     for (PageId pid = 0; pid < failing + 8; ++pid) {

@@ -96,8 +96,7 @@ TEST_P(TestbedPolicyTest, SteadyStateRunsAndHits) {
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, TestbedPolicyTest,
     ::testing::Values(CachePolicy::kFace, CachePolicy::kFaceGR,
-                      CachePolicy::kFaceGSC, CachePolicy::kLc,
-                      CachePolicy::kTac, CachePolicy::kExadata),
+                      CachePolicy::kFaceGSC, CachePolicy::kLc),
     [](const ::testing::TestParamInfo<CachePolicy>& pinfo) {
       std::string name = CachePolicyName(pinfo.param);
       for (char& c : name) {

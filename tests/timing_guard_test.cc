@@ -14,9 +14,7 @@
 // intentional change: small flash refreshes and checkpoint absorptions
 // now travel as packed delta records instead of full 4 KB frame writes,
 // which legitimately lowers flash page counts, busy time, and makespan on
-// every update-heavy row (and raises Exadata's hit counts, since its
-// cached copies now survive dirty DRAM evictions instead of being
-// invalidated). The rows pin the shipped DeltaRingOptions defaults
+// every update-heavy row. The rows pin the shipped DeltaRingOptions defaults
 // (max_chain = 16, record/chain byte caps of kPageSize/2 and kPageSize);
 // retuning those knobs moves simulated numbers and needs a fresh capture.
 // Rows whose runs never take the delta path ("none", the read-only
@@ -33,7 +31,7 @@
 // On FaCE+GSC the survivor-loop segment hold (group flushes now wait for
 // every survivor) and the rule that destages a dirty, delta-patched page
 // whose new frame would land on its own block also move lookups, hits and
-// the db and log fields. LC, TAC, Exadata and "none" reproduced unchanged.
+// the db and log fields. LC and "none" reproduced unchanged.
 // The scan-heavy rows were re-captured once more when the scan-heavy
 // driver became a YCSB mix (YcsbOptions::LongScans): a different request
 // stream over the same 8,000-row image, which the rows now share with the
@@ -43,8 +41,8 @@
 // is pushed up), so TPC-C's growing indexes lay out their internal nodes
 // differently. The KV rows reproduced unchanged. The tpcc rows were
 // re-captured once more when checkpoints stopped logging CHECKPOINT_END:
-// one log write fewer per checkpoint moves log_busy and log_pages on all
-// six rows and FaCE's duration; every other field reproduced unchanged.
+// one log write fewer per checkpoint moves log_busy and log_pages on every
+// tpcc row and FaCE's duration; every other field reproduced unchanged.
 //
 // The KV images here are loaded through the *incremental-insert* path on
 // purpose: the sorted bulk-load path intentionally changes the physical
@@ -75,8 +73,10 @@ using workload::YcsbFactory;
 using workload::YcsbOptions;
 
 constexpr CachePolicy kPolicies[] = {
-    CachePolicy::kNone, CachePolicy::kFace, CachePolicy::kFaceGSC,
-    CachePolicy::kLc,   CachePolicy::kTac,  CachePolicy::kExadata,
+    CachePolicy::kNone,
+    CachePolicy::kFace,
+    CachePolicy::kFaceGSC,
+    CachePolicy::kLc,
 };
 
 /// Everything a run simulates, as exact integers. Any drift — one
@@ -140,20 +140,14 @@ constexpr Fingerprint kGolden[] = {
     {"tpcc", "FaCE", 11792713593, 250, 120, 7164, 4196, 12280893762, 254745879, 667669129, 4048, 8619, 556},
     {"tpcc", "FaCE+GSC", 10492875649, 250, 120, 7232, 4600, 11055646288, 357576152, 626852814, 3633, 15877, 542},
     {"tpcc", "LC", 12317189506, 250, 120, 7164, 4683, 12653101869, 454198658, 656007327, 4391, 9162, 552},
-    {"tpcc", "TAC", 15040073679, 250, 120, 7164, 4459, 14655091043, 1322854480, 685161840, 4808, 15573, 562},
-    {"tpcc", "Exadata", 14871391941, 250, 120, 7164, 4395, 14802965839, 483870469, 720147253, 4870, 7327, 574},
     {"ycsb-zipfian", "none", 162704303, 400, 400, 186, 0, 758513346, 0, 85186414, 246, 0, 53},
     {"ycsb-zipfian", "FaCE", 132465063, 400, 400, 186, 10, 580638104, 4193304, 88101863, 190, 160, 54},
     {"ycsb-zipfian", "FaCE+GSC", 154284588, 400, 400, 193, 16, 609296931, 5257092, 73524608, 199, 218, 49},
     {"ycsb-zipfian", "LC", 138794330, 400, 400, 186, 10, 583835546, 3859107, 88101863, 191, 157, 54},
-    {"ycsb-zipfian", "TAC", 175044012, 400, 400, 186, 0, 758513346, 87917313, 137664534, 246, 810, 71},
-    {"ycsb-zipfian", "Exadata", 165972653, 400, 400, 186, 0, 758513346, 3420652, 137664533, 246, 186, 71},
     {"scan-heavy", "none", 362399704, 50, 50, 1382, 0, 692565530, 0, 2915451, 1386, 0, 1},
     {"scan-heavy", "FaCE", 580968241, 50, 50, 1382, 211, 563099863, 43349119, 2915451, 1177, 1659, 1},
     {"scan-heavy", "FaCE+GSC", 466623470, 50, 50, 1395, 134, 639553153, 72385616, 2915451, 1267, 3291, 1},
     {"scan-heavy", "LC", 613211414, 50, 50, 1382, 118, 605751550, 52271356, 2915451, 1267, 1376, 1},
-    {"scan-heavy", "TAC", 705556071, 50, 50, 1382, 40, 669735340, 287374190, 2915451, 1346, 2670, 1},
-    {"scan-heavy", "Exadata", 634598371, 50, 50, 1382, 0, 692565530, 25435593, 2915451, 1386, 1382, 1},
     // clang-format on
 };
 

@@ -425,8 +425,7 @@ void ExpectOneReferenceStream(
   uint64_t refs = 0, hash = 0;
   for (const CachePolicy policy :
        {CachePolicy::kNone, CachePolicy::kFace, CachePolicy::kFaceGR,
-        CachePolicy::kFaceGSC, CachePolicy::kLc, CachePolicy::kTac,
-        CachePolicy::kExadata}) {
+        CachePolicy::kFaceGSC, CachePolicy::kLc}) {
     SCOPED_TRACE(CachePolicyName(policy));
     TestbedOptions opts = SmallOptions(golden, policy);
     opts.buffer_frames = 64;
