@@ -28,17 +28,25 @@ StatusOr<FlashRebuildReport> FlashRebuild::Rebuild(
   }
   report.floor = floor;
 
-  // The redo filter is binary-searched, so sort it: a scrub reports its
+  // The page filter is binary-searched, so sort it: a scrub reports its
   // lost pages in queue order, not page order.
   std::vector<PageId> ids;
   ids.reserve(lost.size());
   for (const FlashOnlyPage& p : lost) ids.push_back(p.page_id);
   std::sort(ids.begin(), ids.end());
-  RedoStats redo;
+  // Only update and CLR records name a page: keep the lost pages' ones.
+  std::vector<LogRecord> records;
   LogReader reader(log_->device());
-  FACE_RETURN_IF_ERROR(RedoWithReadAhead(&reader, pool_, storage_, sched_,
-                                         floor, &ids, /*lead=*/nullptr,
-                                         &redo));
+  FACE_RETURN_IF_ERROR(reader.Seek(floor));
+  FACE_RETURN_IF_ERROR(reader.Scan([&](LogRecord&& rec) {
+    if (std::binary_search(ids.begin(), ids.end(), rec.page_id)) {
+      records.push_back(std::move(rec));
+    }
+    return Status::OK();
+  }));
+  RedoStats redo;
+  FACE_RETURN_IF_ERROR(RedoWithReadAhead(records, pool_, storage_, sched_,
+                                         /*lead=*/nullptr, &redo));
   report.records_scanned = redo.records;
   report.records_applied = redo.applied;
 

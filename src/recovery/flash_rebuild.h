@@ -9,12 +9,12 @@
 // FaCE's queue entry `since` / the FrameStore per-frame recLSN under LC).
 //
 // This component reruns ARIES redo on the LIVE engine, scoped to exactly
-// that lost set: one WAL scan from the minimum floor, applying update/CLR
-// records for target pages under the usual pageLSN test, then writing the
-// rebuilt pages to their durable home on disk. The scan is restart's own
-// redo routine (recovery/redo.h, read-ahead included) with the lost set as
-// its page filter, so the crash path and the degrade path cannot drift
-// apart.
+// that lost set: one WAL scan from the minimum floor (LogReader::Scan)
+// keeps the target pages' update/CLR records, redo applies them under the
+// usual pageLSN test, and the rebuilt pages are written to their durable
+// home on disk. The scan and the redo are restart's own (recovery/redo.h,
+// read-ahead included), so the crash path and the degrade path cannot
+// drift apart.
 //
 // Caller contract (see Testbed::DegradeToDiskOnly and Testbed::ScrubPass):
 // the cache must no longer serve a lost page (it is degraded, so page

@@ -82,43 +82,31 @@ class ReadAheadBatch {
 
 }  // namespace
 
-Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
-                         DbStorage* storage, IoScheduler* sched, Lsn from,
-                         const std::vector<PageId>* targets,
-                         const IoLead* lead, RedoStats* stats) {
+Status RedoWithReadAhead(const std::vector<LogRecord>& records,
+                         BufferPool* pool, DbStorage* storage,
+                         IoScheduler* sched, const IoLead* lead,
+                         RedoStats* stats) {
   const size_t window_pages = std::max<size_t>(1, pool->capacity() / 2);
   const CacheExtension* cache = pool->cache();
-  FACE_RETURN_IF_ERROR(reader->Seek(from));
 
-  std::vector<LogRecord> window;
+  std::vector<const LogRecord*> window;
   std::vector<PageId> fetch;  // distinct non-resident pages, first touch
   PageMap<bool> covered;      // page -> only ever skipped, never fetched
-  bool end_of_log = false;
-  while (!end_of_log) {
+  auto next = records.begin();
+  do {
     window.clear();
     fetch.clear();
     ReadAheadBatch batch(sched);
     if (lead != nullptr) {
-      // The lead takes the first lane; the window below is decoded after it
+      // The lead takes the first lane; the window below is built after it
       // (see file comment).
       FACE_RETURN_IF_ERROR(batch.RunLead(*lead));
       lead = nullptr;
     }
-    while (fetch.size() < window_pages) {
-      auto rec_or = reader->Next();
-      if (rec_or.status().IsNotFound()) {  // end of the valid log
-        end_of_log = true;
-        break;
-      }
-      FACE_RETURN_IF_ERROR(rec_or.status());
-      LogRecord& rec = rec_or.value();
+    for (; next != records.end() && fetch.size() < window_pages; ++next) {
+      const LogRecord& rec = *next;
       if (rec.type != LogRecordType::kUpdate &&
           rec.type != LogRecordType::kClr) {
-        continue;
-      }
-      if (targets != nullptr &&
-          !std::binary_search(targets->begin(), targets->end(),
-                              rec.page_id)) {
         continue;
       }
       ++stats->records;
@@ -139,7 +127,7 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
           covered.InsertOrAssign(rec.page_id, false);
         }
       }
-      window.push_back(std::move(rec));
+      window.push_back(&rec);
     }
 
     for (PageId pid : fetch) {
@@ -159,15 +147,15 @@ Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
       }
     }
 
-    for (const LogRecord& rec : window) {
+    for (const LogRecord* rec : window) {
       FACE_ASSIGN_OR_RETURN(PageHandle page,
-                            pool->FetchPageForRedo(rec.page_id));
+                            pool->FetchPageForRedo(rec->page_id));
       // pageLSN test: the effect is already present iff pageLSN >= rec LSN.
-      if (page.view().lsn() >= rec.lsn) continue;
-      ApplyRecord(rec, &page);
+      if (page.view().lsn() >= rec->lsn) continue;
+      ApplyRecord(*rec, &page);
       ++stats->applied;
     }
-  }
+  } while (next != records.end());
   covered.ForEach([stats](PageId, bool only_skipped) {
     stats->skipped_pages += only_skipped ? 1 : 0;
   });

@@ -1,9 +1,10 @@
 // ARIES redo with read-ahead: the one redo loop shared by crash restart
 // (RestartManager) and the WAL-driven flash rebuild (FlashRebuild).
 //
-// The log is decoded a window at a time. A window closes once its records
-// touch half the buffer pool's capacity in distinct pages that are not
-// resident (so a window's own fetches never evict each other). Those pages
+// Redo reads no log: the caller's one pass (LogReader::Scan) decoded the
+// records, and redo walks them a window at a time. A window closes once its
+// records touch half the buffer pool's capacity in distinct pages that are
+// not resident (so a window's own fetches never evict each other). Those pages
 // are then faulted in through the unchanged BufferPool::FetchPageForRedo
 // path as one scheduler I/O lane batch, one lane per page in first-touch
 // order — the reads overlap across the disk array's spindles and the flash
@@ -28,7 +29,7 @@
 // (CacheExtension::FinishRecovery; FaCE reads its delta ring and
 // re-attaches the chains) as an IoLead, the first lane of the first
 // window's batch (sim/scheduler.h states the rule for leads). The window is
-// decoded after it in host order, so every skip and fetch decision is the
+// built after it in host order, so every skip and fetch decision is the
 // one a restore before redo would give: only the virtual timeline moves.
 // Flash fetches queue behind the ring read, and which disk pages a window
 // reads never depends on a chain (a page with a chain is in the cache's
@@ -43,7 +44,7 @@
 #include "common/types.h"
 #include "sim/scheduler.h"
 #include "storage/db_storage.h"
-#include "wal/log_manager.h"
+#include "wal/log_record.h"
 
 namespace face {
 
@@ -59,18 +60,15 @@ struct RedoStats {
   uint64_t readahead_pages = 0;    ///< pages fetched through read-ahead
 };
 
-/// Replay every update/CLR record from `from` to the end of the durable log,
-/// decoded through `reader` (restart passes the reader its attach scan
-/// filled, so the range is not read again). `targets`, if non-null, is a
-/// sorted list of the only page ids to replay (flash rebuild's lost set).
-/// `lead`, if non-null, runs first (see file comment); the first window is
-/// decoded inside its batch, so `reader` must already hold those records.
-/// `sched` may be null (no virtual time); otherwise the caller holds an
-/// open span. An I/O error from the lead or a read-ahead fetch is returned
-/// with the lane batch closed.
-Status RedoWithReadAhead(LogReader* reader, BufferPool* pool,
-                         DbStorage* storage, IoScheduler* sched, Lsn from,
-                         const std::vector<PageId>* targets,
-                         const IoLead* lead, RedoStats* stats);
+/// Replay every update/CLR record of `records`, decoded log records in LSN
+/// order (restart's whole pass from its redo LSN; flash rebuild's records
+/// of its lost pages). Records of other types are passed over. `lead`, if
+/// non-null, runs first (see file comment). `sched` may be null (no virtual
+/// time); otherwise the caller holds an open span. An I/O error from the
+/// lead or a read-ahead fetch is returned with the lane batch closed.
+Status RedoWithReadAhead(const std::vector<LogRecord>& records,
+                         BufferPool* pool, DbStorage* storage,
+                         IoScheduler* sched, const IoLead* lead,
+                         RedoStats* stats);
 
 }  // namespace face

@@ -113,20 +113,36 @@ Status RestartManager::RunPhases(RestartReport* report) {
   const SimNanos t0 = SpanTime();
   const BufferPool::Stats before = pool_->stats();
 
-  // The control record decides how phases 1 and 3 run: a degraded marker
-  // means the flash cache was lost before the crash, so its device contents
-  // must not be trusted and redo may have to reach below the checkpoint to
-  // rebuild pages whose newest version lived only on flash.
+  // The control record decides how phases 0, 1 and 3 run: a degraded
+  // marker means the flash cache was lost before the crash, so its device
+  // contents must not be trusted and redo may have to reach below the
+  // checkpoint to rebuild pages whose newest version lived only on flash.
   FACE_ASSIGN_OR_RETURN(WalControlInfo ctrl, log_->ReadControlInfo());
   report->checkpoint_lsn = ctrl.checkpoint_lsn;
   report->degraded = ctrl.degraded;
 
+  // Redo replays history from the checkpoint's BEGIN (every page dirty at
+  // BEGIN was synced before the control block named it, so no older update
+  // can be missing) — or, after a degraded crash, from the persisted
+  // rebuild floor if lower: the flash versions the checkpoint relied on are
+  // gone, and only the WAL can reconstruct them onto disk.
+  const Lsn ckpt_lsn = ctrl.checkpoint_lsn == kInvalidLsn
+                           ? LogManager::kLogStartLsn
+                           : ctrl.checkpoint_lsn;
+  const Lsn redo_lsn = ctrl.degraded && ctrl.rebuild_floor != kInvalidLsn
+                           ? std::min(ckpt_lsn, ctrl.rebuild_floor)
+                           : ckpt_lsn;
+  report->redo_lsn = redo_lsn;
+
   // Phases 0 and 1 read different devices, so they run as two lanes of one
-  // batch. Phase 0 locates the valid end of the durable log, scanning
-  // through reader_, which keeps the range for analysis, redo and undo.
-  // Phase 1 restores the cache extension's metadata before any data page is
-  // touched, so analysis/redo/undo fetches can hit flash (paper §4.2); the
-  // rest of the restore continues this lane in redo's first batch.
+  // batch. Phase 0 is the restart's one pass over the log: it decodes every
+  // record from the redo LSN to the valid end once, into `records`, which
+  // analysis and redo walk, and attaches the log at the end. reader_ keeps
+  // the windows for undo. Phase 1 restores the cache extension's metadata
+  // before any data page is touched, so redo/undo fetches can hit flash
+  // (paper §4.2); the rest of the restore continues this lane in redo's
+  // first batch.
+  std::vector<LogRecord> records;
   SimNanos meta_ns = 0;
   SimNanos meta_end = 0;  // where the metadata lane ended
   {
@@ -134,7 +150,12 @@ Status RestartManager::RunPhases(RestartReport* report) {
     batch.NextLane();
     {
       obs::ScopedSpan span("recovery", "attach");
-      FACE_RETURN_IF_ERROR(log_->Attach(&reader_, ctrl.checkpoint_lsn));
+      FACE_RETURN_IF_ERROR(reader_.Seek(redo_lsn));
+      FACE_RETURN_IF_ERROR(reader_.Scan([&records](LogRecord&& rec) {
+        records.push_back(std::move(rec));
+        return Status::OK();
+      }));
+      FACE_RETURN_IF_ERROR(log_->Attach(&reader_));
     }
     batch.NextLane();
     const SimNanos lane_start = SpanTime();
@@ -155,37 +176,22 @@ Status RestartManager::RunPhases(RestartReport* report) {
   std::map<TxnId, Lsn> losers;
   {
     obs::ScopedSpan span("recovery", "analysis");
-    FACE_RETURN_IF_ERROR(Analysis(report, ctrl.checkpoint_lsn, &losers));
+    Analysis(records, ckpt_lsn, report, &losers);
   }
   const SimNanos t_ana = SpanTime();
   report->analysis_ns = t_ana - t_meta;
   RecordPhaseNs(kAnalysis, report->analysis_ns);
 
-  // Phase 3: redo history from the checkpoint's BEGIN (every page dirty at
-  // BEGIN was synced before the control block named it, so no older update
-  // can be missing) — or,
-  // after a degraded crash, from the persisted rebuild floor if lower: the
-  // flash versions the checkpoint relied on are gone, and only the WAL can
-  // reconstruct them onto disk.
-  Lsn redo_lsn = report->checkpoint_lsn == kInvalidLsn
-                     ? LogManager::kLogStartLsn
-                     : report->checkpoint_lsn;
-  if (ctrl.degraded && ctrl.rebuild_floor != kInvalidLsn &&
-      ctrl.rebuild_floor < redo_lsn) {
-    redo_lsn = ctrl.rebuild_floor;
-  }
-  report->redo_lsn = redo_lsn;
+  // Phase 3: redo history from the redo LSN.
   {
     obs::ScopedSpan span("recovery", "redo");
     // The cache finishes its restore as the first lane of redo's first
     // read-ahead batch, continuing the metadata lane: FaCE's delta-ring read
-    // overlaps the attach scan and the batch's disk fetches
-    // (recovery/redo.h). A degraded cache has nothing to finish, and its
-    // redo may read log the attach scan did not.
+    // overlaps the log pass and the batch's disk fetches
+    // (recovery/redo.h). A degraded cache has nothing to finish.
     const IoLead lead{[&] { return FinishCacheRecovery(ctrl); }, meta_end};
     RedoStats redo;
-    FACE_RETURN_IF_ERROR(RedoWithReadAhead(&reader_, pool_, storage_, sched_,
-                                           redo_lsn, nullptr,
+    FACE_RETURN_IF_ERROR(RedoWithReadAhead(records, pool_, storage_, sched_,
                                            ctrl.degraded ? nullptr : &lead,
                                            &redo));
     report->redo_records = redo.records;
@@ -265,16 +271,11 @@ Status RestartManager::FinishCacheRecovery(const WalControlInfo& ctrl) {
   return cache_->FinishRecovery(floor);
 }
 
-Status RestartManager::Analysis(RestartReport* report, Lsn ckpt_lsn,
-                                std::map<TxnId, Lsn>* losers) {
-  const Lsn from = ckpt_lsn == kInvalidLsn ? LogManager::kLogStartLsn
-                                           : ckpt_lsn;
-  FACE_RETURN_IF_ERROR(reader_.Seek(from));
-  while (true) {
-    auto rec_or = reader_.Next();
-    if (rec_or.status().IsNotFound()) break;  // end of the valid log
-    FACE_RETURN_IF_ERROR(rec_or.status());
-    const LogRecord& rec = rec_or.value();
+void RestartManager::Analysis(const std::vector<LogRecord>& records,
+                              Lsn from, RestartReport* report,
+                              std::map<TxnId, Lsn>* losers) {
+  for (const LogRecord& rec : records) {
+    if (rec.lsn < from) continue;  // a degraded restart's redo-only prefix
     ++report->analysis_records;
     switch (rec.type) {
       case LogRecordType::kBegin:
@@ -329,7 +330,6 @@ Status RestartManager::Analysis(RestartReport* report, Lsn ckpt_lsn,
   report->decided_gtids.erase(
       std::unique(report->decided_gtids.begin(), report->decided_gtids.end()),
       report->decided_gtids.end());
-  return Status::OK();
 }
 
 Status RestartManager::Undo(RestartReport* report,

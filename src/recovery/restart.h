@@ -5,21 +5,25 @@
 //
 // Restart sequence:
 //      read the log's control block once: the last checkpoint's LSN and the
-//      degraded marker decide how steps 0, 1 and 3 run
-//   0. attach to the durable log: scan from the checkpoint to the valid end
-//      of log through the restart's one LogReader, which keeps every window
-//      it reads (wal/log_manager.h)
+//      degraded marker decide how steps 0, 1 and 3 run, and where redo
+//      starts: the checkpoint, or a lower rebuild floor after a degraded
+//      crash
+//   0. attach to the durable log in the restart's one pass over it: decode
+//      every record from the redo LSN to the valid end of log once
+//      (LogReader::Scan), keep the records for steps 2 and 3, and set the
+//      log tail where the pass ended. The restart's one LogReader keeps
+//      every window it reads (wal/log_manager.h)
 //   1. restore the cache extension's metadata (FaCE: persisted segments +
 //      bounded raw-frame scan; LC/none: cold).
 //      Steps 0 and 1 read different devices (log disk, flash), so they run
 //      as two lanes of one scheduler lane batch and overlap. FaCE's delta
 //      chains wait for step 3
-//   2. analysis: scan from the last complete checkpoint's BEGIN, building
-//      the loser-transaction table. It decodes the range step 0 read, so it
-//      costs no device I/O and no virtual time
-//   3. redo: replay history from the checkpoint (pageLSN test makes
-//      replaying idempotent), reading ahead: the log is decoded a window at
-//      a time and each window's non-resident pages are fetched as one
+//   2. analysis: walk step 0's records from the last complete checkpoint's
+//      BEGIN, building the loser-transaction table. It reads and decodes
+//      nothing, so it costs no virtual time and cannot fail
+//   3. redo: replay step 0's update and CLR records (pageLSN test makes
+//      replaying idempotent), reading ahead: the records are taken a window
+//      at a time and each window's non-resident pages are fetched as one
 //      scheduler lane batch, so the reads overlap across the disk array's
 //      spindles and the flash device (recovery/redo.h). The first batch's
 //      first lane finishes the cache's restore (CacheExtension::
@@ -30,12 +34,11 @@
 //      page's persistent cached copy (the directory step 1 restored)
 //      already holds it is skipped without a fetch, so the post-checkpoint
 //      work FaCE already put on flash costs restart nothing. A degraded
-//      restart trusts no cached copy and skips nothing. Redo decodes
-//      through the same reader, so the log range is not read again
+//      restart trusts no cached copy and skips nothing. Redo reads no log
 //   4. undo: roll back losers in reverse-LSN order, logging CLRs. An
 //      update record carries before XOR after, so undo XORs it out of the
 //      page and logs the restored before image as the CLR's. Records
-//      at or above the checkpoint come from the reader's windows; a loser
+//      at or above the redo LSN come from the reader's windows; a loser
 //      chain reaching below them refills backwards, one window per 256 KB.
 //      Undo does not force the log: step 5 does, and the WAL rule forces it
 //      before any page a CLR dirtied leaves the pool
@@ -47,8 +50,9 @@
 //      from, one lane each, then writes the absorbed frames and its delta
 //      records after the batch closed. The control block is written last
 //      (recovery/checkpointer.h)
-// So a restart reads each log block at most once, and its log reads grow
-// once with the log written since the last checkpoint.
+// So a restart reads each log block at most once and decodes each record
+// once, and its log reads grow once with the log written since the redo
+// LSN.
 // Every phase's virtual time is reported separately.
 #pragma once
 
@@ -118,14 +122,14 @@ struct RestartReport {
   std::vector<uint64_t> decided_gtids;
 
   /// Steps 0-1's span less meta_restore_ns: the control-block read, plus
-  /// the part of the end-of-log scan that outlasts the metadata restore.
-  /// FaCE's delta-ring read, redo's lead lane, starts where the metadata
-  /// restore ended and runs beside that part of the scan, and redo's flash
-  /// fetches queue behind it. So this share is not time a shorter scan
-  /// would save the restart.
+  /// the part of the log pass that outlasts the metadata restore. FaCE's
+  /// delta-ring read, redo's lead lane, starts where the metadata restore
+  /// ended and runs beside that part of the pass, and redo's flash fetches
+  /// queue behind it. So this share is not time a shorter pass would save
+  /// the restart.
   SimNanos attach_ns = 0;
   /// The cache-extension metadata restore's own duration (its lane starts
-  /// with the log scan's, so the two overlap). FaCE's delta-ring read is
+  /// with the log pass's, so the two overlap). FaCE's delta-ring read is
   /// not in it: redo's first batch waits for that read (redo_ns).
   SimNanos meta_restore_ns = 0;
   SimNanos analysis_ns = 0;
@@ -193,8 +197,9 @@ class RestartManager {
   /// Step 3's first lane: CacheExtension::FinishRecovery with the dirty
   /// floor the control record implies.
   Status FinishCacheRecovery(const WalControlInfo& ctrl);
-  Status Analysis(RestartReport* report, Lsn ckpt_lsn,
-                  std::map<TxnId, Lsn>* losers);
+  /// Step 2 over step 0's `records`, from LSN `from` on.
+  void Analysis(const std::vector<LogRecord>& records, Lsn from,
+                RestartReport* report, std::map<TxnId, Lsn>* losers);
   Status Undo(RestartReport* report, std::map<TxnId, Lsn>* losers);
 
   /// Current virtual time of the active recovery span (0 without sched).
@@ -209,11 +214,12 @@ class RestartManager {
   CacheExtension* cache_;
   IoScheduler* sched_;
   uint32_t bg_token_;
-  /// Attach, analysis, redo and undo share one log reader, which keeps every
-  /// window it reads: the attach scan reads the range from the checkpoint
-  /// to the end of log once, and the later phases decode it from memory.
-  /// Undo reads only records that were durable before the crash, so the
-  /// CLRs it appends never make a cached window stale.
+  /// The restart's one log reader, which keeps every window it reads: the
+  /// attach pass reads the range from the redo LSN to the end of log once,
+  /// the log tail is copied out of its last window, and undo's loser
+  /// records at or above the redo LSN come from memory. Undo reads only
+  /// records that were durable before the crash, so the CLRs it appends
+  /// never make a cached window stale.
   LogReader reader_;
   /// Prepared transactions seen by analysis (txn id -> gtid).
   std::map<TxnId, uint64_t> prepared_;

@@ -61,23 +61,19 @@ Status LogManager::Format() {
 Status LogManager::Attach() {
   FACE_ASSIGN_OR_RETURN(Lsn ckpt_lsn, ReadControlBlock());
   LogReader reader(device_);
-  return Attach(&reader, ckpt_lsn);
+  FACE_RETURN_IF_ERROR(
+      reader.Seek(ckpt_lsn == kInvalidLsn ? kLogStartLsn : ckpt_lsn));
+  FACE_RETURN_IF_ERROR(reader.Scan([](LogRecord&&) { return Status::OK(); }));
+  return Attach(&reader);
 }
 
-Status LogManager::Attach(LogReader* reader, Lsn checkpoint_lsn) {
-  FACE_RETURN_IF_ERROR(reader->Seek(
-      checkpoint_lsn == kInvalidLsn ? kLogStartLsn : checkpoint_lsn));
-  while (true) {
-    auto rec = reader->Next();
-    if (rec.status().IsNotFound()) break;  // the valid end of log
-    FACE_RETURN_IF_ERROR(rec.status());
-  }
+Status LogManager::Attach(LogReader* reader) {
   next_lsn_ = reader->position();
   durable_lsn_ = next_lsn_;
   buffer_base_ = (next_lsn_ / kPageSize) * kPageSize;
   // Preserve the partial last block so future flushes rewrite it intact.
-  // The scan ended by reading the record header at next_lsn_, so the
-  // reader already holds the block.
+  // The caller's scan ended by reading the record header at next_lsn_, so
+  // the reader already holds the block.
   tail_used_ = static_cast<size_t>(next_lsn_ - buffer_base_);
   if (tail_used_ > 0) {
     EnsureTailRoom(0);
@@ -248,6 +244,15 @@ StatusOr<LogRecord> LogReader::Next() {
   if (rec->lsn != pos_) return Status::NotFound("end of log (stale bytes)");
   pos_ += len;
   return rec;
+}
+
+Status LogReader::Scan(const std::function<Status(LogRecord&&)>& visit) {
+  while (true) {
+    StatusOr<LogRecord> rec = Next();
+    if (rec.status().IsNotFound()) return Status::OK();  // the valid end
+    FACE_RETURN_IF_ERROR(rec.status());
+    FACE_RETURN_IF_ERROR(visit(std::move(rec.value())));
+  }
 }
 
 }  // namespace face

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 
@@ -56,15 +57,16 @@ class LogManager {
 
   /// Start a fresh log (zero control block, stream begins at block 1).
   Status Format();
-  /// Attach to an existing log after a crash: reads the control block, then
-  /// runs the Attach below through a reader of its own.
+  /// Attach to an existing log after a crash: reads the control block,
+  /// scans from the checkpoint (the stream start if none) to the valid end
+  /// of log through a reader of its own, then runs the Attach below.
   Status Attach();
-  /// Attach through the caller's `reader`: scans forward from
-  /// `checkpoint_lsn` (the stream start if invalid) to locate the valid end
-  /// of log, and copies the partial tail block out of the reader rather
-  /// than reading it again. The reader keeps what it read, so a restart
-  /// scanning the same range through it again costs no device I/O.
-  Status Attach(LogReader* reader, Lsn checkpoint_lsn);
+  /// Attach at the end of the caller's scan: `reader` stands at the valid
+  /// end of log (LogReader::Scan returned), which becomes the next LSN, and
+  /// Attach copies the partial tail block out of the reader rather than
+  /// reading it again. A restart scans once, from its redo LSN, and
+  /// attaches through the same reader (recovery/restart.h).
+  Status Attach(LogReader* reader);
 
   /// Assign an LSN to `rec`, serialize it into the tail buffer.
   /// Does NOT hit the device until a flush. Returns the record's LSN.
@@ -183,6 +185,11 @@ class LogReader {
   /// NotFound at the end of the valid log (zero length or bad crc); any
   /// other error is a failed device read.
   StatusOr<LogRecord> Next();
+  /// Decode every record from the current position to the valid end of
+  /// log, handing each to `visit` in LSN order; position() is then the
+  /// end. Reaching the end returns OK; a failed read or a failed `visit`
+  /// ends the scan and is returned.
+  Status Scan(const std::function<Status(LogRecord&&)>& visit);
   /// LSN of the record Next() would return.
   Lsn position() const { return pos_; }
 

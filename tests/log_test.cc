@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "sim/sim_device.h"
 #include "tests/test_util.h"
@@ -232,7 +233,7 @@ TEST_F(LogManagerTest, ReaderKeepsEveryWindowItRead) {
   while (reader.Next().ok()) ++again;
   EXPECT_EQ(again, records);
   LogManager fresh(&dev_);
-  FACE_ASSERT_OK(fresh.Attach(&reader, kInvalidLsn));
+  FACE_ASSERT_OK(fresh.Attach(&reader));
   EXPECT_EQ(fresh.next_lsn(), log_.next_lsn());
   EXPECT_EQ(dev_.stats().read_reqs, reads0);
 
@@ -248,6 +249,47 @@ TEST_F(LogManagerTest, ReaderKeepsEveryWindowItRead) {
   FACE_ASSERT_OK_AND_ASSIGN(LogRecord rt, check.Next());
   EXPECT_EQ(rt.lsn, lt);
   EXPECT_EQ(rt.image, "tail");
+}
+
+TEST_F(LogManagerTest, ScanEndsAtATornTailAndReturnsAFailedVisit) {
+  // Three records, the last torn: a byte of its image no longer matches its
+  // crc. The scan hands over the two whole records in order, ends with OK
+  // and stands where the torn one begins, the end Attach then takes.
+  std::vector<Lsn> lsns;
+  for (PageId pid = 1; pid <= 3; ++pid) {
+    LogRecord rec = MakeUpdate(1, pid, 0, "scan");
+    lsns.push_back(log_.Append(&rec));
+  }
+  FACE_ASSERT_OK(log_.FlushAll());
+  const Lsn torn_byte = log_.next_lsn() - 1;  // in the last record's image
+  ASSERT_EQ(torn_byte / kPageSize, lsns[2] / kPageSize);
+  std::string block(kPageSize, '\0');
+  FACE_ASSERT_OK(dev_.Read(torn_byte / kPageSize, block.data()));
+  block[torn_byte % kPageSize] ^= 0x5a;
+  FACE_ASSERT_OK(dev_.Write(torn_byte / kPageSize, block.data()));
+
+  LogReader reader(&dev_);
+  FACE_ASSERT_OK(reader.Seek(LogManager::kLogStartLsn));
+  std::vector<Lsn> seen;
+  FACE_ASSERT_OK(reader.Scan([&seen](LogRecord&& rec) {
+    seen.push_back(rec.lsn);
+    return Status::OK();
+  }));
+  EXPECT_EQ(seen, std::vector<Lsn>(lsns.begin(), lsns.begin() + 2));
+  EXPECT_EQ(reader.position(), lsns[2]);
+  LogManager fresh(&dev_);
+  FACE_ASSERT_OK(fresh.Attach(&reader));
+  EXPECT_EQ(fresh.next_lsn(), lsns[2]);
+
+  // A visit that fails ends the scan, and its status is returned.
+  FACE_ASSERT_OK(reader.Seek(LogManager::kLogStartLsn));
+  int visits = 0;
+  const Status s = reader.Scan([&visits](LogRecord&&) {
+    ++visits;
+    return Status::Corruption("visit failed");
+  });
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(visits, 1);
 }
 
 TEST_F(LogManagerTest, AttachReadsTheControlBlockAndEachWindowOnce) {

@@ -367,8 +367,9 @@ class SingleLogReadTest : public TimedEngineFixture {};
 TEST_F(SingleLogReadTest, RestartReadsEachLogBlockOnce) {
   // More than two windows of committed log after the last checkpoint and
   // no loser older than it: one control-block read, then one read per
-  // 64-block window of the scanned range. Analysis, redo and undo decode
-  // what attach read, so analysis takes no virtual time.
+  // 64-block window of the scanned range. Analysis and redo walk the
+  // records the attach pass decoded, and undo reads the windows it kept,
+  // so analysis takes no virtual time.
   Init();
   const std::vector<PageId> pages = NewPages(200);
   CommitToEach(pages, "base!");
@@ -390,6 +391,53 @@ TEST_F(SingleLogReadTest, RestartReadsEachLogBlockOnce) {
   EXPECT_EQ(report.redo_applied, pages.size()) << report.ToString();
   const std::string image = FullImage('n');
   for (PageId pid : pages) {
+    ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 3000), image) << "page " << pid;
+  }
+}
+
+TEST_F(SingleLogReadTest, DegradedRestartReadsTheLogOnceFromTheFloor) {
+  // Flash was lost with dirty frames whose rebuild floor lies more than a
+  // window below the checkpoint and above the log's first window. The
+  // restart's one pass starts at the floor and reads forward to the end:
+  // one control-block read, then one 64-block window after another. No
+  // block below the floor is read, and no window is refilled.
+  InitFace(/*buffer_frames=*/64, /*flash_frames=*/64);
+  const std::vector<PageId> hot = NewPages(16);
+  for (char c = 'a'; c < 'c'; ++c) CommitToEach(hot, FullImage(c));
+  FACE_ASSERT_OK(db_->pool()->FlushAllToDisk());  // log below the floor
+  const std::vector<PageId> lost = NewPages(16);
+  CommitToEach(lost, "base!");
+  FACE_ASSERT_OK(db_->TakeCheckpoint().status());  // absorbed dirty: floor
+  for (char c = 'c'; c < 'l'; ++c) CommitToEach(hot, FullImage(c));
+  FACE_ASSERT_OK_AND_ASSIGN(const Lsn ckpt, db_->TakeCheckpoint());
+  for (char c = 'l'; c < 's'; ++c) CommitToEach(hot, FullImage(c));
+  FACE_ASSERT_OK(log_->FlushAll());
+  FACE_ASSERT_OK_AND_ASSIGN(WalControlInfo ctrl, log_->ReadControlInfo());
+  ASSERT_EQ(ctrl.checkpoint_lsn, ckpt);
+  ctrl.degraded = true;
+  ctrl.rebuild_floor = cache_->FlashRedoFloor();
+  FACE_ASSERT_OK(log_->WriteControlInfo(ctrl));
+  const uint64_t floor_block = ctrl.rebuild_floor / kPageSize;
+  const uint64_t end_block = log_->durable_lsn() / kPageSize;
+  ASSERT_GT(floor_block, LogManager::kLogStartLsn / kPageSize + 16);
+  ASSERT_GT(ckpt / kPageSize, floor_block + 64) << "floor within a window";
+  ASSERT_GT(end_block, ckpt / kPageSize + 64) << "one window past the ckpt";
+  const uint64_t windows = (end_block - floor_block + 1 + 63) / 64;
+
+  const DeviceStats before = log_dev_->stats();
+  FACE_ASSERT_OK_AND_ASSIGN(RestartReport report, Recover());
+  EXPECT_TRUE(report.degraded) << report.ToString();
+  EXPECT_EQ(report.redo_lsn, ctrl.rebuild_floor) << report.ToString();
+  EXPECT_EQ(log_dev_->stats().read_reqs - before.read_reqs, 1 + windows)
+      << report.ToString();
+  EXPECT_EQ(log_dev_->stats().pages_read - before.pages_read,
+            1 + 64 * windows)
+      << report.ToString();
+  for (PageId pid : lost) {
+    ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 5), "base!") << "page " << pid;
+  }
+  const std::string image = FullImage('r');
+  for (PageId pid : hot) {
     ASSERT_EQ(ReadBytes(pid, kPageHeaderSize, 3000), image) << "page " << pid;
   }
 }
