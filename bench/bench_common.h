@@ -444,34 +444,19 @@ inline RunResult MeasureShardedCell(const ShardedTestbedOptions& so,
   return r;
 }
 
-/// The paper's restart protocol (§5.5): Start, warm up, then run 200-txn
-/// batches with a checkpoint every `interval` until `checkpoints` completed,
-/// then single transactions to the middle of an interval — the kill point.
-/// Crash there with 50 in-flight transactions (the paper's 50 backends) and
-/// restart. `crash_time` (optional) receives the makespan at the kill. Exits
-/// on failure.
+/// The paper's restart protocol (§5.5): Start, warm up, run to the middle
+/// of a checkpoint interval after `checkpoints` checkpoints
+/// (Testbed::RunToMidInterval) — the kill point. Crash there with 50
+/// in-flight transactions (the paper's 50 backends) and restart.
+/// `crash_time` (optional) receives the makespan at the kill. Exits on
+/// failure.
 inline RestartReport CrashAtMidInterval(Testbed* tb, uint64_t warmup,
                                         SimNanos interval,
                                         uint64_t checkpoints,
                                         SimNanos* crash_time = nullptr) {
   OrDie(tb->Start(), "start");
   OrDie(tb->Warmup(warmup), "warmup");
-  RunOptions run;
-  run.txns = 200;
-  run.checkpoint_interval = interval;
-  uint64_t done = 0;
-  while (done < checkpoints) done += OrDie(tb->Run(run), "run").checkpoints;
-  // The last batch ends anywhere in an interval (at 2 s one HDD-only batch
-  // spans several). If it ended past the midpoint, step past the next
-  // checkpoint first; either way the kill lands within one transaction of
-  // an interval's midpoint.
-  run.txns = 1;
-  const SimNanos ckpt0 = tb->last_checkpoint_time();
-  const bool past_mid = tb->sched()->now() >= ckpt0 + interval / 2;
-  while ((past_mid && tb->last_checkpoint_time() == ckpt0) ||
-         tb->sched()->now() < tb->last_checkpoint_time() + interval / 2) {
-    OrDie(tb->Run(run), "run");
-  }
+  OrDie(tb->RunToMidInterval(interval, checkpoints), "run");
   if (crash_time != nullptr) *crash_time = tb->sched()->makespan();
   OrDie(tb->InjectInflightTransactions(50), "inject");
   OrDie(tb->Crash(), "crash");

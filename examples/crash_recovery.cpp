@@ -26,22 +26,12 @@ RestartReport CrashOnce(const GoldenImage& golden, CachePolicy policy) {
   die(tb.Start());
   die(tb.Warmup(3000));  // populate the flash cache (paper §5.2)
   // The paper's kill protocol: both systems crash at the *midpoint of a
-  // checkpoint interval* in virtual time — not after an equal transaction
-  // count, which would hand the faster system a longer redo tail.
-  // Scaled checkpoint interval: see the table6_recovery preset in
-  // bench/bench_paper.cc — the interval must sit inside one flash-cache
-  // turnover, as the paper's did.
-  constexpr SimNanos kInterval = 3 * kNanosPerSecond;
-  RunOptions run;
-  run.txns = 200;
-  run.checkpoint_interval = kInterval;
-  uint64_t checkpoints = 0;
-  while (checkpoints < 2 ||
-         tb.sched()->now() < tb.last_checkpoint_time() + kInterval / 2) {
-    auto batch = tb.Run(run);
-    die(batch.status());
-    checkpoints += batch->checkpoints;
-  }
+  // checkpoint interval* in virtual time, after two checkpoints — not
+  // after an equal transaction count, which would hand the faster system a
+  // longer redo tail. Scaled checkpoint interval: see the table6_recovery
+  // preset in bench/bench_paper.cc — the interval must sit inside one
+  // flash-cache turnover, as the paper's did.
+  die(tb.RunToMidInterval(3 * kNanosPerSecond, /*checkpoints=*/2));
   die(tb.InjectInflightTransactions(20));
   die(tb.Crash());
   auto report = tb.Recover();

@@ -221,6 +221,13 @@ class Testbed {
   /// Run a measured batch of transactions.
   StatusOr<RunResult> Run(const RunOptions& run);
 
+  /// Position a kill (the paper's restart protocol, §5.5): run 200-txn
+  /// batches with a checkpoint every `interval` until `checkpoints` more
+  /// completed, then single transactions until the clock sits within one
+  /// transaction of an interval's midpoint. When the last batch ended past
+  /// the midpoint, the single transactions first pass the next checkpoint.
+  Status RunToMidInterval(SimNanos interval, uint64_t checkpoints);
+
   /// Begin `n` transactions and leave them uncommitted with real updates
   /// applied — the in-flight work a mid-interval crash strands (the
   /// paper's kill -9 protocol always caught ~50 backends mid-flight).
