@@ -35,7 +35,7 @@ class ClockCache final : public CacheExtension {
  public:
   /// `flash` must have at least FrameStore::BlocksFor(n_frames) blocks.
   ClockCache(uint64_t n_frames, SimDevice* flash, DbStorage* storage)
-      : store_(n_frames, /*frame_base=*/0, flash, storage, &stats_),
+      : store_(n_frames, flash, storage, &stats_),
         referenced_(n_frames, false) {}
 
   const char* name() const override { return "Clock"; }

@@ -8,20 +8,19 @@
 
 namespace face {
 
-FrameStore::FrameStore(uint64_t n_frames, uint64_t frame_base,
-                       SimDevice* flash, DbStorage* storage, CacheStats* stats)
-    : frame_base_(frame_base),
-      flash_(flash),
+FrameStore::FrameStore(uint64_t n_frames, SimDevice* flash,
+                       DbStorage* storage, CacheStats* stats)
+    : flash_(flash),
       storage_(storage),
       stats_(stats),
       page_at_(n_frames, kInvalidPageId),
-      delta_(DeltaRingOptions{frame_base + n_frames,
+      delta_(DeltaRingOptions{n_frames,
                               static_cast<uint32_t>(
                                   FlashLayout::DeltaBlocksFor(n_frames))},
              flash, stats) {
   assert(n_frames >= 2);
   assert(n_frames <= static_cast<uint64_t>(INT32_MAX));  // int32 LRU links
-  assert(flash_->capacity_pages() >= frame_base + BlocksFor(n_frames));
+  assert(flash_->capacity_pages() >= BlocksFor(n_frames));
   index_.Reserve(n_frames);  // steady state never rehashes
   free_.reserve(n_frames);
   scratch_.resize(kPageSize);

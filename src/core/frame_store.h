@@ -8,8 +8,8 @@
 // The store owns
 //   - the page -> frame directory and its frame -> page reverse map;
 //   - the free-frame stack (LIFO; a fresh store hands out frame 0 first);
-//   - checksummed frame I/O: frame f is block frame_base + f, and every
-//     image carries its page id and checksum;
+//   - checksummed frame I/O: frame f is device block f, and every image
+//     carries its page id and checksum;
 //   - each page's delta chain (delta_ring.h) in a ring right past the
 //     frames, base tag = frame index; slot-reuse consolidation rewrites the
 //     page's tip image into its frame in place;
@@ -45,11 +45,11 @@ class FrameStore {
     return n_frames + FlashLayout::DeltaBlocksFor(n_frames);
   }
 
-  /// Frames are blocks [frame_base, frame_base + n_frames) of `flash`, the
-  /// delta ring the blocks right after. `storage` is the pages' durable home
-  /// (cleaning, scrub repair); the store counts into the owner's `stats`.
-  FrameStore(uint64_t n_frames, uint64_t frame_base, SimDevice* flash,
-             DbStorage* storage, CacheStats* stats);
+  /// Frames are blocks [0, n_frames) of `flash`, the delta ring the blocks
+  /// right after. `storage` is the pages' durable home (cleaning, scrub
+  /// repair); the store counts into the owner's `stats`.
+  FrameStore(uint64_t n_frames, SimDevice* flash, DbStorage* storage,
+             CacheStats* stats);
   // The delta ring's consolidation callback holds `this`.
   FrameStore(const FrameStore&) = delete;
   FrameStore& operator=(const FrameStore&) = delete;
@@ -65,7 +65,6 @@ class FrameStore {
   }
   /// The page cached in `frame`, or kInvalidPageId when it is free.
   PageId PageAt(uint32_t frame) const { return page_at_[frame]; }
-  uint64_t BlockOf(uint32_t frame) const { return frame_base_ + frame; }
 
   /// Pop a free frame, or kNoFrame when every frame holds a page.
   uint32_t TakeFree();
@@ -78,8 +77,6 @@ class FrameStore {
   void Release(uint32_t frame);
 
   // --- frame I/O ------------------------------------------------------
-  /// True when `image` is a checksum-valid frame of `pid`.
-  static bool Verify(const char* image, PageId pid);
   /// The DRAM-miss path: read `pid`'s frame into `out`, verify it and patch
   /// the chain on top. The result carries the chain tip to delta against.
   StatusOr<FlashReadResult> Read(PageId pid, char* out);
@@ -117,12 +114,14 @@ class FrameStore {
   Status CheckInvariants() const;
 
  private:
+  static uint64_t BlockOf(uint32_t frame) { return frame; }
+  /// True when `image` is a checksum-valid frame of `pid`.
+  static bool Verify(const char* image, PageId pid);
   /// Stamp `page` as `pid`'s image and write it into `frame`.
   Status WriteFrame(uint32_t frame, const char* page, PageId pid);
   /// Ring slot-reuse callback: rewrite each page's tip image in place.
   Status Consolidate(const std::vector<PageId>& pids);
 
-  uint64_t frame_base_;
   SimDevice* flash_;
   DbStorage* storage_;
   CacheStats* stats_;

@@ -11,7 +11,7 @@ namespace face {
 LcCache::LcCache(const LcOptions& options, SimDevice* flash,
                  DbStorage* storage)
     : options_(options),
-      store_(options.n_frames, /*frame_base=*/0, flash, storage, &stats_),
+      store_(options.n_frames, flash, storage, &stats_),
       refs_(options.n_frames) {
   assert(options_.clean_target <= options_.clean_threshold);
 }

@@ -132,11 +132,6 @@ class SimDevice {
   void set_fault_injector(FaultInjector* fault) { fault_ = fault; }
   FaultInjector* fault_injector() const { return fault_; }
 
-  /// Retry knobs for transient faults (defaults are sane; tests shrink the
-  /// budget to force exhaustion cheaply).
-  void set_retry_policy(const IoRetryPolicy& policy) { retry_ = policy; }
-  const IoRetryPolicy& retry_policy() const { return retry_; }
-
   /// True once the retry budget was exhausted (or the injector killed the
   /// device): the device is offline and every request fails fast with
   /// Status::DeviceLost until ResetHealth().
@@ -189,7 +184,7 @@ class SimDevice {
   uint32_t station_base_ = 0;
   bool timing_enabled_ = true;
   bool failed_ = false;  ///< retry budget exhausted; device offline
-  IoRetryPolicy retry_;
+  const IoRetryPolicy retry_;  ///< the default budget (sim/io_retry.h)
   DeviceStats stats_;
   /// Per-station, per-op-class end offset of the last request. Read and
   /// write streams are tracked independently: a device serving an
