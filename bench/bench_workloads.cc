@@ -340,9 +340,14 @@ void RunMatrix(const BenchFlags& flags) {
     exit(1);
   }
 
-  printf("\npaper shape: FaCE variants keep fseqW%% near 100 (mvFIFO "
-         "enqueues are appends);\nLC's LRU-2 overwrites in place and "
-         "stays random.\nScan-heavy flash hit rates:");
+  printf("\npaper shape: fseqW%% is the share of flash write requests that "
+         "continue the\nlast one. FaCE's mvFIFO enqueues are one-page "
+         "appends, so it reads near 100;\nFaCE+GR and FaCE+GSC write a "
+         "whole group per request, so their fewer requests\nread lower. "
+         "LC's LRU-2 overwrites frames in place, which reads random once "
+         "its\nframes are full; a run too short to fill them (CI's smoke "
+         "flags) takes free\nframes in block order and reads near 100.\n"
+         "Scan-heavy flash hit rates:");
   const char* sep = " ";
   for (const TableRow& row : scan_cells) {
     printf("%s%s %s%%", sep, row.label.c_str(), row.cells[1].c_str());

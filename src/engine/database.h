@@ -48,8 +48,10 @@ class Database {
   /// Initialize a brand-new database on empty devices.
   Status Format();
 
-  /// Open after a clean shutdown (valid control block, no recovery needed)
-  /// — used by tests; the benches always either Format or Recover.
+  /// Open over a log formatted just before (Testbed::Start and
+  /// examples/custom_policy.cpp clone a golden image, then format a fresh
+  /// log): attach the log and load the catalog. A restart after a crash
+  /// uses Recover instead.
   Status Open();
 
   /// Full crash recovery (log attach, cache metadata restore, analysis,
