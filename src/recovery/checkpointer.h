@@ -18,8 +18,8 @@
 // previous checkpoint. The checkpoint is sharp, not fuzzy: every page dirty
 // at BEGIN is synced before the control block advances.
 //
-// Restart's checkpoints (the final one and ResolveInDoubt's) pass the
-// recovery scheduler, and their independent writes run as I/O lane batches
+// Restart's final checkpoint passes the recovery scheduler, and its
+// independent writes run as I/O lane batches
 // (BufferPool::SyncDirtyPagesForCheckpoint):
 //   - FaCE, every flavor, absorbs the dirty set at once. It first plans all
 //     the room it needs: the full frames, and the tip images of the delta
@@ -31,10 +31,10 @@
 //     (Stats::serial_destages stays 0);
 //   - the pages no cache absorbs go to disk one lane each, after the force.
 // Closing a batch is the barrier: FaCE's frame writes and delta appends and
-// the control-block write all start after the last lane ended. Nobody else runs during restart. Runtime checkpoints
-// (Database::TakeCheckpoint) pass no scheduler and sync one page after
-// another: they share the devices with the clients, and their timing is
-// part of every measured run.
+// the control-block write all start after the last lane ended. Nobody else
+// runs during restart. Runtime checkpoints (Database::TakeCheckpoint) pass
+// no scheduler and sync one page after another: they share the devices
+// with the clients, and their timing is part of every measured run.
 #pragma once
 
 #include <cstdint>

@@ -205,19 +205,7 @@ Status RestartManager::RunPhases(RestartReport* report) {
   report->redo_ns = t_redo - t_ana;
   RecordPhaseNs(kRedo, report->redo_ns);
 
-  // Phase 4: roll back losers, writing CLRs. Prepared (2PC) transactions
-  // are withheld: their fate belongs to the coordinator's decision record,
-  // which may live in another shard's log. They stay registered active (so
-  // the phase-5 checkpoint's ATT carries them, gtid included — a crash
-  // before resolution re-finds them even after the log is truncated) until
-  // ResolveInDoubt() commits or rolls them back.
-  for (const auto& [txn_id, gtid] : prepared_) {
-    auto it = losers.find(txn_id);
-    if (it == losers.end()) continue;  // completed after its prepare
-    report->in_doubt.push_back({txn_id, gtid, it->second});
-    txns_->AdoptRecovered(txn_id, it->second, gtid);
-    losers.erase(it);
-  }
+  // Phase 4: roll back losers, writing CLRs.
   report->losers = losers.size();
   {
     obs::ScopedSpan span("recovery", "undo");
@@ -288,18 +276,6 @@ void RestartManager::Analysis(const std::vector<LogRecord>& records,
       case LogRecordType::kCommit:
       case LogRecordType::kAbort:
         losers->erase(rec.txn_id);
-        prepared_.erase(rec.txn_id);
-        break;
-      case LogRecordType::kPrepare:
-        // A durable vote: the transaction is in-doubt unless a completion
-        // record follows. The vote is not part of the undo chain, so the
-        // loser chain head is untouched.
-        prepared_[rec.txn_id] = rec.gtid;
-        break;
-      case LogRecordType::kGlobalCommit:
-        // The coordinator's decision: every participant of this global
-        // transaction — on whatever shard — must commit.
-        report->decided_gtids.push_back(rec.gtid);
         break;
       case LogRecordType::kCheckpointBegin:
         // The checkpoint we started from, or a later incomplete one: seed
@@ -309,10 +285,6 @@ void RestartManager::Analysis(const std::vector<LogRecord>& records,
           // A record after BEGIN supersedes the snapshot's last_lsn.
           auto [it, inserted] = losers->emplace(att.txn_id, att.last_lsn);
           if (!inserted) it->second = std::max(it->second, att.last_lsn);
-          // A prepared transaction carried across a checkpoint keeps its
-          // in-doubt status even though its Prepare record predates the
-          // scan window.
-          if (att.gtid != 0) prepared_.emplace(att.txn_id, att.gtid);
         }
         storage_->RestoreAllocator(
             std::max(storage_->next_page_id(), rec.next_page_id));
@@ -324,12 +296,6 @@ void RestartManager::Analysis(const std::vector<LogRecord>& records,
     (void)lsn;
     txns_->ObserveTxnId(id);
   }
-  // Normalize the decision list: sorted + deduplicated, so consumers can
-  // binary-search and unions across shards stay deterministic.
-  std::sort(report->decided_gtids.begin(), report->decided_gtids.end());
-  report->decided_gtids.erase(
-      std::unique(report->decided_gtids.begin(), report->decided_gtids.end()),
-      report->decided_gtids.end());
 }
 
 Status RestartManager::Undo(RestartReport* report,
@@ -405,10 +371,6 @@ Status RestartManager::Undo(RestartReport* report,
       case LogRecordType::kCommit:
       case LogRecordType::kAbort:
         return Status::Internal("loser chain reached a completion record");
-      case LogRecordType::kPrepare:
-      case LogRecordType::kGlobalCommit:
-        // Votes and decisions are logged outside every undo chain.
-        return Status::Internal("loser chain reached a 2PC record");
       case LogRecordType::kCheckpointBegin:
         return Status::Internal("loser chain reached a checkpoint record");
     }
@@ -417,41 +379,6 @@ Status RestartManager::Undo(RestartReport* report,
   // every Undo, or earlier under the WAL rule if a page they dirtied leaves
   // the pool.
   return Status::OK();
-}
-
-Status RestartManager::ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
-                                      const std::vector<uint64_t>& decided,
-                                      RestartReport* report) {
-  if (in_doubt.empty()) return Status::OK();
-  if (sched_ != nullptr) {
-    sched_->BeginBackground(bg_token_, sched_->makespan());
-  }
-  auto resolve = [&]() -> Status {
-    obs::ScopedSpan span("recovery", "resolve_in_doubt");
-    for (const InDoubtTxn& t : in_doubt) {
-      if (std::binary_search(decided.begin(), decided.end(), t.gtid)) {
-        // Commit: the effects are already in place (redo replayed them);
-        // only the local completion record is missing.
-        FACE_RETURN_IF_ERROR(txns_->Commit(t.txn_id));
-      } else {
-        // Presumed abort: no decision record anywhere means the global
-        // transaction never committed. Log-driven rollback, exactly the
-        // loser path — CLRs, an Abort record, idempotent across crashes.
-        std::map<TxnId, Lsn> loser{{t.txn_id, t.last_lsn}};
-        FACE_RETURN_IF_ERROR(Undo(report, &loser));
-        txns_->ForgetRecovered(t.txn_id);
-      }
-    }
-    // Re-checkpoint: the resolved fates must not depend on the resolved
-    // shard's log being replayed alongside its peers' forever after.
-    Checkpointer ckpt(log_, pool_, txns_, storage_, cache_);
-    FACE_RETURN_IF_ERROR(ckpt.TakeCheckpoint(sched_).status());
-    RecordWriteBack(ckpt.stats(), report);
-    return Status::OK();
-  };
-  const Status s = resolve();
-  if (sched_ != nullptr) sched_->EndBackground();
-  return s;
 }
 
 }  // namespace face

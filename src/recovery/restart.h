@@ -72,15 +72,6 @@
 
 namespace face {
 
-/// A prepared (2PC) transaction whose fate this shard's log alone cannot
-/// decide: its vote is durable but no local completion record follows.
-/// Resolution needs the union of GlobalCommit decisions across shards.
-struct InDoubtTxn {
-  TxnId txn_id = kInvalidTxnId;
-  uint64_t gtid = 0;
-  Lsn last_lsn = kInvalidLsn;  ///< undo-chain head if the decision is abort
-};
-
 /// Outcome and cost breakdown of one restart.
 struct RestartReport {
   Lsn checkpoint_lsn = kInvalidLsn;  ///< last complete checkpoint's BEGIN
@@ -113,13 +104,6 @@ struct RestartReport {
   /// Distinct pages redo skipped because the flash copy covered them, and
   /// never fetched.
   uint64_t redo_skipped_pages = 0;
-
-  /// 2PC: prepared transactions awaiting a cross-shard decision (withheld
-  /// from undo, re-registered active, still covered by checkpoints) and
-  /// the GlobalCommit decisions this shard's log recorded.
-  std::vector<InDoubtTxn> in_doubt;
-  /// Sorted + deduplicated (analysis normalizes it; binary-search friendly).
-  std::vector<uint64_t> decided_gtids;
 
   /// Steps 0-1's span less meta_restore_ns: the control-block read, plus
   /// the part of the log pass that outlasts the metadata restore. FaCE's
@@ -172,21 +156,8 @@ class RestartManager {
         reader_(log->device()) {}
 
   /// Run full crash recovery. On success the system is consistent: all
-  /// committed work is present, all loser work is rolled back — except
-  /// prepared (2PC) transactions, which are left in-doubt in the report
-  /// and re-registered active; resolve them with ResolveInDoubt() once
-  /// every shard's decisions are known.
+  /// committed work is present, all loser work is rolled back.
   StatusOr<RestartReport> Run();
-
-  /// Resolve recovered in-doubt transactions against `decided` (the union
-  /// of every shard's decided_gtids, sorted ascending): commit those whose
-  /// gtid was decided (their effects are already in place from redo), roll
-  /// the rest back via log-driven undo with CLRs (presumed abort).
-  /// Finishes with a checkpoint so the resolved state is the new recovery
-  /// floor.
-  Status ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
-                        const std::vector<uint64_t>& decided,
-                        RestartReport* report);
 
  private:
   /// All phases, run inside the scheduler span opened by Run().
@@ -221,8 +192,6 @@ class RestartManager {
   /// records that were durable before the crash, so the CLRs it appends
   /// never make a cached window stale.
   LogReader reader_;
-  /// Prepared transactions seen by analysis (txn id -> gtid).
-  std::map<TxnId, uint64_t> prepared_;
 };
 
 }  // namespace face

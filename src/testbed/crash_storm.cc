@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "testbed/sharded_testbed.h"
-
 namespace face {
 
 namespace {
@@ -243,176 +241,6 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
     FACE_RETURN_IF_ERROR(tb.Run(post).status());
     FACE_ASSIGN_OR_RETURN(const workload::AuditReport again, tb.Audit());
     result.audit.Merge(again);
-  }
-  return result;
-}
-
-// --- sharded storms ----------------------------------------------------------
-
-std::string ShardedCrashStormResult::ToString() const {
-  std::ostringstream os;
-  os << (crashed_mid_body ? "crash: injector tripped on shard " +
-                                std::to_string(victim_shard)
-                          : "crash: quiescent point")
-     << ", " << cross_committed << " cross-shard txns committed";
-  if (cross_cut_midway) {
-    os << ", one cut mid-2PC (decision "
-       << (decision_recovered ? "recovered" : "lost") << "; legs:";
-    for (const workload::PendingOutcome o : cut_outcomes) {
-      os << " " << workload::PendingOutcomeName(o);
-    }
-    os << "; atomicity " << (atomicity_ok ? "ok" : "VIOLATED") << ")";
-  }
-  os << "\n" << audit.ToString();
-  return os.str();
-}
-
-ShardedCrashStormHarness::ShardedCrashStormHarness(
-    const ShardedCrashStormOptions& options)
-    : opts_(options) {}
-
-StatusOr<ShardedCrashStormResult> ShardedCrashStormHarness::RunStorm(
-    uint64_t seed) {
-  const CrashStormOptions& b = opts_.base;
-  const uint32_t n = opts_.shards;
-  if (n == 0) return Status::InvalidArgument("sharded storm needs shards");
-  Random rnd(seed * 0x9e3779b97f4a7c15ull + 0x54A2D /* sharded storm */);
-
-  ShardedTestbedOptions so;
-  so.shards = n;
-  so.base.clients = b.clients;
-  so.base.seed = seed;
-  so.base.buffer_frames = b.buffer_frames;
-  so.base.flash_pages = b.flash_pages;
-  so.base.seg_entries = b.seg_entries;
-  so.base.group_size = b.group_size;
-  so.base.policy = b.policy;
-  so.factory = b.workload;
-  ShardedTestbed stb(so);
-  FACE_RETURN_IF_ERROR(stb.Start());
-
-  // The injector, wired to the victim's devices.
-  ShardedCrashStormResult result;
-  result.victim_shard = static_cast<uint32_t>(rnd.Uniform(n));
-  FaultInjector inj;
-  FACE_RETURN_IF_ERROR(stb.OnShard(result.victim_shard, [&](Testbed& t) {
-    inj.AttachScheduler(t.sched());
-    inj.SetTearGranularity(t.db_dev()->id(), TearGranularity::kPageAtomic);
-    t.db_dev()->set_fault_injector(&inj);
-    t.log_dev()->set_fault_injector(&inj);
-    if (t.flash_dev() != nullptr) t.flash_dev()->set_fault_injector(&inj);
-    return Status::OK();
-  }));
-
-  // --- warm up, checkpoint some shards, strand work on the victim ----------
-  {
-    RunOptions warm;
-    warm.txns = b.warmup_ops;
-    FACE_RETURN_IF_ERROR(stb.Run(warm).status());
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    if (rnd.PercentTrue(70)) {
-      FACE_RETURN_IF_ERROR(stb.OnShard(
-          i, [](Testbed& t) { return t.db()->TakeCheckpoint().status(); }));
-    }
-  }
-  FACE_RETURN_IF_ERROR(stb.OnShard(result.victim_shard, [](Testbed& t) {
-    return t.InjectInflightTransactions(kStrandedTxns);
-  }));
-
-  // --- arm the victim's countdown ------------------------------------------
-  const uint64_t warm_writes = std::max<uint64_t>(1, inj.writes_observed());
-  const uint64_t est_body_writes = std::max<uint64_t>(
-      8, warm_writes * b.body_ops / std::max<uint64_t>(1, b.warmup_ops));
-  inj.ArmAfterWrites(1 + rnd.Uniform(est_body_writes), seed);
-
-  // --- run until power fails, lacing in cross-shard 2PC transactions ------
-  const uint64_t spacing = std::max<uint64_t>(
-      1, b.body_ops / (uint64_t{opts_.cross_shard_txns} + 1));
-  const uint64_t op_cap = b.body_ops * 3;
-  uint64_t gtid_counter = 0, cut_gtid = 0;
-  std::vector<uint32_t> cut_parts;
-  uint32_t cross_started = 0;
-  Status body;
-  for (uint64_t i = 0; i < op_cap && body.ok(); ++i) {
-    if (n >= 2 && cross_started < opts_.cross_shard_txns &&
-        i % spacing == spacing - 1) {
-      const uint32_t a = static_cast<uint32_t>(rnd.Uniform(n));
-      uint32_t c = static_cast<uint32_t>(rnd.Uniform(n - 1));
-      if (c >= a) ++c;
-      const uint64_t gtid = (seed << 20) + ++gtid_counter;
-      ++cross_started;
-      body = stb.RunCrossShardTxn(gtid, {a, c}, rnd);
-      if (body.ok()) {
-        ++result.cross_committed;
-      } else {
-        cut_gtid = gtid;
-        cut_parts = {a, c};
-      }
-      continue;
-    }
-    RunOptions one;
-    one.txns = 1;
-    body = stb.Run(one).status();
-  }
-  if (!body.ok() && !inj.tripped()) {
-    return Status::Internal(
-        "sharded storm body failed without an injected crash: " +
-        body.ToString());
-  }
-  result.crashed_mid_body = inj.tripped();
-  result.cross_cut_midway = !body.ok() && cut_gtid != 0;
-
-  // --- machine-wide crash, parallel recovery, in-doubt resolution ----------
-  FACE_RETURN_IF_ERROR(stb.Crash());
-  inj.Disarm();
-  FACE_ASSIGN_OR_RETURN(result.restarts, stb.Recover());
-
-  std::vector<uint64_t> decided;
-  for (const RestartReport& r : result.restarts) {
-    decided.insert(decided.end(), r.decided_gtids.begin(),
-                   r.decided_gtids.end());
-  }
-  std::sort(decided.begin(), decided.end());
-  decided.erase(std::unique(decided.begin(), decided.end()), decided.end());
-  result.decision_recovered =
-      cut_gtid != 0 &&
-      std::binary_search(decided.begin(), decided.end(), cut_gtid);
-
-  // --- per-shard audits ----------------------------------------------------
-  std::vector<workload::AuditReport> reports(n);
-  auto audit_all = [&]() -> Status {
-    for (uint32_t i = 0; i < n; ++i) {
-      FACE_RETURN_IF_ERROR(stb.OnShard(i, [&, i](Testbed& t) -> Status {
-        FACE_ASSIGN_OR_RETURN(reports[i], t.Audit());
-        return Status::OK();
-      }));
-    }
-    for (const workload::AuditReport& r : reports) result.audit.Merge(r);
-    return Status::OK();
-  };
-  FACE_RETURN_IF_ERROR(audit_all());
-
-  // Atomicity of the cut transaction: every started leg must have resolved
-  // the same way, and that way must match whether the decision survived.
-  if (result.cross_cut_midway) {
-    const workload::PendingOutcome expected =
-        result.decision_recovered ? workload::PendingOutcome::kCommitted
-                                  : workload::PendingOutcome::kRolledBack;
-    for (const uint32_t p : cut_parts) {
-      const workload::PendingOutcome o = reports[p].pending_outcome;
-      if (o == workload::PendingOutcome::kNone) continue;
-      result.cut_outcomes.push_back(o);
-      if (o != expected) result.atomicity_ok = false;
-    }
-  }
-
-  // --- resume: every shard must keep serving after resolution --------------
-  if (result.audit.ok() && result.atomicity_ok && b.post_ops > 0) {
-    RunOptions post;
-    post.txns = b.post_ops;
-    FACE_RETURN_IF_ERROR(stb.Run(post).status());
-    FACE_RETURN_IF_ERROR(audit_all());
   }
   return result;
 }

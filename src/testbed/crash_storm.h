@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/histogram.h"
 #include "common/status.h"
@@ -140,58 +139,6 @@ class CrashStormHarness {
   RecoveryPhaseAggregate phases_;
   const GoldenImage* golden_;
   GoldenImage own_golden_;
-};
-
-/// Shape of a sharded storm: N single-shard storms running concurrently,
-/// laced with cross-shard (2PC) transactions, then one machine-wide power
-/// failure. The injector arms on a seed-picked victim shard; every shard
-/// crashes, recovers, and resolves in-doubt transactions together.
-struct ShardedCrashStormOptions {
-  /// Per-shard sizing; `base.workload` is the whole workload, partitioned
-  /// across the shards, and its workload must begin cross-shard legs
-  /// (Workload::BeginCrossShardLeg). Sabotage is not supported.
-  CrashStormOptions base;
-  uint32_t shards = 2;
-  /// Cross-shard transactions interleaved into the armed body; each picks
-  /// two distinct shards and updates one key on each under 2PC.
-  uint32_t cross_shard_txns = 8;
-};
-
-/// Everything one sharded storm produced.
-struct ShardedCrashStormResult {
-  bool crashed_mid_body = false;
-  uint32_t victim_shard = 0;        ///< shard the injector was armed on
-  uint64_t cross_committed = 0;     ///< 2PC txns fully committed pre-crash
-  /// The 2PC transaction cut mid-protocol, if any: its participants'
-  /// post-recovery outcomes (from each shard's audit) and the atomicity
-  /// verdict — every participant that started a leg resolved the same way,
-  /// matching whether the decision record survived.
-  bool cross_cut_midway = false;
-  bool atomicity_ok = true;
-  /// One per started leg (a leg that never started has no in-doubt write).
-  std::vector<workload::PendingOutcome> cut_outcomes;
-  bool decision_recovered = false;  ///< cut txn's gtid in the decided union
-  workload::AuditReport audit;      ///< merged across shards
-  std::vector<RestartReport> restarts;
-
-  std::string ToString() const;
-};
-
-/// Runs sharded storms; each storm builds a fresh ShardedTestbed (the
-/// partitioned goldens are per-storm, built in parallel on the workers).
-class ShardedCrashStormHarness {
- public:
-  explicit ShardedCrashStormHarness(const ShardedCrashStormOptions& options);
-
-  /// Run one full sharded storm; see ShardedCrashStormResult. Non-OK only
-  /// for rig failures — divergences and atomicity violations are reported
-  /// in the result.
-  StatusOr<ShardedCrashStormResult> RunStorm(uint64_t seed);
-
-  const ShardedCrashStormOptions& options() const { return opts_; }
-
- private:
-  ShardedCrashStormOptions opts_;
 };
 
 }  // namespace face

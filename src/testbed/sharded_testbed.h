@@ -1,8 +1,8 @@
 // Sharded multi-core execution: N independent Testbeds — each with its own
 // devices, scheduler clock, WAL, and workload slice — driven by N persistent
 // worker threads. Shards never share simulated state; the only cross-shard
-// couplings are the harness-level barriers (Run/Crash/Recover join all
-// workers) and the two-phase commit protocol for cross-shard transactions.
+// coupling is the harness-level barrier: every call returns only after
+// the workers it used have gone idle.
 //
 // Determinism contract: a shard's entire simulated execution is a pure
 // function of (golden image, TestbedOptions, per-shard seed). Worker
@@ -11,13 +11,6 @@
 // With shards == 1 the per-shard seed is the base seed unchanged and the
 // workload factory is used unpartitioned: a one-shard ShardedTestbed is
 // observationally identical to a plain Testbed.
-//
-// Cross-shard transactions use two-phase commit over the per-shard WALs:
-// every participant logs + forces a Prepare vote, the coordinator shard
-// logs + forces the GlobalCommit decision (the commit point), then each
-// participant commits locally. Crash recovery leaves prepared-but-
-// undecided transactions in-doubt; Recover() resolves them against the
-// union of every shard's recovered decisions (presumed abort).
 #pragma once
 
 #include <cstdint>
@@ -68,25 +61,6 @@ class ShardedTestbed {
   /// unit of the determinism fingerprint).
   StatusOr<RunResult> Run(const RunOptions& run,
                           std::vector<RunResult>* per_shard = nullptr);
-
-  /// Power loss on the whole machine: every shard crashes.
-  Status Crash();
-
-  /// Restart all shards in parallel, then resolve in-doubt (2PC)
-  /// transactions against the union of every shard's recovered decisions.
-  /// Returns the per-shard reports (post-resolution).
-  StatusOr<std::vector<RestartReport>> Recover();
-
-  /// Execute one cross-shard transaction `gtid` under two-phase commit,
-  /// with one leg on each of `shards` (the first is the coordinator). Each
-  /// leg's workload begins it (Workload::BeginCrossShardLeg, drawing from
-  /// `rnd`) and the shard prepares it, as one foreground client span; the
-  /// coordinator logs the GlobalCommit decision; then every leg commits
-  /// locally and its workload hears so (Workload::OnCrossShardCommitted).
-  /// Each step runs on its own shard's worker. Any error leaves the
-  /// protocol where it stopped (exactly what a crash storm wants).
-  Status RunCrossShardTxn(uint64_t gtid, const std::vector<uint32_t>& shards,
-                          Random& rnd);
 
   /// Run `fn(testbed)` on shard `i`'s worker thread and wait for it —
   /// for per-shard setup (InjectInflightTransactions, fault arming).

@@ -456,16 +456,6 @@ StatusOr<RestartReport> Testbed::Recover() {
   return report;
 }
 
-Status Testbed::ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
-                               const std::vector<uint64_t>& decided,
-                               RestartReport* report) {
-  if (db_ == nullptr) return Status::InvalidArgument("resolve before recover");
-  FACE_RETURN_IF_ERROR(
-      db_->ResolveInDoubt(in_doubt, decided, report, &sched_, recovery_token_));
-  sched_.AdvanceAllTokens(sched_.makespan());
-  return Status::OK();
-}
-
 FaultTelemetry Testbed::Telemetry() const {
   FaultTelemetry t = fault_;
   if (cache_ != nullptr && cache_->degraded()) {
@@ -523,9 +513,7 @@ Status Testbed::DegradeToDiskOnly() {
 
     // 6. Roll back transactions stranded mid-flight by the failure — with
     //    the page tips reconstructed, their before-images apply cleanly.
-    //    Prepared (2PC) participants keep their in-doubt status.
     for (const AttEntry& att : db_->txns()->ActiveTxns()) {
-      if (att.gtid != 0) continue;
       FACE_RETURN_IF_ERROR(db_->Abort(att.txn_id));
     }
     // Tell the driver its in-flight work was rolled back on the live

@@ -242,8 +242,6 @@ class Testbed {
   /// Restart after Crash(): rebuilds the DRAM stack and runs full recovery
   /// on a background token, then binds the workload to the recovered
   /// database. Clients resume only after recovery finishes.
-  /// Prepared (2PC) transactions come back in-doubt in the report; sharded
-  /// harnesses resolve them with ResolveInDoubt once every shard is up.
   StatusOr<RestartReport> Recover();
 
   /// The crash oracle: the bound workload's logical audit
@@ -251,13 +249,6 @@ class Testbed {
   /// Device timing is off meanwhile; the audit's I/O is not part of the
   /// experiment.
   StatusOr<workload::AuditReport> Audit();
-
-  /// Resolve this shard's recovered in-doubt transactions against the
-  /// union of GlobalCommit decisions across all shards, on the recovery
-  /// token (the resolution is part of restart, not client work).
-  Status ResolveInDoubt(const std::vector<InDoubtTxn>& in_doubt,
-                        const std::vector<uint64_t>& decided,
-                        RestartReport* report);
 
   // --- flash-loss supervision ----------------------------------------------
   // Run() invokes this machinery automatically when the flash device's

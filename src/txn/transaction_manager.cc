@@ -128,61 +128,12 @@ Status TransactionManager::Commit(TxnId txn_id) {
   return Status::OK();
 }
 
-Status TransactionManager::Prepare(TxnId txn_id, uint64_t gtid) {
-  auto it = active_.find(txn_id);
-  if (it == active_.end()) {
-    return Status::InvalidArgument("prepare of inactive transaction");
-  }
-  if (gtid == 0) return Status::InvalidArgument("prepare needs nonzero gtid");
-  Transaction& t = it->second;
-  // Read-only so far: nothing durable to vote on; the later Commit takes
-  // the no-XID fast path and atomicity is vacuous.
-  if (t.first_lsn == kInvalidLsn) {
-    t.gtid = gtid;
-    return Status::OK();
-  }
-  // The Prepare record links to the chain (prev_lsn) but does not become
-  // its head: undo — whether in-memory or log-driven — walks straight from
-  // the last update and never has to skip the vote record.
-  Lsn lsn;
-  char* rec = log_->AppendBatch(GtidRecordSize(), &lsn);
-  EncodeGtidRecordTo(rec, LogRecordType::kPrepare, lsn, txn_id, t.last_lsn,
-                     gtid);
-  FACE_RETURN_IF_ERROR(log_->FlushTo(lsn));  // the vote must be durable
-  t.gtid = gtid;
-  return Status::OK();
-}
-
-Status TransactionManager::LogGlobalCommit(TxnId txn_id, uint64_t gtid) {
-  if (gtid == 0) return Status::InvalidArgument("global commit needs gtid");
-  Lsn lsn;
-  char* rec = log_->AppendBatch(GtidRecordSize(), &lsn);
-  EncodeGtidRecordTo(rec, LogRecordType::kGlobalCommit, lsn, txn_id,
-                     kInvalidLsn, gtid);
-  return log_->FlushTo(lsn);  // the decision point
-}
-
-void TransactionManager::AdoptRecovered(TxnId txn_id, Lsn last_lsn,
-                                        uint64_t gtid) {
-  Transaction t;
-  t.first_lsn = last_lsn;  // nonzero: never treated as read-only
-  t.last_lsn = last_lsn;
-  t.gtid = gtid;
-  t.recovered = true;
-  active_[txn_id] = std::move(t);
-  ObserveTxnId(txn_id);
-}
-
 Status TransactionManager::Abort(TxnId txn_id) {
   auto it = active_.find(txn_id);
   if (it == active_.end()) {
     return Status::InvalidArgument("abort of inactive transaction");
   }
   Transaction& t = it->second;
-  if (t.recovered) {
-    return Status::Internal(
-        "abort of recovered in-doubt transaction must be log-driven");
-  }
   if (t.first_lsn == kInvalidLsn) {
     // Never logged anything: nothing to undo, nothing to record.
     active_.erase(it);
@@ -236,7 +187,7 @@ std::vector<AttEntry> TransactionManager::ActiveTxns() const {
   att.reserve(active_.size());
   for (const auto& [id, t] : active_) {
     // Unlogged (so-far read-only) transactions need no recovery coverage.
-    if (t.first_lsn != kInvalidLsn) att.push_back({id, t.last_lsn, t.gtid});
+    if (t.first_lsn != kInvalidLsn) att.push_back({id, t.last_lsn});
   }
   // Ascending txn id: deterministic checkpoint-record content regardless
   // of the hash table's layout (the std::map order this table used to have).

@@ -84,14 +84,6 @@ void EncodeClrRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
   FinishRecordCrc(dst, len);
 }
 
-void EncodeGtidRecordTo(char* dst, LogRecordType type, Lsn lsn, TxnId txn_id,
-                        Lsn prev_lsn, uint64_t gtid) {
-  const uint32_t len = GtidRecordSize();
-  char* p = EncodeRecordHeader(dst, len, lsn, txn_id, prev_lsn, type);
-  EncodeFixed64(p, gtid);
-  FinishRecordCrc(dst, len);
-}
-
 void LogRecord::EncodeTo(char* dst) const {
   const uint32_t len = EncodedSize();
   const uint32_t n = static_cast<uint32_t>(image.size());
@@ -112,10 +104,6 @@ void LogRecord::EncodeTo(char* dst) const {
     case LogRecordType::kAbort:
       EncodeControlRecordTo(dst, type, lsn, txn_id, prev_lsn);
       return;
-    case LogRecordType::kPrepare:
-    case LogRecordType::kGlobalCommit:
-      EncodeGtidRecordTo(dst, type, lsn, txn_id, prev_lsn, gtid);
-      return;
     case LogRecordType::kCheckpointBegin:
       break;  // encoded below
   }
@@ -135,8 +123,7 @@ void LogRecord::EncodeTo(char* dst) const {
       for (const auto& e : active_txns) {
         EncodeFixed64(p, e.txn_id);
         EncodeFixed64(p + 8, e.last_lsn);
-        EncodeFixed64(p + 16, e.gtid);
-        p += 24;
+        p += 16;
       }
       break;
     default:
@@ -161,11 +148,7 @@ uint32_t LogRecord::EncodedSize() const {
       return ClrRecordSize(static_cast<uint32_t>(image.size()));
     case LogRecordType::kCheckpointBegin:
       n += 8 + 4 + 4 + 16 * static_cast<uint32_t>(dirty_pages.size()) +
-           24 * static_cast<uint32_t>(active_txns.size());
-      break;
-    case LogRecordType::kPrepare:
-    case LogRecordType::kGlobalCommit:
-      n += 8;
+           16 * static_cast<uint32_t>(active_txns.size());
       break;
     default:
       break;
@@ -218,7 +201,7 @@ StatusOr<LogRecord> LogRecord::Decode(const char* data, uint32_t len) {
       const uint32_t n_dpt = DecodeFixed32(data + pos + 8);
       const uint32_t n_att = DecodeFixed32(data + pos + 12);
       pos += 16;
-      if (pos + 16ull * n_dpt + 24ull * n_att > len) {
+      if (pos + 16ull * n_dpt + 16ull * n_att > len) {
         return Status::Corruption("truncated checkpoint tables");
       }
       rec.dirty_pages.reserve(n_dpt);
@@ -229,18 +212,10 @@ StatusOr<LogRecord> LogRecord::Decode(const char* data, uint32_t len) {
       }
       rec.active_txns.reserve(n_att);
       for (uint32_t i = 0; i < n_att; ++i) {
-        rec.active_txns.push_back({DecodeFixed64(data + pos),
-                                   DecodeFixed64(data + pos + 8),
-                                   DecodeFixed64(data + pos + 16)});
-        pos += 24;
+        rec.active_txns.push_back(
+            {DecodeFixed64(data + pos), DecodeFixed64(data + pos + 8)});
+        pos += 16;
       }
-      break;
-    }
-    case LogRecordType::kPrepare:
-    case LogRecordType::kGlobalCommit: {
-      if (pos + 8 > len) return Status::Corruption("truncated 2PC record");
-      rec.gtid = DecodeFixed64(data + pos);
-      pos += 8;
       break;
     }
     case LogRecordType::kBegin:

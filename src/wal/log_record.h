@@ -36,10 +36,9 @@ enum class LogRecordType : uint8_t {
   /// dirty page is synced before the control block names this record,
   /// which is why redo starts here.
   kCheckpointBegin = 6,
-  // 7 is unassigned (it was CHECKPOINT_END): such a record decodes as an
+  // 7, 8 and 9 are unassigned (7 was CHECKPOINT_END, 8 and 9 two-phase
+  // commit's PREPARE and GLOBAL_COMMIT): such a record decodes as an
   // unknown type.
-  kPrepare = 8,          ///< 2PC: participant vote, forced; carries gtid
-  kGlobalCommit = 9,     ///< 2PC: coordinator decision, forced; carries gtid
 };
 
 /// Dirty-page-table entry captured by a checkpoint.
@@ -51,8 +50,7 @@ struct DptEntry {
 /// Active-transaction-table entry captured by a checkpoint.
 struct AttEntry {
   TxnId txn_id;
-  Lsn last_lsn;       ///< head of the transaction's undo chain
-  uint64_t gtid = 0;  ///< nonzero: prepared under this global txn id (2PC)
+  Lsn last_lsn;  ///< head of the transaction's undo chain
 };
 
 /// In-memory representation of one WAL record (tagged union by `type`).
@@ -74,9 +72,6 @@ struct LogRecord {
   PageId next_page_id = 0;  ///< allocator high-water mark
   std::vector<DptEntry> dirty_pages;
   std::vector<AttEntry> active_txns;
-
-  // kPrepare / kGlobalCommit:
-  uint64_t gtid = 0;  ///< global (cross-shard) transaction id
 
   /// Serialize to the on-media format into `dst`, which must have exactly
   /// EncodedSize() bytes. The hot path: LogManager::Append encodes straight
@@ -123,8 +118,6 @@ inline constexpr uint32_t UpdateRecordSize(uint32_t n) {
 inline constexpr uint32_t ClrRecordSize(uint32_t n) {
   return kLogRecordHeaderSize + 8 + 2 + 4 + n + 8;
 }
-/// Stream size of a 2PC record (Prepare / GlobalCommit): a u64 gtid body.
-inline constexpr uint32_t GtidRecordSize() { return kLogRecordHeaderSize + 8; }
 
 /// Encode a header-only record into `dst` (ControlRecordSize() bytes).
 void EncodeControlRecordTo(char* dst, LogRecordType type, Lsn lsn,
@@ -138,8 +131,5 @@ void EncodeUpdateRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
 void EncodeClrRecordTo(char* dst, Lsn lsn, TxnId txn_id, Lsn prev_lsn,
                        PageId page_id, uint16_t offset, const char* image,
                        uint32_t n, Lsn undo_next_lsn);
-/// Encode a Prepare or GlobalCommit into `dst` (GtidRecordSize() bytes).
-void EncodeGtidRecordTo(char* dst, LogRecordType type, Lsn lsn, TxnId txn_id,
-                        Lsn prev_lsn, uint64_t gtid);
 
 }  // namespace face

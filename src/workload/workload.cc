@@ -9,15 +9,6 @@ namespace {
 constexpr size_t kMaxDetails = 12;
 }  // namespace
 
-const char* PendingOutcomeName(PendingOutcome o) {
-  switch (o) {
-    case PendingOutcome::kNone: return "none";
-    case PendingOutcome::kCommitted: return "committed";
-    case PendingOutcome::kRolledBack: return "rolled-back";
-  }
-  return "?";
-}
-
 void AuditReport::AddDivergence(const std::string& what) {
   ++divergences;
   if (details.size() < kMaxDetails) details.push_back(what);
@@ -58,13 +49,6 @@ Status Workload::InjectStranded(Database& db, Random& rnd) {
   (void)rnd;
   return Status::InvalidArgument(
       "workload does not support stranded-transaction injection");
-}
-
-StatusOr<TxnId> Workload::BeginCrossShardLeg(Database& db, Random& rnd) {
-  (void)db;
-  (void)rnd;
-  return Status::InvalidArgument(
-      "workload does not support cross-shard transactions");
 }
 
 std::shared_ptr<const WorkloadFactory> WorkloadFactory::Partition(

@@ -57,12 +57,9 @@ struct WorkloadStats {
   }
 };
 
-/// How an audit resolved the write a crash cut in flight. Cross-shard
-/// storms compare the participants' outcomes: atomicity means every shard
-/// of one global transaction resolved the same way.
+/// How an audit resolved the write a crash cut in flight: the restart
+/// kept its new version or rolled it back. kNone: no write was in doubt.
 enum class PendingOutcome : uint8_t { kNone = 0, kCommitted, kRolledBack };
-
-const char* PendingOutcomeName(PendingOutcome o);
 
 /// Outcome of one audit of a recovered database: the workload's logical
 /// check (Workload::Audit) and the cache audit beside it. Divergences are
@@ -116,8 +113,8 @@ class Workload {
   /// tests count these as losers). Optional: default is Unimplemented.
   virtual Status InjectStranded(Database& db, Random& rnd);
 
-  /// The testbed rolled back every non-prepared in-flight transaction on
-  /// the live engine (a flash loss interrupted one mid-run and the
+  /// The testbed rolled back every in-flight transaction on the live
+  /// engine (a flash loss interrupted one mid-run and the
   /// supervisor aborted it before resuming traffic). Drivers tracking
   /// in-doubt state record that its commit never completed; the next
   /// Audit checks the outcome. Default is a no-op.
@@ -135,15 +132,6 @@ class Workload {
     (void)report;
     return Status::OK();
   }
-
-  /// Begin this shard's leg of a cross-shard (2PC) transaction: one local
-  /// transaction with its writes applied, returned uncommitted.
-  /// ShardedTestbed::RunCrossShardTxn drives the commit protocol, and
-  /// OnCrossShardCommitted reports its success. Optional: default is
-  /// Unimplemented.
-  virtual StatusOr<TxnId> BeginCrossShardLeg(Database& db, Random& rnd);
-  /// The leg begun last committed.
-  virtual void OnCrossShardCommitted() {}
 
   const WorkloadStats& stats() const { return stats_; }
   virtual void ResetStats() { stats_ = WorkloadStats(); }

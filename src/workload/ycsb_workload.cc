@@ -233,20 +233,6 @@ Status YcsbWorkload::OnInflightRolledBack(Database& db) {
   return Status::OK();
 }
 
-StatusOr<TxnId> YcsbWorkload::BeginCrossShardLeg(Database& db, Random& rnd) {
-  FACE_RETURN_IF_ERROR(ledger_.CheckResolved());
-  const uint64_t key = ChooseKey(rnd);
-  ledger_.Begin(key, ++version_);
-  // A prepared leg commits or rolls back with the coordinator's decision,
-  // so both versions are legal from the vote on; the sharded storm checks
-  // that every leg resolved alike.
-  ledger_.pending->commit_attempted = true;
-  const TxnId txn = db.Begin();
-  PageWriter w = db.Writer(txn);
-  FACE_RETURN_IF_ERROR(table_.Update(&w, key, opts_.value_bytes, version_));
-  return txn;
-}
-
 Status YcsbWorkload::Audit(Database& db, AuditReport* report) {
   (void)db;  // Setup bound table_ to it
   const uint32_t vb = opts_.value_bytes;

@@ -102,8 +102,8 @@ struct KvLedger {
     uint64_t key = 0;
     uint64_t old_version = kAbsent;
     uint64_t new_version = 0;
-    /// Set once db.Commit (or a 2PC prepare) was invoked. Until then the
-    /// write cannot be durable, so only its old version is legal.
+    /// Set once db.Commit was invoked. Until then the write cannot be
+    /// durable, so only its old version is legal.
     bool commit_attempted = false;
   };
 
@@ -157,10 +157,6 @@ class YcsbWorkload : public Workload {
   /// Resolve the write in flight at the crash, then compare every key
   /// with the ledger and count the index for phantoms.
   Status Audit(Database& db, AuditReport* report) override;
-  /// Update one eligible key; the write stays in doubt until
-  /// OnCrossShardCommitted (its prepare vote is its commit attempt).
-  StatusOr<TxnId> BeginCrossShardLeg(Database& db, Random& rnd) override;
-  void OnCrossShardCommitted() override { ledger_.Commit(); }
 
   /// Key chosen for the next point operation (exposed for distribution
   /// shape tests). Withheld keys pass the operation to the next key up.

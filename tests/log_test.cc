@@ -55,8 +55,11 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
   ckpt.lsn = 8192;
   ckpt.next_page_id = 500;
   ckpt.dirty_pages = {{1, 100}, {2, 200}};
-  ckpt.active_txns = {{9, 300}};
+  ckpt.active_txns = {{9, 300}, {11, 400}};
   const std::string cbytes = ckpt.Encode();
+  // Header, the hwm and two counts, then 16 bytes per DPT and ATT entry.
+  EXPECT_EQ(ckpt.EncodedSize(), kLogRecordHeaderSize + 16 + 16 * 2 + 16 * 2);
+  EXPECT_EQ(cbytes.size(), ckpt.EncodedSize());
   FACE_ASSERT_OK_AND_ASSIGN(
       LogRecord cdec,
       LogRecord::Decode(cbytes.data(), static_cast<uint32_t>(cbytes.size())));
@@ -64,8 +67,11 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
   ASSERT_EQ(cdec.dirty_pages.size(), 2u);
   EXPECT_EQ(cdec.dirty_pages[1].page_id, 2u);
   EXPECT_EQ(cdec.dirty_pages[1].rec_lsn, 200u);
-  ASSERT_EQ(cdec.active_txns.size(), 1u);
+  ASSERT_EQ(cdec.active_txns.size(), 2u);
   EXPECT_EQ(cdec.active_txns[0].txn_id, 9u);
+  EXPECT_EQ(cdec.active_txns[0].last_lsn, 300u);
+  EXPECT_EQ(cdec.active_txns[1].txn_id, 11u);
+  EXPECT_EQ(cdec.active_txns[1].last_lsn, 400u);
 
   LogRecord clr;
   clr.type = LogRecordType::kClr;
@@ -83,21 +89,21 @@ TEST(LogRecordTest, EncodeDecodeAllTypes) {
   EXPECT_EQ(ldec.image, "comp");
 }
 
-TEST(LogRecordTest, StaleCheckpointEndDecodesAsUnknownType) {
-  // Type 7 was CHECKPOINT_END, which checkpoints no longer log: a stale one
-  // with a valid crc is an unknown type.
-  LogRecord rec;
-  rec.type = LogRecordType::kCommit;
-  rec.lsn = 4096;
-  std::string bytes = rec.Encode();
-  EncodeControlRecordTo(bytes.data(), static_cast<LogRecordType>(7), 4096, 0,
-                        0);
-  const auto decoded =
-      LogRecord::Decode(bytes.data(), static_cast<uint32_t>(bytes.size()));
-  ASSERT_TRUE(decoded.status().IsCorruption());
-  EXPECT_NE(decoded.status().ToString().find("unknown log record type"),
-            std::string::npos)
-      << decoded.status().ToString();
+TEST(LogRecordTest, RetiredTypesDecodeAsUnknownType) {
+  // Type 7 was CHECKPOINT_END, 8 and 9 two-phase commit's PREPARE and
+  // GLOBAL_COMMIT; nothing logs them any more. A stale one with a valid crc
+  // is an unknown type.
+  for (const uint8_t type : {7, 8, 9}) {
+    std::string bytes(ControlRecordSize(), '\0');
+    EncodeControlRecordTo(bytes.data(), static_cast<LogRecordType>(type),
+                          4096, 0, 0);
+    const auto decoded =
+        LogRecord::Decode(bytes.data(), static_cast<uint32_t>(bytes.size()));
+    ASSERT_TRUE(decoded.status().IsCorruption()) << "type " << int{type};
+    EXPECT_NE(decoded.status().ToString().find("unknown log record type"),
+              std::string::npos)
+        << "type " << int{type} << ": " << decoded.status().ToString();
+  }
 }
 
 TEST(LogRecordTest, DecodeRejectsCorruption) {
