@@ -435,7 +435,7 @@ StatusOr<WriteBackStats> BufferPool::SyncDirtyPagesForCheckpoint(
       std::count_if(offers.begin(), offers.end(),
                     [](const CheckpointOffer& o) { return !o.absorbed; }));
   if (to_disk == 0) lanes = nullptr;
-  obs::ScopedSpan span("recovery", "writeback", lanes != nullptr);
+  obs::ScopedSpan span("checkpoint", "writeback", lanes != nullptr);
   ScopedIoBatch batch(lanes);
   for (const CheckpointOffer& o : offers) {
     Frame& f = frames_[*table_.Find(o.page_id)];

@@ -128,11 +128,10 @@ class BufferPool final : public DramPullSource {
   /// Checkpoint step: offer the persistently-dirty frames, in page order,
   /// to the cache (CacheExtension::CheckpointPages), then write the ones it
   /// did not absorb to disk. The cache forces the WAL before it writes any
-  /// offer. `lanes` null (every runtime checkpoint): one page after another
-  /// on the caller's clock. Non-null (restart, inside an open span): the
+  /// offer. `lanes` non-null (a timed checkpoint, inside an open span): the
   /// cache may batch the writes its admissions trigger, its force among
-  /// them, and the disk writes run one lane per page. Returns the
-  /// lane-batched writes.
+  /// them, and the disk writes run one lane per page. Null: the same
+  /// writes, one after another. Returns the lane-batched writes.
   StatusOr<WriteBackStats> SyncDirtyPagesForCheckpoint(
       IoScheduler* lanes = nullptr);
 

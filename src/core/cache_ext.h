@@ -219,13 +219,12 @@ class CacheExtension {
   /// caller writes every other offer to disk once this returns. `force`
   /// forces the log: a policy runs it once, before it writes any offered
   /// page (WAL before data). The default runs the force and absorbs
-  /// nothing. Without a scheduler (every runtime checkpoint) a policy runs
-  /// the force, then absorbs the offers one after another, in order. With
-  /// the recovery scheduler (restart's checkpoints, inside its open span) a
-  /// policy may issue the independent writes its admissions trigger as lane
-  /// batches (ScopedIoBatch), adding them to `stats`, and may run the force
-  /// as the first lane of one, beside writes that need no force
-  /// (sim/scheduler.h).
+  /// nothing. A policy may issue the independent writes its admissions
+  /// trigger as lane batches (ScopedIoBatch on `lanes`), adding them to
+  /// `stats`, and may run the force as the first lane of one, beside writes
+  /// that need no force (sim/scheduler.h). `lanes` is the scheduler of a
+  /// timed checkpoint's open span (restart's, the testbed's runtime ones),
+  /// or null, which makes every batch a no-op.
   virtual Status CheckpointPages(std::vector<CheckpointOffer>* offers,
                                  const IoLead& force, IoScheduler* lanes,
                                  WriteBackStats* stats) {

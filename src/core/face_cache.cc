@@ -592,39 +592,15 @@ Status FaceCache::OnDramEvict(PageId page_id, char* page, bool dirty,
   return Status::OK();
 }
 
-Status FaceCache::CheckpointPages(std::vector<CheckpointOffer>* offers,
-                                  const IoLead& force, IoScheduler* lanes,
-                                  WriteBackStats* stats) {
-  if (lanes != nullptr) return AbsorbBatch(offers, force, lanes, stats);
-  FACE_RETURN_IF_ERROR(force.run());
-  for (CheckpointOffer& o : *offers) FACE_RETURN_IF_ERROR(AbsorbOne(&o));
-  return Status::OK();
-}
-
-Status FaceCache::AbsorbOne(CheckpointOffer* o) {
-  // A checkpointed dirty page enters the flash cache instead of disk; the
-  // flash copy becomes the persistent version (still newer than disk). A
-  // small refresh rides the delta ring (made durable by OnCheckpoint's
-  // Flush before the checkpoint completes) and needs no frame.
-  o->absorbed = true;
-  FACE_ASSIGN_OR_RETURN(
-      const bool refreshed,
-      TryDeltaRefresh(o->page_id, o->page, /*dirty=*/true,
-                      ExposedSince(o->rec_lsn, o->page), &o->hint));
-  if (refreshed) return Status::OK();
-  FACE_RETURN_IF_ERROR(MakeRoom());
-  return EnqueueOffer(o);
-}
-
 Status FaceCache::EnqueueOffer(CheckpointOffer* o) {
   return Enqueue(o->page_id, o->page, /*dirty=*/true,
                  ConstPageView(o->page).lsn(), ExposedSince(o->rec_lsn, o->page),
                  &o->hint.new_version);
 }
 
-Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
-                              const IoLead& force, IoScheduler* lanes,
-                              WriteBackStats* stats) {
+Status FaceCache::CheckpointPages(std::vector<CheckpointOffer>* offers,
+                                  const IoLead& force, IoScheduler* lanes,
+                                  WriteBackStats* stats) {
   // 1. Plan. An offer whose chain takes its refresh gets a delta record,
   //    every other one a full frame. The ring names the live chains the
   //    planned appends would displace: an offered page among them takes a
@@ -744,7 +720,7 @@ Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
     std::vector<Survivor> survivors;
     {
       IoScheduler* sched = lanes_used > 0 ? lanes : nullptr;
-      obs::ScopedSpan span("recovery", "writeback", sched != nullptr);
+      obs::ScopedSpan span("checkpoint", "writeback", sched != nullptr);
       ScopedIoBatch batch(sched);
       if (lead != nullptr) {
         FACE_RETURN_IF_ERROR(batch.RunLead(*lead));
@@ -786,11 +762,19 @@ Status FaceCache::AbsorbBatch(std::vector<CheckpointOffer>* offers,
 
   // 4. The appends reuse the ring slots the tip images reclaimed: those
   //    frames reach flash first. Then the delta records, which find their
-  //    slots free of live chains; the one-page path stays the safety net.
+  //    slots free of live chains (OnCheckpoint's Flush makes them durable
+  //    before the checkpoint completes). A record the chain refuses takes
+  //    room and a full frame, as an eviction would: the safety net.
   FACE_RETURN_IF_ERROR(FlushStaging());
   for (CheckpointOffer* o : delta) {
     if (plan.Find(o->page_id)->role != kDelta) continue;
-    FACE_RETURN_IF_ERROR(AbsorbOne(o));
+    FACE_ASSIGN_OR_RETURN(
+        const bool refreshed,
+        TryDeltaRefresh(o->page_id, o->page, /*dirty=*/true,
+                        ExposedSince(o->rec_lsn, o->page), &o->hint));
+    if (refreshed) continue;
+    FACE_RETURN_IF_ERROR(MakeRoom());
+    FACE_RETURN_IF_ERROR(EnqueueOffer(o));
   }
   return Status::OK();
 }

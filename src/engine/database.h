@@ -87,8 +87,12 @@ class Database {
   }
 
   // --- maintenance ----------------------------------------------------------
-  /// Run one database checkpoint; returns the new redo point.
-  StatusOr<Lsn> TakeCheckpoint() { return checkpointer_.TakeCheckpoint(); }
+  /// Run one database checkpoint; returns the new redo point. `lanes`
+  /// non-null (a timed checkpoint, inside an open span): write the dirty
+  /// pages back as lane batches (Checkpointer::TakeCheckpoint).
+  StatusOr<Lsn> TakeCheckpoint(IoScheduler* lanes = nullptr) {
+    return checkpointer_.TakeCheckpoint(lanes);
+  }
   /// Flush everything to disk (clean shutdown) and checkpoint.
   Status CleanShutdown();
 

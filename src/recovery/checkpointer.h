@@ -18,8 +18,9 @@
 // previous checkpoint. The checkpoint is sharp, not fuzzy: every page dirty
 // at BEGIN is synced before the control block advances.
 //
-// Restart's final checkpoint passes the recovery scheduler, and its
-// independent writes run as I/O lane batches
+// A timed checkpoint passes the scheduler of its open span: restart's final
+// checkpoint, and the testbed's runtime checkpoints on their own token
+// (Testbed::TakeCheckpoint). Its independent writes run as I/O lane batches
 // (BufferPool::SyncDirtyPagesForCheckpoint):
 //   - FaCE, every flavor, absorbs the dirty set at once. It first plans all
 //     the room it needs: the full frames, and the tip images of the delta
@@ -27,14 +28,15 @@
 //     batch makes that room. The sync's log force is its first lane (a
 //     destage needs no force; sim/scheduler.h), and each destage of a
 //     front frame (and each read of a survivor or tip image) its own. So
-//     no restart checkpoint destages a frame outside a lane
+//     no timed checkpoint destages a frame outside a lane
 //     (Stats::serial_destages stays 0);
 //   - the pages no cache absorbs go to disk one lane each, after the force.
 // Closing a batch is the barrier: FaCE's frame writes and delta appends and
-// the control-block write all start after the last lane ended. Nobody else
-// runs during restart. Runtime checkpoints (Database::TakeCheckpoint) pass
-// no scheduler and sync one page after another: they share the devices
-// with the clients, and their timing is part of every measured run.
+// the control-block write all start after the last lane ended. Lanes queue
+// on each station like any request, so a runtime checkpoint's lanes wait
+// behind the clients' requests issued before them. Without a scheduler
+// (setup, clean shutdown, direct calls) the same plan and writes run one
+// after another.
 #pragma once
 
 #include <cstdint>
@@ -54,10 +56,10 @@ class Checkpointer {
   struct Stats {
     uint64_t checkpoints = 0;
     uint64_t dpt_pages = 0;  ///< dirty pages captured across all checkpoints
-    uint64_t writeback_batches = 0;  ///< lane batches (restart only)
+    uint64_t writeback_batches = 0;  ///< lane batches (timed checkpoints)
     uint64_t writeback_pages = 0;    ///< page writes in them
-    /// The cache's destages outside every lane batch (all of a runtime
-    /// checkpoint's; none of a restart checkpoint's, by design).
+    /// The cache's destages outside every lane batch (all of an untimed
+    /// checkpoint's; none of a timed checkpoint's, by design).
     uint64_t serial_destages = 0;
     uint64_t reclaimed_chains = 0;  ///< WriteBackStats::reclaimed_chains
   };
@@ -68,8 +70,9 @@ class Checkpointer {
         cache_(cache) {}
 
   /// Run one full checkpoint; returns the BEGIN record's LSN (the redo
-  /// point a subsequent restart will use). `lanes` non-null (restart, with
-  /// an open span): write the dirty pages back as lane batches.
+  /// point a subsequent restart will use). `lanes` non-null (a timed
+  /// checkpoint, with an open span): write the dirty pages back as lane
+  /// batches.
   StatusOr<Lsn> TakeCheckpoint(IoScheduler* lanes = nullptr);
 
   const Stats& stats() const { return stats_; }

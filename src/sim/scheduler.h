@@ -8,8 +8,9 @@
 // station busy time -> device utilization, completion stamps -> Figure 6.
 //
 // I/O lane batches. A span may open a batch to issue independent requests
-// concurrently (restart redo's read-ahead fetches one page per lane; the
-// restart's checkpoints write back one page per lane):
+// concurrently (restart redo's read-ahead fetches one page per lane; every
+// timed checkpoint, restart's and the runtime ones, writes back one page
+// per lane):
 //   - every lane starts at the batch start, the span's clock when the batch
 //     opened;
 //   - requests inside one lane chain serially, so a fetch's eviction
@@ -22,11 +23,11 @@
 //     batch's first lane. Each station still queues it behind every request
 //     issued before it, and the batch waits for it. The caller vouches that
 //     it depends on nothing the span did after its start.
-// There are two leads, both at restart:
-//   - FaCE's delta-ring read, issued once the metadata restore's lane ended
-//     and run in redo's first read-ahead batch (recovery/redo.h);
-//   - the restart checkpoint's log force, issued when its sync began and
-//     run in FaCE's first room-making batch (FaceCache::AbsorbBatch), so it
+// There are two leads:
+//   - FaCE's delta-ring read at restart, issued once the metadata restore's
+//     lane ended and run in redo's first read-ahead batch (recovery/redo.h);
+//   - a timed checkpoint's log force, issued when its sync began and run
+//     in FaCE's first room-making batch (FaceCache::CheckpointPages), so it
 //     overlaps the destages. The causality rule that allows it: every frame
 //     already on flash had its records forced when it reached flash — on
 //     leaving DRAM (BufferPool::EvictFrame, PullVictim) or by the force of
@@ -39,13 +40,12 @@
 // it on its station, even one that starts later in virtual time. A lane
 // that returns to a station after a long wait elsewhere (flash read → disk
 // write → flash write) would hold back every later lane's request there, so
-// such writes belong after the batch. FaCE's restart checkpoint therefore
-// plans all its room first, and its one batch holds only the log force and
-// the frame reads and destages that make the room; the survivors, tip
-// images, new frames and delta-ring appends are written once the batch
-// closed.
+// such writes belong after the batch. FaCE's checkpoint therefore plans all
+// its room first, and its one batch holds only the log force and the frame
+// reads and destages that make the room; the survivors, tip images, new
+// frames and delta-ring appends are written once the batch closed.
 // Batches do not nest and exist only inside an open span; foreground
-// transactions and runtime checkpoints never open one.
+// transactions never open one.
 //
 // Group commit (OnJoinableIo; only LogManager::FlushTo issues joinable
 // requests). The engine runs host-serially, so every commit issues its own

@@ -74,6 +74,34 @@ Status CrashStormHarness::EnsureGolden() {
 StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
     uint64_t seed, uint64_t crash_write, uint64_t restart_write) {
   FACE_RETURN_IF_ERROR(EnsureGolden());
+  // A random storm chosen to crash again during its restart cuts it at one
+  // of that restart's own page writes, counted by an uncut twin of the
+  // storm: the twin replays the same seed up to the restart, so the cut
+  // always lands inside it.
+  Random cut_rnd(seed * 0x9e3779b97f4a7c15ull + 0xD0B1E /* restart cut */);
+  const bool drawn = crash_write == 0 && restart_write == 0 &&
+                     opts_.double_fault_pct > 0 &&
+                     cut_rnd.PercentTrue(opts_.double_fault_pct);
+  if (drawn) {
+    FACE_ASSIGN_OR_RETURN(const CrashStormResult twin,
+                          Storm(seed, 0, UINT64_MAX, /*audit=*/false));
+    restart_write = 1 + cut_rnd.Uniform(twin.restart_writes);
+  }
+  FACE_ASSIGN_OR_RETURN(CrashStormResult result,
+                        Storm(seed, crash_write, restart_write, /*audit=*/true));
+  if (drawn && !result.double_faulted) {
+    return Status::Internal("restart cut at write " +
+                            std::to_string(restart_write) +
+                            " never tripped: the storm diverged from its twin");
+  }
+  phases_.Record(result.restart);
+  return result;
+}
+
+StatusOr<CrashStormResult> CrashStormHarness::Storm(uint64_t seed,
+                                                    uint64_t crash_write,
+                                                    uint64_t restart_write,
+                                                    bool audit) {
   const bool explicit_crash = crash_write != 0;
 
   Random rnd(seed * 0x9e3779b97f4a7c15ull + 0x5707 /* storm */);
@@ -108,7 +136,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
     FACE_RETURN_IF_ERROR(tb.Run(warm).status());
   }
   if (explicit_crash || rnd.PercentTrue(70)) {
-    FACE_RETURN_IF_ERROR(tb.db()->TakeCheckpoint().status());
+    FACE_RETURN_IF_ERROR(tb.TakeCheckpoint().status());
   }
   FACE_RETURN_IF_ERROR(tb.InjectInflightTransactions(kStrandedTxns));
 
@@ -155,6 +183,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
   // fills), so an un-tripped countdown gets up to 3x the nominal body to
   // fire before the storm settles for a quiescent-point crash. An explicit
   // crash point's interval is the body, then the checkpoint closing it.
+  // Every checkpoint is a timed one, so cuts land inside its lane batches.
   const uint64_t ckpt_at = explicit_crash || !rnd.PercentTrue(50)
                                ? UINT64_MAX
                                : rnd.Uniform(opts_.body_ops);
@@ -162,14 +191,14 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
   Status body;
   for (uint64_t i = 0; i < op_cap && body.ok(); ++i) {
     if (i == ckpt_at) {
-      body = tb.db()->TakeCheckpoint().status();
+      body = tb.TakeCheckpoint().status();
       if (!body.ok()) break;
     }
     RunOptions one;
     one.txns = 1;
     body = tb.Run(one).status();
   }
-  if (explicit_crash && body.ok()) body = tb.db()->TakeCheckpoint().status();
+  if (explicit_crash && body.ok()) body = tb.TakeCheckpoint().status();
   if (!body.ok() && !inj.tripped()) {
     return Status::Internal("storm body failed without an injected crash: " +
                             body.ToString());
@@ -189,26 +218,15 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
         FaultInjector::GarbleBlocks(tb.flash_dev(), 0, 1, '\0'));
   }
 
-  // Crash during recovery: a named restart crash point, or a fraction of
-  // the random storms, re-arm the injector before restart, so power fails
-  // again while redo/undo/checkpoint I/O is in flight — the next attempt
-  // must recover from the torn remains of the previous one (idempotent
-  // redo, CLRs bounding re-undo). Untargeted countdown: recovery's write
-  // stream is log + data, not flash-heavy.
-  bool rearm = restart_write != 0 ||
-               (!explicit_crash && opts_.double_fault_pct > 0 &&
-                rnd.PercentTrue(opts_.double_fault_pct));
+  // Crash during recovery: a restart crash point re-arms the injector
+  // before restart, so power fails again while redo/undo/checkpoint I/O is
+  // in flight — the next attempt must recover from the torn remains of the
+  // previous one (idempotent redo, CLRs bounding re-undo). Untargeted
+  // countdown: recovery's write stream is log + data, not flash-heavy.
+  bool rearm = restart_write != 0;
   if (rearm) inj.TargetDevice("");
   for (uint32_t attempt = 0;; ++attempt) {
-    if (rearm) {
-      // A random storm's window of 24 writes trips only the restarts that
-      // write at least as many pages as it draws; a caller that needs
-      // every restart cut names the point (CrashStormTest.
-      // CrashDuringRecovery draws it from the uncut restart's count).
-      inj.ArmAfterWrites(restart_write != 0 ? restart_write
-                                            : 1 + rnd.Uniform(24),
-                         seed ^ (0xD0B1EFA0u + attempt));
-    }
+    if (rearm) inj.ArmAfterWrites(restart_write, seed ^ (0xD0B1EFA0u + attempt));
     const uint64_t writes_before = inj.writes_observed();
     StatusOr<RestartReport> restart = tb.Recover();
     if (attempt == 0) {
@@ -230,7 +248,7 @@ StatusOr<CrashStormResult> CrashStormHarness::RunStorm(
     // One double fault per storm: the retry must come up clean.
     rearm = false;
   }
-  phases_.Record(result.restart);
+  if (!audit) return result;
 
   FACE_ASSIGN_OR_RETURN(result.audit, tb.Audit());
 

@@ -85,7 +85,9 @@ struct CrashStormOptions {
   /// Percent of random storms that keep the injector armed *through*
   /// recovery, so power fails again while redo/undo is writing — the
   /// restart after that starts from the torn remains of the first restart.
-  /// 0 disables. A named restart crash point (RunStorm) overrides it.
+  /// Each such storm first runs an uncut twin that counts its restart's
+  /// page writes, and cuts at one of them, so every one double-faults. 0
+  /// disables. A named restart crash point (RunStorm) overrides it.
   uint32_t double_fault_pct = 30;
 };
 
@@ -123,7 +125,8 @@ class CrashStormHarness {
   /// crash, `restart_write` r > 0 crashes the restart at its r-th page
   /// write. 0 leaves that to the seed: no crash during recovery after a
   /// named crash point, `double_fault_pct` of the storms after a random
-  /// one.
+  /// one. Every checkpoint a storm takes is timed (Testbed::TakeCheckpoint),
+  /// so its crash points land inside the checkpoint's lane batches too.
   StatusOr<CrashStormResult> RunStorm(uint64_t seed, uint64_t crash_write = 0,
                                       uint64_t restart_write = 0);
 
@@ -134,6 +137,10 @@ class CrashStormHarness {
 
  private:
   Status EnsureGolden();
+  /// One storm as RunStorm describes, recording no phases. `audit` false
+  /// returns right after the restart (a twin that only counts its writes).
+  StatusOr<CrashStormResult> Storm(uint64_t seed, uint64_t crash_write,
+                                   uint64_t restart_write, bool audit);
 
   CrashStormOptions opts_;
   RecoveryPhaseAggregate phases_;

@@ -221,6 +221,12 @@ class Testbed {
   /// Run a measured batch of transactions.
   StatusOr<RunResult> Run(const RunOptions& run);
 
+  /// Take one checkpoint now, on the checkpoint token, as Run's interval
+  /// checkpoints do: its write-back runs as lane batches beside the
+  /// clients' requests (Checkpointer::TakeCheckpoint). Records the span's
+  /// virtual time in the `checkpoint.virtual_ns` histogram.
+  StatusOr<Lsn> TakeCheckpoint();
+
   /// Position a kill (the paper's restart protocol, §5.5): run 200-txn
   /// batches with a checkpoint every `interval` until `checkpoints` more
   /// completed, then single transactions until the clock sits within one

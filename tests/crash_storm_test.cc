@@ -51,7 +51,7 @@ void RunStorms(const CrashStormOptions& opts, uint64_t seeds,
   CrashStormHarness harness(opts, golden);
 
   const uint64_t base = BaseSeed();
-  uint64_t tripped = 0;
+  uint64_t tripped = 0, double_faulted = 0;
   for (uint64_t seed = base; seed < base + seeds; ++seed) {
     auto result = harness.RunStorm(seed);
     ASSERT_TRUE(result.ok()) << "policy " << CachePolicyName(policy)
@@ -61,6 +61,7 @@ void RunStorms(const CrashStormOptions& opts, uint64_t seeds,
         << "policy " << CachePolicyName(policy) << " seed " << seed << "\n"
         << result->ToString();
     if (result->crashed_mid_body) ++tripped;
+    if (result->double_faulted) ++double_faulted;
   }
   EXPECT_GE(tripped, seeds / 2)
       << "too few storms tripped the injector — crash window mis-sized";
@@ -71,7 +72,8 @@ void RunStorms(const CrashStormOptions& opts, uint64_t seeds,
   // summary shows where recovery time goes for this policy.
   EXPECT_EQ(harness.phase_aggregate().restarts(), seeds);
   std::cout << "[ " << opts.workload->name() << ", "
-            << CachePolicyName(policy) << " ] "
+            << CachePolicyName(policy) << " ] " << double_faulted << " of "
+            << seeds << " storms also crashed during recovery; "
             << harness.phase_aggregate().ToString() << "\n";
 }
 

@@ -348,8 +348,11 @@ TEST_F(FaceCacheTest, CheckpointPagesAbsorbsIntoFlash) {
     forced = true;
     return Status::OK();
   }};
-  FACE_ASSERT_OK(cache_->CheckpointPages(&offers, force, nullptr, nullptr));
+  WriteBackStats stats;
+  FACE_ASSERT_OK(cache_->CheckpointPages(&offers, force, nullptr, &stats));
   EXPECT_TRUE(forced);
+  EXPECT_EQ(stats.batches, 0u);  // no scheduler: no lane batch
+  EXPECT_EQ(stats.pages, 0u);
   EXPECT_TRUE(offers[0].absorbed);
   EXPECT_NE(offers[0].hint.new_version, kNoFlashVersion);
   EXPECT_EQ(cache_->stats().disk_writes, disk0);

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recovery/restart.h"
+#include "testbed/crash_storm.h"
 #include "testbed/testbed.h"
 #include "tests/test_util.h"
 #include "workload/ycsb_workload.h"
@@ -159,7 +160,7 @@ TEST_F(ReadAheadObsTest, BatchesAndLaneLatenciesAreRecorded) {
 TEST_F(ReadAheadObsTest, FinalCheckpointWriteBackIsRecorded) {
   // 100 pages whose newest version lives only in the WAL: the restart's
   // final checkpoint writes them back as one lane batch, traced as one
-  // recovery/writeback span inside the recovery/checkpoint phase.
+  // checkpoint/writeback span inside the recovery/checkpoint phase.
   ObsGuard guard;
   Init();
   const std::vector<PageId> pages = NewPages(100);
@@ -184,10 +185,11 @@ TEST_F(ReadAheadObsTest, FinalCheckpointWriteBackIsRecorded) {
   std::vector<obs::Tracer::Span> batches;
   obs::Tracer::Span phase{};
   for (const obs::Tracer::Span& span : obs::Tracer::Instance().spans()) {
-    if (std::string(span.component) != "recovery") continue;
-    const std::string name(span.name);
-    if (name == "writeback") batches.push_back(span);
-    if (name == "checkpoint") phase = span;
+    const std::string component(span.component), name(span.name);
+    if (component == "checkpoint" && name == "writeback") {
+      batches.push_back(span);
+    }
+    if (component == "recovery" && name == "checkpoint") phase = span;
   }
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_GT(batches[0].v_end_ns, batches[0].v_start_ns);
@@ -196,6 +198,46 @@ TEST_F(ReadAheadObsTest, FinalCheckpointWriteBackIsRecorded) {
 }
 
 #endif  // FACE_OBS_ENABLED
+
+TEST(ObsPerturbationTest, IntervalCheckpointsRecordTheirVirtualTime) {
+  // Each interval checkpoint's span (Testbed::TakeCheckpoint) lands in the
+  // checkpoint.virtual_ns histogram, and recording it moves nothing: the
+  // run measures the same with metrics and tracing off.
+  auto factory = std::make_shared<workload::YcsbFactory>(StormKv());
+  FACE_ASSERT_OK_AND_ASSIGN(GoldenImage golden, GoldenImage::BuildFor(factory));
+  auto measure = [&]() -> StatusOr<RunResult> {
+    TestbedOptions opts;
+    opts.clients = 8;
+    opts.workload = factory;
+    opts.buffer_frames = 64;
+    opts.flash_pages = 128;
+    opts.policy = CachePolicy::kFace;
+    Testbed tb(opts, &golden);
+    FACE_RETURN_IF_ERROR(tb.Start());
+    FACE_RETURN_IF_ERROR(tb.Warmup(100));
+    RunOptions run;
+    run.txns = 300;
+    run.checkpoint_interval = 10 * kNanosPerMilli;
+    return tb.Run(run);
+  };
+  FACE_ASSERT_OK_AND_ASSIGN(const RunResult quiet, measure());
+  ObsGuard guard;
+  FACE_ASSERT_OK_AND_ASSIGN(const RunResult observed, measure());
+  ASSERT_GE(quiet.checkpoints, 2u);
+  EXPECT_EQ(observed.checkpoints, quiet.checkpoints);
+  EXPECT_EQ(observed.duration, quiet.duration);
+  EXPECT_EQ(observed.db_stats.busy_ns, quiet.db_stats.busy_ns);
+  EXPECT_EQ(observed.flash_stats.busy_ns, quiet.flash_stats.busy_ns);
+  EXPECT_EQ(observed.log_stats.busy_ns, quiet.log_stats.busy_ns);
+  EXPECT_EQ(observed.cache_stats.hits, quiet.cache_stats.hits);
+#if FACE_OBS_ENABLED
+  const obs::Hist* ckpt =
+      obs::MetricsRegistry::Instance().GetHistogram("checkpoint.virtual_ns");
+  EXPECT_EQ(ckpt->count(), observed.checkpoints);
+  EXPECT_GT(ckpt->min(), 0u);
+  EXPECT_LT(ckpt->max(), observed.duration);
+#endif
+}
 
 TEST(ObsPerturbationTest, EnabledObsReproducesGoldenFingerprint) {
   // The ycsb-zipfian / FaCE+GSC timing-guard cell, byte-identical setup to

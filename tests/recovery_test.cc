@@ -2,8 +2,9 @@
 // (no flash cache) — atomicity, durability, idempotent redo, CLR handling,
 // checkpoint-bounded redo, allocator restoration, one-image update records
 // on pages redo materializes — plus redo read-ahead, its flash-covered
-// skip, and the restart checkpoint's lane-batched write-back on the timed
-// RAID-0 stack, and a degraded restart through the same routine.
+// skip, and the lane-batched write-back of the restart checkpoint on the
+// timed RAID-0 stack and of the testbed's interval checkpoint, and a
+// degraded restart through the same routine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -653,10 +654,11 @@ class WriteBackTest : public TimedEngineFixture {};
 
 TEST_F(WriteBackTest, DiskWritesOfTheRestartCheckpointOverlap) {
   // Policy none, 150 dirty pages spread over the 8-spindle array (4 apart,
-  // so each write is a random one). A runtime checkpoint writes them one
-  // after another, which measures their summed write service. Their next
-  // versions live only in the WAL: restart redoes them, and its final
-  // checkpoint writes the same 150 pages back as one lane batch.
+  // so each write is a random one). A checkpoint without a scheduler
+  // writes them one after another, which measures their summed write
+  // service. Their next versions live only in the WAL: restart redoes
+  // them, and its final checkpoint writes the same 150 pages back as one
+  // lane batch.
   Init(/*buffer_frames=*/1024);
   const std::vector<PageId> all = NewPages(600);
   CommitToEach(all, "base!");
@@ -828,7 +830,7 @@ TEST_F(WriteBackTest, FaceForceRunsBesideTheDestages) {
       continue;
     }
     if (force == nullptr && is(s, "wal", "force")) force = &s;
-    if (is(s, "recovery", "writeback")) batch = &s;
+    if (is(s, "checkpoint", "writeback")) batch = &s;
   }
   ASSERT_NE(force, nullptr);
   ASSERT_NE(batch, nullptr);
@@ -856,7 +858,8 @@ TEST_F(WriteBackTest, FaceAbsorptionsStayInTheRebuildLedger) {
     return ids;
   };
 
-  // Runtime checkpoint, one page: the queue's front frame is its own.
+  // A checkpoint without a scheduler, one page: the queue's front frame is
+  // its own.
   InitFace(/*buffer_frames=*/1024, /*flash_frames=*/64);
   const std::vector<PageId> pages = NewPages(128);
   CommitToEach(pages, "base!");
@@ -879,6 +882,144 @@ TEST_F(WriteBackTest, FaceAbsorptionsStayInTheRebuildLedger) {
   EXPECT_EQ(report.writeback_pages, destaged.size()) << report.ToString();
   EXPECT_EQ(ledger(), destaged);
   EXPECT_NE(cache_->FlashRedoFloor(), kInvalidLsn);
+}
+
+// --- lane-batched runtime write-back -------------------------------------------
+
+/// A testbed whose interval checkpoint (Testbed::Run's, on the checkpoint
+/// token) writes back a dirty set the test builds itself, page by page,
+/// through the engine. The clients run read-only transactions over the
+/// storms' KV rows, every page stays resident, so the interval's one
+/// transaction does no I/O: the disk array's busy time across the interval
+/// is exactly the checkpoint's write service.
+class RuntimeWriteBackTest : public ::testing::Test {
+ protected:
+  void Start(CachePolicy policy, uint64_t flash_frames = 0) {
+    workload::YcsbOptions reads = StormKv();
+    reads.pct_read = 100;
+    reads.pct_update = reads.pct_insert = reads.pct_scan = 0;
+    auto factory = std::make_shared<workload::YcsbFactory>(reads);
+    FACE_ASSERT_OK_AND_ASSIGN(golden_, GoldenImage::BuildFor(factory));
+    TestbedOptions to;
+    to.clients = 8;
+    to.workload = factory;
+    to.buffer_frames = 2048;
+    to.policy = policy;
+    to.flash_pages = flash_frames;
+    to.seg_entries = 16;
+    tb_ = std::make_unique<Testbed>(to, &golden_);
+    FACE_ASSERT_OK(tb_->Start());
+    for (PageId pid = 0; pid < golden_.db_pages(); ++pid) {
+      auto page = tb_->db()->pool()->FetchPage(pid);
+      ASSERT_TRUE(page.ok() || page.status().IsNotFound())
+          << page.status().ToString();
+    }
+  }
+
+  /// One transaction, then the interval checkpoint after it, with every
+  /// token and station idle when the transaction starts: the checkpoint
+  /// begins as the transaction ends and queues behind nothing.
+  struct Interval {
+    SimNanos ckpt_ns = 0;  ///< the checkpoint's virtual time
+    DeviceStats disk;      ///< the disk array's requests across the interval
+    Checkpointer::Stats ckpt;
+  };
+  StatusOr<Interval> RunInterval() {
+    IoScheduler* sched = tb_->sched();
+    sched->AdvanceAllTokens(sched->makespan());
+    const DeviceStats disk0 = tb_->db_dev()->stats();
+    const Checkpointer::Stats ckpt0 = tb_->db()->checkpointer()->stats();
+    RunOptions run;
+    run.txns = 1;
+    run.checkpoint_interval = 1;
+    run.collect_completions = true;
+    FACE_ASSIGN_OR_RETURN(const RunResult r, tb_->Run(run));
+    if (r.checkpoints != 1) return Status::Internal("no interval checkpoint");
+    Interval out;
+    out.ckpt_ns = sched->now() - r.completions[0].first;
+    out.disk = tb_->db_dev()->stats();
+    for (auto f : kDeviceCounters) out.disk.*f -= disk0.*f;
+    const Checkpointer::Stats& ckpt1 = tb_->db()->checkpointer()->stats();
+    out.ckpt.writeback_batches = ckpt1.writeback_batches - ckpt0.writeback_batches;
+    out.ckpt.writeback_pages = ckpt1.writeback_pages - ckpt0.writeback_pages;
+    out.ckpt.serial_destages = ckpt1.serial_destages - ckpt0.serial_destages;
+    return out;
+  }
+
+  /// The next interval, power cut at its first disk write: the log force
+  /// must already have run, and the write must be one of a lane batch's.
+  void ExpectForceBeforeTheFirstDiskWrite() {
+    FaultInjector inj;
+    inj.AttachScheduler(tb_->sched());
+    inj.SetTearGranularity("db", TearGranularity::kPageAtomic);
+    inj.TargetDevice("db");
+    tb_->db_dev()->set_fault_injector(&inj);
+    inj.ArmAfterWrites(1, /*seed=*/7);
+    EXPECT_FALSE(RunInterval().ok());
+    tb_->db_dev()->set_fault_injector(nullptr);
+    ASSERT_TRUE(inj.tripped()) << "the interval checkpoint wrote no disk page";
+    EXPECT_TRUE(inj.site().in_io_batch) << inj.site().ToString();
+    const LogManager* log = tb_->db()->log();
+    EXPECT_EQ(log->durable_lsn(), log->next_lsn());
+  }
+
+  GoldenImage golden_;
+  std::unique_ptr<Testbed> tb_;
+};
+
+TEST_F(RuntimeWriteBackTest, DiskWritesOfTheIntervalCheckpointOverlap) {
+  // WriteBackTest.DiskWritesOfTheRestartCheckpointOverlap's 150 dirty pages
+  // (policy none, 4 apart over the 8-spindle array), written back by an
+  // interval checkpoint: one lane batch after the force, so the
+  // checkpoint takes well under its summed write service.
+  Start(CachePolicy::kNone);
+  Database* db = tb_->db();
+  const std::vector<PageId> all = NewPages(db, 600);
+  CommitToEach(db, all, "base!");
+  FACE_ASSERT_OK(db->TakeCheckpoint().status());
+  const std::vector<PageId> pages = EveryNth(all, 4);
+  ASSERT_EQ(pages.size(), 150u);
+  CommitToEach(db, pages, "ckpt!");
+
+  FACE_ASSERT_OK_AND_ASSIGN(const Interval iv, RunInterval());
+  EXPECT_EQ(iv.disk.read_reqs, 0u);
+  EXPECT_EQ(iv.disk.write_reqs, pages.size());
+  EXPECT_EQ(iv.ckpt.writeback_batches, 1u);
+  EXPECT_EQ(iv.ckpt.writeback_pages, pages.size());
+  ASSERT_GT(iv.disk.busy_ns, 0u);
+  EXPECT_LT(iv.ckpt_ns * 2, iv.disk.busy_ns);
+
+  CommitToEach(db, pages, "next!");
+  ExpectForceBeforeTheFirstDiskWrite();
+}
+
+TEST_F(RuntimeWriteBackTest, FaceDestagesOfTheIntervalCheckpointOverlap) {
+  // WriteBackTest.FaceDestagesOfTheRestartCheckpointOverlap's full queue
+  // of 64 dirty frames, absorbed by an interval checkpoint: its 64 new
+  // full images need every queued frame destaged first, each destage a
+  // lane of the batch the log force leads.
+  Start(CachePolicy::kFace, /*flash_frames=*/64);
+  Database* db = tb_->db();
+  const std::vector<PageId> pages = NewPages(db, 8 * 64);
+  CommitToEach(db, pages, "base!");
+  FACE_ASSERT_OK(db->TakeCheckpoint().status());
+  const std::vector<PageId> queued = EveryNth(pages, 8);
+  CommitToEach(db, queued, FullImage('f'));
+  FACE_ASSERT_OK(db->TakeCheckpoint().status());
+  CommitToEach(db, queued, FullImage('r'));
+
+  FACE_ASSERT_OK_AND_ASSIGN(const Interval iv, RunInterval());
+  EXPECT_EQ(iv.disk.read_reqs, 0u);
+  EXPECT_EQ(iv.disk.write_reqs, queued.size());
+  EXPECT_EQ(iv.ckpt.writeback_batches, 1u);
+  EXPECT_EQ(iv.ckpt.writeback_pages, queued.size());
+  EXPECT_EQ(iv.ckpt.serial_destages, 0u);
+  ASSERT_GT(iv.disk.busy_ns, 0u);
+  EXPECT_LT(iv.ckpt_ns * 2, iv.disk.busy_ns);
+  FACE_ASSERT_OK(tb_->cache()->CheckInvariants());
+
+  CommitToEach(db, queued, FullImage('x'));
+  ExpectForceBeforeTheFirstDiskWrite();
 }
 
 TEST(DegradedRestartTest, RedoFromTheRebuildFloorRecoversEveryRow) {

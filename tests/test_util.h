@@ -44,6 +44,45 @@ namespace face {
   ASSERT_TRUE(var.ok()) << "status: " << var.status().ToString();   \
   lhs = std::move(var.value())
 
+/// Commit one byte-range write to each of `pages`, one transaction each.
+inline void CommitToEach(Database* db, const std::vector<PageId>& pages,
+                         const std::string& data) {
+  for (PageId pid : pages) {
+    const TxnId txn = db->Begin();
+    auto page = db->pool()->FetchPage(pid);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    FACE_ASSERT_OK(db->txns()->Update(txn, &page.value(), kPageHeaderSize,
+                                      data.data(),
+                                      static_cast<uint32_t>(data.size())));
+    FACE_ASSERT_OK(db->Commit(txn));
+  }
+}
+
+/// `n` freshly allocated pages of `db` (resident, not yet on disk).
+inline std::vector<PageId> NewPages(Database* db, uint32_t n) {
+  std::vector<PageId> pages;
+  for (uint32_t i = 0; i < n; ++i) {
+    auto page = db->pool()->NewPage();
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    if (!page.ok()) break;
+    pages.push_back(page->page_id());
+  }
+  return pages;
+}
+
+/// Every `stride`-th page of `pages`: neighbours on one spindle are then
+/// no longer adjacent blocks, so writing them back is random disk I/O.
+inline std::vector<PageId> EveryNth(const std::vector<PageId>& pages,
+                                    size_t stride) {
+  std::vector<PageId> out;
+  for (size_t i = 0; i < pages.size(); i += stride) out.push_back(pages[i]);
+  return out;
+}
+
+/// A committed write too large for a delta record: absorbing it takes a
+/// full FaCE frame.
+inline std::string FullImage(char fill) { return std::string(3000, fill); }
+
 /// A minimal single-device database stack (no flash cache, instant
 /// devices): storage + log + NullCache + Database, formatted and ready.
 /// Most engine/txn/recovery unit tests run on this.
@@ -133,41 +172,13 @@ class TimedEngineFixture : public ::testing::Test {
 
   /// Commit one byte-range write to each of `pages`.
   void CommitToEach(const std::vector<PageId>& pages, const std::string& data) {
-    for (PageId pid : pages) {
-      const TxnId txn = db_->Begin();
-      auto page = db_->pool()->FetchPage(pid);
-      ASSERT_TRUE(page.ok()) << page.status().ToString();
-      FACE_ASSERT_OK(db_->txns()->Update(txn, &page.value(), kPageHeaderSize,
-                                         data.data(),
-                                         static_cast<uint32_t>(data.size())));
-      FACE_ASSERT_OK(db_->Commit(txn));
-    }
+    face::CommitToEach(db_.get(), pages, data);
   }
 
   /// `n` freshly allocated pages (resident, not yet on disk).
   std::vector<PageId> NewPages(uint32_t n) {
-    std::vector<PageId> pages;
-    for (uint32_t i = 0; i < n; ++i) {
-      auto page = db_->pool()->NewPage();
-      EXPECT_TRUE(page.ok()) << page.status().ToString();
-      if (!page.ok()) break;
-      pages.push_back(page->page_id());
-    }
-    return pages;
+    return face::NewPages(db_.get(), n);
   }
-
-  /// Every `stride`-th page of `pages`: neighbours on one spindle are then
-  /// no longer adjacent blocks, so writing them back is random disk I/O.
-  static std::vector<PageId> EveryNth(const std::vector<PageId>& pages,
-                                      size_t stride) {
-    std::vector<PageId> out;
-    for (size_t i = 0; i < pages.size(); i += stride) out.push_back(pages[i]);
-    return out;
-  }
-
-  /// A committed write too large for a delta record: absorbing it takes a
-  /// full FaCE frame.
-  static std::string FullImage(char fill) { return std::string(3000, fill); }
 
   /// FaCE stack (InitFace with a pool that holds 8x the flash frames):
   /// leaves the flash queue full of valid dirty frames, one per returned
